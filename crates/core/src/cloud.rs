@@ -11,13 +11,13 @@ use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
 
-use skute_cluster::{Board, Cluster, ServerId, ServerSpec};
+use skute_cluster::{Board, Cluster, Server, ServerId, ServerSpec};
 use skute_economy::{proximity, ProximityCache, RegionQueries, RentModel};
 use skute_geo::{Level, Location, RegionWeight, Topology};
 use skute_ring::{PartitionId, RingId, VirtualRing};
 use skute_store::{
-    AntiEntropyUnion, FaultPlan, FaultStats, GrayMode, QuorumConfig, Record, ReplicaStore,
-    StorageActivity, StoreError, Version,
+    AntiEntropyUnion, ApplyOutcome, FaultPlan, FaultStats, GrayMode, QuorumConfig, Record,
+    ReplicaStore, StorageActivity, StoreError, Version,
 };
 
 use crate::app::{AppId, AppSpec, Application, AvailabilityLevel};
@@ -1399,12 +1399,9 @@ impl SkuteCloud {
             return Err(CoreError::Store(StoreError::NoReplicas));
         }
         let new_entry = key.len() as u64 + record.logical_size;
+        let key = Bytes::copy_from_slice(key);
         let mut acks = 0usize;
         for replica in partition.replicas.iter_mut() {
-            let old_entry = replica
-                .store
-                .get(key)
-                .map(|r| key.len() as u64 + r.logical_size);
             let Some(server) = self.cluster.get_mut(replica.server) else {
                 continue;
             };
@@ -1427,29 +1424,18 @@ impl SkuteCloud {
             if gray_blocked {
                 continue;
             }
-            let caps = server.capacities;
-            match old_entry {
-                Some(old) if new_entry <= old => {
-                    // Shrinking update always fits.
-                    if replica.store.apply(key.to_vec(), record.clone()) {
-                        server.usage.release_storage(old - new_entry);
-                    }
-                    acks += 1;
-                }
-                Some(old) => {
-                    if server.usage.reserve_storage(&caps, new_entry - old) {
-                        let applied = replica.store.apply(key.to_vec(), record.clone());
-                        debug_assert!(applied, "fresh versions always dominate");
-                        acks += 1;
-                    }
-                }
-                None => {
-                    if server.usage.reserve_storage(&caps, new_entry) {
-                        let applied = replica.store.apply(key.to_vec(), record.clone());
-                        debug_assert!(applied, "fresh versions always dominate");
-                        acks += 1;
-                    }
-                }
+            // One store lookup per replica: the store gates on version,
+            // then hands the displaced size to the capacity meter, which
+            // may veto before anything is logged. A replica already
+            // holding a dominating version acks — it has the write's
+            // outcome — and only a capacity veto withholds the ack.
+            let outcome = replica.store.apply_gated(
+                key.clone(),
+                record.clone(),
+                charge_entry(server, new_entry),
+            );
+            if outcome != ApplyOutcome::Vetoed {
+                acks += 1;
             }
         }
         partition.write_bytes_epoch += record.logical_size;
@@ -1913,7 +1899,7 @@ impl SkuteCloud {
                 continue;
             }
             let pid = self.rings[ring_idx].ring.route(&key);
-            let Some(partition) = self.rings[ring_idx].partitions.get(&pid) else {
+            let Some(partition) = self.rings[ring_idx].partitions.get_mut(&pid) else {
                 continue;
             };
             let Some(winner) =
@@ -1922,58 +1908,21 @@ impl SkuteCloud {
                 continue;
             };
             let new_entry = key.len() as u64 + winner.logical_size;
-            let stale: Vec<usize> = partition
-                .replicas
-                .iter()
-                .enumerate()
-                .filter(|(_, r)| match r.store.get(&key) {
-                    Some(rec) => rec.version < winner.version,
-                    None => true,
-                })
-                .map(|(i, _)| i)
-                .collect();
-            for idx in stale {
-                let (server, old_entry) = {
-                    let r = &self.rings[ring_idx].partitions[&pid].replicas[idx];
-                    (
-                        r.server,
-                        r.store
-                            .get(&key)
-                            .map(|rec| key.len() as u64 + rec.logical_size),
-                    )
-                };
-                if self.cluster.get_alive(server).is_none() {
+            for replica in partition.replicas.iter_mut() {
+                let Some(server) = self
+                    .cluster
+                    .get_mut(replica.server)
+                    .filter(|s| s.is_alive())
+                else {
                     continue;
-                }
-                let ok = match old_entry {
-                    Some(old) if new_entry <= old => {
-                        if let Some(s) = self.cluster.get_mut(server) {
-                            s.usage.release_storage(old - new_entry);
-                        }
-                        true
-                    }
-                    Some(old) => self
-                        .cluster
-                        .get_mut(server)
-                        .map(|s| {
-                            let caps = s.capacities;
-                            s.usage.reserve_storage(&caps, new_entry - old)
-                        })
-                        .unwrap_or(false),
-                    None => self
-                        .cluster
-                        .get_mut(server)
-                        .map(|s| {
-                            let caps = s.capacities;
-                            s.usage.reserve_storage(&caps, new_entry)
-                        })
-                        .unwrap_or(false),
                 };
-                if !ok {
-                    continue;
-                }
-                let p = self.rings[ring_idx].partitions.get_mut(&pid).unwrap();
-                if p.replicas[idx].store.apply(key.clone(), winner.clone()) {
+                // The store's version gate picks out the stale replicas.
+                let outcome = replica.store.apply_gated(
+                    key.clone(),
+                    winner.clone(),
+                    charge_entry(server, new_entry),
+                );
+                if outcome == ApplyOutcome::Applied {
                     applied += 1;
                 }
             }
@@ -2988,6 +2937,24 @@ impl SkuteCloud {
     }
 }
 
+/// The admission gate of a replica write: charges `server`'s storage meter
+/// for an entry of `new_entry` logical bytes replacing one of `displaced`
+/// bytes (`None` for a fresh key). A shrinking update always fits and
+/// releases the difference; a growing one is vetoed when the server is
+/// full.
+fn charge_entry(server: &mut Server, new_entry: u64) -> impl FnOnce(Option<u64>) -> bool + '_ {
+    move |displaced| {
+        let old = displaced.unwrap_or(0);
+        if new_entry <= old {
+            server.usage.release_storage(old - new_entry);
+            true
+        } else {
+            let caps = server.capacities;
+            server.usage.reserve_storage(&caps, new_entry - old)
+        }
+    }
+}
+
 /// Resolves one acting vnode's eq.-(3) target at commit time: honor the
 /// speculation when read-set validation proves the committed actions'
 /// write set cannot have changed its answer, else re-walk the live
@@ -3269,6 +3236,7 @@ mod tests {
     use super::*;
     use crate::app::LevelSpec;
     use skute_cluster::Capacities;
+    use skute_store::BackendKind;
 
     const GIB: u64 = 1 << 30;
 
@@ -3675,6 +3643,130 @@ mod tests {
         for r in &p.replicas {
             assert_eq!(r.store.get_value(b"g").unwrap().as_ref(), b"v2");
         }
+    }
+
+    /// Drives one key through every arm of the gated replica write on
+    /// `backend` and returns the replica servers' storage usage after each
+    /// step, for comparing backends.
+    fn gated_write_steps(backend: BackendKind) -> Vec<Vec<u64>> {
+        const KEY: &[u8] = b"gate";
+        let topology = Topology::paper();
+        let cluster = paper_cluster(&topology);
+        let config = SkuteConfig::paper().with_backend(backend);
+        let mut cloud = SkuteCloud::new(config, topology, cluster);
+        let app = cloud
+            .create_application(AppSpec::new("t").level(LevelSpec::new(3, 4)))
+            .unwrap();
+        for _ in 0..6 {
+            cloud.begin_epoch();
+            cloud.end_epoch();
+        }
+        cloud.begin_epoch();
+        let pid = cloud.rings[0].ring.route(KEY);
+        let servers = cloud.replica_servers(app, 0, pid).unwrap();
+        let k = servers.len() as u64;
+        assert!(k >= 3);
+        let usage = |cloud: &SkuteCloud| -> Vec<u64> {
+            servers
+                .iter()
+                .map(|&s| cloud.cluster.get(s).unwrap().usage.storage_used)
+                .collect()
+        };
+        let stored = |cloud: &SkuteCloud| -> Vec<Option<Record>> {
+            let p = &cloud.rings[0].partitions[&pid];
+            p.replicas.iter().map(|r| r.store.get(KEY)).collect()
+        };
+        // WAL appends across the partition's replicas (LSM only).
+        let wal_appends = |cloud: &SkuteCloud| -> Option<u64> {
+            let p = &cloud.rings[0].partitions[&pid];
+            p.replicas
+                .iter()
+                .map(|r| r.store.activity().map(|a| a.wal_appends))
+                .sum()
+        };
+        let grown = |from: &[u64], by: i64| -> Vec<u64> {
+            from.iter().map(|&u| (u as i64 + by) as u64).collect()
+        };
+        let base = usage(&cloud);
+        let entry = |value_len: i64| KEY.len() as i64 + value_len;
+        let mut steps = Vec::new();
+        let mut accepted = 0u64;
+
+        // Fresh key: every replica reserves the whole entry.
+        cloud.put(app, 0, KEY, vec![b'a'; 100]).unwrap();
+        accepted += k;
+        assert_eq!(usage(&cloud), grown(&base, entry(100)));
+        steps.push(usage(&cloud));
+
+        // Growing overwrite: only the difference is reserved.
+        cloud.put(app, 0, KEY, vec![b'b'; 300]).unwrap();
+        accepted += k;
+        assert_eq!(usage(&cloud), grown(&base, entry(300)));
+        steps.push(usage(&cloud));
+
+        // Shrinking overwrite: the difference is released.
+        cloud.put(app, 0, KEY, vec![b'c'; 50]).unwrap();
+        accepted += k;
+        assert_eq!(usage(&cloud), grown(&base, entry(50)));
+        steps.push(usage(&cloud));
+
+        // Stale version: replica 0 already holds a record from the far
+        // future (same size, so its charge stands). The write acks there
+        // without touching the store or the meter; the others grow.
+        let future = Record::put(vec![b'f'; 50], Version::new(u64::MAX, 0, 0));
+        {
+            let p = cloud.rings[0].partitions.get_mut(&pid).unwrap();
+            assert!(p.replicas[0].store.apply(KEY, future.clone()));
+        }
+        accepted += 1;
+        cloud.put(app, 0, KEY, vec![b'd'; 80]).unwrap();
+        accepted += k - 1;
+        let mut expected = grown(&base, entry(80));
+        expected[0] = base[0] + entry(50) as u64;
+        assert_eq!(usage(&cloud), expected);
+        assert_eq!(stored(&cloud)[0], Some(future));
+        steps.push(usage(&cloud));
+
+        // Capacity veto: with every replica server exactly full, a growing
+        // write gets no ack and leaves no trace — not in the meters, not
+        // in the stores, not in the WALs.
+        for &s in &servers {
+            let server = cloud.cluster.get_mut(s).unwrap();
+            server.capacities.storage_bytes = server.usage.storage_used;
+        }
+        let (usage_before, stored_before, wal_before) =
+            (usage(&cloud), stored(&cloud), wal_appends(&cloud));
+        assert_eq!(
+            cloud.put(app, 0, KEY, vec![b'e'; 500]),
+            Err(CoreError::Store(StoreError::CapacityExceeded))
+        );
+        assert_eq!(usage(&cloud), usage_before);
+        assert_eq!(stored(&cloud), stored_before);
+        assert_eq!(wal_appends(&cloud), wal_before);
+        steps.push(usage(&cloud));
+
+        // A shrinking write always fits, even on full servers.
+        cloud.delete(app, 0, KEY).unwrap();
+        accepted += k - 1;
+        steps.push(usage(&cloud));
+
+        match backend {
+            BackendKind::Mem => assert_eq!(wal_appends(&cloud), None),
+            BackendKind::Lsm => assert_eq!(
+                wal_appends(&cloud),
+                Some(accepted),
+                "one WAL append per accepted replica write, none for vetoed or stale ones"
+            ),
+        }
+        steps
+    }
+
+    #[test]
+    fn gated_writes_charge_storage_identically_on_both_backends() {
+        assert_eq!(
+            gated_write_steps(BackendKind::Mem),
+            gated_write_steps(BackendKind::Lsm)
+        );
     }
 
     /// Per-epoch served/dropped meter bits of every alive server.

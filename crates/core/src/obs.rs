@@ -25,7 +25,7 @@
 //! | `skute_insert_failures_total` | counter | | synthetic ingests rejected for capacity |
 //! | `skute_partitions_lost_total` | counter | | partitions that lost their last replica |
 //! | `skute_scrub_rebuilds_total` | counter | | quarantined replicas re-seeded from peers |
-//! | `skute_storage_engine_ops` | gauge | `op` | fleet-wide LSM totals (WAL appends, flushes, compactions), refreshed on scrape |
+//! | `skute_storage_engine_ops` | gauge | `op` | fleet-wide LSM totals, refreshed on scrape: the write path (`wal_append`, `memtable_flush`, `compaction`) and the read path (`point_read`, `run_probe`, `bloom_skip` — `run_probe / point_read` is the sorted runs actually read per lookup) |
 //! | `skute_storage_fault_recoveries` | gauge | `kind` | fleet-wide injected-fault recoveries, refreshed on scrape |
 //! | `skute_read_quorum_reads_total` | counter | | serving-path reads answered at quorum consistency |
 //! | `skute_read_quorum_divergent_total` | counter | | quorum reads that observed at least one stale replica |
@@ -107,6 +107,13 @@ pub struct CloudMetrics {
     pub lsm_flushes: Gauge,
     /// Fleet-wide LSM compactions (refreshed gauge).
     pub lsm_compactions: Gauge,
+    /// Fleet-wide LSM point lookups, reads and applies alike (refreshed
+    /// gauge).
+    pub lsm_point_reads: Gauge,
+    /// Fleet-wide sorted-run blocks read by point lookups (refreshed gauge).
+    pub lsm_run_probes: Gauge,
+    /// Fleet-wide sorted runs ruled out by bloom filter (refreshed gauge).
+    pub lsm_bloom_skips: Gauge,
     /// Fleet-wide WAL-append retries recovered (refreshed gauge).
     pub fault_wal_retries: Gauge,
     /// Fleet-wide flush retries recovered (refreshed gauge).
@@ -245,6 +252,9 @@ impl CloudMetrics {
             lsm_wal_appends: engine_op("wal_append"),
             lsm_flushes: engine_op("memtable_flush"),
             lsm_compactions: engine_op("compaction"),
+            lsm_point_reads: engine_op("point_read"),
+            lsm_run_probes: engine_op("run_probe"),
+            lsm_bloom_skips: engine_op("bloom_skip"),
             fault_wal_retries: fault("wal_retry"),
             fault_flush_retries: fault("flush_retry"),
             fault_read_retries: fault("read_retry"),
@@ -336,6 +346,9 @@ impl CloudMetrics {
         self.lsm_wal_appends.set(activity.wal_appends as i64);
         self.lsm_flushes.set(activity.memtable_flushes as i64);
         self.lsm_compactions.set(activity.compactions as i64);
+        self.lsm_point_reads.set(activity.point_reads as i64);
+        self.lsm_run_probes.set(activity.run_probes as i64);
+        self.lsm_bloom_skips.set(activity.bloom_skips as i64);
         self.fault_wal_retries.set(faults.wal_retries as i64);
         self.fault_flush_retries.set(faults.flush_retries as i64);
         self.fault_read_retries.set(faults.read_retries as i64);

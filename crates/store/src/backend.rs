@@ -27,7 +27,7 @@ use bytes::Bytes;
 use parking_lot::Mutex;
 use skute_ring::{KeyHasher, KeyRange};
 
-use crate::engine::PartitionStore;
+use crate::engine::{ApplyOutcome, PartitionStore};
 use crate::faults::{FaultPlan, FaultStats};
 use crate::lsm::{LsmStore, StorageActivity};
 use crate::merkle::{MerkleBuilder, MerkleSummary};
@@ -90,8 +90,22 @@ pub trait StorageBackend: Sized + Send + fmt::Debug {
     fn open() -> Self;
 
     /// Applies `record` under `key` if its version dominates the stored
+    /// one **and** `admit` lets it in, on a single lookup: `admit` sees the
+    /// logical size (key + record) of the entry the write would displace —
+    /// `None` for a fresh key — and a veto leaves the store, and a durable
+    /// engine's log, untouched.
+    fn apply_gated(
+        &mut self,
+        key: Bytes,
+        record: Record,
+        admit: impl FnOnce(Option<u64>) -> bool,
+    ) -> ApplyOutcome;
+
+    /// Applies `record` under `key` if its version dominates the stored
     /// one; returns `true` when the store changed.
-    fn apply(&mut self, key: Bytes, record: Record) -> bool;
+    fn apply(&mut self, key: Bytes, record: Record) -> bool {
+        self.apply_gated(key, record, |_| true) == ApplyOutcome::Applied
+    }
 
     /// The record stored under `key`, tombstones included.
     fn get(&self, key: &[u8]) -> Option<Record>;
@@ -152,8 +166,13 @@ impl StorageBackend for PartitionStore {
         PartitionStore::new()
     }
 
-    fn apply(&mut self, key: Bytes, record: Record) -> bool {
-        PartitionStore::apply(self, key, record)
+    fn apply_gated(
+        &mut self,
+        key: Bytes,
+        record: Record,
+        admit: impl FnOnce(Option<u64>) -> bool,
+    ) -> ApplyOutcome {
+        PartitionStore::apply_gated(self, key, record, admit)
     }
 
     fn get(&self, key: &[u8]) -> Option<Record> {
@@ -200,8 +219,13 @@ impl StorageBackend for LsmStore {
         LsmStore::create()
     }
 
-    fn apply(&mut self, key: Bytes, record: Record) -> bool {
-        LsmStore::apply(self, key, record)
+    fn apply_gated(
+        &mut self,
+        key: Bytes,
+        record: Record,
+        admit: impl FnOnce(Option<u64>) -> bool,
+    ) -> ApplyOutcome {
+        LsmStore::apply_gated(self, key, record, admit)
     }
 
     fn get(&self, key: &[u8]) -> Option<Record> {
@@ -254,7 +278,8 @@ impl StorageBackend for LsmStore {
 pub enum ReplicaStore {
     /// Copy-on-write in-memory engine.
     Mem(CowPartitionStore),
-    /// Durable LSM engine behind a mutex (point reads need file seeks).
+    /// Durable LSM engine behind a mutex: writes, flushes and forks need
+    /// exclusive access (point reads are positional and take `&self`).
     Lsm(Arc<Mutex<LsmStore>>),
 }
 
@@ -291,9 +316,36 @@ impl ReplicaStore {
 
     /// Version-gated write; returns `true` when the store changed.
     pub fn apply(&mut self, key: impl Into<Bytes>, record: Record) -> bool {
+        self.apply_gated(key, record, |_| true) == ApplyOutcome::Applied
+    }
+
+    /// Version-gated write with an admission gate (see
+    /// [`StorageBackend::apply_gated`]): the LSM engine does one lookup and
+    /// logs nothing on a veto.
+    pub fn apply_gated(
+        &mut self,
+        key: impl Into<Bytes>,
+        record: Record,
+        admit: impl FnOnce(Option<u64>) -> bool,
+    ) -> ApplyOutcome {
+        let key = key.into();
         match self {
-            ReplicaStore::Mem(s) => s.make_mut().apply(key, record),
-            ReplicaStore::Lsm(s) => s.lock().apply(key, record),
+            ReplicaStore::Mem(s) => {
+                // Gate on the shared view: only an admitted write may
+                // detach copy-on-write storage.
+                let displaced = match s.get(&key) {
+                    Some(existing) if record.version <= existing.version => {
+                        return ApplyOutcome::Stale;
+                    }
+                    existing => existing.map(|e| key.len() as u64 + e.logical_size),
+                };
+                if !admit(displaced) {
+                    return ApplyOutcome::Vetoed;
+                }
+                s.make_mut().apply(key, record);
+                ApplyOutcome::Applied
+            }
+            ReplicaStore::Lsm(s) => s.lock().apply_gated(key, record, admit),
         }
     }
 

@@ -7,6 +7,19 @@ use skute_ring::{KeyHasher, KeyRange};
 
 use crate::value::Record;
 
+/// What a gated apply did with the record it was handed.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ApplyOutcome {
+    /// The record landed; the store changed.
+    Applied,
+    /// The stored version dominates: nothing changed and the admission
+    /// closure was never consulted.
+    Stale,
+    /// The admission closure refused the write: nothing changed, and on a
+    /// durable engine nothing was logged.
+    Vetoed,
+}
+
 /// In-memory store for one replica of one partition: an ordered map from
 /// key to [`Record`] with exact logical-size accounting.
 ///
@@ -49,23 +62,42 @@ impl PartitionStore {
     /// Applies `record` under `key` if its version dominates the stored one.
     /// Returns `true` when the store changed.
     pub fn apply(&mut self, key: impl Into<Bytes>, record: Record) -> bool {
+        self.apply_gated(key, record, |_| true) == ApplyOutcome::Applied
+    }
+
+    /// [`PartitionStore::apply`] with an admission gate: once the version
+    /// check passes, `admit` sees the logical size (key + record) of the
+    /// entry the write would displace — `None` for a fresh key — and may
+    /// veto the write, all on one lookup.
+    pub fn apply_gated(
+        &mut self,
+        key: impl Into<Bytes>,
+        record: Record,
+        admit: impl FnOnce(Option<u64>) -> bool,
+    ) -> ApplyOutcome {
         let key = key.into();
         match self.records.get_mut(&key) {
             Some(existing) => {
                 if record.version <= existing.version {
-                    return false;
+                    return ApplyOutcome::Stale;
                 }
-                self.logical_bytes -= Self::entry_size(&key, existing);
+                let displaced = Self::entry_size(&key, existing);
+                if !admit(Some(displaced)) {
+                    return ApplyOutcome::Vetoed;
+                }
+                self.logical_bytes -= displaced;
                 self.logical_bytes += Self::entry_size(&key, &record);
                 *existing = record;
-                true
             }
             None => {
+                if !admit(None) {
+                    return ApplyOutcome::Vetoed;
+                }
                 self.logical_bytes += Self::entry_size(&key, &record);
                 self.records.insert(key, record);
-                true
             }
         }
+        ApplyOutcome::Applied
     }
 
     /// The record stored under `key`, tombstones included.

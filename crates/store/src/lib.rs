@@ -17,15 +17,17 @@
 //!   carrying no actual bytes, which is how the saturation experiment of
 //!   Fig. 5 scales on a laptop),
 //! * [`StorageBackend`] — the trait boundary every per-replica engine
-//!   fulfils: version-gated `apply`, point `get`, ordered iteration,
-//!   ring-aware `split_off`/`absorb`, `flush`, and *two* byte-accounting
+//!   fulfils: version-gated `apply` (and its admission-gated form
+//!   `apply_gated`), point `get`, ordered iteration, ring-aware
+//!   `split_off`/`absorb`, `flush`, and *two* byte-accounting
 //!   hooks — `logical_bytes` (what the economic model prices; bit-identical
 //!   across engines) and `physical_bytes` (what a transfer really moves),
 //! * [`PartitionStore`] — the in-memory engine: the fast default and the
 //!   bit-exact oracle (its physical footprint *is* its logical footprint),
 //! * [`LsmStore`] — the durable engine: WAL append + replay, `BTreeMap`
-//!   memtable, size-triggered SSTable flushes with sparse indexes, a
-//!   newest-first leveled read path, and size-tiered compaction — with
+//!   memtable, size-triggered SSTable flushes with sparse indexes and
+//!   bloom filters, a newest-first leveled read path of positional block
+//!   reads, and size-tiered compaction — with
 //!   CRC32-checked records, torn-tail truncation on replay, and
 //!   quarantine of unrecoverable corruption,
 //! * [`faults`] — seeded, deterministic storage-fault injection
@@ -55,7 +57,7 @@ pub mod value;
 mod shared;
 
 pub use backend::{AntiEntropyUnion, BackendKind, ReplicaStore, StorageBackend};
-pub use engine::PartitionStore;
+pub use engine::{ApplyOutcome, PartitionStore};
 pub use error::StoreError;
 pub use faults::{
     FaultInjector, FaultPlan, FaultPlanKind, FaultStats, GrayMode, GRAY_WINDOW_EPOCHS,

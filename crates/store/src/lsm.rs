@@ -18,20 +18,37 @@
 //! * `NNNNNNNN.sst` — immutable sorted runs (SSTables), numbered in
 //!   creation order. Each holds the entries of one memtable flush (or one
 //!   compaction), in key order, with an in-memory sparse index (one
-//!   `(key, offset)` pin every [`INDEX_EVERY`] entries) rebuilt on open.
+//!   `(key, offset)` pin every [`INDEX_EVERY`] entries) and an in-memory
+//!   bloom filter over its keys, both rebuilt by the verification scan on
+//!   open — neither is part of the on-disk format.
 //!
 //! # Write and read paths
 //!
-//! Writes are version-gated exactly like the in-memory engine: the current
-//! record is looked up first, a dominated version is rejected, an accepted
-//! record is WAL-appended and inserted into the `BTreeMap` memtable. When
-//! the memtable's encoded size crosses the flush threshold it is written
-//! out as a fresh SSTable and the WAL is truncated (its entries are now
-//! durable in the run). Reads are leveled: memtable first, then SSTables
-//! newest-to-oldest — the first hit wins, because an entry only ever lands
-//! in the store if its version dominated everything older at write time.
-//! Once more than [`MAX_TABLES`] runs of the tier accumulate, a size-tiered
-//! compaction collapses them into a single run.
+//! Writes are version-gated exactly like the in-memory engine, on **one**
+//! lookup ([`apply_gated`](LsmStore::apply_gated)): the current record is
+//! looked up, a dominated version is rejected, the caller's admission
+//! closure sees the size of the entry about to be displaced and may veto
+//! (capacity accounting lives there), and only then is the record
+//! WAL-appended and inserted into the `BTreeMap` memtable — a vetoed write
+//! never touches the log. Plain [`apply`](LsmStore::apply) is the gated
+//! apply that always admits. When the memtable's encoded size crosses the
+//! flush threshold it is written out as a fresh SSTable and the WAL is
+//! truncated (its entries are now durable in the run). Once more than
+//! [`MAX_TABLES`] runs of the tier accumulate, a size-tiered compaction
+//! collapses them into a single run.
+//!
+//! Reads are leveled: memtable first, then SSTables newest-to-oldest — the
+//! first hit wins, because an entry only ever lands in the store if its
+//! version dominated everything older at write time. Probing a run is
+//! three steps, none of which moves a file cursor, so `get` is truly
+//! `&self`: the run's bloom filter (≈[`BLOOM_BITS_PER_KEY`] bits per key)
+//! rejects most keys the run does not hold without any I/O; the sparse
+//! index names the one block that could hold the key; and a single
+//! positional read fetches exactly that block into a reused buffer, where
+//! entries are decoded in place — every entry walked is still
+//! CRC-verified, every length is bounded by the block, and only the
+//! matched record is copied out. The fault injector is never consulted on
+//! point reads.
 //!
 //! # Crash consistency and faults
 //!
@@ -69,16 +86,18 @@
 //! injected or recoverable ones) are simulation-fatal and panic;
 //! [`crate::StoreError`] stays `Clone + Eq` and carries no I/O variants.
 
+use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::fs::{self, File, OpenOptions};
-use std::io::{BufReader, BufWriter, Read, Seek, SeekFrom, Write};
+use std::io::{BufReader, BufWriter, ErrorKind, Read, Seek, SeekFrom, Write};
+use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use bytes::Bytes;
 use skute_ring::{KeyHasher, KeyRange};
 
-use crate::engine::PartitionStore;
+use crate::engine::{ApplyOutcome, PartitionStore};
 use crate::faults::{crc32, FaultInjector, FaultPlan, FaultStats};
 use crate::value::{Record, Version};
 
@@ -87,6 +106,13 @@ const WAL_NAME: &str = "wal.log";
 
 /// One sparse-index pin per this many SSTable entries.
 const INDEX_EVERY: usize = 16;
+
+/// Bloom filter budget per key of a run; with [`BLOOM_PROBES`] probes the
+/// false-positive rate is ≈ 0.8 %.
+const BLOOM_BITS_PER_KEY: usize = 10;
+
+/// Bits set (and tested) per key.
+const BLOOM_PROBES: u64 = 7;
 
 /// Size-tiered compaction trigger: more than this many runs collapse into
 /// one.
@@ -101,6 +127,10 @@ const CRC_LEN: u64 = 4;
 /// Sanity cap on decoded field lengths: a corrupt length field must not
 /// drive a multi-gigabyte allocation before the checksum gets a say.
 const MAX_FIELD: usize = 1 << 28;
+
+/// Most the streaming decoder grows its buffer by before the bytes are
+/// known to exist.
+const READ_CHUNK: usize = 64 * 1024;
 
 /// Retry budget for injected-fault recovery loops. The injector caps
 /// consecutive faults well below this, so the budget never exhausts; the
@@ -170,12 +200,18 @@ enum EntryError {
 }
 
 /// Reads `len` bytes into `raw` (so the checksum can cover them), returning
-/// the start offset of the field within `raw`.
+/// the start offset of the field within `raw`. `raw` grows a chunk at a
+/// time, so a corrupt length allocates for the bytes actually present,
+/// not for what it claims.
 fn read_field(r: &mut impl Read, raw: &mut Vec<u8>, len: usize) -> Result<usize, EntryError> {
     let start = raw.len();
-    raw.resize(start + len, 0);
-    r.read_exact(&mut raw[start..])
-        .map_err(|_| EntryError::Truncated)?;
+    let end = start + len;
+    while raw.len() < end {
+        let filled = raw.len();
+        raw.resize(end.min(filled + READ_CHUNK), 0);
+        r.read_exact(&mut raw[filled..])
+            .map_err(|_| EntryError::Truncated)?;
+    }
     Ok(start)
 }
 
@@ -244,6 +280,116 @@ fn try_read_entry(
     )))
 }
 
+/// One entry decoded in place; the slices borrow the buffer it came from.
+#[derive(Debug)]
+struct EntryView<'a> {
+    key: &'a [u8],
+    /// `None` for a tombstone.
+    value: Option<&'a [u8]>,
+    version: Version,
+    logical_size: u64,
+    /// Encoded length, CRC trailer included: where the next entry starts.
+    encoded_len: usize,
+}
+
+impl EntryView<'_> {
+    fn to_record(&self) -> Record {
+        Record {
+            value: self.value.map(Bytes::copy_from_slice),
+            version: self.version,
+            logical_size: self.logical_size,
+        }
+    }
+}
+
+/// The next `len` bytes of `buf` past `*at`; a field running past the
+/// buffer is a tear.
+fn take_field<'a>(buf: &'a [u8], at: &mut usize, len: usize) -> Result<&'a [u8], EntryError> {
+    let end = at
+        .checked_add(len)
+        .filter(|&end| end <= buf.len())
+        .ok_or(EntryError::Truncated)?;
+    let field = &buf[*at..end];
+    *at = end;
+    Ok(field)
+}
+
+/// [`try_read_entry`] over a slice: decodes and checksum-verifies the
+/// entry at the head of a non-empty `buf` without allocating. Every
+/// length is bounded by `buf` before it is used.
+fn decode_entry(buf: &[u8]) -> Result<EntryView<'_>, EntryError> {
+    let mut at = 0usize;
+    let key_len = field_u32(take_field(buf, &mut at, 4)?, 0) as usize;
+    if key_len > MAX_FIELD {
+        return Err(EntryError::Corrupt);
+    }
+    let key = take_field(buf, &mut at, key_len)?;
+    let live = take_field(buf, &mut at, 1)?[0] != 0;
+    let value_len = field_u32(take_field(buf, &mut at, 4)?, 0) as usize;
+    if value_len > MAX_FIELD {
+        return Err(EntryError::Corrupt);
+    }
+    let value = take_field(buf, &mut at, if live { value_len } else { 0 })?;
+    let tail = take_field(buf, &mut at, 8 + 8 + 4 + 8)?;
+    let body = at;
+    let crc = field_u32(take_field(buf, &mut at, CRC_LEN as usize)?, 0);
+    if crc32(&buf[..body]) != crc {
+        return Err(EntryError::Corrupt);
+    }
+    Ok(EntryView {
+        key,
+        value: live.then_some(value),
+        version: Version::new(field_u64(tail, 0), field_u64(tail, 8), field_u32(tail, 16)),
+        logical_size: field_u64(tail, 20),
+        encoded_len: at,
+    })
+}
+
+/// The hash a run's bloom filter is built and probed with.
+fn bloom_hash(key: &[u8]) -> u64 {
+    KeyHasher::default().hash(key)
+}
+
+/// A bloom filter over the keys of one sorted run: never a false
+/// negative, ≈ 0.8 % false positives. In memory only — rebuilt on open.
+#[derive(Debug)]
+struct Bloom {
+    bits: Vec<u64>,
+}
+
+impl Bloom {
+    fn build(hashes: &[u64]) -> Self {
+        let words = (hashes.len() * BLOOM_BITS_PER_KEY).div_ceil(64).max(1);
+        let mut bloom = Self {
+            bits: vec![0; words],
+        };
+        for &hash in hashes {
+            for bit in bloom.probes(hash) {
+                bloom.bits[bit / 64] |= 1 << (bit % 64);
+            }
+        }
+        bloom
+    }
+
+    /// The bit positions of `hash` (double hashing over its two halves).
+    fn probes(&self, hash: u64) -> impl Iterator<Item = usize> {
+        let nbits = self.bits.len() as u64 * 64;
+        let step = (hash >> 32) | 1;
+        (0..BLOOM_PROBES).map(move |i| (hash.wrapping_add(i.wrapping_mul(step)) % nbits) as usize)
+    }
+
+    fn may_contain(&self, hash: u64) -> bool {
+        self.probes(hash)
+            .all(|bit| self.bits[bit / 64] & (1 << (bit % 64)) != 0)
+    }
+}
+
+thread_local! {
+    /// The block buffer point reads decode from, reused across calls so a
+    /// probe allocates nothing (per thread, so `get` stays `&self`).
+    static BLOCK_BUF: RefCell<Vec<u8>> = const { RefCell::new(Vec::new()) };
+}
+
 /// Makes a directory entry durable (fsync on the directory handle where
 /// the platform supports it; best-effort elsewhere).
 fn sync_dir(dir: &Path) {
@@ -252,7 +398,8 @@ fn sync_dir(dir: &Path) {
     }
 }
 
-/// One immutable sorted run on disk plus its in-memory sparse index.
+/// One immutable sorted run on disk plus its in-memory sparse index and
+/// bloom filter.
 #[derive(Debug)]
 struct SsTable {
     path: PathBuf,
@@ -260,55 +407,75 @@ struct SsTable {
     /// `(first key of block, byte offset)` every [`INDEX_EVERY`] entries;
     /// always pins the run's first entry.
     index: Vec<(Bytes, u64)>,
+    bloom: Bloom,
     bytes: u64,
 }
 
 impl SsTable {
-    /// Opens a run, scanning it once to rebuild the sparse index and
-    /// verify every entry's checksum.
+    /// Opens a run, scanning it once to verify every entry's checksum and
+    /// rebuild the sparse index and the bloom filter.
     fn open(path: PathBuf) -> Result<Self, EntryError> {
         let file = File::open(&path).expect("lsm: open sstable");
         let bytes = file.metadata().expect("lsm: stat sstable").len();
         let mut index = Vec::new();
+        let mut hashes = Vec::new();
         let mut reader = BufReader::new(&file);
         let mut raw = Vec::new();
         let mut offset = 0u64;
-        let mut n = 0usize;
         while let Some((key, _)) = try_read_entry(&mut reader, &mut raw)? {
-            if n % INDEX_EVERY == 0 {
+            let hash = bloom_hash(&key);
+            if hashes.len() % INDEX_EVERY == 0 {
                 index.push((key, offset));
             }
+            hashes.push(hash);
             offset += raw.len() as u64 + CRC_LEN;
-            n += 1;
         }
         Ok(Self {
             path,
             file,
             index,
+            bloom: Bloom::build(&hashes),
             bytes,
         })
     }
 
-    /// Point lookup: seek to the sparse-index floor and scan the block.
-    /// A decode failure mid-scan reads as a miss — the run was verified
-    /// at open, so this only happens under later on-disk corruption,
-    /// which quarantine-and-rebuild handles.
-    fn get(&self, key: &[u8]) -> Option<Record> {
+    /// Point lookup: bloom check, sparse-index floor, then one positional
+    /// read of exactly the block that could hold `key` into `block`,
+    /// decoded in place. `hash` is [`bloom_hash`] of `key`. A decode
+    /// failure (or a run that shrank under us) reads as a miss — the run
+    /// was verified at open, so this only happens under later on-disk
+    /// corruption, which quarantine-and-rebuild handles.
+    fn get(
+        &self,
+        key: &[u8],
+        hash: u64,
+        block: &mut Vec<u8>,
+        counters: &ReadCounters,
+    ) -> Option<Record> {
+        if !self.bloom.may_contain(hash) {
+            counters.bloom_skips.fetch_add(1, Ordering::Relaxed);
+            return None;
+        }
         let at = self.index.partition_point(|(k, _)| k.as_ref() <= key);
         if at == 0 {
             return None; // key sorts before the run's smallest key
         }
+        counters.run_probes.fetch_add(1, Ordering::Relaxed);
         let start = self.index[at - 1].1;
-        let mut reader = BufReader::new(&self.file);
-        reader
-            .seek(SeekFrom::Start(start))
-            .expect("lsm: seek sstable");
-        let mut raw = Vec::new();
-        while let Ok(Some((k, record))) = try_read_entry(&mut reader, &mut raw) {
-            match k.as_ref().cmp(key) {
-                std::cmp::Ordering::Equal => return Some(record),
+        let end = self.index.get(at).map_or(self.bytes, |pin| pin.1);
+        block.resize((end - start) as usize, 0);
+        match self.file.read_exact_at(block, start) {
+            Ok(()) => {}
+            Err(e) if e.kind() == ErrorKind::UnexpectedEof => return None,
+            Err(e) => panic!("lsm: read sstable block: {e}"),
+        }
+        let mut rest = block.as_slice();
+        while !rest.is_empty() {
+            let entry = decode_entry(rest).ok()?;
+            match entry.key.cmp(key) {
+                std::cmp::Ordering::Equal => return Some(entry.to_record()),
                 std::cmp::Ordering::Greater => return None,
-                std::cmp::Ordering::Less => {}
+                std::cmp::Ordering::Less => rest = &rest[entry.encoded_len..],
             }
         }
         None
@@ -372,16 +539,27 @@ pub struct LsmStore {
     plan: FaultPlan,
     injector: Option<FaultInjector>,
     stats: FaultStats,
+    /// The write-path counters of [`StorageActivity`].
     activity: StorageActivity,
+    /// The read-path counters of [`StorageActivity`]: atomics, because
+    /// lookups take `&self`.
+    reads: ReadCounters,
     /// Set when unrecoverable corruption was detected; the cluster layer
     /// re-seeds quarantined replicas from a healthy peer.
     quarantined: bool,
 }
 
-/// Cumulative engine-activity counters: how often the write path exercised
-/// each LSM mechanism. Observability only — like [`FaultStats`], none of
-/// these feed decisions, the CSV, or stdout, so trajectories are identical
-/// whether or not anyone reads them.
+#[derive(Debug, Default)]
+struct ReadCounters {
+    point_reads: AtomicU64,
+    run_probes: AtomicU64,
+    bloom_skips: AtomicU64,
+}
+
+/// Cumulative engine-activity counters: how often the write and read paths
+/// exercised each LSM mechanism. Observability only — like [`FaultStats`],
+/// none of these feed decisions, the CSV, or stdout, so trajectories are
+/// identical whether or not anyone reads them.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct StorageActivity {
     /// Accepted writes appended (durably) to the WAL.
@@ -390,6 +568,14 @@ pub struct StorageActivity {
     pub memtable_flushes: u64,
     /// Size-tiered compactions that collapsed the run tier.
     pub compactions: u64,
+    /// Point lookups: every `get`, plus the one lookup of every apply.
+    pub point_reads: u64,
+    /// Sorted-run blocks read and decoded by point lookups;
+    /// `run_probes / point_reads` is the read amplification.
+    pub run_probes: u64,
+    /// Sorted runs a point lookup ruled out by their bloom filter, without
+    /// I/O.
+    pub bloom_skips: u64,
 }
 
 impl StorageActivity {
@@ -398,6 +584,9 @@ impl StorageActivity {
         self.wal_appends += other.wal_appends;
         self.memtable_flushes += other.memtable_flushes;
         self.compactions += other.compactions;
+        self.point_reads += other.point_reads;
+        self.run_probes += other.run_probes;
+        self.bloom_skips += other.bloom_skips;
     }
 }
 
@@ -438,6 +627,7 @@ impl LsmStore {
                 .then(|| FaultInjector::for_next_store(plan)),
             stats: FaultStats::default(),
             activity: StorageActivity::default(),
+            reads: ReadCounters::default(),
             quarantined: false,
         }
     }
@@ -551,6 +741,7 @@ impl LsmStore {
             injector,
             stats,
             activity: StorageActivity::default(),
+            reads: ReadCounters::default(),
             quarantined,
         };
         let merged = store.merged();
@@ -605,9 +796,15 @@ impl LsmStore {
     }
 
     /// Cumulative engine-activity counters (WAL appends, flushes,
-    /// compactions). Observability only.
+    /// compactions; point reads, run probes, bloom skips). Observability
+    /// only.
     pub fn activity(&self) -> StorageActivity {
-        self.activity
+        StorageActivity {
+            point_reads: self.reads.point_reads.load(Ordering::Relaxed),
+            run_probes: self.reads.run_probes.load(Ordering::Relaxed),
+            bloom_skips: self.reads.bloom_skips.load(Ordering::Relaxed),
+            ..self.activity
+        }
     }
 
     /// True when unrecoverable corruption was detected (at open or by
@@ -665,32 +862,53 @@ impl LsmStore {
     }
 
     fn lookup(&self, key: &[u8]) -> Option<Record> {
+        self.reads.point_reads.fetch_add(1, Ordering::Relaxed);
         if let Some(r) = self.memtable.get(key) {
             return Some(r.clone());
         }
-        // Newest run first; the first hit dominates everything older.
-        for table in self.tables.iter().rev() {
-            if let Some(r) = table.get(key) {
-                return Some(r);
-            }
+        if self.tables.is_empty() {
+            return None;
         }
-        None
+        let hash = bloom_hash(key);
+        BLOCK_BUF.with_borrow_mut(|block| {
+            // Newest run first; the first hit dominates everything older.
+            self.tables
+                .iter()
+                .rev()
+                .find_map(|table| table.get(key, hash, block, &self.reads))
+        })
     }
 
     /// Applies `record` under `key` if its version dominates the stored
-    /// one; an accepted write is WAL-durable before this returns — even
-    /// under injected torn appends and failed fsyncs, which are repaired
-    /// by truncate-to-acked and a bounded deterministic-backoff retry.
-    /// Returns `true` when the store changed.
+    /// one. Returns `true` when the store changed.
     pub fn apply(&mut self, key: impl Into<Bytes>, record: Record) -> bool {
+        self.apply_gated(key, record, |_| true) == ApplyOutcome::Applied
+    }
+
+    /// Applies `record` under `key` if its version dominates the stored
+    /// one and `admit` lets it in — one lookup for both decisions. `admit`
+    /// sees the logical size (key + record) of the entry the write would
+    /// displace, `None` for a fresh key, and runs *before* the WAL append:
+    /// a vetoed write leaves no trace. An accepted write is WAL-durable
+    /// before this returns — even under injected torn appends and failed
+    /// fsyncs, which are repaired by truncate-to-acked and a bounded
+    /// deterministic-backoff retry.
+    pub fn apply_gated(
+        &mut self,
+        key: impl Into<Bytes>,
+        record: Record,
+        admit: impl FnOnce(Option<u64>) -> bool,
+    ) -> ApplyOutcome {
         let key = key.into();
-        match self.lookup(&key) {
-            Some(existing) => {
-                if record.version <= existing.version {
-                    return false;
-                }
-                self.logical_bytes -= entry_size(&key, &existing);
-            }
+        let displaced = match self.lookup(&key) {
+            Some(existing) if record.version <= existing.version => return ApplyOutcome::Stale,
+            existing => existing.map(|e| entry_size(&key, &e)),
+        };
+        if !admit(displaced) {
+            return ApplyOutcome::Vetoed;
+        }
+        match displaced {
+            Some(old) => self.logical_bytes -= old,
             None => self.key_count += 1,
         }
         self.logical_bytes += entry_size(&key, &record);
@@ -740,7 +958,7 @@ impl LsmStore {
         if self.memtable_bytes >= self.flush_threshold {
             self.flush_memtable();
         }
-        true
+        ApplyOutcome::Applied
     }
 
     /// The record stored under `key`, tombstones included.
@@ -1441,6 +1659,114 @@ mod tests {
         }
     }
 
+    /// The streaming decoder, fed from a slice.
+    fn stream_decode(bytes: &[u8]) -> Result<Option<(Bytes, Record)>, EntryError> {
+        try_read_entry(&mut &bytes[..], &mut Vec::new())
+    }
+
+    #[test]
+    fn length_fields_past_the_block_are_rejected_without_allocating() {
+        let mut buf = Vec::new();
+        encode_entry(&mut buf, b"key", &rec(b"value", 1));
+        // The largest lengths the sanity cap lets through: 256 MiB each,
+        // had either been allocated for. `EntryView` only borrows.
+        let huge = (MAX_FIELD as u32).to_le_bytes();
+        let mut long_key = buf.clone();
+        long_key[..4].copy_from_slice(&huge);
+        assert_eq!(decode_entry(&long_key).unwrap_err(), EntryError::Truncated);
+        let mut long_value = buf.clone();
+        let vlen_at = 4 + 3 + 1;
+        long_value[vlen_at..vlen_at + 4].copy_from_slice(&huge);
+        assert_eq!(
+            decode_entry(&long_value).unwrap_err(),
+            EntryError::Truncated
+        );
+        // One past the cap is corruption, not a tear.
+        buf[..4].copy_from_slice(&(MAX_FIELD as u32 + 1).to_le_bytes());
+        assert_eq!(decode_entry(&buf).unwrap_err(), EntryError::Corrupt);
+    }
+
+    #[test]
+    fn bloom_has_no_false_negatives_and_few_false_positives() {
+        let present: Vec<u64> = (0..2_000u32)
+            .map(|i| bloom_hash(format!("present-{i}").as_bytes()))
+            .collect();
+        let bloom = Bloom::build(&present);
+        assert!(present.iter().all(|&h| bloom.may_contain(h)));
+        let false_positives = (0..20_000u32)
+            .filter(|i| bloom.may_contain(bloom_hash(format!("absent-{i}").as_bytes())))
+            .count();
+        assert!(
+            false_positives < 400,
+            "{false_positives} / 20000 false positives: expected ≈ 0.8 %"
+        );
+        // The filter of an empty run admits nothing and never divides by zero.
+        assert!(!Bloom::build(&[]).may_contain(bloom_hash(b"anything")));
+    }
+
+    /// What the filter-and-engine property drives the two engines with.
+    struct Pair {
+        lsm: LsmStore,
+        oracle: PartitionStore,
+        plan: FaultPlan,
+        flush_threshold: u64,
+    }
+
+    impl Pair {
+        /// No false negatives: every key the oracle holds reads back
+        /// identically, with identical accounting.
+        fn assert_equal(&self, when: &str) -> Result<(), TestCaseError> {
+            prop_assert_eq!(self.lsm.len(), self.oracle.len(), "{}", when);
+            prop_assert_eq!(
+                self.lsm.logical_bytes(),
+                self.oracle.logical_bytes(),
+                "{}",
+                when
+            );
+            for (key, record) in self.oracle.iter() {
+                let got = self.lsm.get(key);
+                prop_assert_eq!(got.as_ref(), Some(record), "{}: key {:?}", when, key);
+            }
+            Ok(())
+        }
+
+        /// A point read moves the read counters by exactly what it did and
+        /// never touches the fault injector's stream.
+        fn get_checked(&self, key: &[u8]) -> Result<(), TestCaseError> {
+            let faults = self.lsm.fault_stats();
+            let before = self.lsm.activity();
+            let filters_all_reject = !self.lsm.memtable.contains_key(key)
+                && self
+                    .lsm
+                    .tables
+                    .iter()
+                    .all(|t| !t.bloom.may_contain(bloom_hash(key)));
+            let got = self.lsm.get(key);
+            prop_assert_eq!(got.as_ref(), self.oracle.get(key), "key {:?}", key);
+            let after = self.lsm.activity();
+            prop_assert_eq!(after.point_reads, before.point_reads + 1);
+            let runs = self.lsm.tables.len() as u64;
+            prop_assert!(
+                (after.run_probes - before.run_probes) + (after.bloom_skips - before.bloom_skips)
+                    <= runs
+            );
+            if filters_all_reject {
+                prop_assert_eq!(after.run_probes, before.run_probes);
+                prop_assert_eq!(after.bloom_skips, before.bloom_skips + runs);
+            }
+            prop_assert_eq!(self.lsm.fault_stats(), faults);
+            prop_assert_eq!(
+                (after.wal_appends, after.memtable_flushes, after.compactions),
+                (
+                    before.wal_appends,
+                    before.memtable_flushes,
+                    before.compactions
+                )
+            );
+            Ok(())
+        }
+    }
+
     #[test]
     fn empty_store_touches_no_filesystem() {
         let dir = fresh_store_dir();
@@ -1453,7 +1779,133 @@ mod tests {
     }
 
     proptest! {
-        #![proptest_config(ProptestConfig::with_cases(16))]
+        #![proptest_config(ProptestConfig::with_cases(24))]
+
+        /// The slice decoder and the streaming decoder are one format:
+        /// they agree on every well-formed entry (live and tombstone,
+        /// empty key and value), and both reject — with the same verdict —
+        /// every truncation and every single-bit flip of it.
+        #[test]
+        fn slice_and_streaming_decoders_agree(
+            key in collection::vec(any::<u8>(), 0usize..20),
+            value in proptest::option::of(collection::vec(any::<u8>(), 0usize..40)),
+            epoch in any::<u64>(),
+            seq in any::<u64>(),
+            writer in any::<u32>(),
+            logical_size in any::<u64>(),
+            trailing in collection::vec(any::<u8>(), 0usize..8),
+        ) {
+            let record = Record {
+                value: value.map(Bytes::from),
+                version: Version::new(epoch, seq, writer),
+                logical_size,
+            };
+            let mut buf = Vec::new();
+            encode_entry(&mut buf, &key, &record);
+            prop_assert_eq!(buf.len() as u64, encoded_len(&key, &record));
+
+            let mut framed = buf.clone();
+            framed.extend_from_slice(&trailing); // the next entry's bytes
+            let view = decode_entry(&framed).expect("a whole entry decodes");
+            prop_assert_eq!(view.encoded_len, buf.len());
+            prop_assert_eq!(view.key, key.as_slice());
+            prop_assert_eq!(view.to_record(), record.clone());
+            let (k, r) = stream_decode(&framed)
+                .expect("a whole entry decodes")
+                .expect("not EOF");
+            prop_assert_eq!(k.as_ref(), key.as_slice());
+            prop_assert_eq!(r, record);
+
+            for cut in 1..buf.len() {
+                prop_assert_eq!(decode_entry(&buf[..cut]).unwrap_err(), EntryError::Truncated);
+                prop_assert_eq!(stream_decode(&buf[..cut]), Err(EntryError::Truncated));
+            }
+            for bit in 0..buf.len() * 8 {
+                let mut flipped = buf.clone();
+                flipped[bit / 8] ^= 1 << (bit % 8);
+                let sliced = decode_entry(&flipped).map(|_| ());
+                prop_assert!(sliced.is_err(), "bit {} slipped past the slice decoder", bit);
+                prop_assert_eq!(sliced, stream_decode(&flipped).map(|_| ()), "bit {}", bit);
+            }
+        }
+
+        /// Random interleavings of apply, present and absent gets, flush
+        /// (and the compactions small thresholds force), fork,
+        /// crash-reopen and `split_off` against the mem oracle, with and
+        /// without injected faults: the filters never produce a false
+        /// negative, a get they all reject probes no run, and point reads
+        /// never consult the fault injector.
+        #[test]
+        fn filtered_reads_match_the_oracle_through_every_transition(
+            ops in collection::vec((0u8..12, 0u32..1000, any::<bool>()), 1usize..160),
+            flush_threshold in 64u64..400,
+            faulted in any::<bool>(),
+        ) {
+            let plan = if faulted { FaultPlan::all(0xB100) } else { FaultPlan::none() };
+            let mut lsm = LsmStore::create_with(plan);
+            lsm.set_flush_threshold(flush_threshold);
+            let mut pair = Pair { lsm, oracle: PartitionStore::new(), plan, flush_threshold };
+            let hasher = KeyHasher::default();
+            for (i, &(kind, pick, flag)) in ops.iter().enumerate() {
+                match kind {
+                    0..=4 => {
+                        let key = format!("k{:02}", pick % 48).into_bytes();
+                        // Mostly dominating versions, some stale ones.
+                        let version = Version::new(if flag { 1 + i as u64 } else { u64::from(pick % 4) }, 0, 0);
+                        let record = if pick % 7 == 0 {
+                            Record::tombstone(version)
+                        } else {
+                            Record::put(format!("value-{i}-{pick}").into_bytes(), version)
+                        };
+                        let a = pair.oracle.apply(key.clone(), record.clone());
+                        let b = pair.lsm.apply(key, record);
+                        prop_assert_eq!(a, b, "gating diverged at op {}", i);
+                    }
+                    5 | 6 => {
+                        if let Some((key, _)) = pair.oracle.iter().nth(pick as usize % pair.oracle.len().max(1)) {
+                            pair.get_checked(&key.clone())?;
+                        }
+                    }
+                    7 | 8 => pair.get_checked(format!("k{:02}~{pick}", pick % 48).as_bytes())?,
+                    9 if flag => pair.lsm.flush(),
+                    9 => {
+                        let (mut fork, _) = pair.lsm.fork();
+                        fork.set_flush_threshold(pair.flush_threshold);
+                        pair.lsm = fork;
+                        pair.assert_equal("after fork")?;
+                    }
+                    10 => {
+                        // kill -9, then recover from the directory.
+                        let dir = pair.lsm.dir().to_path_buf();
+                        let crashed = std::mem::replace(&mut pair.lsm, LsmStore::create());
+                        std::mem::forget(crashed);
+                        pair.lsm = LsmStore::open_with(dir, pair.plan);
+                        pair.lsm.set_flush_threshold(pair.flush_threshold);
+                        prop_assert!(!pair.lsm.quarantined());
+                        pair.assert_equal("after crash-reopen")?;
+                    }
+                    _ => {
+                        let cut = u64::from(pick) << 54;
+                        let high = KeyRange::new(Token(cut), Token(cut.wrapping_add(u64::MAX / 2)));
+                        let high_pair = Pair {
+                            lsm: pair.lsm.split_off(hasher, high),
+                            oracle: pair.oracle.split_off(hasher, high),
+                            plan,
+                            flush_threshold,
+                        };
+                        high_pair.assert_equal("high half after split_off")?;
+                        pair.assert_equal("low half after split_off")?;
+                        if flag {
+                            pair.oracle.absorb(high_pair.oracle);
+                            pair.lsm.absorb(high_pair.lsm);
+                            pair.assert_equal("after absorbing the high half back")?;
+                        }
+                    }
+                }
+            }
+            pair.assert_equal("at the end")?;
+            prop_assert!(pair.lsm.verify());
+        }
 
         /// Satellite: kill the store at a randomized op boundary — which,
         /// as thresholds and op counts vary, lands between WAL appends,
