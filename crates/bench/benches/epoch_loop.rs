@@ -4,8 +4,7 @@
 //! convergence phase), plus the M = 200 thread-scaling rows at pipeline
 //! threads ∈ {1, 2, 4, 8}, a pool-overhead row (M = 16 at 8 threads:
 //! dispatch handoff dominates, charting the persistent pool's fixed cost),
-//! the commit-mode rows (sequential traffic-commit oracle vs the default
-//! reconciled commit), a convergence/churn row (M = 200 under a
+//! a convergence/churn row (M = 200 under a
 //! failure burst plus a capacity upgrade — many actions per epoch) that
 //! also charts the decision commit pass's speculation hit rate, and an
 //! outage-burst row (M = 200 under a whole-country failure) gating the
@@ -16,9 +15,9 @@
 //! differs. Prints the comparison table and writes the machine-readable
 //! perf trajectory to `BENCH_epoch.json` at the workspace root; CI's
 //! bench-smoke job diffs that file against the committed one with the
-//! `bench_gate` binary (rows matched by `(partitions, threads, commit,
-//! workload)` key; unmatched rows skip with a warning, and the hit rate,
-//! batch stats and memory figure are informational).
+//! `bench_gate` binary (rows matched by `(partitions, threads, workload)`
+//! key; unmatched rows skip with a warning, and the hit rate and memory
+//! figure are informational).
 //!
 //! Run with `cargo bench -p skute-bench --bench epoch_loop`.
 
@@ -40,12 +39,10 @@ fn main() {
         Ok(()) => println!("\nwrote {}", path.display()),
         Err(e) => println!("\n(could not write {}: {e})", path.display()),
     }
-    if let Some(r) = results.iter().find(|r| {
-        r.partitions == 200
-            && r.threads == 1
-            && !r.sequential_commit
-            && r.workload == perf::Workload::Steady
-    }) {
+    if let Some(r) = results
+        .iter()
+        .find(|r| r.partitions == 200 && r.threads == 1 && r.workload == perf::Workload::Steady)
+    {
         println!(
             "M = 200 speedup: {:.2}x ({:.2} → {:.2} epochs/sec)",
             r.speedup(),

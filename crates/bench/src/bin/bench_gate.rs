@@ -6,7 +6,7 @@
 //! ```
 //!
 //! Parses both `BENCH_epoch.json` documents, matches rows **by key** —
-//! `(partitions, threads, commit mode, workload)` — skipping unmatched
+//! `(partitions, threads, workload)` — skipping unmatched
 //! rows on either side with a warning (so adding or retiring bench rows
 //! never fails the gate). The speculation hit rate of matched rows is
 //! **informational**: a collapse warns, never fails. The gate exits

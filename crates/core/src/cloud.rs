@@ -22,7 +22,6 @@ use skute_store::{
 
 use crate::app::{AppId, AppSpec, Application, AvailabilityLevel};
 use crate::availability::{availability_of, threshold_for_replicas};
-use crate::batch::{apply_deferred, BatchTask, DecisionBatcher, DeferredKind, DeferredOp};
 use crate::config::SkuteConfig;
 use crate::decision::{classify, clears_profit_hurdle, ActionCounts, Intent, VnodeSituation};
 use crate::error::CoreError;
@@ -105,9 +104,6 @@ pub struct SkuteCloud {
     work_scratch: Vec<(usize, PartitionId, VnodeId, usize)>,
     servers_scratch: Vec<ServerId>,
     placed_scratch: Vec<(Location, f64)>,
-    /// Per-replica `(query_capacity, simulated served)` pairs of the
-    /// traffic reconciliation's feasibility peek.
-    meter_scratch: Vec<(f64, f64)>,
     /// Servers mutated by the actions committed so far in the current
     /// decision commit pass (deduplicated, split by mutation direction) —
     /// the write set every later speculation is validated against.
@@ -115,10 +111,6 @@ pub struct SkuteCloud {
     /// Scratch for the validation's lazily built existing-replica
     /// location list.
     spec_locs: Vec<Location>,
-    /// The open conflict-free batch of the decision commit (see
-    /// [`crate::batch`]), reused across epochs. Always flushed empty
-    /// before `economic_decisions` returns.
-    batcher: DecisionBatcher,
     /// Optional observability sink (see [`crate::obs`]). Write-only from
     /// the cloud's point of view: nothing here is ever read back by a
     /// decision path, so trajectories are bitwise identical with metrics
@@ -257,10 +249,8 @@ impl SkuteCloud {
             work_scratch: Vec::new(),
             servers_scratch: Vec::new(),
             placed_scratch: Vec::new(),
-            meter_scratch: Vec::new(),
             spec_touched: SpecWriteSet::new(),
             spec_locs: Vec::new(),
-            batcher: DecisionBatcher::default(),
             metrics: None,
             gray_modes: Vec::new(),
             partition_cut: None,
@@ -635,8 +625,7 @@ impl SkuteCloud {
                     .set((sum / alive as f64 * 10_000.0).round() as i64);
             }
             m.gray_degraded_servers.set(degraded);
-            m.partition_cut_continent
-                .set(cut.map_or(-1, i64::from));
+            m.partition_cut_continent.set(cut.map_or(-1, i64::from));
         }
     }
 
@@ -1478,26 +1467,12 @@ impl SkuteCloud {
 
     /// Delivers one epoch's query traffic to several rings at once,
     /// batching every ring's delivery **plan** pass into a single
-    /// dispatch on the persistent worker pool, then committing:
-    ///
-    /// 1. a sequential **reconciliation** walks the rings in batch order
-    ///    and each ring's partitions in ring order, validating every
-    ///    partition's planned delivery events against the live per-server
-    ///    query-capacity meters (a bit-exact simulation of the sequential
-    ///    `serve_on` arithmetic). Spill-free partitions commit their
-    ///    capacity movement from the plan; a partition whose events could
-    ///    touch a saturating meter falls back to the original sequential
-    ///    algorithm on the spot, in exactly the position the sequential
-    ///    loop would have processed it;
-    /// 2. a parallel **accrual** pass applies the per-replica query
-    ///    counts and eq.-(5) utility of the spill-free partitions
-    ///    (partition-local arithmetic on planned floats).
-    ///
-    /// The trajectory is therefore **bitwise identical** to
-    /// [`SkuteConfig::sequential_traffic_commit`] mode — which routes
-    /// step 1 entirely through the sequential algorithm and skips step 2
-    /// — and to the pre-batching per-ring calls: delivery plans read no
-    /// capacity meters, so batching cannot change any float.
+    /// dispatch on the persistent worker pool, then committing
+    /// sequentially: the rings in batch order, each ring's partitions in
+    /// ring order, every partition served against the live per-server
+    /// query-capacity meters. Delivery plans read no capacity meters, so
+    /// the trajectory is **bitwise identical** to per-ring
+    /// [`SkuteCloud::deliver_queries`] calls.
     ///
     /// Batches are processed in order; batches addressing the same ring
     /// observe each other's committed traffic exactly like consecutive
@@ -1528,17 +1503,12 @@ impl SkuteCloud {
         Ok(())
     }
 
-    /// Plans and commits one wave of distinct-ring traffic batches.
-    ///
-    /// The reconciled (planned-event) commit only engages when the
-    /// pipeline has workers to run the accrual pass on; an inline
-    /// (`threads = 1`) pipeline plans in place over borrowed partitions —
-    /// no map rebuilds, no context round trip — and commits through the
-    /// sequential loop. Both routes are bitwise identical (asserted by the
-    /// thread-matrix and commit-mode equivalence tests).
+    /// Plans and commits one wave of distinct-ring traffic batches. An
+    /// inline (`threads = 1`) pipeline plans in place over borrowed
+    /// partitions — no map rebuilds, no context round trip; both routes
+    /// are bitwise identical (asserted by the thread-matrix tests).
     fn deliver_wave(&mut self, wave: Vec<(usize, TrafficBatch)>) {
         let gamma = self.config.economy.utility_per_query;
-        let planned_commit = !self.config.sequential_traffic_commit && self.pipeline.threads() > 1;
         let plan_start = self.obs_start();
         if self.pipeline.threads() == 1 {
             // Single-thread fast path: identical per-partition arithmetic,
@@ -1564,7 +1534,7 @@ impl SkuteCloud {
                 } = self;
                 for part in rings[ri].partitions.values_mut() {
                     crate::pipeline::plan_one_delivery(
-                        part, cluster, topology, &b.regions, b.queries, total_pop, false,
+                        part, cluster, topology, &b.regions, b.queries, total_pop,
                     );
                 }
                 ring_indices.push(ri);
@@ -1572,7 +1542,7 @@ impl SkuteCloud {
             self.obs_phase(plan_start, |m| &m.phase_traffic_plan);
             let commit_start = self.obs_start();
             for ri in ring_indices {
-                self.commit_ring_traffic(ri, gamma, true);
+                self.commit_ring_traffic(ri, gamma);
             }
             self.obs_phase(commit_start, |m| &m.phase_traffic_commit);
             return;
@@ -1609,37 +1579,26 @@ impl SkuteCloud {
         }
         // Plan pass: one pool dispatch across every ring of the wave.
         let cluster = std::mem::take(&mut self.cluster);
-        let (cluster, batches) = self.pipeline.plan_delivery_multi(
-            cluster,
-            Arc::clone(&self.topology),
-            batches,
-            planned_commit,
-        );
+        let (cluster, batches) =
+            self.pipeline
+                .plan_delivery_multi(cluster, Arc::clone(&self.topology), batches);
         self.cluster = cluster;
         let ring_indices: Vec<usize> = batches.iter().map(|b| b.ring_idx).collect();
         for batch in batches {
             let ri = batch.ring_idx;
             self.rings[ri].partitions = batch.parts.into_iter().collect();
         }
-        // Commit: sequential reconciliation in batch/ring order, then the
-        // parallel accrual of the spill-free partitions.
         self.obs_phase(plan_start, |m| &m.phase_traffic_plan);
         let commit_start = self.obs_start();
         for ri in ring_indices {
-            self.commit_ring_traffic(ri, gamma, !planned_commit);
-        }
-        if planned_commit {
-            self.apply_pending_accrual(gamma);
+            self.commit_ring_traffic(ri, gamma);
         }
         self.obs_phase(commit_start, |m| &m.phase_traffic_commit);
     }
 
-    /// The traffic commit of one ring, in ring order: spill-free planned
-    /// deliveries apply their meter movement directly (accrual deferred to
-    /// the parallel pass); everything else runs the sequential algorithm
-    /// in place. With `sequential` set, every partition takes the
-    /// sequential path (the oracle mode).
-    fn commit_ring_traffic(&mut self, ring_idx: usize, gamma: f64, sequential: bool) {
+    /// The traffic commit of one ring: every addressed partition, in ring
+    /// order, served against the live capacity meters.
+    fn commit_ring_traffic(&mut self, ring_idx: usize, gamma: f64) {
         let pids: Vec<PartitionId> = self.rings[ring_idx].ring.partition_ids();
         for pid in pids {
             let Some(partition) = self.rings[ring_idx].partitions.get_mut(&pid) else {
@@ -1655,24 +1614,6 @@ impl SkuteCloud {
                 ring.queries_dropped_epoch += q;
                 continue;
             }
-            if !sequential && self.try_commit_planned(ring_idx, pid) {
-                // Spill-free: the planned events were applied to the
-                // meters bit-exactly; ring totals come from the planned
-                // folds (same floats the sequential loop would produce).
-                let d = &self.rings[ring_idx].partitions[&pid].delivery;
-                let (served_total, final_remaining, distance_sum) =
-                    (d.served_total, d.final_remaining, d.distance_sum);
-                let ring = &mut self.rings[ring_idx];
-                ring.queries_offered_epoch += q;
-                ring.queries_served_epoch += served_total;
-                ring.queries_dropped_epoch += final_remaining.max(0.0);
-                ring.distance_sum_epoch += distance_sum;
-                continue;
-            }
-            // Sequential algorithm: the oracle mode, and the fallback for
-            // partitions whose planned events could touch a saturating
-            // capacity meter.
-            let partition = self.rings[ring_idx].partitions.get_mut(&pid).unwrap();
             let (served_total, remaining, distance_sum) =
                 Self::commit_partition_sequential(&mut self.cluster, partition, gamma);
             let ring = &mut self.rings[ring_idx];
@@ -1683,65 +1624,10 @@ impl SkuteCloud {
         }
     }
 
-    /// Tries to commit one partition's planned delivery events against the
-    /// live capacity meters. The feasibility peek simulates `serve_on`'s
-    /// arithmetic bit-exactly (per-replica `served + amount` folds against
-    /// `(capacity - served).max(0)` rooms seeded from the live meters); if
-    /// any event would be clipped — including events on dead servers — the
-    /// partition is left untouched and the caller falls back to the
-    /// sequential algorithm. On success the meters receive exactly the
-    /// adds `serve_on` would have performed, in event order, and the
-    /// partition is queued for the parallel accrual pass.
-    fn try_commit_planned(&mut self, ring_idx: usize, pid: PartitionId) -> bool {
-        let Self {
-            rings,
-            cluster,
-            meter_scratch,
-            ..
-        } = self;
-        let partition = rings[ring_idx].partitions.get_mut(&pid).unwrap();
-        let PartitionState {
-            replicas, delivery, ..
-        } = &mut *partition;
-        meter_scratch.clear();
-        for r in replicas.iter() {
-            match cluster.get(r.server) {
-                Some(s) if s.is_alive() => {
-                    meter_scratch.push((s.capacities.query_capacity, s.usage.queries_served))
-                }
-                _ => meter_scratch.push((0.0, 0.0)), // dead server: no room
-            }
-        }
-        for &(i, amount) in &delivery.events {
-            if amount <= 0.0 {
-                continue; // serve_on no-ops on non-positive requests
-            }
-            let (cap, served) = meter_scratch[i];
-            let room = (cap - served).max(0.0);
-            if amount > room {
-                return false;
-            }
-            meter_scratch[i].1 = served + amount;
-        }
-        // Every event fits: apply the same adds serve_on would have
-        // performed, in event order.
-        for &(i, amount) in &delivery.events {
-            if amount <= 0.0 {
-                continue;
-            }
-            if let Some(s) = cluster.get_mut(replicas[i].server) {
-                s.usage.queries_served += amount;
-            }
-        }
-        delivery.accrual_pending = true;
-        true
-    }
-
-    /// The original sequential per-partition traffic commit: the
-    /// proximity-proportional pass capped by live capacity, the spill
-    /// pass, and the drop recording. Returns the partition's
-    /// `(served, remaining, distance_sum)` contributions to the ring
-    /// totals.
+    /// The per-partition traffic commit: the proximity-proportional pass
+    /// capped by live capacity, the spill pass, and the drop recording.
+    /// Returns the partition's `(served, remaining, distance_sum)`
+    /// contributions to the ring totals.
     fn commit_partition_sequential(
         cluster: &mut Cluster,
         partition: &mut PartitionState,
@@ -1792,31 +1678,6 @@ impl SkuteCloud {
             }
         }
         (served_total, remaining, distance_sum)
-    }
-
-    /// Runs the parallel accrual pass over every partition whose planned
-    /// events committed spill-free in this wave.
-    fn apply_pending_accrual(&mut self, gamma: f64) {
-        let mut pending: Vec<(usize, PartitionId, PartitionState)> = Vec::new();
-        for (ri, ring) in self.rings.iter_mut().enumerate() {
-            let ids: Vec<PartitionId> = ring
-                .partitions
-                .iter()
-                .filter(|(_, p)| p.delivery.accrual_pending)
-                .map(|(pid, _)| *pid)
-                .collect();
-            for pid in ids {
-                let part = ring.partitions.remove(&pid).expect("listed above");
-                pending.push((ri, pid, part));
-            }
-        }
-        if pending.is_empty() {
-            return;
-        }
-        let done = self.pipeline.apply_traffic_accrual(pending, gamma);
-        for (ri, pid, part) in done {
-            self.rings[ri].partitions.insert(pid, part);
-        }
     }
 
     fn serve_on(cluster: &mut Cluster, server: ServerId, queries: f64) -> f64 {
@@ -1953,24 +1814,7 @@ impl SkuteCloud {
     /// availability, so the sequential shuffled scan below reads cached
     /// floats and only partitions genuinely below threshold do placement
     /// work. Repairs invalidate their partition's cache (membership
-    /// changed), so follow-up iterations re-evaluate, exactly like the
-    /// sequential loop always did.
-    ///
-    /// The pass then runs the same plan/validate protocol as the economic
-    /// phase: a parallel **plan** pass computes one speculative eq.-(3)
-    /// replication target per below-threshold candidate against the frozen
-    /// index snapshot (each walk recording its read set), and the
-    /// sequential shuffled commit honors a candidate's speculation on its
-    /// **first** repair iteration whenever read-set validation proves the
-    /// previously committed repairs cannot have changed its answer —
-    /// otherwise (and on every follow-up iteration, whose membership the
-    /// first repair changed) it re-walks the live state, exactly as the
-    /// sequential loop would. This matters precisely under failure
-    /// bursts: a correlated outage floods this pass with repair work, and
-    /// the speculative prepass moves the placement walks onto the worker
-    /// pool. `SkuteConfig::sequential_repair` routes everything through
-    /// the sequential walk as the bitwise oracle (trajectories are
-    /// identical up to the speculation hit/miss counters).
+    /// changed), so follow-up iterations re-evaluate.
     fn repair_availability(&mut self, actions: &mut ActionCounts) {
         let window = self.config.economy.decision_window;
         let max_repairs = self.config.max_repairs_per_partition_per_epoch;
@@ -2011,117 +1855,13 @@ impl SkuteCloud {
                 }
             }
         }
-        // Plan pass: speculative targets for every candidate (below
-        // threshold with headroom for another replica), slotted in flat
-        // (ring, partition) order. Skipped entirely by the sequential
-        // oracle and by the brute-force / no-speculation oracles (their
-        // walks re-run sequentially either way, bit-for-bit identical).
-        let speculative = !self.config.sequential_repair
-            && !self.config.brute_force_placement
-            && !self.config.no_speculation;
-        let mut repair_slots: BTreeMap<(usize, PartitionId), usize> = BTreeMap::new();
-        if speculative {
-            for (ri, ring) in self.rings.iter().enumerate() {
-                let threshold = ring.level.threshold;
-                for (pid, p) in &ring.partitions {
-                    if p.replica_count() < max_replicas
-                        && p.cached_availability.is_some_and(|a| a < threshold)
-                    {
-                        let slot = repair_slots.len();
-                        repair_slots.insert((ri, *pid), slot);
-                    }
-                }
-            }
-        }
-        if !repair_slots.is_empty() {
-            let ctx = PlacementContext {
-                cluster: &self.cluster,
-                board: &self.board,
-                topology: &self.topology,
-                economy: &self.config.economy,
-            };
-            self.index.refresh(&ctx);
-            if self.pipeline.threads() == 1 {
-                // Single-thread fast path: identical per-candidate
-                // arithmetic, run in place in the same flat order.
-                let slots = &repair_slots;
-                let Self {
-                    rings,
-                    cluster,
-                    board,
-                    topology,
-                    config,
-                    index,
-                    pipeline,
-                    ..
-                } = self;
-                let inputs = crate::pipeline::DecisionInputs {
-                    cluster,
-                    board,
-                    topology,
-                    economy: &config.economy,
-                    index,
-                    brute_force: false,
-                    speculation: true,
-                    min_rent: None,
-                };
-                pipeline.repairs_prepass_inline(
-                    rings.iter_mut().enumerate().flat_map(|(ri, ring)| {
-                        ring.partitions
-                            .iter_mut()
-                            .filter(move |(pid, _)| slots.contains_key(&(ri, **pid)))
-                            .map(|(_, p)| p)
-                    }),
-                    &inputs,
-                );
-            } else {
-                // Move the candidates (and the shared inputs) into the
-                // owned-task prepass dispatch; everything comes back at
-                // the barrier in flat candidate order.
-                let mut items: Vec<DecisionItem> = Vec::with_capacity(repair_slots.len());
-                for &(ri, pid) in repair_slots.keys() {
-                    let part = self.rings[ri]
-                        .partitions
-                        .remove(&pid)
-                        .expect("listed above");
-                    items.push(DecisionItem {
-                        ring_idx: ri,
-                        threshold: self.rings[ri].level.threshold,
-                        pid,
-                        part,
-                    });
-                }
-                let (cluster, board, index, items) = self.pipeline.repairs_prepass(
-                    std::mem::take(&mut self.cluster),
-                    std::mem::take(&mut self.board),
-                    Arc::clone(&self.topology),
-                    self.config.economy,
-                    std::mem::take(&mut self.index),
-                    items,
-                );
-                self.cluster = cluster;
-                self.board = board;
-                self.index = index;
-                for item in items {
-                    self.rings[item.ring_idx]
-                        .partitions
-                        .insert(item.pid, item.part);
-                }
-            }
-            debug_assert_eq!(self.pipeline.pre.len(), repair_slots.len());
-        }
-        // Commit pass (sequential, seeded shuffle order — byte-identical
-        // to the historical sequential loop). Every committed repair
-        // records its touched target; later speculations are honored only
-        // while validation holds.
-        let frozen_board = self.board.version();
-        self.spec_touched.clear();
+        // Commit pass: sequential, seeded shuffle order.
         for ri in 0..self.rings.len() {
             let threshold = self.rings[ri].level.threshold;
             let mut pids = self.rings[ri].ring.partition_ids();
             pids.shuffle(&mut self.rng);
             for pid in pids {
-                for attempt in 0..max_repairs {
+                for _ in 0..max_repairs {
                     let Some(partition) = self.rings[ri].partitions.get_mut(&pid) else {
                         break;
                     };
@@ -2131,108 +1871,51 @@ impl SkuteCloud {
                     if cached_availability(&self.cluster, partition) >= threshold {
                         break;
                     }
-                    // Only the first iteration can hold a speculation: a
-                    // committed repair changes this partition's membership,
-                    // so follow-ups always re-walk the live state.
-                    let slot = if attempt == 0 {
-                        repair_slots.get(&(ri, pid)).copied()
-                    } else {
-                        None
-                    };
                     self.servers_scratch.clear();
                     self.servers_scratch
                         .extend(partition.replicas.iter().map(|r| r.server));
                     let size = partition.size_bytes();
-                    let target = match slot {
-                        Some(slot) => {
-                            let pre = self.pipeline.pre[slot];
-                            // Eligible while the board still holds its
-                            // frozen prices and the membership the walk
-                            // saw is untouched; touched-server validation
-                            // then decides (see `economic_decisions`).
-                            let spec_live = pre.spec_computed
-                                && self.board.version() == frozen_board
-                                && partition.membership_version == pre.membership_version;
-                            let mut honored = spec_live && self.spec_touched.is_empty();
-                            let target = if honored {
-                                pre.spec
-                            } else {
-                                let ctx = PlacementContext {
-                                    cluster: &self.cluster,
-                                    board: &self.board,
-                                    topology: &self.topology,
-                                    economy: &self.config.economy,
-                                };
-                                let PartitionState {
-                                    region_queries,
-                                    prox_cache,
-                                    ..
-                                } = &mut *partition;
-                                let (target, h) = resolve_spec_target(
-                                    &mut self.index,
-                                    false,
-                                    &ctx,
-                                    &self.servers_scratch,
-                                    size,
-                                    region_queries,
-                                    prox_cache,
-                                    None,
-                                    spec_live,
-                                    &pre,
-                                    spec_reads(&self.pipeline, &pre),
-                                    &mut self.spec_touched,
-                                    &mut self.spec_locs,
-                                );
-                                honored = h;
-                                target
-                            };
-                            if honored {
-                                actions.spec_hits += 1;
-                            } else {
-                                actions.spec_misses += 1;
-                            }
-                            target
-                        }
-                        None => {
-                            let ctx = PlacementContext {
-                                cluster: &self.cluster,
-                                board: &self.board,
-                                topology: &self.topology,
-                                economy: &self.config.economy,
-                            };
-                            let PartitionState {
-                                region_queries,
-                                prox_cache,
-                                ..
-                            } = &mut *partition;
-                            select_target(
-                                &mut self.index,
-                                self.config.brute_force_placement,
-                                &ctx,
-                                &self.servers_scratch,
-                                size,
-                                region_queries,
-                                prox_cache,
-                                None,
-                            )
-                        }
+                    let target = {
+                        let ctx = PlacementContext {
+                            cluster: &self.cluster,
+                            board: &self.board,
+                            topology: &self.topology,
+                            economy: &self.config.economy,
+                        };
+                        let PartitionState {
+                            region_queries,
+                            prox_cache,
+                            ..
+                        } = &mut *partition;
+                        select_target(
+                            &mut self.index,
+                            self.config.brute_force_placement,
+                            &ctx,
+                            &self.servers_scratch,
+                            size,
+                            region_queries,
+                            prox_cache,
+                            None,
+                        )
                     };
                     let Some((target, _)) = target else {
                         actions.blocked_transfers += 1;
                         break;
                     };
-                    let epoch = self.epoch;
                     let vid = VnodeId(self.next_vnode);
-                    let partition = self.rings[ri].partitions.get_mut(&pid).unwrap();
-                    if let Some(t) =
-                        exec_replication(&mut self.cluster, partition, target, vid, window, epoch)
-                    {
+                    if let Some(t) = exec_replication(
+                        &mut self.cluster,
+                        partition,
+                        target,
+                        vid,
+                        window,
+                        self.epoch,
+                    ) {
                         self.next_vnode += 1;
                         actions.availability_replications += 1;
                         actions.replicated_bytes += t.logical;
                         actions.measured_replicated_bytes += t.measured;
                         self.note_index(&[target]);
-                        self.spec_touched.record(target, true);
                     } else {
                         actions.blocked_transfers += 1;
                         break;
@@ -2372,34 +2055,14 @@ impl SkuteCloud {
             }
         }
         debug_assert_eq!(self.pipeline.pre.len(), slots, "one slot per vnode");
-        // Commit pass (sequential resolution, seeded shuffle order).
-        // Every executed action records its touched servers (the pass's
-        // write set); later speculations are honored as long as read-set
-        // validation proves the touches cannot have changed their answer,
-        // and re-walk on the live state only on genuine read/write
-        // overlap. Capacity meters move eagerly at resolution time, in
-        // resolution order, so every later resolution reads exact
-        // balances; only the partition-local placements of conflict-free
-        // actions are deferred into batches (see [`crate::batch`]) and
-        // applied in one worker-pool dispatch per flush —
-        // `SkuteConfig::sequential_decisions` instead routes them through
-        // the one-at-a-time in-place oracle.
-        let sequential = self.config.sequential_decisions;
-        let defer = !sequential && self.pipeline.threads() > 1;
-        let mut batcher = std::mem::take(&mut self.batcher);
-        debug_assert_eq!(batcher.width(), 0, "previous pass flushed everything");
+        // Commit pass (sequential, seeded shuffle order, one action at a
+        // time). Every executed action records its touched servers (the
+        // pass's write set); later speculations are honored as long as
+        // read-set validation proves the touches cannot have changed
+        // their answer, and re-walk on the live state only on genuine
+        // read/write overlap.
         self.spec_touched.clear();
         for &(ri, pid, vid, slot) in &work {
-            // Resolution reads the partition's live replicas; a pending
-            // deferred placement on it must land first. The batch
-            // bookkeeping — this flush boundary included — runs at every
-            // thread count, so batch boundaries depend only on the
-            // resolved action sequence and the counters are
-            // thread-invariant; with `threads == 1` the ops already
-            // applied inline and the flush only counts.
-            if !sequential && batcher.touches_partition((ri, pid)) {
-                self.flush_decision_batch(&mut batcher, actions);
-            }
             let threshold = self.rings[ri].level.threshold;
             // The vnode may have been split away or suicided already.
             let Some(partition) = self.rings[ri].partitions.get_mut(&pid) else {
@@ -2581,166 +2244,47 @@ impl SkuteCloud {
                     }
                 }
             };
-            // Application: the meter half runs now (eagerly, still in
-            // resolution order); the placement half defers into the open
-            // batch, falls back in place after a flush on a server
-            // conflict, or applies immediately in the sequential modes.
             match resolved {
                 Resolved::Stay => {}
                 Resolved::Suicide { idx } => {
-                    let touched = [(server, false)];
-                    let conflict = !sequential && batcher.conflicts(&touched);
-                    if conflict {
-                        self.flush_decision_batch(&mut batcher, actions);
-                        actions.batch_conflicts += 1;
-                    }
-                    let partition = self.rings[ri].partitions.get(&pid).unwrap();
-                    plan_suicide(&mut self.cluster, partition, idx);
+                    exec_suicide(&mut self.cluster, partition, idx);
                     actions.suicides += 1;
                     self.note_index(&[server]);
                     self.spec_touched.record(server, false);
-                    let op = DeferredOp {
-                        ri,
-                        pid,
-                        kind: DeferredKind::Suicide { idx },
-                    };
-                    if !sequential && !conflict {
-                        batcher.admit(&touched, (ri, pid));
-                    }
-                    if defer && !conflict {
-                        batcher.defer(op);
-                    } else {
-                        let partition = self.rings[ri].partitions.get_mut(&pid).unwrap();
-                        apply_deferred(&op.kind, partition);
-                    }
                 }
                 Resolved::Migrate { idx, target } => {
-                    let partition = self.rings[ri].partitions.get_mut(&pid).unwrap();
-                    if let Some(logical) = plan_migration(&mut self.cluster, partition, idx, target)
-                    {
+                    if let Some(t) = exec_migration(&mut self.cluster, partition, idx, target) {
                         actions.migrations += 1;
-                        actions.migrated_bytes += logical;
-                        let touched = [(server, false), (target, true)];
-                        let conflict = !sequential && batcher.conflicts(&touched);
-                        if conflict {
-                            self.flush_decision_batch(&mut batcher, actions);
-                            actions.batch_conflicts += 1;
-                        }
+                        actions.migrated_bytes += t.logical;
+                        actions.measured_migrated_bytes += t.measured;
                         self.note_index(&[server, target]);
                         self.spec_touched.record(server, false);
                         self.spec_touched.record(target, true);
-                        let op = DeferredOp {
-                            ri,
-                            pid,
-                            kind: DeferredKind::Migration { idx, target },
-                        };
-                        if !sequential && !conflict {
-                            batcher.admit(&touched, (ri, pid));
-                        }
-                        if defer && !conflict {
-                            batcher.defer(op);
-                        } else {
-                            let partition = self.rings[ri].partitions.get_mut(&pid).unwrap();
-                            actions.measured_migrated_bytes += apply_deferred(&op.kind, partition);
-                        }
                     }
                 }
                 Resolved::Replicate { target } => {
-                    let epoch = self.epoch;
-                    let new_vid = VnodeId(self.next_vnode);
-                    let partition = self.rings[ri].partitions.get_mut(&pid).unwrap();
-                    if let Some((src_idx, logical)) =
-                        plan_replication(&mut self.cluster, partition, target)
-                    {
+                    let vid = VnodeId(self.next_vnode);
+                    if let Some(t) = exec_replication(
+                        &mut self.cluster,
+                        partition,
+                        target,
+                        vid,
+                        window,
+                        self.epoch,
+                    ) {
                         self.next_vnode += 1;
                         actions.profit_replications += 1;
-                        actions.replicated_bytes += logical;
-                        let touched = [(target, true)];
-                        let conflict = !sequential && batcher.conflicts(&touched);
-                        if conflict {
-                            self.flush_decision_batch(&mut batcher, actions);
-                            actions.batch_conflicts += 1;
-                        }
+                        actions.replicated_bytes += t.logical;
+                        actions.measured_replicated_bytes += t.measured;
                         self.note_index(&[target]);
                         self.spec_touched.record(target, true);
-                        let op = DeferredOp {
-                            ri,
-                            pid,
-                            kind: DeferredKind::Replication {
-                                src_idx,
-                                target,
-                                vid: new_vid,
-                                window,
-                                epoch,
-                            },
-                        };
-                        if !sequential && !conflict {
-                            batcher.admit(&touched, (ri, pid));
-                        }
-                        if defer && !conflict {
-                            batcher.defer(op);
-                        } else {
-                            let partition = self.rings[ri].partitions.get_mut(&pid).unwrap();
-                            actions.measured_replicated_bytes +=
-                                apply_deferred(&op.kind, partition);
-                        }
                     } else {
                         actions.blocked_transfers += 1;
                     }
                 }
             }
         }
-        if !sequential {
-            self.flush_decision_batch(&mut batcher, actions);
-        }
-        self.batcher = batcher;
         self.work_scratch = work;
-    }
-
-    /// Flushes the open decision batch: counts it into the batch
-    /// observability counters, applies its deferred partition-local
-    /// placements — one worker-pool dispatch for width ≥ 2, inline for a
-    /// single op — and accumulates the measured transfer bytes in op
-    /// order (the sums are `u64`, so batch order cannot change them).
-    /// The in-place commit modes (`threads == 1`) admit actions without
-    /// deferring, so their flushes only count.
-    fn flush_decision_batch(&mut self, batcher: &mut DecisionBatcher, actions: &mut ActionCounts) {
-        if batcher.width() == 0 {
-            return;
-        }
-        actions.decision_batches += 1;
-        actions.max_batch_width = actions.max_batch_width.max(batcher.width() as u64);
-        let ops = batcher.take_ops();
-        if ops.len() == 1 {
-            // A single deferred placement is cheaper applied here than
-            // shipped through the pool.
-            let op = &ops[0];
-            let partition = self.rings[op.ri].partitions.get_mut(&op.pid).unwrap();
-            let measured = apply_deferred(&op.kind, partition);
-            count_measured(actions, &op.kind, measured);
-        } else if !ops.is_empty() {
-            let tasks: Vec<BatchTask> = ops
-                .into_iter()
-                .map(|op| {
-                    let part = self.rings[op.ri]
-                        .partitions
-                        .remove(&op.pid)
-                        .expect("deferred op's partition is in its ring");
-                    BatchTask {
-                        op,
-                        part,
-                        measured: 0,
-                    }
-                })
-                .collect();
-            for task in self.pipeline.commit_decision_batch(tasks) {
-                count_measured(actions, &task.op.kind, task.measured);
-                self.rings[task.op.ri]
-                    .partitions
-                    .insert(task.op.pid, task.part);
-            }
-        }
-        batcher.reset();
     }
 
     /// Splits every partition above the 256 MB capacity into two fresh
@@ -3054,19 +2598,8 @@ struct Transfer {
     measured: u64,
 }
 
-/// Accumulates a flushed placement's measured transfer bytes into the
-/// matching per-kind counter.
-fn count_measured(actions: &mut ActionCounts, kind: &DeferredKind, measured: u64) {
-    match kind {
-        DeferredKind::Replication { .. } => actions.measured_replicated_bytes += measured,
-        DeferredKind::Migration { .. } => actions.measured_migrated_bytes += measured,
-        DeferredKind::Suicide { .. } => {}
-    }
-}
-
-/// Outcome of one action's sequential resolution — what the vnode decided,
-/// and against which replica/target — before its meters move and its
-/// placement applies.
+/// Outcome of one vnode's resolution — what it decided, and against which
+/// replica/target — before the action executes.
 enum Resolved {
     Stay,
     Suicide { idx: usize },
@@ -3074,15 +2607,27 @@ enum Resolved {
     Replicate { target: ServerId },
 }
 
-/// The meter half of a replication: feasibility checks and the bandwidth /
-/// storage debits on both ends — everything `exec_replication` does
-/// before forking the source's store. All-or-nothing; returns the source
-/// replica index and the logical transfer size on success.
-fn plan_replication(
+/// What moving replica `replica`'s store physically streams: the synthetic
+/// portion has no materialized bytes on any backend, and the mem oracle
+/// reports no measurement, pricing the transfer at logical size.
+fn measured_bytes(partition: &PartitionState, replica: usize, physical: Option<u64>) -> u64 {
+    let store_bytes = physical.unwrap_or_else(|| partition.replicas[replica].store.logical_bytes());
+    partition.synthetic_bytes + store_bytes
+}
+
+/// Adds a replica of `partition` on `target`: consumes replication
+/// bandwidth on a source replica's server and on the target, reserves
+/// storage at the target, and forks the source's store (a shared COW
+/// handle under the mem backend, a physical file copy under LSM).
+/// All-or-nothing; returns the transfer on success.
+fn exec_replication(
     cluster: &mut Cluster,
-    partition: &PartitionState,
+    partition: &mut PartitionState,
     target: ServerId,
-) -> Option<(usize, u64)> {
+    vnode: VnodeId,
+    window: usize,
+    epoch: u64,
+) -> Option<Transfer> {
     if partition.has_replica_on(target) {
         return None;
     }
@@ -3121,52 +2666,27 @@ fn plan_replication(
             dst.usage.reserve_replication_bw(&caps, size) && dst.usage.reserve_storage(&caps, size);
         debug_assert!(ok);
     }
-    Some((src_idx, size))
-}
-
-/// Adds a replica of `partition` on `target`: consumes replication
-/// bandwidth on a source replica's server and on the target, reserves
-/// storage at the target, and forks the source's store (a shared COW
-/// handle under the mem backend, a physical file copy under LSM).
-/// All-or-nothing; returns the transfer on success. Composed of the plan
-/// half and the deferred-apply half the batched decision commit uses —
-/// recomposed here for the callers outside that commit (the availability
-/// repair pass, emergency relocations).
-fn exec_replication(
-    cluster: &mut Cluster,
-    partition: &mut PartitionState,
-    target: ServerId,
-    vnode: VnodeId,
-    window: usize,
-    epoch: u64,
-) -> Option<Transfer> {
-    let (src_idx, size) = plan_replication(cluster, partition, target)?;
-    let measured = apply_deferred(
-        &DeferredKind::Replication {
-            src_idx,
-            target,
-            vid: vnode,
-            window,
-            epoch,
-        },
-        partition,
-    );
+    let (store, physical) = partition.replicas[src_idx].store.fork();
+    let measured = measured_bytes(partition, src_idx, physical);
+    let mut replica = Replica::new(vnode, target, window, epoch);
+    replica.store = store;
+    partition.replicas.push(replica);
+    partition.note_membership_changed();
     Some(Transfer {
         logical: size,
         measured,
     })
 }
 
-/// The meter half of a migration: feasibility checks, the bandwidth
-/// debits on both ends, and the storage-charge move — everything
-/// `exec_migration` does before reassigning the replica. All-or-nothing;
-/// returns the logical transfer size on success.
-fn plan_migration(
+/// Moves replica `idx` of `partition` to `target`: consumes migration
+/// bandwidth on both ends, moves the storage charge, resets the balance
+/// window. All-or-nothing; returns the transfer on success.
+fn exec_migration(
     cluster: &mut Cluster,
-    partition: &PartitionState,
+    partition: &mut PartitionState,
     idx: usize,
     target: ServerId,
-) -> Option<u64> {
+) -> Option<Transfer> {
     if partition.has_replica_on(target) {
         return None;
     }
@@ -3195,40 +2715,25 @@ fn plan_migration(
             dst.usage.reserve_migration_bw(&caps, size) && dst.usage.reserve_storage(&caps, size);
         debug_assert!(ok);
     }
-    Some(size)
-}
-
-/// Moves replica `idx` of `partition` to `target`: consumes migration
-/// bandwidth on both ends, moves the storage charge, resets the balance
-/// window. All-or-nothing; returns the transfer on success.
-fn exec_migration(
-    cluster: &mut Cluster,
-    partition: &mut PartitionState,
-    idx: usize,
-    target: ServerId,
-) -> Option<Transfer> {
-    let size = plan_migration(cluster, partition, idx, target)?;
-    let measured = apply_deferred(&DeferredKind::Migration { idx, target }, partition);
+    let physical = partition.replicas[idx].store.measured_transfer();
+    let measured = measured_bytes(partition, idx, physical);
+    partition.replicas[idx].server = target;
+    partition.replicas[idx].balance.reset_window();
+    partition.note_membership_changed();
     Some(Transfer {
         logical: size,
         measured,
     })
 }
 
-/// The meter half of a suicide: releases the replica's storage charge
-/// (the replica itself is removed by the apply half).
-fn plan_suicide(cluster: &mut Cluster, partition: &PartitionState, idx: usize) {
-    let replica = &partition.replicas[idx];
+/// Deletes replica `idx` of `partition`, releasing its storage.
+fn exec_suicide(cluster: &mut Cluster, partition: &mut PartitionState, idx: usize) {
+    let replica = partition.replicas.remove(idx);
     let size = partition.synthetic_bytes + replica.store.logical_bytes();
     if let Some(s) = cluster.get_mut(replica.server) {
         s.usage.release_storage(size);
     }
-}
-
-/// Deletes replica `idx` of `partition`, releasing its storage.
-fn exec_suicide(cluster: &mut Cluster, partition: &mut PartitionState, idx: usize) {
-    plan_suicide(cluster, partition, idx);
-    apply_deferred(&DeferredKind::Suicide { idx }, partition);
+    partition.note_membership_changed();
 }
 
 #[cfg(test)]
@@ -3776,7 +3281,6 @@ mod tests {
     /// per-epoch reports plus every alive server's served/dropped meter
     /// bits — the conservation fingerprint of the traffic commit.
     fn saturated_run(
-        sequential_commit: bool,
         threads: usize,
         query_capacity: f64,
         queries: f64,
@@ -3789,8 +3293,7 @@ mod tests {
             monthly_cost: if i % 10 < 7 { 100.0 } else { 125.0 },
             confidence: 1.0,
         });
-        let mut config = SkuteConfig::paper().with_threads(threads);
-        config.sequential_traffic_commit = sequential_commit;
+        let config = SkuteConfig::paper().with_threads(threads);
         let mut cloud = SkuteCloud::new(config, topology, cluster);
         let app = cloud
             .create_application(AppSpec::new("t").level(LevelSpec::new(3, 24)))
@@ -3815,6 +3318,48 @@ mod tests {
             out.push((report, meters));
         }
         out
+    }
+
+    /// Conservation of one [`saturated_run`]: per ring every offered query
+    /// is either served or dropped, no server serves past its capacity,
+    /// and the servers' meters add up to what the ring reports.
+    fn assert_queries_conserved(run: &[(EpochReport, MeterBits)], query_capacity: f64) {
+        let close = |a: f64, b: f64| (a - b).abs() <= 1e-6 * a.abs().max(b.abs()).max(1.0);
+        for (epoch, (report, meters)) in run.iter().enumerate() {
+            let (mut ring_served, mut ring_dropped) = (0.0, 0.0);
+            for ring in &report.rings {
+                assert!(
+                    close(
+                        ring.queries_offered,
+                        ring.queries_served + ring.queries_dropped
+                    ),
+                    "epoch {epoch}: offered {} != served {} + dropped {}",
+                    ring.queries_offered,
+                    ring.queries_served,
+                    ring.queries_dropped
+                );
+                ring_served += ring.queries_served;
+                ring_dropped += ring.queries_dropped;
+            }
+            let (mut served, mut dropped) = (0.0, 0.0);
+            for &(id, s, d) in meters {
+                let (s, d) = (f64::from_bits(s), f64::from_bits(d));
+                assert!(
+                    s <= query_capacity * (1.0 + 1e-12),
+                    "epoch {epoch}: {id:?} served {s} past its capacity {query_capacity}"
+                );
+                served += s;
+                dropped += d;
+            }
+            assert!(
+                close(served, ring_served),
+                "epoch {epoch}: {served} vs {ring_served}"
+            );
+            assert!(
+                close(dropped, ring_dropped),
+                "epoch {epoch}: {dropped} vs {ring_dropped}"
+            );
+        }
     }
 
     #[test]
@@ -3847,27 +3392,22 @@ mod tests {
     }
 
     #[test]
-    fn saturated_traffic_commit_matches_sequential_oracle() {
+    fn saturated_traffic_commit_conserves_queries_at_every_thread_count() {
         // 200 servers × 12 queries of capacity against 5000 offered
-        // queries: meters saturate, so the reconciliation's feasibility
-        // peek fails and the deferred sequential fallback engages. The
-        // parallel commit must still be bitwise identical to the oracle —
-        // reports and per-server served/dropped meters — at every thread
+        // queries: meters saturate, the spill pass runs and queries drop.
+        // The commit must conserve queries, and reports and per-server
+        // served/dropped meters must be bitwise identical at every thread
         // count.
-        let parallel = saturated_run(false, 1, 12.0, 5_000.0, 6);
-        assert_eq!(
-            parallel,
-            saturated_run(true, 1, 12.0, 5_000.0, 6),
-            "sharded commit diverges from the sequential oracle under saturation"
-        );
-        assert_eq!(
-            parallel,
-            saturated_run(false, 8, 12.0, 5_000.0, 6),
-            "sharded commit is not thread-count invariant under saturation"
-        );
-        // The scenario genuinely exercises the deferred path: queries were
-        // dropped, which only the capacity-bound branch can produce.
-        let dropped: f64 = parallel
+        let inline = saturated_run(1, 12.0, 5_000.0, 6);
+        assert_queries_conserved(&inline, 12.0);
+        for threads in [2, 8] {
+            assert_eq!(
+                inline,
+                saturated_run(threads, 12.0, 5_000.0, 6),
+                "traffic commit is not thread-count invariant under saturation"
+            );
+        }
+        let dropped: f64 = inline
             .iter()
             .flat_map(|(r, _)| r.rings.iter().map(|ring| ring.queries_dropped))
             .sum();
@@ -3876,21 +3416,21 @@ mod tests {
 
     proptest::proptest! {
         #![proptest_config(proptest::prelude::ProptestConfig::with_cases(6))]
-        /// Conservation equivalence as a property: across random capacity
-        /// regimes (ample through heavily saturated) and traffic volumes,
-        /// the parallel traffic commit delivers and spills exactly the
-        /// same queries per server per epoch as the sequential oracle —
-        /// asserted bitwise on reports and meters, at 1 and 8 threads.
+        /// Conservation as a property: across random capacity regimes
+        /// (ample through heavily saturated) and traffic volumes, the
+        /// traffic commit serves or drops every offered query within
+        /// every server's capacity — bitwise identically at 1, 2 and 8
+        /// threads.
         #[test]
-        fn prop_traffic_commit_conservation_equivalence(
+        fn prop_traffic_commit_conserves_queries(
             query_capacity in 5.0f64..80.0,
             queries in 200.0f64..9_000.0,
         ) {
-            let parallel = saturated_run(false, 1, query_capacity, queries, 3);
-            let oracle = saturated_run(true, 1, query_capacity, queries, 3);
-            proptest::prop_assert_eq!(&parallel, &oracle);
-            let threaded = saturated_run(false, 8, query_capacity, queries, 3);
-            proptest::prop_assert_eq!(&parallel, &threaded);
+            let inline = saturated_run(1, query_capacity, queries, 3);
+            assert_queries_conserved(&inline, query_capacity);
+            for threads in [2, 8] {
+                proptest::prop_assert_eq!(&inline, &saturated_run(threads, query_capacity, queries, 3));
+            }
         }
     }
 

@@ -32,18 +32,6 @@ pub struct SkuteConfig {
     /// equivalent; this switch exists as the equivalence oracle for tests
     /// and as the "before" side of the `epoch_loop` benchmark.
     pub brute_force_placement: bool,
-    /// Routes the traffic-delivery **commit** through the purely
-    /// sequential ring-order loop instead of the two-pass reconciled
-    /// commit (parallel accrual of spill-free deliveries plus a
-    /// sequential capacity reconciliation at the barrier). The two are
-    /// bit-for-bit equivalent — the reconciliation defers every partition
-    /// whose planned deliveries could touch a saturating capacity meter
-    /// back to the sequential algorithm — so this switch exists as the
-    /// equivalence oracle for tests and CI's determinism matrix. An
-    /// inline pipeline (`threads = 1`) always commits sequentially: the
-    /// reconciled commit's only benefit is offloading the accrual pass to
-    /// workers, and there are none to offload to.
-    pub sequential_traffic_commit: bool,
     /// Disables speculative eq.-(3) targets entirely: the decision plan
     /// pass computes none, so the commit pass re-walks every acting vnode
     /// against the live state — the pre-speculation sequential oracle.
@@ -70,25 +58,6 @@ pub struct SkuteConfig {
     /// degradation surfaces only in fault statistics and measured
     /// transfer bytes (`skute-sim --fault-plan` / `--fault-seed`).
     pub fault_plan: FaultPlan,
-    /// Routes the availability-repair pass through the purely sequential
-    /// per-repair target walk instead of the plan/validate protocol (a
-    /// parallel speculative prepass over the below-threshold partitions,
-    /// then read-set validation at commit). The two are **bit-for-bit
-    /// identical** up to the speculation hit/miss counters; this switch
-    /// exists as the equivalence oracle for tests and CI's fault matrix
-    /// (`skute-sim --sequential-repair`).
-    pub sequential_repair: bool,
-    /// Routes the economic-decision **commit** through the one-action-at-a-
-    /// time sequential walk instead of the conflict-free batched commit
-    /// (actions touching pairwise-disjoint servers and partitions apply
-    /// their partition-local placements in one worker-pool dispatch; meter
-    /// movements stay sequential either way). The two are **bit-for-bit
-    /// identical** up to the batch observability counters
-    /// (`ActionCounts::decision_batches` / `max_batch_width` /
-    /// `batch_conflicts`, which the oracle leaves at zero); this switch
-    /// exists as the equivalence oracle for tests and CI's determinism
-    /// matrix (`skute-sim --sequential-decisions`).
-    pub sequential_decisions: bool,
     /// Scheduled scrub cadence: every `scrub_every` epochs, `end_epoch`
     /// runs [`crate::SkuteCloud::scrub_quarantined`] over every ring and
     /// drains the read-repair queue quorum reads populated, so divergence
@@ -118,12 +87,9 @@ impl SkuteConfig {
             seed: DEFAULT_SEED,
             max_repairs_per_partition_per_epoch: 4,
             brute_force_placement: false,
-            sequential_traffic_commit: false,
             no_speculation: false,
             backend: BackendKind::Mem,
             fault_plan: FaultPlan::none(),
-            sequential_repair: false,
-            sequential_decisions: false,
             scrub_every: 0,
             threads: 1,
         }
@@ -144,15 +110,6 @@ impl SkuteConfig {
     #[must_use]
     pub fn with_no_speculation(mut self) -> Self {
         self.no_speculation = true;
-        self
-    }
-
-    /// Returns a copy routed through the sequential traffic-delivery
-    /// commit (the equivalence oracle; see the field docs). Trajectories
-    /// stay bitwise identical in either mode.
-    #[must_use]
-    pub fn with_sequential_traffic_commit(mut self) -> Self {
-        self.sequential_traffic_commit = true;
         self
     }
 
@@ -196,25 +153,6 @@ impl SkuteConfig {
     #[must_use]
     pub fn with_fault_seed(self, seed: u64) -> Self {
         self.with_fault_plan(FaultPlan::all(seed))
-    }
-
-    /// Returns a copy routed through the sequential availability-repair
-    /// walk (the equivalence oracle; see the field docs). Trajectories
-    /// stay bitwise identical up to the speculation hit/miss counters.
-    #[must_use]
-    pub fn with_sequential_repair(mut self) -> Self {
-        self.sequential_repair = true;
-        self
-    }
-
-    /// Returns a copy routed through the sequential one-action-at-a-time
-    /// decision commit (the equivalence oracle; see the field docs).
-    /// Trajectories stay bitwise identical up to the batch observability
-    /// counters.
-    #[must_use]
-    pub fn with_sequential_decisions(mut self) -> Self {
-        self.sequential_decisions = true;
-        self
     }
 
     /// Returns a copy scrubbing every `epochs` epochs inside `end_epoch`
@@ -281,17 +219,6 @@ mod tests {
     }
 
     #[test]
-    fn with_sequential_traffic_commit_flips_only_the_commit_mode() {
-        let a = SkuteConfig::paper();
-        let b = a.with_sequential_traffic_commit();
-        assert!(!a.sequential_traffic_commit);
-        assert!(b.sequential_traffic_commit);
-        assert_eq!(a.seed, b.seed);
-        assert_eq!(a.threads, b.threads);
-        b.validate();
-    }
-
-    #[test]
     fn with_no_speculation_flips_only_the_oracle_flag() {
         let a = SkuteConfig::paper();
         let b = a.with_no_speculation();
@@ -322,28 +249,6 @@ mod tests {
         assert_eq!(b.fault_plan.seed, 7);
         assert_eq!(a.seed, b.seed);
         assert_eq!(a.backend, b.backend);
-        b.validate();
-    }
-
-    #[test]
-    fn with_sequential_repair_flips_only_the_oracle_flag() {
-        let a = SkuteConfig::paper();
-        let b = a.with_sequential_repair();
-        assert!(!a.sequential_repair);
-        assert!(b.sequential_repair);
-        assert_eq!(a.seed, b.seed);
-        assert_eq!(a.threads, b.threads);
-        b.validate();
-    }
-
-    #[test]
-    fn with_sequential_decisions_flips_only_the_oracle_flag() {
-        let a = SkuteConfig::paper();
-        let b = a.with_sequential_decisions();
-        assert!(!a.sequential_decisions);
-        assert!(b.sequential_decisions);
-        assert_eq!(a.seed, b.seed);
-        assert_eq!(a.threads, b.threads);
         b.validate();
     }
 

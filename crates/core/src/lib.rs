@@ -50,7 +50,6 @@
 
 pub mod app;
 pub mod availability;
-mod batch;
 pub mod cloud;
 pub mod config;
 pub mod decision;
@@ -65,7 +64,6 @@ pub use app::{AppId, AppSpec, Application, AvailabilityLevel, LevelSpec};
 // Fault-model types consumers configure the cloud with, re-exported so
 // downstream crates (sim, server) need no direct skute-store dependency.
 pub use availability::{availability_of, greedy_max_availability, threshold_for_replicas};
-pub use batch::{build_batches, ActionFootprint, CommitStep};
 pub use cloud::{ClientRead, ReadConsistency, SkuteCloud, TrafficBatch};
 pub use config::SkuteConfig;
 pub use decision::{Action, ActionCounts};

@@ -18,9 +18,6 @@
 //! | `skute_queries_total` | counter | `outcome` | offered / served / dropped queries (rounded) |
 //! | `skute_actions_total` | counter | `action` | replications, migrations, suicides, splits, blocked transfers |
 //! | `skute_speculation_total` | counter | `result` | decision-prepass speculation hits / misses |
-//! | `skute_decision_batches_total` | counter | | conflict-free decision batches dispatched |
-//! | `skute_decision_batch_conflicts_total` | counter | | batches flushed early by a write-set conflict |
-//! | `skute_decision_batch_width` | histogram | | widest batch per epoch |
 //! | `skute_transfer_bytes_total` | counter | `kind` | logical replication / migration bytes moved |
 //! | `skute_insert_failures_total` | counter | | synthetic ingests rejected for capacity |
 //! | `skute_partitions_lost_total` | counter | | partitions that lost their last replica |
@@ -37,7 +34,7 @@
 
 use std::sync::Arc;
 
-use skute_obs::{exponential_buckets, linear_buckets, Counter, Gauge, Histogram, Registry};
+use skute_obs::{exponential_buckets, Counter, Gauge, Histogram, Registry};
 use skute_store::{FaultStats, StorageActivity};
 
 use crate::metrics::EpochReport;
@@ -53,7 +50,7 @@ use crate::metrics::EpochReport;
 pub struct CloudMetrics {
     /// Per-phase wall-clock timings (`phase` label).
     pub phase_traffic_plan: Histogram,
-    /// Traffic commit (reconciliation + accrual) timing.
+    /// Traffic commit timing.
     pub phase_traffic_commit: Histogram,
     /// Availability-repair pass timing.
     pub phase_repair: Histogram,
@@ -85,12 +82,6 @@ pub struct CloudMetrics {
     pub spec_hits: Counter,
     /// Speculative decision prepass misses (re-walked live).
     pub spec_misses: Counter,
-    /// Conflict-free decision batches dispatched.
-    pub decision_batches: Counter,
-    /// Batches flushed early by a write-set conflict.
-    pub batch_conflicts: Counter,
-    /// Widest decision batch per epoch.
-    pub batch_width: Histogram,
     /// Logical bytes moved by replications.
     pub replicated_bytes: Counter,
     /// Logical bytes moved by migrations.
@@ -222,19 +213,6 @@ impl CloudMetrics {
             blocked_transfers: action("blocked_transfer"),
             spec_hits: spec("hit"),
             spec_misses: spec("miss"),
-            decision_batches: registry.counter(
-                "skute_decision_batches_total",
-                "Conflict-free decision batches dispatched to the pool.",
-            ),
-            batch_conflicts: registry.counter(
-                "skute_decision_batch_conflicts_total",
-                "Decision batches flushed early by a write-set conflict.",
-            ),
-            batch_width: registry.histogram(
-                "skute_decision_batch_width",
-                "Widest conflict-free decision batch per epoch.",
-                &linear_buckets(1.0, 4.0, 12),
-            ),
             replicated_bytes: bytes("replication"),
             migrated_bytes: bytes("migration"),
             insert_failures: registry.counter(
@@ -327,11 +305,6 @@ impl CloudMetrics {
         self.blocked_transfers.add(a.blocked_transfers);
         self.spec_hits.add(a.spec_hits);
         self.spec_misses.add(a.spec_misses);
-        self.decision_batches.add(a.decision_batches);
-        self.batch_conflicts.add(a.batch_conflicts);
-        if a.decision_batches > 0 {
-            self.batch_width.observe(a.max_batch_width as f64);
-        }
         self.replicated_bytes.add(a.replicated_bytes);
         self.migrated_bytes.add(a.migrated_bytes);
         self.scrub_rebuilds.add(a.scrub_rebuilds);

@@ -69,10 +69,9 @@ impl Replica {
 }
 
 /// Per-partition scratch of the traffic-delivery phase: the parallel plan
-/// pass fills it (proximity weights, client distances, serving order, and
-/// the planned per-replica delivery events), the commit consumes it
-/// against the live capacity meters. Reused across epochs; meaningless
-/// unless [`DeliveryPlan::ready`].
+/// pass fills it (proximity weights, client distances, serving order), the
+/// commit consumes it against the live capacity meters. Reused across
+/// epochs; meaningless unless [`DeliveryPlan::ready`].
 #[derive(Debug, Clone, Default)]
 pub struct DeliveryPlan {
     /// Queries addressed to the partition by the planned delivery.
@@ -85,27 +84,8 @@ pub struct DeliveryPlan {
     pub dists: Vec<f64>,
     /// Replica indices sorted by descending proximity (serving order).
     pub order: Vec<usize>,
-    /// The planned delivery event sequence `(replica index, queries)`,
-    /// replaying exactly the sequential commit's serving order (the
-    /// proximity-proportional pass followed by the spill pass) under the
-    /// assumption that no server's query-capacity meter binds. The
-    /// reconciliation pass validates that assumption against the live
-    /// meters per partition and falls back to the sequential algorithm
-    /// where it fails, so committed events are always bit-exact.
-    pub events: Vec<(usize, f64)>,
-    /// Σ served over `events` in event order (the partition's planned
-    /// contribution to the ring's served counter).
-    pub served_total: f64,
-    /// Queries left unserved after the planned events (float residue of
-    /// the proportional split; ≤ the commit's 1e-9 spill threshold).
-    pub final_remaining: f64,
-    /// Σ served × client-distance over `events` in event order.
-    pub distance_sum: f64,
     /// True between a plan pass and its commit pass.
     pub ready: bool,
-    /// Set by the reconciliation pass when the partition's planned events
-    /// committed spill-free; the parallel accrual pass consumes it.
-    pub accrual_pending: bool,
 }
 
 /// Runtime state of one partition of one virtual ring.

@@ -21,10 +21,6 @@
 //!   deltas in (shard, insertion) order — a deterministic sequence fixed
 //!   by the chunk decomposition, not by which worker finished first. The
 //!   merge is bit-identical to the sequential left fold over the items.
-//! - [`stream_seed`]: derives independent per-shard RNG streams from a
-//!   base seed and a shard id, so a parallel phase that needs randomness
-//!   draws from streams tied to the (deterministic) shard decomposition
-//!   rather than to worker identity.
 
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
@@ -324,17 +320,6 @@ pub fn split_chunks<T>(items: Vec<T>, chunk_size: usize) -> Vec<Vec<T>> {
     out
 }
 
-/// Derives the RNG stream seed of shard `shard` from a base `seed`
-/// (splitmix64 over the pair, so neighboring shards get uncorrelated
-/// streams). Shard ids come from the deterministic chunk decomposition;
-/// two runs with different thread counts derive identical streams.
-pub fn stream_seed(seed: u64, shard: u64) -> u64 {
-    let mut z = seed ^ shard.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
 /// Per-shard delta accumulators with a deterministic, scheduling-blind
 /// merge.
 ///
@@ -422,6 +407,9 @@ impl<K: Ord + Copy, V> ShardAccounts<K, V> {
 mod tests {
     use super::*;
     use proptest::prelude::*;
+    use rand::rngs::StdRng;
+    use rand::seq::SliceRandom;
+    use rand::SeedableRng;
     use std::sync::atomic::{AtomicUsize, Ordering};
 
     #[test]
@@ -561,19 +549,6 @@ mod tests {
     }
 
     #[test]
-    fn stream_seeds_differ_per_shard_and_replay() {
-        let a = stream_seed(42, 0);
-        let b = stream_seed(42, 1);
-        assert_ne!(a, b);
-        assert_eq!(a, stream_seed(42, 0));
-        // Streams are usable: seeding the workspace StdRng draws diverge.
-        use rand::{Rng, SeedableRng};
-        let mut ra = rand::rngs::StdRng::seed_from_u64(a);
-        let mut rb = rand::rngs::StdRng::seed_from_u64(b);
-        assert_ne!(ra.gen_range(0..u64::MAX), rb.gen_range(0..u64::MAX));
-    }
-
-    #[test]
     fn merge_into_sorted_replays_item_order_per_key() {
         // Two shards, overlapping keys: deltas of key 7 combine in
         // (shard, insertion) order — 1.0 then 2.0 then 4.0.
@@ -652,11 +627,7 @@ mod tests {
             let mut acc: ShardAccounts<u32, f64> = ShardAccounts::new();
             acc.reset(chunks);
             let mut order: Vec<usize> = (0..chunks).collect();
-            // Cheap deterministic permutation of the fill order.
-            for i in (1..order.len()).rev() {
-                let j = (stream_seed(fill_order_seed, i as u64) % (i as u64 + 1)) as usize;
-                order.swap(i, j);
-            }
+            order.shuffle(&mut StdRng::seed_from_u64(fill_order_seed));
             for &shard in &order {
                 let lo = shard * chunk_size;
                 let hi = (lo + chunk_size).min(items.len());

@@ -3,10 +3,9 @@
 //! ```text
 //! skute-sim [--scenario base|fig2|fig3|fig4|fig5|outage] [--epochs N]
 //!           [--seed N] [--csv PATH] [--print-every N] [--brute-force]
-//!           [--threads N] [--sequential-commit] [--no-speculation]
-//!           [--backend mem|lsm] [--fault-plan NAME] [--fault-seed N]
-//!           [--sequential-repair] [--sequential-decisions]
-//!           [--scrub-every N] [--metrics-json PATH]
+//!           [--threads N] [--no-speculation] [--backend mem|lsm]
+//!           [--fault-plan NAME] [--fault-seed N] [--scrub-every N]
+//!           [--metrics-json PATH]
 //! skute-sim --bench-json PATH
 //! ```
 //!
@@ -35,14 +34,11 @@ struct Args {
     csv: Option<String>,
     print_every: u64,
     brute_force: bool,
-    sequential_commit: bool,
     no_speculation: bool,
     threads: Option<usize>,
     backend: BackendKind,
     fault_plan: Option<FaultPlanKind>,
     fault_seed: Option<u64>,
-    sequential_repair: bool,
-    sequential_decisions: bool,
     scrub_every: Option<u64>,
     bench_json: Option<String>,
     metrics_json: Option<String>,
@@ -56,14 +52,11 @@ fn parse_args() -> Result<Args, String> {
         csv: None,
         print_every: 10,
         brute_force: false,
-        sequential_commit: false,
         no_speculation: false,
         threads: None,
         backend: BackendKind::default(),
         fault_plan: None,
         fault_seed: None,
-        sequential_repair: false,
-        sequential_decisions: false,
         scrub_every: None,
         bench_json: None,
         metrics_json: None,
@@ -94,7 +87,6 @@ fn parse_args() -> Result<Args, String> {
                     .map_err(|e| format!("--print-every: {e}"))?
             }
             "--brute-force" => args.brute_force = true,
-            "--sequential-commit" => args.sequential_commit = true,
             "--no-speculation" => args.no_speculation = true,
             "--threads" | "-t" => {
                 args.threads = Some(
@@ -122,8 +114,6 @@ fn parse_args() -> Result<Args, String> {
                         .map_err(|e| format!("--fault-seed: {e}"))?,
                 )
             }
-            "--sequential-repair" => args.sequential_repair = true,
-            "--sequential-decisions" => args.sequential_decisions = true,
             "--scrub-every" => {
                 args.scrub_every = Some(
                     value("--scrub-every")?
@@ -138,18 +128,17 @@ fn parse_args() -> Result<Args, String> {
                     "skute-sim: run a Skute paper scenario\n\n\
                      USAGE: skute-sim [--scenario base|fig2|fig3|fig4|fig5|outage]\n\
                             [--epochs N] [--seed N] [--csv PATH] [--print-every N]\n\
-                            [--brute-force] [--sequential-commit] [--no-speculation]\n\
-                            [--threads N] [--backend mem|lsm] [--fault-plan NAME]\n\
-                            [--fault-seed N] [--sequential-repair]\n\
-                            [--sequential-decisions] [--scrub-every N]\n\
+                            [--brute-force] [--no-speculation] [--threads N]\n\
+                            [--backend mem|lsm] [--fault-plan NAME]\n\
+                            [--fault-seed N] [--scrub-every N]\n\
                             [--metrics-json PATH] [--bench-json PATH]\n\n\
                      --threads sets the epoch pipeline's worker budget (0 = all\n\
                      cores); same-seed output is bitwise identical at any value.\n\
                      --backend selects the replica storage engine: mem (default,\n\
                      in-memory oracle) or lsm (durable WAL + SSTable stores);\n\
                      same-seed output is bitwise identical on either engine.\n\
-                     --sequential-commit routes the traffic commit through the\n\
-                     sequential oracle loop and --no-speculation disables the\n\
+                     --brute-force routes eq.-(3) target selection through the\n\
+                     full-cluster scan and --no-speculation disables the\n\
                      decision pass's speculative eq.-(3) targets (both oracles\n\
                      produce bitwise-identical output; CI's determinism matrix\n\
                      compares every mode).\n\
@@ -170,13 +159,6 @@ fn parse_args() -> Result<Args, String> {
                      --scrub-every N folds the quarantine scrub into the epoch\n\
                      loop every N epochs (0 = disabled, the default); scrubs\n\
                      are observability-only and never perturb the trajectory.\n\
-                     --sequential-repair routes the availability-repair pass\n\
-                     through its sequential walk (the oracle for the default\n\
-                     speculative plan/validate repair protocol).\n\
-                     --sequential-decisions routes the economic-decision\n\
-                     commit through the one-action-at-a-time sequential walk\n\
-                     instead of the conflict-free batched commit (the oracle;\n\
-                     output is bitwise identical either way).\n\
                      --metrics-json writes an end-of-run JSON snapshot of the\n\
                      observability registry (per-phase timings, action and\n\
                      speculation counters, storage-engine totals). The sink is\n\
@@ -250,11 +232,8 @@ fn main() -> ExitCode {
         scenario.seed = seed;
     }
     scenario.config.brute_force_placement = args.brute_force;
-    scenario.config.sequential_traffic_commit = args.sequential_commit;
     scenario.config.no_speculation = args.no_speculation;
     scenario.config.backend = args.backend;
-    scenario.config.sequential_repair = args.sequential_repair;
-    scenario.config.sequential_decisions = args.sequential_decisions;
     // --fault-plan picks the fault family; --fault-seed seeds it (and
     // implies the all-families plan when no family was named). A plan
     // without an explicit seed inherits the scenario seed.

@@ -168,53 +168,6 @@ fn country_outage_recovery_is_thread_invariant() {
 }
 
 #[test]
-fn speculative_repair_matches_the_sequential_oracle() {
-    // The repair prepass's acceptance bar: routing repairs through the
-    // sequential walk (`sequential_repair`) must replay the speculative
-    // plan/validate protocol's trajectory **bitwise** across the outage
-    // burst, at several thread counts. The only permitted difference is
-    // the spec hit/miss observability counters: the economic pass
-    // speculates identically in both runs, but only the speculative
-    // repair pass adds its own evaluations on top.
-    let run = |sequential: bool, threads: usize| {
-        let mut s = outage_scenario(26, 12);
-        s.config.sequential_repair = sequential;
-        s.config.threads = threads;
-        Simulation::new(s).run()
-    };
-    let spec = run(false, 1);
-    let mut honored = 0i64;
-    let mut evaluated = 0i64;
-    for threads in [1usize, 8] {
-        let oracle = run(true, threads);
-        assert_eq!(spec.len(), oracle.len());
-        for (epoch, (a, b)) in spec.iter().zip(&oracle).enumerate() {
-            let mut a = a.clone();
-            let mut b = b.clone();
-            honored += a.report.actions.spec_hits as i64 - b.report.actions.spec_hits as i64;
-            evaluated += (a.report.actions.spec_hits + a.report.actions.spec_misses) as i64
-                - (b.report.actions.spec_hits + b.report.actions.spec_misses) as i64;
-            a.report.actions.spec_hits = 0;
-            a.report.actions.spec_misses = 0;
-            b.report.actions.spec_hits = 0;
-            b.report.actions.spec_misses = 0;
-            assert_eq!(
-                a, b,
-                "repair modes diverge at epoch {epoch}, threads {threads}"
-            );
-        }
-    }
-    assert!(
-        evaluated > 0,
-        "the outage must route repairs through the speculative prepass"
-    );
-    assert!(
-        honored > 0,
-        "the repair commit must honor validated speculations"
-    );
-}
-
-#[test]
 fn reads_survive_minority_replica_failures() {
     let mut sim = Simulation::new(scenario(1));
     let app = sim.apps()[2]; // the 4-replica ring
