@@ -16,10 +16,8 @@ use std::path::PathBuf;
 
 use skute_sim::{Observation, Recorder, Scenario, Simulation};
 
-pub mod perf;
-
-/// The workspace root (where `BENCH_*.json` trajectory files live).
-pub fn workspace_root() -> PathBuf {
+/// The workspace root, two levels above this crate's manifest.
+fn workspace_root() -> PathBuf {
     let mut p = PathBuf::from(env!("CARGO_MANIFEST_DIR"));
     p.pop(); // crates/
     p.pop(); // workspace root

@@ -64,6 +64,30 @@ impl RingState {
     }
 }
 
+/// Which reference implementation the epoch's eq.-(3) target selections
+/// run through instead of the production path. A test oracle, not
+/// configuration: every variant replays the production trajectory bit for
+/// bit (up to the speculation hit/miss counters under
+/// [`DecisionOracle::Rewalk`]), and only
+/// [`SkuteCloud::set_decision_oracle`] sets it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub enum DecisionOracle {
+    /// Production: targets come from the rent-sorted
+    /// [`PlacementIndex`]; the decision plan pass speculates and the
+    /// commit pass honors every speculation `validate_speculation` proves
+    /// still exact.
+    #[default]
+    None,
+    /// The decision plan pass computes no speculative targets, so the
+    /// commit pass re-walks every acting vnode against the live state —
+    /// the sequential loop speculation replaced.
+    Rewalk,
+    /// Every target selection, speculative ones included, is the
+    /// brute-force full-cluster scan [`economic_target`] instead of an
+    /// index walk.
+    BruteForce,
+}
+
 /// The Skute data cloud: physical servers, one virtual ring per application
 /// availability level, the rent board, and the epoch-driven decentralized
 /// optimization of §II.
@@ -93,8 +117,10 @@ pub struct SkuteCloud {
     /// Actions executed outside end_epoch (emergency relocations).
     epoch_actions: ActionCounts,
     /// Rent-sorted candidate index behind every eq.-(3) target selection
-    /// (unless `config.brute_force_placement` routes around it).
+    /// (unless [`DecisionOracle::BruteForce`] routes around it).
     index: PlacementIndex,
+    /// Test hook; see [`SkuteCloud::set_decision_oracle`].
+    oracle: DecisionOracle,
     /// Phase orchestration: the worker pool of the parallel plan passes
     /// plus their reusable per-shard scratch (see [`crate::pipeline`]).
     pipeline: EpochPipeline,
@@ -245,6 +271,7 @@ impl SkuteCloud {
             partitions_lost_epoch: 0,
             epoch_actions: ActionCounts::default(),
             index: PlacementIndex::new(),
+            oracle: DecisionOracle::None,
             pipeline: EpochPipeline::new(threads),
             work_scratch: Vec::new(),
             servers_scratch: Vec::new(),
@@ -657,6 +684,15 @@ impl SkuteCloud {
     /// sim's partition events route here.
     pub fn force_continent_partition(&mut self, cut: Option<u16>) {
         self.forced_cut = Some(cut);
+    }
+
+    /// Routes the epoch's eq.-(3) target selections through a reference
+    /// implementation (test hook: the equivalence tests replay a scenario
+    /// under each [`DecisionOracle`] and compare trajectories bitwise).
+    /// Takes effect from the next repair, relocation or decision pass; no
+    /// other state depends on it.
+    pub fn set_decision_oracle(&mut self, oracle: DecisionOracle) {
+        self.oracle = oracle;
     }
 
     fn post_prices(&mut self) {
@@ -1325,7 +1361,7 @@ impl SkuteCloud {
             } = &mut *partition;
             select_target(
                 &mut self.index,
-                self.config.brute_force_placement,
+                self.oracle == DecisionOracle::BruteForce,
                 &ctx,
                 &self.servers_scratch,
                 size.saturating_add(incoming),
@@ -1889,7 +1925,7 @@ impl SkuteCloud {
                         } = &mut *partition;
                         select_target(
                             &mut self.index,
-                            self.config.brute_force_placement,
+                            self.oracle == DecisionOracle::BruteForce,
                             &ctx,
                             &self.servers_scratch,
                             size,
@@ -1947,7 +1983,7 @@ impl SkuteCloud {
     /// candidate re-scoring past the winner, or this partition's own
     /// membership changing — re-walks the live state, exactly as the
     /// sequential loop would; `actions.spec_hits`/`spec_misses` count the
-    /// two outcomes, and `SkuteConfig::no_speculation` routes everything
+    /// two outcomes, and [`DecisionOracle::Rewalk`] routes everything
     /// through the re-walk path as the oracle.
     fn economic_decisions(
         &mut self,
@@ -1957,8 +1993,8 @@ impl SkuteCloud {
     ) {
         let economy = self.config.economy;
         let window = economy.decision_window;
-        let brute_force = self.config.brute_force_placement;
-        let speculation = !self.config.no_speculation;
+        let brute_force = self.oracle == DecisionOracle::BruteForce;
+        let speculation = self.oracle != DecisionOracle::Rewalk;
         let min_rent = self.board.min_price();
         // Snapshot vnode identities into the reusable work list; replicas
         // mutate as we act. The slot indexes the pipeline's precomputation
@@ -2560,9 +2596,9 @@ fn spec_reads<'a>(pipeline: &'a EpochPipeline, pre: &PreDecision) -> &'a [Server
 }
 
 /// Routes one eq.-(3) target selection through the rent-sorted index or
-/// the brute-force oracle scan, per configuration. The two are bit-for-bit
-/// equivalent (property-tested in `placement`); the oracle exists for the
-/// equivalence tests and the `epoch_loop` benchmark's "before" side.
+/// the brute-force scan ([`DecisionOracle::BruteForce`]). The two are
+/// bit-for-bit equivalent (property-tested in `placement`); the scan exists
+/// for the equivalence tests.
 #[allow(clippy::too_many_arguments)]
 fn select_target(
     index: &mut PlacementIndex,

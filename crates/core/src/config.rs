@@ -26,23 +26,6 @@ pub struct SkuteConfig {
     /// Upper bound on availability-restoring replications per partition per
     /// epoch (bandwidth budgets also gate transfers).
     pub max_repairs_per_partition_per_epoch: usize,
-    /// Forces every eq.-(3) target selection through the brute-force
-    /// full-cluster scan instead of the rent-sorted
-    /// [`crate::placement::PlacementIndex`]. The two are bit-for-bit
-    /// equivalent; this switch exists as the equivalence oracle for tests
-    /// and as the "before" side of the `epoch_loop` benchmark.
-    pub brute_force_placement: bool,
-    /// Disables speculative eq.-(3) targets entirely: the decision plan
-    /// pass computes none, so the commit pass re-walks every acting vnode
-    /// against the live state — the pre-speculation sequential oracle.
-    /// The default pipeline instead validates each speculation's read set
-    /// against the servers mutated by the preceding committed actions and
-    /// honors it whenever the touches provably cannot have changed the
-    /// answer (see `crate::placement::validate_speculation`), so the two
-    /// modes are **bit-for-bit identical** up to the speculation hit/miss
-    /// counters. This switch exists as the equivalence oracle for tests
-    /// and CI's determinism matrix (`skute-sim --no-speculation`).
-    pub no_speculation: bool,
     /// Storage engine replica stores run on. [`BackendKind::Mem`] is the
     /// fast in-memory default and bit-exact oracle; [`BackendKind::Lsm`]
     /// gives every replica a durable WAL + SSTable store. Same-seed
@@ -86,8 +69,6 @@ impl SkuteConfig {
             availability_frac: 0.2,
             seed: DEFAULT_SEED,
             max_repairs_per_partition_per_epoch: 4,
-            brute_force_placement: false,
-            no_speculation: false,
             backend: BackendKind::Mem,
             fault_plan: FaultPlan::none(),
             scrub_every: 0,
@@ -104,29 +85,12 @@ impl SkuteConfig {
         self
     }
 
-    /// Returns a copy with speculative eq.-(3) targets disabled (the
-    /// re-walk-everything oracle; see the field docs). Trajectories stay
-    /// bitwise identical up to the speculation hit/miss counters.
-    #[must_use]
-    pub fn with_no_speculation(mut self) -> Self {
-        self.no_speculation = true;
-        self
-    }
-
     /// Returns a copy running the epoch pipeline's parallel phases on
     /// `threads` workers (`0` = available parallelism). The trajectory
     /// stays bitwise identical; only wall-clock changes.
     #[must_use]
     pub fn with_threads(mut self, threads: usize) -> Self {
         self.threads = threads;
-        self
-    }
-
-    /// Returns a copy routed through the brute-force placement scan (the
-    /// equivalence oracle; see the field docs).
-    #[must_use]
-    pub fn with_brute_force_placement(mut self) -> Self {
-        self.brute_force_placement = true;
         self
     }
 
@@ -216,17 +180,6 @@ mod tests {
         assert_eq!(a.seed, b.seed);
         b.validate();
         a.with_threads(0).validate();
-    }
-
-    #[test]
-    fn with_no_speculation_flips_only_the_oracle_flag() {
-        let a = SkuteConfig::paper();
-        let b = a.with_no_speculation();
-        assert!(!a.no_speculation);
-        assert!(b.no_speculation);
-        assert_eq!(a.seed, b.seed);
-        assert_eq!(a.threads, b.threads);
-        b.validate();
     }
 
     #[test]

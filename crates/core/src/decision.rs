@@ -131,7 +131,7 @@ impl ActionCounts {
     }
 
     /// Fraction of speculations honored at commit time, or `None` when
-    /// no speculation was evaluated (e.g. the `no_speculation` oracle).
+    /// no speculation was evaluated (e.g. under `DecisionOracle::Rewalk`).
     pub fn spec_hit_rate(&self) -> Option<f64> {
         let total = self.spec_hits + self.spec_misses;
         (total > 0).then(|| self.spec_hits as f64 / total as f64)

@@ -64,7 +64,7 @@ pub use app::{AppId, AppSpec, Application, AvailabilityLevel, LevelSpec};
 // Fault-model types consumers configure the cloud with, re-exported so
 // downstream crates (sim, server) need no direct skute-store dependency.
 pub use availability::{availability_of, greedy_max_availability, threshold_for_replicas};
-pub use cloud::{ClientRead, ReadConsistency, SkuteCloud, TrafficBatch};
+pub use cloud::{ClientRead, DecisionOracle, ReadConsistency, SkuteCloud, TrafficBatch};
 pub use config::SkuteConfig;
 pub use decision::{Action, ActionCounts};
 pub use error::CoreError;

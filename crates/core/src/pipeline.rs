@@ -1,8 +1,8 @@
 //! The deterministic parallel epoch pipeline.
 //!
 //! [`crate::SkuteCloud`] runs every epoch through three phases — **traffic
-//! delivery**, **availability repair**, **economic decisions** — each
-//! structured as
+//! delivery**, **availability repair**, **economic decisions**. Traffic
+//! and decisions are each structured as
 //!
 //! 1. a **parallel plan pass** that fans out across partitions on the
 //!    persistent [`WorkerPool`]: pure per-partition computation against
@@ -13,12 +13,16 @@
 //! 2. a **sequential commit pass** that applies every effect on shared
 //!    state — capacity meters, rent-board-indexed structures, executed
 //!    actions — in a fixed order (ring/partition order for traffic, the
-//!    seeded shuffle order for repairs and decisions), one action at a
-//!    time — the paper's §II-C walk.
+//!    seeded shuffle order for decisions), one action at a time — the
+//!    paper's §II-C walk.
+//!
+//! Repair has no plan pass: its only parallel step warms each partition's
+//! memoized eq.-(2) availability, and every placement it makes is computed
+//! inside its sequential shuffled commit.
 //!
 //! The pool holds parked workers for the lifetime of the cloud; the
 //! workspace denies `unsafe_code`, so jobs must own their data — each
-//! phase **moves** its partitions out of the ring maps into owned task
+//! parallel step **moves** its partitions out of the ring maps into owned task
 //! chunks, ships shared inputs (cluster, board, index, topology) through
 //! an `Arc` context that the cloud takes out of itself and reclaims at the
 //! phase barrier (`Arc::try_unwrap`; [`WorkerPool::run_tasks`] guarantees
@@ -47,8 +51,9 @@
 //!   cannot have changed its answer — otherwise it re-runs on the live state
 //!   exactly as the sequential loop would. Honored or re-walked, the
 //!   executed action is bit-identical to a fresh walk (property-tested,
-//!   and asserted end-to-end against the `SkuteConfig::no_speculation`
-//!   oracle that re-walks everything).
+//!   and asserted end-to-end against the
+//!   [`DecisionOracle::Rewalk`](crate::DecisionOracle::Rewalk) oracle that
+//!   re-walks everything).
 //!
 //! The result: same-seed trajectories are **bitwise identical at every
 //! thread count**, including `threads = 1`, which runs the identical code
@@ -218,10 +223,10 @@ pub(crate) struct DecisionInputs<'a> {
     pub economy: &'a EconomyConfig,
     pub index: &'a PlacementIndex,
     pub brute_force: bool,
-    /// False routes the `SkuteConfig::no_speculation` oracle: the plan
-    /// pass computes no speculative targets, so the commit pass re-walks
-    /// every acting vnode on the live state. Bitwise-identical
-    /// trajectories either way.
+    /// False under [`crate::DecisionOracle::Rewalk`]: the plan pass
+    /// computes no speculative targets, so the commit pass re-walks every
+    /// acting vnode on the live state. Bitwise-identical trajectories
+    /// either way.
     pub speculation: bool,
     pub min_rent: Option<f64>,
 }
@@ -884,8 +889,8 @@ fn plan_one_decision(
                 pre.spec_computed = true;
                 record_spec_reads(&mut pre, scratch);
             }
-            // The `no_speculation` oracle: leave `spec_computed` unset so
-            // the commit pass re-walks on the live state.
+            // `DecisionOracle::Rewalk`: leave `spec_computed` unset so the
+            // commit pass re-walks on the live state.
             Intent::Migrate | Intent::ReplicateForProfit => {}
         }
         slots.push(pre);

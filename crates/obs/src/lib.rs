@@ -262,15 +262,6 @@ pub fn exponential_buckets(start: f64, factor: f64, count: usize) -> Vec<f64> {
     out
 }
 
-/// `count` linearly spaced bucket bounds starting at `start`.
-///
-/// # Panics
-/// Panics unless `width > 0` and `count ≥ 1`.
-pub fn linear_buckets(start: f64, width: f64, count: usize) -> Vec<f64> {
-    assert!(width > 0.0 && count >= 1);
-    (0..count).map(|i| start + width * i as f64).collect()
-}
-
 /// What a family's series measure.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum MetricKind {
@@ -735,7 +726,6 @@ mod tests {
 
     #[test]
     fn bucket_helpers() {
-        assert_eq!(linear_buckets(1.0, 2.0, 3), vec![1.0, 3.0, 5.0]);
         let exp = exponential_buckets(0.001, 10.0, 3);
         assert!((exp[0] - 0.001).abs() < 1e-12);
         assert!((exp[2] - 0.1).abs() < 1e-12);

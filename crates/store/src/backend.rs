@@ -1,8 +1,6 @@
-//! The pluggable storage boundary: the [`StorageBackend`] trait, the
-//! [`BackendKind`] selector, and [`ReplicaStore`] — the enum-dispatched
-//! store every replica actually carries.
-//!
-//! Two engines implement the trait:
+//! The storage boundary: the [`BackendKind`] selector and [`ReplicaStore`]
+//! — the enum-dispatched store every replica carries, and the one place
+//! the two engines are told apart.
 //!
 //! * [`PartitionStore`] — the in-memory `BTreeMap` engine: the fast default
 //!   and the bit-exact oracle. Its "physical" footprint *is* its logical
@@ -30,7 +28,7 @@ use skute_ring::{KeyHasher, KeyRange};
 use crate::engine::{ApplyOutcome, PartitionStore};
 use crate::faults::{FaultPlan, FaultStats};
 use crate::lsm::{LsmStore, StorageActivity};
-use crate::merkle::{MerkleBuilder, MerkleSummary};
+use crate::merkle::MerkleSummary;
 use crate::shared::CowPartitionStore;
 use crate::value::Record;
 
@@ -70,198 +68,6 @@ impl FromStr for BackendKind {
             "lsm" => Ok(BackendKind::Lsm),
             other => Err(format!("unknown backend {other:?} (expected mem|lsm)")),
         }
-    }
-}
-
-/// The contract a per-replica storage engine fulfils.
-///
-/// The logical side (apply gating, [`logical_bytes`], iteration order,
-/// [`split_off`] arithmetic) must match [`PartitionStore`] bit-for-bit —
-/// it feeds the economic model and the determinism matrix. The physical
-/// side ([`physical_bytes`], [`flush`]) is each engine's own truth and
-/// prices the real data-transfer term.
-///
-/// [`logical_bytes`]: StorageBackend::logical_bytes
-/// [`split_off`]: StorageBackend::split_off
-/// [`physical_bytes`]: StorageBackend::physical_bytes
-/// [`flush`]: StorageBackend::flush
-pub trait StorageBackend: Sized + Send + fmt::Debug {
-    /// A fresh, empty store.
-    fn open() -> Self;
-
-    /// Applies `record` under `key` if its version dominates the stored
-    /// one **and** `admit` lets it in, on a single lookup: `admit` sees the
-    /// logical size (key + record) of the entry the write would displace —
-    /// `None` for a fresh key — and a veto leaves the store, and a durable
-    /// engine's log, untouched.
-    fn apply_gated(
-        &mut self,
-        key: Bytes,
-        record: Record,
-        admit: impl FnOnce(Option<u64>) -> bool,
-    ) -> ApplyOutcome;
-
-    /// Applies `record` under `key` if its version dominates the stored
-    /// one; returns `true` when the store changed.
-    fn apply(&mut self, key: Bytes, record: Record) -> bool {
-        self.apply_gated(key, record, |_| true) == ApplyOutcome::Applied
-    }
-
-    /// The record stored under `key`, tombstones included.
-    fn get(&self, key: &[u8]) -> Option<Record>;
-
-    /// The live value under `key` (`None` for absent keys and tombstones).
-    fn get_value(&self, key: &[u8]) -> Option<Bytes> {
-        self.get(key).and_then(|r| r.value)
-    }
-
-    /// Number of keys (including tombstones).
-    fn len(&self) -> usize;
-
-    /// True when no keys are stored.
-    fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Logical bytes stored: `Σ (key length + logical record size)`.
-    fn logical_bytes(&self) -> u64;
-
-    /// Bytes a replica transfer physically moves. For the in-memory oracle
-    /// this equals [`logical_bytes`](StorageBackend::logical_bytes); for
-    /// durable engines it is real file bytes.
-    fn physical_bytes(&self) -> u64;
-
-    /// Visits every entry in key order.
-    fn for_each(&self, f: &mut dyn FnMut(&Bytes, &Record));
-
-    /// Moves every key whose ring token falls in `high` into a returned
-    /// sibling store, conserving `logical_bytes` across the pair.
-    fn split_off(&mut self, hasher: KeyHasher, high: KeyRange) -> Self;
-
-    /// Merges `other` into `self`; version-dominant records win.
-    fn absorb(&mut self, other: Self);
-
-    /// Makes all accepted writes durable (no-op for volatile engines).
-    fn flush(&mut self);
-
-    /// Merkle summary of the stored entries over `range`.
-    fn merkle_summary(&self, hasher: KeyHasher, range: KeyRange, buckets: usize) -> MerkleSummary {
-        let mut builder = MerkleBuilder::new(hasher, range, buckets);
-        self.for_each(&mut |key, record| builder.add(key, record));
-        builder.finish()
-    }
-
-    /// Materializes the contents as an in-memory [`PartitionStore`].
-    fn snapshot(&self) -> PartitionStore {
-        let mut snap = PartitionStore::new();
-        self.for_each(&mut |key, record| {
-            let _ = snap.apply(key.clone(), record.clone());
-        });
-        snap
-    }
-}
-
-impl StorageBackend for PartitionStore {
-    fn open() -> Self {
-        PartitionStore::new()
-    }
-
-    fn apply_gated(
-        &mut self,
-        key: Bytes,
-        record: Record,
-        admit: impl FnOnce(Option<u64>) -> bool,
-    ) -> ApplyOutcome {
-        PartitionStore::apply_gated(self, key, record, admit)
-    }
-
-    fn get(&self, key: &[u8]) -> Option<Record> {
-        PartitionStore::get(self, key).cloned()
-    }
-
-    fn len(&self) -> usize {
-        PartitionStore::len(self)
-    }
-
-    fn logical_bytes(&self) -> u64 {
-        PartitionStore::logical_bytes(self)
-    }
-
-    /// Oracle parity: the in-memory engine "transfers" exactly its logical
-    /// footprint, so measured and logical transfer bytes coincide.
-    fn physical_bytes(&self) -> u64 {
-        PartitionStore::logical_bytes(self)
-    }
-
-    fn for_each(&self, f: &mut dyn FnMut(&Bytes, &Record)) {
-        for (key, record) in self.iter() {
-            f(key, record);
-        }
-    }
-
-    fn split_off(&mut self, hasher: KeyHasher, high: KeyRange) -> Self {
-        PartitionStore::split_off(self, hasher, high)
-    }
-
-    fn absorb(&mut self, other: Self) {
-        PartitionStore::absorb(self, other);
-    }
-
-    fn flush(&mut self) {}
-
-    fn snapshot(&self) -> PartitionStore {
-        self.clone()
-    }
-}
-
-impl StorageBackend for LsmStore {
-    fn open() -> Self {
-        LsmStore::create()
-    }
-
-    fn apply_gated(
-        &mut self,
-        key: Bytes,
-        record: Record,
-        admit: impl FnOnce(Option<u64>) -> bool,
-    ) -> ApplyOutcome {
-        LsmStore::apply_gated(self, key, record, admit)
-    }
-
-    fn get(&self, key: &[u8]) -> Option<Record> {
-        LsmStore::get(self, key)
-    }
-
-    fn len(&self) -> usize {
-        LsmStore::len(self)
-    }
-
-    fn logical_bytes(&self) -> u64 {
-        LsmStore::logical_bytes(self)
-    }
-
-    fn physical_bytes(&self) -> u64 {
-        LsmStore::physical_bytes(self)
-    }
-
-    fn for_each(&self, f: &mut dyn FnMut(&Bytes, &Record)) {
-        LsmStore::for_each(self, f);
-    }
-
-    fn split_off(&mut self, hasher: KeyHasher, high: KeyRange) -> Self {
-        LsmStore::split_off(self, hasher, high)
-    }
-
-    fn absorb(&mut self, other: Self) {
-        LsmStore::absorb(self, other);
-    }
-
-    fn flush(&mut self) {
-        LsmStore::flush(self);
-    }
-
-    fn snapshot(&self) -> PartitionStore {
-        LsmStore::snapshot(self)
     }
 }
 
@@ -319,9 +125,11 @@ impl ReplicaStore {
         self.apply_gated(key, record, |_| true) == ApplyOutcome::Applied
     }
 
-    /// Version-gated write with an admission gate (see
-    /// [`StorageBackend::apply_gated`]): the LSM engine does one lookup and
-    /// logs nothing on a veto.
+    /// Applies `record` under `key` if its version dominates the stored
+    /// one **and** `admit` lets it in, on a single lookup: `admit` sees the
+    /// logical size (key + record) of the entry the write would displace —
+    /// `None` for a fresh key — and a veto leaves the store, and the LSM
+    /// engine's log, untouched.
     pub fn apply_gated(
         &mut self,
         key: impl Into<Bytes>,
@@ -552,7 +360,7 @@ impl ReplicaStore {
     /// Visits every entry in key order (tombstones included).
     pub fn for_each(&self, f: &mut dyn FnMut(&Bytes, &Record)) {
         match self {
-            ReplicaStore::Mem(s) => StorageBackend::for_each(&**s, f),
+            ReplicaStore::Mem(s) => s.iter().for_each(|(key, record)| f(key, record)),
             ReplicaStore::Lsm(s) => s.lock().for_each(f),
         }
     }

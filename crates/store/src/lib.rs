@@ -16,12 +16,6 @@
 //!   (simulated payloads can weigh 500 KB for capacity accounting while
 //!   carrying no actual bytes, which is how the saturation experiment of
 //!   Fig. 5 scales on a laptop),
-//! * [`StorageBackend`] — the trait boundary every per-replica engine
-//!   fulfils: version-gated `apply` (and its admission-gated form
-//!   `apply_gated`), point `get`, ordered iteration, ring-aware
-//!   `split_off`/`absorb`, `flush`, and *two* byte-accounting
-//!   hooks — `logical_bytes` (what the economic model prices; bit-identical
-//!   across engines) and `physical_bytes` (what a transfer really moves),
 //! * [`PartitionStore`] — the in-memory engine: the fast default and the
 //!   bit-exact oracle (its physical footprint *is* its logical footprint),
 //! * [`LsmStore`] — the durable engine: WAL append + replay, `BTreeMap`
@@ -35,11 +29,16 @@
 //!   partial flushes, mid-copy aborts and transient read flips, all
 //!   transient by construction and repaired by bounded retries,
 //! * [`ReplicaStore`] — the enum-dispatched store a replica carries
-//!   ([`BackendKind::Mem`] or [`BackendKind::Lsm`]), with explicit
-//!   [`ReplicaStore::fork`] for replication that reports measured bytes,
+//!   ([`BackendKind::Mem`] or [`BackendKind::Lsm`]) and the one contract
+//!   both engines fulfil: version-gated `apply` (and its admission-gated
+//!   form `apply_gated`), point `get`, ordered iteration, ring-aware
+//!   `split_off`/`absorb`, `flush`, explicit [`ReplicaStore::fork`] for
+//!   replication that reports measured bytes, and *two* byte-accounting
+//!   hooks — `logical_bytes` (what the economic model prices; bit-identical
+//!   across engines) and `physical_bytes` (what a transfer really moves),
+//! * [`CowPartitionStore`] — the copy-on-write handle behind
+//!   [`ReplicaStore::Mem`],
 //! * [`quorum`] — N/R/W arithmetic and response merging,
-//! * [`SharedStore`] — a thread-safe wrapper generic over the backend
-//!   ([`SharedPartitionStore`] is the in-memory alias),
 //! * [`merkle`] — bucketed Merkle summaries for anti-entropy, buildable
 //!   incrementally from any backend via [`MerkleBuilder`].
 
@@ -56,7 +55,7 @@ pub mod value;
 
 mod shared;
 
-pub use backend::{AntiEntropyUnion, BackendKind, ReplicaStore, StorageBackend};
+pub use backend::{AntiEntropyUnion, BackendKind, ReplicaStore};
 pub use engine::{ApplyOutcome, PartitionStore};
 pub use error::StoreError;
 pub use faults::{
@@ -65,5 +64,5 @@ pub use faults::{
 pub use lsm::{LsmStore, StorageActivity};
 pub use merkle::{diff_buckets, MerkleBuilder, MerkleSummary};
 pub use quorum::QuorumConfig;
-pub use shared::{CowPartitionStore, SharedPartitionStore, SharedStore};
+pub use shared::CowPartitionStore;
 pub use value::{Record, Version};

@@ -3,8 +3,8 @@
 //!
 //! The in-memory [`PartitionStore`](crate::PartitionStore) is the fast
 //! default and bit-exact oracle of the simulation; this engine is the
-//! second implementation behind the [`StorageBackend`](crate::StorageBackend)
-//! trait, and the one that makes the paper's data-transfer costs real:
+//! second variant of [`ReplicaStore`](crate::ReplicaStore), and the one
+//! that makes the paper's data-transfer costs real:
 //! replicating or migrating a replica moves the engine's actual on-disk
 //! bytes, not a logical-size constant.
 //!
@@ -99,6 +99,7 @@ use skute_ring::{KeyHasher, KeyRange};
 
 use crate::engine::{ApplyOutcome, PartitionStore};
 use crate::faults::{crc32, FaultInjector, FaultPlan, FaultStats};
+use crate::merkle::{MerkleBuilder, MerkleSummary};
 use crate::value::{Record, Version};
 
 /// WAL file name within a store directory.
@@ -1175,6 +1176,18 @@ impl LsmStore {
         for (k, r) in self.merged().iter() {
             f(k, r);
         }
+    }
+
+    /// Merkle summary of the stored entries over `range`.
+    pub fn merkle_summary(
+        &self,
+        hasher: KeyHasher,
+        range: KeyRange,
+        buckets: usize,
+    ) -> MerkleSummary {
+        let mut builder = MerkleBuilder::new(hasher, range, buckets);
+        self.for_each(&mut |key, record| builder.add(key, record));
+        builder.finish()
     }
 
     /// Materializes the store's contents as an in-memory

@@ -1,14 +1,9 @@
-//! Shared and copy-on-write wrappers around storage backends.
+//! The copy-on-write handle the in-memory replica store is held through.
 
 use std::ops::Deref;
 use std::sync::Arc;
 
-use bytes::Bytes;
-use parking_lot::RwLock;
-
-use crate::backend::StorageBackend;
 use crate::engine::PartitionStore;
-use crate::value::Record;
 
 /// A copy-on-write handle to a [`PartitionStore`] with value semantics.
 ///
@@ -61,96 +56,10 @@ impl Deref for CowPartitionStore {
     }
 }
 
-/// A cheaply clonable, thread-safe handle to one replica's store, generic
-/// over the [`StorageBackend`] it wraps.
-///
-/// Readers take a shared lock; writers an exclusive one. The handle exists
-/// so that embedding applications can serve concurrent reads against the
-/// same replica the simulation mutates between epochs — regardless of
-/// whether the replica runs on the in-memory oracle or the durable LSM
-/// engine.
-#[derive(Debug)]
-pub struct SharedStore<B: StorageBackend> {
-    inner: Arc<RwLock<B>>,
-}
-
-// Manual impl: cloning bumps the Arc and must not require `B: Clone`
-// (the LSM engine deliberately has no `Clone` — copies go through `fork`).
-impl<B: StorageBackend> Clone for SharedStore<B> {
-    fn clone(&self) -> Self {
-        Self {
-            inner: Arc::clone(&self.inner),
-        }
-    }
-}
-
-/// The historical name: a thread-safe handle over the in-memory engine.
-pub type SharedPartitionStore = SharedStore<PartitionStore>;
-
-impl<B: StorageBackend> Default for SharedStore<B> {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl<B: StorageBackend> SharedStore<B> {
-    /// A handle over an empty store.
-    pub fn new() -> Self {
-        Self::from_store(B::open())
-    }
-
-    /// Wraps an existing store.
-    pub fn from_store(store: B) -> Self {
-        Self {
-            inner: Arc::new(RwLock::new(store)),
-        }
-    }
-
-    /// Applies a record (see [`StorageBackend::apply`]).
-    pub fn apply(&self, key: impl Into<Bytes>, record: Record) -> bool {
-        self.inner.write().apply(key.into(), record)
-    }
-
-    /// Clone of the record under `key`.
-    pub fn get(&self, key: &[u8]) -> Option<Record> {
-        self.inner.read().get(key)
-    }
-
-    /// Clone of the live value under `key`.
-    pub fn get_value(&self, key: &[u8]) -> Option<Bytes> {
-        self.inner.read().get_value(key)
-    }
-
-    /// Logical bytes stored.
-    pub fn logical_bytes(&self) -> u64 {
-        self.inner.read().logical_bytes()
-    }
-
-    /// Number of stored keys.
-    pub fn len(&self) -> usize {
-        self.inner.read().len()
-    }
-
-    /// True when empty.
-    pub fn is_empty(&self) -> bool {
-        self.inner.read().is_empty()
-    }
-
-    /// Runs `f` with shared access to the underlying store.
-    pub fn read_with<T>(&self, f: impl FnOnce(&B) -> T) -> T {
-        f(&self.inner.read())
-    }
-
-    /// Runs `f` with exclusive access to the underlying store.
-    pub fn write_with<T>(&self, f: impl FnOnce(&mut B) -> T) -> T {
-        f(&mut self.inner.write())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::value::Version;
+    use crate::value::{Record, Version};
 
     #[test]
     fn cow_clone_shares_until_written() {
@@ -178,65 +87,5 @@ mod tests {
         assert_eq!(handle.len(), 1);
         assert_eq!(handle.logical_bytes(), 1 + 1);
         assert!(!handle.is_empty());
-    }
-
-    #[test]
-    fn shared_roundtrip() {
-        let s = SharedPartitionStore::new();
-        assert!(s.apply(&b"k"[..], Record::put(&b"v"[..], Version::new(1, 0, 0))));
-        assert_eq!(s.get_value(b"k").unwrap().as_ref(), b"v");
-        assert_eq!(s.len(), 1);
-        assert!(!s.is_empty());
-    }
-
-    #[test]
-    fn clones_share_state() {
-        let a = SharedPartitionStore::new();
-        let b = a.clone();
-        assert!(a.apply(&b"k"[..], Record::put(&b"v"[..], Version::new(1, 0, 0))));
-        assert_eq!(b.get_value(b"k").unwrap().as_ref(), b"v");
-    }
-
-    #[test]
-    fn concurrent_writers_converge() {
-        // Eight writers race on one key through the persistent worker pool
-        // (one single-writer task each), all mutating the same shared
-        // store handle concurrently through cloned handles.
-        let store = SharedPartitionStore::new();
-        let pool = skute_exec::WorkerPool::new(8);
-        let handle = store.clone();
-        pool.run_tasks((0..8u32).collect(), move |_, writer| {
-            for seq in 0..100u64 {
-                handle.apply(
-                    &b"contended"[..],
-                    Record::put(vec![writer as u8], Version::new(1, seq, writer)),
-                );
-            }
-        });
-        // LWW winner is the highest (epoch, seq, writer) = (1, 99, 7).
-        let winner = store.get(b"contended").unwrap();
-        assert_eq!(winner.version, Version::new(1, 99, 7));
-        assert_eq!(winner.value.unwrap().as_ref(), &[7u8]);
-    }
-
-    #[test]
-    fn shared_wrapper_is_backend_generic() {
-        let s: SharedStore<crate::LsmStore> = SharedStore::new();
-        assert!(s.apply(&b"k"[..], Record::put(&b"v"[..], Version::new(1, 0, 0))));
-        assert_eq!(s.get_value(b"k").unwrap().as_ref(), b"v");
-        assert_eq!(s.len(), 1);
-        let b = s.clone();
-        assert!(b.apply(&b"k2"[..], Record::put(&b"w"[..], Version::new(1, 1, 0))));
-        assert_eq!(s.len(), 2, "clones share the same durable store");
-    }
-
-    #[test]
-    fn with_accessors() {
-        let s = SharedPartitionStore::from_store(PartitionStore::new());
-        s.write_with(|st| {
-            let _ = st.apply(&b"a"[..], Record::put(&b"1"[..], Version::new(1, 0, 0)));
-        });
-        let n = s.read_with(|st| st.len());
-        assert_eq!(n, 1);
     }
 }

@@ -2,11 +2,9 @@
 //!
 //! ```text
 //! skute-sim [--scenario base|fig2|fig3|fig4|fig5|outage] [--epochs N]
-//!           [--seed N] [--csv PATH] [--print-every N] [--brute-force]
-//!           [--threads N] [--no-speculation] [--backend mem|lsm]
-//!           [--fault-plan NAME] [--fault-seed N] [--scrub-every N]
-//!           [--metrics-json PATH]
-//! skute-sim --bench-json PATH
+//!           [--seed N] [--csv PATH] [--print-every N] [--threads N]
+//!           [--backend mem|lsm] [--fault-plan NAME] [--fault-seed N]
+//!           [--scrub-every N] [--metrics-json PATH]
 //! ```
 //!
 //! Runs the chosen scenario, prints a progress table, and optionally
@@ -16,16 +14,11 @@
 //! timings, action/speculation/fault counters, storage-engine totals) —
 //! the metrics layer never feeds back into decisions, so stdout and CSV
 //! stay byte-identical with or without it.
-//!
-//! `--bench-json PATH` instead runs the epoch-loop perf sweep (indexed vs
-//! brute-force decision pipeline at M ∈ {16, 50, 200}) and writes the
-//! `BENCH_epoch.json` document to `PATH`.
 
 use std::process::ExitCode;
 
 use skute::prelude::*;
 use skute::sim::paper;
-use skute_bench::perf;
 
 struct Args {
     scenario: String,
@@ -33,14 +26,11 @@ struct Args {
     seed: Option<u64>,
     csv: Option<String>,
     print_every: u64,
-    brute_force: bool,
-    no_speculation: bool,
     threads: Option<usize>,
     backend: BackendKind,
     fault_plan: Option<FaultPlanKind>,
     fault_seed: Option<u64>,
     scrub_every: Option<u64>,
-    bench_json: Option<String>,
     metrics_json: Option<String>,
 }
 
@@ -51,14 +41,11 @@ fn parse_args() -> Result<Args, String> {
         seed: None,
         csv: None,
         print_every: 10,
-        brute_force: false,
-        no_speculation: false,
         threads: None,
         backend: BackendKind::default(),
         fault_plan: None,
         fault_seed: None,
         scrub_every: None,
-        bench_json: None,
         metrics_json: None,
     };
     let mut it = std::env::args().skip(1);
@@ -86,8 +73,6 @@ fn parse_args() -> Result<Args, String> {
                     .parse()
                     .map_err(|e| format!("--print-every: {e}"))?
             }
-            "--brute-force" => args.brute_force = true,
-            "--no-speculation" => args.no_speculation = true,
             "--threads" | "-t" => {
                 args.threads = Some(
                     value("--threads")?
@@ -121,27 +106,20 @@ fn parse_args() -> Result<Args, String> {
                         .map_err(|e| format!("--scrub-every: {e}"))?,
                 )
             }
-            "--bench-json" => args.bench_json = Some(value("--bench-json")?),
             "--metrics-json" => args.metrics_json = Some(value("--metrics-json")?),
             "--help" | "-h" => {
                 println!(
                     "skute-sim: run a Skute paper scenario\n\n\
                      USAGE: skute-sim [--scenario base|fig2|fig3|fig4|fig5|outage]\n\
                             [--epochs N] [--seed N] [--csv PATH] [--print-every N]\n\
-                            [--brute-force] [--no-speculation] [--threads N]\n\
-                            [--backend mem|lsm] [--fault-plan NAME]\n\
-                            [--fault-seed N] [--scrub-every N]\n\
-                            [--metrics-json PATH] [--bench-json PATH]\n\n\
+                            [--threads N] [--backend mem|lsm]\n\
+                            [--fault-plan NAME] [--fault-seed N]\n\
+                            [--scrub-every N] [--metrics-json PATH]\n\n\
                      --threads sets the epoch pipeline's worker budget (0 = all\n\
                      cores); same-seed output is bitwise identical at any value.\n\
                      --backend selects the replica storage engine: mem (default,\n\
                      in-memory oracle) or lsm (durable WAL + SSTable stores);\n\
                      same-seed output is bitwise identical on either engine.\n\
-                     --brute-force routes eq.-(3) target selection through the\n\
-                     full-cluster scan and --no-speculation disables the\n\
-                     decision pass's speculative eq.-(3) targets (both oracles\n\
-                     produce bitwise-identical output; CI's determinism matrix\n\
-                     compares every mode).\n\
                      --fault-plan selects the seeded fault family: storage\n\
                      faults injected into the LSM engine (torn-tails|\n\
                      flaky-fsync|partial-flush|bit-flips|all) or server/\n\
@@ -193,31 +171,6 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    if let Some(path) = args.bench_json {
-        println!("epoch_loop perf sweep: indexed vs brute-force decision pipeline\n");
-        // Measured before the sweep: the sweep's own M = 2000 rows would
-        // otherwise mask the RSS delta with already-freed pages.
-        let bytes_per_partition = perf::measure_bytes_per_partition();
-        let results = perf::standard_sweep();
-        perf::print_table(&results);
-        if let Some(bpp) = bytes_per_partition {
-            println!("\nbytes/partition (RSS delta at M = 2000): {bpp}");
-        }
-        return match perf::write_json_full(
-            std::path::Path::new(&path),
-            &results,
-            bytes_per_partition,
-        ) {
-            Ok(()) => {
-                println!("\nwrote {path}");
-                ExitCode::SUCCESS
-            }
-            Err(e) => {
-                eprintln!("error: could not write {path}: {e}");
-                ExitCode::FAILURE
-            }
-        };
-    }
     let Some(mut scenario) = scenario_by_name(&args.scenario) else {
         eprintln!(
             "error: unknown scenario {:?} (expected base|fig2|fig3|fig4|fig5|outage)",
@@ -231,8 +184,6 @@ fn main() -> ExitCode {
     if let Some(seed) = args.seed {
         scenario.seed = seed;
     }
-    scenario.config.brute_force_placement = args.brute_force;
-    scenario.config.no_speculation = args.no_speculation;
     scenario.config.backend = args.backend;
     // --fault-plan picks the fault family; --fault-seed seeds it (and
     // implies the all-families plan when no family was named). A plan
