@@ -4,6 +4,7 @@
 //! chunked encoding, no TLS, no HTTP/2). The build environment is
 //! offline, so this replaces a network stack dependency on purpose.
 
+use std::fmt::Display;
 use std::io::{self, BufRead, BufReader, Read, Write};
 
 /// Upper bound on a request line or header line (guards against a peer
@@ -48,11 +49,7 @@ impl Request {
 
     /// The first header named `name` (case-insensitive).
     pub fn header(&self, name: &str) -> Option<&str> {
-        let name = name.to_ascii_lowercase();
-        self.headers
-            .iter()
-            .find(|(k, _)| *k == name)
-            .map(|(_, v)| v.as_str())
+        find_header(&self.headers, name)
     }
 
     /// True when the client asked to close the connection.
@@ -76,11 +73,7 @@ pub struct Response {
 impl Response {
     /// The first header named `name` (case-insensitive).
     pub fn header(&self, name: &str) -> Option<&str> {
-        let name = name.to_ascii_lowercase();
-        self.headers
-            .iter()
-            .find(|(k, _)| *k == name)
-            .map(|(_, v)| v.as_str())
+        find_header(&self.headers, name)
     }
 }
 
@@ -134,8 +127,84 @@ pub fn read_response<R: Read>(reader: &mut BufReader<R>) -> io::Result<Response>
     })
 }
 
-/// Writes one response. `extra_headers` land verbatim after the standard
-/// set; the connection header reflects `keep_alive`.
+/// Room reserved for a message head, so that encoding one does not grow
+/// the buffer line by line.
+const HEAD_ROOM: usize = 256;
+
+/// Appends one whole response to `out`: status line, the standard
+/// headers, `extra_headers` verbatim, the blank line and the body. The
+/// connection header reflects `keep_alive`.
+pub fn encode_response(
+    out: &mut Vec<u8>,
+    status: u16,
+    content_type: &str,
+    body: &[u8],
+    extra_headers: &[(&str, &str)],
+    keep_alive: bool,
+) {
+    encode_response_head(out, status, content_type, body.len(), keep_alive);
+    for (k, v) in extra_headers {
+        encode_header(out, k, v);
+    }
+    encode_body(out, body);
+}
+
+/// Appends a response's status line and standard headers to `out`, up to
+/// but not including the blank line. Follow with any number of
+/// [`encode_header`] calls and exactly one [`encode_body`] of `body_len`
+/// bytes.
+pub fn encode_response_head(
+    out: &mut Vec<u8>,
+    status: u16,
+    content_type: &str,
+    body_len: usize,
+    keep_alive: bool,
+) {
+    out.reserve(HEAD_ROOM + body_len);
+    let reason = reason_phrase(status);
+    let connection = if keep_alive { "keep-alive" } else { "close" };
+    write!(
+        out,
+        "HTTP/1.1 {status} {reason}\r\nContent-Type: {content_type}\r\nContent-Length: {body_len}\r\nConnection: {connection}\r\n"
+    )
+    .expect("writing to a Vec cannot fail");
+}
+
+/// Appends one `name: value` header line to a head under construction.
+pub fn encode_header(out: &mut Vec<u8>, name: &str, value: impl Display) {
+    write!(out, "{name}: {value}\r\n").expect("writing to a Vec cannot fail");
+}
+
+/// Ends the head with the blank line and appends the body.
+pub fn encode_body(out: &mut Vec<u8>, body: &[u8]) {
+    out.extend_from_slice(b"\r\n");
+    out.extend_from_slice(body);
+}
+
+/// Appends one whole request (client side) to `out`.
+pub fn encode_request(
+    out: &mut Vec<u8>,
+    method: &str,
+    target: &str,
+    headers: &[(&str, &str)],
+    body: &[u8],
+) {
+    out.reserve(HEAD_ROOM + body.len());
+    write!(
+        out,
+        "{method} {target} HTTP/1.1\r\nHost: skute\r\nContent-Length: {}\r\n",
+        body.len()
+    )
+    .expect("writing to a Vec cannot fail");
+    for (k, v) in headers {
+        encode_header(out, k, v);
+    }
+    encode_body(out, body);
+}
+
+/// Writes one response, head and body in a single `write_all`: with
+/// `TCP_NODELAY` set every write is a segment of its own, so a message
+/// split in two costs a second trip through the network stack.
 pub fn write_response<W: Write>(
     w: &mut W,
     status: u16,
@@ -144,25 +213,21 @@ pub fn write_response<W: Write>(
     extra_headers: &[(&str, &str)],
     keep_alive: bool,
 ) -> io::Result<()> {
-    let reason = reason_phrase(status);
-    let connection = if keep_alive { "keep-alive" } else { "close" };
-    let mut head = format!(
-        "HTTP/1.1 {status} {reason}\r\nContent-Type: {content_type}\r\nContent-Length: {}\r\nConnection: {connection}\r\n",
-        body.len()
+    let mut out = Vec::new();
+    encode_response(
+        &mut out,
+        status,
+        content_type,
+        body,
+        extra_headers,
+        keep_alive,
     );
-    for (k, v) in extra_headers {
-        head.push_str(k);
-        head.push_str(": ");
-        head.push_str(v);
-        head.push_str("\r\n");
-    }
-    head.push_str("\r\n");
-    w.write_all(head.as_bytes())?;
-    w.write_all(body)?;
+    w.write_all(&out)?;
     w.flush()
 }
 
-/// Writes one request (client side).
+/// Writes one request (client side) in a single `write_all`, for the
+/// reason given at [`write_response`].
 pub fn write_request<W: Write>(
     w: &mut W,
     method: &str,
@@ -170,19 +235,9 @@ pub fn write_request<W: Write>(
     headers: &[(&str, &str)],
     body: &[u8],
 ) -> io::Result<()> {
-    let mut head = format!(
-        "{method} {target} HTTP/1.1\r\nHost: skute\r\nContent-Length: {}\r\n",
-        body.len()
-    );
-    for (k, v) in headers {
-        head.push_str(k);
-        head.push_str(": ");
-        head.push_str(v);
-        head.push_str("\r\n");
-    }
-    head.push_str("\r\n");
-    w.write_all(head.as_bytes())?;
-    w.write_all(body)?;
+    let mut out = Vec::new();
+    encode_request(&mut out, method, target, headers, body);
+    w.write_all(&out)?;
     w.flush()
 }
 
@@ -193,7 +248,7 @@ pub fn percent_decode(s: &str) -> String {
     let mut out = Vec::with_capacity(bytes.len());
     let mut i = 0;
     while i < bytes.len() {
-        if bytes[i] == b'%' && i + 2 < bytes.len() + 1 && i + 2 < bytes.len() + 1 {
+        if bytes[i] == b'%' {
             let hex = bytes.get(i + 1..i + 3).and_then(|h| {
                 let h = std::str::from_utf8(h).ok()?;
                 u8::from_str_radix(h, 16).ok()
@@ -231,10 +286,20 @@ fn reason_phrase(status: u16) -> &'static str {
         400 => "Bad Request",
         404 => "Not Found",
         405 => "Method Not Allowed",
+        408 => "Request Timeout",
         500 => "Internal Server Error",
         503 => "Service Unavailable",
         _ => "Unknown",
     }
+}
+
+/// The first header named `name`; stored names are lower-cased, `name`
+/// may be spelled in any case.
+fn find_header<'a>(headers: &'a [(String, String)], name: &str) -> Option<&'a str> {
+    headers
+        .iter()
+        .find(|(k, _)| k.eq_ignore_ascii_case(name))
+        .map(|(_, v)| v.as_str())
 }
 
 fn bad(msg: &str) -> io::Error {
@@ -265,7 +330,11 @@ fn read_line<R: Read>(reader: &mut BufReader<R>, allow_eof: bool) -> io::Result<
             if line.len() > MAX_LINE {
                 return Err(bad("line too long"));
             }
-            return Ok(Some(String::from_utf8_lossy(&line).into_owned()));
+            // Valid UTF-8 (every line this protocol produces) keeps the
+            // bytes it has; anything else is replaced lossily.
+            return Ok(Some(String::from_utf8(line).unwrap_or_else(|e| {
+                String::from_utf8_lossy(e.as_bytes()).into_owned()
+            })));
         }
         let len = buf.len();
         line.extend_from_slice(buf);
@@ -277,7 +346,7 @@ fn read_line<R: Read>(reader: &mut BufReader<R>, allow_eof: bool) -> io::Result<
 }
 
 fn read_headers<R: Read>(reader: &mut BufReader<R>) -> io::Result<Vec<(String, String)>> {
-    let mut headers = Vec::new();
+    let mut headers = Vec::with_capacity(8);
     loop {
         let Some(line) = read_line(reader, false)? else {
             return Err(bad("truncated headers"));
@@ -295,22 +364,37 @@ fn read_headers<R: Read>(reader: &mut BufReader<R>) -> io::Result<Vec<(String, S
     }
 }
 
+/// Most a body buffer reserves before the bytes have arrived.
+const BODY_RESERVE: usize = 64 * 1024;
+
 fn read_body<R: Read>(
     reader: &mut BufReader<R>,
     headers: &[(String, String)],
 ) -> io::Result<Vec<u8>> {
-    let len = headers
-        .iter()
-        .find(|(k, _)| k == "content-length")
-        .map(|(_, v)| v.parse::<usize>().map_err(|_| bad("bad content-length")))
+    let len = find_header(headers, "content-length")
+        .map(|v| v.parse::<usize>().map_err(|_| bad("bad content-length")))
         .transpose()?
         .unwrap_or(0);
     if len > MAX_BODY {
         return Err(bad("body too large"));
     }
-    let mut body = vec![0u8; len];
-    reader.read_exact(&mut body)?;
+    let mut body = Vec::new();
+    read_declared(reader, len, &mut body)?;
     Ok(body)
+}
+
+/// Reads exactly `len` bytes into `body`. `len` is the peer's claim, so
+/// the buffer grows with what has arrived, not with what was declared.
+fn read_declared<R: Read>(reader: &mut R, len: usize, body: &mut Vec<u8>) -> io::Result<()> {
+    body.reserve_exact(len.min(BODY_RESERVE));
+    reader.by_ref().take(len as u64).read_to_end(body)?;
+    if body.len() < len {
+        return Err(io::Error::new(
+            io::ErrorKind::UnexpectedEof,
+            "connection closed mid-body",
+        ));
+    }
+    Ok(())
 }
 
 #[cfg(test)]
@@ -361,6 +445,150 @@ mod tests {
         assert_eq!(req.method, "GET");
         assert_eq!(req.target, "/metrics");
         assert!(req.body.is_empty());
+    }
+
+    /// Counts the `write` calls it receives and keeps the bytes.
+    #[derive(Default)]
+    struct CountingWriter {
+        writes: usize,
+        bytes: Vec<u8>,
+    }
+
+    impl Write for CountingWriter {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.writes += 1;
+            self.bytes.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn every_message_is_one_write() {
+        let big = vec![b'v'; 1 << 20];
+        for body in [&b""[..], b"hello", &big] {
+            let mut w = CountingWriter::default();
+            write_response(&mut w, 200, "text/plain", body, &[("X-Extra", "1")], true).unwrap();
+            assert_eq!(w.writes, 1, "response with a {} byte body", body.len());
+            assert!(w.bytes.ends_with(body));
+            let mut w = CountingWriter::default();
+            write_request(&mut w, "PUT", "/kv/k", &[("X-Country", "0.0")], body).unwrap();
+            assert_eq!(w.writes, 1, "request with a {} byte body", body.len());
+            assert!(w.bytes.ends_with(body));
+        }
+    }
+
+    fn response_bytes(
+        status: u16,
+        content_type: &str,
+        body: &[u8],
+        extra: &[(&str, &str)],
+        keep_alive: bool,
+    ) -> String {
+        let mut wire = Vec::new();
+        write_response(&mut wire, status, content_type, body, extra, keep_alive).unwrap();
+        String::from_utf8(wire).unwrap()
+    }
+
+    /// The wire format, byte for byte: status line, header order, spelling
+    /// and values.
+    #[test]
+    fn golden_bytes() {
+        assert_eq!(
+            response_bytes(
+                200,
+                "application/octet-stream",
+                b"hello",
+                &[
+                    ("X-Served-By", "s17"),
+                    ("X-Proximity", "0.500000"),
+                    ("X-Consistency", "one"),
+                    ("X-Replicas-Read", "1"),
+                ],
+                true,
+            ),
+            "HTTP/1.1 200 OK\r\nContent-Type: application/octet-stream\r\nContent-Length: 5\r\n\
+             Connection: keep-alive\r\nX-Served-By: s17\r\nX-Proximity: 0.500000\r\n\
+             X-Consistency: one\r\nX-Replicas-Read: 1\r\n\r\nhello"
+        );
+        assert_eq!(
+            response_bytes(404, "text/plain", b"not found\n", &[], false),
+            "HTTP/1.1 404 Not Found\r\nContent-Type: text/plain\r\nContent-Length: 10\r\n\
+             Connection: close\r\n\r\nnot found\n"
+        );
+        assert_eq!(
+            response_bytes(204, "text/plain", b"", &[], true),
+            "HTTP/1.1 204 No Content\r\nContent-Type: text/plain\r\nContent-Length: 0\r\n\
+             Connection: keep-alive\r\n\r\n"
+        );
+        let mut wire = Vec::new();
+        write_request(
+            &mut wire,
+            "PUT",
+            "/kv/user%3A1",
+            &[("X-Country", "2.1"), ("X-Consistency", "quorum")],
+            b"v1",
+        )
+        .unwrap();
+        assert_eq!(
+            String::from_utf8(wire).unwrap(),
+            "PUT /kv/user%3A1 HTTP/1.1\r\nHost: skute\r\nContent-Length: 2\r\n\
+             X-Country: 2.1\r\nX-Consistency: quorum\r\n\r\nv1"
+        );
+    }
+
+    #[test]
+    fn pipelined_requests_parse_in_order() {
+        let mut wire = Vec::new();
+        write_request(&mut wire, "PUT", "/kv/a", &[], b"one").unwrap();
+        write_request(&mut wire, "GET", "/kv/b", &[], b"").unwrap();
+        let mut r = reader(&wire);
+        let first = read_request(&mut r).unwrap().unwrap();
+        assert_eq!(
+            (first.method.as_str(), first.target.as_str()),
+            ("PUT", "/kv/a")
+        );
+        assert_eq!(first.body, b"one");
+        let second = read_request(&mut r).unwrap().unwrap();
+        assert_eq!(
+            (second.method.as_str(), second.target.as_str()),
+            ("GET", "/kv/b")
+        );
+        assert!(read_request(&mut r).unwrap().is_none());
+    }
+
+    #[test]
+    fn header_lookup_ignores_case() {
+        let raw = b"GET / HTTP/1.1\r\nx-CoUnTrY: 2.1\r\n\r\n";
+        let req = read_request(&mut reader(raw)).unwrap().unwrap();
+        for name in ["X-Country", "x-country", "X-COUNTRY"] {
+            assert_eq!(req.header(name), Some("2.1"), "{name}");
+        }
+        assert_eq!(req.header("x-countr"), None);
+        let resp =
+            read_response(&mut reader(b"HTTP/1.1 204 No Content\r\nX-A: b\r\n\r\n")).unwrap();
+        assert_eq!(resp.header("x-a"), resp.header("X-A"));
+        assert_eq!(resp.header("X-a"), Some("b"));
+    }
+
+    #[test]
+    fn a_declared_body_is_not_allocated_before_it_arrives() {
+        let mut body = Vec::new();
+        let err = read_declared(&mut &b"ten bytes!"[..], MAX_BODY, &mut body).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof);
+        assert!(body.capacity() <= BODY_RESERVE, "{}", body.capacity());
+        // Through the parser too: the headers' claim alone is an error, not 16 MiB.
+        let raw = format!("PUT /kv/k HTTP/1.1\r\nContent-Length: {MAX_BODY}\r\n\r\nten bytes!");
+        let err = read_request(&mut reader(raw.as_bytes())).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof);
+        // A body larger than the first reservation still arrives whole.
+        let big = vec![7u8; 3 * BODY_RESERVE + 5];
+        let mut body = Vec::new();
+        read_declared(&mut &big[..], big.len(), &mut body).unwrap();
+        assert_eq!(body, big);
     }
 
     #[test]

@@ -27,6 +27,11 @@
 //! server degrades gracefully — it still answers from what it can reach
 //! and flags the response with `X-Degraded: true`.
 //!
+//! Every message, request or response, is sent in one write (both ends
+//! set `TCP_NODELAY`, so a second write would be a second segment). A
+//! connection idle past the read timeout is closed without a response; a
+//! request that stops half way is answered `408`, malformed input `400`.
+//!
 //! Clients declare their origin with an `X-Country: <continent>.<country>`
 //! header; the server tallies per-country query-units and replays them
 //! into the economy as a [`skute_core::TrafficBatch`] on every epoch tick,

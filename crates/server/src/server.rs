@@ -5,7 +5,7 @@
 //! metrics.
 
 use std::collections::BTreeMap;
-use std::io::{self, BufReader, Write};
+use std::io::{self, BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
@@ -78,59 +78,138 @@ impl Default for ServerConfig {
     }
 }
 
-/// Server-side request metrics, registered alongside the cloud's.
+/// What a request asks for: the `op` label of the request metrics and
+/// the index of their per-operation tables.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Op {
+    Get,
+    Put,
+    Delete,
+    Scan,
+    Metrics,
+    Health,
+    Fault,
+    Shutdown,
+    Other,
+}
+
+impl Op {
+    /// Every operation, in declaration (= registration and index) order.
+    const ALL: [Op; 9] = [
+        Op::Get,
+        Op::Put,
+        Op::Delete,
+        Op::Scan,
+        Op::Metrics,
+        Op::Health,
+        Op::Fault,
+        Op::Shutdown,
+        Op::Other,
+    ];
+
+    fn of(method: &str, path: &str) -> Op {
+        match (method, path) {
+            ("GET", "/metrics") => Op::Metrics,
+            ("GET", "/healthz") => Op::Health,
+            ("POST", "/fault") => Op::Fault,
+            ("POST", "/shutdown") => Op::Shutdown,
+            ("GET", "/scan") => Op::Scan,
+            ("GET", p) if p.starts_with("/kv/") => Op::Get,
+            ("PUT", p) if p.starts_with("/kv/") => Op::Put,
+            ("DELETE", p) if p.starts_with("/kv/") => Op::Delete,
+            _ => Op::Other,
+        }
+    }
+
+    fn as_str(self) -> &'static str {
+        match self {
+            Op::Get => "get",
+            Op::Put => "put",
+            Op::Delete => "delete",
+            Op::Scan => "scan",
+            Op::Metrics => "metrics",
+            Op::Health => "health",
+            Op::Fault => "fault",
+            Op::Shutdown => "shutdown",
+            Op::Other => "other",
+        }
+    }
+}
+
+/// The class a response status falls in: the `outcome` label of
+/// `skute_server_responses_total` and the index of its table.
+#[derive(Debug, Clone, Copy)]
+enum Outcome {
+    Ok,
+    NotFound,
+    ClientError,
+    ServerError,
+}
+
+impl Outcome {
+    const ALL: [Outcome; 4] = [
+        Outcome::Ok,
+        Outcome::NotFound,
+        Outcome::ClientError,
+        Outcome::ServerError,
+    ];
+
+    fn of(status: u16) -> Outcome {
+        match status {
+            200..=299 => Outcome::Ok,
+            404 => Outcome::NotFound,
+            400..=499 => Outcome::ClientError,
+            _ => Outcome::ServerError,
+        }
+    }
+
+    fn as_str(self) -> &'static str {
+        match self {
+            Outcome::Ok => "ok",
+            Outcome::NotFound => "not_found",
+            Outcome::ClientError => "client_error",
+            Outcome::ServerError => "server_error",
+        }
+    }
+}
+
+/// Server-side request metrics, registered alongside the cloud's. The
+/// per-operation and per-outcome tables are indexed by `Op as usize` and
+/// `Outcome as usize`.
 struct ServerMetrics {
-    requests: BTreeMap<&'static str, Counter>,
-    responses: BTreeMap<&'static str, Counter>,
-    latency: BTreeMap<&'static str, Histogram>,
+    requests: [Counter; Op::ALL.len()],
+    latency: [Histogram; Op::ALL.len()],
+    responses: [Counter; Outcome::ALL.len()],
     active_connections: Gauge,
     epoch_pending_queries: Gauge,
     epoch_ticks: Counter,
 }
 
-const OPS: &[&str] = &[
-    "get", "put", "delete", "scan", "metrics", "health", "fault", "shutdown", "other",
-];
-const OUTCOMES: &[&str] = &["ok", "not_found", "client_error", "server_error"];
-
 impl ServerMetrics {
     fn register(registry: &Registry) -> Self {
-        let mut requests = BTreeMap::new();
-        let mut responses = BTreeMap::new();
-        let mut latency = BTreeMap::new();
-        for &op in OPS {
-            requests.insert(
-                op,
+        Self {
+            requests: Op::ALL.map(|op| {
                 registry.counter_with(
                     "skute_server_requests_total",
                     "HTTP requests accepted, by operation.",
-                    &[("op", op)],
-                ),
-            );
-            latency.insert(
-                op,
+                    &[("op", op.as_str())],
+                )
+            }),
+            latency: Op::ALL.map(|op| {
                 registry.histogram_with(
                     "skute_server_request_seconds",
                     "Request handling latency, by operation.",
-                    &[("op", op)],
+                    &[("op", op.as_str())],
                     &exponential_buckets(1e-5, 4.0, 10),
-                ),
-            );
-        }
-        for &outcome in OUTCOMES {
-            responses.insert(
-                outcome,
+                )
+            }),
+            responses: Outcome::ALL.map(|outcome| {
                 registry.counter_with(
                     "skute_server_responses_total",
                     "HTTP responses written, by outcome class.",
-                    &[("outcome", outcome)],
-                ),
-            );
-        }
-        Self {
-            requests,
-            responses,
-            latency,
+                    &[("outcome", outcome.as_str())],
+                )
+            }),
             active_connections: registry.gauge(
                 "skute_server_active_connections",
                 "Currently open client connections.",
@@ -144,16 +223,6 @@ impl ServerMetrics {
                 "Epoch ticks driven by the server.",
             ),
         }
-    }
-
-    fn outcome_for(&self, status: u16) -> &Counter {
-        let class = match status {
-            200..=299 => "ok",
-            404 => "not_found",
-            400..=499 => "client_error",
-            _ => "server_error",
-        };
-        &self.responses[class]
     }
 }
 
@@ -357,118 +426,123 @@ fn tick(state: &Arc<ServerState>) {
     state.metrics.epoch_pending_queries.set(0);
 }
 
+/// Capacity a connection's response buffer keeps between requests; one
+/// large response does not pin its size for the connection's lifetime.
+const OUT_RETAIN: usize = 64 * 1024;
+
 fn handle_connection(state: Arc<ServerState>, stream: TcpStream) {
     state.metrics.active_connections.add(1);
+    serve_connection(&state, stream);
+    state.metrics.active_connections.sub(1);
+}
+
+/// The request loop of one connection: one read per request and one
+/// write per response, the response encoded into a buffer the connection
+/// owns and reuses.
+fn serve_connection(state: &Arc<ServerState>, stream: TcpStream) {
     let _ = stream.set_nodelay(true);
     // Connections came off a nonblocking listener; reads must block.
     let _ = stream.set_nonblocking(false);
     let timeout = |ms: u64| (ms > 0).then(|| Duration::from_millis(ms));
     let _ = stream.set_read_timeout(timeout(state.config.read_timeout_ms));
     let _ = stream.set_write_timeout(timeout(state.config.write_timeout_ms));
-    let mut reader = BufReader::new(match stream.try_clone() {
-        Ok(s) => s,
-        Err(_) => {
-            state.metrics.active_connections.sub(1);
-            return;
-        }
-    });
+    let Ok(read_half) = stream.try_clone() else {
+        return;
+    };
+    let mut reader = BufReader::new(read_half);
     let mut writer = stream;
+    let mut out = Vec::new();
     loop {
+        // Wait for the first byte of the next request. EOF, a read timeout
+        // or a reset here is an idle keep-alive connection ending: close
+        // without a response, which a client would take for the answer to
+        // its next request.
+        match reader.fill_buf() {
+            Ok(buffered) if !buffered.is_empty() => {}
+            _ => return,
+        }
         let request = match http::read_request(&mut reader) {
-            Ok(Some(r)) => r,
-            Ok(None) => break,
-            Err(_) => {
-                let _ = http::write_response(
-                    &mut writer,
-                    400,
-                    "text/plain",
-                    b"bad request\n",
-                    &[],
-                    false,
-                );
-                state.metrics.responses["client_error"].inc();
-                break;
+            Ok(Some(request)) => request,
+            Ok(None) => return,
+            Err(e) => {
+                // The message stopped half way (timeout or EOF), or it is
+                // malformed.
+                let (status, body): (u16, &[u8]) = match e.kind() {
+                    io::ErrorKind::WouldBlock
+                    | io::ErrorKind::TimedOut
+                    | io::ErrorKind::UnexpectedEof => (408, b"request timeout\n"),
+                    _ => (400, b"bad request\n"),
+                };
+                let _ = http::write_response(&mut writer, status, "text/plain", body, &[], false);
+                state.metrics.responses[Outcome::ClientError as usize].inc();
+                return;
             }
         };
         let keep_alive = !request.wants_close();
-        let close_after = handle_request(&state, &request, &mut writer, keep_alive);
+        let close_after = handle_request(state, request, &mut writer, &mut out, keep_alive);
         if close_after || !keep_alive || state.shutdown.load(Ordering::SeqCst) {
-            break;
+            return;
         }
+        out.shrink_to(OUT_RETAIN);
     }
-    state.metrics.active_connections.sub(1);
 }
 
-/// Routes one request; returns true when the connection must close
-/// (shutdown acknowledged).
-fn handle_request<W: Write>(
+/// Routes one request, encodes the response into `out` and sends it in
+/// one write; returns true when the connection must close (shutdown
+/// acknowledged, or the response could not be written whole).
+fn handle_request(
     state: &Arc<ServerState>,
-    request: &Request,
-    writer: &mut W,
+    request: Request,
+    writer: &mut TcpStream,
+    out: &mut Vec<u8>,
     keep_alive: bool,
 ) -> bool {
     let started = Instant::now();
     let path = request.path();
-    let op = match (request.method.as_str(), path.as_str()) {
-        ("GET", "/metrics") => "metrics",
-        ("GET", "/healthz") => "health",
-        ("POST", "/fault") => "fault",
-        ("POST", "/shutdown") => "shutdown",
-        ("GET", "/scan") => "scan",
-        ("GET", p) if p.starts_with("/kv/") => "get",
-        ("PUT", p) if p.starts_with("/kv/") => "put",
-        ("DELETE", p) if p.starts_with("/kv/") => "delete",
-        _ => "other",
-    };
-    state.metrics.requests[op].inc();
-    let mut shutdown_now = false;
-    let (status, content_type, body, extra): (u16, &str, Vec<u8>, Vec<(String, String)>) = match op
-    {
-        "health" => (200, "text/plain", b"ok\n".to_vec(), vec![]),
-        "metrics" => {
+    let op = Op::of(&request.method, &path);
+    state.metrics.requests[op as usize].inc();
+    out.clear();
+    let status = match op {
+        Op::Health => reply(out, 200, b"ok\n", keep_alive),
+        Op::Metrics => {
             {
                 let slot = state.slot.lock().expect("cloud lock");
                 slot.cloud.refresh_storage_metrics();
             }
             // Count this response *before* rendering so the scrape's
             // own request/response pair balances in its own output.
-            state.metrics.outcome_for(200).inc();
-            (
+            state.metrics.responses[Outcome::Ok as usize].inc();
+            http::encode_response(
+                out,
                 200,
                 "text/plain; version=0.0.4",
-                state.registry.render().into_bytes(),
-                vec![],
-            )
+                state.registry.render().as_bytes(),
+                &[],
+                keep_alive,
+            );
+            200
         }
-        "shutdown" => {
-            shutdown_now = true;
-            (200, "text/plain", b"shutting down\n".to_vec(), vec![])
-        }
-        "get" | "put" | "delete" => handle_kv(state, request, op, &path),
-        "scan" => handle_scan(state, request),
-        "fault" => handle_fault(state, request),
-        _ => (404, "text/plain", b"not found\n".to_vec(), vec![]),
+        Op::Shutdown => reply(out, 200, b"shutting down\n", false),
+        Op::Get | Op::Put | Op::Delete => handle_kv(state, request, op, &path, out, keep_alive),
+        Op::Scan => handle_scan(state, &request, out, keep_alive),
+        Op::Fault => handle_fault(state, &request, out, keep_alive),
+        Op::Other => reply(out, 404, b"not found\n", keep_alive),
     };
-    let extra_refs: Vec<(&str, &str)> = extra
-        .iter()
-        .map(|(k, v)| (k.as_str(), v.as_str()))
-        .collect();
-    let _ = http::write_response(
-        writer,
-        status,
-        content_type,
-        &body,
-        &extra_refs,
-        keep_alive && !shutdown_now,
-    );
-    if op != "metrics" {
-        state.metrics.outcome_for(status).inc();
+    let written = writer.write_all(out).is_ok();
+    if op != Op::Metrics {
+        state.metrics.responses[Outcome::of(status) as usize].inc();
     }
-    state.metrics.latency[op].observe_duration(started.elapsed());
-    if shutdown_now {
+    state.metrics.latency[op as usize].observe_duration(started.elapsed());
+    if op == Op::Shutdown {
         state.shutdown.store(true, Ordering::SeqCst);
     }
-    shutdown_now
+    op == Op::Shutdown || !written
+}
+
+/// Encodes a `text/plain` response with no extra headers; returns `status`.
+fn reply(out: &mut Vec<u8>, status: u16, body: &[u8], keep_alive: bool) -> u16 {
+    http::encode_response(out, status, "text/plain", body, &[], keep_alive);
+    status
 }
 
 /// Parses `X-Country: <continent>.<country>` into a client location,
@@ -511,84 +585,76 @@ fn charge(state: &ServerState, slot: &mut CloudSlot, client: Option<Location>) {
         .add(state.config.queries_per_request.round() as i64);
 }
 
+/// `GET` / `PUT` / `DELETE /kv/<key>`: encodes the response into `out`
+/// and returns its status.
 fn handle_kv(
     state: &Arc<ServerState>,
-    request: &Request,
-    op: &str,
+    request: Request,
+    op: Op,
     path: &str,
-) -> (u16, &'static str, Vec<u8>, Vec<(String, String)>) {
-    let key = path.as_bytes()["/kv/".len()..].to_vec();
+    out: &mut Vec<u8>,
+    keep_alive: bool,
+) -> u16 {
+    let key = &path.as_bytes()["/kv/".len()..];
     if key.is_empty() {
-        return (400, "text/plain", b"empty key\n".to_vec(), vec![]);
+        return reply(out, 400, b"empty key\n", keep_alive);
     }
-    let client = match client_location(state, request) {
+    let client = match client_location(state, &request) {
         Ok(c) => c,
-        Err(msg) => return (400, "text/plain", format!("{msg}\n").into_bytes(), vec![]),
+        Err(msg) => return reply(out, 400, format!("{msg}\n").as_bytes(), keep_alive),
     };
     let mut slot = state.slot.lock().expect("cloud lock");
     charge(state, &mut slot, client);
     let app = slot.app;
-    match op {
-        "put" => match slot.cloud.put(app, 0, &key, request.body.clone()) {
-            Ok(()) => (204, "text/plain", Vec::new(), vec![]),
-            Err(e) => (
-                500,
-                "text/plain",
-                format!("put failed: {e:?}\n").into_bytes(),
-                vec![],
-            ),
-        },
-        "delete" => match slot.cloud.delete(app, 0, &key) {
-            Ok(()) => (204, "text/plain", Vec::new(), vec![]),
-            Err(e) => (
-                500,
-                "text/plain",
-                format!("delete failed: {e:?}\n").into_bytes(),
-                vec![],
-            ),
-        },
+    let written = match op {
+        Op::Put => slot.cloud.put(app, 0, key, request.body),
+        Op::Delete => slot.cloud.delete(app, 0, key),
         _ => {
             let consistency = match request.header("x-consistency") {
                 Some(raw) => match raw.trim().parse::<ReadConsistency>() {
                     Ok(c) => c,
-                    Err(msg) => {
-                        return (400, "text/plain", format!("{msg}\n").into_bytes(), vec![])
-                    }
+                    Err(msg) => return reply(out, 400, format!("{msg}\n").as_bytes(), keep_alive),
                 },
                 None => ReadConsistency::One,
             };
-            match slot
-                .cloud
-                .client_get_with(app, 0, &key, client, consistency)
-            {
-                Ok(read) => {
-                    let mut extra = vec![
-                        ("X-Served-By".to_string(), read.served_by.to_string()),
-                        ("X-Proximity".to_string(), format!("{:.6}", read.proximity)),
-                        ("X-Consistency".to_string(), consistency.to_string()),
-                        (
-                            "X-Replicas-Read".to_string(),
-                            read.replicas_read.to_string(),
-                        ),
-                    ];
-                    // Degraded reads still answer (graceful degradation);
-                    // the header lets clients detect the weakened quorum.
-                    if read.degraded {
-                        extra.push(("X-Degraded".to_string(), "true".to_string()));
-                    }
-                    match read.value {
-                        Some(value) => (200, "application/octet-stream", value.to_vec(), extra),
-                        None => (404, "text/plain", b"not found\n".to_vec(), extra),
-                    }
+            let read = match slot.cloud.client_get_with(app, 0, key, client, consistency) {
+                Ok(read) => read,
+                Err(e) => {
+                    return reply(
+                        out,
+                        500,
+                        format!("get failed: {e:?}\n").as_bytes(),
+                        keep_alive,
+                    )
                 }
-                Err(e) => (
-                    500,
-                    "text/plain",
-                    format!("get failed: {e:?}\n").into_bytes(),
-                    vec![],
-                ),
+            };
+            drop(slot);
+            let (status, content_type, body): (u16, &str, &[u8]) = match &read.value {
+                Some(value) => (200, "application/octet-stream", value),
+                None => (404, "text/plain", b"not found\n"),
+            };
+            http::encode_response_head(out, status, content_type, body.len(), keep_alive);
+            http::encode_header(out, "X-Served-By", read.served_by);
+            http::encode_header(out, "X-Proximity", format_args!("{:.6}", read.proximity));
+            http::encode_header(out, "X-Consistency", consistency);
+            http::encode_header(out, "X-Replicas-Read", read.replicas_read);
+            // Degraded reads still answer (graceful degradation);
+            // the header lets clients detect the weakened quorum.
+            if read.degraded {
+                http::encode_header(out, "X-Degraded", "true");
             }
+            http::encode_body(out, body);
+            return status;
         }
+    };
+    match written {
+        Ok(()) => reply(out, 204, b"", keep_alive),
+        Err(e) => reply(
+            out,
+            500,
+            format!("{} failed: {e:?}\n", op.as_str()).as_bytes(),
+            keep_alive,
+        ),
     }
 }
 
@@ -607,19 +673,20 @@ fn handle_kv(
 fn handle_fault(
     state: &Arc<ServerState>,
     request: &Request,
-) -> (u16, &'static str, Vec<u8>, Vec<(String, String)>) {
+    out: &mut Vec<u8>,
+    keep_alive: bool,
+) -> u16 {
     let body = String::from_utf8_lossy(&request.body);
     let mut words = body.split_whitespace();
     let verb = words.next().unwrap_or_default();
     let mut slot = state.slot.lock().expect("cloud lock");
-    let reply = match verb {
+    let done = match verb {
         "" => {
-            return (
+            return reply(
+                out,
                 400,
-                "text/plain",
-                b"empty fault command (want '<plan> [seed]', 'cut <continent>' or 'heal')\n"
-                    .to_vec(),
-                vec![],
+                b"empty fault command (want '<plan> [seed]', 'cut <continent>' or 'heal')\n",
+                keep_alive,
             )
         }
         "heal" => {
@@ -629,14 +696,7 @@ fn handle_fault(
         "cut" => {
             let continent = match words.next().map(str::parse::<u16>) {
                 Some(Ok(c)) => c,
-                _ => {
-                    return (
-                        400,
-                        "text/plain",
-                        b"cut wants a continent index\n".to_vec(),
-                        vec![],
-                    )
-                }
+                _ => return reply(out, 400, b"cut wants a continent index\n", keep_alive),
             };
             slot.cloud.force_continent_partition(Some(continent));
             format!("fault: continent {continent} cut\n")
@@ -644,16 +704,16 @@ fn handle_fault(
         plan => {
             let kind = match plan.parse::<FaultPlanKind>() {
                 Ok(k) => k,
-                Err(msg) => return (400, "text/plain", format!("{msg}\n").into_bytes(), vec![]),
+                Err(msg) => return reply(out, 400, format!("{msg}\n").as_bytes(), keep_alive),
             };
             let seed = match words.next().map(str::parse::<u64>) {
                 Some(Ok(s)) => s,
                 Some(Err(e)) => {
-                    return (
+                    return reply(
+                        out,
                         400,
-                        "text/plain",
-                        format!("bad fault seed: {e}\n").into_bytes(),
-                        vec![],
+                        format!("bad fault seed: {e}\n").as_bytes(),
+                        keep_alive,
                     )
                 }
                 None => state.config.seed,
@@ -662,26 +722,26 @@ fn handle_fault(
             format!("fault: plan {} seed {seed}\n", kind.as_str())
         }
     };
-    (200, "text/plain", reply.into_bytes(), vec![])
+    reply(out, 200, done.as_bytes(), keep_alive)
 }
 
 fn handle_scan(
     state: &Arc<ServerState>,
     request: &Request,
-) -> (u16, &'static str, Vec<u8>, Vec<(String, String)>) {
+    out: &mut Vec<u8>,
+    keep_alive: bool,
+) -> u16 {
     let prefix = request.query_param("prefix").unwrap_or_default();
     let limit = match request.query_param("limit") {
         Some(raw) => match raw.parse::<usize>() {
             Ok(n) => n,
-            Err(_) => {
-                return (400, "text/plain", b"bad limit\n".to_vec(), vec![]);
-            }
+            Err(_) => return reply(out, 400, b"bad limit\n", keep_alive),
         },
         None => 100,
     };
     let client = match client_location(state, request) {
         Ok(c) => c,
-        Err(msg) => return (400, "text/plain", format!("{msg}\n").into_bytes(), vec![]),
+        Err(msg) => return reply(out, 400, format!("{msg}\n").as_bytes(), keep_alive),
     };
     let mut slot = state.slot.lock().expect("cloud lock");
     charge(state, &mut slot, client);
@@ -695,14 +755,16 @@ fn handle_scan(
                 body.extend_from_slice(http::percent_encode(value).as_bytes());
                 body.push(b'\n');
             }
-            let extra = vec![("X-Scan-Count".to_string(), pairs.len().to_string())];
-            (200, "text/plain", body, extra)
+            http::encode_response_head(out, 200, "text/plain", body.len(), keep_alive);
+            http::encode_header(out, "X-Scan-Count", pairs.len());
+            http::encode_body(out, &body);
+            200
         }
-        Err(e) => (
+        Err(e) => reply(
+            out,
             500,
-            "text/plain",
-            format!("scan failed: {e:?}\n").into_bytes(),
-            vec![],
+            format!("scan failed: {e:?}\n").as_bytes(),
+            keep_alive,
         ),
     }
 }

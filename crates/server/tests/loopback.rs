@@ -240,3 +240,106 @@ fn epoch_tick_feeds_observed_traffic() {
     assert_eq!(post(&addr, "/shutdown").unwrap(), 200);
     let _ = handle.join().unwrap();
 }
+
+/// The wire contract of a connection: pipelined requests are answered in
+/// order, an idle keep-alive connection is closed without a byte, and a
+/// request that stops half way is answered 408.
+#[test]
+fn idle_closes_quietly_and_half_a_request_gets_408() {
+    use skute_server::http::{read_response, write_request};
+    use std::io::{BufReader, Read, Write};
+    use std::net::TcpStream;
+
+    let server = SkuteServer::bind(ServerConfig {
+        addr: "127.0.0.1:0".to_string(),
+        partitions: 8,
+        warmup_epochs: 2,
+        epoch_ms: 0,
+        read_timeout_ms: 100,
+        ..ServerConfig::default()
+    })
+    .expect("bind");
+    let addr = server.addr().to_string();
+    let handle = thread::spawn(move || server.run());
+    let connect = || {
+        let stream = TcpStream::connect(&addr).expect("server is listening");
+        // A server that neither answers nor closes fails the test, not hangs it.
+        stream
+            .set_read_timeout(Some(Duration::from_secs(5)))
+            .unwrap();
+        stream
+    };
+    let client_errors = || {
+        let page = scrape(&addr, "/metrics").expect("metrics scrape");
+        metric_series(
+            &page,
+            "skute_server_responses_total",
+            "outcome=\"client_error\"",
+        )
+    };
+
+    // Two requests in one segment: both answered, in order, the GET's
+    // headers in the documented order.
+    let mut wire = Vec::new();
+    write_request(&mut wire, "PUT", "/kv/p", &[("X-Country", "1.1")], b"v1").unwrap();
+    write_request(&mut wire, "GET", "/kv/p", &[("X-Country", "1.1")], b"").unwrap();
+    let mut stream = connect();
+    stream.write_all(&wire).unwrap();
+    let mut reader = BufReader::new(stream);
+    assert_eq!(read_response(&mut reader).unwrap().status, 204);
+    let hit = read_response(&mut reader).unwrap();
+    assert_eq!((hit.status, hit.body.as_slice()), (200, &b"v1"[..]));
+    let names: Vec<&str> = hit.headers.iter().map(|(k, _)| k.as_str()).collect();
+    assert_eq!(
+        names,
+        [
+            "content-type",
+            "content-length",
+            "connection",
+            "x-served-by",
+            "x-proximity",
+            "x-consistency",
+            "x-replicas-read"
+        ]
+    );
+
+    // The same connection, now idle past the read timeout: closed with
+    // nothing written, and nothing counted as a client error.
+    let mut rest = Vec::new();
+    reader.read_to_end(&mut rest).expect("a clean close");
+    assert!(
+        rest.is_empty(),
+        "idle close wrote {:?}",
+        String::from_utf8_lossy(&rest)
+    );
+    // So is a connection that never sent anything.
+    connect().read_to_end(&mut rest).expect("a clean close");
+    assert!(rest.is_empty());
+    assert_eq!(client_errors(), 0.0);
+
+    // A message that stops in its head, and one that stops in its body.
+    for (n, half) in [
+        &b"GET /kv/p HTT"[..],
+        b"PUT /kv/p HTTP/1.1\r\nContent-Length: 10\r\n\r\nabc",
+    ]
+    .into_iter()
+    .enumerate()
+    {
+        let mut stream = connect();
+        stream.write_all(half).unwrap();
+        let response = read_response(&mut BufReader::new(stream)).unwrap();
+        assert_eq!(response.status, 408);
+        assert_eq!(response.header("connection"), Some("close"));
+        assert_eq!(client_errors(), (n + 1) as f64);
+    }
+    // Malformed input is still a 400.
+    let mut stream = connect();
+    stream.write_all(b"garbage\r\n\r\n").unwrap();
+    assert_eq!(
+        read_response(&mut BufReader::new(stream)).unwrap().status,
+        400
+    );
+
+    assert_eq!(post(&addr, "/shutdown").unwrap(), 200);
+    handle.join().unwrap().unwrap();
+}
