@@ -7,7 +7,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use skute_baseline::CtxFixture;
-use skute_core::placement::economic_target;
+use skute_core::placement::{economic_target, TargetQuery};
 use skute_core::{availability_of, greedy_max_availability};
 use skute_geo::{diversity, Location, Topology};
 use skute_ring::{RingId, VirtualRing};
@@ -66,8 +66,14 @@ fn bench_candidate_selection(c: &mut Criterion) {
     let fixture = CtxFixture::paper();
     let ctx = fixture.ctx();
     let existing = vec![skute_cluster::ServerId(0), skute_cluster::ServerId(57)];
+    let query = TargetQuery {
+        existing: &existing,
+        size: 1 << 20,
+        region_queries: &[],
+        rent_below: None,
+    };
     c.bench_function("core/economic_target_200_servers", |b| {
-        b.iter(|| economic_target(black_box(&ctx), black_box(&existing), 1 << 20, &[], None))
+        b.iter(|| economic_target(black_box(&ctx), black_box(&query)))
     });
 }
 

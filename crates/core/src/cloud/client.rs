@@ -1,0 +1,983 @@
+//! The client data path: routed reads behind a [`ReadView`], and the
+//! write, scan, ingest and read-repair halves of [`SkuteCloud`]'s client
+//! API.
+//!
+//! A client's query goes to the closest live replica (§II, eq. 4) and
+//! needs only the rings, replica membership, server liveness and
+//! location, and the health state. [`ReadView`] borrows exactly those, so
+//! the read path cannot name the rent board, the placement index, the RNG
+//! or a capacity meter — everything the per-epoch agent economy owns.
+
+use std::collections::BTreeMap;
+use std::fmt;
+use std::str::FromStr;
+use std::sync::Mutex;
+
+use bytes::Bytes;
+
+use skute_cluster::{Cluster, Server, ServerId};
+use skute_economy::{proximity, RegionQueries};
+use skute_geo::{Location, Topology};
+use skute_store::{ApplyOutcome, Record, StoreError, Version};
+
+use super::{resize_storage, ring_index, RingState, SkuteCloud};
+use crate::app::{AppId, Application};
+use crate::error::CoreError;
+use crate::health::HealthState;
+use crate::obs::CloudMetrics;
+
+/// Requested consistency of a serving-path read
+/// ([`SkuteCloud::client_get_with`], `skute-server`'s `X-Consistency`
+/// header).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub enum ReadConsistency {
+    /// Serve from the single highest-proximity reachable replica (the
+    /// default; fastest, may observe a divergent replica).
+    #[default]
+    One,
+    /// Read ⌈(k+1)/2⌉ replicas, resolve by last-writer-wins, and schedule
+    /// read-repair for every stale replica observed. Together with the
+    /// write path's `w = ⌊k/2⌋ + 1` ack requirement, `r + w > k`
+    /// guarantees a quorum read always sees every acknowledged write.
+    Quorum,
+}
+
+impl ReadConsistency {
+    /// Stable lowercase name (the `X-Consistency` header value).
+    pub fn as_str(self) -> &'static str {
+        match self {
+            ReadConsistency::One => "one",
+            ReadConsistency::Quorum => "quorum",
+        }
+    }
+}
+
+impl fmt::Display for ReadConsistency {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(self.as_str())
+    }
+}
+
+impl FromStr for ReadConsistency {
+    type Err = String;
+
+    fn from_str(s: &str) -> Result<Self, Self::Err> {
+        match s.to_ascii_lowercase().as_str() {
+            "one" | "1" => Ok(ReadConsistency::One),
+            "quorum" => Ok(ReadConsistency::Quorum),
+            other => Err(format!(
+                "unknown read consistency {other:?} (expected one|quorum)"
+            )),
+        }
+    }
+}
+
+/// The result of a proximity-routed [`SkuteCloud::client_get`]: the value
+/// (if any), which server served it, and that server's eq.-(4) weight for
+/// the requesting client.
+#[derive(Debug, Clone, PartialEq)]
+pub struct ClientRead {
+    /// The live value under the key (`None` for absent keys and
+    /// tombstones).
+    pub value: Option<Bytes>,
+    /// The replica server the read was routed to (for quorum reads, the
+    /// highest-proximity replica that held the winning record).
+    pub served_by: ServerId,
+    /// The serving server's eq.-(4) proximity weight for this client
+    /// (1.0 when no client location was given).
+    pub proximity: f64,
+    /// True when the requested consistency could not be met: no replica
+    /// was reachable (consistency `One`) or fewer than ⌈(k+1)/2⌉ replicas
+    /// were reachable (consistency `Quorum`) and the read was served
+    /// best-effort from what remained.
+    pub degraded: bool,
+    /// Replica stores consulted to answer the read.
+    pub replicas_read: usize,
+    /// Stale replicas observed by a quorum read and enqueued for
+    /// read-repair at the next epoch close.
+    pub repairs_scheduled: usize,
+}
+
+/// What a serving-path read needs of the cloud, borrowed: rings and
+/// replica membership, server liveness and location, the topology, the
+/// epoch's health state, and the two write-only sinks a read reports into
+/// (the read-repair queue and the metrics). Obtained from
+/// [`SkuteCloud::read_view`].
+pub struct ReadView<'a> {
+    apps: &'a [Application],
+    rings: &'a [RingState],
+    cluster: &'a Cluster,
+    topology: &'a Topology,
+    health: &'a HealthState,
+    repair_queue: &'a Mutex<Vec<(usize, Vec<u8>)>>,
+    metrics: Option<&'a CloudMetrics>,
+}
+
+impl ReadView<'_> {
+    /// Routes `key` through the ring and reads it at `consistency`.
+    ///
+    /// `One` picks the **alive**, reachable replica with the highest
+    /// eq.-(4) proximity weight for `client` (ties break to the earliest
+    /// replica; no client location means every weight is the neutral 1.0,
+    /// so the first alive replica serves) and falls back to the LWW merge
+    /// across all replicas when the chosen replica misses — a divergent
+    /// replica must not turn a stored key into a spurious 404.
+    ///
+    /// `Quorum` reads ⌈(k+1)/2⌉ reachable replicas (highest eq.-(4)
+    /// proximity first), resolves them by last-writer-wins, and enqueues
+    /// every stale replica observed for targeted read-repair at the next
+    /// [`SkuteCloud::end_epoch`]. When fewer than a quorum of replicas is
+    /// reachable — a continental cut, gray-partitioned servers — the read
+    /// degrades gracefully to the best reachable subset (or the local
+    /// stores outright when nothing is reachable) and is flagged
+    /// [`ClientRead::degraded`].
+    pub fn client_get_with(
+        &self,
+        app: AppId,
+        level: u32,
+        key: &[u8],
+        client: Option<Location>,
+        consistency: ReadConsistency,
+    ) -> Result<ClientRead, CoreError> {
+        let ring_idx = ring_index(self.apps, self.rings, app, level)?;
+        let pid = self.rings[ring_idx].ring.route(key);
+        let partition = self.rings[ring_idx]
+            .partitions
+            .get(&pid)
+            .ok_or(CoreError::NoPlacement)?;
+        if partition.replicas.is_empty() {
+            return Err(CoreError::Store(StoreError::NoReplicas));
+        }
+        let regions = client.map(|location| {
+            [RegionQueries {
+                location,
+                queries: 1.0,
+            }]
+        });
+        // Alive, reachable replicas with their proximity weights, in
+        // replica order.
+        let mut reachable: Vec<(usize, f64)> = Vec::new();
+        for (i, replica) in partition.replicas.iter().enumerate() {
+            let Some(server) = self.cluster.get_alive(replica.server) else {
+                continue;
+            };
+            if !self
+                .health
+                .reachable(replica.server, &server.location, client)
+            {
+                continue;
+            }
+            let g = match &regions {
+                Some(r) => proximity(r, &server.location, self.topology),
+                None => 1.0,
+            };
+            reachable.push((i, g));
+        }
+        // The LWW merge across every local store, reachable or not.
+        let merge_all_replicas = || {
+            let responses = partition.replicas.iter().filter_map(|r| r.store.get(key));
+            Record::merge_all(responses).and_then(|r| r.value)
+        };
+        let read = match consistency {
+            ReadConsistency::One => {
+                // Highest proximity wins, ties break to the earliest
+                // replica — exactly the pre-quorum routing.
+                let mut best: Option<(usize, f64)> = None;
+                for &(i, g) in &reachable {
+                    if best.is_none_or(|(_, bg)| g > bg) {
+                        best = Some((i, g));
+                    }
+                }
+                // Nothing reachable: serve from the first replica's store
+                // anyway (the data still exists; liveness is the repair
+                // pass's problem, not the read path's) and flag the read.
+                let degraded = best.is_none();
+                let (idx, g) = best.unwrap_or((0, 1.0));
+                let chosen = &partition.replicas[idx];
+                let value = match chosen.store.get(key) {
+                    Some(record) => record.value,
+                    None => merge_all_replicas(),
+                };
+                ClientRead {
+                    value,
+                    served_by: chosen.server,
+                    proximity: g,
+                    degraded,
+                    replicas_read: 1,
+                    repairs_scheduled: 0,
+                }
+            }
+            ReadConsistency::Quorum => {
+                let k = partition.replicas.len();
+                let need = k / 2 + 1;
+                let degraded = reachable.len() < need;
+                // Read set: the `need` highest-proximity reachable
+                // replicas (ties to the earliest), or every replica when
+                // nothing is reachable at all.
+                let mut read_set: Vec<(usize, f64)> = if reachable.is_empty() {
+                    (0..k).map(|i| (i, 1.0)).collect()
+                } else {
+                    reachable.clone()
+                };
+                read_set.sort_by(|a, b| {
+                    b.1.partial_cmp(&a.1)
+                        .unwrap_or(std::cmp::Ordering::Equal)
+                        .then(a.0.cmp(&b.0))
+                });
+                read_set.truncate(need.max(1));
+                let responses: Vec<(usize, f64, Option<Record>)> = read_set
+                    .iter()
+                    .map(|&(i, g)| (i, g, partition.replicas[i].store.get(key)))
+                    .collect();
+                let winner = Record::merge_all(responses.iter().filter_map(|(_, _, r)| r.clone()));
+                // Every response below the winning version is stale;
+                // schedule the key for targeted repair.
+                let repairs_scheduled = match &winner {
+                    Some(w) => responses
+                        .iter()
+                        .filter(|(_, _, r)| match r {
+                            Some(rec) => rec.version < w.version,
+                            None => true,
+                        })
+                        .count(),
+                    None => 0,
+                };
+                if repairs_scheduled > 0 {
+                    self.repair_queue
+                        .lock()
+                        .expect("read-repair queue poisoned")
+                        .push((ring_idx, key.to_vec()));
+                }
+                // Serve from the highest-proximity replica that held the
+                // winning record (read_set is already proximity-sorted).
+                let (idx, g) = responses
+                    .iter()
+                    .find(|(_, _, r)| match (&winner, r) {
+                        (Some(w), Some(rec)) => rec.version == w.version,
+                        (None, None) => true,
+                        _ => false,
+                    })
+                    .map(|&(i, g, _)| (i, g))
+                    .unwrap_or((read_set[0].0, read_set[0].1));
+                let value = match winner {
+                    Some(record) => record.value,
+                    // A degraded quorum can miss the key entirely while an
+                    // unreachable replica still holds it; fall back to the
+                    // local LWW merge rather than inventing a 404.
+                    None if degraded => merge_all_replicas(),
+                    None => None,
+                };
+                ClientRead {
+                    value,
+                    served_by: partition.replicas[idx].server,
+                    proximity: g,
+                    degraded,
+                    replicas_read: responses.len(),
+                    repairs_scheduled,
+                }
+            }
+        };
+        if let Some(m) = self.metrics {
+            if consistency == ReadConsistency::Quorum {
+                m.quorum_reads.inc();
+                if read.repairs_scheduled > 0 {
+                    m.quorum_divergent.inc();
+                }
+                m.read_repairs_scheduled.add(read.repairs_scheduled as u64);
+            }
+            if read.degraded {
+                m.degraded_reads.inc();
+            }
+        }
+        Ok(read)
+    }
+}
+
+impl SkuteCloud {
+    /// The borrowed view serving-path reads run on.
+    pub fn read_view(&self) -> ReadView<'_> {
+        ReadView {
+            apps: &self.apps,
+            rings: &self.rings,
+            cluster: &self.cluster,
+            topology: &self.topology,
+            health: &self.health,
+            repair_queue: &self.repair_queue,
+            metrics: self.metrics.as_deref(),
+        }
+    }
+
+    /// Writes a key-value pair into an application's ring.
+    pub fn put(
+        &mut self,
+        app: AppId,
+        level: u32,
+        key: &[u8],
+        value: impl Into<Bytes>,
+    ) -> Result<(), CoreError> {
+        let version = self.next_version();
+        self.write_record(app, level, key, Record::put(value.into(), version))
+    }
+
+    /// Deletes a key (writes a tombstone).
+    pub fn delete(&mut self, app: AppId, level: u32, key: &[u8]) -> Result<(), CoreError> {
+        let version = self.next_version();
+        self.write_record(app, level, key, Record::tombstone(version))
+    }
+
+    /// Reads a key: merges the first `r` replica responses (LWW).
+    pub fn get(&self, app: AppId, level: u32, key: &[u8]) -> Result<Option<Bytes>, CoreError> {
+        let ring = self.ring(app, level)?;
+        let partition = ring
+            .partitions
+            .get(&ring.ring.route(key))
+            .ok_or(CoreError::NoPlacement)?;
+        if partition.replicas.is_empty() {
+            return Err(CoreError::Store(StoreError::NoReplicas));
+        }
+        let responses = partition
+            .replicas
+            .iter()
+            .take(ring.level.quorum.r)
+            .filter_map(|replica| replica.store.get(key));
+        Ok(Record::merge_all(responses).and_then(|r| r.value))
+    }
+
+    /// Serving-path read at [`ReadConsistency::One`]; see
+    /// [`SkuteCloud::client_get_with`].
+    pub fn client_get(
+        &self,
+        app: AppId,
+        level: u32,
+        key: &[u8],
+        client: Option<Location>,
+    ) -> Result<ClientRead, CoreError> {
+        self.client_get_with(app, level, key, client, ReadConsistency::One)
+    }
+
+    /// Serving-path read: [`ReadView::client_get_with`] on this cloud's
+    /// [`SkuteCloud::read_view`].
+    ///
+    /// Read-only (`&self`): the serving path never touches capacity
+    /// meters or any decision input, so interleaving client reads with
+    /// epoch ticks cannot perturb trajectories.
+    pub fn client_get_with(
+        &self,
+        app: AppId,
+        level: u32,
+        key: &[u8],
+        client: Option<Location>,
+        consistency: ReadConsistency,
+    ) -> Result<ClientRead, CoreError> {
+        self.read_view()
+            .client_get_with(app, level, key, client, consistency)
+    }
+
+    /// Ordered prefix scan over one ring: merges every partition's
+    /// replicas version-dominantly (so divergent replicas cannot hide or
+    /// resurrect entries), filters live records under `prefix`, and
+    /// returns up to `limit` `(key, value)` pairs in key order
+    /// (`limit = 0` means unbounded).
+    pub fn scan(
+        &self,
+        app: AppId,
+        level: u32,
+        prefix: &[u8],
+        limit: usize,
+    ) -> Result<Vec<(Bytes, Bytes)>, CoreError> {
+        let ring_idx = self.ring_index(app, level)?;
+        let mut merged: BTreeMap<Bytes, Record> = BTreeMap::new();
+        for partition in self.rings[ring_idx].partitions.values() {
+            for replica in &partition.replicas {
+                replica.store.for_each(&mut |key, record| {
+                    if !key.starts_with(prefix) {
+                        return;
+                    }
+                    match merged.get(key) {
+                        Some(existing) if record.version <= existing.version => {}
+                        _ => {
+                            merged.insert(key.clone(), record.clone());
+                        }
+                    }
+                });
+            }
+        }
+        let mut out = Vec::new();
+        for (key, record) in merged {
+            if let Some(value) = record.value {
+                out.push((key, value));
+                if limit > 0 && out.len() >= limit {
+                    break;
+                }
+            }
+        }
+        Ok(out)
+    }
+
+    /// Ingests a synthetic object: charges `logical_bytes` against every
+    /// replica's server without materializing a payload.
+    ///
+    /// When a replica's server lacks space, that replica first attempts an
+    /// immediate eq.-(3) migration to a server with room (the paper's claim
+    /// is that the economy "balances the used storage efficiently and fast
+    /// enough so that there are no data losses", §III-E — a write blocked on
+    /// a full server is exactly the moment to rebalance). Only if the
+    /// rebalance cannot free space does the insert **fail** (the Fig. 5
+    /// metric); failures charge no server.
+    pub fn ingest_synthetic(
+        &mut self,
+        app: AppId,
+        level: u32,
+        key: &[u8],
+        logical_bytes: u64,
+    ) -> Result<(), CoreError> {
+        let ring_idx = self.ring_index(app, level)?;
+        let pid = self.rings[ring_idx].ring.route(key);
+        let partition = self.rings[ring_idx]
+            .partitions
+            .get(&pid)
+            .ok_or(CoreError::NoPlacement)?;
+        if partition.replicas.is_empty() {
+            self.insert_failures_epoch += 1;
+            return Err(CoreError::Store(StoreError::NoReplicas));
+        }
+        let blocked: Vec<usize> = (0..partition.replicas.len())
+            .filter(|&i| !has_room(&self.cluster, partition.replicas[i].server, logical_bytes))
+            .collect();
+        for idx in blocked {
+            self.relocate_blocked_replica(ring_idx, pid, idx, logical_bytes);
+        }
+        let partition = self.rings[ring_idx]
+            .partitions
+            .get_mut(&pid)
+            .ok_or(CoreError::NoPlacement)?;
+        let servers = partition.replica_servers();
+        if !servers
+            .iter()
+            .all(|&id| has_room(&self.cluster, id, logical_bytes))
+        {
+            self.insert_failures_epoch += 1;
+            return Err(CoreError::Store(StoreError::CapacityExceeded));
+        }
+        for id in servers {
+            let ok = self
+                .cluster
+                .get_mut(id)
+                .is_some_and(|s| resize_storage(s, 0, logical_bytes));
+            debug_assert!(ok, "pre-checked reservation cannot fail");
+        }
+        partition.synthetic_bytes += logical_bytes;
+        partition.write_bytes_epoch += logical_bytes;
+        Ok(())
+    }
+
+    fn next_version(&mut self) -> Version {
+        self.write_seq += 1;
+        Version::new(self.epoch, self.write_seq, 0)
+    }
+
+    fn write_record(
+        &mut self,
+        app: AppId,
+        level: u32,
+        key: &[u8],
+        record: Record,
+    ) -> Result<(), CoreError> {
+        let ring_idx = self.ring_index(app, level)?;
+        let pid = self.rings[ring_idx].ring.route(key);
+        let quorum = self.rings[ring_idx].level.quorum;
+        let ring = &mut self.rings[ring_idx];
+        let partition = ring
+            .partitions
+            .get_mut(&pid)
+            .ok_or(CoreError::NoPlacement)?;
+        if partition.replicas.is_empty() {
+            self.insert_failures_epoch += 1;
+            return Err(CoreError::Store(StoreError::NoReplicas));
+        }
+        let new_entry = key.len() as u64 + record.logical_size;
+        let key = Bytes::copy_from_slice(key);
+        let mut acks = 0usize;
+        for replica in partition.replicas.iter_mut() {
+            let Some(server) = self.cluster.get_mut(replica.server) else {
+                continue;
+            };
+            if !server.is_alive() {
+                continue;
+            }
+            // Gray-blocked replicas silently miss the update. The quorum
+            // ack check below still guarantees `w = ⌊k/2⌋ + 1` healthy
+            // acks or a client-visible error — acknowledged writes are
+            // never lost to gray servers.
+            if self.health.blocks_writes(replica.server, &server.location) {
+                continue;
+            }
+            // One store lookup per replica: the store gates on version,
+            // then hands the displaced size to the capacity meter, which
+            // may veto before anything is logged. A replica already
+            // holding a dominating version acks — it has the write's
+            // outcome — and only a capacity veto withholds the ack.
+            let outcome = replica.store.apply_gated(
+                key.clone(),
+                record.clone(),
+                charge_entry(server, new_entry),
+            );
+            if outcome != ApplyOutcome::Vetoed {
+                acks += 1;
+            }
+        }
+        partition.write_bytes_epoch += record.logical_size;
+        let w_eff = quorum.w.min(partition.replicas.len());
+        if acks < w_eff {
+            self.insert_failures_epoch += 1;
+            return Err(CoreError::Store(StoreError::CapacityExceeded));
+        }
+        Ok(())
+    }
+
+    /// Applies the targeted read-repairs quorum reads scheduled since the
+    /// last epoch close: for every queued key, installs the
+    /// partition-wide LWW winner on each stale replica with exact storage
+    /// re-accounting. The queue is sorted and deduplicated first, so the
+    /// repair order is a pure function of its contents regardless of how
+    /// concurrent serving threads interleaved their enqueues. A replica
+    /// whose server cannot absorb the winner's extra bytes is skipped
+    /// (anti-entropy and the scheduled scrub retry it later). Simulation
+    /// trajectories never enter here — only `client_get_with` enqueues —
+    /// so determinism byte-compares are untouched.
+    pub(super) fn drain_read_repairs(&mut self) {
+        let mut queued = {
+            let mut q = self
+                .repair_queue
+                .lock()
+                .expect("read-repair queue poisoned");
+            std::mem::take(&mut *q)
+        };
+        if queued.is_empty() {
+            return;
+        }
+        queued.sort();
+        queued.dedup();
+        let mut applied = 0u64;
+        for (ring_idx, key) in queued {
+            if ring_idx >= self.rings.len() {
+                continue;
+            }
+            let pid = self.rings[ring_idx].ring.route(&key);
+            let Some(partition) = self.rings[ring_idx].partitions.get_mut(&pid) else {
+                continue;
+            };
+            let Some(winner) =
+                Record::merge_all(partition.replicas.iter().filter_map(|r| r.store.get(&key)))
+            else {
+                continue;
+            };
+            let new_entry = key.len() as u64 + winner.logical_size;
+            for replica in partition.replicas.iter_mut() {
+                let Some(server) = self
+                    .cluster
+                    .get_mut(replica.server)
+                    .filter(|s| s.is_alive())
+                else {
+                    continue;
+                };
+                // The store's version gate picks out the stale replicas.
+                let outcome = replica.store.apply_gated(
+                    key.clone(),
+                    winner.clone(),
+                    charge_entry(server, new_entry),
+                );
+                if outcome == ApplyOutcome::Applied {
+                    applied += 1;
+                }
+            }
+        }
+        if let Some(m) = &self.metrics {
+            m.read_repairs_applied.add(applied);
+        }
+    }
+}
+
+/// True when `server` is alive with at least `bytes` of storage free.
+fn has_room(cluster: &Cluster, server: ServerId, bytes: u64) -> bool {
+    cluster
+        .get_alive(server)
+        .is_some_and(|s| s.storage_free() >= bytes)
+}
+
+/// The admission gate of a replica write: charges `server`'s storage meter
+/// for an entry of `new_entry` logical bytes replacing one of `displaced`
+/// bytes (`None` for a fresh key); see [`resize_storage`].
+fn charge_entry(server: &mut Server, new_entry: u64) -> impl FnOnce(Option<u64>) -> bool + '_ {
+    move |displaced| resize_storage(server, displaced.unwrap_or(0), new_entry)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::app::{AppSpec, LevelSpec};
+    use crate::cloud::tests::{paper_cluster, small_cloud};
+    use crate::config::SkuteConfig;
+    use crate::health::GrayMode;
+    use skute_store::BackendKind;
+
+    #[test]
+    fn put_get_roundtrip_across_epochs() {
+        let (mut cloud, app) = small_cloud();
+        cloud.begin_epoch();
+        cloud.put(app, 0, b"user:1", b"alpha".to_vec()).unwrap();
+        cloud.end_epoch();
+        cloud.begin_epoch();
+        assert_eq!(
+            cloud.get(app, 0, b"user:1").unwrap().unwrap().as_ref(),
+            b"alpha"
+        );
+        cloud.put(app, 0, b"user:1", b"beta".to_vec()).unwrap();
+        assert_eq!(
+            cloud.get(app, 0, b"user:1").unwrap().unwrap().as_ref(),
+            b"beta"
+        );
+        cloud.delete(app, 0, b"user:1").unwrap();
+        assert_eq!(cloud.get(app, 0, b"user:1").unwrap(), None);
+        assert_eq!(cloud.get(app, 0, b"missing").unwrap(), None);
+    }
+
+    #[test]
+    fn data_survives_replication_and_failure() {
+        let (mut cloud, app) = small_cloud();
+        cloud.begin_epoch();
+        cloud.put(app, 0, b"k", b"v".to_vec()).unwrap();
+        for _ in 0..5 {
+            cloud.begin_epoch();
+            cloud.end_epoch();
+        }
+        // Fail the first replica's server of the key's partition.
+        let pid = {
+            let ids = cloud.partition_ids(app, 0).unwrap();
+            *ids.first().unwrap()
+        };
+        let victim = cloud.replica_servers(app, 0, pid).unwrap()[0];
+        cloud.retire_server(victim);
+        assert_eq!(cloud.get(app, 0, b"k").unwrap().unwrap().as_ref(), b"v");
+    }
+
+    #[test]
+    fn synthetic_ingest_accounts_storage() {
+        let (mut cloud, app) = small_cloud();
+        cloud.begin_epoch();
+        let used_before = cloud.cluster().total_storage_used();
+        cloud.ingest_synthetic(app, 0, b"obj1", 500 * 1024).unwrap();
+        let used_after = cloud.cluster().total_storage_used();
+        // One replica so far (epoch 1 before any end_epoch): charged once.
+        assert_eq!(used_after - used_before, 500 * 1024);
+    }
+
+    #[test]
+    fn quorum_read_resolves_divergence_and_schedules_repair() {
+        let (mut cloud, app) = small_cloud();
+        cloud.begin_epoch();
+        cloud.put(app, 0, b"q", b"v1".to_vec()).unwrap();
+        for _ in 0..6 {
+            cloud.begin_epoch();
+            cloud.end_epoch();
+        }
+        let pid = cloud.rings[0].ring.route(b"q");
+        let k = cloud.rings[0].partitions[&pid].replicas.len();
+        assert!(k >= 3, "partition reached its SLA replica count");
+        // Inject divergence: a newer version only replica 0 holds.
+        {
+            let p = cloud.rings[0].partitions.get_mut(&pid).unwrap();
+            let record = Record::put(&b"v2"[..], Version::new(99, 0, 0));
+            let old = p.replicas[0].store.get(b"q").unwrap().logical_size;
+            let grow = record.logical_size.saturating_sub(old);
+            assert!(p.replicas[0].store.apply(&b"q"[..], record));
+            let server = p.replicas[0].server;
+            let s = cloud.cluster.get_mut(server).unwrap();
+            let caps = s.capacities;
+            assert!(s.usage.reserve_storage(&caps, grow));
+        }
+        cloud.begin_epoch();
+        let read = cloud
+            .client_get_with(app, 0, b"q", None, ReadConsistency::Quorum)
+            .unwrap();
+        assert_eq!(read.value.as_ref().unwrap().as_ref(), b"v2", "LWW winner");
+        assert!(!read.degraded);
+        assert_eq!(read.replicas_read, k / 2 + 1);
+        assert!(
+            read.repairs_scheduled >= 1,
+            "the stale majority replica is observed and queued"
+        );
+        // The epoch-end drain converges every replica onto the winner.
+        cloud.end_epoch();
+        let p = &cloud.rings[0].partitions[&pid];
+        for r in &p.replicas {
+            assert_eq!(r.store.get_value(b"q").unwrap().as_ref(), b"v2");
+        }
+        cloud.begin_epoch();
+        let again = cloud
+            .client_get_with(app, 0, b"q", None, ReadConsistency::Quorum)
+            .unwrap();
+        assert_eq!(again.repairs_scheduled, 0, "nothing left to repair");
+        assert_eq!(again.value.unwrap().as_ref(), b"v2");
+        cloud.end_epoch();
+    }
+
+    #[test]
+    fn degraded_quorum_read_still_answers() {
+        let (mut cloud, app) = small_cloud();
+        cloud.begin_epoch();
+        cloud.put(app, 0, b"d", b"v".to_vec()).unwrap();
+        for _ in 0..6 {
+            cloud.begin_epoch();
+            cloud.end_epoch();
+        }
+        let pid = cloud.rings[0].ring.route(b"d");
+        let replicas = cloud.replica_servers(app, 0, pid).unwrap();
+        assert!(replicas.len() >= 3);
+        // Gray-partition every replica server but the first.
+        for &s in &replicas[1..] {
+            cloud.health.set_mode(s, GrayMode::Partitioned);
+        }
+        let read = cloud
+            .client_get_with(app, 0, b"d", None, ReadConsistency::Quorum)
+            .unwrap();
+        assert!(read.degraded, "sub-quorum reachability is flagged");
+        assert_eq!(read.value.as_ref().unwrap().as_ref(), b"v");
+        assert_eq!(read.served_by, replicas[0]);
+        // Nothing reachable at all: the read still answers from the
+        // local stores rather than failing outright.
+        cloud.health.set_mode(replicas[0], GrayMode::Partitioned);
+        let read = cloud
+            .client_get_with(app, 0, b"d", None, ReadConsistency::Quorum)
+            .unwrap();
+        assert!(read.degraded);
+        assert_eq!(read.value.unwrap().as_ref(), b"v");
+    }
+
+    #[test]
+    fn writes_skip_gray_blocked_replicas_without_losing_acks() {
+        let (mut cloud, app) = small_cloud();
+        cloud.begin_epoch();
+        cloud.put(app, 0, b"g", b"v1".to_vec()).unwrap();
+        for _ in 0..6 {
+            cloud.begin_epoch();
+            cloud.end_epoch();
+        }
+        cloud.begin_epoch();
+        let pid = cloud.rings[0].ring.route(b"g");
+        let replicas = cloud.replica_servers(app, 0, pid).unwrap();
+        assert!(replicas.len() >= 3);
+        // One read-only replica: the write lands on the healthy majority
+        // and still acks (w = ⌊k/2⌋ + 1 reached without the gray server).
+        cloud.health.set_mode(replicas[0], GrayMode::ReadOnly);
+        cloud.put(app, 0, b"g", b"v2".to_vec()).unwrap();
+        {
+            let p = &cloud.rings[0].partitions[&pid];
+            assert_eq!(
+                p.replicas[0].store.get_value(b"g").unwrap().as_ref(),
+                b"v1",
+                "the read-only replica missed the write"
+            );
+            assert_eq!(p.replicas[1].store.get_value(b"g").unwrap().as_ref(), b"v2");
+        }
+        // Once the server recovers, a quorum read observes the stale
+        // replica, serves the acked value, and schedules its repair.
+        cloud.health.set_mode(replicas[0], GrayMode::Healthy);
+        let read = cloud
+            .client_get_with(app, 0, b"g", None, ReadConsistency::Quorum)
+            .unwrap();
+        assert_eq!(read.value.unwrap().as_ref(), b"v2", "acked write survives");
+        assert_eq!(read.repairs_scheduled, 1);
+        cloud.end_epoch();
+        let p = &cloud.rings[0].partitions[&pid];
+        for r in &p.replicas {
+            assert_eq!(r.store.get_value(b"g").unwrap().as_ref(), b"v2");
+        }
+    }
+
+    /// Drives one key through every arm of the gated replica write on
+    /// `backend` and returns the replica servers' storage usage after each
+    /// step, for comparing backends.
+    fn gated_write_steps(backend: BackendKind) -> Vec<Vec<u64>> {
+        const KEY: &[u8] = b"gate";
+        let topology = Topology::paper();
+        let cluster = paper_cluster(&topology);
+        let config = SkuteConfig::paper().with_backend(backend);
+        let mut cloud = SkuteCloud::new(config, topology, cluster);
+        let app = cloud
+            .create_application(AppSpec::new("t").level(LevelSpec::new(3, 4)))
+            .unwrap();
+        for _ in 0..6 {
+            cloud.begin_epoch();
+            cloud.end_epoch();
+        }
+        cloud.begin_epoch();
+        let pid = cloud.rings[0].ring.route(KEY);
+        let servers = cloud.replica_servers(app, 0, pid).unwrap();
+        let k = servers.len() as u64;
+        assert!(k >= 3);
+        let usage = |cloud: &SkuteCloud| -> Vec<u64> {
+            servers
+                .iter()
+                .map(|&s| cloud.cluster.get(s).unwrap().usage.storage_used)
+                .collect()
+        };
+        let stored = |cloud: &SkuteCloud| -> Vec<Option<Record>> {
+            let p = &cloud.rings[0].partitions[&pid];
+            p.replicas.iter().map(|r| r.store.get(KEY)).collect()
+        };
+        // WAL appends across the partition's replicas (LSM only).
+        let wal_appends = |cloud: &SkuteCloud| -> Option<u64> {
+            let p = &cloud.rings[0].partitions[&pid];
+            p.replicas
+                .iter()
+                .map(|r| r.store.activity().map(|a| a.wal_appends))
+                .sum()
+        };
+        let grown = |from: &[u64], by: i64| -> Vec<u64> {
+            from.iter().map(|&u| (u as i64 + by) as u64).collect()
+        };
+        let base = usage(&cloud);
+        let entry = |value_len: i64| KEY.len() as i64 + value_len;
+        let mut steps = Vec::new();
+        let mut accepted = 0u64;
+
+        // Fresh key: every replica reserves the whole entry.
+        cloud.put(app, 0, KEY, vec![b'a'; 100]).unwrap();
+        accepted += k;
+        assert_eq!(usage(&cloud), grown(&base, entry(100)));
+        steps.push(usage(&cloud));
+
+        // Growing overwrite: only the difference is reserved.
+        cloud.put(app, 0, KEY, vec![b'b'; 300]).unwrap();
+        accepted += k;
+        assert_eq!(usage(&cloud), grown(&base, entry(300)));
+        steps.push(usage(&cloud));
+
+        // Shrinking overwrite: the difference is released.
+        cloud.put(app, 0, KEY, vec![b'c'; 50]).unwrap();
+        accepted += k;
+        assert_eq!(usage(&cloud), grown(&base, entry(50)));
+        steps.push(usage(&cloud));
+
+        // Stale version: replica 0 already holds a record from the far
+        // future (same size, so its charge stands). The write acks there
+        // without touching the store or the meter; the others grow.
+        let future = Record::put(vec![b'f'; 50], Version::new(u64::MAX, 0, 0));
+        {
+            let p = cloud.rings[0].partitions.get_mut(&pid).unwrap();
+            assert!(p.replicas[0].store.apply(KEY, future.clone()));
+        }
+        accepted += 1;
+        cloud.put(app, 0, KEY, vec![b'd'; 80]).unwrap();
+        accepted += k - 1;
+        let mut expected = grown(&base, entry(80));
+        expected[0] = base[0] + entry(50) as u64;
+        assert_eq!(usage(&cloud), expected);
+        assert_eq!(stored(&cloud)[0], Some(future));
+        steps.push(usage(&cloud));
+
+        // Capacity veto: with every replica server exactly full, a growing
+        // write gets no ack and leaves no trace — not in the meters, not
+        // in the stores, not in the WALs.
+        for &s in &servers {
+            let server = cloud.cluster.get_mut(s).unwrap();
+            server.capacities.storage_bytes = server.usage.storage_used;
+        }
+        let (usage_before, stored_before, wal_before) =
+            (usage(&cloud), stored(&cloud), wal_appends(&cloud));
+        assert_eq!(
+            cloud.put(app, 0, KEY, vec![b'e'; 500]),
+            Err(CoreError::Store(StoreError::CapacityExceeded))
+        );
+        assert_eq!(usage(&cloud), usage_before);
+        assert_eq!(stored(&cloud), stored_before);
+        assert_eq!(wal_appends(&cloud), wal_before);
+        steps.push(usage(&cloud));
+
+        // A shrinking write always fits, even on full servers.
+        cloud.delete(app, 0, KEY).unwrap();
+        accepted += k - 1;
+        steps.push(usage(&cloud));
+
+        match backend {
+            BackendKind::Mem => assert_eq!(wal_appends(&cloud), None),
+            BackendKind::Lsm => assert_eq!(
+                wal_appends(&cloud),
+                Some(accepted),
+                "one WAL append per accepted replica write, none for vetoed or stale ones"
+            ),
+        }
+        steps
+    }
+
+    #[test]
+    fn gated_writes_charge_storage_identically_on_both_backends() {
+        assert_eq!(
+            gated_write_steps(BackendKind::Mem),
+            gated_write_steps(BackendKind::Lsm)
+        );
+    }
+
+    #[test]
+    fn hand_built_read_view_answers_like_the_cloud() {
+        let (mut cloud, app) = small_cloud();
+        cloud.begin_epoch();
+        cloud.put(app, 0, b"seam", b"v".to_vec()).unwrap();
+        for _ in 0..6 {
+            cloud.begin_epoch();
+            cloud.end_epoch();
+        }
+        let pid = cloud.rings[0].ring.route(b"seam");
+        let servers = cloud.replica_servers(app, 0, pid).unwrap();
+        let home = |cloud: &SkuteCloud, s: ServerId| cloud.cluster.get(s).unwrap().location;
+        let inside = home(&cloud, servers[0]);
+        let outside = servers[1..]
+            .iter()
+            .map(|&s| home(&cloud, s))
+            .find(|l| l.continent != inside.continent)
+            .expect("SLA replicas span continents");
+        for cut in [None, Some(inside.continent)] {
+            cloud.force_continent_partition(cut);
+            cloud.begin_epoch();
+            assert_eq!(cloud.partitioned_continent(), cut);
+            // Everything a read may consult, and nothing else.
+            let view = ReadView {
+                apps: &cloud.apps,
+                rings: &cloud.rings,
+                cluster: &cloud.cluster,
+                topology: &cloud.topology,
+                health: &cloud.health,
+                repair_queue: &cloud.repair_queue,
+                metrics: None,
+            };
+            for consistency in [ReadConsistency::One, ReadConsistency::Quorum] {
+                for client in [None, Some(inside), Some(outside)] {
+                    let direct = cloud
+                        .client_get_with(app, 0, b"seam", client, consistency)
+                        .unwrap();
+                    let seam = view
+                        .client_get_with(app, 0, b"seam", client, consistency)
+                        .unwrap();
+                    assert_eq!(direct, seam);
+                    assert_eq!(direct.value.unwrap().as_ref(), b"v");
+                    if let Some(c) = client.filter(|_| !direct.degraded) {
+                        let served = home(&cloud, direct.served_by).continent;
+                        assert_eq!(
+                            Some(served) == cut,
+                            Some(c.continent) == cut,
+                            "a read never crosses the cut"
+                        );
+                    }
+                }
+            }
+            cloud.end_epoch();
+        }
+        assert!(matches!(
+            cloud
+                .read_view()
+                .client_get_with(app, 9, b"seam", None, ReadConsistency::One),
+            Err(CoreError::UnknownLevel)
+        ));
+    }
+}

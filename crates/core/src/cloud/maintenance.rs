@@ -1,0 +1,335 @@
+//! Background maintenance of the stored data — anti-entropy and the
+//! storage scrub — with the storage accounting and fault-injection hooks
+//! the integration tests audit them through.
+
+use skute_cluster::ServerId;
+use skute_ring::PartitionId;
+use skute_store::{AntiEntropyUnion, FaultStats, MerkleSummary, PartitionStore, StorageActivity};
+
+use super::{resize_storage, SkuteCloud};
+use crate::app::AppId;
+use crate::error::CoreError;
+use crate::metrics::{AntiEntropyReport, ScrubReport};
+use crate::vnode::PartitionState;
+
+impl SkuteCloud {
+    /// Refreshes the fleet-wide storage gauges (LSM engine activity and
+    /// fault recoveries) in the attached sink by walking every replica.
+    /// Intended at scrape/snapshot time, not per epoch; a no-op without an
+    /// attached sink or under the mem backend (all gauges stay zero).
+    pub fn refresh_storage_metrics(&self) {
+        let Some(metrics) = &self.metrics else {
+            return;
+        };
+        let mut activity = StorageActivity::default();
+        let mut faults = FaultStats::default();
+        for ring in &self.rings {
+            for p in ring.partitions.values() {
+                for r in &p.replicas {
+                    if let Some(a) = r.store.activity() {
+                        activity.absorb(&a);
+                    }
+                    if let Some(f) = r.store.fault_stats() {
+                        faults.absorb(&f);
+                    }
+                }
+            }
+        }
+        metrics.set_storage_totals(&activity, &faults);
+    }
+
+    /// Per-replica storage footprints of a partition: for every replica,
+    /// the hosting server and the exact bytes it is charged for (synthetic
+    /// bytes plus that replica's own store). The sum of footprints across
+    /// all partitions of all rings equals the cluster's used storage —
+    /// the accounting invariant the integration tests verify.
+    pub fn replica_footprints(
+        &self,
+        app: AppId,
+        level: u32,
+        pid: PartitionId,
+    ) -> Result<Vec<(ServerId, u64)>, CoreError> {
+        let p = self.partition(app, level, pid)?;
+        Ok(p.replicas
+            .iter()
+            .map(|r| (r.server, p.synthetic_bytes + r.store.logical_bytes()))
+            .collect())
+    }
+
+    /// Deliberately corrupts the on-disk state of one replica of a
+    /// partition (fault-injection hook: forges persistent corruption for
+    /// [`SkuteCloud::scrub_quarantined`] to detect). Flushes the replica's
+    /// memtable first so a durable run exists to damage. Returns `true`
+    /// when bytes were actually flipped — `false` for the mem oracle or an
+    /// empty replica.
+    pub fn corrupt_replica(
+        &mut self,
+        app: AppId,
+        level: u32,
+        pid: PartitionId,
+        replica: usize,
+    ) -> Result<bool, CoreError> {
+        let ring_idx = self.ring_index(app, level)?;
+        let p = self.rings[ring_idx]
+            .partitions
+            .get_mut(&pid)
+            .ok_or(CoreError::NoPlacement)?;
+        let r = p.replicas.get_mut(replica).ok_or(CoreError::NoPlacement)?;
+        r.store.flush();
+        Ok(r.store.corrupt_newest_run())
+    }
+
+    /// Fleet-wide injected-fault counters of one ring: the sum of every
+    /// replica store's [`FaultStats`]. Observability only — under the mem
+    /// oracle (no IO path to fault) all counters are zero.
+    pub fn fault_stats(&self, app: AppId, level: u32) -> Result<FaultStats, CoreError> {
+        let mut total = FaultStats::default();
+        for p in self.ring(app, level)?.partitions.values() {
+            for r in &p.replicas {
+                if let Some(stats) = r.store.fault_stats() {
+                    total.absorb(&stats);
+                }
+            }
+        }
+        Ok(total)
+    }
+
+    /// Anti-entropy pass over one ring: detects divergent replica stores
+    /// with Merkle summaries (replicas can diverge when a full server
+    /// rejects a write) and repairs them by installing the LWW union on
+    /// every replica, with exact storage re-accounting.
+    ///
+    /// The union is built once per divergent partition and distributed to
+    /// the divergent replicas: under the mem backend as a copy-on-write
+    /// handle (every repaired replica shares one allocation until it next
+    /// diverges), under the LSM backend by merging the union's entries
+    /// into each replica's durable store. Partitions whose replicas are
+    /// already identical (shared allocations, or all Merkle roots equal)
+    /// are skipped outright and contribute to no counter; within a
+    /// *divergent* partition, replicas that already hold the union are
+    /// skipped without a writeback and counted in
+    /// [`AntiEntropyReport::replicas_in_sync`]. A replica whose server
+    /// cannot absorb the union's extra bytes is left divergent and counted
+    /// as deferred (it will be retried after the economy rebalances).
+    pub fn anti_entropy(&mut self, app: AppId, level: u32) -> Result<AntiEntropyReport, CoreError> {
+        let ring_idx = self.ring_index(app, level)?;
+        let hasher = self.rings[ring_idx].ring.hasher();
+        let pids = self.rings[ring_idx].ring.partition_ids();
+        let mut report = AntiEntropyReport::default();
+        for pid in pids {
+            let Some(range) = self.rings[ring_idx].ring.range_of(pid) else {
+                continue;
+            };
+            let partition = match self.rings[ring_idx].partitions.get(&pid) {
+                Some(p) if p.replicas.len() >= 2 => p,
+                _ => continue,
+            };
+            // Replicas sharing one storage allocation are trivially in
+            // sync: skip the Merkle pass entirely. (Mem replicas converge
+            // to shared COW allocations; LSM replicas always own their
+            // files and converge to equal Merkle roots instead.)
+            if partition
+                .replicas
+                .windows(2)
+                .all(|w| w[0].store.shares_storage_with(&w[1].store))
+            {
+                continue;
+            }
+            let roots: Vec<u64> = partition
+                .replicas
+                .iter()
+                .map(|r| r.store.merkle_summary(hasher, range, 32).root())
+                .collect();
+            if roots.windows(2).all(|w| w[0] == w[1]) {
+                continue;
+            }
+            // Build the LWW union of all replica stores, once.
+            let union = lww_union(partition, 0..partition.replicas.len())
+                .expect("divergence takes two replicas");
+            let union_bytes = union.logical_bytes();
+            let union_root = MerkleSummary::build(&union, hasher, range, 32).root();
+            let union = AntiEntropyUnion::new(self.config.backend, union);
+            let mut any_updated = false;
+            for (idx, &root) in roots.iter().enumerate() {
+                if root == union_root {
+                    report.replicas_in_sync += 1;
+                    continue;
+                }
+                if self.recharge_replica(ring_idx, pid, idx, union_bytes) {
+                    let p = self.rings[ring_idx].partitions.get_mut(&pid).unwrap();
+                    p.replicas[idx].store.install_union(&union);
+                    report.replicas_updated += 1;
+                    any_updated = true;
+                } else {
+                    report.replicas_deferred += 1;
+                }
+            }
+            if any_updated {
+                report.partitions_repaired += 1;
+            }
+        }
+        Ok(report)
+    }
+
+    /// Storage scrub over one ring: verifies every replica store's on-disk
+    /// checksums (a real re-read of every SSTable run under the LSM
+    /// backend; the mem oracle is trivially healthy), quarantines replicas
+    /// whose corruption survived the store's bounded read retries, and
+    /// re-seeds each quarantined replica from the LWW union of its
+    /// partition's **healthy** peers — a fresh store built through the
+    /// same union installation the anti-entropy pass uses, with exact
+    /// storage re-accounting. Rebuild copies are priced in **measured**
+    /// bytes ([`crate::ActionCounts::scrub_rebuilds`] /
+    /// [`crate::ActionCounts::measured_scrub_bytes`], observability-only —
+    /// decisions and the trajectory never read them, so scrubbing cannot
+    /// perturb determinism). A quarantined replica whose server cannot
+    /// absorb the union's extra bytes is deferred; a partition whose every
+    /// replica is quarantined has no healthy peer and is counted
+    /// unrecoverable (its stores are left in place).
+    pub fn scrub_quarantined(&mut self, app: AppId, level: u32) -> Result<ScrubReport, CoreError> {
+        let ring_idx = self.ring_index(app, level)?;
+        let pids = self.rings[ring_idx].ring.partition_ids();
+        let mut report = ScrubReport::default();
+        for pid in pids {
+            let suspects: Vec<usize> = {
+                let Some(partition) = self.rings[ring_idx].partitions.get_mut(&pid) else {
+                    continue;
+                };
+                let mut suspects = Vec::new();
+                for (idx, r) in partition.replicas.iter_mut().enumerate() {
+                    report.replicas_scanned += 1;
+                    if !r.store.verify() {
+                        suspects.push(idx);
+                    }
+                }
+                suspects
+            };
+            if suspects.is_empty() {
+                continue;
+            }
+            report.replicas_quarantined += suspects.len();
+            let partition = &self.rings[ring_idx].partitions[&pid];
+            // LWW union of the healthy peers only — the corrupt stores
+            // contribute nothing to the rebuild.
+            let healthy = (0..partition.replicas.len()).filter(|i| !suspects.contains(i));
+            let Some(union) = lww_union(partition, healthy) else {
+                report.partitions_unrecoverable += 1;
+                continue;
+            };
+            let union_bytes = union.logical_bytes();
+            let union = AntiEntropyUnion::new(self.config.backend, union);
+            for idx in suspects {
+                if !self.recharge_replica(ring_idx, pid, idx, union_bytes) {
+                    report.replicas_deferred += 1;
+                    continue;
+                }
+                let mut fresh = self.empty_store();
+                fresh.install_union(&union);
+                let measured = fresh.measured_transfer().unwrap_or(union_bytes);
+                let p = self.rings[ring_idx].partitions.get_mut(&pid).unwrap();
+                p.replicas[idx].store = fresh;
+                report.replicas_rebuilt += 1;
+                self.epoch_actions.scrub_rebuilds += 1;
+                self.epoch_actions.measured_scrub_bytes += measured;
+            }
+        }
+        Ok(report)
+    }
+
+    /// Moves the storage charge of replica `idx` from its store's current
+    /// size to `new_bytes` (the union about to be installed on it). False,
+    /// with nothing charged, when its server cannot absorb the growth.
+    fn recharge_replica(
+        &mut self,
+        ring_idx: usize,
+        pid: PartitionId,
+        idx: usize,
+        new_bytes: u64,
+    ) -> bool {
+        let r = &self.rings[ring_idx].partitions[&pid].replicas[idx];
+        let old_bytes = r.store.logical_bytes();
+        self.cluster
+            .get_mut(r.server)
+            .is_some_and(|s| resize_storage(s, old_bytes, new_bytes))
+    }
+}
+
+/// The LWW union of the stores of replicas `members` of `partition`
+/// (`None` without a member).
+fn lww_union(
+    partition: &PartitionState,
+    mut members: impl Iterator<Item = usize>,
+) -> Option<PartitionStore> {
+    let mut union = partition.replicas[members.next()?].store.snapshot();
+    for i in members {
+        partition.replicas[i].store.merge_into(&mut union);
+    }
+    Some(union)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::cloud::tests::small_cloud;
+    use skute_store::{Record, Version};
+
+    #[test]
+    fn anti_entropy_repairs_injected_divergence() {
+        let (mut cloud, app) = small_cloud();
+        cloud.begin_epoch();
+        cloud.put(app, 0, b"base", b"v".to_vec()).unwrap();
+        for _ in 0..5 {
+            cloud.begin_epoch();
+            cloud.end_epoch();
+        }
+        assert_eq!(
+            cloud.anti_entropy(app, 0).unwrap(),
+            AntiEntropyReport::default(),
+            "replicas start in sync"
+        );
+        // Inject divergence: a newer version of the key that only one
+        // replica holds (as if a full server had rejected the write on the
+        // others).
+        let pid = cloud.rings[0].ring.route(b"base");
+        let replica_count = {
+            let p = cloud.rings[0].partitions.get_mut(&pid).unwrap();
+            let record = Record::put(&b"ghost-value"[..], Version::new(99, 0, 0));
+            let old = p.replicas[0].store.get(b"base").unwrap().logical_size;
+            let grow = record.logical_size - old;
+            assert!(p.replicas[0].store.apply(&b"base"[..], record));
+            let server = p.replicas[0].server;
+            let s = cloud.cluster.get_mut(server).unwrap();
+            let caps = s.capacities;
+            assert!(s.usage.reserve_storage(&caps, grow));
+            p.replicas.len()
+        };
+        let report = cloud.anti_entropy(app, 0).unwrap();
+        assert_eq!(report.partitions_repaired, 1);
+        // The diverged replica already held the union; the others received
+        // copy-on-write handles of it.
+        assert_eq!(report.replicas_in_sync, 1);
+        assert_eq!(report.replicas_updated, replica_count - 1);
+        assert_eq!(report.replicas_deferred, 0);
+        assert_eq!(
+            cloud.anti_entropy(app, 0).unwrap(),
+            AntiEntropyReport::default(),
+            "second pass is a no-op"
+        );
+        // Every replica now holds the ghost key with exact accounting, and
+        // the repaired replicas share one store allocation.
+        let p = &cloud.rings[0].partitions[&pid];
+        for r in &p.replicas {
+            assert_eq!(r.store.get_value(b"base").unwrap().as_ref(), b"ghost-value");
+        }
+        assert!(
+            p.replicas[1..]
+                .windows(2)
+                .all(|w| w[0].store.shares_storage_with(&w[1].store)),
+            "anti-entropy writebacks share the union allocation"
+        );
+        for r in &p.replicas {
+            let server = cloud.cluster.get(r.server).unwrap();
+            assert!(server.usage.storage_used >= r.store.logical_bytes());
+        }
+    }
+}

@@ -1,0 +1,252 @@
+//! Epoch phase 2 — availability repair: the memoized eq.-(2) evaluation,
+//! the SLA repair pass, and the emergency relocation of a replica blocked
+//! on a full server. Both placements are eq.-(3) queries without a rent
+//! cap: availability and space beat price here.
+
+use rand::seq::SliceRandom;
+
+use skute_cluster::Cluster;
+use skute_geo::Location;
+use skute_ring::PartitionId;
+
+use super::exec::{exec_migration, exec_replication, exec_suicide};
+use super::{select_target, DecisionOracle, SkuteCloud};
+use crate::availability::availability_of;
+use crate::decision::ActionCounts;
+use crate::placement::{PlacementContext, TargetQuery};
+use crate::vnode::{PartitionState, VnodeId};
+
+/// Memoized eq.-(2) availability of a partition's current replica set,
+/// computing and caching on miss. Bit-identical to the direct evaluation:
+/// the placed list is built in replica order, exactly as the sequential
+/// loops always did, and locations/confidences are immutable.
+pub(crate) fn cached_availability(cluster: &Cluster, part: &mut PartitionState) -> f64 {
+    if let Some(a) = part.cached_availability {
+        return a;
+    }
+    let mut placed: Vec<(Location, f64)> = Vec::with_capacity(part.replicas.len());
+    for r in &part.replicas {
+        if let Some(s) = cluster.get(r.server) {
+            placed.push((s.location, s.confidence));
+        }
+    }
+    let a = availability_of(&placed);
+    part.cached_availability = Some(a);
+    a
+}
+
+impl SkuteCloud {
+    /// Availability pass: every partition below its SLA threshold replicates
+    /// towards the eq.-(3) optimal server, limited by bandwidth, storage and
+    /// the per-epoch repair cap.
+    ///
+    /// A parallel pre-pass warms every partition's memoized eq.-(2)
+    /// availability, so the sequential shuffled scan below reads cached
+    /// floats and only partitions genuinely below threshold do placement
+    /// work. Repairs invalidate their partition's cache (membership
+    /// changed), so follow-up iterations re-evaluate.
+    pub(super) fn repair_availability(&mut self, actions: &mut ActionCounts) {
+        let window = self.config.economy.decision_window;
+        let max_repairs = self.config.max_repairs_per_partition_per_epoch;
+        let max_replicas = self.config.economy.max_replicas;
+        if self.pipeline.threads() == 1 {
+            // Single-thread fast path: warm the cache in place.
+            let Self { rings, cluster, .. } = self;
+            for ring in rings.iter_mut() {
+                for part in ring.partitions.values_mut() {
+                    if part.cached_availability.is_none() {
+                        let _ = cached_availability(cluster, part);
+                    }
+                }
+            }
+        } else {
+            // Move the cache-miss partitions out for the owned-task warm
+            // dispatch; the converged steady state has no misses and skips
+            // the dispatch entirely.
+            let mut misses: Vec<(usize, PartitionId, PartitionState)> = Vec::new();
+            for (ri, ring) in self.rings.iter_mut().enumerate() {
+                let ids: Vec<PartitionId> = ring
+                    .partitions
+                    .iter()
+                    .filter(|(_, p)| p.cached_availability.is_none())
+                    .map(|(pid, _)| *pid)
+                    .collect();
+                for pid in ids {
+                    let part = ring.partitions.remove(&pid).expect("listed above");
+                    misses.push((ri, pid, part));
+                }
+            }
+            if !misses.is_empty() {
+                let cluster = std::mem::take(&mut self.cluster);
+                let (cluster, warmed) = self.pipeline.warm_availability(cluster, misses);
+                self.cluster = cluster;
+                for (ri, pid, part) in warmed {
+                    self.rings[ri].partitions.insert(pid, part);
+                }
+            }
+        }
+        // Commit pass: sequential, seeded shuffle order.
+        for ri in 0..self.rings.len() {
+            let threshold = self.rings[ri].level.threshold;
+            let mut pids = self.rings[ri].ring.partition_ids();
+            pids.shuffle(&mut self.rng);
+            for pid in pids {
+                for _ in 0..max_repairs {
+                    let Some(partition) = self.rings[ri].partitions.get_mut(&pid) else {
+                        break;
+                    };
+                    if partition.replica_count() >= max_replicas {
+                        break;
+                    }
+                    if cached_availability(&self.cluster, partition) >= threshold {
+                        break;
+                    }
+                    self.servers_scratch.clear();
+                    self.servers_scratch
+                        .extend(partition.replicas.iter().map(|r| r.server));
+                    let size = partition.size_bytes();
+                    let target = select_target(
+                        &mut self.index,
+                        self.oracle == DecisionOracle::BruteForce,
+                        &PlacementContext::new(
+                            &self.cluster,
+                            &self.board,
+                            &self.topology,
+                            &self.config.economy,
+                        ),
+                        &TargetQuery {
+                            existing: &self.servers_scratch,
+                            size,
+                            region_queries: &partition.region_queries,
+                            rent_below: None,
+                        },
+                        &mut partition.prox_cache,
+                    );
+                    let Some((target, _)) = target else {
+                        actions.blocked_transfers += 1;
+                        break;
+                    };
+                    let vid = VnodeId(self.next_vnode);
+                    if let Some(t) = exec_replication(
+                        &mut self.cluster,
+                        partition,
+                        target,
+                        vid,
+                        window,
+                        self.epoch,
+                    ) {
+                        self.next_vnode += 1;
+                        actions.availability_replications += 1;
+                        actions.replicated_bytes += t.logical;
+                        actions.measured_replicated_bytes += t.measured;
+                        self.note_index(&[target]);
+                    } else {
+                        actions.blocked_transfers += 1;
+                        break;
+                    }
+                }
+            }
+        }
+    }
+
+    /// Emergency rebalance: replica `idx` of a partition sits on a server
+    /// that cannot absorb `incoming` more bytes; migrate it (eq. 3, no rent
+    /// cap — space beats price here) to a server that fits the partition
+    /// plus the incoming write. Best-effort: bandwidth limits still apply.
+    pub(super) fn relocate_blocked_replica(
+        &mut self,
+        ring_idx: usize,
+        pid: PartitionId,
+        idx: usize,
+        incoming: u64,
+    ) {
+        let Some(partition) = self.rings[ring_idx].partitions.get_mut(&pid) else {
+            return;
+        };
+        if idx >= partition.replicas.len() {
+            return;
+        }
+        let size = partition.synthetic_bytes + partition.replicas[idx].store.logical_bytes();
+        self.servers_scratch.clear();
+        self.servers_scratch
+            .extend(partition.replicas.iter().map(|r| r.server));
+        self.servers_scratch.remove(idx);
+        let target = select_target(
+            &mut self.index,
+            self.oracle == DecisionOracle::BruteForce,
+            &PlacementContext::new(
+                &self.cluster,
+                &self.board,
+                &self.topology,
+                &self.config.economy,
+            ),
+            &TargetQuery {
+                existing: &self.servers_scratch,
+                size: size.saturating_add(incoming),
+                region_queries: &partition.region_queries,
+                rent_below: None,
+            },
+            &mut partition.prox_cache,
+        );
+        let Some((target, _)) = target else {
+            return;
+        };
+        let source = partition.replicas[idx].server;
+        // When the migration budget is exhausted, fall back to the (3×
+        // larger) replication budget: copy the replica to the target, then
+        // drop the blocked copy.
+        let moved = exec_migration(&mut self.cluster, partition, idx, target).or_else(|| {
+            let vid = VnodeId(self.next_vnode);
+            let window = self.config.economy.decision_window;
+            let t = exec_replication(
+                &mut self.cluster,
+                partition,
+                target,
+                vid,
+                window,
+                self.epoch,
+            )?;
+            self.next_vnode += 1;
+            exec_suicide(&mut self.cluster, partition, idx);
+            Some(t)
+        });
+        if let Some(t) = moved {
+            self.epoch_actions.migrations += 1;
+            self.epoch_actions.migrated_bytes += t.logical;
+            self.epoch_actions.measured_migrated_bytes += t.measured;
+            self.note_index(&[source, target]);
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::cloud::tests::small_cloud;
+
+    #[test]
+    fn repairs_grow_partitions_to_sla() {
+        let (mut cloud, app) = small_cloud();
+        for _ in 0..6 {
+            cloud.begin_epoch();
+            cloud.end_epoch();
+        }
+        let threshold = cloud.applications()[0].levels[0].threshold;
+        for pid in cloud.partition_ids(app, 0).unwrap() {
+            let servers = cloud.replica_servers(app, 0, pid).unwrap();
+            assert!(
+                servers.len() >= 3,
+                "partition {pid} has {} replicas",
+                servers.len()
+            );
+            let placed: Vec<_> = servers
+                .iter()
+                .map(|id| {
+                    let s = cloud.cluster().get(*id).unwrap();
+                    (s.location, s.confidence)
+                })
+                .collect();
+            assert!(availability_of(&placed) >= threshold);
+        }
+    }
+}

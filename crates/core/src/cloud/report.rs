@@ -1,0 +1,195 @@
+//! Epoch phase 4 — the close: partition splits and the epoch report.
+
+use skute_ring::PartitionId;
+
+use super::SkuteCloud;
+use crate::decision::ActionCounts;
+use crate::metrics::{EpochReport, RingReport};
+use crate::vnode::PartitionState;
+
+impl SkuteCloud {
+    /// Splits every partition above the 256 MB capacity into two fresh
+    /// partitions with the same replica placement.
+    pub(super) fn split_overflowing(&mut self, actions: &mut ActionCounts) {
+        let threshold = self.config.split_threshold_bytes;
+        for ri in 0..self.rings.len() {
+            loop {
+                let victim = self.rings[ri]
+                    .partitions
+                    .iter()
+                    .find(|(_, p)| p.size_bytes() > threshold)
+                    .map(|(pid, _)| *pid);
+                let Some(pid) = victim else { break };
+                let Some((low, high)) = self.rings[ri].ring.split_partition(pid) else {
+                    break; // range too narrow to split
+                };
+                let parent = self.rings[ri].partitions.remove(&pid).unwrap();
+                let hasher = self.rings[ri].ring.hasher();
+                let mut low_state = PartitionState::new(low.id, parent.popularity / 2.0);
+                let mut high_state = PartitionState::new(high.id, parent.popularity / 2.0);
+                low_state.synthetic_bytes = parent.synthetic_bytes / 2;
+                high_state.synthetic_bytes = parent.synthetic_bytes - low_state.synthetic_bytes;
+                for replica in parent.replicas {
+                    let mut low_store = replica.store;
+                    let high_store = low_store.split_off(hasher, high.range);
+                    low_state
+                        .replicas
+                        .push(self.new_replica(replica.server, low_store));
+                    high_state
+                        .replicas
+                        .push(self.new_replica(replica.server, high_store));
+                }
+                self.rings[ri].partitions.insert(low.id, low_state);
+                self.rings[ri].partitions.insert(high.id, high_state);
+                actions.splits += 1;
+            }
+        }
+    }
+
+    /// Assembles the epoch report. Per-ring statistics run as a parallel
+    /// plan pass per ring — availability via the membership-keyed cache,
+    /// per-server loads and vnode counts through sharded accumulators
+    /// merged in deterministic (partition, server) order — feeding reused
+    /// sorted accumulators instead of per-epoch hash maps.
+    pub(super) fn report(
+        &mut self,
+        actions: ActionCounts,
+        rent_paid: f64,
+        utility_earned: f64,
+    ) -> EpochReport {
+        let alive_servers = self.cluster.alive_count();
+        let mut rings = Vec::with_capacity(self.rings.len());
+        self.pipeline.begin_report();
+        for ri in 0..self.rings.len() {
+            let threshold = self.rings[ri].level.threshold;
+            let stats = if self.pipeline.threads() == 1 {
+                // Single-thread fast path: identical accounting in place.
+                let Self {
+                    rings,
+                    cluster,
+                    pipeline,
+                    ..
+                } = self;
+                pipeline.ring_stats_inline(cluster, rings[ri].partitions.values_mut(), threshold)
+            } else {
+                let parts: Vec<(PartitionId, PartitionState)> =
+                    std::mem::take(&mut self.rings[ri].partitions)
+                        .into_iter()
+                        .collect();
+                let cluster = std::mem::take(&mut self.cluster);
+                let (cluster, parts, stats) = self.pipeline.ring_stats(cluster, parts, threshold);
+                self.cluster = cluster;
+                self.rings[ri].partitions = parts.into_iter().collect();
+                stats
+            };
+            let ring = &self.rings[ri];
+            rings.push(RingReport {
+                ring: ring.id,
+                target_replicas: ring.level.target_replicas,
+                partitions: ring.partitions.len(),
+                vnodes: stats.vnodes,
+                mean_availability: stats.mean_availability,
+                min_availability: stats.min_availability,
+                sla_satisfied_frac: stats.sla_satisfied_frac,
+                queries_offered: ring.queries_offered_epoch,
+                queries_served: ring.queries_served_epoch,
+                queries_dropped: ring.queries_dropped_epoch,
+                load_per_server: if alive_servers == 0 {
+                    0.0
+                } else {
+                    ring.queries_served_epoch / alive_servers as f64
+                },
+                load_cv: stats.load_cv,
+                mean_client_distance: if ring.queries_served_epoch > 0.0 {
+                    ring.distance_sum_epoch / ring.queries_served_epoch
+                } else {
+                    0.0
+                },
+            });
+        }
+        EpochReport {
+            epoch: self.epoch,
+            vnodes_per_server: self.pipeline.vnodes_map(&self.cluster),
+            rings,
+            actions,
+            insert_failures: self.insert_failures_epoch,
+            partitions_lost: self.partitions_lost_epoch,
+            storage_used: self.cluster.total_storage_used(),
+            storage_capacity: self.cluster.total_storage(),
+            rent_paid,
+            utility_earned,
+            min_rent: self.board.min_price(),
+            alive_servers,
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use crate::app::{AppSpec, LevelSpec};
+    use crate::cloud::tests::{paper_cluster, small_cloud};
+    use crate::{SkuteCloud, SkuteConfig};
+    use skute_geo::Topology;
+    use skute_ring::RingId;
+
+    #[test]
+    fn epoch_report_counts_match_state() {
+        let (mut cloud, app) = small_cloud();
+        cloud.begin_epoch();
+        let report = cloud.end_epoch();
+        assert_eq!(report.epoch, 1);
+        assert_eq!(report.total_vnodes(), cloud.ring_vnodes(app, 0).unwrap());
+        assert_eq!(report.alive_servers, 200);
+        assert!(report.actions.availability_replications > 0);
+        let ring = report.ring(RingId::new(app.0, 0)).unwrap();
+        assert_eq!(ring.partitions, 16);
+        assert_eq!(ring.target_replicas, 3);
+    }
+
+    #[test]
+    fn splits_trigger_above_threshold() {
+        let topology = Topology::paper();
+        let cluster = paper_cluster(&topology);
+        let mut config = SkuteConfig::paper();
+        config.split_threshold_bytes = 1024; // tiny for the test
+        let mut cloud = SkuteCloud::new(config, topology, cluster);
+        let app = cloud
+            .create_application(AppSpec::new("t").level(LevelSpec::new(2, 2)))
+            .unwrap();
+        cloud.begin_epoch();
+        for i in 0..64u32 {
+            cloud
+                .ingest_synthetic(app, 0, &i.to_le_bytes(), 256)
+                .unwrap();
+        }
+        let report = cloud.end_epoch();
+        assert!(report.actions.splits > 0);
+        assert!(cloud.partition_ids(app, 0).unwrap().len() > 2);
+    }
+
+    #[test]
+    fn splits_preserve_real_data() {
+        let topology = Topology::paper();
+        let cluster = paper_cluster(&topology);
+        let mut config = SkuteConfig::paper();
+        config.split_threshold_bytes = 512;
+        let mut cloud = SkuteCloud::new(config, topology, cluster);
+        let app = cloud
+            .create_application(AppSpec::new("t").level(LevelSpec::new(2, 1)))
+            .unwrap();
+        cloud.begin_epoch();
+        for i in 0..64u32 {
+            let key = format!("key:{i}");
+            cloud
+                .put(app, 0, key.as_bytes(), vec![i as u8; 16])
+                .unwrap();
+        }
+        cloud.end_epoch();
+        assert!(cloud.partition_ids(app, 0).unwrap().len() > 1);
+        for i in 0..64u32 {
+            let key = format!("key:{i}");
+            let v = cloud.get(app, 0, key.as_bytes()).unwrap().unwrap();
+            assert_eq!(v.as_ref(), &vec![i as u8; 16][..]);
+        }
+    }
+}

@@ -1,0 +1,619 @@
+//! Epoch phase 1 — query traffic: the per-partition delivery plan, its
+//! driver, and the sequential commit against the live query-capacity
+//! meters.
+
+use std::sync::Arc;
+
+use skute_cluster::{Cluster, ServerId};
+use skute_economy::RegionQueries;
+use skute_geo::{RegionWeight, Topology};
+use skute_ring::PartitionId;
+
+use super::SkuteCloud;
+use crate::app::AppId;
+use crate::error::CoreError;
+use crate::pipeline::DeliveryBatch;
+use crate::vnode::PartitionState;
+
+/// One ring's query traffic for a batched
+/// [`SkuteCloud::deliver_queries_multi`] call.
+#[derive(Debug, Clone)]
+pub struct TrafficBatch {
+    /// Target application.
+    pub app: AppId,
+    /// Availability level (ring index within the application).
+    pub level: u32,
+    /// Queries offered to the ring this epoch.
+    pub queries: f64,
+    /// Client regions with normalized weights.
+    pub regions: Vec<RegionWeight>,
+}
+
+/// One partition's delivery plan: region-mix fold, proximity refresh,
+/// per-replica weights/distances/serving order. Pure per-partition work
+/// against immutable cluster state; shared verbatim by the pool dispatch
+/// ([`crate::pipeline`]) and the single-thread inline path.
+pub(crate) fn plan_one_delivery(
+    part: &mut PartitionState,
+    cluster: &Cluster,
+    topology: &Topology,
+    regions: &[RegionWeight],
+    total_queries: f64,
+    total_pop: f64,
+) {
+    part.delivery.ready = false;
+    let q = total_queries * part.popularity / total_pop;
+    if q <= 0.0 {
+        return;
+    }
+    part.queries_epoch += q;
+    for region in regions {
+        let add = q * region.weight;
+        if add <= 0.0 {
+            continue;
+        }
+        match part
+            .region_queries
+            .iter_mut()
+            .find(|r| r.location == region.location)
+        {
+            Some(r) => r.queries += add,
+            None => part.region_queries.push(RegionQueries {
+                location: region.location,
+                queries: add,
+            }),
+        }
+    }
+    // The region mix just changed: drop stale memoized proximity, then
+    // refill it while computing the per-replica weights. Placement
+    // decisions later in the epoch reuse the refilled cache.
+    part.prox_cache.clear();
+    let PartitionState {
+        region_queries,
+        prox_cache,
+        replicas,
+        delivery,
+        ..
+    } = &mut *part;
+    delivery.gs.clear();
+    delivery.dists.clear();
+    for r in replicas.iter() {
+        match cluster.get(r.server) {
+            Some(s) => {
+                // Per-replica proximity, memoized per country.
+                delivery
+                    .gs
+                    .push(prox_cache.g(region_queries, &s.location, topology));
+                // Region-weighted client distance of the replica (latency
+                // proxy, diversity units).
+                delivery.dists.push(
+                    regions
+                        .iter()
+                        .map(|reg| {
+                            reg.weight * f64::from(skute_geo::diversity(&reg.location, &s.location))
+                        })
+                        .sum(),
+                );
+            }
+            None => {
+                delivery.gs.push(1.0);
+                delivery.dists.push(0.0);
+            }
+        }
+    }
+    delivery.order.clear();
+    delivery.order.extend(0..replicas.len());
+    let gs = &delivery.gs;
+    delivery.order.sort_by(|&a, &b| gs[b].total_cmp(&gs[a]));
+    delivery.q = q;
+    delivery.sum_g = delivery.gs.iter().sum();
+    delivery.ready = true;
+}
+
+impl SkuteCloud {
+    /// Delivers an epoch's query traffic to one ring: `total_queries` are
+    /// spread over partitions proportionally to their popularity, arrive
+    /// from `regions` (normalized weights), and are answered by replicas
+    /// proportionally to their client proximity `g`, spilling over when a
+    /// server's query capacity saturates. Replica utility accrues per
+    /// eq. (5).
+    ///
+    /// Equivalent to a one-element [`SkuteCloud::deliver_queries_multi`]
+    /// call; batching every ring's traffic into one `multi` call runs all
+    /// plan passes in a single pool dispatch.
+    pub fn deliver_queries(
+        &mut self,
+        app: AppId,
+        level: u32,
+        total_queries: f64,
+        regions: &[RegionWeight],
+    ) -> Result<(), CoreError> {
+        self.deliver_queries_multi(vec![TrafficBatch {
+            app,
+            level,
+            queries: total_queries,
+            regions: regions.to_vec(),
+        }])
+    }
+
+    /// Delivers one epoch's query traffic to several rings at once,
+    /// batching every ring's delivery **plan** pass into a single
+    /// dispatch on the persistent worker pool, then committing
+    /// sequentially: the rings in batch order, each ring's partitions in
+    /// ring order, every partition served against the live per-server
+    /// query-capacity meters. Delivery plans read no capacity meters, so
+    /// the trajectory is **bitwise identical** to per-ring
+    /// [`SkuteCloud::deliver_queries`] calls.
+    ///
+    /// Batches are processed in order; batches addressing the same ring
+    /// observe each other's committed traffic exactly like consecutive
+    /// [`SkuteCloud::deliver_queries`] calls. A batch naming an unknown
+    /// app or level fails the whole call before any traffic lands.
+    pub fn deliver_queries_multi(&mut self, batches: Vec<TrafficBatch>) -> Result<(), CoreError> {
+        // Resolve every ring up front: a bad batch fails the whole call
+        // before any traffic lands.
+        let mut resolved: Vec<(usize, TrafficBatch)> = Vec::with_capacity(batches.len());
+        for b in batches {
+            let ri = self.ring_index(b.app, b.level)?;
+            resolved.push((ri, b));
+        }
+        // Batches targeting the same ring must observe each other's
+        // committed traffic: split the call into waves of distinct rings,
+        // processed in order (each wave is one plan dispatch).
+        let mut wave: Vec<(usize, TrafficBatch)> = Vec::new();
+        for (ri, b) in resolved {
+            if wave.iter().any(|(wri, _)| *wri == ri) {
+                let w = std::mem::take(&mut wave);
+                self.deliver_wave(w);
+            }
+            wave.push((ri, b));
+        }
+        if !wave.is_empty() {
+            self.deliver_wave(wave);
+        }
+        Ok(())
+    }
+
+    /// Plans and commits one wave of distinct-ring traffic batches. An
+    /// inline (`threads = 1`) pipeline plans in place over borrowed
+    /// partitions — no map rebuilds, no context round trip; both routes
+    /// are bitwise identical (asserted by the thread-matrix tests).
+    fn deliver_wave(&mut self, wave: Vec<(usize, TrafficBatch)>) {
+        let gamma = self.config.economy.utility_per_query;
+        let plan_start = self.obs_start();
+        // A batch offering no queries, or addressing a ring without
+        // popularity, delivers nothing; the rest carry their ring's
+        // Σ popularity (the proportional-split denominator).
+        let wave: Vec<(usize, TrafficBatch, f64)> = wave
+            .into_iter()
+            .filter_map(|(ri, b)| {
+                if b.queries <= 0.0 {
+                    return None;
+                }
+                let total_pop: f64 = self.rings[ri]
+                    .partitions
+                    .values()
+                    .map(|p| p.popularity)
+                    .sum();
+                if total_pop <= 0.0 {
+                    return None;
+                }
+                Some((ri, b, total_pop))
+            })
+            .collect();
+        if wave.is_empty() {
+            return;
+        }
+        let ring_indices: Vec<usize> = wave.iter().map(|&(ri, ..)| ri).collect();
+        if self.pipeline.threads() == 1 {
+            // Single-thread fast path: identical per-partition arithmetic,
+            // run in place.
+            let Self {
+                rings,
+                cluster,
+                topology,
+                ..
+            } = self;
+            for (ri, b, total_pop) in &wave {
+                for part in rings[*ri].partitions.values_mut() {
+                    plan_one_delivery(part, cluster, topology, &b.regions, b.queries, *total_pop);
+                }
+            }
+        } else {
+            // Plan pass: one pool dispatch across every ring of the wave.
+            // Each ring's partitions move out for the owned-task dispatch
+            // and come back in the same ascending order.
+            let batches: Vec<DeliveryBatch> = wave
+                .into_iter()
+                .map(|(ri, b, total_pop)| DeliveryBatch {
+                    ring_idx: ri,
+                    total_queries: b.queries,
+                    total_pop,
+                    regions: b.regions,
+                    parts: std::mem::take(&mut self.rings[ri].partitions)
+                        .into_iter()
+                        .collect(),
+                })
+                .collect();
+            let cluster = std::mem::take(&mut self.cluster);
+            let (cluster, batches) =
+                self.pipeline
+                    .plan_delivery_multi(cluster, Arc::clone(&self.topology), batches);
+            self.cluster = cluster;
+            for batch in batches {
+                self.rings[batch.ring_idx].partitions = batch.parts.into_iter().collect();
+            }
+        }
+        self.obs_phase(plan_start, |m| &m.phase_traffic_plan);
+        let commit_start = self.obs_start();
+        for ri in ring_indices {
+            self.commit_ring_traffic(ri, gamma);
+        }
+        self.obs_phase(commit_start, |m| &m.phase_traffic_commit);
+    }
+
+    /// The traffic commit of one ring: every addressed partition, in ring
+    /// order, served against the live capacity meters.
+    fn commit_ring_traffic(&mut self, ring_idx: usize, gamma: f64) {
+        let pids: Vec<PartitionId> = self.rings[ring_idx].ring.partition_ids();
+        for pid in pids {
+            let Some(partition) = self.rings[ring_idx].partitions.get_mut(&pid) else {
+                continue;
+            };
+            if !partition.delivery.ready {
+                continue; // no queries addressed to this partition
+            }
+            let q = partition.delivery.q;
+            if partition.delivery.sum_g <= 0.0 {
+                let ring = &mut self.rings[ring_idx];
+                ring.queries_offered_epoch += q;
+                ring.queries_dropped_epoch += q;
+                continue;
+            }
+            let (served_total, remaining, distance_sum) =
+                Self::commit_partition_sequential(&mut self.cluster, partition, gamma);
+            let ring = &mut self.rings[ring_idx];
+            ring.queries_offered_epoch += q;
+            ring.queries_served_epoch += served_total;
+            ring.queries_dropped_epoch += remaining.max(0.0);
+            ring.distance_sum_epoch += distance_sum;
+        }
+    }
+
+    /// The per-partition traffic commit: the proximity-proportional pass
+    /// capped by live capacity, the spill pass, and the drop recording.
+    /// Returns the partition's `(served, remaining, distance_sum)`
+    /// contributions to the ring totals.
+    fn commit_partition_sequential(
+        cluster: &mut Cluster,
+        partition: &mut PartitionState,
+        gamma: f64,
+    ) -> (f64, f64, f64) {
+        let PartitionState {
+            replicas, delivery, ..
+        } = &mut *partition;
+        let q = delivery.q;
+        let sum_g = delivery.sum_g;
+        let gs = &delivery.gs;
+        let dists = &delivery.dists;
+        let order = &delivery.order;
+        let mut distance_sum = 0.0;
+        let mut served_total = 0.0;
+        let mut serve = |i: usize, want: f64| {
+            let served = Self::serve_on(cluster, replicas[i].server, want);
+            replicas[i].queries_epoch += served;
+            replicas[i].utility_epoch += gamma * served * gs[i];
+            distance_sum += served * dists[i];
+            served_total += served;
+            served
+        };
+        // Pass 1: proximity-proportional shares, capped by capacity.
+        let mut remaining = q;
+        for &i in order.iter() {
+            remaining -= serve(i, (q * gs[i] / sum_g).min(remaining));
+        }
+        // Pass 2: spill the remainder to whoever still has capacity,
+        // closest replicas first.
+        for &i in order.iter() {
+            if remaining <= 1e-9 {
+                break;
+            }
+            remaining -= serve(i, remaining);
+        }
+        if remaining > 1e-9 {
+            // Genuinely dropped: record on the closest replica's server.
+            if let Some(&best) = order.first() {
+                if let Some(s) = cluster.get_mut(replicas[best].server) {
+                    s.usage.queries_dropped += remaining;
+                }
+            }
+        }
+        (served_total, remaining, distance_sum)
+    }
+
+    fn serve_on(cluster: &mut Cluster, server: ServerId, queries: f64) -> f64 {
+        if queries <= 0.0 {
+            return 0.0;
+        }
+        match cluster.get_mut(server) {
+            Some(s) if s.is_alive() => {
+                let caps = s.capacities;
+                let remaining = (caps.query_capacity - s.usage.queries_served).max(0.0);
+                let take = queries.min(remaining);
+                s.usage.queries_served += take;
+                take
+            }
+            _ => 0.0,
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::app::{AppSpec, LevelSpec};
+    use crate::cloud::tests::{paper_cluster, small_cloud, GIB};
+    use crate::config::SkuteConfig;
+    use crate::metrics::EpochReport;
+    use skute_cluster::{Capacities, ServerSpec};
+    use skute_ring::RingId;
+
+    #[test]
+    fn queries_accrue_utility_and_load() {
+        let (mut cloud, app) = small_cloud();
+        // Converge first.
+        for _ in 0..5 {
+            cloud.begin_epoch();
+            cloud.end_epoch();
+        }
+        cloud.begin_epoch();
+        let regions = skute_geo::ClientGeo::Uniform.region_weights(cloud.topology());
+        cloud.deliver_queries(app, 0, 3000.0, &regions).unwrap();
+        let report = cloud.end_epoch();
+        let ring = report.ring(RingId::new(app.0, 0)).unwrap();
+        assert!((ring.queries_offered - 3000.0).abs() < 1e-6);
+        assert!(
+            ring.queries_served > 2999.0,
+            "capacity is ample: all served"
+        );
+        assert!(report.utility_earned > 0.0);
+        assert!(report.rent_paid > 0.0);
+    }
+
+    /// Per-epoch served/dropped meter bits of every alive server.
+    type MeterBits = Vec<(ServerId, u64, u64)>;
+
+    /// Runs a query-capacity-constrained cloud for `epochs` and returns
+    /// per-epoch reports plus every alive server's served/dropped meter
+    /// bits — the conservation fingerprint of the traffic commit.
+    fn saturated_run(
+        threads: usize,
+        query_capacity: f64,
+        queries: f64,
+        epochs: usize,
+    ) -> Vec<(EpochReport, MeterBits)> {
+        let topology = Topology::paper();
+        let cluster = Cluster::from_topology(&topology, |i, location| ServerSpec {
+            location,
+            capacities: Capacities::paper(10 * GIB, query_capacity),
+            monthly_cost: if i % 10 < 7 { 100.0 } else { 125.0 },
+            confidence: 1.0,
+        });
+        let config = SkuteConfig::paper().with_threads(threads);
+        let mut cloud = SkuteCloud::new(config, topology, cluster);
+        let app = cloud
+            .create_application(AppSpec::new("t").level(LevelSpec::new(3, 24)))
+            .unwrap();
+        let regions = skute_geo::ClientGeo::Uniform.region_weights(cloud.topology());
+        let mut out = Vec::new();
+        for _ in 0..epochs {
+            cloud.begin_epoch();
+            cloud.deliver_queries(app, 0, queries, &regions).unwrap();
+            let report = cloud.end_epoch();
+            let meters: Vec<(ServerId, u64, u64)> = cloud
+                .cluster()
+                .alive()
+                .map(|s| {
+                    (
+                        s.id,
+                        s.usage.queries_served.to_bits(),
+                        s.usage.queries_dropped.to_bits(),
+                    )
+                })
+                .collect();
+            out.push((report, meters));
+        }
+        out
+    }
+
+    /// Conservation of one [`saturated_run`]: per ring every offered query
+    /// is either served or dropped, no server serves past its capacity,
+    /// and the servers' meters add up to what the ring reports.
+    fn assert_queries_conserved(run: &[(EpochReport, MeterBits)], query_capacity: f64) {
+        let close = |a: f64, b: f64| (a - b).abs() <= 1e-6 * a.abs().max(b.abs()).max(1.0);
+        for (epoch, (report, meters)) in run.iter().enumerate() {
+            let (mut ring_served, mut ring_dropped) = (0.0, 0.0);
+            for ring in &report.rings {
+                assert!(
+                    close(
+                        ring.queries_offered,
+                        ring.queries_served + ring.queries_dropped
+                    ),
+                    "epoch {epoch}: offered {} != served {} + dropped {}",
+                    ring.queries_offered,
+                    ring.queries_served,
+                    ring.queries_dropped
+                );
+                ring_served += ring.queries_served;
+                ring_dropped += ring.queries_dropped;
+            }
+            let (mut served, mut dropped) = (0.0, 0.0);
+            for &(id, s, d) in meters {
+                let (s, d) = (f64::from_bits(s), f64::from_bits(d));
+                assert!(
+                    s <= query_capacity * (1.0 + 1e-12),
+                    "epoch {epoch}: {id:?} served {s} past its capacity {query_capacity}"
+                );
+                served += s;
+                dropped += d;
+            }
+            assert!(
+                close(served, ring_served),
+                "epoch {epoch}: {served} vs {ring_served}"
+            );
+            assert!(
+                close(dropped, ring_dropped),
+                "epoch {epoch}: {dropped} vs {ring_dropped}"
+            );
+        }
+    }
+
+    #[test]
+    fn saturated_traffic_commit_conserves_queries_at_every_thread_count() {
+        // 200 servers × 12 queries of capacity against 5000 offered
+        // queries: meters saturate, the spill pass runs and queries drop.
+        // The commit must conserve queries, and reports and per-server
+        // served/dropped meters must be bitwise identical at every thread
+        // count.
+        let inline = saturated_run(1, 12.0, 5_000.0, 6);
+        assert_queries_conserved(&inline, 12.0);
+        for threads in [2, 8] {
+            assert_eq!(
+                inline,
+                saturated_run(threads, 12.0, 5_000.0, 6),
+                "traffic commit is not thread-count invariant under saturation"
+            );
+        }
+        let dropped: f64 = inline
+            .iter()
+            .flat_map(|(r, _)| r.rings.iter().map(|ring| ring.queries_dropped))
+            .sum();
+        assert!(dropped > 0.0, "test must exercise capacity exhaustion");
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(6))]
+        /// Conservation as a property: across random capacity regimes
+        /// (ample through heavily saturated) and traffic volumes, the
+        /// traffic commit serves or drops every offered query within
+        /// every server's capacity — bitwise identically at 1, 2 and 8
+        /// threads.
+        #[test]
+        fn prop_traffic_commit_conserves_queries(
+            query_capacity in 5.0f64..80.0,
+            queries in 200.0f64..9_000.0,
+        ) {
+            let inline = saturated_run(1, query_capacity, queries, 3);
+            assert_queries_conserved(&inline, query_capacity);
+            for threads in [2, 8] {
+                proptest::prop_assert_eq!(&inline, &saturated_run(threads, query_capacity, queries, 3));
+            }
+        }
+    }
+
+    #[test]
+    fn deliver_queries_multi_matches_consecutive_single_calls() {
+        // Batching distinct rings into one multi call (one plan dispatch)
+        // must be bitwise identical to consecutive per-ring calls, and
+        // same-ring batches must stack like consecutive calls.
+        let build = || {
+            let topology = Topology::paper();
+            let cluster = paper_cluster(&topology);
+            let mut cloud = SkuteCloud::new(SkuteConfig::paper(), topology, cluster);
+            let app = cloud
+                .create_application(
+                    AppSpec::new("t")
+                        .level(LevelSpec::new(2, 8))
+                        .level(LevelSpec::new(3, 8)),
+                )
+                .unwrap();
+            for _ in 0..4 {
+                cloud.begin_epoch();
+                cloud.end_epoch();
+            }
+            cloud.begin_epoch();
+            (cloud, app)
+        };
+        let fingerprint = |cloud: &mut SkuteCloud| {
+            let r = cloud.end_epoch();
+            let meters: Vec<u64> = cloud
+                .cluster()
+                .alive()
+                .map(|s| s.usage.queries_served.to_bits())
+                .collect();
+            (r, meters)
+        };
+        let (mut single, app) = build();
+        let regions = skute_geo::ClientGeo::Uniform.region_weights(single.topology());
+        single.deliver_queries(app, 0, 900.0, &regions).unwrap();
+        single.deliver_queries(app, 1, 1_400.0, &regions).unwrap();
+        single.deliver_queries(app, 0, 300.0, &regions).unwrap();
+        let a = fingerprint(&mut single);
+        let (mut multi, app) = build();
+        multi
+            .deliver_queries_multi(vec![
+                TrafficBatch {
+                    app,
+                    level: 0,
+                    queries: 900.0,
+                    regions: regions.clone(),
+                },
+                TrafficBatch {
+                    app,
+                    level: 1,
+                    queries: 1_400.0,
+                    regions: regions.clone(),
+                },
+                TrafficBatch {
+                    app,
+                    level: 0,
+                    queries: 300.0,
+                    regions: regions.clone(),
+                },
+            ])
+            .unwrap();
+        let b = fingerprint(&mut multi);
+        assert_eq!(a, b);
+        // A bad batch fails the whole call before any traffic lands.
+        let (mut bad, app) = build();
+        assert!(matches!(
+            bad.deliver_queries_multi(vec![
+                TrafficBatch {
+                    app,
+                    level: 0,
+                    queries: 500.0,
+                    regions: regions.clone(),
+                },
+                TrafficBatch {
+                    app,
+                    level: 9,
+                    queries: 500.0,
+                    regions: regions.clone(),
+                },
+            ]),
+            Err(CoreError::UnknownLevel)
+        ));
+        let r = bad.end_epoch();
+        for ring in &r.rings {
+            assert_eq!(ring.queries_offered, 0.0, "no traffic may land");
+        }
+    }
+
+    #[test]
+    fn popularity_assignment_shapes_query_distribution() {
+        let (mut cloud, app) = small_cloud();
+        cloud
+            .assign_popularity(app, 0, |i| if i == 0 { 100.0 } else { 0.0 })
+            .unwrap();
+        for _ in 0..4 {
+            cloud.begin_epoch();
+            cloud.end_epoch();
+        }
+        cloud.begin_epoch();
+        let regions = skute_geo::ClientGeo::Uniform.region_weights(cloud.topology());
+        cloud.deliver_queries(app, 0, 1000.0, &regions).unwrap();
+        let report = cloud.end_epoch();
+        let ring = report.ring(RingId::new(app.0, 0)).unwrap();
+        assert!((ring.queries_offered - 1000.0).abs() < 1e-6);
+    }
+}

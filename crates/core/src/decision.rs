@@ -13,38 +13,6 @@
 //!    consistency … and for the potentially increased virtual rent of the
 //!    candidate server".
 
-use skute_cluster::ServerId;
-
-/// What a virtual node resolved to do this epoch.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Action {
-    /// Keep the replica where it is.
-    Stay,
-    /// Delete this replica (availability holds without it).
-    Suicide,
-    /// Move this replica to the given server.
-    Migrate {
-        /// Destination server.
-        to: ServerId,
-    },
-    /// Add a new replica on the given server.
-    Replicate {
-        /// Target server for the new replica.
-        target: ServerId,
-        /// Why the replica is being added.
-        reason: ReplicationReason,
-    },
-}
-
-/// Why a replication happened.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ReplicationReason {
-    /// The partition's availability fell below its SLA threshold.
-    Availability,
-    /// A sustained positive balance justified load-spreading replication.
-    Profit,
-}
-
 /// Counters of the actions executed in one epoch.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ActionCounts {

@@ -54,6 +54,7 @@ pub mod cloud;
 pub mod config;
 pub mod decision;
 pub mod error;
+pub mod health;
 pub mod metrics;
 pub mod obs;
 pub mod pipeline;
@@ -61,16 +62,17 @@ pub mod placement;
 pub mod vnode;
 
 pub use app::{AppId, AppSpec, Application, AvailabilityLevel, LevelSpec};
-// Fault-model types consumers configure the cloud with, re-exported so
-// downstream crates (sim, server) need no direct skute-store dependency.
 pub use availability::{availability_of, greedy_max_availability, threshold_for_replicas};
-pub use cloud::{ClientRead, DecisionOracle, ReadConsistency, SkuteCloud, TrafficBatch};
+pub use cloud::{ClientRead, DecisionOracle, ReadConsistency, ReadView, SkuteCloud, TrafficBatch};
 pub use config::SkuteConfig;
-pub use decision::{Action, ActionCounts};
+pub use decision::ActionCounts;
 pub use error::CoreError;
+pub use health::GrayMode;
 pub use metrics::{AntiEntropyReport, EpochReport, RingReport, ScrubReport};
 pub use obs::CloudMetrics;
 pub use pipeline::EpochPipeline;
 pub use placement::{PlacementContext, PlacementIndex, PlacementStrategy, WalkScratch};
-pub use skute_store::{FaultPlan, FaultPlanKind, GrayMode};
+// Fault-model types consumers configure the cloud with, re-exported so
+// downstream crates (sim, server) need no direct skute-store dependency.
+pub use skute_store::{FaultPlan, FaultPlanKind};
 pub use vnode::{DeliveryPlan, PartitionState, Replica, VnodeId};

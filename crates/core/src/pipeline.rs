@@ -1,24 +1,30 @@
-//! The deterministic parallel epoch pipeline.
+//! The pool side of the deterministic parallel epoch pipeline.
 //!
-//! [`crate::SkuteCloud`] runs every epoch through three phases — **traffic
-//! delivery**, **availability repair**, **economic decisions**. Traffic
-//! and decisions are each structured as
+//! [`crate::SkuteCloud`] runs every epoch through four phases — **traffic
+//! delivery**, **availability repair**, **economic decisions** and the
+//! **report** — one file each under `cloud/`. Traffic and decisions are
+//! each structured as
 //!
-//! 1. a **parallel plan pass** that fans out across partitions on the
-//!    persistent [`WorkerPool`]: pure per-partition computation against
-//!    state that is immutable for the duration of the phase (server
-//!    locations, confidences, posted rents, the refreshed
-//!    [`PlacementIndex`] snapshot), writing only partition-local state and
-//!    per-shard scratch;
+//! 1. a **plan pass**: pure per-partition computation against state that
+//!    is immutable for the duration of the phase (server locations,
+//!    confidences, posted rents, the refreshed [`PlacementIndex`]
+//!    snapshot), writing only partition-local state and per-shard
+//!    scratch;
 //! 2. a **sequential commit pass** that applies every effect on shared
 //!    state — capacity meters, rent-board-indexed structures, executed
 //!    actions — in a fixed order (ring/partition order for traffic, the
 //!    seeded shuffle order for decisions), one action at a time — the
 //!    paper's §II-C walk.
 //!
-//! Repair has no plan pass: its only parallel step warms each partition's
-//! memoized eq.-(2) availability, and every placement it makes is computed
-//! inside its sequential shuffled commit.
+//! Repair has no plan pass: its only parallelizable step warms each
+//! partition's memoized eq.-(2) availability, and every placement it makes
+//! is computed inside its sequential shuffled commit.
+//!
+//! The plan functions and the commits live in the phase files. This module
+//! is what a `threads > 1` cloud adds on top — each phase file's one
+//! `else` branch lands here — fanning a plan pass out across partitions on
+//! the persistent [`WorkerPool`], plus the reusable scratch both routes
+//! fill (decision slots, report accumulators).
 //!
 //! The pool holds parked workers for the lifetime of the cloud; the
 //! workspace denies `unsafe_code`, so jobs must own their data — each
@@ -39,12 +45,12 @@
 //!   insertion) order — with contiguous chunks that is the original item
 //!   order, so floating-point folds keep the exact bits of the sequential
 //!   loop they replaced;
-//! * per-worker scratch ([`WalkScratch`], placement buffers) carries no
+//! * per-worker scratch (`WalkScratch`, placement buffers) carries no
 //!   state between items; the only randomness in the epoch loop (the
 //!   repair and decision shuffles, server seeding) stays on the cloud's
 //!   sequential RNG stream;
 //! * speculative placement targets computed by the decision plan pass
-//!   carry their walk's **read set** ([`WalkScratch`] records every
+//!   carry their walk's **read set** (`WalkScratch` records every
 //!   candidate entry a query examined); the commit pass tracks the servers
 //!   each committed action touches and honors a later speculation only
 //!   when `crate::placement::validate_speculation` proves those touches
@@ -63,15 +69,16 @@ use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use skute_cluster::{Board, Cluster, ServerId};
-use skute_economy::{floored_utility, EconomyConfig, ProximityCache, RegionQueries};
+use skute_economy::EconomyConfig;
 use skute_exec::{split_chunks, ShardAccounts, WorkerPool};
-use skute_geo::{Location, RegionWeight, Topology};
+use skute_geo::{RegionWeight, Topology};
 use skute_ring::PartitionId;
 
-use crate::availability::availability_of;
-use crate::decision::{classify, Intent, VnodeSituation};
+use crate::cloud::decisions::{plan_one_decision, DecisionInputs, DecisionScratch, PreDecision};
+use crate::cloud::repair::cached_availability;
+use crate::cloud::traffic::plan_one_delivery;
 use crate::metrics::mean_cv;
-use crate::placement::{economic_target, PlacementContext, PlacementIndex, WalkScratch};
+use crate::placement::{PlacementContext, PlacementIndex};
 use crate::vnode::PartitionState;
 
 /// Chunk size of a compute-heavy parallel phase over `n` partitions. Small
@@ -96,55 +103,6 @@ fn light_chunk(n: usize) -> usize {
     } else {
         n.div_ceil(8).max(64)
     }
-}
-
-/// Everything one virtual node's economic decision needs that is fixed for
-/// the duration of the decision phase, precomputed by the parallel plan
-/// pass and consumed by the sequential commit pass.
-#[derive(Debug, Clone, Copy, Default)]
-pub(crate) struct PreDecision {
-    /// The vnode's server had no posted rent: the commit pass skips the
-    /// item entirely (matching the sequential loop's `continue`).
-    pub skip: bool,
-    /// Posted rent of the hosting server this epoch.
-    pub rent: f64,
-    /// Floored eq.-(5) utility earned this epoch.
-    pub u_eff: f64,
-    /// Consistency network cost of one extra replica.
-    pub consistency_cost: f64,
-    /// Partition membership version the situation below was computed at;
-    /// a mismatch at commit time means an earlier committed action changed
-    /// the partition and the situation must be recomputed live.
-    pub membership_version: u64,
-    /// Replica count at plan time.
-    pub replica_count: usize,
-    /// Eq.-(2) availability of the partition without this replica.
-    pub availability_without_self: f64,
-    /// Balance-window streaks and mean, read *after* recording this
-    /// epoch's balance (the plan pass owns the recording).
-    pub negative_streak: bool,
-    /// See `negative_streak`.
-    pub positive_streak: bool,
-    /// Mean balance over the window, if any history exists.
-    pub window_mean: Option<f64>,
-    /// True when the plan pass ran a speculative eq.-(3) target query for
-    /// this vnode (its planned intent needed one).
-    pub spec_computed: bool,
-    /// The speculative target (`None` = no feasible candidate), honored
-    /// at commit time while its read set is untouched by the preceding
-    /// committed actions (see `crate::placement::validate_speculation`).
-    pub spec: Option<(ServerId, f64)>,
-    /// Start of this speculation's read set in the pipeline's flat arena
-    /// ([`EpochPipeline::spec_reads`]; empty in release builds, where
-    /// validation rests on the dominance theorem instead of per-server
-    /// read lookups).
-    pub spec_reads_start: u32,
-    /// Length of the read-set slice.
-    pub spec_reads_len: u32,
-    /// The speculative query read every candidate (oracle-scan paths:
-    /// brute-force routing, client-zone region mixes), so the debug
-    /// cross-check re-scores every weakened touched server.
-    pub spec_reads_all: bool,
 }
 
 /// One ring's slice of a batched traffic-delivery plan pass: the batch
@@ -177,18 +135,6 @@ pub(crate) struct DecisionItem {
     pub part: PartitionState,
 }
 
-/// Per-chunk scratch of the decision plan pass.
-#[derive(Debug, Clone, Default)]
-struct DecisionScratch {
-    walk: WalkScratch,
-    servers: Vec<ServerId>,
-    placed: Vec<(Location, f64)>,
-    /// Chunk-local read-set arena: each speculative walk's sorted read
-    /// set, concatenated in slot order. The barrier splices the chunk
-    /// arenas into [`EpochPipeline::spec_reads`], rebasing slot offsets.
-    reads: Vec<ServerId>,
-}
-
 /// Per-ring aggregates of the epoch report, computed by the report plan
 /// pass from sharded accumulators merged in deterministic order.
 #[derive(Debug, Clone, Copy)]
@@ -201,32 +147,14 @@ pub(crate) struct RingPhaseStats {
 }
 
 /// Shared context of the decision plan pass, taken out of the cloud for
-/// the dispatch and reclaimed at the barrier.
-struct DecisionCtx {
-    cluster: Cluster,
-    board: Board,
-    topology: Arc<Topology>,
-    economy: EconomyConfig,
-    index: PlacementIndex,
-    brute_force: bool,
-    speculation: bool,
-    min_rent: Option<f64>,
-}
-
-/// Borrowed view of the decision plan pass's shared inputs, common to the
-/// owned-dispatch path (viewing a [`DecisionCtx`]) and the inline
-/// single-thread path (viewing the cloud's fields directly).
-pub(crate) struct DecisionInputs<'a> {
-    pub cluster: &'a Cluster,
-    pub board: &'a Board,
-    pub topology: &'a Topology,
-    pub economy: &'a EconomyConfig,
-    pub index: &'a PlacementIndex,
+/// the dispatch and handed back at the barrier.
+pub(crate) struct DecisionCtx {
+    pub cluster: Cluster,
+    pub board: Board,
+    pub topology: Arc<Topology>,
+    pub economy: EconomyConfig,
+    pub index: PlacementIndex,
     pub brute_force: bool,
-    /// False under [`crate::DecisionOracle::Rewalk`]: the plan pass
-    /// computes no speculative targets, so the commit pass re-walks every
-    /// acting vnode on the live state. Bitwise-identical trajectories
-    /// either way.
     pub speculation: bool,
     pub min_rent: Option<f64>,
 }
@@ -404,19 +332,11 @@ impl EpochPipeline {
     /// (ring, partition, replica) enumeration order. The commit pass
     /// consumes the slots in the seeded shuffle order. The shared inputs
     /// travel as an owned context and are returned at the barrier.
-    #[allow(clippy::too_many_arguments)]
     pub(crate) fn decisions_prepass(
         &mut self,
-        cluster: Cluster,
-        board: Board,
-        topology: Arc<Topology>,
-        economy: EconomyConfig,
-        index: PlacementIndex,
-        brute_force: bool,
-        speculation: bool,
-        min_rent: Option<f64>,
+        ctx: DecisionCtx,
         items: Vec<DecisionItem>,
-    ) -> (Cluster, Board, PlacementIndex, Vec<DecisionItem>) {
+    ) -> (DecisionCtx, Vec<DecisionItem>) {
         let chunk = phase_chunk(items.len());
         let chunks = split_chunks(items, chunk);
         let n_chunks = chunks.len();
@@ -438,25 +358,18 @@ impl EpochPipeline {
                 (items, slots, scratch)
             })
             .collect();
-        let ctx = Arc::new(DecisionCtx {
-            cluster,
-            board,
-            topology,
-            economy,
-            index,
-            brute_force,
-            speculation,
-            min_rent,
-        });
+        let ctx = Arc::new(ctx);
         let job_ctx = Arc::clone(&ctx);
         let results = self
             .pool
             .run_tasks(tasks, move |_, (mut items, mut slots, mut scratch)| {
                 let inputs = DecisionInputs {
-                    cluster: &job_ctx.cluster,
-                    board: &job_ctx.board,
-                    topology: &job_ctx.topology,
-                    economy: &job_ctx.economy,
+                    placement: PlacementContext::new(
+                        &job_ctx.cluster,
+                        &job_ctx.board,
+                        &job_ctx.topology,
+                        &job_ctx.economy,
+                    ),
                     index: &job_ctx.index,
                     brute_force: job_ctx.brute_force,
                     speculation: job_ctx.speculation,
@@ -493,8 +406,7 @@ impl EpochPipeline {
             self.slot_bufs[ci] = slots;
             self.states[ci] = scratch;
         }
-        let ctx = reclaim(ctx);
-        (ctx.cluster, ctx.board, ctx.index, items_back)
+        (reclaim(ctx), items_back)
     }
 
     /// The single-thread fast path of the decision plan pass: identical
@@ -631,25 +543,16 @@ impl EpochPipeline {
         let vnodes = self.vnode_acc.len();
         self.vnode_acc
             .merge_into_sorted(&mut self.vnodes_global, || 0usize, |slot, v| *slot += v);
-        let mean_availability = if n == 0 {
-            0.0
+        let avails = || self.avail_merged.iter().map(|&(_, a)| a);
+        let (mean_availability, min_availability, sla_satisfied_frac) = if n == 0 {
+            (0.0, 0.0, 1.0)
         } else {
-            self.avail_merged.iter().map(|&(_, a)| a).sum::<f64>() / n as f64
+            (
+                avails().sum::<f64>() / n as f64,
+                avails().fold(f64::INFINITY, f64::min),
+                avails().filter(|&a| a >= threshold).count() as f64 / n as f64,
+            )
         };
-        let min_availability = if n == 0 {
-            0.0
-        } else {
-            self.avail_merged
-                .iter()
-                .map(|&(_, a)| a)
-                .fold(f64::INFINITY, f64::min)
-                .min(f64::INFINITY)
-        };
-        let sla_ok = self
-            .avail_merged
-            .iter()
-            .filter(|&&(_, a)| a >= threshold)
-            .count();
         self.loads_flat.clear();
         self.loads_flat
             .extend(self.load_merged.iter().map(|&(_, l)| l));
@@ -658,11 +561,7 @@ impl EpochPipeline {
             vnodes,
             mean_availability,
             min_availability,
-            sla_satisfied_frac: if n == 0 {
-                1.0
-            } else {
-                sla_ok as f64 / n as f64
-            },
+            sla_satisfied_frac,
             load_cv,
         }
     }
@@ -686,286 +585,4 @@ struct ReportTask {
     avail: Vec<(PartitionId, f64)>,
     loads: Vec<(ServerId, f64)>,
     vnodes: Vec<(ServerId, usize)>,
-}
-
-/// One partition's delivery plan: region-mix fold, proximity refresh,
-/// per-replica weights/distances/serving order. Pure per-partition work
-/// against immutable cluster state; shared verbatim by the owned dispatch
-/// and the single-thread inline path.
-pub(crate) fn plan_one_delivery(
-    part: &mut PartitionState,
-    cluster: &Cluster,
-    topology: &Topology,
-    regions: &[RegionWeight],
-    total_queries: f64,
-    total_pop: f64,
-) {
-    part.delivery.ready = false;
-    let q = total_queries * part.popularity / total_pop;
-    if q <= 0.0 {
-        return;
-    }
-    part.queries_epoch += q;
-    for region in regions {
-        let add = q * region.weight;
-        if add <= 0.0 {
-            continue;
-        }
-        match part
-            .region_queries
-            .iter_mut()
-            .find(|r| r.location == region.location)
-        {
-            Some(r) => r.queries += add,
-            None => part.region_queries.push(RegionQueries {
-                location: region.location,
-                queries: add,
-            }),
-        }
-    }
-    // The region mix just changed: drop stale memoized proximity, then
-    // refill it while computing the per-replica weights. Placement
-    // decisions later in the epoch reuse the refilled cache.
-    part.prox_cache.clear();
-    let PartitionState {
-        region_queries,
-        prox_cache,
-        replicas,
-        delivery,
-        ..
-    } = &mut *part;
-    delivery.gs.clear();
-    delivery.dists.clear();
-    for r in replicas.iter() {
-        match cluster.get(r.server) {
-            Some(s) => {
-                // Per-replica proximity, memoized per country.
-                delivery
-                    .gs
-                    .push(prox_cache.g(region_queries, &s.location, topology));
-                // Region-weighted client distance of the replica (latency
-                // proxy, diversity units).
-                delivery.dists.push(
-                    regions
-                        .iter()
-                        .map(|reg| {
-                            reg.weight * f64::from(skute_geo::diversity(&reg.location, &s.location))
-                        })
-                        .sum(),
-                );
-            }
-            None => {
-                delivery.gs.push(1.0);
-                delivery.dists.push(0.0);
-            }
-        }
-    }
-    delivery.order.clear();
-    delivery.order.extend(0..replicas.len());
-    let gs = &delivery.gs;
-    delivery.order.sort_by(|&a, &b| gs[b].total_cmp(&gs[a]));
-    delivery.q = q;
-    delivery.sum_g = delivery.gs.iter().sum();
-    delivery.ready = true;
-}
-
-/// One partition's slice of the decision plan pass: records balances,
-/// evaluates each vnode's situation against the phase-start membership,
-/// runs speculative target queries, and pushes one [`PreDecision`] per
-/// replica in replica order. Shared verbatim by the owned dispatch and
-/// the single-thread inline path.
-fn plan_one_decision(
-    threshold: f64,
-    part: &mut PartitionState,
-    ctx: &DecisionInputs<'_>,
-    slots: &mut Vec<PreDecision>,
-    scratch: &mut DecisionScratch,
-) {
-    let pctx = PlacementContext {
-        cluster: ctx.cluster,
-        board: ctx.board,
-        topology: ctx.topology,
-        economy: ctx.economy,
-    };
-    let mib = 1024.0 * 1024.0;
-    let consistency_cost =
-        ctx.economy.consistency_cost_per_mib * (part.write_bytes_epoch as f64 / mib);
-    let n = part.replicas.len();
-    for idx in 0..n {
-        let mut pre = PreDecision::default();
-        let server = part.replicas[idx].server;
-        let Some(rent) = ctx.board.price_of(server) else {
-            // Server vanished mid-epoch; the replica was removed and the
-            // commit pass skips the item.
-            pre.skip = true;
-            slots.push(pre);
-            continue;
-        };
-        let u_eff = floored_utility(part.replicas[idx].utility_epoch, ctx.min_rent);
-        let balance = u_eff - rent;
-        scratch.placed.clear();
-        for (i, r) in part.replicas.iter().enumerate() {
-            if i == idx {
-                continue;
-            }
-            if let Some(s) = ctx.cluster.get(r.server) {
-                scratch.placed.push((s.location, s.confidence));
-            }
-        }
-        part.replicas[idx].balance.record(balance);
-        pre.rent = rent;
-        pre.u_eff = u_eff;
-        pre.consistency_cost = consistency_cost;
-        pre.membership_version = part.membership_version;
-        pre.replica_count = n;
-        pre.availability_without_self = availability_of(&scratch.placed);
-        pre.negative_streak = part.replicas[idx].balance.negative_streak();
-        pre.positive_streak = part.replicas[idx].balance.positive_streak();
-        pre.window_mean = part.replicas[idx].balance.window_mean();
-        let situation = VnodeSituation {
-            negative_streak: pre.negative_streak,
-            positive_streak: pre.positive_streak,
-            window_mean: pre.window_mean,
-            availability_without_self: pre.availability_without_self,
-            threshold,
-            replica_count: n,
-            max_replicas: ctx.economy.max_replicas,
-            current_rent: rent,
-            projected_replica_cost: ctx.min_rent.unwrap_or(0.0) + consistency_cost,
-            hurdle: ctx.economy.replication_hurdle,
-        };
-        match classify(&situation) {
-            Intent::Stay | Intent::Suicide => {}
-            Intent::Migrate if ctx.speculation => {
-                scratch.servers.clear();
-                for (i, r) in part.replicas.iter().enumerate() {
-                    if i != idx {
-                        scratch.servers.push(r.server);
-                    }
-                }
-                let size = part.synthetic_bytes + part.replicas[idx].store.logical_bytes();
-                let rent_cap = rent * (1.0 - ctx.economy.migration_margin);
-                let PartitionState {
-                    region_queries,
-                    prox_cache,
-                    ..
-                } = &mut *part;
-                pre.spec = speculate(
-                    ctx.index,
-                    ctx.brute_force,
-                    &pctx,
-                    &scratch.servers,
-                    size,
-                    region_queries,
-                    prox_cache,
-                    Some(rent_cap),
-                    &mut scratch.walk,
-                );
-                pre.spec_computed = true;
-                record_spec_reads(&mut pre, scratch);
-            }
-            Intent::ReplicateForProfit if ctx.speculation => {
-                scratch.servers.clear();
-                scratch
-                    .servers
-                    .extend(part.replicas.iter().map(|r| r.server));
-                let size = part.size_bytes();
-                let PartitionState {
-                    region_queries,
-                    prox_cache,
-                    ..
-                } = &mut *part;
-                pre.spec = speculate(
-                    ctx.index,
-                    ctx.brute_force,
-                    &pctx,
-                    &scratch.servers,
-                    size,
-                    region_queries,
-                    prox_cache,
-                    None,
-                    &mut scratch.walk,
-                );
-                pre.spec_computed = true;
-                record_spec_reads(&mut pre, scratch);
-            }
-            // `DecisionOracle::Rewalk`: leave `spec_computed` unset so the
-            // commit pass re-walks on the live state.
-            Intent::Migrate | Intent::ReplicateForProfit => {}
-        }
-        slots.push(pre);
-    }
-}
-
-/// Memoized eq.-(2) availability of a partition's current replica set,
-/// computing and caching on miss. Bit-identical to the direct evaluation:
-/// the placed list is built in replica order, exactly as the sequential
-/// loops always did, and locations/confidences are immutable.
-pub(crate) fn cached_availability(cluster: &Cluster, part: &mut PartitionState) -> f64 {
-    if let Some(a) = part.cached_availability {
-        return a;
-    }
-    let mut placed: Vec<(Location, f64)> = Vec::with_capacity(part.replicas.len());
-    for r in &part.replicas {
-        if let Some(s) = cluster.get(r.server) {
-            placed.push((s.location, s.confidence));
-        }
-    }
-    let a = availability_of(&placed);
-    part.cached_availability = Some(a);
-    a
-}
-
-/// One speculative eq.-(3) target query of the decision plan pass: the
-/// read-only index walk (or the pure oracle scan when the cloud is routed
-/// brute-force), bit-identical to the owned-access query the commit pass
-/// would run against the same snapshot. The walk scratch records the
-/// query's read set (the oracle scan reads everything).
-#[allow(clippy::too_many_arguments)]
-fn speculate(
-    index: &PlacementIndex,
-    brute_force: bool,
-    ctx: &PlacementContext<'_>,
-    existing: &[ServerId],
-    partition_size: u64,
-    region_queries: &[RegionQueries],
-    prox: &mut ProximityCache,
-    rent_below: Option<f64>,
-    walk: &mut WalkScratch,
-) -> Option<(ServerId, f64)> {
-    if brute_force {
-        walk.mark_reads_all();
-        economic_target(ctx, existing, partition_size, region_queries, rent_below)
-    } else {
-        index.economic_target_in(
-            ctx,
-            existing,
-            partition_size,
-            region_queries,
-            rent_below,
-            prox,
-            walk,
-        )
-    }
-}
-
-/// Copies the last speculative walk's read set into the chunk arena and
-/// stamps the slot's offsets, or marks the slot full-scan when the query
-/// read every candidate. Debug-build machinery like the recording itself:
-/// release validation never consults the per-server reads (see
-/// `crate::placement::validate_speculation`), so release arenas stay
-/// empty.
-fn record_spec_reads(pre: &mut PreDecision, scratch: &mut DecisionScratch) {
-    let DecisionScratch { walk, reads, .. } = scratch;
-    if walk.reads_all() {
-        pre.spec_reads_all = true;
-        return;
-    }
-    if !cfg!(debug_assertions) {
-        return;
-    }
-    let start = reads.len();
-    reads.extend_from_slice(walk.reads());
-    pre.spec_reads_start = start as u32;
-    pre.spec_reads_len = (reads.len() - start) as u32;
 }

@@ -18,6 +18,41 @@ pub struct PlacementContext<'a> {
     pub economy: &'a EconomyConfig,
 }
 
+impl<'a> PlacementContext<'a> {
+    /// A context over the four things every placement query reads.
+    pub fn new(
+        cluster: &'a Cluster,
+        board: &'a Board,
+        topology: &'a Topology,
+        economy: &'a EconomyConfig,
+    ) -> Self {
+        Self {
+            cluster,
+            board,
+            topology,
+            economy,
+        }
+    }
+}
+
+/// One eq.-(3) target question: where should a replica of this partition
+/// go? The same value travels from the speculative walk through its
+/// validation to the live re-walk, so the three cannot disagree on what
+/// was asked.
+#[derive(Debug, Clone, Copy)]
+pub struct TargetQuery<'a> {
+    /// Servers already hosting the partition (never candidates).
+    pub existing: &'a [ServerId],
+    /// Bytes the new replica will occupy.
+    pub size: u64,
+    /// The partition's observed per-region query volume.
+    pub region_queries: &'a [RegionQueries],
+    /// Restricts the search to servers renting below this (the migration
+    /// case: "find a less expensive server that is closer to the client
+    /// locations").
+    pub rent_below: Option<f64>,
+}
+
 /// A replica placement policy.
 ///
 /// Skute's economic policy is [`EconomicPlacement`]; `skute-baseline`
@@ -103,25 +138,17 @@ pub fn feasible_candidates<'a>(
 }
 
 /// Eq. (3): picks the feasible candidate maximizing
-/// `g_j · conf_j · Σ_k diversity(s_k, s_j) · v − c_j`.
-///
-/// `rent_below` restricts the search to servers cheaper than the given rent
-/// (the migration case: "find a less expensive server that is closer to the
-/// client locations"). Returns the winner and its score.
-pub fn economic_target(
-    ctx: &PlacementContext<'_>,
-    existing: &[ServerId],
-    partition_size: u64,
-    region_queries: &[RegionQueries],
-    rent_below: Option<f64>,
-) -> Option<(ServerId, f64)> {
-    let existing_locations: Vec<Location> = existing
+/// `g_j · conf_j · Σ_k diversity(s_k, s_j) · v − c_j`. Returns the winner
+/// and its score.
+pub fn economic_target(ctx: &PlacementContext<'_>, q: &TargetQuery<'_>) -> Option<(ServerId, f64)> {
+    let existing_locations: Vec<Location> = q
+        .existing
         .iter()
         .filter_map(|id| ctx.cluster.get(*id).map(|s| s.location))
         .collect();
-    feasible_candidates(ctx, existing, partition_size, rent_below)
+    feasible_candidates(ctx, q.existing, q.size, q.rent_below)
         .map(|(id, location, confidence, rent)| {
-            let g = proximity(region_queries, &location, ctx.topology);
+            let g = proximity(q.region_queries, &location, ctx.topology);
             let score = candidate_score(
                 &existing_locations,
                 &location,
@@ -438,31 +465,18 @@ impl PlacementIndex {
         self.stamp = Some((ctx.cluster.version(), board_version));
     }
 
-    /// Number of candidates currently snapshotted (test hook).
-    pub fn len(&self) -> usize {
-        self.buckets.iter().map(|b| b.entries.len()).sum()
-    }
-
-    /// True when no candidate is snapshotted.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
     /// Eq. (3) over the index: same contract — and bit-identical result —
     /// as the brute-force [`economic_target`], but running a bounded
     /// best-first walk over the per-continent rent-sorted buckets, and
     /// reading per-country proximity through `prox` instead of recomputing
     /// it per candidate.
     ///
-    /// `prox` must have been filled (or cleared) against the same
-    /// `region_queries` it is handed here.
+    /// `prox` must have been filled (or cleared) against the query's
+    /// `region_queries`.
     pub fn economic_target(
         &mut self,
         ctx: &PlacementContext<'_>,
-        existing: &[ServerId],
-        partition_size: u64,
-        region_queries: &[RegionQueries],
-        rent_below: Option<f64>,
+        q: &TargetQuery<'_>,
         prox: &mut ProximityCache,
     ) -> Option<(ServerId, f64)> {
         self.refresh(ctx);
@@ -472,17 +486,7 @@ impl PlacementIndex {
             walk,
             ..
         } = self;
-        walk_economic_target(
-            buckets,
-            *has_client_zone,
-            walk,
-            ctx,
-            existing,
-            partition_size,
-            region_queries,
-            rent_below,
-            prox,
-        )
+        walk_economic_target(buckets, *has_client_zone, walk, ctx, q, prox)
     }
 
     /// The read-only variant of [`PlacementIndex::economic_target`] for
@@ -495,14 +499,10 @@ impl PlacementIndex {
     /// release builds stay correct rather than silently wrong: the query
     /// detects the version mismatch and answers through the brute-force
     /// oracle scan of the live state.
-    #[allow(clippy::too_many_arguments)]
     pub fn economic_target_in(
         &self,
         ctx: &PlacementContext<'_>,
-        existing: &[ServerId],
-        partition_size: u64,
-        region_queries: &[RegionQueries],
-        rent_below: Option<f64>,
+        q: &TargetQuery<'_>,
         prox: &mut ProximityCache,
         walk: &mut WalkScratch,
     ) -> Option<(ServerId, f64)> {
@@ -513,19 +513,9 @@ impl PlacementIndex {
         );
         if self.stamp != current {
             walk.mark_reads_all();
-            return economic_target(ctx, existing, partition_size, region_queries, rent_below);
+            return economic_target(ctx, q);
         }
-        walk_economic_target(
-            &self.buckets,
-            self.has_client_zone,
-            walk,
-            ctx,
-            existing,
-            partition_size,
-            region_queries,
-            rent_below,
-            prox,
-        )
+        walk_economic_target(&self.buckets, self.has_client_zone, walk, ctx, q, prox)
     }
 
     /// The cheapest-first baseline over the index: the feasible candidate
@@ -626,18 +616,20 @@ impl PlacementIndex {
 
 /// The bounded best-first eq.-(3) walk shared by the owned and read-only
 /// query paths (see [`PlacementIndex::economic_target`] for the contract).
-#[allow(clippy::too_many_arguments)]
 fn walk_economic_target(
     buckets: &[ContinentBucket],
     has_client_zone: bool,
     walk: &mut WalkScratch,
     ctx: &PlacementContext<'_>,
-    existing: &[ServerId],
-    partition_size: u64,
-    region_queries: &[RegionQueries],
-    rent_below: Option<f64>,
+    q: &TargetQuery<'_>,
     prox: &mut ProximityCache,
 ) -> Option<(ServerId, f64)> {
+    let TargetQuery {
+        existing,
+        size: partition_size,
+        region_queries,
+        rent_below,
+    } = *q;
     // The read set is verification machinery: release validation rests
     // on the argmax-dominance theorem and the improved-server re-scores
     // (see `validate_speculation`), so only debug builds — every test
@@ -651,7 +643,7 @@ fn walk_economic_target(
     // oracle scan so the equivalence contract holds unconditionally.
     if has_client_zone || !region_queries.iter().all(|r| r.location.is_client_zone()) {
         walk.reads_all = true;
-        return economic_target(ctx, existing, partition_size, region_queries, rent_below);
+        return economic_target(ctx, q);
     }
     // Migration queries usually find nothing under their rent cap:
     // when even the cheapest base rent is at or past the cap, no
@@ -816,6 +808,9 @@ pub struct SpecWriteSet {
     /// against dozens of freed sources) touches one float instead of
     /// running a feasibility check per mixed server.
     mixed_rents: Vec<(f64, ServerId)>,
+    /// Validation scratch: the query's existing-replica locations, built
+    /// lazily by the first re-score that needs them.
+    existing_locs: Vec<Location>,
 }
 
 impl SpecWriteSet {
@@ -893,16 +888,6 @@ impl SpecWriteSet {
     pub fn contains(&self, id: ServerId) -> bool {
         self.worse.binary_search(&id).is_ok() || self.mixed.binary_search(&id).is_ok()
     }
-
-    /// Servers that only got weaker as candidates.
-    pub fn worse(&self) -> &[ServerId] {
-        &self.worse
-    }
-
-    /// Servers that may have gotten stronger as candidates.
-    pub fn mixed(&self) -> &[ServerId] {
-        &self.mixed
-    }
 }
 
 /// Exactly the feasibility filter and projected-rent arithmetic of
@@ -913,16 +898,15 @@ impl SpecWriteSet {
 fn live_candidate(
     ctx: &PlacementContext<'_>,
     id: ServerId,
-    partition_size: u64,
-    rent_below: Option<f64>,
+    q: &TargetQuery<'_>,
 ) -> Option<(Location, f64, f64)> {
     let server = ctx.cluster.get_alive(id)?;
-    if server.storage_free() < partition_size {
+    if server.storage_free() < q.size {
         return None;
     }
     ctx.board.price_of(server.id)?;
-    let rent = projected_rent(server, partition_size, ctx.economy);
-    if let Some(cap) = rent_below {
+    let rent = projected_rent(server, q.size, ctx.economy);
+    if let Some(cap) = q.rent_below {
         if rent >= cap {
             return None;
         }
@@ -935,44 +919,39 @@ fn live_candidate(
 /// change what a fresh walk returns. Exact per-candidate arithmetic of
 /// [`feasible_candidates`]; ties break to the lower id, matching the
 /// walk. `existing_locs` fills lazily across calls via `locs_filled`.
-#[allow(clippy::too_many_arguments)]
 fn recheck_conflicts(
     ctx: &PlacementContext<'_>,
-    existing: &[ServerId],
-    partition_size: u64,
-    region_queries: &[RegionQueries],
-    rent_below: Option<f64>,
+    q: &TargetQuery<'_>,
     prox: &mut ProximityCache,
     spec: Option<(ServerId, f64)>,
     id: ServerId,
     existing_locs: &mut Vec<Location>,
     locs_filled: &mut bool,
 ) -> bool {
-    if existing.contains(&id) {
+    if q.existing.contains(&id) {
         // Never a candidate; its meters enter no candidate's score.
         return false;
     }
     let Some((winner, winner_score)) = spec else {
         // `None` flips to `Some` iff the server became feasible.
-        return live_candidate(ctx, id, partition_size, rent_below).is_some();
+        return live_candidate(ctx, id, q).is_some();
     };
     if id == winner {
         return true;
     }
-    let Some((location, confidence, rent)) = live_candidate(ctx, id, partition_size, rent_below)
-    else {
+    let Some((location, confidence, rent)) = live_candidate(ctx, id, q) else {
         return false;
     };
     if !*locs_filled {
         existing_locs.clear();
-        for e in existing {
+        for e in q.existing {
             if let Some(s) = ctx.cluster.get(*e) {
                 existing_locs.push(s.location);
             }
         }
         *locs_filled = true;
     }
-    let g = prox.g(region_queries, &location, ctx.topology);
+    let g = prox.g(q.region_queries, &location, ctx.topology);
     let score = candidate_score(
         existing_locs,
         &location,
@@ -986,6 +965,19 @@ fn recheck_conflicts(
         std::cmp::Ordering::Equal => id < winner,
         std::cmp::Ordering::Less => false,
     }
+}
+
+/// A speculative eq.-(3) answer with the footprint of the walk that
+/// produced it.
+#[derive(Debug, Clone, Copy)]
+pub struct Speculation<'a> {
+    /// The walk's answer (`None` = no feasible candidate existed).
+    pub target: Option<(ServerId, f64)>,
+    /// Every candidate entry the walk examined ([`WalkScratch::reads`];
+    /// recorded in debug builds only).
+    pub reads: &'a [ServerId],
+    /// The query read every candidate (oracle-scan fallbacks).
+    pub reads_all: bool,
 }
 
 /// Decides whether a speculative eq.-(3) answer computed against a frozen
@@ -1002,117 +994,90 @@ fn recheck_conflicts(
 /// * the frozen winner itself is untouched (its recorded score is still
 ///   its live score), and
 /// * no touched candidate now beats it. Candidates that only *weakened*
-///   ([`SpecWriteSet::worse`]: storage reserved, never released) need no
-///   arithmetic at all — **argmax dominance**: every candidate's frozen
-///   score already lost to the winner (or tied and lost the id break),
-///   eq.-(1) rent is bit-monotone in the storage fraction (α/β are
-///   validated non-negative and the marginal price `up` is a share of
+///   (the write set's `worse` ids: storage reserved, never released)
+///   need no arithmetic at all — **argmax dominance**: every candidate's
+///   frozen score already lost to the winner (or tied and lost the id
+///   break), eq.-(1) rent is bit-monotone in the storage fraction (α/β
+///   are validated non-negative and the marginal price `up` is a share of
 ///   the non-negative real cost), and feasibility only shrinks, so a
-///   weakened candidate's live score still loses, read or pruned. Candidates that may have *improved*
-///   ([`SpecWriteSet::mixed`]: some storage released) are re-scored
-///   exactly ([`recheck_conflicts`]) — an unread pruned server can newly
-///   win, so the read set cannot shortcut this direction.
+///   weakened candidate's live score still loses, read or pruned.
+///   Candidates that may have *improved* (its `mixed` ids: some storage
+///   released) are re-scored exactly ([`recheck_conflicts`]) — an unread
+///   pruned server can newly win, so the read set cannot shortcut this
+///   direction.
 ///
 /// A `None` speculation (no feasible candidate existed) stays `None` iff
 /// no improved server became feasible; weakening cannot create
 /// feasibility.
 ///
-/// The read set the speculative walk recorded ([`WalkScratch::reads`],
+/// The read set the speculative walk recorded ([`Speculation::reads`],
 /// plus `reads_all` for oracle-scan fallbacks) is the speculation's exact
 /// dependency footprint: board price cells collapse to the frozen board
 /// version the caller gates on (the commit pass never writes the board),
 /// and the per-server dependencies are cross-checked here in debug builds
 /// — every weakened server the walk actually read is re-scored and
 /// asserted to still lose, verifying the dominance theorem on every real
-/// trajectory the tests drive. `prox` must be the cache filled against
-/// the same `region_queries`; `existing_locs` is caller scratch.
-#[allow(clippy::too_many_arguments)]
+/// trajectory the tests drive. `q` must be the query the speculation
+/// answered and `prox` the cache filled against its `region_queries`.
 pub fn validate_speculation(
     ctx: &PlacementContext<'_>,
-    existing: &[ServerId],
-    partition_size: u64,
-    region_queries: &[RegionQueries],
-    rent_below: Option<f64>,
+    q: &TargetQuery<'_>,
     prox: &mut ProximityCache,
-    spec: Option<(ServerId, f64)>,
+    spec: &Speculation<'_>,
     writes: &mut SpecWriteSet,
-    reads: &[ServerId],
-    reads_all: bool,
-    existing_locs: &mut Vec<Location>,
 ) -> bool {
-    let mut locs_filled = false;
     // Any touch to the winner voids its recorded score.
-    if let Some((winner, _)) = spec {
+    if let Some((winner, _)) = spec.target {
         if writes.contains(winner) {
             return false;
         }
     }
+    if q.rent_below.is_some() {
+        writes.refresh_mixed_rents(ctx);
+    }
+    let SpecWriteSet {
+        worse,
+        mixed,
+        mixed_rents,
+        existing_locs,
+        ..
+    } = writes;
+    let mut locs_filled = false;
+    let mut conflicts = |id| {
+        recheck_conflicts(
+            ctx,
+            q,
+            prox,
+            spec.target,
+            id,
+            existing_locs,
+            &mut locs_filled,
+        )
+    };
     // Possibly improved candidates: exact re-score, reads cannot help. A
     // rent-capped query only re-scores the mixed servers whose live base
     // rent clears the cap (sorted ascending; the projected rent of any
     // placement is bounded below by the base rent, bit-monotonically), so
     // the common convergence validation — a capped `None` migration
     // speculation against dozens of freed sources — reads one float.
-    if let Some(cap) = rent_below {
-        writes.refresh_mixed_rents(ctx);
-        for i in 0..writes.mixed_rents.len() {
-            let (base, id) = writes.mixed_rents[i];
-            if base >= cap {
-                break;
-            }
-            if recheck_conflicts(
-                ctx,
-                existing,
-                partition_size,
-                region_queries,
-                rent_below,
-                prox,
-                spec,
-                id,
-                existing_locs,
-                &mut locs_filled,
-            ) {
-                return false;
-            }
-        }
-    } else {
-        for i in 0..writes.mixed.len() {
-            let id = writes.mixed[i];
-            if recheck_conflicts(
-                ctx,
-                existing,
-                partition_size,
-                region_queries,
-                rent_below,
-                prox,
-                spec,
-                id,
-                existing_locs,
-                &mut locs_filled,
-            ) {
-                return false;
-            }
-        }
+    let improved = match q.rent_below {
+        Some(cap) => mixed_rents
+            .iter()
+            .take_while(|&&(base, _)| base < cap)
+            .any(|&(_, id)| conflicts(id)),
+        None => mixed.iter().any(|&id| conflicts(id)),
+    };
+    if improved {
+        return false;
     }
     // Strictly weakened candidates: argmax dominance, no arithmetic. The
     // debug cross-check re-scores the ones the walk actually read and
     // asserts the theorem held.
     if cfg!(debug_assertions) {
-        for &id in writes.worse() {
-            if reads_all || reads.contains(&id) {
+        for &id in worse.iter() {
+            if spec.reads_all || spec.reads.contains(&id) {
                 debug_assert!(
-                    !recheck_conflicts(
-                        ctx,
-                        existing,
-                        partition_size,
-                        region_queries,
-                        rent_below,
-                        prox,
-                        spec,
-                        id,
-                        existing_locs,
-                        &mut locs_filled,
-                    ),
+                    !conflicts(id),
                     "a strictly weakened candidate overtook the speculated winner"
                 );
             }
@@ -1137,7 +1102,13 @@ impl PlacementStrategy for EconomicPlacement {
         partition_size: u64,
         region_queries: &[RegionQueries],
     ) -> Option<ServerId> {
-        economic_target(ctx, existing, partition_size, region_queries, None).map(|(id, _)| id)
+        let q = TargetQuery {
+            existing,
+            size: partition_size,
+            region_queries,
+            rent_below: None,
+        };
+        economic_target(ctx, &q).map(|(id, _)| id)
     }
 }
 
@@ -1147,6 +1118,20 @@ mod tests {
     use proptest::prelude::*;
     use skute_cluster::{Capacities, ServerSpec};
     use skute_geo::Topology;
+
+    fn q<'a>(
+        existing: &'a [ServerId],
+        size: u64,
+        region_queries: &'a [RegionQueries],
+        rent_below: Option<f64>,
+    ) -> TargetQuery<'a> {
+        TargetQuery {
+            existing,
+            size,
+            region_queries,
+            rent_below,
+        }
+    }
 
     fn setup() -> (Topology, Cluster, Board) {
         let topology = Topology::paper();
@@ -1177,7 +1162,7 @@ mod tests {
         };
         // One replica on server 0 (continent 0).
         let existing = vec![ServerId(0)];
-        let (winner, _) = economic_target(&ctx, &existing, 0, &[], None).unwrap();
+        let (winner, _) = economic_target(&ctx, &q(&existing, 0, &[], None)).unwrap();
         let winner_loc = cluster.get(winner).unwrap().location;
         let origin = cluster.get(ServerId(0)).unwrap().location;
         assert_ne!(
@@ -1199,7 +1184,7 @@ mod tests {
             economy: &economy,
         };
         let existing: Vec<ServerId> = cluster.alive_ids();
-        assert!(economic_target(&ctx, &existing, 0, &[], None).is_none());
+        assert!(economic_target(&ctx, &q(&existing, 0, &[], None)).is_none());
     }
 
     #[test]
@@ -1213,8 +1198,8 @@ mod tests {
             economy: &economy,
         };
         // Nothing can host 2 GiB on 1 GiB servers.
-        assert!(economic_target(&ctx, &[], 2 << 30, &[], None).is_none());
-        assert!(economic_target(&ctx, &[], 1 << 20, &[], None).is_some());
+        assert!(economic_target(&ctx, &q(&[], 2 << 30, &[], None)).is_none());
+        assert!(economic_target(&ctx, &q(&[], 1 << 20, &[], None)).is_some());
     }
 
     #[test]
@@ -1229,9 +1214,9 @@ mod tests {
         };
         let cheap_rent = 100.0 / 720.0;
         // Cap below the cheap price: no candidate at all.
-        assert!(economic_target(&ctx, &[], 0, &[], Some(cheap_rent)).is_none());
+        assert!(economic_target(&ctx, &q(&[], 0, &[], Some(cheap_rent))).is_none());
         // Cap between cheap and expensive: only cheap servers eligible.
-        let (winner, _) = economic_target(&ctx, &[], 0, &[], Some(cheap_rent + 1e-6)).unwrap();
+        let (winner, _) = economic_target(&ctx, &q(&[], 0, &[], Some(cheap_rent + 1e-6))).unwrap();
         assert_eq!(cluster.get(winner).unwrap().monthly_cost, 100.0);
     }
 
@@ -1246,7 +1231,7 @@ mod tests {
             economy: &economy,
         };
         let existing = vec![ServerId(0)];
-        let direct = economic_target(&ctx, &existing, 0, &[], None).map(|(id, _)| id);
+        let direct = economic_target(&ctx, &q(&existing, 0, &[], None)).map(|(id, _)| id);
         let mut strategy = EconomicPlacement;
         assert_eq!(strategy.place_replica(&ctx, &existing, 0, &[]), direct);
         assert_eq!(strategy.name(), "skute-economic");
@@ -1283,10 +1268,10 @@ mod tests {
             for size in [0u64, 1 << 20, 1 << 29] {
                 for cap in [None, Some(cheap_rent * 1.5), Some(cheap_rent / 2.0)] {
                     for rq in [&[][..], &regions[..]] {
-                        let brute = economic_target(&ctx, &existing, size, rq, cap);
+                        let brute = economic_target(&ctx, &q(&existing, size, rq, cap));
                         let mut prox = skute_economy::ProximityCache::new();
                         let indexed =
-                            index.economic_target(&ctx, &existing, size, rq, cap, &mut prox);
+                            index.economic_target(&ctx, &q(&existing, size, rq, cap), &mut prox);
                         assert_eq!(
                             indexed, brute,
                             "existing {existing:?} size {size} cap {cap:?}"
@@ -1317,10 +1302,10 @@ mod tests {
             queries: 5_000.0,
         }];
         let existing = vec![ServerId(0)];
-        let brute = economic_target(&ctx, &existing, 0, &regions, None);
+        let brute = economic_target(&ctx, &q(&existing, 0, &regions, None));
         let mut index = PlacementIndex::new();
         let mut prox = skute_economy::ProximityCache::new();
-        let indexed = index.economic_target(&ctx, &existing, 0, &regions, None, &mut prox);
+        let indexed = index.economic_target(&ctx, &q(&existing, 0, &regions, None), &mut prox);
         assert_eq!(indexed, brute);
         assert_eq!(brute.unwrap().0, ServerId(150), "exact match dominates");
     }
@@ -1342,8 +1327,8 @@ mod tests {
                 economy: &economy,
             };
             let rebuilt = index.refresh(&ctx);
-            let got = index.economic_target(&ctx, &[ServerId(0)], 1 << 20, &[], None, prox);
-            let want = economic_target(&ctx, &[ServerId(0)], 1 << 20, &[], None);
+            let got = index.economic_target(&ctx, &q(&[ServerId(0)], 1 << 20, &[], None), prox);
+            let want = economic_target(&ctx, &q(&[ServerId(0)], 1 << 20, &[], None));
             assert_eq!(got, want);
             (rebuilt, got)
         };
@@ -1448,15 +1433,15 @@ mod tests {
                 topology: &topology,
                 economy: &economy,
             };
-            let brute = economic_target(&ctx, &existing, partition_size, &regions, rent_below);
+            let brute = economic_target(&ctx, &q(&existing, partition_size, &regions, rent_below));
             let mut index = PlacementIndex::new();
             let mut prox = skute_economy::ProximityCache::new();
             let indexed =
-                index.economic_target(&ctx, &existing, partition_size, &regions, rent_below, &mut prox);
+                index.economic_target(&ctx, &q(&existing, partition_size, &regions, rent_below), &mut prox);
             prop_assert_eq!(indexed, brute);
             // Re-query through the warm snapshot and cache: still identical.
             let indexed_warm =
-                index.economic_target(&ctx, &existing, partition_size, &regions, rent_below, &mut prox);
+                index.economic_target(&ctx, &q(&existing, partition_size, &regions, rent_below), &mut prox);
             prop_assert_eq!(indexed_warm, brute);
         }
     }
@@ -1490,15 +1475,12 @@ mod tests {
                 let mut walk = WalkScratch::default();
                 let ro = index.economic_target_in(
                     &ctx,
-                    &existing,
-                    1 << 20,
-                    &regions,
-                    cap,
+                    &q(&existing, 1 << 20, &regions, cap),
                     &mut prox_a,
                     &mut walk,
                 );
                 let owned =
-                    index.economic_target(&ctx, &existing, 1 << 20, &regions, cap, &mut prox_b);
+                    index.economic_target(&ctx, &q(&existing, 1 << 20, &regions, cap), &mut prox_b);
                 assert_eq!(ro, owned, "existing {existing:?} cap {cap:?}");
             }
         }
@@ -1517,7 +1499,7 @@ mod tests {
                 topology: &topology,
                 economy: &economy,
             };
-            index.economic_target(&ctx, &[], 1 << 20, &[], None, &mut prox)
+            index.economic_target(&ctx, &q(&[], 1 << 20, &[], None), &mut prox)
         };
         let (winner, _) = first.unwrap();
         // Mutate exactly the winner (as an executed placement would) and
@@ -1539,8 +1521,8 @@ mod tests {
         // answer matches the brute-force scan of the live state.
         let rebuilt = index.refresh(&ctx);
         assert!(!rebuilt, "queued repositioning avoids the rebuild");
-        let indexed = index.economic_target(&ctx, &[], 1 << 20, &[], None, &mut prox);
-        let brute = economic_target(&ctx, &[], 1 << 20, &[], None);
+        let indexed = index.economic_target(&ctx, &q(&[], 1 << 20, &[], None), &mut prox);
+        let brute = economic_target(&ctx, &q(&[], 1 << 20, &[], None));
         assert_eq!(indexed, brute);
         assert_ne!(indexed.unwrap().0, winner, "full server cannot win");
     }
@@ -1620,7 +1602,12 @@ mod tests {
                 economy: &economy,
             };
             index.refresh(&ctx);
-            index.economic_target_in(&ctx, &existing, 1 << 20, &[], None, &mut prox, &mut walk)
+            index.economic_target_in(
+                &ctx,
+                &q(&existing, 1 << 20, &[], None),
+                &mut prox,
+                &mut walk,
+            )
         };
         let (winner, _) = spec.unwrap();
         assert!(!walk.reads_all());
@@ -1647,36 +1634,31 @@ mod tests {
             topology: &topology,
             economy: &economy,
         };
-        let mut locs = Vec::new();
+        let speculation = Speculation {
+            target: spec,
+            reads: &reads,
+            reads_all: false,
+        };
         assert!(validate_speculation(
             &ctx,
-            &existing,
-            1 << 20,
-            &[],
-            None,
+            &q(&existing, 1 << 20, &[], None),
             &mut prox,
-            spec,
+            &speculation,
             &mut writes,
-            &reads,
-            false,
-            &mut locs,
         ));
-        assert_eq!(spec, economic_target(&ctx, &existing, 1 << 20, &[], None));
+        assert_eq!(
+            spec,
+            economic_target(&ctx, &q(&existing, 1 << 20, &[], None))
+        );
         // A commit on the frozen winner itself always conflicts.
         let mut writes = SpecWriteSet::new();
         writes.record(winner, true);
         assert!(!validate_speculation(
             &ctx,
-            &existing,
-            1 << 20,
-            &[],
-            None,
+            &q(&existing, 1 << 20, &[], None),
             &mut prox,
-            spec,
+            &speculation,
             &mut writes,
-            &reads,
-            false,
-            &mut locs,
         ));
         // A released-storage touch on an unread server forces the exact
         // re-score; the speculation is honored only when the re-score
@@ -1685,19 +1667,16 @@ mod tests {
         writes.record(bystander, false);
         let valid = validate_speculation(
             &ctx,
-            &existing,
-            1 << 20,
-            &[],
-            None,
+            &q(&existing, 1 << 20, &[], None),
             &mut prox,
-            spec,
+            &speculation,
             &mut writes,
-            &reads,
-            false,
-            &mut locs,
         );
         if valid {
-            assert_eq!(spec, economic_target(&ctx, &existing, 1 << 20, &[], None));
+            assert_eq!(
+                spec,
+                economic_target(&ctx, &q(&existing, 1 << 20, &[], None))
+            );
         }
     }
 
@@ -1767,7 +1746,7 @@ mod tests {
                 };
                 index.refresh(&ctx);
                 index.economic_target_in(
-                    &ctx, &existing, partition_size, &regions, rent_below, &mut prox, &mut walk,
+                    &ctx, &q(&existing, partition_size, &regions, rent_below), &mut prox, &mut walk,
                 )
             };
             let mut reads: Vec<ServerId> = walk.reads().to_vec();
@@ -1791,21 +1770,18 @@ mod tests {
                 topology: &topology,
                 economy: &economy,
             };
-            let mut locs = Vec::new();
             let valid = validate_speculation(
                 &ctx,
-                &existing,
-                partition_size,
-                &regions,
-                rent_below,
+                &q(&existing, partition_size, &regions, rent_below),
                 &mut prox,
-                spec,
+                &Speculation {
+                    target: spec,
+                    reads: &reads,
+                    reads_all: walk.reads_all(),
+                },
                 &mut writes,
-                &reads,
-                walk.reads_all(),
-                &mut locs,
             );
-            let fresh = economic_target(&ctx, &existing, partition_size, &regions, rent_below);
+            let fresh = economic_target(&ctx, &q(&existing, partition_size, &regions, rent_below));
             if valid {
                 prop_assert_eq!(spec, fresh, "validated speculation must equal a fresh walk");
             }
@@ -1825,8 +1801,8 @@ mod tests {
             topology: &topology,
             economy: &economy,
         };
-        let a = economic_target(&ctx, &[ServerId(0)], 0, &[], None);
-        let b = economic_target(&ctx, &[ServerId(0)], 0, &[], None);
+        let a = economic_target(&ctx, &q(&[ServerId(0)], 0, &[], None));
+        let b = economic_target(&ctx, &q(&[ServerId(0)], 0, &[], None));
         assert_eq!(a, b);
     }
 }

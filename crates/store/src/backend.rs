@@ -330,15 +330,6 @@ impl ReplicaStore {
         }
     }
 
-    /// True when unrecoverable corruption was detected; the replica must
-    /// be re-seeded from a healthy peer.
-    pub fn is_quarantined(&self) -> bool {
-        match self {
-            ReplicaStore::Mem(_) => false,
-            ReplicaStore::Lsm(s) => s.lock().quarantined(),
-        }
-    }
-
     /// Counters of injected faults recovered from (`None` for the mem
     /// oracle, which has no IO path to fault).
     pub fn fault_stats(&self) -> Option<FaultStats> {

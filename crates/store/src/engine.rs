@@ -110,17 +110,6 @@ impl PartitionStore {
         self.records.get(key).and_then(|r| r.value.as_ref())
     }
 
-    /// Physically removes a key (compaction of tombstones; not a deletion —
-    /// deletions go through [`PartitionStore::apply`] with a tombstone).
-    pub fn evict(&mut self, key: &[u8]) -> Option<Record> {
-        if let Some((k, r)) = self.records.remove_entry(key) {
-            self.logical_bytes -= Self::entry_size(&k, &r);
-            Some(r)
-        } else {
-            None
-        }
-    }
-
     /// Iterates over all entries in key order.
     pub fn iter(&self) -> impl Iterator<Item = (&Bytes, &Record)> {
         self.records.iter()
@@ -205,9 +194,6 @@ mod tests {
         assert_eq!(s.logical_bytes(), 3 + 9);
         assert!(s.apply(&b"key"[..], Record::tombstone(Version::new(3, 0, 0))));
         assert_eq!(s.logical_bytes(), 3, "tombstone keeps only the key weight");
-        s.evict(b"key");
-        assert_eq!(s.logical_bytes(), 0);
-        assert!(s.is_empty());
     }
 
     #[test]

@@ -51,18 +51,18 @@ pub enum FaultPlanKind {
     BitFlips,
     /// Every **storage** fault family above at once.
     All,
-    /// Gray failures: per-server degraded modes derived from the fault
-    /// stream per epoch window ([`GrayMode`]) — servers that serve reads
-    /// but fail writes (`read_only`), respond slowly (`slow`), or sit
-    /// behind a network cut (`partitioned`) — plus a rotating continental
-    /// split. No storage faults are injected; degradation surfaces
-    /// through the confidence score, write acks and the serving path's
-    /// reachability instead of through IO.
+    /// Gray failures: per-server degraded modes per epoch window —
+    /// servers that serve reads but fail writes (`read_only`), respond
+    /// slowly (`slow`), or sit behind a network cut (`partitioned`) — plus
+    /// a rotating continental split. No storage faults are injected:
+    /// `skute_core::health` derives the modes from the plan seed (through
+    /// [`splitmix64`]) and degradation surfaces through the confidence
+    /// score, write acks and the serving path's reachability instead of
+    /// through IO.
     Gray,
     /// Network partition only: one continent per epoch window is cut off
-    /// from the rest of the cloud (derived from the fault stream, see
-    /// [`FaultPlan::partitioned_continent`]); servers stay individually
-    /// healthy.
+    /// from the rest of the cloud (derived by `skute_core::health` from
+    /// the plan seed); servers stay individually healthy.
     Partition,
 }
 
@@ -106,51 +106,6 @@ impl FromStr for FaultPlanKind {
                  none|torn-tails|flaky-fsync|partial-flush|bit-flips|all\
                  |gray|partition)"
             )),
-        }
-    }
-}
-
-/// Epochs a derived gray mode or continental split holds before
-/// re-rolling. Long enough for the confidence EWMA (alpha 0.25) to track
-/// a degraded server down, short enough that several distinct fault
-/// configurations occur within one CI-sized run.
-pub const GRAY_WINDOW_EPOCHS: u64 = 8;
-
-/// The degraded mode of one server under a gray fault plan, derived per
-/// epoch window by [`FaultPlan::gray_mode`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum GrayMode {
-    /// Fully functional (the overwhelmingly common draw).
-    #[default]
-    Healthy,
-    /// Serves reads but fails writes — the classic gray failure: the
-    /// server acks nothing, so its replicas silently diverge until a
-    /// quorum read or scrub repairs them.
-    ReadOnly,
-    /// Responds, but `units` deterministic latency units late; the
-    /// confidence EWMA prices it down proportionally.
-    Slow {
-        /// Added latency in deterministic units (1..=4).
-        units: u32,
-    },
-    /// Unreachable from everywhere: reads and writes both fail.
-    Partitioned,
-}
-
-impl GrayMode {
-    /// True for any non-healthy mode.
-    pub fn is_degraded(self) -> bool {
-        self != GrayMode::Healthy
-    }
-
-    /// The health sample this mode feeds the confidence EWMA
-    /// (1.0 = perfect, towards 0.0 = unusable).
-    pub fn health_sample(self) -> f64 {
-        match self {
-            GrayMode::Healthy => 1.0,
-            GrayMode::Slow { units } => 0.6 - 0.05 * f64::from(units.min(4)),
-            GrayMode::ReadOnly => 0.35,
-            GrayMode::Partitioned => 0.1,
         }
     }
 }
@@ -207,56 +162,16 @@ impl FaultPlan {
         )
     }
 
-    /// True when the plan derives per-server gray modes
-    /// ([`FaultPlan::gray_mode`]).
+    /// True when the plan degrades individual servers.
     pub fn gray_failures(&self) -> bool {
         self.kind == FaultPlanKind::Gray
     }
 
-    /// True when the plan derives a continental network split
-    /// ([`FaultPlan::partitioned_continent`]). The gray plan includes the
-    /// split so one axis exercises the full taxonomy; the partition plan
-    /// is the split alone.
+    /// True when the plan cuts one continent off per epoch window. The
+    /// gray plan includes the split so one axis exercises the full
+    /// taxonomy; the partition plan is the split alone.
     pub fn continental_partitions(&self) -> bool {
         matches!(self.kind, FaultPlanKind::Gray | FaultPlanKind::Partition)
-    }
-
-    /// The per-server gray mode for `server` during `epoch`, a pure
-    /// function of `(plan, server, epoch window)`. Modes hold for
-    /// [`GRAY_WINDOW_EPOCHS`] consecutive epochs so the confidence EWMA
-    /// has time to track them, then re-roll. Non-gray plans always answer
-    /// [`GrayMode::Healthy`].
-    pub fn gray_mode(&self, server: u64, epoch: u64) -> GrayMode {
-        if !self.gray_failures() {
-            return GrayMode::Healthy;
-        }
-        let window = epoch / GRAY_WINDOW_EPOCHS;
-        let h = splitmix64(
-            self.seed
-                ^ splitmix64(server.wrapping_mul(0xA24B_AED4_963E_E407))
-                ^ splitmix64(window.wrapping_mul(0x9FB2_1C65_1E98_DF25)),
-        );
-        match h % 100 {
-            0..=5 => GrayMode::ReadOnly,
-            6..=13 => GrayMode::Slow {
-                units: 1 + ((h >> 8) % 4) as u32,
-            },
-            14..=16 => GrayMode::Partitioned,
-            _ => GrayMode::Healthy,
-        }
-    }
-
-    /// The continent cut off from the rest of the cloud during `epoch`
-    /// (`continents` is the topology's continent count), a pure function
-    /// of `(plan, epoch window)`. `None` for plans without a continental
-    /// split or when the topology has fewer than two continents.
-    pub fn partitioned_continent(&self, epoch: u64, continents: u16) -> Option<u16> {
-        if !self.continental_partitions() || continents < 2 {
-            return None;
-        }
-        let window = epoch / GRAY_WINDOW_EPOCHS;
-        let h = splitmix64(self.seed ^ splitmix64(window.wrapping_mul(0xD6E8_FEB8_6659_FD93)));
-        Some((h % u64::from(continents)) as u16)
     }
 
     /// Torn WAL tails enabled.
@@ -334,7 +249,10 @@ pub const MAX_CONSECUTIVE_FAULTS: u32 = 2;
 /// deterministic for a given run.
 static FAULT_IDENTITY: AtomicU64 = AtomicU64::new(0);
 
-fn splitmix64(mut x: u64) -> u64 {
+/// The splitmix64 finalizer every fault stream mixes its seed through —
+/// the per-store injectors here and the per-server, per-window gray
+/// derivation in `skute_core::health`.
+pub fn splitmix64(mut x: u64) -> u64 {
     x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
     let mut z = x;
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
@@ -556,79 +474,6 @@ mod tests {
         assert!(!partition.gray_failures() && partition.continental_partitions());
         assert!(!FaultPlan::all(7).gray_failures());
         assert!(!FaultPlan::all(7).continental_partitions());
-    }
-
-    #[test]
-    fn gray_modes_are_deterministic_and_window_stable() {
-        let plan = FaultPlan {
-            kind: FaultPlanKind::Gray,
-            seed: 77,
-        };
-        let mut degraded = 0usize;
-        for server in 0..200u64 {
-            let mode = plan.gray_mode(server, 0);
-            // Stable for the whole window, re-derivable from scratch.
-            for epoch in 0..GRAY_WINDOW_EPOCHS {
-                assert_eq!(plan.gray_mode(server, epoch), mode);
-            }
-            if mode.is_degraded() {
-                degraded += 1;
-            }
-            assert!(mode.health_sample() > 0.0 && mode.health_sample() <= 1.0);
-            if let GrayMode::Slow { units } = mode {
-                assert!((1..=4).contains(&units));
-            }
-        }
-        // ~17% of draws are degraded; 200 servers make both tails
-        // astronomically unlikely.
-        assert!(degraded > 5 && degraded < 100, "degraded={degraded}");
-        // Different windows re-roll at least one of 200 servers.
-        assert!(
-            (0..200u64).any(|s| plan.gray_mode(s, 0) != plan.gray_mode(s, GRAY_WINDOW_EPOCHS)),
-            "windows re-roll modes"
-        );
-        // Non-gray plans never degrade.
-        assert_eq!(
-            FaultPlan::all(77).gray_mode(3, 0),
-            GrayMode::Healthy,
-            "storage plans have no gray modes"
-        );
-    }
-
-    #[test]
-    fn partitioned_continent_is_deterministic_and_bounded() {
-        let plan = FaultPlan {
-            kind: FaultPlanKind::Partition,
-            seed: 5,
-        };
-        for epoch in 0..64u64 {
-            let cut = plan
-                .partitioned_continent(epoch, 5)
-                .expect("partition plan cuts");
-            assert!(cut < 5);
-            assert_eq!(
-                Some(cut),
-                plan.partitioned_continent(epoch, 5),
-                "pure function of (plan, epoch)"
-            );
-            assert_eq!(
-                plan.partitioned_continent(epoch / GRAY_WINDOW_EPOCHS * GRAY_WINDOW_EPOCHS, 5),
-                Some(cut),
-                "stable within a window"
-            );
-        }
-        // Rotation: some pair of windows cuts different continents.
-        let cuts: std::collections::HashSet<u16> = (0..16u64)
-            .filter_map(|w| plan.partitioned_continent(w * GRAY_WINDOW_EPOCHS, 5))
-            .collect();
-        assert!(cuts.len() > 1, "cut rotates across windows");
-        assert_eq!(
-            plan.partitioned_continent(0, 1),
-            None,
-            "one continent: no cut"
-        );
-        assert_eq!(FaultPlan::all(5).partitioned_continent(0, 5), None);
-        assert_eq!(FaultPlan::none().partitioned_continent(0, 5), None);
     }
 
     #[test]

@@ -58,9 +58,7 @@ mod shared;
 pub use backend::{AntiEntropyUnion, BackendKind, ReplicaStore};
 pub use engine::{ApplyOutcome, PartitionStore};
 pub use error::StoreError;
-pub use faults::{
-    FaultInjector, FaultPlan, FaultPlanKind, FaultStats, GrayMode, GRAY_WINDOW_EPOCHS,
-};
+pub use faults::{FaultInjector, FaultPlan, FaultPlanKind, FaultStats};
 pub use lsm::{LsmStore, StorageActivity};
 pub use merkle::{diff_buckets, MerkleBuilder, MerkleSummary};
 pub use quorum::QuorumConfig;

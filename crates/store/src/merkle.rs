@@ -131,11 +131,6 @@ impl MerkleSummary {
         self.root
     }
 
-    /// Number of leaf buckets.
-    pub fn bucket_count(&self) -> usize {
-        self.buckets.len()
-    }
-
     /// The token sub-range covered by bucket `idx`.
     ///
     /// # Panics

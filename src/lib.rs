@@ -88,8 +88,8 @@ pub mod prelude {
     pub use skute_cluster::{Board, Capacities, Cluster, Server, ServerId, ServerSpec};
     pub use skute_core::{
         availability_of, threshold_for_replicas, AppId, AppSpec, AvailabilityLevel, ClientRead,
-        CloudMetrics, CoreError, EpochReport, LevelSpec, PlacementStrategy, ReadConsistency,
-        RingReport, ScrubReport, SkuteCloud, SkuteConfig, TrafficBatch,
+        CloudMetrics, CoreError, EpochReport, GrayMode, LevelSpec, PlacementStrategy,
+        ReadConsistency, RingReport, ScrubReport, SkuteCloud, SkuteConfig, TrafficBatch,
     };
     pub use skute_economy::EconomyConfig;
     pub use skute_geo::{diversity, ClientGeo, LatencyModel, Level, Location, Topology};
@@ -99,9 +99,7 @@ pub mod prelude {
     pub use skute_sim::{
         CloudEvent, Observation, Recorder, Scenario, ScenarioApp, Schedule, Simulation, TraceKind,
     };
-    pub use skute_store::{
-        BackendKind, FaultPlan, FaultPlanKind, FaultStats, GrayMode, QuorumConfig,
-    };
+    pub use skute_store::{BackendKind, FaultPlan, FaultPlanKind, FaultStats, QuorumConfig};
     pub use skute_workload::{
         ConstantTrace, InsertGenerator, LoadTrace, Pareto, Poisson, QueryGenerator, SlashdotTrace,
         Zipf,

@@ -242,8 +242,8 @@ fn scrub_on_a_healthy_mem_fleet_is_inert() {
 
 #[test]
 fn backends_replay_identical_trajectories() {
-    let (mut mem, app_m, mem_reports) = drive(BackendKind::Mem);
-    let (mut lsm, app_l, lsm_reports) = drive(BackendKind::Lsm);
+    let (mem, app_m, mem_reports) = drive(BackendKind::Mem);
+    let (lsm, app_l, lsm_reports) = drive(BackendKind::Lsm);
     for (m, l) in mem_reports.iter().zip(&lsm_reports) {
         // Everything except the measured transfer counters is identical;
         // normalize those and compare the full reports.
