@@ -109,9 +109,8 @@ pub enum DecisionOracle {
 /// returns an [`EpochReport`]).
 pub struct SkuteCloud {
     config: SkuteConfig,
-    /// Immutable for the cloud's lifetime. An `Arc` because the threaded
-    /// plan passes ship it to pool jobs, which must own their inputs.
-    topology: Arc<Topology>,
+    /// Immutable for the cloud's lifetime.
+    topology: Topology,
     cluster: Cluster,
     board: Board,
     rent_model: RentModel,
@@ -130,8 +129,8 @@ pub struct SkuteCloud {
     index: PlacementIndex,
     /// Test hook; see [`SkuteCloud::set_decision_oracle`].
     oracle: DecisionOracle,
-    /// Phase orchestration: the worker pool of the parallel plan passes
-    /// plus their reusable per-shard scratch (see [`crate::pipeline`]).
+    /// The plan passes' thread budget plus the scratch the epoch loop
+    /// reuses (see [`crate::pipeline`]).
     pipeline: EpochPipeline,
     /// Scratch buffers reused across epochs so the hot decision loop does
     /// not allocate on its common paths. The last tuple element is the
@@ -170,7 +169,7 @@ impl SkuteCloud {
         let mut cloud = Self {
             rng: StdRng::seed_from_u64(config.seed),
             config,
-            topology: Arc::new(topology),
+            topology,
             cluster,
             board: Board::new(),
             rent_model,
@@ -211,11 +210,6 @@ impl SkuteCloud {
     /// [`SkuteCloud::add_server`]/[`SkuteCloud::retire_server`]).
     pub fn cluster(&self) -> &Cluster {
         &self.cluster
-    }
-
-    /// The epoch pipeline (worker budget of the parallel phases).
-    pub fn pipeline(&self) -> &EpochPipeline {
-        &self.pipeline
     }
 
     /// Attaches an observability sink: subsequent epochs record phase
@@ -784,35 +778,6 @@ pub(crate) mod tests {
         let report2 = cloud.end_epoch();
         assert_eq!(report2.partitions_lost, 1);
         let _ = report;
-    }
-
-    #[test]
-    fn pipeline_parks_workers_for_the_cloud_lifetime() {
-        // An inline cloud spawns nothing; a threaded cloud parks
-        // `threads - 1` workers at construction and keeps them across
-        // epochs (the persistent pool's whole point — no per-phase
-        // spawns).
-        let (cloud, _) = small_cloud();
-        assert_eq!(cloud.pipeline().threads(), 1);
-        assert_eq!(cloud.pipeline().live_workers(), 0);
-        let topology = Topology::paper();
-        let cluster = paper_cluster(&topology);
-        let mut cloud = SkuteCloud::new(SkuteConfig::paper().with_threads(4), topology, cluster);
-        let app = cloud
-            .create_application(AppSpec::new("t").level(LevelSpec::new(3, 16)))
-            .unwrap();
-        assert_eq!(cloud.pipeline().live_workers(), 3);
-        for _ in 0..3 {
-            cloud.begin_epoch();
-            let regions = skute_geo::ClientGeo::Uniform.region_weights(cloud.topology());
-            cloud.deliver_queries(app, 0, 500.0, &regions).unwrap();
-            cloud.end_epoch();
-            assert_eq!(
-                cloud.pipeline().live_workers(),
-                3,
-                "dispatches must reuse the parked workers, not respawn"
-            );
-        }
     }
 
     #[test]

@@ -2,8 +2,6 @@
 //! driver, and the sequential commit that validates or re-walks every
 //! speculative eq.-(3) target.
 
-use std::sync::Arc;
-
 use rand::seq::SliceRandom;
 
 use skute_cluster::ServerId;
@@ -14,7 +12,7 @@ use super::exec::{exec_migration, exec_replication, exec_suicide};
 use super::{select_target, DecisionOracle, SkuteCloud};
 use crate::availability::availability_of;
 use crate::decision::{classify, clears_profit_hurdle, ActionCounts, Intent, VnodeSituation};
-use crate::pipeline::{DecisionCtx, DecisionItem, EpochPipeline};
+use crate::pipeline::{phase_chunk, EpochPipeline};
 use crate::placement::{
     economic_target, validate_speculation, PlacementContext, PlacementIndex, Speculation,
     TargetQuery, WalkScratch,
@@ -24,7 +22,7 @@ use crate::vnode::{PartitionState, VnodeId};
 /// Everything one virtual node's economic decision needs that is fixed for
 /// the duration of the decision phase, precomputed by the parallel plan
 /// pass and consumed by the sequential commit pass.
-#[derive(Debug, Clone, Copy, Default)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub(crate) struct PreDecision {
     /// The vnode's server had no posted rent: the commit pass skips the
     /// item entirely (matching the sequential loop's `continue`).
@@ -103,14 +101,13 @@ pub(crate) struct DecisionScratch {
     servers: Vec<ServerId>,
     placed: Vec<(Location, f64)>,
     /// Chunk-local read-set arena: each speculative walk's sorted read
-    /// set, concatenated in slot order. The barrier splices the chunk
+    /// set, concatenated in slot order. The plan pass splices the chunk
     /// arenas into [`EpochPipeline::spec_reads`], rebasing slot offsets.
     pub reads: Vec<ServerId>,
 }
 
-/// Borrowed view of the decision plan pass's shared inputs, common to the
-/// pool dispatch (viewing a [`DecisionCtx`]) and the inline single-thread
-/// path (viewing the cloud's fields directly).
+/// Borrowed view of the decision plan pass's shared inputs: the cloud's
+/// own fields, immutable for the duration of the pass.
 pub(crate) struct DecisionInputs<'a> {
     pub placement: PlacementContext<'a>,
     pub index: &'a PlacementIndex,
@@ -156,14 +153,13 @@ fn frame_query(
 
 /// One partition's slice of the decision plan pass: records balances,
 /// evaluates each vnode's situation against the phase-start membership,
-/// runs speculative target queries, and pushes one [`PreDecision`] per
-/// replica in replica order. Shared verbatim by the owned dispatch and
-/// the single-thread inline path.
+/// runs speculative target queries, and fills `slots` — one
+/// [`PreDecision`] per replica, in replica order.
 pub(crate) fn plan_one_decision(
     threshold: f64,
     part: &mut PartitionState,
     ctx: &DecisionInputs<'_>,
-    slots: &mut Vec<PreDecision>,
+    slots: &mut [PreDecision],
     scratch: &mut DecisionScratch,
 ) {
     let PlacementContext {
@@ -175,14 +171,15 @@ pub(crate) fn plan_one_decision(
     let mib = 1024.0 * 1024.0;
     let consistency_cost = economy.consistency_cost_per_mib * (part.write_bytes_epoch as f64 / mib);
     let n = part.replicas.len();
-    for idx in 0..n {
+    debug_assert_eq!(slots.len(), n, "one slot per replica");
+    for (idx, slot) in slots.iter_mut().enumerate() {
         let server = part.replicas[idx].server;
         let Some(rent) = board.price_of(server) else {
             // Server vanished mid-epoch; the replica was removed.
-            slots.push(PreDecision {
+            *slot = PreDecision {
                 skip: true,
                 ..PreDecision::default()
-            });
+            };
             continue;
         };
         let u_eff = floored_utility(part.replicas[idx].utility_epoch, ctx.min_rent);
@@ -229,7 +226,7 @@ pub(crate) fn plan_one_decision(
             };
             // The read-only index walk (or the pure oracle scan when the
             // cloud is routed brute-force, which reads everything):
-            // bit-identical to the owned-access query the commit pass
+            // bit-identical to the `&mut` index query the commit pass
             // would run against the same snapshot.
             pre.spec = if ctx.brute_force {
                 scratch.walk.mark_reads_all();
@@ -242,7 +239,7 @@ pub(crate) fn plan_one_decision(
             pre.spec_computed = true;
             record_spec_reads(&mut pre, scratch);
         }
-        slots.push(pre);
+        *slot = pre;
     }
 }
 
@@ -301,7 +298,6 @@ impl SkuteCloud {
         let economy = self.config.economy;
         let window = economy.decision_window;
         let brute_force = self.oracle == DecisionOracle::BruteForce;
-        let speculation = self.oracle != DecisionOracle::Rewalk;
         let min_rent = self.board.min_price();
         // Snapshot vnode identities into the reusable work list; replicas
         // mutate as we act. The slot indexes the pipeline's precomputation
@@ -318,81 +314,8 @@ impl SkuteCloud {
             }
         }
         work.shuffle(&mut self.rng);
-        // Plan pass (parallel): refresh the index snapshot at the barrier,
-        // freeze the version pair, fan the per-vnode precomputation out.
-        if !brute_force {
-            self.index.refresh(&PlacementContext::new(
-                &self.cluster,
-                &self.board,
-                &self.topology,
-                &self.config.economy,
-            ));
-        }
+        self.plan_decisions(min_rent, phase_chunk);
         let frozen = (self.cluster.version(), self.board.version());
-        if self.pipeline.threads() == 1 {
-            // Single-thread fast path: identical per-vnode arithmetic, run
-            // in place over borrowed partitions in the same flat order.
-            let Self {
-                rings,
-                cluster,
-                board,
-                topology,
-                config,
-                index,
-                pipeline,
-                ..
-            } = self;
-            let inputs = DecisionInputs {
-                placement: PlacementContext::new(cluster, board, topology, &config.economy),
-                index,
-                brute_force,
-                speculation,
-                min_rent,
-            };
-            pipeline.decisions_prepass_inline(
-                rings.iter_mut().flat_map(|ring| {
-                    let threshold = ring.level.threshold;
-                    ring.partitions.values_mut().map(move |p| (threshold, p))
-                }),
-                &inputs,
-            );
-        } else {
-            // Move every partition (and the shared decision inputs) into
-            // the owned-task prepass dispatch; everything comes back at
-            // the barrier, partitions in flat (ring, partition) order —
-            // the same enumeration the slot indices were assigned in.
-            let mut items: Vec<DecisionItem> = Vec::new();
-            for (ri, ring) in self.rings.iter_mut().enumerate() {
-                let threshold = ring.level.threshold;
-                for (pid, part) in std::mem::take(&mut ring.partitions) {
-                    items.push(DecisionItem {
-                        ring_idx: ri,
-                        threshold,
-                        pid,
-                        part,
-                    });
-                }
-            }
-            let ctx = DecisionCtx {
-                cluster: std::mem::take(&mut self.cluster),
-                board: std::mem::take(&mut self.board),
-                topology: Arc::clone(&self.topology),
-                economy,
-                index: std::mem::take(&mut self.index),
-                brute_force,
-                speculation,
-                min_rent,
-            };
-            let (ctx, items) = self.pipeline.decisions_prepass(ctx, items);
-            self.cluster = ctx.cluster;
-            self.board = ctx.board;
-            self.index = ctx.index;
-            for item in items {
-                self.rings[item.ring_idx]
-                    .partitions
-                    .insert(item.pid, item.part);
-            }
-        }
         debug_assert_eq!(self.pipeline.pre.len(), slots, "one slot per vnode");
         // Commit pass (sequential, seeded shuffle order, one action at a
         // time). Every executed action records its touched servers (the
@@ -555,6 +478,46 @@ impl SkuteCloud {
         }
         self.work_scratch = work;
     }
+
+    /// The decision plan pass: refreshes the index snapshot, then fans
+    /// the per-vnode precomputation out over every partition of every
+    /// ring, in flat (ring, partition) order — the enumeration the work
+    /// list assigned its slot indices in — cut into chunks of
+    /// `chunk_of(partitions)`.
+    pub(crate) fn plan_decisions(&mut self, min_rent: Option<f64>, chunk_of: fn(usize) -> usize) {
+        let Self {
+            rings,
+            cluster,
+            board,
+            topology,
+            config,
+            index,
+            pipeline,
+            oracle,
+            ..
+        } = self;
+        let placement = PlacementContext::new(cluster, board, topology, &config.economy);
+        let brute_force = *oracle == DecisionOracle::BruteForce;
+        if !brute_force {
+            index.refresh(&placement);
+        }
+        let inputs = DecisionInputs {
+            placement,
+            index,
+            brute_force,
+            speculation: *oracle != DecisionOracle::Rewalk,
+            min_rent,
+        };
+        let mut items: Vec<(f64, &mut PartitionState)> = rings
+            .iter_mut()
+            .flat_map(|ring| {
+                let threshold = ring.level.threshold;
+                ring.partitions.values_mut().map(move |p| (threshold, p))
+            })
+            .collect();
+        let chunk = chunk_of(items.len());
+        pipeline.plan_decisions(&mut items, &inputs, chunk);
+    }
 }
 
 /// The read set of one slot's speculative walk, sliced out of the
@@ -562,4 +525,47 @@ impl SkuteCloud {
 fn spec_reads<'a>(pipeline: &'a EpochPipeline, pre: &PreDecision) -> &'a [ServerId] {
     let start = pre.spec_reads_start as usize;
     &pipeline.spec_reads[start..start + pre.spec_reads_len as usize]
+}
+
+#[cfg(test)]
+pub(crate) mod tests {
+    use super::*;
+    use crate::app::{AppSpec, LevelSpec};
+    use crate::cloud::tests::paper_cluster;
+    use crate::config::SkuteConfig;
+    use skute_geo::Topology;
+
+    /// One epoch's decision plan output: the slots and the read-set arena.
+    pub(crate) type PlanSnapshot = (Vec<PreDecision>, Vec<ServerId>);
+
+    /// Drives a 96-partition cloud under traffic and, in every epoch before
+    /// it closes, runs the decision plan in chunks of `chunk_of(96)`,
+    /// returning what each of those plans left in the pipeline. (The
+    /// closing `end_epoch` plans again, so balances are recorded twice per
+    /// epoch — identically under every `chunk_of`.)
+    pub(crate) fn planned_epochs(chunk_of: fn(usize) -> usize) -> Vec<PlanSnapshot> {
+        let topology = Topology::paper();
+        let cluster = paper_cluster(&topology);
+        let mut cloud = SkuteCloud::new(SkuteConfig::paper(), topology, cluster);
+        let app = cloud
+            .create_application(AppSpec::new("t").level(LevelSpec::new(3, 96)))
+            .unwrap();
+        cloud
+            .assign_popularity(app, 0, |i| 1.0 + (i % 7) as f64)
+            .unwrap();
+        let regions = skute_geo::ClientGeo::Uniform.region_weights(cloud.topology());
+        let mut out = Vec::new();
+        for _ in 0..12 {
+            cloud.begin_epoch();
+            cloud.deliver_queries(app, 0, 40_000.0, &regions).unwrap();
+            let min_rent = cloud.board.min_price();
+            cloud.plan_decisions(min_rent, chunk_of);
+            out.push((
+                cloud.pipeline.pre.clone(),
+                cloud.pipeline.spec_reads.clone(),
+            ));
+            cloud.end_epoch();
+        }
+        out
+    }
 }

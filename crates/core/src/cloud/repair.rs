@@ -40,7 +40,7 @@ impl SkuteCloud {
     /// towards the eq.-(3) optimal server, limited by bandwidth, storage and
     /// the per-epoch repair cap.
     ///
-    /// A parallel pre-pass warms every partition's memoized eq.-(2)
+    /// A fanned-out pre-pass warms every partition's memoized eq.-(2)
     /// availability, so the sequential shuffled scan below reads cached
     /// floats and only partitions genuinely below threshold do placement
     /// work. Repairs invalidate their partition's cache (membership
@@ -49,42 +49,23 @@ impl SkuteCloud {
         let window = self.config.economy.decision_window;
         let max_repairs = self.config.max_repairs_per_partition_per_epoch;
         let max_replicas = self.config.economy.max_replicas;
-        if self.pipeline.threads() == 1 {
-            // Single-thread fast path: warm the cache in place.
-            let Self { rings, cluster, .. } = self;
-            for ring in rings.iter_mut() {
-                for part in ring.partitions.values_mut() {
-                    if part.cached_availability.is_none() {
-                        let _ = cached_availability(cluster, part);
-                    }
-                }
+        // Warm the cache misses; the converged steady state has none.
+        let Self {
+            rings,
+            cluster,
+            pipeline,
+            ..
+        } = self;
+        let mut misses: Vec<&mut PartitionState> = rings
+            .iter_mut()
+            .flat_map(|ring| ring.partitions.values_mut())
+            .filter(|part| part.cached_availability.is_none())
+            .collect();
+        pipeline.for_each_chunk(&mut misses, |chunk| {
+            for part in chunk {
+                let _ = cached_availability(cluster, part);
             }
-        } else {
-            // Move the cache-miss partitions out for the owned-task warm
-            // dispatch; the converged steady state has no misses and skips
-            // the dispatch entirely.
-            let mut misses: Vec<(usize, PartitionId, PartitionState)> = Vec::new();
-            for (ri, ring) in self.rings.iter_mut().enumerate() {
-                let ids: Vec<PartitionId> = ring
-                    .partitions
-                    .iter()
-                    .filter(|(_, p)| p.cached_availability.is_none())
-                    .map(|(pid, _)| *pid)
-                    .collect();
-                for pid in ids {
-                    let part = ring.partitions.remove(&pid).expect("listed above");
-                    misses.push((ri, pid, part));
-                }
-            }
-            if !misses.is_empty() {
-                let cluster = std::mem::take(&mut self.cluster);
-                let (cluster, warmed) = self.pipeline.warm_availability(cluster, misses);
-                self.cluster = cluster;
-                for (ri, pid, part) in warmed {
-                    self.rings[ri].partitions.insert(pid, part);
-                }
-            }
-        }
+        });
         // Commit pass: sequential, seeded shuffle order.
         for ri in 0..self.rings.len() {
             let threshold = self.rings[ri].level.threshold;

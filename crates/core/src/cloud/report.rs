@@ -1,7 +1,5 @@
 //! Epoch phase 4 — the close: partition splits and the epoch report.
 
-use skute_ring::PartitionId;
-
 use super::SkuteCloud;
 use crate::decision::ActionCounts;
 use crate::metrics::{EpochReport, RingReport};
@@ -46,11 +44,10 @@ impl SkuteCloud {
         }
     }
 
-    /// Assembles the epoch report. Per-ring statistics run as a parallel
-    /// plan pass per ring — availability via the membership-keyed cache,
-    /// per-server loads and vnode counts through sharded accumulators
-    /// merged in deterministic (partition, server) order — feeding reused
-    /// sorted accumulators instead of per-epoch hash maps.
+    /// Assembles the epoch report. Per-ring statistics are one sequential
+    /// fold per ring — availability via the membership-keyed cache,
+    /// per-server loads and vnode counts in (partition, replica) order —
+    /// into reused sorted accumulators instead of per-epoch hash maps.
     pub(super) fn report(
         &mut self,
         actions: ActionCounts,
@@ -62,26 +59,11 @@ impl SkuteCloud {
         self.pipeline.begin_report();
         for ri in 0..self.rings.len() {
             let threshold = self.rings[ri].level.threshold;
-            let stats = if self.pipeline.threads() == 1 {
-                // Single-thread fast path: identical accounting in place.
-                let Self {
-                    rings,
-                    cluster,
-                    pipeline,
-                    ..
-                } = self;
-                pipeline.ring_stats_inline(cluster, rings[ri].partitions.values_mut(), threshold)
-            } else {
-                let parts: Vec<(PartitionId, PartitionState)> =
-                    std::mem::take(&mut self.rings[ri].partitions)
-                        .into_iter()
-                        .collect();
-                let cluster = std::mem::take(&mut self.cluster);
-                let (cluster, parts, stats) = self.pipeline.ring_stats(cluster, parts, threshold);
-                self.cluster = cluster;
-                self.rings[ri].partitions = parts.into_iter().collect();
-                stats
-            };
+            let stats = self.pipeline.ring_stats(
+                &self.cluster,
+                self.rings[ri].partitions.values_mut(),
+                threshold,
+            );
             let ring = &self.rings[ri];
             rings.push(RingReport {
                 ring: ring.id,
@@ -144,6 +126,39 @@ mod tests {
         let ring = report.ring(RingId::new(app.0, 0)).unwrap();
         assert_eq!(ring.partitions, 16);
         assert_eq!(ring.target_replicas, 3);
+    }
+
+    #[test]
+    fn per_server_load_folds_in_partition_order() {
+        // Three partitions share one server at 0.1, 0.2 and 0.3 served
+        // queries: its load is the left fold in partition order, by bits
+        // (0.1 + (0.2 + 0.3) differs in the last place).
+        let topology = Topology::paper();
+        let cluster = paper_cluster(&topology);
+        let mut cloud = SkuteCloud::new(SkuteConfig::paper(), topology, cluster);
+        cloud
+            .create_application(AppSpec::new("t").level(LevelSpec::new(1, 3)))
+            .unwrap();
+        let shared = cloud.cluster.alive_ids()[0];
+        for (part, q) in cloud.rings[0].partitions.values_mut().zip([0.1, 0.2, 0.3]) {
+            part.replicas[0].server = shared;
+            part.replicas[0].queries_epoch = q;
+        }
+        cloud.pipeline.begin_report();
+        let stats =
+            cloud
+                .pipeline
+                .ring_stats(&cloud.cluster, cloud.rings[0].partitions.values_mut(), 0.0);
+        assert_eq!(stats.vnodes, 3);
+        let expected: f64 = ((0.0 + 0.1) + 0.2) + 0.3;
+        assert_ne!(expected.to_bits(), (0.1f64 + (0.2 + 0.3)).to_bits());
+        let loads: Vec<_> = cloud
+            .pipeline
+            .loads
+            .iter()
+            .map(|&(id, l)| (id, l.to_bits()))
+            .collect();
+        assert_eq!(loads, vec![(shared, expected.to_bits())]);
     }
 
     #[test]

@@ -2,8 +2,6 @@
 //! driver, and the sequential commit against the live query-capacity
 //! meters.
 
-use std::sync::Arc;
-
 use skute_cluster::{Cluster, ServerId};
 use skute_economy::RegionQueries;
 use skute_geo::{RegionWeight, Topology};
@@ -12,7 +10,6 @@ use skute_ring::PartitionId;
 use super::SkuteCloud;
 use crate::app::AppId;
 use crate::error::CoreError;
-use crate::pipeline::DeliveryBatch;
 use crate::vnode::PartitionState;
 
 /// One ring's query traffic for a batched
@@ -31,8 +28,8 @@ pub struct TrafficBatch {
 
 /// One partition's delivery plan: region-mix fold, proximity refresh,
 /// per-replica weights/distances/serving order. Pure per-partition work
-/// against immutable cluster state; shared verbatim by the pool dispatch
-/// ([`crate::pipeline`]) and the single-thread inline path.
+/// against immutable cluster state, so the fan-out ([`crate::pipeline`])
+/// may run partitions in any grouping.
 pub(crate) fn plan_one_delivery(
     part: &mut PartitionState,
     cluster: &Cluster,
@@ -120,7 +117,7 @@ impl SkuteCloud {
     ///
     /// Equivalent to a one-element [`SkuteCloud::deliver_queries_multi`]
     /// call; batching every ring's traffic into one `multi` call runs all
-    /// plan passes in a single pool dispatch.
+    /// plan passes in a single fan-out.
     pub fn deliver_queries(
         &mut self,
         app: AppId,
@@ -138,10 +135,9 @@ impl SkuteCloud {
 
     /// Delivers one epoch's query traffic to several rings at once,
     /// batching every ring's delivery **plan** pass into a single
-    /// dispatch on the persistent worker pool, then committing
-    /// sequentially: the rings in batch order, each ring's partitions in
-    /// ring order, every partition served against the live per-server
-    /// query-capacity meters. Delivery plans read no capacity meters, so
+    /// fan-out over the thread budget, then committing sequentially: the
+    /// rings in batch order, each ring's partitions in ring order, every
+    /// partition served against the live per-server query-capacity meters. Delivery plans read no capacity meters, so
     /// the trajectory is **bitwise identical** to per-ring
     /// [`SkuteCloud::deliver_queries`] calls.
     ///
@@ -174,10 +170,7 @@ impl SkuteCloud {
         Ok(())
     }
 
-    /// Plans and commits one wave of distinct-ring traffic batches. An
-    /// inline (`threads = 1`) pipeline plans in place over borrowed
-    /// partitions — no map rebuilds, no context round trip; both routes
-    /// are bitwise identical (asserted by the thread-matrix tests).
+    /// Plans and commits one wave of distinct-ring traffic batches.
     fn deliver_wave(&mut self, wave: Vec<(usize, TrafficBatch)>) {
         let gamma = self.config.economy.utility_per_query;
         let plan_start = self.obs_start();
@@ -204,49 +197,30 @@ impl SkuteCloud {
         if wave.is_empty() {
             return;
         }
-        let ring_indices: Vec<usize> = wave.iter().map(|&(ri, ..)| ri).collect();
-        if self.pipeline.threads() == 1 {
-            // Single-thread fast path: identical per-partition arithmetic,
-            // run in place.
-            let Self {
-                rings,
-                cluster,
-                topology,
-                ..
-            } = self;
-            for (ri, b, total_pop) in &wave {
-                for part in rings[*ri].partitions.values_mut() {
-                    plan_one_delivery(part, cluster, topology, &b.regions, b.queries, *total_pop);
-                }
-            }
-        } else {
-            // Plan pass: one pool dispatch across every ring of the wave.
-            // Each ring's partitions move out for the owned-task dispatch
-            // and come back in the same ascending order.
-            let batches: Vec<DeliveryBatch> = wave
-                .into_iter()
-                .map(|(ri, b, total_pop)| DeliveryBatch {
-                    ring_idx: ri,
-                    total_queries: b.queries,
-                    total_pop,
-                    regions: b.regions,
-                    parts: std::mem::take(&mut self.rings[ri].partitions)
-                        .into_iter()
-                        .collect(),
-                })
-                .collect();
-            let cluster = std::mem::take(&mut self.cluster);
-            let (cluster, batches) =
-                self.pipeline
-                    .plan_delivery_multi(cluster, Arc::clone(&self.topology), batches);
-            self.cluster = cluster;
-            for batch in batches {
-                self.rings[batch.ring_idx].partitions = batch.parts.into_iter().collect();
+        // Plan pass: one fan-out across every partition of every ring of
+        // the wave (the rings are distinct, so the borrows are disjoint).
+        let Self {
+            rings,
+            cluster,
+            topology,
+            pipeline,
+            ..
+        } = self;
+        let mut items: Vec<(usize, &mut PartitionState)> = Vec::new();
+        for (ri, ring) in rings.iter_mut().enumerate() {
+            if let Some(wi) = wave.iter().position(|&(wri, ..)| wri == ri) {
+                items.extend(ring.partitions.values_mut().map(|part| (wi, part)));
             }
         }
+        pipeline.for_each_chunk(&mut items, |chunk| {
+            for (wi, part) in chunk {
+                let (_, b, total_pop) = &wave[*wi];
+                plan_one_delivery(part, cluster, topology, &b.regions, b.queries, *total_pop);
+            }
+        });
         self.obs_phase(plan_start, |m| &m.phase_traffic_plan);
         let commit_start = self.obs_start();
-        for ri in ring_indices {
+        for (ri, ..) in wave {
             self.commit_ring_traffic(ri, gamma);
         }
         self.obs_phase(commit_start, |m| &m.phase_traffic_commit);

@@ -49,14 +49,15 @@ pub struct SkuteConfig {
     /// untouched. Scrub rebuilds are observability-only, so enabling the
     /// cadence cannot perturb the decision trajectory.
     pub scrub_every: u64,
-    /// Worker threads of the epoch pipeline's parallel phases (`0` = the
+    /// Thread budget of the epoch pipeline's plan passes (`0` = the
     /// machine's available parallelism; explicit budgets are honored
     /// exactly — beyond the host's core count that costs wall clock,
-    /// never correctness). Same-seed trajectories are **bitwise identical
-    /// at every thread count**: parallel phases only precompute
-    /// order-independent per-partition work, and every effect on shared
-    /// state is committed in a deterministic order at the phase barrier
-    /// (see `crate::pipeline`).
+    /// never correctness). Workers are scoped to one plan pass: spawned
+    /// for it and joined before it returns, none at a budget of 1.
+    /// Same-seed trajectories are **bitwise identical at every thread
+    /// count**: plan passes only precompute order-independent
+    /// per-partition work, and every effect on shared state is committed
+    /// in a deterministic order afterwards (see `crate::pipeline`).
     pub threads: usize,
 }
 
@@ -85,7 +86,7 @@ impl SkuteConfig {
         self
     }
 
-    /// Returns a copy running the epoch pipeline's parallel phases on
+    /// Returns a copy fanning the epoch pipeline's plan passes out over
     /// `threads` workers (`0` = available parallelism). The trajectory
     /// stays bitwise identical; only wall-clock changes.
     #[must_use]

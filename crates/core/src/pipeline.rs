@@ -1,4 +1,4 @@
-//! The pool side of the deterministic parallel epoch pipeline.
+//! The fan-out side of the deterministic epoch pipeline.
 //!
 //! [`crate::SkuteCloud`] runs every epoch through four phases — **traffic
 //! delivery**, **availability repair**, **economic decisions** and the
@@ -7,8 +7,8 @@
 //!
 //! 1. a **plan pass**: pure per-partition computation against state that
 //!    is immutable for the duration of the phase (server locations,
-//!    confidences, posted rents, the refreshed [`PlacementIndex`]
-//!    snapshot), writing only partition-local state and per-shard
+//!    confidences, posted rents, the refreshed `PlacementIndex`
+//!    snapshot), writing only partition-local state and per-chunk
 //!    scratch;
 //! 2. a **sequential commit pass** that applies every effect on shared
 //!    state — capacity meters, rent-board-indexed structures, executed
@@ -18,34 +18,23 @@
 //!
 //! Repair has no plan pass: its only parallelizable step warms each
 //! partition's memoized eq.-(2) availability, and every placement it makes
-//! is computed inside its sequential shuffled commit.
+//! is computed inside its sequential shuffled commit. The report is one
+//! sequential fold in (partition, replica) order.
 //!
 //! The plan functions and the commits live in the phase files. This module
-//! is what a `threads > 1` cloud adds on top — each phase file's one
-//! `else` branch lands here — fanning a plan pass out across partitions on
-//! the persistent [`WorkerPool`], plus the reusable scratch both routes
-//! fill (decision slots, report accumulators).
-//!
-//! The pool holds parked workers for the lifetime of the cloud; the
-//! workspace denies `unsafe_code`, so jobs must own their data — each
-//! parallel step **moves** its partitions out of the ring maps into owned task
-//! chunks, ships shared inputs (cluster, board, index, topology) through
-//! an `Arc` context that the cloud takes out of itself and reclaims at the
-//! phase barrier (`Arc::try_unwrap`; [`WorkerPool::run_tasks`] guarantees
-//! every job's context clone is dropped before its result is published),
-//! and restores the partitions in deterministic order afterwards.
+//! holds what fans a plan pass out: the phase collects `&mut` borrows of
+//! its partitions, [`EpochPipeline`] cuts them into contiguous chunks and
+//! hands the chunks to [`WorkerPool::run_tasks`], whose scoped workers
+//! read the cluster, board, topology and index through plain shared
+//! borrows of the cloud's own fields. There is one route at every thread
+//! count: a budget of one runs the same chunks on the caller's thread.
 //!
 //! Determinism is structural, not incidental:
 //!
-//! * plan passes are order-independent per item, so chunk boundaries and
-//!   worker scheduling cannot change any result, and
-//!   [`WorkerPool::run_tasks`] returns results in task order, never
-//!   completion order;
-//! * per-shard accumulators ([`ShardAccounts`]) merge in (shard,
-//!   insertion) order — with contiguous chunks that is the original item
-//!   order, so floating-point folds keep the exact bits of the sequential
-//!   loop they replaced;
-//! * per-worker scratch (`WalkScratch`, placement buffers) carries no
+//! * plan passes are order-independent per item, and the chunk
+//!   decomposition depends only on the item count, so neither chunk
+//!   boundaries nor worker scheduling can change any result;
+//! * per-chunk scratch (`WalkScratch`, placement buffers) carries no
 //!   state between items; the only randomness in the epoch loop (the
 //!   repair and decision shuffles, server seeding) stays on the cloud's
 //!   sequential RNG stream;
@@ -62,31 +51,23 @@
 //!   re-walks everything).
 //!
 //! The result: same-seed trajectories are **bitwise identical at every
-//! thread count**, including `threads = 1`, which runs the identical code
-//! inline with zero spawns.
+//! thread count**.
 
 use std::collections::BTreeMap;
-use std::sync::Arc;
 
-use skute_cluster::{Board, Cluster, ServerId};
-use skute_economy::EconomyConfig;
-use skute_exec::{split_chunks, ShardAccounts, WorkerPool};
-use skute_geo::{RegionWeight, Topology};
-use skute_ring::PartitionId;
+use skute_cluster::{Cluster, ServerId};
+use skute_exec::WorkerPool;
 
 use crate::cloud::decisions::{plan_one_decision, DecisionInputs, DecisionScratch, PreDecision};
 use crate::cloud::repair::cached_availability;
-use crate::cloud::traffic::plan_one_delivery;
 use crate::metrics::mean_cv;
-use crate::placement::{PlacementContext, PlacementIndex};
 use crate::vnode::PartitionState;
 
-/// Chunk size of a compute-heavy parallel phase over `n` partitions. Small
-/// inputs stay in one chunk (which runs inline, with zero queue traffic);
-/// large inputs split into at most ~16 chunks so work distribution stays
-/// coarse. Never depends on the thread count — only results-irrelevant
-/// scheduling does.
-fn phase_chunk(n: usize) -> usize {
+/// Chunk size of a plan pass over `n` partitions. Small inputs stay in one
+/// chunk (which runs on the caller's thread); large inputs split into at
+/// most ~16 chunks so work distribution stays coarse. Never depends on the
+/// thread count — only results-irrelevant scheduling does.
+pub(crate) fn phase_chunk(n: usize) -> usize {
     if n < 64 {
         n.max(1)
     } else {
@@ -94,49 +75,27 @@ fn phase_chunk(n: usize) -> usize {
     }
 }
 
-/// Chunk size of a light bookkeeping phase (per-item work is a few loads
-/// and pushes, often cache hits): a much higher inline threshold, so the
-/// fan-out only pays for itself on genuinely large rings.
-fn light_chunk(n: usize) -> usize {
-    if n < 512 {
-        n.max(1)
-    } else {
-        n.div_ceil(8).max(64)
-    }
+/// Splits the first `n` elements off the front of `rest`.
+fn take_front<'a, T>(rest: &mut &'a mut [T], n: usize) -> &'a mut [T] {
+    let (front, tail) = std::mem::take(rest).split_at_mut(n);
+    *rest = tail;
+    front
 }
 
-/// One ring's slice of a batched traffic-delivery plan pass: the batch
-/// parameters plus the ring's partitions, **moved** out of the ring map
-/// for the dispatch and restored afterwards.
-pub(crate) struct DeliveryBatch {
-    /// Index of the ring in the cloud's ring table.
-    pub ring_idx: usize,
-    /// Queries offered to the ring this epoch.
-    pub total_queries: f64,
-    /// Σ popularity over the ring's partitions (the proportional-split
-    /// denominator), computed before the partitions were moved out.
-    pub total_pop: f64,
-    /// Client regions with normalized weights.
-    pub regions: Vec<RegionWeight>,
-    /// The ring's partitions in ascending partition-id order.
-    pub parts: Vec<(PartitionId, PartitionState)>,
+/// The slot of `key` in the key-sorted accumulator `acc`, inserted at its
+/// default when absent.
+fn sorted_slot<K: Ord + Copy, V: Default>(acc: &mut Vec<(K, V)>, key: K) -> &mut V {
+    let pos = match acc.binary_search_by(|(k, _)| k.cmp(&key)) {
+        Ok(pos) => pos,
+        Err(pos) => {
+            acc.insert(pos, (key, V::default()));
+            pos
+        }
+    };
+    &mut acc[pos].1
 }
 
-/// One partition's slice of the decision plan pass, moved out of its ring
-/// map for the dispatch.
-pub(crate) struct DecisionItem {
-    /// Index of the ring in the cloud's ring table.
-    pub ring_idx: usize,
-    /// The ring's SLA threshold.
-    pub threshold: f64,
-    /// Ring-local partition id (for restoring into the ring map).
-    pub pid: PartitionId,
-    /// The partition, owned for the duration of the dispatch.
-    pub part: PartitionState,
-}
-
-/// Per-ring aggregates of the epoch report, computed by the report plan
-/// pass from sharded accumulators merged in deterministic order.
+/// Per-ring aggregates of the epoch report.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct RingPhaseStats {
     pub vnodes: usize,
@@ -146,404 +105,144 @@ pub(crate) struct RingPhaseStats {
     pub load_cv: f64,
 }
 
-/// Shared context of the decision plan pass, taken out of the cloud for
-/// the dispatch and handed back at the barrier.
-pub(crate) struct DecisionCtx {
-    pub cluster: Cluster,
-    pub board: Board,
-    pub topology: Arc<Topology>,
-    pub economy: EconomyConfig,
-    pub index: PlacementIndex,
-    pub brute_force: bool,
-    pub speculation: bool,
-    pub min_rent: Option<f64>,
-}
-
-/// Shared context of the delivery plan pass.
-struct DeliveryCtx {
-    cluster: Cluster,
-    topology: Arc<Topology>,
-    /// `(total_queries, total_pop, regions)` per batch.
-    params: Vec<(f64, f64, Vec<RegionWeight>)>,
-}
-
-/// Reclaims a phase context at the barrier. [`WorkerPool::run_tasks`]
-/// guarantees every job dropped its context clone before publishing its
-/// result, so by the time the dispatch returns the `Arc` is unique again.
-fn reclaim<T>(ctx: Arc<T>) -> T {
-    match Arc::try_unwrap(ctx) {
-        Ok(ctx) => ctx,
-        Err(_) => unreachable!("all phase jobs drop their context before finishing"),
-    }
-}
-
-/// Phase orchestration and reusable scratch of the epoch loop: the
-/// persistent worker pool, per-vnode decision slots, and the sharded
-/// report accumulators. Owned by [`crate::SkuteCloud`]; one instance (and
-/// therefore one set of parked workers) per cloud.
+/// The plan passes' thread budget and the scratch the epoch loop reuses:
+/// per-vnode decision slots and the report accumulators. Owned by
+/// [`crate::SkuteCloud`].
 #[derive(Debug, Default)]
-pub struct EpochPipeline {
+pub(crate) struct EpochPipeline {
     pool: WorkerPool,
     /// Per-vnode decision precomputation (indexed by work-list slot).
     pub(crate) pre: Vec<PreDecision>,
     /// Per-chunk scratch of the decision plan pass, reused across epochs.
     states: Vec<DecisionScratch>,
-    /// Per-chunk slot buffers of the decision plan pass, reused across
-    /// epochs (concatenated into `pre` in chunk order at the barrier).
-    slot_bufs: Vec<Vec<PreDecision>>,
     /// Flat arena of every speculative walk's sorted read set, indexed by
     /// the `spec_reads_start`/`spec_reads_len` of each [`PreDecision`]
     /// slot. Rebuilt by every decision plan pass.
     pub(crate) spec_reads: Vec<ServerId>,
     // Report accumulators, reused across epochs.
-    avail_acc: ShardAccounts<PartitionId, f64>,
-    load_acc: ShardAccounts<ServerId, f64>,
-    vnode_acc: ShardAccounts<ServerId, usize>,
-    avail_merged: Vec<(PartitionId, f64)>,
-    load_merged: Vec<(ServerId, f64)>,
+    avails: Vec<f64>,
+    /// Per-server served queries of the ring being reported, by server id.
+    pub(crate) loads: Vec<(ServerId, f64)>,
     loads_flat: Vec<f64>,
     /// Cross-ring per-server vnode counts of the current report.
     vnodes_global: Vec<(ServerId, usize)>,
 }
 
 impl EpochPipeline {
-    /// A pipeline running parallel phases on `threads` workers (`0` = the
-    /// machine's available parallelism, `1` = fully inline). An explicit
-    /// budget is honored exactly, even beyond the host's core count —
-    /// oversubscription only costs wall clock (phase chunks are
-    /// compute-bound), never determinism, and determinism tests rely on
-    /// explicit budgets actually parking workers. The workers are spawned
-    /// once, here, and live until the pipeline (i.e. the cloud) drops.
-    pub fn new(threads: usize) -> Self {
+    /// A pipeline fanning plan passes out over `threads` workers (`0` =
+    /// the machine's available parallelism). An explicit budget is honored
+    /// exactly, even beyond the host's core count — oversubscription only
+    /// costs wall clock, never determinism, and the determinism tests rely
+    /// on explicit budgets actually spawning.
+    pub(crate) fn new(threads: usize) -> Self {
         Self {
             pool: WorkerPool::new(threads),
             ..Self::default()
         }
     }
 
-    /// The resolved worker budget of the parallel phases.
-    pub fn threads(&self) -> usize {
-        self.pool.threads()
+    /// Runs `f` over `items` in contiguous [`phase_chunk`] chunks on the
+    /// thread budget. `f` must treat items independently: it reads only
+    /// state that is immutable for the phase and writes only the items it
+    /// was handed.
+    pub(crate) fn for_each_chunk<T: Send>(&self, items: &mut [T], f: impl Fn(&mut [T]) + Sync) {
+        let chunks = items.chunks_mut(phase_chunk(items.len())).collect();
+        self.pool.run_tasks(chunks, |_, chunk| f(chunk));
     }
 
-    /// Worker threads currently parked for this pipeline (`threads - 1`,
-    /// or 0 for an inline pipeline).
-    pub fn live_workers(&self) -> usize {
-        self.pool.live_workers()
-    }
-
-    // ------------------------------------------------------------------
-    // Phase 1: traffic delivery — batched parallel plan pass
-    // ------------------------------------------------------------------
-
-    /// Plans query delivery for every ring of a batch in **one** pool
-    /// dispatch: for every partition, folds the epoch's region mix into
-    /// `region_queries`, refreshes the proximity cache, fills the
-    /// partition's [`DeliveryPlan`] (per-replica proximity weights, client
-    /// distances, serving order). Reads only immutable-for-the-phase
-    /// state; writes only partition-local state, so chunks are
-    /// independent.
-    pub(crate) fn plan_delivery_multi(
-        &self,
-        cluster: Cluster,
-        topology: Arc<Topology>,
-        mut batches: Vec<DeliveryBatch>,
-    ) -> (Cluster, Vec<DeliveryBatch>) {
-        let mut tasks: Vec<(usize, Vec<(PartitionId, PartitionState)>)> = Vec::new();
-        let mut params: Vec<(f64, f64, Vec<RegionWeight>)> = Vec::with_capacity(batches.len());
-        for (bi, batch) in batches.iter_mut().enumerate() {
-            params.push((
-                batch.total_queries,
-                batch.total_pop,
-                std::mem::take(&mut batch.regions),
-            ));
-            let parts = std::mem::take(&mut batch.parts);
-            let chunk = phase_chunk(parts.len());
-            for chunk in split_chunks(parts, chunk) {
-                tasks.push((bi, chunk));
-            }
-        }
-        let ctx = Arc::new(DeliveryCtx {
-            cluster,
-            topology,
-            params,
-        });
-        let job_ctx = Arc::clone(&ctx);
-        let results = self.pool.run_tasks(tasks, move |_, (bi, mut chunk)| {
-            let (total_queries, total_pop, regions) = &job_ctx.params[bi];
-            for (_, part) in &mut chunk {
-                plan_one_delivery(
-                    part,
-                    &job_ctx.cluster,
-                    &job_ctx.topology,
-                    regions,
-                    *total_queries,
-                    *total_pop,
-                );
-            }
-            (bi, chunk)
-        });
-        // Task order = (batch, chunk) order, so extending per batch
-        // restores the original ascending partition order.
-        for (bi, chunk) in results {
-            batches[bi].parts.extend(chunk);
-        }
-        let ctx = reclaim(ctx);
-        for (batch, (_, _, regions)) in batches.iter_mut().zip(ctx.params) {
-            batch.regions = regions;
-        }
-        (ctx.cluster, batches)
-    }
-
-    // ------------------------------------------------------------------
-    // Phase 2: availability repair — parallel pre-pass
-    // ------------------------------------------------------------------
-
-    /// Warms the memoized eq.-(2) availability of `parts` (the caller
-    /// passes only cache misses) so the sequential repair scan reads
-    /// cached floats. In the converged steady state the miss set is empty
-    /// and the caller skips the dispatch entirely.
-    pub(crate) fn warm_availability(
-        &self,
-        cluster: Cluster,
-        parts: Vec<(usize, PartitionId, PartitionState)>,
-    ) -> (Cluster, Vec<(usize, PartitionId, PartitionState)>) {
-        let chunk = phase_chunk(parts.len());
-        let tasks = split_chunks(parts, chunk);
-        let ctx = Arc::new(cluster);
-        let job_ctx = Arc::clone(&ctx);
-        let results = self.pool.run_tasks(tasks, move |_, mut chunk| {
-            for (_, _, part) in &mut chunk {
-                let _ = cached_availability(&job_ctx, part);
-            }
-            chunk
-        });
-        (reclaim(ctx), results.into_iter().flatten().collect())
-    }
-
-    // ------------------------------------------------------------------
-    // Phase 3: economic decisions — parallel plan pass
-    // ------------------------------------------------------------------
-
-    /// Precomputes every vnode's decision inputs — balance recording,
-    /// streaks, availability-without-self, and (for vnodes whose planned
-    /// intent needs one) a speculative eq.-(3) target against the frozen
-    /// index snapshot — filling [`EpochPipeline::pre`] in flat
-    /// (ring, partition, replica) enumeration order. The commit pass
-    /// consumes the slots in the seeded shuffle order. The shared inputs
-    /// travel as an owned context and are returned at the barrier.
-    pub(crate) fn decisions_prepass(
+    /// The decision plan pass: precomputes every vnode's decision inputs —
+    /// balance recording, streaks, availability-without-self, and (for
+    /// vnodes whose planned intent needs one) a speculative eq.-(3) target
+    /// against the frozen index snapshot — filling [`EpochPipeline::pre`]
+    /// in flat (ring, partition, replica) enumeration order, which is the
+    /// order `items` must yield `(threshold, partition)` in. The commit
+    /// pass consumes the slots in the seeded shuffle order.
+    ///
+    /// Every chunk of `chunk` partitions writes its own slice of `pre`,
+    /// sized from its replica count, and records read sets into its own
+    /// scratch arena; the arenas are then spliced into
+    /// [`EpochPipeline::spec_reads`] in chunk order, rebasing each chunk's
+    /// slot offsets by the splice point, so the layout is the same under
+    /// every decomposition.
+    pub(crate) fn plan_decisions(
         &mut self,
-        ctx: DecisionCtx,
-        items: Vec<DecisionItem>,
-    ) -> (DecisionCtx, Vec<DecisionItem>) {
-        let chunk = phase_chunk(items.len());
-        let chunks = split_chunks(items, chunk);
-        let n_chunks = chunks.len();
-        self.states.truncate(n_chunks);
-        while self.states.len() < n_chunks {
-            self.states.push(DecisionScratch::default());
-        }
-        self.slot_bufs.truncate(n_chunks);
-        while self.slot_bufs.len() < n_chunks {
-            self.slot_bufs.push(Vec::new());
-        }
-        let tasks: Vec<(Vec<DecisionItem>, Vec<PreDecision>, DecisionScratch)> = chunks
-            .into_iter()
-            .zip(self.slot_bufs.iter_mut().map(std::mem::take))
-            .zip(self.states.iter_mut().map(std::mem::take))
-            .map(|((items, mut slots), mut scratch)| {
-                slots.clear();
-                scratch.reads.clear();
-                (items, slots, scratch)
-            })
-            .collect();
-        let ctx = Arc::new(ctx);
-        let job_ctx = Arc::clone(&ctx);
-        let results = self
-            .pool
-            .run_tasks(tasks, move |_, (mut items, mut slots, mut scratch)| {
-                let inputs = DecisionInputs {
-                    placement: PlacementContext::new(
-                        &job_ctx.cluster,
-                        &job_ctx.board,
-                        &job_ctx.topology,
-                        &job_ctx.economy,
-                    ),
-                    index: &job_ctx.index,
-                    brute_force: job_ctx.brute_force,
-                    speculation: job_ctx.speculation,
-                    min_rent: job_ctx.min_rent,
-                };
-                for item in &mut items {
-                    plan_one_decision(
-                        item.threshold,
-                        &mut item.part,
-                        &inputs,
-                        &mut slots,
-                        &mut scratch,
-                    );
-                }
-                (items, slots, scratch)
-            });
-        // Chunk order = flat enumeration order: concatenating the chunk
-        // slot buffers (and read-set arenas, rebasing the slot offsets by
-        // the splice point) reproduces the sequential layout exactly.
-        self.pre.clear();
-        self.spec_reads.clear();
-        let mut items_back: Vec<DecisionItem> = Vec::new();
-        for (ci, (items, slots, scratch)) in results.into_iter().enumerate() {
-            items_back.extend(items);
-            let base = self.spec_reads.len() as u32;
-            self.spec_reads.extend_from_slice(&scratch.reads);
-            let start = self.pre.len();
-            self.pre.extend_from_slice(&slots);
-            if base > 0 {
-                for p in &mut self.pre[start..] {
-                    p.spec_reads_start += base;
-                }
-            }
-            self.slot_bufs[ci] = slots;
-            self.states[ci] = scratch;
-        }
-        (reclaim(ctx), items_back)
-    }
-
-    /// The single-thread fast path of the decision plan pass: identical
-    /// per-vnode arithmetic, run in place over borrowed partitions — no
-    /// map rebuilds, no context round trip. `items` must yield
-    /// `(threshold, partition)` in flat (ring, partition) order so the
-    /// slot layout matches the owned dispatch exactly.
-    pub(crate) fn decisions_prepass_inline<'a>(
-        &mut self,
-        items: impl Iterator<Item = (f64, &'a mut PartitionState)>,
+        items: &mut [(f64, &mut PartitionState)],
         inputs: &DecisionInputs<'_>,
+        chunk: usize,
     ) {
-        if self.states.is_empty() {
-            self.states.push(DecisionScratch::default());
-        }
         let Self {
+            pool,
             pre,
             states,
             spec_reads,
             ..
         } = self;
-        let scratch = &mut states[0];
-        scratch.reads.clear();
-        pre.clear();
-        for (threshold, part) in items {
-            plan_one_decision(threshold, part, inputs, pre, scratch);
-        }
-        // Single chunk: the chunk-local arena is the whole arena, offsets
-        // already flat.
+        let chunk = chunk.max(1);
+        let counts: Vec<usize> = items
+            .chunks(chunk)
+            .map(|c| c.iter().map(|(_, p)| p.replicas.len()).sum())
+            .collect();
+        // No clear: the plan writes every slot.
+        pre.resize(counts.iter().sum(), PreDecision::default());
+        states.resize_with(counts.len(), DecisionScratch::default);
+        let mut rest = &mut pre[..];
+        let tasks = items
+            .chunks_mut(chunk)
+            .zip(&counts)
+            .zip(states.iter_mut())
+            .map(|((parts, &n), scratch)| {
+                scratch.reads.clear();
+                (parts, take_front(&mut rest, n), scratch)
+            })
+            .collect();
+        pool.run_tasks(tasks, |_, (parts, mut slots, scratch)| {
+            for (threshold, part) in parts {
+                let mine = take_front(&mut slots, part.replicas.len());
+                plan_one_decision(*threshold, part, inputs, mine, scratch);
+            }
+        });
         spec_reads.clear();
-        std::mem::swap(spec_reads, &mut scratch.reads);
+        let mut rest = &mut pre[..];
+        for (scratch, &n) in states.iter().zip(&counts) {
+            let slots = take_front(&mut rest, n);
+            let base = spec_reads.len() as u32;
+            spec_reads.extend_from_slice(&scratch.reads);
+            if base > 0 {
+                for p in slots.iter_mut().filter(|p| p.spec_reads_len > 0) {
+                    p.spec_reads_start += base;
+                }
+            }
+        }
     }
-
-    // ------------------------------------------------------------------
-    // Epoch report — parallel plan pass with sharded accounting
-    // ------------------------------------------------------------------
 
     /// Starts a new epoch report (clears the cross-ring accumulators).
     pub(crate) fn begin_report(&mut self) {
         self.vnodes_global.clear();
     }
 
-    /// Computes one ring's report aggregates: availabilities (via the
-    /// memoized cache), per-server served-query loads, and vnode counts,
-    /// collected into [`ShardAccounts`] and merged in (partition, server)
-    /// order — the exact fold order of the sequential loop this replaces.
-    /// The partitions move through the dispatch and come back in order.
-    pub(crate) fn ring_stats(
-        &mut self,
-        cluster: Cluster,
-        parts: Vec<(PartitionId, PartitionState)>,
-        threshold: f64,
-    ) -> (Cluster, Vec<(PartitionId, PartitionState)>, RingPhaseStats) {
-        let n = parts.len();
-        let chunk = light_chunk(n);
-        let chunks = split_chunks(parts, chunk);
-        let n_chunks = chunks.len();
-        self.avail_acc.reset(n_chunks);
-        self.load_acc.reset(n_chunks);
-        self.vnode_acc.reset(n_chunks);
-        let tasks: Vec<ReportTask> = chunks
-            .into_iter()
-            .zip(self.avail_acc.shards_mut().iter_mut().map(std::mem::take))
-            .zip(self.load_acc.shards_mut().iter_mut().map(std::mem::take))
-            .zip(self.vnode_acc.shards_mut().iter_mut().map(std::mem::take))
-            .map(|(((parts, avail), loads), vnodes)| ReportTask {
-                parts,
-                avail,
-                loads,
-                vnodes,
-            })
-            .collect();
-        let ctx = Arc::new(cluster);
-        let job_ctx = Arc::clone(&ctx);
-        let results = self.pool.run_tasks(tasks, move |_, mut task| {
-            for (pid, part) in &mut task.parts {
-                let a = cached_availability(&job_ctx, part);
-                task.avail.push((*pid, a));
-                for r in &part.replicas {
-                    task.vnodes.push((r.server, 1usize));
-                    task.loads.push((r.server, r.queries_epoch));
-                }
-            }
-            task
-        });
-        let mut parts_back: Vec<(PartitionId, PartitionState)> = Vec::with_capacity(n);
-        for (ci, task) in results.into_iter().enumerate() {
-            parts_back.extend(task.parts);
-            self.avail_acc.shards_mut()[ci] = task.avail;
-            self.load_acc.shards_mut()[ci] = task.loads;
-            self.vnode_acc.shards_mut()[ci] = task.vnodes;
-        }
-        let stats = self.finish_ring_stats(n, threshold);
-        (reclaim(ctx), parts_back, stats)
-    }
-
-    /// The single-thread fast path of the report pass: identical
-    /// accounting run in place over borrowed partitions, filling one
-    /// shard in item order — the merge replays exactly the same delta
-    /// sequence as any contiguous chunk decomposition, so the stats are
-    /// bit-identical to the owned dispatch.
-    pub(crate) fn ring_stats_inline<'a>(
+    /// Computes one ring's report aggregates from `parts` in ring order:
+    /// availabilities (via the memoized cache), per-server served-query
+    /// loads and vnode counts. One left fold in (partition, replica)
+    /// order, so every floating-point sum is fixed by the ring alone.
+    pub(crate) fn ring_stats<'a>(
         &mut self,
         cluster: &Cluster,
         parts: impl Iterator<Item = &'a mut PartitionState>,
         threshold: f64,
     ) -> RingPhaseStats {
-        self.avail_acc.reset(1);
-        self.load_acc.reset(1);
-        self.vnode_acc.reset(1);
-        let mut n = 0usize;
+        self.avails.clear();
+        self.loads.clear();
+        let mut vnodes = 0usize;
         for part in parts {
-            n += 1;
-            let a = cached_availability(cluster, part);
-            self.avail_acc.shards_mut()[0].push((part.id, a));
+            self.avails.push(cached_availability(cluster, part));
             for r in &part.replicas {
-                self.vnode_acc.shards_mut()[0].push((r.server, 1usize));
-                self.load_acc.shards_mut()[0].push((r.server, r.queries_epoch));
+                vnodes += 1;
+                *sorted_slot(&mut self.vnodes_global, r.server) += 1;
+                *sorted_slot(&mut self.loads, r.server) += r.queries_epoch;
             }
         }
-        self.finish_ring_stats(n, threshold)
-    }
-
-    /// Merges the filled shard accumulators into the ring's report stats.
-    fn finish_ring_stats(&mut self, n: usize, threshold: f64) -> RingPhaseStats {
-        // Merges: partition ids ascend (= the rings' BTreeMap iteration
-        // order), per-server loads combine in partition order.
-        self.avail_merged.clear();
-        self.avail_acc
-            .merge_into_sorted(&mut self.avail_merged, || 0.0, |slot, v| *slot = v);
-        self.load_merged.clear();
-        self.load_acc
-            .merge_into_sorted(&mut self.load_merged, || 0.0, |slot, v| *slot += v);
-        let vnodes = self.vnode_acc.len();
-        self.vnode_acc
-            .merge_into_sorted(&mut self.vnodes_global, || 0usize, |slot, v| *slot += v);
-        let avails = || self.avail_merged.iter().map(|&(_, a)| a);
+        let n = self.avails.len();
+        let avails = || self.avails.iter().copied();
         let (mean_availability, min_availability, sla_satisfied_frac) = if n == 0 {
             (0.0, 0.0, 1.0)
         } else {
@@ -554,8 +253,7 @@ impl EpochPipeline {
             )
         };
         self.loads_flat.clear();
-        self.loads_flat
-            .extend(self.load_merged.iter().map(|&(_, l)| l));
+        self.loads_flat.extend(self.loads.iter().map(|&(_, l)| l));
         let (_, load_cv) = mean_cv(&self.loads_flat);
         RingPhaseStats {
             vnodes,
@@ -578,11 +276,40 @@ impl EpochPipeline {
     }
 }
 
-/// One chunk of the report plan pass: the partitions plus the chunk's
-/// shard buffers, all owned for the dispatch.
-struct ReportTask {
-    parts: Vec<(PartitionId, PartitionState)>,
-    avail: Vec<(PartitionId, f64)>,
-    loads: Vec<(ServerId, f64)>,
-    vnodes: Vec<(ServerId, usize)>,
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::cloud::decisions::tests::planned_epochs;
+
+    #[test]
+    fn decision_plan_layout_does_not_depend_on_the_chunking() {
+        // 96 partitions as one chunk, and as 14 chunks of 7 with a shorter
+        // last one: the slices of `pre` each chunk fills and the rebased
+        // read-set offsets must reproduce the one-chunk layout exactly.
+        let whole = planned_epochs(|n| n);
+        let chunked = planned_epochs(|_| 7);
+        assert_eq!(
+            phase_chunk(96),
+            16,
+            "the production decomposition also splits"
+        );
+        let (mut speculated, mut reads) = (0usize, 0usize);
+        for (epoch, ((pre_a, reads_a), (pre_b, reads_b))) in whole.iter().zip(&chunked).enumerate()
+        {
+            assert_eq!(pre_a, pre_b, "slots diverge at epoch {epoch}");
+            assert_eq!(reads_a, reads_b, "read-set arenas diverge at epoch {epoch}");
+            for (a, b) in pre_a.iter().zip(pre_b) {
+                let slice = |p: &PreDecision, arena: &[ServerId]| {
+                    let start = p.spec_reads_start as usize;
+                    arena[start..start + p.spec_reads_len as usize].to_vec()
+                };
+                assert_eq!(slice(a, reads_a), slice(b, reads_b));
+                speculated += usize::from(b.spec_computed);
+                reads += b.spec_reads_len as usize;
+            }
+        }
+        assert!(speculated > 0, "the run must exercise speculative walks");
+        // Read sets are recorded in debug builds only.
+        assert_eq!(reads > 0, cfg!(debug_assertions));
+    }
 }

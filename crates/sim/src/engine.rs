@@ -130,7 +130,7 @@ impl Simulation {
             self.apply_event(event);
         }
         // Queries: every application's traffic in one batched call, so the
-        // per-ring delivery plan passes share a single pool dispatch.
+        // per-ring delivery plan passes share a single fan-out.
         let traffic = self.query_gen.epoch(&mut self.rng, epoch);
         let offered_rate: f64 = traffic.iter().map(|t| t.queries).sum();
         let batches: Vec<TrafficBatch> = traffic

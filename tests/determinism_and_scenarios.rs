@@ -75,8 +75,8 @@ fn identical_seeds_are_bitwise_identical_at_paper_scale() {
 #[test]
 fn thread_counts_replay_bitwise_identically() {
     // The parallel epoch pipeline's acceptance bar: threads = 1 runs every
-    // phase inline (the sequential path); larger budgets fan the plan
-    // passes out across workers. Every field of every per-epoch
+    // plan pass on the caller's thread; larger budgets fan the same
+    // chunks out across workers. Every field of every per-epoch
     // Observation — floats included — must be bitwise identical, through
     // traffic, repairs, economic decisions and a failure burst.
     let run = |threads: usize| {
@@ -99,8 +99,9 @@ fn thread_counts_replay_bitwise_identically() {
 #[test]
 fn thread_counts_replay_bitwise_identically_at_paper_scale() {
     // Same bar at the paper's M = 200 (600 partitions across three rings):
-    // the chunked plan passes, sharded report accounting and speculative
-    // placement must leave no trace in the trajectory.
+    // the chunked plan passes and speculative placement must leave no
+    // trace in the trajectory (an odd budget splits the 16 chunks
+    // unevenly over the workers).
     let run = |threads: usize| {
         let mut s = paper::scaled_scenario("threads-det-200", 200, 3_000, 6);
         s.seed = 0xD200;
@@ -108,7 +109,7 @@ fn thread_counts_replay_bitwise_identically_at_paper_scale() {
         Simulation::new(s).run()
     };
     let sequential = run(1);
-    for threads in [2usize, 8] {
+    for threads in [2usize, 3, 8] {
         let parallel = run(threads);
         for (epoch, (a, b)) in sequential.iter().zip(&parallel).enumerate() {
             assert_eq!(a, b, "threads = {threads} diverges at epoch {epoch}");
@@ -148,7 +149,7 @@ fn traffic_commit_modes_conserve_per_server_queries_on_all_scenarios() {
     // no server serves past its query capacity, and the servers' served
     // meters add up to what the rings report — with every float of every
     // Observation and every served/dropped meter **bitwise identical** at
-    // threads 1, 2 and 8 (fig4's Slashdot spike saturates servers, so the
+    // threads 1, 2, 3 and 8 (fig4's Slashdot spike saturates servers, so the
     // spill and drop branches are covered).
     let close = |a: f64, b: f64| (a - b).abs() <= 1e-6 * a.abs().max(b.abs()).max(1.0);
     for scenario in [
@@ -213,7 +214,7 @@ fn traffic_commit_modes_conserve_per_server_queries_on_all_scenarios() {
                 scenario.name
             );
         }
-        for threads in [2usize, 8] {
+        for threads in [2usize, 3, 8] {
             let threaded = run(threads);
             assert_eq!(inline.len(), threaded.len());
             for (epoch, (a, b)) in inline.iter().zip(&threaded).enumerate() {
