@@ -29,9 +29,7 @@ use crate::health::HealthState;
 use crate::metrics::EpochReport;
 use crate::obs::CloudMetrics;
 use crate::pipeline::EpochPipeline;
-use crate::placement::{
-    economic_target, PlacementContext, PlacementIndex, SpecWriteSet, TargetQuery,
-};
+use crate::placement::{economic_target, PlacementContext, PlacementIndex, TargetQuery};
 use crate::vnode::{PartitionState, Replica, VnodeId};
 
 mod client;
@@ -74,27 +72,18 @@ impl RingState {
     }
 }
 
-/// Which reference implementation the epoch's eq.-(3) target selections
-/// run through instead of the production path. A test oracle, not
-/// configuration: every variant replays the production trajectory bit for
-/// bit (up to the speculation hit/miss counters under
-/// [`DecisionOracle::Rewalk`]), and only
-/// [`SkuteCloud::set_decision_oracle`] sets it.
+/// Which implementation the epoch's eq.-(3) target selections run
+/// through. A test oracle, not configuration: both variants replay the same
+/// trajectory bit for bit, and only [`SkuteCloud::set_decision_oracle`]
+/// sets it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum DecisionOracle {
-    /// Production: targets come from the rent-sorted
-    /// [`PlacementIndex`]; the decision plan pass speculates and the
-    /// commit pass honors every speculation `validate_speculation` proves
-    /// still exact.
+    /// Production: targets come from a walk of the rent-sorted
+    /// [`PlacementIndex`].
     #[default]
     None,
-    /// The decision plan pass computes no speculative targets, so the
-    /// commit pass re-walks every acting vnode against the live state —
-    /// the sequential loop speculation replaced.
-    Rewalk,
-    /// Every target selection, speculative ones included, is the
-    /// brute-force full-cluster scan [`economic_target`] instead of an
-    /// index walk.
+    /// Every target selection is the brute-force full-cluster scan
+    /// [`economic_target`] instead of an index walk.
     BruteForce,
 }
 
@@ -133,15 +122,10 @@ pub struct SkuteCloud {
     /// reuses (see [`crate::pipeline`]).
     pipeline: EpochPipeline,
     /// Scratch buffers reused across epochs so the hot decision loop does
-    /// not allocate on its common paths. The last tuple element is the
-    /// vnode's slot in the pipeline's precomputation buffer.
-    work_scratch: Vec<(usize, PartitionId, VnodeId, usize)>,
+    /// not allocate on its common paths.
+    work_scratch: Vec<(usize, PartitionId, VnodeId)>,
     servers_scratch: Vec<ServerId>,
     placed_scratch: Vec<(Location, f64)>,
-    /// Servers mutated by the actions committed so far in the current
-    /// decision commit pass (deduplicated, split by mutation direction) —
-    /// the write set every later speculation is validated against.
-    spec_touched: SpecWriteSet,
     /// Optional observability sink (see [`crate::obs`]). Write-only from
     /// the cloud's point of view: nothing here is ever read back by a
     /// decision path, so trajectories are bitwise identical with metrics
@@ -187,7 +171,6 @@ impl SkuteCloud {
             work_scratch: Vec::new(),
             servers_scratch: Vec::new(),
             placed_scratch: Vec::new(),
-            spec_touched: SpecWriteSet::new(),
             metrics: None,
             health: HealthState::default(),
             repair_queue: Mutex::new(Vec::new()),
@@ -404,9 +387,7 @@ impl SkuteCloud {
         ) {
             return;
         }
-        // Every memoized eq.-(2) availability is stale. Membership is
-        // untouched: clear caches without bumping membership versions
-        // (speculative precomputations stay valid).
+        // Every memoized eq.-(2) availability is stale.
         for ring in &mut self.rings {
             for p in ring.partitions.values_mut() {
                 p.note_confidence_changed();
@@ -581,9 +562,8 @@ impl SkuteCloud {
 
     /// Tells the placement index exactly which servers the action just
     /// executed has touched. The invalidation is queued and applied at the
-    /// next index read (the next query of the commit pass, or the refresh
-    /// at the next phase barrier), where it repositions those entries
-    /// instead of rebuilding the whole snapshot.
+    /// next index query, where it repositions those entries instead of
+    /// rebuilding the whole snapshot.
     fn note_index(&mut self, ids: &[ServerId]) {
         self.index.queue_servers_changed(ids);
     }

@@ -44,15 +44,6 @@ pub struct ActionCounts {
     /// Bytes migrations *physically* streamed this epoch (see
     /// [`ActionCounts::measured_replicated_bytes`]).
     pub measured_migrated_bytes: u64,
-    /// Speculative eq.-(3) targets honored by the decision commit pass
-    /// (read-set validation passed, or no preceding action had touched
-    /// the cluster). Observability only: the commit executes the same
-    /// action a fresh walk would have picked.
-    pub spec_hits: u64,
-    /// Speculations discarded by the commit pass — a preceding committed
-    /// action genuinely overlapped the walk's reads (or changed the
-    /// partition's membership) — and re-walked on the live state.
-    pub spec_misses: u64,
     /// Always zero: nothing counts into it. It stays only because the
     /// `benchmark/` package, which this crate's PRs may not edit, reads it
     /// for its `core.decision_batches` row; the next `benchmark` PR drops
@@ -60,6 +51,10 @@ pub struct ActionCounts {
     pub decision_batches: u64,
     /// Always zero, kept for the same reason (`core.batch_conflicts`).
     pub batch_conflicts: u64,
+    /// Always zero, kept for the same reason (`core.spec_hit_rate`).
+    pub spec_hits: u64,
+    /// Always zero, kept for the same reason (`core.spec_hit_rate`).
+    pub spec_misses: u64,
     /// Quarantined replicas re-seeded from a healthy peer by the scrub
     /// pass. Observability only — the rebuild restores the replica's
     /// converged contents, so the trajectory never moves.
@@ -98,8 +93,9 @@ impl ActionCounts {
         per_mib * self.measured_transferred_bytes() as f64 / MIB
     }
 
-    /// Fraction of speculations honored at commit time, or `None` when
-    /// no speculation was evaluated (e.g. under `DecisionOracle::Rewalk`).
+    /// Always `None` (both counters are always zero), kept for the same
+    /// reason as [`ActionCounts::decision_batches`]: `benchmark/` calls it
+    /// for its `core.spec_hit_rate` row.
     pub fn spec_hit_rate(&self) -> Option<f64> {
         let total = self.spec_hits + self.spec_misses;
         (total > 0).then(|| self.spec_hits as f64 / total as f64)
@@ -117,8 +113,6 @@ impl ActionCounts {
         self.migrated_bytes += other.migrated_bytes;
         self.measured_replicated_bytes += other.measured_replicated_bytes;
         self.measured_migrated_bytes += other.measured_migrated_bytes;
-        self.spec_hits += other.spec_hits;
-        self.spec_misses += other.spec_misses;
         self.scrub_rebuilds += other.scrub_rebuilds;
         self.measured_scrub_bytes += other.measured_scrub_bytes;
     }
@@ -365,8 +359,6 @@ mod tests {
             migrated_bytes: 50,
             measured_replicated_bytes: 130,
             measured_migrated_bytes: 70,
-            spec_hits: 9,
-            spec_misses: 1,
             scrub_rebuilds: 2,
             measured_scrub_bytes: 40,
             ..ActionCounts::default()
@@ -378,12 +370,9 @@ mod tests {
         assert_eq!(a.blocked_transfers, 12);
         assert_eq!(a.transferred_bytes(), 300);
         assert_eq!(a.measured_transferred_bytes(), 400);
-        assert_eq!(a.spec_hits, 18);
-        assert_eq!(a.spec_misses, 2);
         assert_eq!(a.scrub_rebuilds, 4);
         assert_eq!(a.measured_scrub_bytes, 80);
-        assert_eq!(a.spec_hit_rate(), Some(0.9));
-        assert_eq!(ActionCounts::default().spec_hit_rate(), None);
+        assert_eq!(a.spec_hit_rate(), None);
     }
 
     #[test]

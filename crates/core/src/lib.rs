@@ -70,7 +70,7 @@ pub use error::CoreError;
 pub use health::GrayMode;
 pub use metrics::{AntiEntropyReport, EpochReport, RingReport, ScrubReport};
 pub use obs::CloudMetrics;
-pub use placement::{PlacementContext, PlacementIndex, PlacementStrategy, WalkScratch};
+pub use placement::{PlacementContext, PlacementIndex, PlacementStrategy};
 // Fault-model types consumers configure the cloud with, re-exported so
 // downstream crates (sim, server) need no direct skute-store dependency.
 pub use skute_store::{FaultPlan, FaultPlanKind};

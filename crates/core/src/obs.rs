@@ -17,7 +17,6 @@
 //! | `skute_epochs_total` | counter | | epochs closed |
 //! | `skute_queries_total` | counter | `outcome` | offered / served / dropped queries (rounded) |
 //! | `skute_actions_total` | counter | `action` | replications, migrations, suicides, splits, blocked transfers |
-//! | `skute_speculation_total` | counter | `result` | decision-prepass speculation hits / misses |
 //! | `skute_transfer_bytes_total` | counter | `kind` | logical replication / migration bytes moved |
 //! | `skute_insert_failures_total` | counter | | synthetic ingests rejected for capacity |
 //! | `skute_partitions_lost_total` | counter | | partitions that lost their last replica |
@@ -78,10 +77,6 @@ pub struct CloudMetrics {
     pub splits: Counter,
     /// Transfers blocked by bandwidth or storage.
     pub blocked_transfers: Counter,
-    /// Speculative decision prepass hits.
-    pub spec_hits: Counter,
-    /// Speculative decision prepass misses (re-walked live).
-    pub spec_misses: Counter,
     /// Logical bytes moved by replications.
     pub replicated_bytes: Counter,
     /// Logical bytes moved by migrations.
@@ -167,13 +162,6 @@ impl CloudMetrics {
                 &[("action", name)],
             )
         };
-        let spec = |result: &str| {
-            registry.counter_with(
-                "skute_speculation_total",
-                "Speculative prepass placements validated against the commit.",
-                &[("result", result)],
-            )
-        };
         let bytes = |kind: &str| {
             registry.counter_with(
                 "skute_transfer_bytes_total",
@@ -211,8 +199,6 @@ impl CloudMetrics {
             suicides: action("suicide"),
             splits: action("split"),
             blocked_transfers: action("blocked_transfer"),
-            spec_hits: spec("hit"),
-            spec_misses: spec("miss"),
             replicated_bytes: bytes("replication"),
             migrated_bytes: bytes("migration"),
             insert_failures: registry.counter(
@@ -303,8 +289,6 @@ impl CloudMetrics {
         self.suicides.add(a.suicides);
         self.splits.add(a.splits);
         self.blocked_transfers.add(a.blocked_transfers);
-        self.spec_hits.add(a.spec_hits);
-        self.spec_misses.add(a.spec_misses);
         self.replicated_bytes.add(a.replicated_bytes);
         self.migrated_bytes.add(a.migrated_bytes);
         self.scrub_rebuilds.add(a.scrub_rebuilds);

@@ -2,53 +2,39 @@
 //!
 //! [`crate::SkuteCloud`] runs every epoch through four phases — **traffic
 //! delivery**, **availability repair**, **economic decisions** and the
-//! **report** — one file each under `cloud/`. Traffic and decisions are
-//! each structured as
+//! **report** — one file each under `cloud/`. Two of them fan work out
+//! before their sequential pass:
 //!
-//! 1. a **plan pass**: pure per-partition computation against state that
-//!    is immutable for the duration of the phase (server locations,
-//!    confidences, posted rents, the refreshed `PlacementIndex`
-//!    snapshot), writing only partition-local state and per-chunk
-//!    scratch;
-//! 2. a **sequential commit pass** that applies every effect on shared
-//!    state — capacity meters, rent-board-indexed structures, executed
-//!    actions — in a fixed order (ring/partition order for traffic, the
-//!    seeded shuffle order for decisions), one action at a time — the
-//!    paper's §II-C walk.
+//! * **traffic** has a **plan pass**: pure per-partition computation
+//!   against state that is immutable for the duration of the phase (server
+//!   locations, confidences, capacities), writing only partition-local
+//!   state; its sequential commit then applies every effect on shared
+//!   state — the capacity meters — in ring/partition order;
+//! * **repair** warms each partition's memoized eq.-(2) availability, and
+//!   computes every placement it makes inside its sequential shuffled
+//!   commit.
 //!
-//! Repair has no plan pass: its only parallelizable step warms each
-//! partition's memoized eq.-(2) availability, and every placement it makes
-//! is computed inside its sequential shuffled commit. The report is one
+//! The decision phase has no plan pass: it is one sequential walk over the
+//! seeded shuffle order in which every vnode looks at the live state and
+//! acts, one action at a time — the paper's §II-C loop. The report is one
 //! sequential fold in (partition, replica) order.
 //!
 //! The plan functions and the commits live in the phase files. This module
 //! holds what fans a plan pass out: the phase collects `&mut` borrows of
 //! its partitions, [`EpochPipeline`] cuts them into contiguous chunks and
 //! hands the chunks to [`WorkerPool::run_tasks`], whose scoped workers
-//! read the cluster, board, topology and index through plain shared
-//! borrows of the cloud's own fields. There is one route at every thread
-//! count: a budget of one runs the same chunks on the caller's thread.
+//! read the cluster and topology through plain shared borrows of the
+//! cloud's own fields. There is one route at every thread count: a budget
+//! of one runs the same chunks on the caller's thread.
 //!
 //! Determinism is structural, not incidental:
 //!
 //! * plan passes are order-independent per item, and the chunk
 //!   decomposition depends only on the item count, so neither chunk
 //!   boundaries nor worker scheduling can change any result;
-//! * per-chunk scratch (`WalkScratch`, placement buffers) carries no
-//!   state between items; the only randomness in the epoch loop (the
-//!   repair and decision shuffles, server seeding) stays on the cloud's
-//!   sequential RNG stream;
-//! * speculative placement targets computed by the decision plan pass
-//!   carry their walk's **read set** (`WalkScratch` records every
-//!   candidate entry a query examined); the commit pass tracks the servers
-//!   each committed action touches and honors a later speculation only
-//!   when `crate::placement::validate_speculation` proves those touches
-//!   cannot have changed its answer — otherwise it re-runs on the live state
-//!   exactly as the sequential loop would. Honored or re-walked, the
-//!   executed action is bit-identical to a fresh walk (property-tested,
-//!   and asserted end-to-end against the
-//!   [`DecisionOracle::Rewalk`](crate::DecisionOracle::Rewalk) oracle that
-//!   re-walks everything).
+//! * the only randomness in the epoch loop (the repair and decision
+//!   shuffles, server seeding) stays on the cloud's sequential RNG stream,
+//!   and everything that reads or writes shared state runs on it.
 //!
 //! The result: same-seed trajectories are **bitwise identical at every
 //! thread count**.
@@ -58,7 +44,6 @@ use std::collections::BTreeMap;
 use skute_cluster::{Cluster, ServerId};
 use skute_exec::WorkerPool;
 
-use crate::cloud::decisions::{plan_one_decision, DecisionInputs, DecisionScratch, PreDecision};
 use crate::cloud::repair::cached_availability;
 use crate::metrics::mean_cv;
 use crate::vnode::PartitionState;
@@ -67,19 +52,12 @@ use crate::vnode::PartitionState;
 /// chunk (which runs on the caller's thread); large inputs split into at
 /// most ~16 chunks so work distribution stays coarse. Never depends on the
 /// thread count — only results-irrelevant scheduling does.
-pub(crate) fn phase_chunk(n: usize) -> usize {
+fn phase_chunk(n: usize) -> usize {
     if n < 64 {
         n.max(1)
     } else {
         n.div_ceil(16).max(16)
     }
-}
-
-/// Splits the first `n` elements off the front of `rest`.
-fn take_front<'a, T>(rest: &mut &'a mut [T], n: usize) -> &'a mut [T] {
-    let (front, tail) = std::mem::take(rest).split_at_mut(n);
-    *rest = tail;
-    front
 }
 
 /// The slot of `key` in the key-sorted accumulator `acc`, inserted at its
@@ -105,20 +83,11 @@ pub(crate) struct RingPhaseStats {
     pub load_cv: f64,
 }
 
-/// The plan passes' thread budget and the scratch the epoch loop reuses:
-/// per-vnode decision slots and the report accumulators. Owned by
-/// [`crate::SkuteCloud`].
+/// The plan passes' thread budget and the report accumulators the epoch
+/// loop reuses. Owned by [`crate::SkuteCloud`].
 #[derive(Debug, Default)]
 pub(crate) struct EpochPipeline {
     pool: WorkerPool,
-    /// Per-vnode decision precomputation (indexed by work-list slot).
-    pub(crate) pre: Vec<PreDecision>,
-    /// Per-chunk scratch of the decision plan pass, reused across epochs.
-    states: Vec<DecisionScratch>,
-    /// Flat arena of every speculative walk's sorted read set, indexed by
-    /// the `spec_reads_start`/`spec_reads_len` of each [`PreDecision`]
-    /// slot. Rebuilt by every decision plan pass.
-    pub(crate) spec_reads: Vec<ServerId>,
     // Report accumulators, reused across epochs.
     avails: Vec<f64>,
     /// Per-server served queries of the ring being reported, by server id.
@@ -148,71 +117,6 @@ impl EpochPipeline {
     pub(crate) fn for_each_chunk<T: Send>(&self, items: &mut [T], f: impl Fn(&mut [T]) + Sync) {
         let chunks = items.chunks_mut(phase_chunk(items.len())).collect();
         self.pool.run_tasks(chunks, |_, chunk| f(chunk));
-    }
-
-    /// The decision plan pass: precomputes every vnode's decision inputs —
-    /// balance recording, streaks, availability-without-self, and (for
-    /// vnodes whose planned intent needs one) a speculative eq.-(3) target
-    /// against the frozen index snapshot — filling [`EpochPipeline::pre`]
-    /// in flat (ring, partition, replica) enumeration order, which is the
-    /// order `items` must yield `(threshold, partition)` in. The commit
-    /// pass consumes the slots in the seeded shuffle order.
-    ///
-    /// Every chunk of `chunk` partitions writes its own slice of `pre`,
-    /// sized from its replica count, and records read sets into its own
-    /// scratch arena; the arenas are then spliced into
-    /// [`EpochPipeline::spec_reads`] in chunk order, rebasing each chunk's
-    /// slot offsets by the splice point, so the layout is the same under
-    /// every decomposition.
-    pub(crate) fn plan_decisions(
-        &mut self,
-        items: &mut [(f64, &mut PartitionState)],
-        inputs: &DecisionInputs<'_>,
-        chunk: usize,
-    ) {
-        let Self {
-            pool,
-            pre,
-            states,
-            spec_reads,
-            ..
-        } = self;
-        let chunk = chunk.max(1);
-        let counts: Vec<usize> = items
-            .chunks(chunk)
-            .map(|c| c.iter().map(|(_, p)| p.replicas.len()).sum())
-            .collect();
-        // No clear: the plan writes every slot.
-        pre.resize(counts.iter().sum(), PreDecision::default());
-        states.resize_with(counts.len(), DecisionScratch::default);
-        let mut rest = &mut pre[..];
-        let tasks = items
-            .chunks_mut(chunk)
-            .zip(&counts)
-            .zip(states.iter_mut())
-            .map(|((parts, &n), scratch)| {
-                scratch.reads.clear();
-                (parts, take_front(&mut rest, n), scratch)
-            })
-            .collect();
-        pool.run_tasks(tasks, |_, (parts, mut slots, scratch)| {
-            for (threshold, part) in parts {
-                let mine = take_front(&mut slots, part.replicas.len());
-                plan_one_decision(*threshold, part, inputs, mine, scratch);
-            }
-        });
-        spec_reads.clear();
-        let mut rest = &mut pre[..];
-        for (scratch, &n) in states.iter().zip(&counts) {
-            let slots = take_front(&mut rest, n);
-            let base = spec_reads.len() as u32;
-            spec_reads.extend_from_slice(&scratch.reads);
-            if base > 0 {
-                for p in slots.iter_mut().filter(|p| p.spec_reads_len > 0) {
-                    p.spec_reads_start += base;
-                }
-            }
-        }
     }
 
     /// Starts a new epoch report (clears the cross-ring accumulators).
@@ -273,43 +177,5 @@ impl EpochPipeline {
             *map.entry(id).or_insert(0) += count;
         }
         map
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::cloud::decisions::tests::planned_epochs;
-
-    #[test]
-    fn decision_plan_layout_does_not_depend_on_the_chunking() {
-        // 96 partitions as one chunk, and as 14 chunks of 7 with a shorter
-        // last one: the slices of `pre` each chunk fills and the rebased
-        // read-set offsets must reproduce the one-chunk layout exactly.
-        let whole = planned_epochs(|n| n);
-        let chunked = planned_epochs(|_| 7);
-        assert_eq!(
-            phase_chunk(96),
-            16,
-            "the production decomposition also splits"
-        );
-        let (mut speculated, mut reads) = (0usize, 0usize);
-        for (epoch, ((pre_a, reads_a), (pre_b, reads_b))) in whole.iter().zip(&chunked).enumerate()
-        {
-            assert_eq!(pre_a, pre_b, "slots diverge at epoch {epoch}");
-            assert_eq!(reads_a, reads_b, "read-set arenas diverge at epoch {epoch}");
-            for (a, b) in pre_a.iter().zip(pre_b) {
-                let slice = |p: &PreDecision, arena: &[ServerId]| {
-                    let start = p.spec_reads_start as usize;
-                    arena[start..start + p.spec_reads_len as usize].to_vec()
-                };
-                assert_eq!(slice(a, reads_a), slice(b, reads_b));
-                speculated += usize::from(b.spec_computed);
-                reads += b.spec_reads_len as usize;
-            }
-        }
-        assert!(speculated > 0, "the run must exercise speculative walks");
-        // Read sets are recorded in debug builds only.
-        assert_eq!(reads > 0, cfg!(debug_assertions));
     }
 }

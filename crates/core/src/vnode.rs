@@ -114,21 +114,14 @@ pub struct PartitionState {
     /// delivery) and shared by every placement decision of the partition
     /// within an epoch.
     pub prox_cache: ProximityCache,
-    /// Bumped on every replica-membership change (add, remove, or host
-    /// change). The epoch pipeline's parallel pre-passes snapshot it to
-    /// detect, at commit time, whether their per-vnode precomputation is
-    /// still exact or must be redone against the mutated partition.
-    pub membership_version: u64,
     /// Memoized eq.-(2) availability of the current replica set.
-    /// Invalidated (with the version bump) by
-    /// [`PartitionState::note_membership_changed`]; server locations are
-    /// immutable and confidences only move when the cloud observes health
-    /// samples (gray fault plans), in which case `begin_epoch` clears the
-    /// cache fleet-wide via
-    /// [`PartitionState::note_confidence_changed`] without touching the
-    /// membership version. Survives across epochs otherwise: a converged
-    /// partition never re-evaluates eq. (2) in `repair_availability` or
-    /// the epoch report.
+    /// Invalidated by [`PartitionState::note_membership_changed`]; server
+    /// locations are immutable and confidences only move when the cloud
+    /// observes health samples (gray fault plans), in which case
+    /// `begin_epoch` clears the cache fleet-wide via
+    /// [`PartitionState::note_confidence_changed`]. Survives across epochs
+    /// otherwise: a converged partition never re-evaluates eq. (2) in
+    /// `repair_availability` or the epoch report.
     pub cached_availability: Option<f64>,
     /// Traffic-delivery scratch (see [`DeliveryPlan`]).
     pub delivery: DeliveryPlan,
@@ -146,25 +139,21 @@ impl PartitionState {
             queries_epoch: 0.0,
             write_bytes_epoch: 0,
             prox_cache: ProximityCache::new(),
-            membership_version: 0,
             cached_availability: None,
             delivery: DeliveryPlan::default(),
         }
     }
 
     /// Records that the replica set changed (replica added, removed, or
-    /// moved to another server): bumps the membership version and drops the
-    /// memoized availability. Every mutation of `replicas` must call this.
+    /// moved to another server): drops the memoized availability. Every
+    /// mutation of `replicas` must call this.
     pub fn note_membership_changed(&mut self) {
-        self.membership_version += 1;
         self.cached_availability = None;
     }
 
     /// Records that server confidences changed under the replica set
     /// (health-EWMA updates at epoch start): drops the memoized
-    /// availability so eq. (2) re-evaluates, **without** bumping the
-    /// membership version — the replica set itself is intact, so
-    /// speculative per-vnode precomputations remain valid.
+    /// availability so eq. (2) re-evaluates.
     pub fn note_confidence_changed(&mut self) {
         self.cached_availability = None;
     }
@@ -281,12 +270,10 @@ mod tests {
     }
 
     #[test]
-    fn membership_note_bumps_version_and_drops_availability() {
+    fn membership_note_drops_availability() {
         let mut p = PartitionState::new(PartitionId(0), 1.0);
         p.cached_availability = Some(63.0);
-        let v0 = p.membership_version;
         p.note_membership_changed();
-        assert_eq!(p.membership_version, v0 + 1);
         assert_eq!(p.cached_availability, None);
         // Epoch reset keeps the cache (membership did not change) but
         // invalidates any stale delivery plan.

@@ -11,7 +11,7 @@
 //! writes the full per-epoch time series as CSV. `--metrics-json PATH`
 //! attaches the write-only [`CloudMetrics`] sink and writes an
 //! end-of-run JSON snapshot of every metric (per-phase wall-clock
-//! timings, action/speculation/fault counters, storage-engine totals) —
+//! timings, action/fault counters, storage-engine totals) —
 //! the metrics layer never feeds back into decisions, so stdout and CSV
 //! stay byte-identical with or without it.
 
@@ -138,8 +138,8 @@ fn parse_args() -> Result<Args, String> {
                      loop every N epochs (0 = disabled, the default); scrubs\n\
                      are observability-only and never perturb the trajectory.\n\
                      --metrics-json writes an end-of-run JSON snapshot of the\n\
-                     observability registry (per-phase timings, action and\n\
-                     speculation counters, storage-engine totals). The sink is\n\
+                     observability registry (per-phase timings, action\n\
+                     counters, storage-engine totals). The sink is\n\
                      write-only: stdout and CSV are byte-identical with or\n\
                      without it."
                 );

@@ -2,7 +2,7 @@
 //! reduced scale — cheap versions of the figure benches that run in the
 //! regular test suite.
 
-use skute::core::{ActionCounts, DecisionOracle};
+use skute::core::DecisionOracle;
 use skute::prelude::*;
 use skute::sim::paper;
 
@@ -99,9 +99,8 @@ fn thread_counts_replay_bitwise_identically() {
 #[test]
 fn thread_counts_replay_bitwise_identically_at_paper_scale() {
     // Same bar at the paper's M = 200 (600 partitions across three rings):
-    // the chunked plan passes and speculative placement must leave no
-    // trace in the trajectory (an odd budget splits the 16 chunks
-    // unevenly over the workers).
+    // the chunked plan passes must leave no trace in the trajectory (an
+    // odd budget splits the 16 chunks unevenly over the workers).
     let run = |threads: usize| {
         let mut s = paper::scaled_scenario("threads-det-200", 200, 3_000, 6);
         s.seed = 0xD200;
@@ -123,9 +122,7 @@ fn indexed_and_brute_force_placement_produce_identical_trajectories() {
     // the brute-force full-cluster scan must reproduce the indexed
     // pipeline's Observation series exactly — same winners, same
     // tie-breaks, same floats — across a scenario with traffic, repairs
-    // and a failure burst. The hit/miss counters match too: the oracle
-    // still speculates (through the scan, with a read-everything read
-    // set), and validation never depends on how a target was found.
+    // and a failure burst.
     let run = |oracle: DecisionOracle| {
         let mut s = paper::scaled_scenario("oracle-eq", 24, 3_000, 15);
         s.seed = 0x0514CE;
@@ -225,103 +222,6 @@ fn traffic_commit_modes_conserve_per_server_queries_on_all_scenarios() {
                 );
             }
         }
-    }
-}
-
-#[test]
-fn speculation_oracle_replays_bitwise_identically() {
-    // The read-set speculation's acceptance bar: disabling speculation
-    // entirely (`DecisionOracle::Rewalk` — every acting vnode re-walks the
-    // live state at commit) must replay the speculative pipeline's
-    // trajectory **bitwise**, at several thread counts: on a scaled run
-    // through a convergence phase, a failure burst and steady state, and
-    // on the six paper scenarios (outage run past its epoch-40 burst). The
-    // only permitted difference is the hit/miss observability counters
-    // themselves (the oracle never evaluates a speculation).
-    let mut burst = paper::scaled_scenario("spec-oracle", 24, 3_000, 16);
-    burst.seed = 0x57EC;
-    burst.schedule = Schedule::new().at(9, CloudEvent::RemoveServers { count: 12 });
-    let paper_run = |mut s: Scenario, epochs: u64| {
-        s.epochs = epochs;
-        s
-    };
-    for (scenario, oracle_threads) in [
-        (burst, &[1usize, 2, 8][..]),
-        (paper_run(paper::base_scenario(), 30), &[1, 8]),
-        (paper_run(paper::fig2_scenario(), 30), &[1, 8]),
-        (paper_run(paper::fig3_scenario(), 30), &[1, 8]),
-        (paper_run(paper::fig4_scenario(), 30), &[1, 8]),
-        (paper_run(paper::fig5_scenario(), 30), &[1, 8]),
-        (paper_run(paper::outage_scenario(), 45), &[1, 8]),
-    ] {
-        let run = |oracle: DecisionOracle, threads: usize| {
-            let mut s = scenario.clone();
-            s.config.threads = threads;
-            let mut sim = Simulation::new(s);
-            sim.cloud_mut().set_decision_oracle(oracle);
-            sim.run()
-        };
-        let mut spec = run(DecisionOracle::None, 1);
-        let mut honored = 0u64;
-        for obs in &mut spec {
-            honored += obs.report.actions.spec_hits;
-            obs.report.actions.spec_hits = 0;
-            obs.report.actions.spec_misses = 0;
-        }
-        assert!(
-            honored > 0,
-            "{}: the convergence epochs must honor speculations past the first commit",
-            scenario.name
-        );
-        for &threads in oracle_threads {
-            let oracle = run(DecisionOracle::Rewalk, threads);
-            assert_eq!(spec.len(), oracle.len());
-            for (epoch, (a, b)) in spec.iter().zip(&oracle).enumerate() {
-                assert_eq!(
-                    (b.report.actions.spec_hits, b.report.actions.spec_misses),
-                    (0, 0),
-                    "the oracle evaluates no speculation"
-                );
-                assert_eq!(
-                    a, b,
-                    "{}: speculation on/off diverges at epoch {epoch}, threads {threads}",
-                    scenario.name
-                );
-            }
-        }
-    }
-}
-
-#[test]
-fn speculation_hit_rate_holds_across_partition_counts() {
-    // How often the decision commit honors a plan-pass speculation is a
-    // pure function of the seed, so the scaling table is pinned here, not
-    // timed: steady cold starts at M = 16 / 50 / 200 and an M = 200 run
-    // through a failure burst and a capacity upgrade. (M = 2000 is the
-    // benchmark's `core.spec_hit_rate`.)
-    let churn = Schedule::new()
-        .at(7, CloudEvent::RemoveServers { count: 20 })
-        .at(13, CloudEvent::AddServers { count: 20 });
-    for (partitions, epochs, schedule, floor) in [
-        (16, 40, Schedule::new(), 0.999),
-        (50, 25, Schedule::new(), 0.99),
-        (200, 12, Schedule::new(), 0.975),
-        (200, 18, churn, 0.98),
-    ] {
-        let mut s = paper::scaled_scenario("spec-hit-rate", partitions, 3_000, epochs);
-        s.seed = 0xBE7C;
-        s.schedule = schedule;
-        let mut total = ActionCounts::default();
-        for obs in Simulation::new(s).run() {
-            total.merge(&obs.report.actions);
-        }
-        let rate = total.spec_hit_rate().expect("cold starts speculate");
-        assert!(
-            rate >= floor,
-            "M = {partitions}, {epochs} epochs: {}/{} honored = {rate:.4} < {floor}",
-            total.spec_hits,
-            total.spec_hits + total.spec_misses
-        );
     }
 }
 
