@@ -5,15 +5,18 @@
 //! is the only shared state the decentralized virtual-node agents consult:
 //! posted prices plus liveness, nothing else.
 
-use std::collections::HashMap;
-
 use crate::server::ServerId;
 
 /// Posted virtual-rent prices for the current epoch.
+///
+/// Dense: server ids are cluster slot indices, so a posting lives at
+/// `prices[id.0]` and a lookup is one bounds-checked load.
 #[derive(Debug, Clone, Default)]
 pub struct Board {
     epoch: u64,
-    prices: HashMap<ServerId, f64>,
+    prices: Vec<Option<f64>>,
+    /// Number of `Some` slots in `prices`.
+    posted: usize,
     version: u64,
 }
 
@@ -27,6 +30,7 @@ impl Board {
     pub fn begin_epoch(&mut self, epoch: u64) {
         self.epoch = epoch;
         self.prices.clear();
+        self.posted = 0;
         self.version += 1;
     }
 
@@ -45,54 +49,45 @@ impl Board {
 
     /// Posts (or re-posts) the price of a server for this epoch.
     pub fn post(&mut self, server: ServerId, price: f64) {
-        self.prices.insert(server, price);
+        let slot = server.0 as usize;
+        if slot >= self.prices.len() {
+            self.prices.resize(slot + 1, None);
+        }
+        if self.prices[slot].replace(price).is_none() {
+            self.posted += 1;
+        }
         self.version += 1;
     }
 
     /// Withdraws a server's posting (server retired mid-epoch).
     pub fn withdraw(&mut self, server: ServerId) {
-        self.prices.remove(&server);
+        if let Some(slot) = self.prices.get_mut(server.0 as usize) {
+            if slot.take().is_some() {
+                self.posted -= 1;
+            }
+        }
         self.version += 1;
     }
 
     /// The posted price of `server`, if any.
     pub fn price_of(&self, server: ServerId) -> Option<f64> {
-        self.prices.get(&server).copied()
+        self.prices.get(server.0 as usize).copied().flatten()
     }
 
     /// Number of servers currently posted.
     pub fn len(&self) -> usize {
-        self.prices.len()
+        self.posted
     }
 
     /// True when no server is posted.
     pub fn is_empty(&self) -> bool {
-        self.prices.is_empty()
+        self.posted == 0
     }
 
     /// The lowest posted price, used as the utility floor that stops
     /// unpopular virtual nodes from migrating forever (§II-C).
     pub fn min_price(&self) -> Option<f64> {
-        self.prices
-            .values()
-            .copied()
-            .fold(None, |acc, p| match acc {
-                None => Some(p),
-                Some(m) => Some(m.min(p)),
-            })
-    }
-
-    /// The cheapest posted server and its price.
-    pub fn cheapest(&self) -> Option<(ServerId, f64)> {
-        self.prices
-            .iter()
-            .min_by(|a, b| a.1.total_cmp(b.1).then_with(|| a.0.cmp(b.0)))
-            .map(|(&id, &p)| (id, p))
-    }
-
-    /// Iterates over all postings in unspecified order.
-    pub fn iter(&self) -> impl Iterator<Item = (ServerId, f64)> + '_ {
-        self.prices.iter().map(|(&id, &p)| (id, p))
+        self.prices.iter().flatten().copied().reduce(f64::min)
     }
 }
 
@@ -113,27 +108,15 @@ mod tests {
     }
 
     #[test]
-    fn min_and_cheapest() {
+    fn min_price_skips_unposted_slots() {
         let mut b = Board::new();
         assert_eq!(b.min_price(), None);
-        assert_eq!(b.cheapest(), None);
         b.post(ServerId(0), 2.0);
         b.post(ServerId(1), 1.5);
-        b.post(ServerId(2), 3.0);
+        b.post(ServerId(5), 3.0);
         assert_eq!(b.min_price(), Some(1.5));
-        assert_eq!(b.cheapest(), Some((ServerId(1), 1.5)));
-    }
-
-    #[test]
-    fn cheapest_ties_break_deterministically() {
-        let mut b = Board::new();
-        b.post(ServerId(9), 1.0);
-        b.post(ServerId(2), 1.0);
-        assert_eq!(
-            b.cheapest(),
-            Some((ServerId(2), 1.0)),
-            "lowest id wins ties"
-        );
+        b.withdraw(ServerId(1));
+        assert_eq!(b.min_price(), Some(2.0));
     }
 
     #[test]
@@ -156,7 +139,12 @@ mod tests {
         b.post(ServerId(0), 2.0);
         b.post(ServerId(0), 4.0);
         assert_eq!(b.price_of(ServerId(0)), Some(4.0));
+        assert_eq!(b.len(), 1, "a re-post is still one posting");
         b.withdraw(ServerId(0));
         assert_eq!(b.price_of(ServerId(0)), None);
+        b.withdraw(ServerId(0));
+        b.withdraw(ServerId(9));
+        assert!(b.is_empty(), "withdrawing nothing counts nothing");
+        assert_eq!(b.price_of(ServerId(9)), None);
     }
 }

@@ -11,7 +11,8 @@
 //! - **fixed deterministic seeding** — each test function derives its RNG
 //!   seed from its own name, so failures reproduce across runs without a
 //!   persistence file;
-//! - default case count is 64 (upstream: 256).
+//! - default case count is 64 (upstream: 256); `PROPTEST_CASES` overrides
+//!   it as upstream.
 
 use rand::rngs::StdRng;
 
@@ -371,8 +372,14 @@ pub mod test_runner {
     }
 
     impl Default for ProptestConfig {
+        /// 64 cases, or the count in the `PROPTEST_CASES` environment
+        /// variable when it parses (upstream reads the same variable).
         fn default() -> Self {
-            Self { cases: 64 }
+            let cases = std::env::var("PROPTEST_CASES")
+                .ok()
+                .and_then(|v| v.parse().ok())
+                .unwrap_or(64);
+            Self { cases }
         }
     }
 

@@ -97,6 +97,25 @@ fn projected_rent(
     up * (1.0 + economy.alpha * projected_storage + economy.beta * server.query_load_frac())
 }
 
+/// The cheapest zero-byte [`projected_rent`] over the servers a migration
+/// could still land on: alive, posted on the board, and with migration
+/// bandwidth left this epoch (`f64::INFINITY` when there is none).
+///
+/// A lower bound on every executable migration's target rent: the rent of
+/// a real placement only grows with its size (α ≥ 0 and monotone
+/// rounding, the argument that makes the index's `base_rent` a bound), and
+/// `exec_migration` refuses a destination whose bandwidth is spent. So a
+/// vnode whose rent cap is at or below the floor cannot migrate, whatever
+/// eq. (3) would answer.
+pub(crate) fn migration_floor(cluster: &Cluster, board: &Board, economy: &EconomyConfig) -> f64 {
+    cluster
+        .alive()
+        .filter(|s| s.usage.migration_used < s.capacities.migration_bw)
+        .filter(|s| board.price_of(s.id).is_some())
+        .map(|s| projected_rent(s, 0, economy))
+        .fold(f64::INFINITY, f64::min)
+}
+
 /// Enumerates feasible candidates: alive, not already hosting the
 /// partition, enough free storage, and (optionally) cheaper than
 /// `rent_below`.
@@ -453,17 +472,6 @@ impl PlacementIndex {
             return economic_target(ctx, q);
         }
         let Self { buckets, walk, .. } = self;
-        // Migration queries usually find nothing under their rent cap:
-        // when even the cheapest base rent is at or past the cap, no
-        // candidate is feasible — answer without computing any bound.
-        if let Some(cap) = rent_below {
-            if !buckets
-                .iter()
-                .any(|b| b.entries.first().is_some_and(|e| e.base_rent < cap))
-            {
-                return None;
-            }
-        }
         walk.existing_locs.clear();
         for id in existing {
             if let Some(s) = ctx.cluster.get(*id) {
@@ -1022,6 +1030,86 @@ mod tests {
             let indexed_warm =
                 index.economic_target(&ctx, &q(&existing, partition_size, &regions, rent_below), &mut prox);
             prop_assert_eq!(indexed_warm, brute);
+        }
+    }
+
+    proptest::proptest! {
+        /// The migration floor is sound: with a rent cap at or below it,
+        /// eq. (3) finds nothing, or a server whose migration bandwidth is
+        /// spent (which `exec_migration` refuses) — on arbitrary clusters,
+        /// usage and migration meters, postings, sizes and caps.
+        #[test]
+        fn prop_migration_floor_rules_out_every_open_target(
+            server_picks in proptest::collection::vec((0u64..200, 50.0f64..200.0, 0.2f64..1.0), 1..24),
+            usage in proptest::collection::vec((any::<u64>(), 0.0f64..900.0), 0..12),
+            migration in proptest::collection::vec((0usize..24, 0u64..(200 << 20)), 0..24),
+            unposted in proptest::collection::vec(0usize..24, 0..4),
+            existing_picks in proptest::collection::vec(0usize..24, 0..4),
+            region_picks in proptest::collection::vec((0u64..200, 0.0f64..1e4), 0..5),
+            size_exp in 0u32..31,
+            (at_floor, cap_frac) in (any::<bool>(), 0.1f64..1.0),
+        ) {
+            use proptest::prelude::*;
+            let topology = Topology::paper();
+            let mut cluster = Cluster::new();
+            for &(loc_idx, cost, conf) in &server_picks {
+                cluster.commission(
+                    ServerSpec {
+                        location: topology.server_at(loc_idx),
+                        capacities: Capacities::paper(1 << 30, 1000.0),
+                        monthly_cost: cost,
+                        confidence: conf,
+                    },
+                    0,
+                );
+            }
+            let n = cluster.len();
+            for &(bytes, queries) in &usage {
+                let s = cluster.get_mut(ServerId((bytes % n as u64) as u32)).unwrap();
+                let caps = s.capacities;
+                let _ = s.usage.reserve_storage(&caps, bytes % (1 << 30));
+                s.usage.serve_queries(&caps, queries);
+            }
+            // Half the draws reach the 100 MiB budget: spent servers.
+            for &(i, used) in &migration {
+                cluster.get_mut(ServerId((i % n) as u32)).unwrap().usage.migration_used = used;
+            }
+            let mut board = Board::new();
+            board.begin_epoch(1);
+            for s in cluster.alive() {
+                board.post(s.id, s.monthly_cost / 720.0);
+            }
+            for &u in &unposted {
+                board.withdraw(ServerId((u % n) as u32));
+            }
+            let existing: Vec<ServerId> =
+                existing_picks.iter().map(|&i| ServerId((i % n) as u32)).collect();
+            let regions: Vec<RegionQueries> = region_picks
+                .iter()
+                .map(|&(loc_idx, queries)| {
+                    let l = topology.server_at(loc_idx);
+                    RegionQueries {
+                        location: Location::client_in_country(l.continent, l.country),
+                        queries,
+                    }
+                })
+                .collect();
+            let economy = EconomyConfig::paper();
+            let floor = migration_floor(&cluster, &board, &economy);
+            // Every cap at or below the floor; exactly at it half the time.
+            // With no open server any cap qualifies: draw up to 4× the
+            // dearest base price, so spent servers can still win eq. (3).
+            let frac = if at_floor { 1.0 } else { cap_frac };
+            let cap = if floor.is_finite() { floor * frac } else { frac * 200.0 / 720.0 * 4.0 };
+            let ctx = PlacementContext::new(&cluster, &board, &topology, &economy);
+            let target = economic_target(&ctx, &q(&existing, 1u64 << size_exp, &regions, Some(cap)));
+            if let Some((id, _)) = target {
+                let s = cluster.get(id).unwrap();
+                prop_assert!(
+                    s.usage.migration_used >= s.capacities.migration_bw,
+                    "{id} is open below the floor {floor} (cap {cap})"
+                );
+            }
         }
     }
 
