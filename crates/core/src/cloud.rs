@@ -123,7 +123,10 @@ pub struct SkuteCloud {
     pipeline: EpochPipeline,
     /// Scratch buffers reused across epochs so the hot decision loop does
     /// not allocate on its common paths.
-    work_scratch: Vec<(usize, PartitionId, VnodeId)>,
+    work_scratch: Vec<decisions::DecisionWork>,
+    /// Per-partition "an action changed it this phase" marks of the
+    /// decision walk, indexed by [`decisions::DecisionWork`]'s slot.
+    touched_scratch: Vec<bool>,
     servers_scratch: Vec<ServerId>,
     placed_scratch: Vec<(Location, f64)>,
     /// Optional observability sink (see [`crate::obs`]). Write-only from
@@ -169,6 +172,7 @@ impl SkuteCloud {
             oracle: DecisionOracle::None,
             pipeline: EpochPipeline::new(threads),
             work_scratch: Vec::new(),
+            touched_scratch: Vec::new(),
             servers_scratch: Vec::new(),
             placed_scratch: Vec::new(),
             metrics: None,

@@ -1,6 +1,17 @@
-//! Epoch phase 3 — economic decisions (§II-C): one sequential walk over
-//! the seeded shuffle order in which every virtual node records its
-//! balance, looks at the live state and acts.
+//! Epoch phase 3 — economic decisions (§II-C): every virtual node records
+//! its balance and acts on f-epoch streaks, visiting vnodes in a seeded
+//! random order.
+//!
+//! The phase runs in two steps. A **storage-order pass** (rings →
+//! partitions → replicas) reads each vnode's posted rent, records its
+//! balance and classifies it against its partition as it stands. The
+//! **walk** then visits the vnodes in the seeded shuffle order and acts,
+//! one action at a time, against the live state. A vnode whose partition
+//! no action has touched yet sees exactly what the pass saw, so when the
+//! pass classified it `Stay`, or `Migrate` at or below the migration
+//! floor, the walk moves on without opening the partition. Every other
+//! vnode re-reads its partition, classifies and acts as the paper's loop
+//! does.
 //!
 //! A migrating vnode asks eq. (3) only when a migration could execute:
 //! its rent cap must lie above the [`migration_floor`], the cheapest rent
@@ -10,8 +21,10 @@
 
 use rand::seq::SliceRandom;
 
-use skute_cluster::ServerId;
+use skute_cluster::{Board, Cluster, ServerId};
 use skute_economy::{floored_utility, EconomyConfig};
+use skute_geo::Location;
+use skute_ring::PartitionId;
 
 use super::exec::{exec_migration, exec_replication, exec_suicide};
 use super::{select_target, DecisionOracle, SkuteCloud};
@@ -25,6 +38,20 @@ use crate::vnode::{PartitionState, VnodeId};
 /// it).
 fn migration_cap(rent: f64, economy: &EconomyConfig) -> f64 {
     rent * (1.0 - economy.migration_margin)
+}
+
+/// True when no migration below the cap of a vnode paying `rent` could
+/// execute: the live migration floor, computed on first use after the
+/// last executed action, is at or above the cap.
+fn migration_ruled_out(
+    floor: &mut Option<f64>,
+    cluster: &Cluster,
+    board: &Board,
+    economy: &EconomyConfig,
+    rent: f64,
+) -> bool {
+    let floor = *floor.get_or_insert_with(|| migration_floor(cluster, board, economy));
+    floor >= migration_cap(rent, economy)
 }
 
 /// Frames the eq.-(3) question vnode `idx` of `part` asks: fills
@@ -57,95 +84,219 @@ fn frame_query(
     }
 }
 
+/// One vnode of the decision phase, as the storage-order pass left it.
+#[derive(Debug, Clone, Copy)]
+pub(super) struct DecisionWork {
+    ring: usize,
+    pid: PartitionId,
+    vnode: VnodeId,
+    /// The partition's dense storage-order index: its touched mark.
+    slot: usize,
+    /// The posted rent of the vnode's server; `None` (unposted) sits the
+    /// phase out.
+    rent: Option<f64>,
+    /// The floored eq.-(5) utility the vnode earned this epoch.
+    u_eff: f64,
+    /// The §II-C intent against the partition as the pass saw it.
+    intent: Intent,
+}
+
+/// What a vnode's situation reads besides its partition and its rent, all
+/// fixed for the phase: no rent is posted inside `end_epoch`, and the
+/// economy is configuration.
+#[derive(Clone, Copy)]
+struct PhaseInputs {
+    economy: EconomyConfig,
+    /// The cheapest posted rent (the utility floor, and the projected rent
+    /// of a new replica before eq. (3) names one).
+    min_rent: Option<f64>,
+}
+
+impl PhaseInputs {
+    /// The data-consistency cost one more replica of `part` adds.
+    fn consistency_cost(&self, part: &PartitionState) -> f64 {
+        const MIB: f64 = 1024.0 * 1024.0;
+        self.economy.consistency_cost_per_mib * (part.write_bytes_epoch as f64 / MIB)
+    }
+
+    /// The §II-C situation of replica `idx` of `part`, paying `rent`: its
+    /// recorded balance streaks, and eq. (2) over the partition's current
+    /// membership without it (`placed` is scratch).
+    fn situation(
+        &self,
+        cluster: &Cluster,
+        placed: &mut Vec<(Location, f64)>,
+        part: &PartitionState,
+        idx: usize,
+        rent: f64,
+        threshold: f64,
+    ) -> VnodeSituation {
+        placed.clear();
+        for (i, r) in part.replicas.iter().enumerate() {
+            if i == idx {
+                continue;
+            }
+            if let Some(s) = cluster.get(r.server) {
+                placed.push((s.location, s.confidence));
+            }
+        }
+        let balance = &part.replicas[idx].balance;
+        VnodeSituation {
+            negative_streak: balance.negative_streak(),
+            positive_streak: balance.positive_streak(),
+            window_mean: balance.window_mean(),
+            availability_without_self: availability_of(placed),
+            threshold,
+            replica_count: part.replicas.len(),
+            max_replicas: self.economy.max_replicas,
+            current_rent: rent,
+            projected_replica_cost: self.min_rent.unwrap_or(0.0) + self.consistency_cost(part),
+            hurdle: self.economy.replication_hurdle,
+        }
+    }
+}
+
 impl SkuteCloud {
     /// Economic pass: every vnode records its balance and acts on f-epoch
     /// streaks (suicide / migrate / profit-replicate).
     ///
-    /// One sequential pass over the seeded shuffle order, one action at a
-    /// time — the paper's §II-C loop. Per vnode: read the posted rent of
-    /// its server, record this epoch's balance, evaluate eq. (2)
-    /// availability-without-self against the partition's live membership,
-    /// classify, and for `Migrate` / `ReplicateForProfit` ask eq. (3) for a
-    /// target on the live cluster. Nothing is precomputed, so every vnode
-    /// sees every earlier vnode's action.
+    /// The storage-order pass fills the work list: per vnode its posted
+    /// rent, its floored utility, its recorded balance (`u_eff − rent`)
+    /// and its intent. The walk shuffles the list with the cloud's seeded
+    /// RNG (the permutation depends only on the length) and adds rent and
+    /// utility to the epoch sums in that order. Per vnode it then either
+    /// skips, or takes the live path: look the vnode up, evaluate eq. (2)
+    /// against the partition's live membership, classify, and for
+    /// `Migrate` / `ReplicateForProfit` ask eq. (3) for a target on the
+    /// live cluster and execute. Every vnode sees every earlier vnode's
+    /// action.
     ///
-    /// A `Migrate` vnode whose [`migration_cap`] is at or below the
-    /// [`migration_floor`] is skipped before eq. (3): every server it could
-    /// undercut has spent its migration bandwidth, so `exec_migration`
-    /// would refuse any target the walk found. The floor is computed on
-    /// first use and dropped after every executed action (the only
-    /// in-phase changes to rents and bandwidth meters), so skipping changes
-    /// no action, only how many walks run (≈ 300 instead of ≈ 17 800 per
-    /// epoch at M = 2000).
+    /// A vnode skips only while its partition is untouched, with a `Stay`
+    /// intent, or a `Migrate` intent whose [`migration_cap`] is at or
+    /// below the live [`migration_floor`]. The skip changes no action,
+    /// because nothing in the phase changes what the pass read except an
+    /// action on the same partition:
+    ///
+    /// * no rent is posted inside `end_epoch`; the cheapest rent, server
+    ///   confidences and locations, the partition's write bytes, the SLA
+    ///   threshold and the replica ceiling are fixed for the phase;
+    /// * a vnode's balance is written only by its own record;
+    /// * membership changes only through a suicide, migration or
+    ///   replication on that partition, and each one executed marks the
+    ///   partition touched;
+    /// * the floor check reads the live floor, as the live path does.
+    ///
+    /// The floor itself skips a migrant before eq. (3): every server it
+    /// could undercut has spent its migration bandwidth, so
+    /// `exec_migration` would refuse any target the walk found. It is
+    /// computed on first use and dropped after every executed action (the
+    /// only in-phase changes to rents and bandwidth meters). At M = 2000
+    /// the two skips leave ≈ 320 of 18 000 vnodes per epoch to the live
+    /// path.
     pub(super) fn economic_decisions(
         &mut self,
         actions: &mut ActionCounts,
         rent_paid: &mut f64,
         utility_earned: &mut f64,
     ) {
-        const MIB: f64 = 1024.0 * 1024.0;
         let economy = self.config.economy;
         let window = economy.decision_window;
         let brute_force = self.oracle == DecisionOracle::BruteForce;
-        let min_rent = self.board.min_price();
+        let phase = PhaseInputs {
+            economy,
+            min_rent: self.board.min_price(),
+        };
         let mut floor: Option<f64> = None;
-        // Snapshot vnode identities into the reusable work list; replicas
-        // mutate as we act.
         let mut work = std::mem::take(&mut self.work_scratch);
+        let mut touched = std::mem::take(&mut self.touched_scratch);
         work.clear();
-        for (ri, ring) in self.rings.iter().enumerate() {
-            for (pid, p) in &ring.partitions {
-                for r in &p.replicas {
-                    work.push((ri, *pid, r.id));
+        touched.clear();
+        let Self {
+            rings,
+            cluster,
+            board,
+            placed_scratch,
+            ..
+        } = self;
+        for (ri, ring) in rings.iter_mut().enumerate() {
+            let threshold = ring.level.threshold;
+            for (pid, part) in ring.partitions.iter_mut() {
+                let slot = touched.len();
+                touched.push(false);
+                for idx in 0..part.replicas.len() {
+                    let replica = &mut part.replicas[idx];
+                    let vnode = replica.id;
+                    let rent = board.price_of(replica.server);
+                    let (u_eff, intent) = match rent {
+                        Some(rent) => {
+                            let u_eff = floored_utility(replica.utility_epoch, phase.min_rent);
+                            replica.balance.record(u_eff - rent);
+                            let situation = phase.situation(
+                                cluster,
+                                placed_scratch,
+                                part,
+                                idx,
+                                rent,
+                                threshold,
+                            );
+                            (u_eff, classify(&situation))
+                        }
+                        None => (0.0, Intent::Stay),
+                    };
+                    work.push(DecisionWork {
+                        ring: ri,
+                        pid: *pid,
+                        vnode,
+                        slot,
+                        rent,
+                        u_eff,
+                        intent,
+                    });
                 }
             }
         }
         work.shuffle(&mut self.rng);
-        for &(ri, pid, vid) in &work {
-            let threshold = self.rings[ri].level.threshold;
-            // The vnode may have been split away or suicided already.
-            let Some(partition) = self.rings[ri].partitions.get_mut(&pid) else {
+        for w in &work {
+            let Some(rent) = w.rent else {
+                continue; // unposted server: no rent, no utility, no record
+            };
+            *rent_paid += rent;
+            *utility_earned += w.u_eff;
+            if !touched[w.slot] {
+                let skip = match w.intent {
+                    Intent::Stay => true,
+                    Intent::Migrate => {
+                        migration_ruled_out(&mut floor, &self.cluster, &self.board, &economy, rent)
+                    }
+                    Intent::Suicide | Intent::ReplicateForProfit => false,
+                };
+                if skip {
+                    continue;
+                }
+            }
+            let threshold = self.rings[w.ring].level.threshold;
+            // Splits run after the phase and only a vnode's own visit can
+            // remove it, so both lookups succeed; they stay total anyway.
+            let Some(partition) = self.rings[w.ring].partitions.get_mut(&w.pid) else {
                 continue;
             };
-            let Some(idx) = partition.replicas.iter().position(|r| r.id == vid) else {
+            let Some(idx) = partition.replicas.iter().position(|r| r.id == w.vnode) else {
                 continue;
             };
             let server = partition.replicas[idx].server;
-            let Some(rent) = self.board.price_of(server) else {
-                continue; // server vanished mid-epoch; replica was removed
-            };
-            let u_eff = floored_utility(partition.replicas[idx].utility_epoch, min_rent);
-            *rent_paid += rent;
-            *utility_earned += u_eff;
-            partition.replicas[idx].balance.record(u_eff - rent);
-            self.placed_scratch.clear();
-            for (i, r) in partition.replicas.iter().enumerate() {
-                if i == idx {
-                    continue;
-                }
-                if let Some(s) = self.cluster.get(r.server) {
-                    self.placed_scratch.push((s.location, s.confidence));
-                }
-            }
-            let consistency_cost =
-                economy.consistency_cost_per_mib * (partition.write_bytes_epoch as f64 / MIB);
-            let balance = &partition.replicas[idx].balance;
-            let mut situation = VnodeSituation {
-                negative_streak: balance.negative_streak(),
-                positive_streak: balance.positive_streak(),
-                window_mean: balance.window_mean(),
-                availability_without_self: availability_of(&self.placed_scratch),
+            let mut situation = phase.situation(
+                &self.cluster,
+                &mut self.placed_scratch,
+                partition,
+                idx,
+                rent,
                 threshold,
-                replica_count: partition.replicas.len(),
-                max_replicas: economy.max_replicas,
-                current_rent: rent,
-                projected_replica_cost: min_rent.unwrap_or(0.0) + consistency_cost,
-                hurdle: economy.replication_hurdle,
-            };
+            );
             let migrate = match classify(&situation) {
                 Intent::Stay => continue,
                 Intent::Suicide => {
                     exec_suicide(&mut self.cluster, partition, idx);
+                    touched[w.slot] = true;
                     actions.suicides += 1;
                     self.note_index(&[server]);
                     floor = None;
@@ -154,12 +305,10 @@ impl SkuteCloud {
                 Intent::Migrate => true,
                 Intent::ReplicateForProfit => false,
             };
-            if migrate {
-                let floor = *floor
-                    .get_or_insert_with(|| migration_floor(&self.cluster, &self.board, &economy));
-                if floor >= migration_cap(rent, &economy) {
-                    continue;
-                }
+            if migrate
+                && migration_ruled_out(&mut floor, &self.cluster, &self.board, &economy, rent)
+            {
+                continue;
             }
             let (size, rent_below) = frame_query(
                 migrate,
@@ -191,6 +340,7 @@ impl SkuteCloud {
                     continue;
                 }
                 if let Some(t) = exec_migration(&mut self.cluster, partition, idx, target) {
+                    touched[w.slot] = true;
                     actions.migrations += 1;
                     actions.migrated_bytes += t.logical;
                     actions.measured_migrated_bytes += t.measured;
@@ -201,7 +351,7 @@ impl SkuteCloud {
             }
             // Re-verify the hurdle with the actual candidate rent.
             let actual_rent = self.board.price_of(target).unwrap_or(f64::MAX);
-            situation.projected_replica_cost = actual_rent + consistency_cost;
+            situation.projected_replica_cost = actual_rent + phase.consistency_cost(partition);
             if !clears_profit_hurdle(&situation) {
                 continue;
             }
@@ -214,6 +364,7 @@ impl SkuteCloud {
                 window,
                 self.epoch,
             ) {
+                touched[w.slot] = true;
                 self.next_vnode += 1;
                 actions.profit_replications += 1;
                 actions.replicated_bytes += t.logical;
@@ -225,6 +376,7 @@ impl SkuteCloud {
             }
         }
         self.work_scratch = work;
+        self.touched_scratch = touched;
     }
 }
 
@@ -234,15 +386,20 @@ mod tests {
     use crate::app::{AppSpec, LevelSpec};
     use crate::cloud::repair::cached_availability;
     use crate::cloud::resize_storage;
-    use crate::cloud::tests::paper_cluster;
+    use crate::cloud::tests::{paper_cluster, GIB};
     use crate::config::SkuteConfig;
     use skute_geo::Topology;
     use skute_ring::PartitionId;
 
     fn cloud_with(level: LevelSpec) -> (SkuteCloud, Vec<PartitionId>) {
+        seeded_cloud_with(level, SkuteConfig::paper().seed)
+    }
+
+    fn seeded_cloud_with(level: LevelSpec, seed: u64) -> (SkuteCloud, Vec<PartitionId>) {
         let topology = Topology::paper();
         let cluster = paper_cluster(&topology);
-        let mut cloud = SkuteCloud::new(SkuteConfig::paper(), topology, cluster);
+        let config = SkuteConfig::paper().with_seed(seed);
+        let mut cloud = SkuteCloud::new(config, topology, cluster);
         let app = cloud
             .create_application(AppSpec::new("t").level(level))
             .unwrap();
@@ -256,6 +413,67 @@ mod tests {
         (actions, rent_paid, utility_earned)
     }
 
+    /// Replaces the replicas of `pid` (of ring 0) with one per
+    /// `(host, balance)`, in order, each carrying a full window of that
+    /// recorded balance (none for `0.0`), then opens the epoch. A vnode
+    /// with a positive history also earns 100 this epoch, so the balance
+    /// the decision phase records keeps its streak.
+    fn install(cloud: &mut SkuteCloud, pid: PartitionId, hosts: &[(ServerId, f64)]) {
+        let window = cloud.config.economy.decision_window;
+        let part = cloud.rings[0].partitions.get_mut(&pid).unwrap();
+        let bytes = part.synthetic_bytes;
+        for r in std::mem::take(&mut part.replicas) {
+            resize_storage(cloud.cluster.get_mut(r.server).unwrap(), bytes, 0);
+        }
+        for &(host, balance) in hosts {
+            assert!(resize_storage(
+                cloud.cluster.get_mut(host).unwrap(),
+                0,
+                bytes
+            ));
+            let mut replica = cloud.new_replica(host, cloud.empty_store());
+            if balance != 0.0 {
+                for _ in 0..window {
+                    replica.balance.record(balance);
+                }
+            }
+            let part = cloud.rings[0].partitions.get_mut(&pid).unwrap();
+            part.replicas.push(replica);
+            part.note_membership_changed();
+        }
+        cloud.begin_epoch();
+        let part = cloud.rings[0].partitions.get_mut(&pid).unwrap();
+        for (r, &(_, balance)) in part.replicas.iter_mut().zip(hosts) {
+            if balance > 0.0 {
+                r.utility_epoch = 100.0;
+            }
+        }
+    }
+
+    /// True when the next decision walk visits storage-order vnode `a`
+    /// before `b`: the walk's shuffle, replayed on a copy of the RNG.
+    fn visits_before(cloud: &SkuteCloud, a: usize, b: usize) -> bool {
+        let n = cloud.rings.iter().map(|r| r.vnode_count()).sum();
+        let mut order: Vec<usize> = (0..n).collect();
+        order.shuffle(&mut cloud.rng.clone());
+        let at = |v| order.iter().position(|&i| i == v).unwrap();
+        at(a) < at(b)
+    }
+
+    /// Server `index` of the paper topology. Each datacenter holds servers
+    /// `10·d .. 10·d + 10` on two racks of five; the first seven cost $100,
+    /// the last three $125.
+    fn server(cloud: &SkuteCloud, index: u32) -> ServerId {
+        let id = ServerId(index);
+        assert_eq!(
+            cloud
+                .topology
+                .index_of(&cloud.cluster.get(id).unwrap().location),
+            u64::from(index)
+        );
+        id
+    }
+
     #[test]
     fn a_losing_partition_sheds_only_the_replica_its_sla_can_spare() {
         // An SLA met by two replicas, a partition holding three — one per
@@ -265,40 +483,16 @@ mod tests {
         // and at most migrate.
         let (mut cloud, pids) = cloud_with(LevelSpec::new(2, 1));
         let pid = pids[0];
-        let window = cloud.config.economy.decision_window;
-        let mut hosts: Vec<ServerId> = Vec::new();
+        let mut hosts: Vec<(ServerId, f64)> = Vec::new();
         for continent in 0..3 {
             let server = cloud
                 .cluster
                 .alive()
                 .find(|s| s.location.continent == continent && s.monthly_cost == 125.0)
                 .expect("every continent has an expensive server");
-            hosts.push(server.id);
+            hosts.push((server.id, -1.0));
         }
-        let bytes = cloud.rings[0].partitions[&pid].synthetic_bytes;
-        let seeded = cloud.rings[0].partitions[&pid].replicas[0].server;
-        resize_storage(cloud.cluster.get_mut(seeded).unwrap(), bytes, 0);
-        cloud.rings[0]
-            .partitions
-            .get_mut(&pid)
-            .unwrap()
-            .replicas
-            .clear();
-        for &host in &hosts {
-            assert!(resize_storage(
-                cloud.cluster.get_mut(host).unwrap(),
-                0,
-                bytes
-            ));
-            let mut replica = cloud.new_replica(host, cloud.empty_store());
-            for _ in 0..window {
-                replica.balance.record(-1.0);
-            }
-            let part = cloud.rings[0].partitions.get_mut(&pid).unwrap();
-            part.replicas.push(replica);
-            part.note_membership_changed();
-        }
-        cloud.begin_epoch();
+        install(&mut cloud, pid, &hosts);
         let (actions, ..) = decide(&mut cloud);
         assert_eq!(actions.suicides, 1, "exactly one replica was spare");
         let threshold = cloud.rings[0].level.threshold;
@@ -413,5 +607,79 @@ mod tests {
         };
         assert_eq!(recorded(pids[0]), 0);
         assert_eq!(recorded(pids[1]), 1);
+    }
+
+    // The walk skips a vnode of an untouched partition whose storage-order
+    // intent is `Stay`, or `Migrate` at or below the migration floor. In
+    // each fixture below an earlier sibling executes one kind of action
+    // that turns a later sibling's skip into an action: only that kind's
+    // touched mark sends the later sibling down the live path. Each seed is
+    // picked for the visit order its fixture needs.
+
+    #[test]
+    fn a_sibling_suicide_lets_a_replica_at_the_ceiling_replicate() {
+        // An SLA of one replica (threshold 0) under a ceiling of two. The
+        // loser on a $125 server suicides; the earner beside it is at the
+        // ceiling in storage order (`Stay`) and replicates for profit once
+        // the loser is gone.
+        const SEED: u64 = 1;
+        let (mut cloud, pids) = seeded_cloud_with(LevelSpec::new(1, 1), SEED);
+        cloud.config.economy.max_replicas = 2;
+        let (loser, earner) = (server(&cloud, 7), server(&cloud, 0));
+        install(&mut cloud, pids[0], &[(loser, -1.0), (earner, 1.0)]);
+        assert!(visits_before(&cloud, 0, 1), "seed {SEED}: loser first");
+        let (actions, ..) = decide(&mut cloud);
+        assert_eq!((actions.suicides, actions.profit_replications), (1, 1));
+    }
+
+    #[test]
+    fn a_sibling_migration_lets_a_stranded_migrant_suicide() {
+        // An SLA of two replicas (threshold 12.6) and three replicas in one
+        // datacenter: no pair of them meets it, so both losers classify
+        // `Migrate`. The mover on a $125 server can undercut the floor and
+        // migrates out of the datacenter. The stranded one, on a $100 server
+        // that extra storage makes dearer than the cheapest, is at or below
+        // the floor in storage order. Once the mover is away, the pair
+        // without the stranded one meets the threshold and it suicides.
+        const SEED: u64 = 2;
+        let (mut cloud, pids) = seeded_cloud_with(LevelSpec::new(2, 1), SEED);
+        let (mover, stranded, idle) = (server(&cloud, 7), server(&cloud, 0), server(&cloud, 5));
+        assert!(resize_storage(
+            cloud.cluster.get_mut(stranded).unwrap(),
+            0,
+            GIB / 2
+        ));
+        install(
+            &mut cloud,
+            pids[0],
+            &[(mover, -1.0), (stranded, -1.0), (idle, 0.0)],
+        );
+        let economy = cloud.config.economy;
+        let floor = migration_floor(&cloud.cluster, &cloud.board, &economy);
+        let cap = |s| migration_cap(cloud.board.price_of(s).unwrap(), &economy);
+        assert!(cap(stranded) <= floor && floor < cap(mover));
+        assert!(visits_before(&cloud, 0, 1), "seed {SEED}: mover first");
+        let (actions, ..) = decide(&mut cloud);
+        assert_eq!((actions.migrations, actions.suicides), (1, 1));
+    }
+
+    #[test]
+    fn a_sibling_replication_lets_a_stranded_migrant_suicide() {
+        // An SLA of two replicas (threshold 12.6) and two replicas in one
+        // datacenter. Every server has spent its migration bandwidth, so
+        // the loser on a $125 server classifies `Migrate` below the floor.
+        // The earner beside it replicates for profit out of the
+        // datacenter; the pair without the loser then meets the threshold
+        // and the loser suicides.
+        const SEED: u64 = 1;
+        let (mut cloud, pids) = seeded_cloud_with(LevelSpec::new(2, 1), SEED);
+        let (earner, loser) = (server(&cloud, 0), server(&cloud, 7));
+        install(&mut cloud, pids[0], &[(earner, 1.0), (loser, -1.0)]);
+        for s in cloud.cluster.alive_mut() {
+            s.usage.migration_used = s.capacities.migration_bw;
+        }
+        assert!(visits_before(&cloud, 0, 1), "seed {SEED}: earner first");
+        let (actions, ..) = decide(&mut cloud);
+        assert_eq!((actions.profit_replications, actions.suicides), (1, 1));
     }
 }

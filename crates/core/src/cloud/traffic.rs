@@ -3,7 +3,7 @@
 //! meters.
 
 use skute_cluster::{Cluster, ServerId};
-use skute_economy::RegionQueries;
+use skute_economy::{RegionMasses, RegionQueries};
 use skute_geo::{RegionWeight, Topology};
 use skute_ring::PartitionId;
 
@@ -29,12 +29,15 @@ pub struct TrafficBatch {
 /// One partition's delivery plan: region-mix fold, proximity refresh,
 /// per-replica weights/distances/serving order. Pure per-partition work
 /// against immutable cluster state, so the fan-out ([`crate::pipeline`])
-/// may run partitions in any grouping.
+/// may run partitions in any grouping. `dists` is the batch's
+/// region-weighted client distance per server, indexed by `ServerId.0`
+/// over the whole cluster.
 pub(crate) fn plan_one_delivery(
     part: &mut PartitionState,
     cluster: &Cluster,
     topology: &Topology,
     regions: &[RegionWeight],
+    dists: &[f64],
     total_queries: f64,
     total_pop: f64,
 ) {
@@ -63,7 +66,7 @@ pub(crate) fn plan_one_delivery(
     }
     // The region mix just changed: drop stale memoized proximity, then
     // refill it while computing the per-replica weights. Placement
-    // decisions later in the epoch reuse the refilled cache.
+    // decisions later in the epoch reuse the refilled per-country entries.
     part.prox_cache.clear();
     let PartitionState {
         region_queries,
@@ -72,6 +75,7 @@ pub(crate) fn plan_one_delivery(
         delivery,
         ..
     } = &mut *part;
+    let masses = RegionMasses::aggregate(region_queries);
     delivery.gs.clear();
     delivery.dists.clear();
     for r in replicas.iter() {
@@ -80,17 +84,8 @@ pub(crate) fn plan_one_delivery(
                 // Per-replica proximity, memoized per country.
                 delivery
                     .gs
-                    .push(prox_cache.g(region_queries, &s.location, topology));
-                // Region-weighted client distance of the replica (latency
-                // proxy, diversity units).
-                delivery.dists.push(
-                    regions
-                        .iter()
-                        .map(|reg| {
-                            reg.weight * f64::from(skute_geo::diversity(&reg.location, &s.location))
-                        })
-                        .sum(),
-                );
+                    .push(prox_cache.g_with(&masses, region_queries, &s.location, topology));
+                delivery.dists.push(dists[r.server.0 as usize]);
             }
             None => {
                 delivery.gs.push(1.0);
@@ -176,8 +171,10 @@ impl SkuteCloud {
         let plan_start = self.obs_start();
         // A batch offering no queries, or addressing a ring without
         // popularity, delivers nothing; the rest carry their ring's
-        // Σ popularity (the proportional-split denominator).
-        let wave: Vec<(usize, TrafficBatch, f64)> = wave
+        // Σ popularity (the proportional-split denominator) and the
+        // region-weighted client distance of every server (latency proxy,
+        // diversity units), which depends on the server alone.
+        let wave: Vec<(usize, TrafficBatch, f64, Vec<f64>)> = wave
             .into_iter()
             .filter_map(|(ri, b)| {
                 if b.queries <= 0.0 {
@@ -191,7 +188,20 @@ impl SkuteCloud {
                 if total_pop <= 0.0 {
                     return None;
                 }
-                Some((ri, b, total_pop))
+                let dists = self
+                    .cluster
+                    .iter()
+                    .map(|s| {
+                        b.regions
+                            .iter()
+                            .map(|reg| {
+                                reg.weight
+                                    * f64::from(skute_geo::diversity(&reg.location, &s.location))
+                            })
+                            .sum()
+                    })
+                    .collect();
+                Some((ri, b, total_pop, dists))
             })
             .collect();
         if wave.is_empty() {
@@ -214,8 +224,10 @@ impl SkuteCloud {
         }
         pipeline.for_each_chunk(&mut items, |chunk| {
             for (wi, part) in chunk {
-                let (_, b, total_pop) = &wave[*wi];
-                plan_one_delivery(part, cluster, topology, &b.regions, b.queries, *total_pop);
+                let (_, b, total_pop, dists) = &wave[*wi];
+                plan_one_delivery(
+                    part, cluster, topology, &b.regions, dists, b.queries, *total_pop,
+                );
             }
         });
         self.obs_phase(plan_start, |m| &m.phase_traffic_plan);

@@ -14,10 +14,13 @@
 //!   computes every placement it makes inside its sequential shuffled
 //!   commit.
 //!
-//! The decision phase has no plan pass: it is one sequential walk over the
-//! seeded shuffle order in which every vnode looks at the live state and
-//! acts, one action at a time — the paper's §II-C loop. The report is one
-//! sequential fold in (partition, replica) order.
+//! The decision phase does not fan out. A sequential storage-order pass
+//! records every vnode's balance and classifies it; the paper's §II-C walk
+//! then visits the vnodes in the seeded shuffle order and acts, one action
+//! at a time, against the live state, skipping a vnode only while no
+//! action has touched its partition and its recorded intent cannot act
+//! (see `cloud/decisions.rs`). No eq.-(3) answer is computed ahead of the
+//! walk. The report is one sequential fold in (partition, replica) order.
 //!
 //! The plan functions and the commits live in the phase files. This module
 //! holds what fans a plan pass out: the phase collects `&mut` borrows of

@@ -111,8 +111,10 @@ pub struct PartitionState {
     pub write_bytes_epoch: u64,
     /// Per-country proximity weights memoized against the current
     /// `region_queries`; cleared whenever they change (epoch start, query
-    /// delivery) and shared by every placement decision of the partition
-    /// within an epoch.
+    /// delivery). The delivery plan fills it from region masses it
+    /// aggregates on its own stack; every placement decision of the
+    /// partition within the epoch shares it, building the cache's boxed
+    /// masses only on a country the plan did not fill.
     pub prox_cache: ProximityCache,
     /// Memoized eq.-(2) availability of the current replica set.
     /// Invalidated by [`PartitionState::note_membership_changed`]; server
@@ -262,6 +264,19 @@ mod tests {
         assert_eq!(p.write_bytes_epoch, 0);
         assert!(p.region_queries.is_empty());
         assert!(p.prox_cache.is_empty(), "stale proximity must not survive");
+    }
+
+    #[test]
+    fn partition_state_stays_small() {
+        // Every storage-order pass (the delivery plan, the repair warm-up,
+        // the decision pass, the report) streams through the partitions,
+        // and the decision walk's cache misses were this struct: an inline
+        // 24-region mass array here once made it 864 bytes. Keep it out.
+        assert!(
+            std::mem::size_of::<PartitionState>() <= 320,
+            "PartitionState is {} bytes",
+            std::mem::size_of::<PartitionState>()
+        );
     }
 
     #[test]

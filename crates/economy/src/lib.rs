@@ -27,5 +27,5 @@ pub mod utility;
 pub use balance::BalanceHistory;
 pub use config::EconomyConfig;
 pub use rent::RentModel;
-pub use scoring::{candidate_score, proximity, ProximityCache, RegionQueries};
+pub use scoring::{candidate_score, proximity, ProximityCache, RegionMasses, RegionQueries};
 pub use utility::{floored_utility, utility};

@@ -75,10 +75,16 @@ impl MassKey {
 
 /// Query mass aggregated per client region, in first-appearance order —
 /// the sufficient statistic of eq. (4) against any non-client-zone server.
+///
+/// Large (the inline regions): a caller evaluating many servers against one
+/// region mix aggregates it once on the stack and hands it to
+/// [`ProximityCache::g_with`].
 #[derive(Debug, Clone)]
-struct RegionMasses {
+pub struct RegionMasses {
     total: f64,
     len: usize,
+    /// Whether any region aggregated under [`MassKey::Deep`].
+    has_deep: bool,
     /// The first [`INLINE_CLIENT_REGIONS`] distinct regions.
     inline: [(MassKey, f64); INLINE_CLIENT_REGIONS],
     /// Regions beyond the inline capacity, in first-appearance order.
@@ -90,6 +96,7 @@ impl Default for RegionMasses {
         Self {
             total: 0.0,
             len: 0,
+            has_deep: false,
             inline: [(MassKey::Country((0, 0)), 0.0); INLINE_CLIENT_REGIONS],
             spill: Vec::new(),
         }
@@ -101,11 +108,12 @@ impl RegionMasses {
     /// per-country masses, arbitrary client locations keep their full
     /// location as the key. Any number of distinct regions aggregates —
     /// the first 24 inline, the rest on the heap.
-    fn aggregate(regions: &[RegionQueries]) -> Self {
+    pub fn aggregate(regions: &[RegionQueries]) -> Self {
         let mut masses = Self::default();
         for r in regions {
             masses.total += r.queries;
             let key = MassKey::of(&r.location);
+            masses.has_deep |= matches!(key, MassKey::Deep(_));
             let inline_len = masses.len.min(INLINE_CLIENT_REGIONS);
             match masses.inline[..inline_len]
                 .iter_mut()
@@ -137,8 +145,10 @@ impl RegionMasses {
     /// case where same-country servers can have different weights and
     /// per-country memoization would be unsound.
     fn has_deep_in(&self, country: (u16, u16)) -> bool {
-        self.regions()
-            .any(|(k, _)| matches!(k, MassKey::Deep(l) if l.country_key() == country))
+        self.has_deep
+            && self
+                .regions()
+                .any(|(k, _)| matches!(k, MassKey::Deep(l) if l.country_key() == country))
     }
 }
 
@@ -237,12 +247,19 @@ pub fn proximity(regions: &[RegionQueries], server: &Location, topology: &Topolo
 ///
 /// The caller owns invalidation: [`ProximityCache::clear`] must run
 /// whenever the region mix it was filled from changes (`SkuteCloud` clears
-/// per-partition caches at epoch start and on every query delivery).
+/// per-partition caches at epoch start and before every delivery plan).
+///
+/// Two ways in fill the same per-country entries. A caller that already
+/// aggregated the mix passes it to [`ProximityCache::g_with`] (the
+/// delivery plan does, once per partition). [`ProximityCache::g`] builds
+/// the aggregate itself, on its first miss, and keeps it boxed until the
+/// next clear; only placement queries need that, so most caches never
+/// hold one and the cache stays a few words wide.
 #[derive(Debug, Clone, Default)]
 pub struct ProximityCache {
-    /// Aggregated region masses, computed once per region mix (`None`
-    /// before first use).
-    masses: Option<RegionMasses>,
+    /// Aggregated region masses for [`ProximityCache::g`], built on its
+    /// first miss per region mix (`None` before).
+    masses: Option<Box<RegionMasses>>,
     entries: Vec<((u16, u16), f64)>,
     /// Memoized maximum weights over caller-identified location sets
     /// (see [`ProximityCache::g_max`]).
@@ -295,31 +312,61 @@ impl ProximityCache {
     /// server's country. Bit-for-bit identical to calling [`proximity`]
     /// directly.
     pub fn g(&mut self, regions: &[RegionQueries], server: &Location, topology: &Topology) -> f64 {
-        if server.is_client_zone() {
-            // A pathological server inside a client zone can match a client
-            // location deeper than the country level; compute it directly.
-            return proximity(regions, server, topology);
-        }
-        let masses = self
-            .masses
-            .get_or_insert_with(|| RegionMasses::aggregate(regions));
-        if masses.total <= 0.0 {
-            return 1.0;
-        }
-        let key = server.country_key();
-        if masses.has_deep_in(key) {
-            // A non-country-zone client shares this server's country: the
-            // weight depends on the finer location levels, so same-country
-            // servers can differ. Evaluate through the kernel, unmemoized.
-            return analytic_g(masses, server, topology);
-        }
-        if let Some(&(_, g)) = self.entries.iter().find(|(k, _)| *k == key) {
-            return g;
-        }
-        let g = analytic_g(masses, server, topology);
-        self.entries.push((key, g));
-        g
+        let Self {
+            masses, entries, ..
+        } = self;
+        memoized_g(entries, regions, server, topology, move || {
+            masses.get_or_insert_with(|| Box::new(RegionMasses::aggregate(regions)))
+        })
     }
+
+    /// [`ProximityCache::g`] against `masses`, which the caller aggregated
+    /// from the same `regions` ([`RegionMasses::aggregate`]): the weight
+    /// and the entry it memoizes are bit-for-bit those of
+    /// [`ProximityCache::g`], and the cache builds no aggregate of its own.
+    pub fn g_with(
+        &mut self,
+        masses: &RegionMasses,
+        regions: &[RegionQueries],
+        server: &Location,
+        topology: &Topology,
+    ) -> f64 {
+        memoized_g(&mut self.entries, regions, server, topology, || masses)
+    }
+}
+
+/// Eq. (4) for `server`, memoized per server country in `entries`.
+/// `masses` yields the aggregate of `regions`; it runs only on a miss.
+fn memoized_g<'m>(
+    entries: &mut Vec<((u16, u16), f64)>,
+    regions: &[RegionQueries],
+    server: &Location,
+    topology: &Topology,
+    masses: impl FnOnce() -> &'m RegionMasses,
+) -> f64 {
+    if server.is_client_zone() {
+        // A pathological server inside a client zone can match a client
+        // location deeper than the country level; compute it directly.
+        return proximity(regions, server, topology);
+    }
+    // An entry exists only for a country without deep clients, under a
+    // mix with queries: exactly the countries whose weight is shared.
+    let key = server.country_key();
+    if let Some(&(_, g)) = entries.iter().find(|(k, _)| *k == key) {
+        return g;
+    }
+    let masses = masses();
+    if masses.total <= 0.0 {
+        return 1.0;
+    }
+    let g = analytic_g(masses, server, topology);
+    // A non-country-zone client sharing this server's country makes the
+    // weight depend on the finer location levels, so same-country servers
+    // can differ: such a weight is not memoized.
+    if !masses.has_deep_in(key) {
+        entries.push((key, g));
+    }
+    g
 }
 
 /// Eq. (3): the net benefit of adding candidate server `candidate` to a
@@ -462,13 +509,19 @@ mod tests {
             },
         ];
         let mut cache = ProximityCache::new();
+        let masses = RegionMasses::aggregate(&regions);
+        let mut planned = ProximityCache::new();
         for i in 0..200u64 {
             let server = t.server_at(i);
             let direct = proximity(&regions, &server, &t);
             let cached = cache.g(&regions, &server, &t);
             assert_eq!(cached.to_bits(), direct.to_bits(), "server {i}");
+            let with = planned.g_with(&masses, &regions, &server, &t);
+            assert_eq!(with.to_bits(), direct.to_bits(), "server {i}");
         }
-        // 200 servers share 10 countries: the cache holds 10 entries.
+        // 200 servers share 10 countries: each cache holds 10 entries.
+        assert_eq!((cache.entries.len(), planned.entries.len()), (10, 10));
+        assert!(planned.masses.is_none(), "g_with builds no masses");
         assert!(!cache.is_empty());
         // Re-querying stays identical and clearing resets.
         let s = t.server_at(3);
@@ -565,6 +618,60 @@ mod tests {
     }
 
     #[test]
+    fn a_placement_query_after_a_plan_pass_reads_the_plans_weights() {
+        // The delivery plan fills the cache through `g_with` from masses it
+        // aggregated itself, so the cache holds entries but no masses. A
+        // later placement query (`g`) reads a planned country's entry; on a
+        // country the plan left unmemoized (a deep client shares it) or
+        // never visited, it builds the masses lazily — with the same bits.
+        let t = topo();
+        let regions = [
+            RegionQueries {
+                location: Location::client_in_country(0, 0),
+                queries: 600.0,
+            },
+            RegionQueries {
+                location: Location::new(0, 1, 1, 0, 0, 2),
+                queries: 300.0,
+            },
+            RegionQueries {
+                location: Location::client_in_country(3, 1),
+                queries: 100.0,
+            },
+        ];
+        let masses = RegionMasses::aggregate(&regions);
+        let mut cache = ProximityCache::new();
+        // The plan visits continent 0 only (servers 0..40, two countries).
+        let planned: Vec<u64> = (0..40)
+            .map(|i| {
+                cache
+                    .g_with(&masses, &regions, &t.server_at(i), &t)
+                    .to_bits()
+            })
+            .collect();
+        assert!(cache.masses.is_none());
+        assert_eq!(cache.entries.len(), 1, "country (0, 1) hosts a deep client");
+        for i in 0..20 {
+            let g = cache.g(&regions, &t.server_at(i), &t);
+            assert_eq!(g.to_bits(), planned[i as usize], "server {i}");
+        }
+        assert!(cache.masses.is_none(), "a memoized country needs no masses");
+        for i in 20..40 {
+            let g = cache.g(&regions, &t.server_at(i), &t);
+            assert_eq!(g.to_bits(), planned[i as usize], "server {i}");
+        }
+        assert!(
+            cache.masses.is_some(),
+            "built on the first unmemoized query"
+        );
+        for i in 40..200 {
+            let server = t.server_at(i);
+            let g = cache.g(&regions, &server, &t);
+            assert_eq!(g.to_bits(), proximity(&regions, &server, &t).to_bits());
+        }
+    }
+
+    #[test]
     fn cache_bypasses_client_zone_servers() {
         let t = topo();
         let regions = [RegionQueries {
@@ -640,10 +747,22 @@ mod tests {
             let kernel = proximity(&regions, &server, &t);
             let scan = general_scan(&regions, &server, &t);
             prop_assert_eq!(kernel.to_bits(), scan.to_bits());
-            // And the cache agrees with the direct evaluation.
+            // And the caches agree with the direct evaluation: one filled
+            // by `g`, one by `g_with` on caller-aggregated masses (then read
+            // back through `g`), on the server, a same-country sibling
+            // (memoized per country unless a deep client shares it) and a
+            // client-zone server of that country (evaluated directly).
+            let masses = RegionMasses::aggregate(&regions);
             let mut cache = ProximityCache::new();
-            prop_assert_eq!(cache.g(&regions, &server, &t).to_bits(), kernel.to_bits());
-            prop_assert_eq!(cache.g(&regions, &server, &t).to_bits(), kernel.to_bits());
+            let mut planned = ProximityCache::new();
+            let sibling = t.server_at(server_idx ^ 1);
+            let zone = Location::client_in_country(server.continent, server.country);
+            for s in [server, sibling, zone, server] {
+                let direct = proximity(&regions, &s, &t).to_bits();
+                prop_assert_eq!(cache.g(&regions, &s, &t).to_bits(), direct);
+                prop_assert_eq!(planned.g_with(&masses, &regions, &s, &t).to_bits(), direct);
+                prop_assert_eq!(planned.g(&regions, &s, &t).to_bits(), direct);
+            }
         }
 
         #[test]
