@@ -129,6 +129,11 @@ pub struct SkuteCloud {
     touched_scratch: Vec<bool>,
     servers_scratch: Vec<ServerId>,
     placed_scratch: Vec<(Location, f64)>,
+    /// A partition's `(replica index, proximity)` serving order in the
+    /// traffic commit.
+    order_scratch: Vec<(usize, f64)>,
+    /// The partitions of one ring the repair commit may act on.
+    repair_scratch: Vec<PartitionId>,
     /// Optional observability sink (see [`crate::obs`]). Write-only from
     /// the cloud's point of view: nothing here is ever read back by a
     /// decision path, so trajectories are bitwise identical with metrics
@@ -175,6 +180,8 @@ impl SkuteCloud {
             touched_scratch: Vec::new(),
             servers_scratch: Vec::new(),
             placed_scratch: Vec::new(),
+            order_scratch: Vec::new(),
+            repair_scratch: Vec::new(),
             metrics: None,
             health: HealthState::default(),
             repair_queue: Mutex::new(Vec::new()),
@@ -577,7 +584,7 @@ impl SkuteCloud {
         let id = VnodeId(self.next_vnode);
         self.next_vnode += 1;
         let window = self.config.economy.decision_window;
-        let mut replica = Replica::new(id, server, window, self.epoch);
+        let mut replica = Replica::new(id, server, window);
         replica.store = store;
         replica
     }

@@ -356,14 +356,7 @@ impl SkuteCloud {
                 continue;
             }
             let vid = VnodeId(self.next_vnode);
-            if let Some(t) = exec_replication(
-                &mut self.cluster,
-                partition,
-                target,
-                vid,
-                window,
-                self.epoch,
-            ) {
+            if let Some(t) = exec_replication(&mut self.cluster, partition, target, vid, window) {
                 touched[w.slot] = true;
                 self.next_vnode += 1;
                 actions.profit_replications += 1;
@@ -600,11 +593,7 @@ mod tests {
         assert_eq!(actions, ActionCounts::default());
         assert_eq!(rent_paid, rent, "only the posted vnode pays");
         assert_eq!(utility_earned, floor, "and earns (the utility floor)");
-        let recorded = |pid| {
-            cloud.rings[0].partitions[&pid].replicas[0]
-                .balance
-                .epochs_recorded()
-        };
+        let recorded = |pid| cloud.rings[0].partitions[&pid].replicas[0].balance.len();
         assert_eq!(recorded(pids[0]), 0);
         assert_eq!(recorded(pids[1]), 1);
     }

@@ -35,7 +35,6 @@ pub(super) fn exec_replication(
     target: ServerId,
     vnode: VnodeId,
     window: usize,
-    epoch: u64,
 ) -> Option<Transfer> {
     if partition.has_replica_on(target) {
         return None;
@@ -77,7 +76,7 @@ pub(super) fn exec_replication(
     }
     let (store, physical) = partition.replicas[src_idx].store.fork();
     let measured = measured_bytes(partition, src_idx, physical);
-    let mut replica = Replica::new(vnode, target, window, epoch);
+    let mut replica = Replica::new(vnode, target, window);
     replica.store = store;
     partition.replicas.push(replica);
     partition.note_membership_changed();

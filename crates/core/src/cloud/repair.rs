@@ -2,6 +2,11 @@
 //! the SLA repair pass, and the emergency relocation of a replica blocked
 //! on a full server. Both placements are eq.-(3) queries without a rent
 //! cap: availability and space beat price here.
+//!
+//! The SLA pass visits each ring's partitions in a seeded shuffle order
+//! but opens only those a storage-order sweep found below their SLA with
+//! room for another replica. A converged ring lists none and costs its
+//! shuffle and one sweep over cached floats.
 
 use rand::seq::SliceRandom;
 
@@ -41,10 +46,17 @@ impl SkuteCloud {
     /// the per-epoch repair cap.
     ///
     /// A fanned-out pre-pass warms every partition's memoized eq.-(2)
-    /// availability, so the sequential shuffled scan below reads cached
-    /// floats and only partitions genuinely below threshold do placement
-    /// work. Repairs invalidate their partition's cache (membership
-    /// changed), so follow-up iterations re-evaluate.
+    /// availability. Per ring, a storage-order sweep then lists the
+    /// partitions that can act: fewer than `max_replicas` replicas and a
+    /// cached availability below the threshold. The commit shuffles the
+    /// ring's full pid list with the cloud's seeded RNG, as it always did,
+    /// and opens only the listed pids, in that order; a ring with an empty
+    /// list draws its shuffle and is done. The list is exact, not a guess:
+    /// a partition's eligibility reads only its own membership and its
+    /// servers' confidences, confidences do not move inside the phase, and
+    /// membership changes only through the partition's own repair, which
+    /// the commit re-checks live. Repairs invalidate their partition's
+    /// cache, so follow-up iterations re-evaluate.
     pub(super) fn repair_availability(&mut self, actions: &mut ActionCounts) {
         let window = self.config.economy.decision_window;
         let max_repairs = self.config.max_repairs_per_partition_per_epoch;
@@ -67,11 +79,30 @@ impl SkuteCloud {
             }
         });
         // Commit pass: sequential, seeded shuffle order.
+        let mut listed = std::mem::take(&mut self.repair_scratch);
         for ri in 0..self.rings.len() {
             let threshold = self.rings[ri].level.threshold;
+            listed.clear();
+            // Storage order, so `listed` is sorted by pid.
+            listed.extend(
+                self.rings[ri]
+                    .partitions
+                    .iter_mut()
+                    .filter_map(|(pid, part)| {
+                        let open = part.replica_count() < max_replicas
+                            && cached_availability(&self.cluster, part) < threshold;
+                        open.then_some(*pid)
+                    }),
+            );
             let mut pids = self.rings[ri].ring.partition_ids();
             pids.shuffle(&mut self.rng);
+            if listed.is_empty() {
+                continue;
+            }
             for pid in pids {
+                if listed.binary_search(&pid).is_err() {
+                    continue;
+                }
                 for _ in 0..max_repairs {
                     let Some(partition) = self.rings[ri].partitions.get_mut(&pid) else {
                         break;
@@ -108,14 +139,9 @@ impl SkuteCloud {
                         break;
                     };
                     let vid = VnodeId(self.next_vnode);
-                    if let Some(t) = exec_replication(
-                        &mut self.cluster,
-                        partition,
-                        target,
-                        vid,
-                        window,
-                        self.epoch,
-                    ) {
+                    if let Some(t) =
+                        exec_replication(&mut self.cluster, partition, target, vid, window)
+                    {
                         self.next_vnode += 1;
                         actions.availability_replications += 1;
                         actions.replicated_bytes += t.logical;
@@ -128,6 +154,7 @@ impl SkuteCloud {
                 }
             }
         }
+        self.repair_scratch = listed;
     }
 
     /// Emergency rebalance: replica `idx` of a partition sits on a server
@@ -179,14 +206,7 @@ impl SkuteCloud {
         let moved = exec_migration(&mut self.cluster, partition, idx, target).or_else(|| {
             let vid = VnodeId(self.next_vnode);
             let window = self.config.economy.decision_window;
-            let t = exec_replication(
-                &mut self.cluster,
-                partition,
-                target,
-                vid,
-                window,
-                self.epoch,
-            )?;
+            let t = exec_replication(&mut self.cluster, partition, target, vid, window)?;
             self.next_vnode += 1;
             exec_suicide(&mut self.cluster, partition, idx);
             Some(t)
@@ -229,5 +249,33 @@ mod tests {
                 .collect();
             assert!(availability_of(&placed) >= threshold);
         }
+    }
+
+    #[test]
+    fn a_repair_blocked_last_epoch_runs_on_its_cached_availability() {
+        // Epoch 1 spends every server's replication bandwidth before the
+        // repair phase: every seeded partition stays below its SLA, and
+        // its availability is cached by the warm-up. Epoch 2 has no cache
+        // miss at all, yet the commit must still open those partitions.
+        let (mut cloud, app) = small_cloud();
+        cloud.begin_epoch();
+        for s in cloud.cluster.alive_mut() {
+            s.usage.replication_used = s.capacities.replication_bw;
+        }
+        let blocked = cloud.end_epoch();
+        assert_eq!(blocked.actions.availability_replications, 0);
+        assert!(blocked.actions.blocked_transfers > 0);
+        cloud.begin_epoch();
+        let threshold = cloud.applications()[0].levels[0].threshold;
+        for part in cloud.rings[0].partitions.values() {
+            let cached = part.cached_availability.expect("cached last epoch");
+            assert!(cached < threshold && part.replica_count() == 1);
+        }
+        let report = cloud.end_epoch();
+        assert!(report.actions.availability_replications > 0);
+        let pids = cloud.partition_ids(app, 0).unwrap();
+        assert!(pids
+            .iter()
+            .all(|&pid| cloud.replica_servers(app, 0, pid).unwrap().len() > 1));
     }
 }

@@ -47,7 +47,7 @@ impl SkuteCloud {
     /// Assembles the epoch report. Per-ring statistics are one sequential
     /// fold per ring — availability via the membership-keyed cache,
     /// per-server loads and vnode counts in (partition, replica) order —
-    /// into reused sorted accumulators instead of per-epoch hash maps.
+    /// into reused dense per-server arrays instead of per-epoch maps.
     pub(super) fn report(
         &mut self,
         actions: ActionCounts,
@@ -56,7 +56,7 @@ impl SkuteCloud {
     ) -> EpochReport {
         let alive_servers = self.cluster.alive_count();
         let mut rings = Vec::with_capacity(self.rings.len());
-        self.pipeline.begin_report();
+        self.pipeline.begin_report(&self.cluster);
         for ri in 0..self.rings.len() {
             let threshold = self.rings[ri].level.threshold;
             let stats = self.pipeline.ring_stats(
@@ -109,8 +109,9 @@ impl SkuteCloud {
 #[cfg(test)]
 mod tests {
     use crate::app::{AppSpec, LevelSpec};
-    use crate::cloud::tests::{paper_cluster, small_cloud};
+    use crate::cloud::tests::{paper_cluster, small_cloud, GIB};
     use crate::{SkuteCloud, SkuteConfig};
+    use skute_cluster::{Capacities, ServerId, ServerSpec};
     use skute_geo::Topology;
     use skute_ring::RingId;
 
@@ -132,33 +133,69 @@ mod tests {
     fn per_server_load_folds_in_partition_order() {
         // Three partitions share one server at 0.1, 0.2 and 0.3 served
         // queries: its load is the left fold in partition order, by bits
-        // (0.1 + (0.2 + 0.3) differs in the last place).
+        // (0.1 + (0.2 + 0.3) differs in the last place). The first
+        // partition sits on a server commissioned mid-run (the highest id)
+        // and the last on an idle one; a retired id lies between them. The
+        // load CV reads the hosting servers in id order, idle included,
+        // retired id skipped, whatever order the fold met them in.
         let topology = Topology::paper();
         let cluster = paper_cluster(&topology);
         let mut cloud = SkuteCloud::new(SkuteConfig::paper(), topology, cluster);
         cloud
-            .create_application(AppSpec::new("t").level(LevelSpec::new(1, 3)))
+            .create_application(AppSpec::new("t").level(LevelSpec::new(1, 5)))
             .unwrap();
-        let shared = cloud.cluster.alive_ids()[0];
-        for (part, q) in cloud.rings[0].partitions.values_mut().zip([0.1, 0.2, 0.3]) {
-            part.replicas[0].server = shared;
+        let (shared, retired, idle) = (ServerId(0), ServerId(1), ServerId(2));
+        cloud.retire_server(retired);
+        let spec = ServerSpec {
+            location: cloud.cluster.get(ServerId(3)).unwrap().location,
+            capacities: Capacities::paper(10 * GIB, 5_000.0),
+            monthly_cost: 100.0,
+            confidence: 1.0,
+        };
+        let fresh = cloud.add_server(spec);
+        assert_eq!(fresh.0 as usize, cloud.cluster.len() - 1);
+        let hosts = [
+            (fresh, 0.4),
+            (shared, 0.1),
+            (shared, 0.2),
+            (shared, 0.3),
+            (idle, 0.0),
+        ];
+        for (part, (server, q)) in cloud.rings[0].partitions.values_mut().zip(hosts) {
+            part.replicas.truncate(1);
+            part.replicas[0].server = server;
             part.replicas[0].queries_epoch = q;
         }
-        cloud.pipeline.begin_report();
+        cloud.pipeline.begin_report(&cloud.cluster);
         let stats =
             cloud
                 .pipeline
                 .ring_stats(&cloud.cluster, cloud.rings[0].partitions.values_mut(), 0.0);
-        assert_eq!(stats.vnodes, 3);
+        assert_eq!(stats.vnodes, 5);
         let expected: f64 = ((0.0 + 0.1) + 0.2) + 0.3;
         assert_ne!(expected.to_bits(), (0.1f64 + (0.2 + 0.3)).to_bits());
-        let loads: Vec<_> = cloud
+        let loads: Vec<u64> = cloud
             .pipeline
-            .loads
+            .loads_flat
             .iter()
-            .map(|&(id, l)| (id, l.to_bits()))
+            .map(|l| l.to_bits())
             .collect();
-        assert_eq!(loads, vec![(shared, expected.to_bits())]);
+        assert_eq!(
+            loads,
+            vec![expected.to_bits(), 0.0f64.to_bits(), 0.4f64.to_bits()]
+        );
+        let vnodes = cloud.pipeline.vnodes_map(&cloud.cluster);
+        assert_eq!(vnodes.len(), cloud.cluster.alive_count());
+        assert!(!vnodes.contains_key(&retired));
+        assert_eq!(
+            [
+                vnodes[&shared],
+                vnodes[&idle],
+                vnodes[&fresh],
+                vnodes[&ServerId(3)]
+            ],
+            [3, 1, 1, 0]
+        );
     }
 
     #[test]

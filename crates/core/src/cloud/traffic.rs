@@ -26,12 +26,12 @@ pub struct TrafficBatch {
     pub regions: Vec<RegionWeight>,
 }
 
-/// One partition's delivery plan: region-mix fold, proximity refresh,
-/// per-replica weights/distances/serving order. Pure per-partition work
-/// against immutable cluster state, so the fan-out ([`crate::pipeline`])
-/// may run partitions in any grouping. `dists` is the batch's
-/// region-weighted client distance per server, indexed by `ServerId.0`
-/// over the whole cluster.
+/// One partition's delivery plan: region-mix fold, proximity refresh, and
+/// each replica's weight and client distance, written into the replica.
+/// Pure per-partition work against immutable cluster state, so the fan-out
+/// ([`crate::pipeline`]) may run partitions in any grouping. `dists` is
+/// the batch's region-weighted client distance per server, indexed by
+/// `ServerId.0` over the whole cluster.
 pub(crate) fn plan_one_delivery(
     part: &mut PartitionState,
     cluster: &Cluster,
@@ -76,29 +76,18 @@ pub(crate) fn plan_one_delivery(
         ..
     } = &mut *part;
     let masses = RegionMasses::aggregate(region_queries);
-    delivery.gs.clear();
-    delivery.dists.clear();
-    for r in replicas.iter() {
-        match cluster.get(r.server) {
-            Some(s) => {
-                // Per-replica proximity, memoized per country.
-                delivery
-                    .gs
-                    .push(prox_cache.g_with(&masses, region_queries, &s.location, topology));
-                delivery.dists.push(dists[r.server.0 as usize]);
-            }
-            None => {
-                delivery.gs.push(1.0);
-                delivery.dists.push(0.0);
-            }
-        }
+    for r in replicas.iter_mut() {
+        (r.proximity, r.client_distance) = match cluster.get(r.server) {
+            // Per-replica proximity, memoized per country.
+            Some(s) => (
+                prox_cache.g_with(&masses, region_queries, &s.location, topology),
+                dists[r.server.0 as usize],
+            ),
+            None => (1.0, 0.0),
+        };
     }
-    delivery.order.clear();
-    delivery.order.extend(0..replicas.len());
-    let gs = &delivery.gs;
-    delivery.order.sort_by(|&a, &b| gs[b].total_cmp(&gs[a]));
     delivery.q = q;
-    delivery.sum_g = delivery.gs.iter().sum();
+    delivery.sum_g = replicas.iter().map(|r| r.proximity).sum();
     delivery.ready = true;
 }
 
@@ -256,8 +245,12 @@ impl SkuteCloud {
                 ring.queries_dropped_epoch += q;
                 continue;
             }
-            let (served_total, remaining, distance_sum) =
-                Self::commit_partition_sequential(&mut self.cluster, partition, gamma);
+            let (served_total, remaining, distance_sum) = Self::commit_partition_sequential(
+                &mut self.cluster,
+                partition,
+                gamma,
+                &mut self.order_scratch,
+            );
             let ring = &mut self.rings[ring_idx];
             ring.queries_offered_epoch += q;
             ring.queries_served_epoch += served_total;
@@ -270,37 +263,42 @@ impl SkuteCloud {
     /// capped by live capacity, the spill pass, and the drop recording.
     /// Returns the partition's `(served, remaining, distance_sum)`
     /// contributions to the ring totals.
+    ///
+    /// The serving order is the replicas by descending proximity, ties in
+    /// replica order (a stable sort), built in `order` (reused scratch).
     fn commit_partition_sequential(
         cluster: &mut Cluster,
         partition: &mut PartitionState,
         gamma: f64,
+        order: &mut Vec<(usize, f64)>,
     ) -> (f64, f64, f64) {
         let PartitionState {
             replicas, delivery, ..
         } = &mut *partition;
         let q = delivery.q;
         let sum_g = delivery.sum_g;
-        let gs = &delivery.gs;
-        let dists = &delivery.dists;
-        let order = &delivery.order;
+        order.clear();
+        order.extend(replicas.iter().map(|r| r.proximity).enumerate());
+        order.sort_by(|a, b| b.1.total_cmp(&a.1));
         let mut distance_sum = 0.0;
         let mut served_total = 0.0;
         let mut serve = |i: usize, want: f64| {
-            let served = Self::serve_on(cluster, replicas[i].server, want);
-            replicas[i].queries_epoch += served;
-            replicas[i].utility_epoch += gamma * served * gs[i];
-            distance_sum += served * dists[i];
+            let r = &mut replicas[i];
+            let served = Self::serve_on(cluster, r.server, want);
+            r.queries_epoch += served;
+            r.utility_epoch += gamma * served * r.proximity;
+            distance_sum += served * r.client_distance;
             served_total += served;
             served
         };
         // Pass 1: proximity-proportional shares, capped by capacity.
         let mut remaining = q;
-        for &i in order.iter() {
-            remaining -= serve(i, (q * gs[i] / sum_g).min(remaining));
+        for &(i, g) in order.iter() {
+            remaining -= serve(i, (q * g / sum_g).min(remaining));
         }
         // Pass 2: spill the remainder to whoever still has capacity,
         // closest replicas first.
-        for &i in order.iter() {
+        for &(i, _) in order.iter() {
             if remaining <= 1e-9 {
                 break;
             }
@@ -308,7 +306,7 @@ impl SkuteCloud {
         }
         if remaining > 1e-9 {
             // Genuinely dropped: record on the closest replica's server.
-            if let Some(&best) = order.first() {
+            if let Some(&(best, _)) = order.first() {
                 if let Some(s) = cluster.get_mut(replicas[best].server) {
                     s.usage.queries_dropped += remaining;
                 }

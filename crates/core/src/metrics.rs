@@ -50,8 +50,8 @@ pub struct EpochReport {
     /// Virtual-node count per alive server — the Fig. 2 distribution.
     /// Keyed by a `BTreeMap` so iteration (and any float aggregation a
     /// consumer layers on top) has a stable, id-sorted order; the epoch
-    /// pipeline assembles it from reused sorted accumulators instead of
-    /// rehashing a fresh table every epoch.
+    /// pipeline counts into a reused dense per-server array and builds the
+    /// map from it in id order.
     pub vnodes_per_server: BTreeMap<ServerId, usize>,
     /// One entry per virtual ring.
     pub rings: Vec<RingReport>,

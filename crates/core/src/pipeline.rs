@@ -8,11 +8,14 @@
 //! * **traffic** has a **plan pass**: pure per-partition computation
 //!   against state that is immutable for the duration of the phase (server
 //!   locations, confidences, capacities), writing only partition-local
-//!   state; its sequential commit then applies every effect on shared
-//!   state — the capacity meters — in ring/partition order;
+//!   state — each replica's eq.-(4) weight and client distance go into the
+//!   replica itself; its sequential commit then applies every effect on
+//!   shared state — the capacity meters — in ring/partition order;
 //! * **repair** warms each partition's memoized eq.-(2) availability, and
 //!   computes every placement it makes inside its sequential shuffled
-//!   commit.
+//!   commit. A storage-order sweep lists the partitions below their SLA
+//!   first, and the commit opens only those, in the shuffle's order (see
+//!   `cloud/repair.rs`).
 //!
 //! The decision phase does not fan out. A sequential storage-order pass
 //! records every vnode's balance and classifies it; the paper's §II-C walk
@@ -20,7 +23,8 @@
 //! at a time, against the live state, skipping a vnode only while no
 //! action has touched its partition and its recorded intent cannot act
 //! (see `cloud/decisions.rs`). No eq.-(3) answer is computed ahead of the
-//! walk. The report is one sequential fold in (partition, replica) order.
+//! walk. The report is one sequential fold in (partition, replica) order
+//! into dense per-server arrays indexed by server id.
 //!
 //! The plan functions and the commits live in the phase files. This module
 //! holds what fans a plan pass out: the phase collects `&mut` borrows of
@@ -63,19 +67,6 @@ fn phase_chunk(n: usize) -> usize {
     }
 }
 
-/// The slot of `key` in the key-sorted accumulator `acc`, inserted at its
-/// default when absent.
-fn sorted_slot<K: Ord + Copy, V: Default>(acc: &mut Vec<(K, V)>, key: K) -> &mut V {
-    let pos = match acc.binary_search_by(|(k, _)| k.cmp(&key)) {
-        Ok(pos) => pos,
-        Err(pos) => {
-            acc.insert(pos, (key, V::default()));
-            pos
-        }
-    };
-    &mut acc[pos].1
-}
-
 /// Per-ring aggregates of the epoch report.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct RingPhaseStats {
@@ -88,16 +79,23 @@ pub(crate) struct RingPhaseStats {
 
 /// The plan passes' thread budget and the report accumulators the epoch
 /// loop reuses. Owned by [`crate::SkuteCloud`].
+///
+/// The per-server accumulators are dense arrays indexed by `ServerId.0`
+/// (ids are slot indices and never reused), so the report's fold adds each
+/// replica's numbers with a direct store instead of a search.
 #[derive(Debug, Default)]
 pub(crate) struct EpochPipeline {
     pool: WorkerPool,
     // Report accumulators, reused across epochs.
     avails: Vec<f64>,
-    /// Per-server served queries of the ring being reported, by server id.
-    pub(crate) loads: Vec<(ServerId, f64)>,
-    loads_flat: Vec<f64>,
-    /// Cross-ring per-server vnode counts of the current report.
-    vnodes_global: Vec<(ServerId, usize)>,
+    /// Served queries of the ring being reported, by server id.
+    loads: Vec<f64>,
+    /// Whether a server hosts a vnode of the ring being reported, by id.
+    hosts: Vec<bool>,
+    /// The hosting servers' loads of the ring being reported, in id order.
+    pub(crate) loads_flat: Vec<f64>,
+    /// Cross-ring per-server vnode counts of the current report, by id.
+    vnodes: Vec<usize>,
 }
 
 impl EpochPipeline {
@@ -122,15 +120,18 @@ impl EpochPipeline {
         self.pool.run_tasks(chunks, |_, chunk| f(chunk));
     }
 
-    /// Starts a new epoch report (clears the cross-ring accumulators).
-    pub(crate) fn begin_report(&mut self) {
-        self.vnodes_global.clear();
+    /// Starts a new epoch report over `cluster`'s servers (zeroes the
+    /// cross-ring accumulators).
+    pub(crate) fn begin_report(&mut self, cluster: &Cluster) {
+        self.vnodes.clear();
+        self.vnodes.resize(cluster.len(), 0);
     }
 
     /// Computes one ring's report aggregates from `parts` in ring order:
     /// availabilities (via the memoized cache), per-server served-query
     /// loads and vnode counts. One left fold in (partition, replica)
-    /// order, so every floating-point sum is fixed by the ring alone.
+    /// order, so every floating-point sum is fixed by the ring alone; the
+    /// load CV reads the hosting servers' loads in id order.
     pub(crate) fn ring_stats<'a>(
         &mut self,
         cluster: &Cluster,
@@ -139,13 +140,18 @@ impl EpochPipeline {
     ) -> RingPhaseStats {
         self.avails.clear();
         self.loads.clear();
+        self.loads.resize(cluster.len(), 0.0);
+        self.hosts.clear();
+        self.hosts.resize(cluster.len(), false);
         let mut vnodes = 0usize;
         for part in parts {
             self.avails.push(cached_availability(cluster, part));
             for r in &part.replicas {
+                let slot = r.server.0 as usize;
                 vnodes += 1;
-                *sorted_slot(&mut self.vnodes_global, r.server) += 1;
-                *sorted_slot(&mut self.loads, r.server) += r.queries_epoch;
+                self.vnodes[slot] += 1;
+                self.loads[slot] += r.queries_epoch;
+                self.hosts[slot] = true;
             }
         }
         let n = self.avails.len();
@@ -160,7 +166,12 @@ impl EpochPipeline {
             )
         };
         self.loads_flat.clear();
-        self.loads_flat.extend(self.loads.iter().map(|&(_, l)| l));
+        self.loads_flat.extend(
+            self.loads
+                .iter()
+                .zip(&self.hosts)
+                .filter_map(|(&load, &hosts)| hosts.then_some(load)),
+        );
         let (_, load_cv) = mean_cv(&self.loads_flat);
         RingPhaseStats {
             vnodes,
@@ -172,13 +183,14 @@ impl EpochPipeline {
     }
 
     /// The epoch's per-server vnode distribution: every alive server
-    /// (zero-seeded) plus the counts accumulated by
+    /// (zero-seeded) plus every server holding vnodes counted by
     /// [`EpochPipeline::ring_stats`] since [`EpochPipeline::begin_report`].
     pub(crate) fn vnodes_map(&self, cluster: &Cluster) -> BTreeMap<ServerId, usize> {
-        let mut map: BTreeMap<ServerId, usize> = cluster.alive().map(|s| (s.id, 0usize)).collect();
-        for &(id, count) in &self.vnodes_global {
-            *map.entry(id).or_insert(0) += count;
-        }
-        map
+        cluster
+            .iter()
+            .zip(&self.vnodes)
+            .filter(|&(s, &count)| s.is_alive() || count > 0)
+            .map(|(s, &count)| (s.id, count))
+            .collect()
     }
 }

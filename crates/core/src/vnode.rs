@@ -43,13 +43,18 @@ pub struct Replica {
     pub utility_epoch: f64,
     /// Queries served by this replica in the current epoch.
     pub queries_epoch: f64,
-    /// Epoch at which the replica was created.
-    pub created_epoch: u64,
+    /// The eq.-(4) proximity weight g of this replica's server to the
+    /// partition's clients, written by the traffic plan and read by its
+    /// commit (see [`DeliveryPlan`]).
+    pub proximity: f64,
+    /// The region-weighted client distance of this replica's server,
+    /// written by the traffic plan beside [`Replica::proximity`].
+    pub client_distance: f64,
 }
 
 impl Replica {
     /// A fresh replica on `server` with an empty store.
-    pub fn new(id: VnodeId, server: ServerId, window: usize, epoch: u64) -> Self {
+    pub fn new(id: VnodeId, server: ServerId, window: usize) -> Self {
         Self {
             id,
             server,
@@ -57,7 +62,8 @@ impl Replica {
             store: ReplicaStore::default(),
             utility_epoch: 0.0,
             queries_epoch: 0.0,
-            created_epoch: epoch,
+            proximity: 0.0,
+            client_distance: 0.0,
         }
     }
 
@@ -69,21 +75,18 @@ impl Replica {
 }
 
 /// Per-partition scratch of the traffic-delivery phase: the parallel plan
-/// pass fills it (proximity weights, client distances, serving order), the
-/// commit consumes it against the live capacity meters. Reused across
-/// epochs; meaningless unless [`DeliveryPlan::ready`].
-#[derive(Debug, Clone, Default)]
+/// pass fills it, the commit consumes it against the live capacity meters.
+/// The per-replica half of the plan — each replica's eq.-(4) weight and
+/// client distance — lives in the replicas themselves
+/// ([`Replica::proximity`], [`Replica::client_distance`]), and the commit
+/// derives the serving order from the weights, so a plan carries no heap
+/// buffer. Reused across epochs; meaningless unless [`DeliveryPlan::ready`].
+#[derive(Debug, Clone, Copy, Default)]
 pub struct DeliveryPlan {
     /// Queries addressed to the partition by the planned delivery.
     pub q: f64,
-    /// Σ of the per-replica proximity weights below.
+    /// Σ of the replicas' proximity weights, in replica order.
     pub sum_g: f64,
-    /// Per-replica eq.-(4) proximity weights, in replica order.
-    pub gs: Vec<f64>,
-    /// Per-replica region-weighted client distances, in replica order.
-    pub dists: Vec<f64>,
-    /// Replica indices sorted by descending proximity (serving order).
-    pub order: Vec<usize>,
     /// True between a plan pass and its commit pass.
     pub ready: bool,
 }
@@ -210,7 +213,7 @@ mod tests {
 
     #[test]
     fn replica_epoch_reset() {
-        let mut r = Replica::new(VnodeId(1), ServerId(0), 3, 0);
+        let mut r = Replica::new(VnodeId(1), ServerId(0), 3);
         r.utility_epoch = 5.0;
         r.queries_epoch = 10.0;
         r.begin_epoch();
@@ -223,7 +226,7 @@ mod tests {
         let mut p = PartitionState::new(PartitionId(0), 1.0);
         p.synthetic_bytes = 1000;
         assert_eq!(p.size_bytes(), 1000);
-        let mut r = Replica::new(VnodeId(1), ServerId(0), 3, 0);
+        let mut r = Replica::new(VnodeId(1), ServerId(0), 3);
         assert!(r.store.apply(
             &b"key"[..],
             Record::put(&b"0123456789"[..], Version::new(1, 0, 0))
@@ -235,8 +238,8 @@ mod tests {
     #[test]
     fn replica_servers_and_membership() {
         let mut p = PartitionState::new(PartitionId(0), 1.0);
-        p.replicas.push(Replica::new(VnodeId(1), ServerId(4), 3, 0));
-        p.replicas.push(Replica::new(VnodeId(2), ServerId(9), 3, 0));
+        p.replicas.push(Replica::new(VnodeId(1), ServerId(4), 3));
+        p.replicas.push(Replica::new(VnodeId(2), ServerId(9), 3));
         assert_eq!(p.replica_servers(), vec![ServerId(4), ServerId(9)]);
         assert!(p.has_replica_on(ServerId(9)));
         assert!(!p.has_replica_on(ServerId(5)));
@@ -271,11 +274,26 @@ mod tests {
         // Every storage-order pass (the delivery plan, the repair warm-up,
         // the decision pass, the report) streams through the partitions,
         // and the decision walk's cache misses were this struct: an inline
-        // 24-region mass array here once made it 864 bytes. Keep it out.
+        // 24-region mass array here once made it 864 bytes, and three
+        // per-replica delivery vectors 256. What is per replica belongs in
+        // the replica.
         assert!(
-            std::mem::size_of::<PartitionState>() <= 320,
+            std::mem::size_of::<PartitionState>() <= 192,
             "PartitionState is {} bytes",
             std::mem::size_of::<PartitionState>()
+        );
+    }
+
+    #[test]
+    fn replica_stays_small() {
+        // The same passes stream through every replica, three to four per
+        // partition. The balance window and the delivery weights sit inline
+        // so those passes read no heap buffer behind a replica; a bigger
+        // window or another per-replica buffer shows up here first.
+        assert!(
+            std::mem::size_of::<Replica>() <= 144,
+            "Replica is {} bytes",
+            std::mem::size_of::<Replica>()
         );
     }
 

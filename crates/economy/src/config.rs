@@ -1,5 +1,7 @@
 //! Tunables of the virtual economy.
 
+use crate::balance::MAX_DECISION_WINDOW;
+
 /// Parameters of the virtual economy.
 ///
 /// The paper introduces α and β as "normalizing factors" of eq. (1) and
@@ -18,6 +20,7 @@ pub struct EconomyConfig {
     pub utility_per_query: f64,
     /// f of §II-C: number of consecutive epochs a balance must stay
     /// negative (positive) before a vnode migrates/suicides (replicates).
+    /// At most [`MAX_DECISION_WINDOW`], the inline window of every vnode.
     pub decision_window: usize,
     /// Monetary value of one unit of diversity in eq. (3), balancing the
     /// diversity sum against rents. Larger values favour spread over cost.
@@ -82,6 +85,10 @@ impl EconomyConfig {
         );
         assert!(self.decision_window >= 1, "decision_window must be ≥ 1");
         assert!(
+            self.decision_window <= MAX_DECISION_WINDOW,
+            "decision_window must be ≤ MAX_DECISION_WINDOW ({MAX_DECISION_WINDOW})"
+        );
+        assert!(
             self.diversity_unit_value >= 0.0 && self.diversity_unit_value.is_finite(),
             "diversity_unit_value must be ≥ 0"
         );
@@ -133,6 +140,21 @@ mod tests {
     fn zero_window_rejected() {
         let mut c = EconomyConfig::paper();
         c.decision_window = 0;
+        c.validate();
+    }
+
+    #[test]
+    #[should_panic(expected = "MAX_DECISION_WINDOW")]
+    fn window_past_the_inline_bound_rejected() {
+        let mut c = EconomyConfig::paper();
+        c.decision_window = 9;
+        c.validate();
+    }
+
+    #[test]
+    fn the_largest_window_is_valid() {
+        let mut c = EconomyConfig::paper();
+        c.decision_window = MAX_DECISION_WINDOW;
         c.validate();
     }
 

@@ -24,7 +24,7 @@ pub mod rent;
 pub mod scoring;
 pub mod utility;
 
-pub use balance::BalanceHistory;
+pub use balance::{BalanceHistory, MAX_DECISION_WINDOW};
 pub use config::EconomyConfig;
 pub use rent::RentModel;
 pub use scoring::{candidate_score, proximity, ProximityCache, RegionMasses, RegionQueries};
