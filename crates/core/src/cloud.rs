@@ -134,6 +134,9 @@ pub struct SkuteCloud {
     order_scratch: Vec<(usize, f64)>,
     /// The partitions of one ring the repair commit may act on.
     repair_scratch: Vec<PartitionId>,
+    /// One ring's partition ids in ring order, refilled by the traffic
+    /// commit and the repair commit (which shuffles it).
+    pids_scratch: Vec<PartitionId>,
     /// Optional observability sink (see [`crate::obs`]). Write-only from
     /// the cloud's point of view: nothing here is ever read back by a
     /// decision path, so trajectories are bitwise identical with metrics
@@ -182,6 +185,7 @@ impl SkuteCloud {
             placed_scratch: Vec::new(),
             order_scratch: Vec::new(),
             repair_scratch: Vec::new(),
+            pids_scratch: Vec::new(),
             metrics: None,
             health: HealthState::default(),
             repair_queue: Mutex::new(Vec::new()),

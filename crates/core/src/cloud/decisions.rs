@@ -28,7 +28,6 @@ use skute_ring::PartitionId;
 
 use super::exec::{exec_migration, exec_replication, exec_suicide};
 use super::{select_target, DecisionOracle, SkuteCloud};
-use crate::availability::availability_of;
 use crate::decision::{classify, clears_profit_hurdle, ActionCounts, Intent, VnodeSituation};
 use crate::placement::{migration_floor, PlacementContext, TargetQuery};
 use crate::vnode::{PartitionState, VnodeId};
@@ -121,7 +120,8 @@ impl PhaseInputs {
 
     /// The §II-C situation of replica `idx` of `part`, paying `rent`: its
     /// recorded balance streaks, and eq. (2) over the partition's current
-    /// membership without it (`placed` is scratch).
+    /// membership without it, from the availability memo while it is
+    /// valid (`placed` is scratch for a direct evaluation).
     fn situation(
         &self,
         cluster: &Cluster,
@@ -131,21 +131,12 @@ impl PhaseInputs {
         rent: f64,
         threshold: f64,
     ) -> VnodeSituation {
-        placed.clear();
-        for (i, r) in part.replicas.iter().enumerate() {
-            if i == idx {
-                continue;
-            }
-            if let Some(s) = cluster.get(r.server) {
-                placed.push((s.location, s.confidence));
-            }
-        }
         let balance = &part.replicas[idx].balance;
         VnodeSituation {
             negative_streak: balance.negative_streak(),
             positive_streak: balance.positive_streak(),
             window_mean: balance.window_mean(),
-            availability_without_self: availability_of(placed),
+            availability_without_self: part.availability_without(cluster, idx, placed),
             threshold,
             replica_count: part.replicas.len(),
             max_replicas: self.economy.max_replicas,

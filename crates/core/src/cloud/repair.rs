@@ -11,33 +11,25 @@
 use rand::seq::SliceRandom;
 
 use skute_cluster::Cluster;
-use skute_geo::Location;
 use skute_ring::PartitionId;
 
 use super::exec::{exec_migration, exec_replication, exec_suicide};
 use super::{select_target, DecisionOracle, SkuteCloud};
-use crate::availability::availability_of;
 use crate::decision::ActionCounts;
 use crate::placement::{PlacementContext, TargetQuery};
 use crate::vnode::{PartitionState, VnodeId};
 
 /// Memoized eq.-(2) availability of a partition's current replica set,
-/// computing and caching on miss. Bit-identical to the direct evaluation:
-/// the placed list is built in replica order, exactly as the sequential
-/// loops always did, and locations/confidences are immutable.
+/// computing and caching on miss (`PartitionState::memoize_availability`,
+/// which memoizes every replica's availability without itself beside
+/// it). Bit-identical to the direct evaluation: the placed list is built
+/// in replica order, exactly as the sequential loops always did, and
+/// locations/confidences are immutable.
 pub(crate) fn cached_availability(cluster: &Cluster, part: &mut PartitionState) -> f64 {
-    if let Some(a) = part.cached_availability {
-        return a;
+    match part.cached_availability {
+        Some(a) => a,
+        None => part.memoize_availability(cluster),
     }
-    let mut placed: Vec<(Location, f64)> = Vec::with_capacity(part.replicas.len());
-    for r in &part.replicas {
-        if let Some(s) = cluster.get(r.server) {
-            placed.push((s.location, s.confidence));
-        }
-    }
-    let a = availability_of(&placed);
-    part.cached_availability = Some(a);
-    a
 }
 
 impl SkuteCloud {
@@ -80,6 +72,7 @@ impl SkuteCloud {
         });
         // Commit pass: sequential, seeded shuffle order.
         let mut listed = std::mem::take(&mut self.repair_scratch);
+        let mut pids = std::mem::take(&mut self.pids_scratch);
         for ri in 0..self.rings.len() {
             let threshold = self.rings[ri].level.threshold;
             listed.clear();
@@ -94,12 +87,13 @@ impl SkuteCloud {
                         open.then_some(*pid)
                     }),
             );
-            let mut pids = self.rings[ri].ring.partition_ids();
+            pids.clear();
+            pids.extend(self.rings[ri].ring.iter_partition_ids());
             pids.shuffle(&mut self.rng);
             if listed.is_empty() {
                 continue;
             }
-            for pid in pids {
+            for &pid in &pids {
                 if listed.binary_search(&pid).is_err() {
                     continue;
                 }
@@ -155,6 +149,7 @@ impl SkuteCloud {
             }
         }
         self.repair_scratch = listed;
+        self.pids_scratch = pids;
     }
 
     /// Emergency rebalance: replica `idx` of a partition sits on a server
@@ -223,7 +218,13 @@ impl SkuteCloud {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cloud::tests::small_cloud;
+    use crate::app::{AppSpec, LevelSpec};
+    use crate::availability::availability_of;
+    use crate::cloud::tests::{paper_cluster, small_cloud, GIB};
+    use crate::config::SkuteConfig;
+    use skute_cluster::{Capacities, ServerSpec};
+    use skute_geo::{ClientGeo, Topology};
+    use skute_store::{FaultPlan, FaultPlanKind};
 
     #[test]
     fn repairs_grow_partitions_to_sla() {
@@ -277,5 +278,84 @@ mod tests {
         assert!(pids
             .iter()
             .all(|&pid| cloud.replica_servers(app, 0, pid).unwrap().len() > 1));
+    }
+
+    /// Asserts every valid leave-one-out memo of `cloud` against eq. (2)
+    /// evaluated from scratch, by bits; returns how many it checked.
+    fn check_leave_one_out_memos(cloud: &SkuteCloud) -> usize {
+        let mut checked = 0;
+        let mut scratch = Vec::new();
+        for part in cloud.rings.iter().flat_map(|ring| ring.partitions.values()) {
+            if part.cached_availability.is_none() {
+                continue;
+            }
+            for idx in 0..part.replicas.len() {
+                let placed: Vec<_> = part
+                    .replicas
+                    .iter()
+                    .enumerate()
+                    .filter(|&(i, _)| i != idx)
+                    .filter_map(|(_, r)| cloud.cluster.get(r.server))
+                    .map(|s| (s.location, s.confidence))
+                    .collect();
+                assert_eq!(
+                    part.availability_without(&cloud.cluster, idx, &mut scratch)
+                        .to_bits(),
+                    availability_of(&placed).to_bits(),
+                    "partition {} replica {idx}",
+                    part.id
+                );
+                checked += 1;
+            }
+        }
+        checked
+    }
+
+    #[test]
+    fn leave_one_out_memos_track_churn_and_gray_confidences() {
+        // A gray fault plan moves server confidences at every epoch start
+        // and a server is retired and replaced every third epoch. Wherever
+        // the availability memo is valid, after the churn and after each
+        // epoch's decisions, every replica's memoized availability without
+        // itself must equal eq. (2) evaluated from scratch.
+        let topology = Topology::paper();
+        let cluster = paper_cluster(&topology);
+        let gray = FaultPlan {
+            kind: FaultPlanKind::Gray,
+            seed: 7,
+        };
+        let mut cloud = SkuteCloud::new(
+            SkuteConfig::paper().with_fault_plan(gray),
+            topology,
+            cluster,
+        );
+        let app = cloud
+            .create_application(AppSpec::new("t").level(LevelSpec::new(3, 24)))
+            .unwrap();
+        let regions = ClientGeo::Uniform.region_weights(cloud.topology());
+        let mut checked = 0;
+        for epoch in 0..18 {
+            cloud.begin_epoch();
+            if epoch % 3 == 2 {
+                let victim = cloud.rings[0].partitions.values().next().unwrap().replicas[0].server;
+                let location = cloud.cluster.get(victim).unwrap().location;
+                cloud.retire_server(victim);
+                cloud.add_server(ServerSpec {
+                    location,
+                    capacities: Capacities::paper(10 * GIB, 5_000.0),
+                    monthly_cost: 100.0,
+                    confidence: 1.0,
+                });
+            }
+            checked += check_leave_one_out_memos(&cloud);
+            cloud.deliver_queries(app, 0, 3_000.0, &regions).unwrap();
+            cloud.end_epoch();
+            checked += check_leave_one_out_memos(&cloud);
+        }
+        assert!(checked > 18 * 24, "only {checked} memos checked");
+        assert!(
+            cloud.cluster.alive().any(|s| s.confidence != 1.0),
+            "the gray plan must move confidences"
+        );
     }
 }

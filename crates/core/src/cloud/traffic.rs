@@ -1,11 +1,17 @@
 //! Epoch phase 1 — query traffic: the per-partition delivery plan, its
 //! driver, and the sequential commit against the live query-capacity
 //! meters.
+//!
+//! A batch offers one region mix to every partition of its ring, so the
+//! driver resolves what the mix fixes once per batch: the ring's
+//! Σ popularity, each server's region-weighted client distance, and the
+//! eq.-(4) [`RegionPlan`] (region-list slots, mass slots, per-server
+//! diversity rows). Each partition's plan then writes its region list by
+//! slot and weighs each replica with one pass over its server's row.
 
 use skute_cluster::{Cluster, ServerId};
-use skute_economy::{RegionMasses, RegionQueries};
+use skute_economy::RegionPlan;
 use skute_geo::{RegionWeight, Topology};
-use skute_ring::PartitionId;
 
 use super::SkuteCloud;
 use crate::app::AppId;
@@ -26,48 +32,38 @@ pub struct TrafficBatch {
     pub regions: Vec<RegionWeight>,
 }
 
-/// One partition's delivery plan: region-mix fold, proximity refresh, and
-/// each replica's weight and client distance, written into the replica.
-/// Pure per-partition work against immutable cluster state, so the fan-out
-/// ([`crate::pipeline`]) may run partitions in any grouping. `dists` is
-/// the batch's region-weighted client distance per server, indexed by
-/// `ServerId.0` over the whole cluster.
-pub(crate) fn plan_one_delivery(
+/// One batch of a delivery wave, with what it fixes for every partition
+/// of its ring.
+struct PlannedBatch {
+    ring: usize,
+    /// Queries offered to the ring.
+    queries: f64,
+    /// The ring's Σ popularity: the proportional-split denominator.
+    total_pop: f64,
+    /// The region-weighted client distance of every server (latency proxy,
+    /// diversity units), indexed by `ServerId.0` over the whole cluster.
+    dists: Vec<f64>,
+    /// The batch's eq.-(4) region plan over the cluster's servers by id.
+    regions: RegionPlan,
+}
+
+/// One partition's delivery plan: its share of the batch folded into its
+/// region mix, and each replica's eq.-(4) weight and client distance,
+/// written into the replica. Pure per-partition work against immutable
+/// cluster state, so the fan-out ([`crate::pipeline`]) may run partitions
+/// in any grouping.
+fn plan_one_delivery(
     part: &mut PartitionState,
     cluster: &Cluster,
     topology: &Topology,
-    regions: &[RegionWeight],
-    dists: &[f64],
-    total_queries: f64,
-    total_pop: f64,
+    batch: &PlannedBatch,
 ) {
     part.delivery.ready = false;
-    let q = total_queries * part.popularity / total_pop;
+    let q = batch.queries * part.popularity / batch.total_pop;
     if q <= 0.0 {
         return;
     }
     part.queries_epoch += q;
-    for region in regions {
-        let add = q * region.weight;
-        if add <= 0.0 {
-            continue;
-        }
-        match part
-            .region_queries
-            .iter_mut()
-            .find(|r| r.location == region.location)
-        {
-            Some(r) => r.queries += add,
-            None => part.region_queries.push(RegionQueries {
-                location: region.location,
-                queries: add,
-            }),
-        }
-    }
-    // The region mix just changed: drop stale memoized proximity, then
-    // refill it while computing the per-replica weights. Placement
-    // decisions later in the epoch reuse the refilled per-country entries.
-    part.prox_cache.clear();
     let PartitionState {
         region_queries,
         prox_cache,
@@ -75,14 +71,16 @@ pub(crate) fn plan_one_delivery(
         delivery,
         ..
     } = &mut *part;
-    let masses = RegionMasses::aggregate(region_queries);
+    // The region mix changes: the plan drops the stale memoized proximity
+    // and refills it per replica country. Placement decisions later in the
+    // epoch reuse the refilled entries.
+    let mut weights = batch
+        .regions
+        .deliver(q, region_queries, prox_cache, topology);
     for r in replicas.iter_mut() {
+        let id = r.server.0 as usize;
         (r.proximity, r.client_distance) = match cluster.get(r.server) {
-            // Per-replica proximity, memoized per country.
-            Some(s) => (
-                prox_cache.g_with(&masses, region_queries, &s.location, topology),
-                dists[r.server.0 as usize],
-            ),
+            Some(s) => (weights.g(id, &s.location), batch.dists[id]),
             None => (1.0, 0.0),
         };
     }
@@ -159,17 +157,15 @@ impl SkuteCloud {
         let gamma = self.config.economy.utility_per_query;
         let plan_start = self.obs_start();
         // A batch offering no queries, or addressing a ring without
-        // popularity, delivers nothing; the rest carry their ring's
-        // Σ popularity (the proportional-split denominator) and the
-        // region-weighted client distance of every server (latency proxy,
-        // diversity units), which depends on the server alone.
-        let wave: Vec<(usize, TrafficBatch, f64, Vec<f64>)> = wave
+        // popularity, delivers nothing; the rest resolve once what every
+        // partition of their ring shares.
+        let wave: Vec<PlannedBatch> = wave
             .into_iter()
-            .filter_map(|(ri, b)| {
+            .filter_map(|(ring, b)| {
                 if b.queries <= 0.0 {
                     return None;
                 }
-                let total_pop: f64 = self.rings[ri]
+                let total_pop: f64 = self.rings[ring]
                     .partitions
                     .values()
                     .map(|p| p.popularity)
@@ -190,7 +186,18 @@ impl SkuteCloud {
                             .sum()
                     })
                     .collect();
-                Some((ri, b, total_pop, dists))
+                let regions = RegionPlan::new(
+                    &b.regions,
+                    self.cluster.iter().map(|s| s.location),
+                    &self.topology,
+                );
+                Some(PlannedBatch {
+                    ring,
+                    queries: b.queries,
+                    total_pop,
+                    dists,
+                    regions,
+                })
             })
             .collect();
         if wave.is_empty() {
@@ -205,24 +212,21 @@ impl SkuteCloud {
             pipeline,
             ..
         } = self;
-        let mut items: Vec<(usize, &mut PartitionState)> = Vec::new();
+        let mut items: Vec<(&PlannedBatch, &mut PartitionState)> = Vec::new();
         for (ri, ring) in rings.iter_mut().enumerate() {
-            if let Some(wi) = wave.iter().position(|&(wri, ..)| wri == ri) {
-                items.extend(ring.partitions.values_mut().map(|part| (wi, part)));
+            if let Some(batch) = wave.iter().find(|b| b.ring == ri) {
+                items.extend(ring.partitions.values_mut().map(|part| (batch, part)));
             }
         }
         pipeline.for_each_chunk(&mut items, |chunk| {
-            for (wi, part) in chunk {
-                let (_, b, total_pop, dists) = &wave[*wi];
-                plan_one_delivery(
-                    part, cluster, topology, &b.regions, dists, b.queries, *total_pop,
-                );
+            for (batch, part) in chunk {
+                plan_one_delivery(part, cluster, topology, batch);
             }
         });
         self.obs_phase(plan_start, |m| &m.phase_traffic_plan);
         let commit_start = self.obs_start();
-        for (ri, ..) in wave {
-            self.commit_ring_traffic(ri, gamma);
+        for batch in &wave {
+            self.commit_ring_traffic(batch.ring, gamma);
         }
         self.obs_phase(commit_start, |m| &m.phase_traffic_commit);
     }
@@ -230,8 +234,10 @@ impl SkuteCloud {
     /// The traffic commit of one ring: every addressed partition, in ring
     /// order, served against the live capacity meters.
     fn commit_ring_traffic(&mut self, ring_idx: usize, gamma: f64) {
-        let pids: Vec<PartitionId> = self.rings[ring_idx].ring.partition_ids();
-        for pid in pids {
+        let mut pids = std::mem::take(&mut self.pids_scratch);
+        pids.clear();
+        pids.extend(self.rings[ring_idx].ring.iter_partition_ids());
+        for &pid in &pids {
             let Some(partition) = self.rings[ring_idx].partitions.get_mut(&pid) else {
                 continue;
             };
@@ -257,6 +263,7 @@ impl SkuteCloud {
             ring.queries_dropped_epoch += remaining.max(0.0);
             ring.distance_sum_epoch += distance_sum;
         }
+        self.pids_scratch = pids;
     }
 
     /// The per-partition traffic commit: the proximity-proportional pass

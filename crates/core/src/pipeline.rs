@@ -7,24 +7,29 @@
 //!
 //! * **traffic** has a **plan pass**: pure per-partition computation
 //!   against state that is immutable for the duration of the phase (server
-//!   locations, confidences, capacities), writing only partition-local
-//!   state — each replica's eq.-(4) weight and client distance go into the
-//!   replica itself; its sequential commit then applies every effect on
-//!   shared state — the capacity meters — in ring/partition order;
-//! * **repair** warms each partition's memoized eq.-(2) availability, and
+//!   locations, confidences, capacities) and against each batch's region
+//!   plan, resolved once per batch before the fan-out. It writes only
+//!   partition-local state — each replica's eq.-(4) weight and client
+//!   distance go into the replica itself; its sequential commit then
+//!   applies every effect on shared state — the capacity meters — in
+//!   ring/partition order;
+//! * **repair** warms each partition's memoized eq.-(2) availability,
+//!   together with every replica's availability without itself, and
 //!   computes every placement it makes inside its sequential shuffled
 //!   commit. A storage-order sweep lists the partitions below their SLA
 //!   first, and the commit opens only those, in the shuffle's order (see
 //!   `cloud/repair.rs`).
 //!
 //! The decision phase does not fan out. A sequential storage-order pass
-//! records every vnode's balance and classifies it; the paper's §II-C walk
-//! then visits the vnodes in the seeded shuffle order and acts, one action
-//! at a time, against the live state, skipping a vnode only while no
-//! action has touched its partition and its recorded intent cannot act
-//! (see `cloud/decisions.rs`). No eq.-(3) answer is computed ahead of the
-//! walk. The report is one sequential fold in (partition, replica) order
-//! into dense per-server arrays indexed by server id.
+//! records every vnode's balance and classifies it, reading its
+//! availability without itself from the memo the warm-up left; the
+//! paper's §II-C walk then visits the vnodes in the seeded shuffle order
+//! and acts, one action at a time, against the live state, skipping a
+//! vnode only while no action has touched its partition and its recorded
+//! intent cannot act (see `cloud/decisions.rs`). No eq.-(3) answer is
+//! computed ahead of the walk. The report is one sequential fold in
+//! (partition, replica) order into dense per-server arrays indexed by
+//! server id.
 //!
 //! The plan functions and the commits live in the phase files. This module
 //! holds what fans a plan pass out: the phase collects `&mut` borrows of

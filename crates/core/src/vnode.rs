@@ -2,10 +2,13 @@
 
 use std::fmt;
 
-use skute_cluster::ServerId;
+use skute_cluster::{Cluster, ServerId};
 use skute_economy::{BalanceHistory, ProximityCache, RegionQueries};
+use skute_geo::Location;
 use skute_ring::PartitionId;
 use skute_store::ReplicaStore;
+
+use crate::availability::availability_of;
 
 /// Identifier of a virtual node (one replica of one partition), unique for
 /// the lifetime of a cloud.
@@ -23,7 +26,9 @@ impl fmt::Display for VnodeId {
 /// A replica lives on exactly one server, carries its own copy of the
 /// partition's data, earns utility from the queries it answers and pays the
 /// virtual rent of its server every epoch. Its [`BalanceHistory`] drives the
-/// replicate/migrate/suicide decisions.
+/// replicate/migrate/suicide decisions. Besides its own state it carries
+/// per-epoch values its partition computes for it: the traffic plan's
+/// weight and distance, and its share of the availability memo.
 #[derive(Debug, Clone)]
 pub struct Replica {
     /// Virtual node identifier.
@@ -50,6 +55,12 @@ pub struct Replica {
     /// The region-weighted client distance of this replica's server,
     /// written by the traffic plan beside [`Replica::proximity`].
     pub client_distance: f64,
+    /// Eq. (2) over the partition's other replicas: the vnode's
+    /// availability "without itself" that §II-C weighs suicide against.
+    /// Part of the partition's availability memo: written with it and
+    /// valid exactly while [`PartitionState::cached_availability`] is
+    /// `Some`. Read through [`PartitionState::availability_without`].
+    availability_without_self: f64,
 }
 
 impl Replica {
@@ -64,6 +75,7 @@ impl Replica {
             queries_epoch: 0.0,
             proximity: 0.0,
             client_distance: 0.0,
+            availability_without_self: 0.0,
         }
     }
 
@@ -114,19 +126,21 @@ pub struct PartitionState {
     pub write_bytes_epoch: u64,
     /// Per-country proximity weights memoized against the current
     /// `region_queries`; cleared whenever they change (epoch start, query
-    /// delivery). The delivery plan fills it from region masses it
-    /// aggregates on its own stack; every placement decision of the
+    /// delivery). The delivery plan fills it from its batch's
+    /// [`skute_economy::RegionPlan`]; every placement decision of the
     /// partition within the epoch shares it, building the cache's boxed
     /// masses only on a country the plan did not fill.
     pub prox_cache: ProximityCache,
-    /// Memoized eq.-(2) availability of the current replica set.
-    /// Invalidated by [`PartitionState::note_membership_changed`]; server
-    /// locations are immutable and confidences only move when the cloud
-    /// observes health samples (gray fault plans), in which case
-    /// `begin_epoch` clears the cache fleet-wide via
+    /// Memoized eq.-(2) availability of the current replica set. While
+    /// `Some`, every replica's eq. (2) without itself is memoized too
+    /// (`PartitionState::memoize_availability` writes both). Invalidated
+    /// by [`PartitionState::note_membership_changed`]; server locations
+    /// are immutable and confidences only move when the cloud observes
+    /// health samples (gray fault plans), in which case `begin_epoch`
+    /// clears the cache fleet-wide via
     /// [`PartitionState::note_confidence_changed`]. Survives across epochs
     /// otherwise: a converged partition never re-evaluates eq. (2) in
-    /// `repair_availability` or the epoch report.
+    /// `repair_availability`, the decision phase or the epoch report.
     pub cached_availability: Option<f64>,
     /// Traffic-delivery scratch (see [`DeliveryPlan`]).
     pub delivery: DeliveryPlan,
@@ -161,6 +175,63 @@ impl PartitionState {
     /// availability so eq. (2) re-evaluates.
     pub fn note_confidence_changed(&mut self) {
         self.cached_availability = None;
+    }
+
+    /// Eq. (2) over the replicas `cluster` knows, in replica order, leaving
+    /// out replica `skip` (none when `None`). `placed` is scratch.
+    fn evaluate_availability(
+        &self,
+        cluster: &Cluster,
+        skip: Option<usize>,
+        placed: &mut Vec<(Location, f64)>,
+    ) -> f64 {
+        placed.clear();
+        for (i, r) in self.replicas.iter().enumerate() {
+            if Some(i) == skip {
+                continue;
+            }
+            if let Some(s) = cluster.get(r.server) {
+                placed.push((s.location, s.confidence));
+            }
+        }
+        availability_of(placed)
+    }
+
+    /// Evaluates and memoizes eq. (2): the replica set's availability,
+    /// returned and kept in [`PartitionState::cached_availability`], and
+    /// each replica's availability without itself.
+    pub(crate) fn memoize_availability(&mut self, cluster: &Cluster) -> f64 {
+        let mut placed = Vec::with_capacity(self.replicas.len());
+        let availability = self.evaluate_availability(cluster, None, &mut placed);
+        for idx in 0..self.replicas.len() {
+            let without = self.evaluate_availability(cluster, Some(idx), &mut placed);
+            self.replicas[idx].availability_without_self = without;
+        }
+        self.cached_availability = Some(availability);
+        availability
+    }
+
+    /// Eq. (2) over the replicas other than `idx`: replica `idx`'s
+    /// availability without itself. Read from the availability memo while
+    /// it is valid, evaluated directly otherwise (`placed` is scratch);
+    /// the two agree bit for bit, which debug builds assert.
+    pub(crate) fn availability_without(
+        &self,
+        cluster: &Cluster,
+        idx: usize,
+        placed: &mut Vec<(Location, f64)>,
+    ) -> f64 {
+        if self.cached_availability.is_none() {
+            return self.evaluate_availability(cluster, Some(idx), placed);
+        }
+        let memo = self.replicas[idx].availability_without_self;
+        debug_assert_eq!(
+            memo.to_bits(),
+            self.evaluate_availability(cluster, Some(idx), placed)
+                .to_bits(),
+            "stale availability memo of replica {idx}"
+        );
+        memo
     }
 
     /// The logical size of one replica of this partition: synthetic bytes

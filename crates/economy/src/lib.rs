@@ -27,5 +27,7 @@ pub mod utility;
 pub use balance::{BalanceHistory, MAX_DECISION_WINDOW};
 pub use config::EconomyConfig;
 pub use rent::RentModel;
-pub use scoring::{candidate_score, proximity, ProximityCache, RegionMasses, RegionQueries};
+pub use scoring::{
+    candidate_score, proximity, PlannedWeights, ProximityCache, RegionPlan, RegionQueries,
+};
 pub use utility::{floored_utility, utility};

@@ -1,6 +1,6 @@
 //! Eq. (3) and (4): candidate-server scoring and client proximity.
 
-use skute_geo::{diversity, Location, Topology};
+use skute_geo::{diversity, Location, RegionWeight, Topology};
 
 /// Query volume observed from one client region for one partition — the
 /// `q_l` of eq. (4).
@@ -45,6 +45,11 @@ fn raw_g(regions: &[RegionQueries], server: &Location) -> f64 {
 /// stays allocation-free.
 const INLINE_CLIENT_REGIONS: usize = 24;
 
+/// Mass slots a [`RegionPlan`] sums on the stack per partition. A batch
+/// with more distinct masses still writes region lists by slot, but its
+/// weights come from [`ProximityCache::g`].
+const PLAN_MASS_SLOTS: usize = INLINE_CLIENT_REGIONS;
+
 /// The identity a client region aggregates under.
 ///
 /// Country-zone clients ([`Location::client_in_country`]) collapse to
@@ -71,16 +76,22 @@ impl MassKey {
             MassKey::Deep(*location)
         }
     }
+
+    /// The diversity between this region and a non-client-zone `server`.
+    fn diversity_to(self, server: &Location) -> f64 {
+        match self {
+            MassKey::Country(client) => zone_diversity(client, server.country_key()),
+            MassKey::Deep(client) => f64::from(diversity(&client, server)),
+        }
+    }
 }
 
 /// Query mass aggregated per client region, in first-appearance order —
 /// the sufficient statistic of eq. (4) against any non-client-zone server.
-///
-/// Large (the inline regions): a caller evaluating many servers against one
-/// region mix aggregates it once on the stack and hands it to
-/// [`ProximityCache::g_with`].
+/// [`ProximityCache::g`] builds one lazily, boxed, for the placement
+/// queries of a region mix.
 #[derive(Debug, Clone)]
-pub struct RegionMasses {
+struct RegionMasses {
     total: f64,
     len: usize,
     /// Whether any region aggregated under [`MassKey::Deep`].
@@ -108,7 +119,7 @@ impl RegionMasses {
     /// per-country masses, arbitrary client locations keep their full
     /// location as the key. Any number of distinct regions aggregates —
     /// the first 24 inline, the rest on the heap.
-    pub fn aggregate(regions: &[RegionQueries]) -> Self {
+    fn aggregate(regions: &[RegionQueries]) -> Self {
         let mut masses = Self::default();
         for r in regions {
             masses.total += r.queries;
@@ -166,37 +177,72 @@ fn zone_diversity(client: (u16, u16), server: (u16, u16)) -> f64 {
     }
 }
 
-/// The analytic eq.-(4) proximity of a non-client-zone `server` against
-/// aggregated region masses: O(client regions + topology countries) of
-/// plain arithmetic. Bit-for-bit identical to the general per-location
-/// scan for duplicate-free region mixes (the mixes the workload layer
-/// produces): both sides accumulate the same summands in the same order.
-fn analytic_g(masses: &RegionMasses, server: &Location, topology: &Topology) -> f64 {
-    let server_key = server.country_key();
+/// A query total spread uniformly over the topology's countries (the
+/// paper's uniform client geography): the share `per` of each country and
+/// the total re-accumulated from the shares, one `+=` per country.
+#[derive(Debug, Clone, Copy)]
+struct UniformSplit {
+    per: f64,
+    total: f64,
+}
+
+impl UniformSplit {
+    fn of(total: f64, topology: &Topology) -> Self {
+        let per = total / topology.country_count() as f64;
+        let mut sum = 0.0;
+        for _ in topology.iter_countries() {
+            sum += per;
+        }
+        Self { per, total: sum }
+    }
+}
+
+/// The eq.-(4) kernel: the weight of one non-client-zone server, eq. (4)
+/// normalized by eq. (4) under the uniform split of the same total.
+/// `terms` pairs each region mass with its diversity to the server, in
+/// mass order; `uniform` lists the server's diversity to each topology
+/// country, in [`Topology::iter_countries`] order.
+///
+/// Every weight the crate memoizes comes from here, whether the
+/// diversities are computed on the spot ([`analytic_g`]) or read from a
+/// [`RegionPlan`] row: the same products, added in the same order.
+fn eq4_kernel(
+    total: f64,
+    terms: impl Iterator<Item = (f64, f64)>,
+    split: UniformSplit,
+    uniform: impl Iterator<Item = f64>,
+) -> f64 {
     let mut weighted = 0.0;
-    for &(key, mass) in masses.regions() {
-        let d = match key {
-            MassKey::Country(client) => zone_diversity(client, server_key),
-            MassKey::Deep(client) => f64::from(diversity(&client, server)),
-        };
+    for (mass, d) in terms {
         weighted += mass * d;
     }
-    let raw = masses.total / (1.0 + weighted);
-    // Baseline: the same total spread uniformly over the topology's
-    // countries (the paper's uniform client geography). Accumulated
-    // per-summand, mirroring the general scan's summation exactly.
-    let per = masses.total / topology.country_count() as f64;
-    let mut total_uniform = 0.0;
+    let raw = total / (1.0 + weighted);
     let mut weighted_uniform = 0.0;
-    for client in topology.iter_countries() {
-        total_uniform += per;
-        weighted_uniform += per * zone_diversity(client, server_key);
+    for d in uniform {
+        weighted_uniform += split.per * d;
     }
-    let baseline = total_uniform / (1.0 + weighted_uniform);
+    let baseline = split.total / (1.0 + weighted_uniform);
     if baseline <= 0.0 {
         return 1.0;
     }
     raw / baseline
+}
+
+/// The analytic eq.-(4) proximity of a non-client-zone `server` against
+/// aggregated region masses: [`eq4_kernel`] with the diversities computed
+/// on the spot. Bit-for-bit identical to the general per-location scan
+/// for duplicate-free region mixes (the mixes the workload layer
+/// produces): both sides accumulate the same summands in the same order.
+fn analytic_g(masses: &RegionMasses, server: &Location, topology: &Topology) -> f64 {
+    let key = server.country_key();
+    eq4_kernel(
+        masses.total,
+        masses
+            .regions()
+            .map(|&(k, mass)| (mass, k.diversity_to(server))),
+        UniformSplit::of(masses.total, topology),
+        topology.iter_countries().map(|c| zone_diversity(c, key)),
+    )
 }
 
 /// The client-proximity weight `g_j` of server `server` for a partition
@@ -232,6 +278,221 @@ pub fn proximity(regions: &[RegionQueries], server: &Location, topology: &Topolo
     raw_g(regions, server) / baseline
 }
 
+/// What one traffic batch fixes for every partition it reaches.
+///
+/// A batch offers the same region weights to every partition of its ring,
+/// so whatever eq. (4) derives from the region *locations* is the same for
+/// all of them: which batch regions merge into one `region_queries` entry
+/// (first-appearance order), which entries share a mass, and
+/// each server's diversity to every mass and to every uniform-baseline
+/// country. The plan resolves that once per batch. Per partition,
+/// [`RegionPlan::deliver`] writes the region list by slot and sums its
+/// masses on the stack, and [`PlannedWeights::g`] evaluates a server as
+/// one pass of the eq.-(4) kernel over the server's row. The kernel, the
+/// diversities and the summation order are those of [`proximity`], so
+/// every weight is bit-for-bit [`ProximityCache::g`]'s.
+#[derive(Debug, Clone)]
+pub struct RegionPlan {
+    /// Per batch region, in batch order: its weight and its slot in a
+    /// fresh `region_queries` list (a repeated location shares the slot of
+    /// its first appearance).
+    batch: Vec<(f64, usize)>,
+    /// Per `region_queries` slot: its location and its mass slot.
+    entries: Vec<(Location, usize)>,
+    /// The number of distinct masses.
+    masses: usize,
+    /// Countries hosting a deep (non-country-zone) client. Their servers'
+    /// weights depend on finer levels and are not memoized per country.
+    deep_countries: Vec<(u16, u16)>,
+    /// Values per server row: the masses, then the topology's countries.
+    stride: usize,
+    /// One row per planned server, in the order given to
+    /// [`RegionPlan::new`]: its diversity to each mass, then to each
+    /// country in [`Topology::iter_countries`] order. Empty when the batch
+    /// has more than [`PLAN_MASS_SLOTS`] masses.
+    rows: Vec<f64>,
+}
+
+/// One partition's region masses, summed on the stack by
+/// [`RegionPlan::deliver`].
+#[derive(Debug, Clone, Copy)]
+struct PlanMix {
+    masses: [f64; PLAN_MASS_SLOTS],
+    total: f64,
+    split: UniformSplit,
+}
+
+impl RegionPlan {
+    /// Plans the batch `regions` against `servers`, listed in the order
+    /// [`PlannedWeights::g`] names them by index (a cluster's servers by
+    /// id).
+    pub fn new(
+        regions: &[RegionWeight],
+        servers: impl IntoIterator<Item = Location>,
+        topology: &Topology,
+    ) -> Self {
+        let mut entries: Vec<(Location, usize)> = Vec::new();
+        let mut keys: Vec<MassKey> = Vec::new();
+        let batch = regions
+            .iter()
+            .map(|region| {
+                if let Some(slot) = entries.iter().position(|&(l, _)| l == region.location) {
+                    return (region.weight, slot);
+                }
+                let key = MassKey::of(&region.location);
+                let mass = keys.iter().position(|&k| k == key).unwrap_or_else(|| {
+                    keys.push(key);
+                    keys.len() - 1
+                });
+                entries.push((region.location, mass));
+                (region.weight, entries.len() - 1)
+            })
+            .collect();
+        let deep_countries = keys
+            .iter()
+            .filter_map(|k| match k {
+                MassKey::Deep(l) => Some(l.country_key()),
+                MassKey::Country(_) => None,
+            })
+            .collect();
+        let mut rows = Vec::new();
+        if keys.len() <= PLAN_MASS_SLOTS {
+            for server in servers {
+                let key = server.country_key();
+                rows.extend(keys.iter().map(|k| k.diversity_to(&server)));
+                rows.extend(topology.iter_countries().map(|c| zone_diversity(c, key)));
+            }
+        }
+        Self {
+            batch,
+            entries,
+            masses: keys.len(),
+            deep_countries,
+            stride: keys.len() + topology.iter_countries().count(),
+            rows,
+        }
+    }
+
+    /// Adds one partition's share `q` of the batch to its
+    /// `region_queries`, drops the weights `cache` memoized for the old
+    /// mix, and returns the partition's weights.
+    ///
+    /// A partition with no region queries yet this epoch, whose every
+    /// `q · weight` is positive, gets its list written by slot and its
+    /// masses summed on the stack. Any other (a second batch into the same
+    /// ring, or a product that is not positive) takes the general
+    /// find-merge fold, and its weights come from `cache`. Both folds
+    /// build the same list.
+    pub fn deliver<'a>(
+        &'a self,
+        q: f64,
+        region_queries: &'a mut Vec<RegionQueries>,
+        cache: &'a mut ProximityCache,
+        topology: &'a Topology,
+    ) -> PlannedWeights<'a> {
+        cache.clear();
+        let fresh = region_queries.is_empty() && self.batch.iter().all(|&(w, _)| q * w > 0.0);
+        let mut mix = None;
+        if fresh {
+            for &(weight, slot) in &self.batch {
+                let queries = q * weight;
+                if slot == region_queries.len() {
+                    let location = self.entries[slot].0;
+                    region_queries.push(RegionQueries { location, queries });
+                } else {
+                    region_queries[slot].queries += queries;
+                }
+            }
+            if self.masses <= PLAN_MASS_SLOTS {
+                let mut masses = [0.0; PLAN_MASS_SLOTS];
+                let mut total = 0.0;
+                for (r, &(_, m)) in region_queries.iter().zip(&self.entries) {
+                    total += r.queries;
+                    masses[m] += r.queries;
+                }
+                let split = UniformSplit::of(total, topology);
+                mix = Some(PlanMix {
+                    masses,
+                    total,
+                    split,
+                });
+            }
+        } else {
+            for &(weight, slot) in &self.batch {
+                let add = q * weight;
+                if add <= 0.0 {
+                    continue;
+                }
+                let location = self.entries[slot].0;
+                match region_queries.iter_mut().find(|r| r.location == location) {
+                    Some(r) => r.queries += add,
+                    None => region_queries.push(RegionQueries {
+                        location,
+                        queries: add,
+                    }),
+                }
+            }
+        }
+        PlannedWeights {
+            plan: self,
+            regions: region_queries,
+            cache,
+            topology,
+            mix,
+        }
+    }
+}
+
+/// One partition's eq.-(4) weights after a [`RegionPlan::deliver`].
+pub struct PlannedWeights<'a> {
+    plan: &'a RegionPlan,
+    regions: &'a [RegionQueries],
+    cache: &'a mut ProximityCache,
+    topology: &'a Topology,
+    /// The partition's masses, when `deliver` summed them.
+    mix: Option<PlanMix>,
+}
+
+impl PlannedWeights<'_> {
+    /// The weight of the plan's server `index`, located at `server`:
+    /// memoized in the partition's cache per country, exactly as
+    /// [`ProximityCache::g`] memoizes it, and with its bits. A
+    /// client-zone server, a server the plan has no row for, or a mix the
+    /// plan did not sum goes through [`ProximityCache::g`] itself.
+    pub fn g(&mut self, index: usize, server: &Location) -> f64 {
+        let stride = self.plan.stride;
+        let planned = match &self.mix {
+            Some(mix) if !server.is_client_zone() => self
+                .plan
+                .rows
+                .get(index * stride..(index + 1) * stride)
+                .map(|row| (mix, row)),
+            _ => None,
+        };
+        let Some((mix, row)) = planned else {
+            return self.cache.g(self.regions, server, self.topology);
+        };
+        let key = server.country_key();
+        if let Some(g) = self.cache.memoized(key) {
+            return g;
+        }
+        let (mass_row, uniform_row) = row.split_at(self.plan.masses);
+        let g = eq4_kernel(
+            mix.total,
+            mix.masses[..mass_row.len()]
+                .iter()
+                .copied()
+                .zip(mass_row.iter().copied()),
+            mix.split,
+            uniform_row.iter().copied(),
+        );
+        if !self.plan.deep_countries.contains(&key) {
+            self.cache.entries.push((key, g));
+        }
+        g
+    }
+}
+
 /// Memoizes eq.-(4) proximity per server country for one fixed region mix.
 ///
 /// Query clients are synthetic country-level locations
@@ -247,14 +508,15 @@ pub fn proximity(regions: &[RegionQueries], server: &Location, topology: &Topolo
 ///
 /// The caller owns invalidation: [`ProximityCache::clear`] must run
 /// whenever the region mix it was filled from changes (`SkuteCloud` clears
-/// per-partition caches at epoch start and before every delivery plan).
+/// per-partition caches at epoch start, and [`RegionPlan::deliver`] clears
+/// one before every delivery).
 ///
-/// Two ways in fill the same per-country entries. A caller that already
-/// aggregated the mix passes it to [`ProximityCache::g_with`] (the
-/// delivery plan does, once per partition). [`ProximityCache::g`] builds
-/// the aggregate itself, on its first miss, and keeps it boxed until the
-/// next clear; only placement queries need that, so most caches never
-/// hold one and the cache stays a few words wide.
+/// Two ways in fill the same per-country entries. The delivery plan fills
+/// them from its per-batch rows ([`PlannedWeights::g`]), once per replica
+/// country. [`ProximityCache::g`] aggregates the mix itself on its first
+/// miss and keeps the aggregate boxed until the next clear; only placement
+/// queries need that, so most caches never hold one and the cache stays a
+/// few words wide.
 #[derive(Debug, Clone, Default)]
 pub struct ProximityCache {
     /// Aggregated region masses for [`ProximityCache::g`], built on its
@@ -308,65 +570,44 @@ impl ProximityCache {
         self.masses.is_none() && self.entries.is_empty()
     }
 
+    /// The weight memoized for server country `key`, if any.
+    fn memoized(&self, key: (u16, u16)) -> Option<f64> {
+        self.entries
+            .iter()
+            .find(|(k, _)| *k == key)
+            .map(|&(_, g)| g)
+    }
+
     /// The proximity weight of `server` for `regions`, memoized by the
     /// server's country. Bit-for-bit identical to calling [`proximity`]
     /// directly.
     pub fn g(&mut self, regions: &[RegionQueries], server: &Location, topology: &Topology) -> f64 {
-        let Self {
-            masses, entries, ..
-        } = self;
-        memoized_g(entries, regions, server, topology, move || {
-            masses.get_or_insert_with(|| Box::new(RegionMasses::aggregate(regions)))
-        })
+        if server.is_client_zone() {
+            // A pathological server inside a client zone can match a client
+            // location deeper than the country level; compute it directly.
+            return proximity(regions, server, topology);
+        }
+        // An entry exists only for a country without deep clients, under a
+        // mix with queries: exactly the countries whose weight is shared.
+        let key = server.country_key();
+        if let Some(g) = self.memoized(key) {
+            return g;
+        }
+        let masses = self
+            .masses
+            .get_or_insert_with(|| Box::new(RegionMasses::aggregate(regions)));
+        if masses.total <= 0.0 {
+            return 1.0;
+        }
+        let g = analytic_g(masses, server, topology);
+        // A non-country-zone client sharing this server's country makes the
+        // weight depend on the finer location levels, so same-country servers
+        // can differ: such a weight is not memoized.
+        if !masses.has_deep_in(key) {
+            self.entries.push((key, g));
+        }
+        g
     }
-
-    /// [`ProximityCache::g`] against `masses`, which the caller aggregated
-    /// from the same `regions` ([`RegionMasses::aggregate`]): the weight
-    /// and the entry it memoizes are bit-for-bit those of
-    /// [`ProximityCache::g`], and the cache builds no aggregate of its own.
-    pub fn g_with(
-        &mut self,
-        masses: &RegionMasses,
-        regions: &[RegionQueries],
-        server: &Location,
-        topology: &Topology,
-    ) -> f64 {
-        memoized_g(&mut self.entries, regions, server, topology, || masses)
-    }
-}
-
-/// Eq. (4) for `server`, memoized per server country in `entries`.
-/// `masses` yields the aggregate of `regions`; it runs only on a miss.
-fn memoized_g<'m>(
-    entries: &mut Vec<((u16, u16), f64)>,
-    regions: &[RegionQueries],
-    server: &Location,
-    topology: &Topology,
-    masses: impl FnOnce() -> &'m RegionMasses,
-) -> f64 {
-    if server.is_client_zone() {
-        // A pathological server inside a client zone can match a client
-        // location deeper than the country level; compute it directly.
-        return proximity(regions, server, topology);
-    }
-    // An entry exists only for a country without deep clients, under a
-    // mix with queries: exactly the countries whose weight is shared.
-    let key = server.country_key();
-    if let Some(&(_, g)) = entries.iter().find(|(k, _)| *k == key) {
-        return g;
-    }
-    let masses = masses();
-    if masses.total <= 0.0 {
-        return 1.0;
-    }
-    let g = analytic_g(masses, server, topology);
-    // A non-country-zone client sharing this server's country makes the
-    // weight depend on the finer location levels, so same-country servers
-    // can differ: such a weight is not memoized.
-    if !masses.has_deep_in(key) {
-        entries.push((key, g));
-    }
-    g
 }
 
 /// Eq. (3): the net benefit of adding candidate server `candidate` to a
@@ -393,7 +634,6 @@ pub fn candidate_score(
         .sum();
     g_candidate * candidate_confidence * diversity_sum * diversity_unit_value - candidate_rent
 }
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -418,6 +658,47 @@ mod tests {
             return 1.0;
         }
         raw_g(regions, server) / baseline
+    }
+
+    /// The delivery fold before [`RegionPlan`]: each batch region's
+    /// `q · weight`, skipped unless positive, merged into the entry with
+    /// its location or appended.
+    fn find_merge_fold(regions: &mut Vec<RegionQueries>, batch: &[RegionWeight], q: f64) {
+        for region in batch {
+            let add = q * region.weight;
+            if add <= 0.0 {
+                continue;
+            }
+            match regions.iter_mut().find(|r| r.location == region.location) {
+                Some(r) => r.queries += add,
+                None => regions.push(RegionQueries {
+                    location: region.location,
+                    queries: add,
+                }),
+            }
+        }
+    }
+
+    fn weight(location: Location, weight: f64) -> RegionWeight {
+        RegionWeight { location, weight }
+    }
+
+    /// Delivers `q` of `plan` into a fresh partition and returns the
+    /// planned weight bits of `servers[i]` under index `i`.
+    fn planned_bits(
+        plan: &RegionPlan,
+        q: f64,
+        regions: &mut Vec<RegionQueries>,
+        cache: &mut ProximityCache,
+        servers: &[Location],
+        t: &Topology,
+    ) -> Vec<u64> {
+        let mut weights = plan.deliver(q, regions, cache, t);
+        servers
+            .iter()
+            .enumerate()
+            .map(|(i, s)| weights.g(i, s).to_bits())
+            .collect()
     }
 
     #[test]
@@ -498,30 +779,25 @@ mod tests {
     #[test]
     fn cache_matches_direct_proximity_and_collapses_countries() {
         let t = topo();
-        let regions = [
-            RegionQueries {
-                location: Location::client_in_country(0, 0),
-                queries: 900.0,
-            },
-            RegionQueries {
-                location: Location::client_in_country(2, 1),
-                queries: 100.0,
-            },
+        let batch = [
+            weight(Location::client_in_country(0, 0), 0.9),
+            weight(Location::client_in_country(2, 1), 0.1),
         ];
-        let mut cache = ProximityCache::new();
-        let masses = RegionMasses::aggregate(&regions);
+        let servers: Vec<Location> = t.iter_servers().collect();
+        let plan = RegionPlan::new(&batch, servers.iter().copied(), &t);
+        let mut regions = Vec::new();
         let mut planned = ProximityCache::new();
-        for i in 0..200u64 {
-            let server = t.server_at(i);
-            let direct = proximity(&regions, &server, &t);
-            let cached = cache.g(&regions, &server, &t);
+        let via_plan = planned_bits(&plan, 1000.0, &mut regions, &mut planned, &servers, &t);
+        let mut cache = ProximityCache::new();
+        for (i, server) in servers.iter().enumerate() {
+            let direct = proximity(&regions, server, &t);
+            let cached = cache.g(&regions, server, &t);
             assert_eq!(cached.to_bits(), direct.to_bits(), "server {i}");
-            let with = planned.g_with(&masses, &regions, &server, &t);
-            assert_eq!(with.to_bits(), direct.to_bits(), "server {i}");
+            assert_eq!(via_plan[i], direct.to_bits(), "server {i}");
         }
         // 200 servers share 10 countries: each cache holds 10 entries.
         assert_eq!((cache.entries.len(), planned.entries.len()), (10, 10));
-        assert!(planned.masses.is_none(), "g_with builds no masses");
+        assert!(planned.masses.is_none(), "the plan builds no masses");
         assert!(!cache.is_empty());
         // Re-querying stays identical and clearing resets.
         let s = t.server_at(3);
@@ -619,36 +895,24 @@ mod tests {
 
     #[test]
     fn a_placement_query_after_a_plan_pass_reads_the_plans_weights() {
-        // The delivery plan fills the cache through `g_with` from masses it
-        // aggregated itself, so the cache holds entries but no masses. A
-        // later placement query (`g`) reads a planned country's entry; on a
-        // country the plan left unmemoized (a deep client shares it) or
-        // never visited, it builds the masses lazily — with the same bits.
+        // The delivery plan fills the cache from its per-batch rows, so the
+        // cache holds entries but no masses. A later placement query (`g`)
+        // reads a planned country's entry; on a country the plan left
+        // unmemoized (a deep client shares it) or never visited, it builds
+        // the masses lazily — with the same bits.
         let t = topo();
-        let regions = [
-            RegionQueries {
-                location: Location::client_in_country(0, 0),
-                queries: 600.0,
-            },
-            RegionQueries {
-                location: Location::new(0, 1, 1, 0, 0, 2),
-                queries: 300.0,
-            },
-            RegionQueries {
-                location: Location::client_in_country(3, 1),
-                queries: 100.0,
-            },
+        let batch = [
+            weight(Location::client_in_country(0, 0), 0.6),
+            weight(Location::new(0, 1, 1, 0, 0, 2), 0.3),
+            weight(Location::client_in_country(3, 1), 0.1),
         ];
-        let masses = RegionMasses::aggregate(&regions);
+        let servers: Vec<Location> = t.iter_servers().collect();
+        let plan = RegionPlan::new(&batch, servers.iter().copied(), &t);
+        let mut regions = Vec::new();
         let mut cache = ProximityCache::new();
-        // The plan visits continent 0 only (servers 0..40, two countries).
-        let planned: Vec<u64> = (0..40)
-            .map(|i| {
-                cache
-                    .g_with(&masses, &regions, &t.server_at(i), &t)
-                    .to_bits()
-            })
-            .collect();
+        // The delivery visits continent 0 only (servers 0..40, two
+        // countries).
+        let planned = planned_bits(&plan, 1000.0, &mut regions, &mut cache, &servers[..40], &t);
         assert!(cache.masses.is_none());
         assert_eq!(cache.entries.len(), 1, "country (0, 1) hosts a deep client");
         for i in 0..20 {
@@ -747,21 +1011,83 @@ mod tests {
             let kernel = proximity(&regions, &server, &t);
             let scan = general_scan(&regions, &server, &t);
             prop_assert_eq!(kernel.to_bits(), scan.to_bits());
-            // And the caches agree with the direct evaluation: one filled
-            // by `g`, one by `g_with` on caller-aggregated masses (then read
-            // back through `g`), on the server, a same-country sibling
-            // (memoized per country unless a deep client shares it) and a
-            // client-zone server of that country (evaluated directly).
-            let masses = RegionMasses::aggregate(&regions);
+            // And the cache agrees with the direct evaluation on the
+            // server, a same-country sibling (memoized per country unless a
+            // deep client shares it) and a client-zone server of that
+            // country (evaluated directly).
             let mut cache = ProximityCache::new();
-            let mut planned = ProximityCache::new();
             let sibling = t.server_at(server_idx ^ 1);
             let zone = Location::client_in_country(server.continent, server.country);
             for s in [server, sibling, zone, server] {
                 let direct = proximity(&regions, &s, &t).to_bits();
                 prop_assert_eq!(cache.g(&regions, &s, &t).to_bits(), direct);
-                prop_assert_eq!(planned.g_with(&masses, &regions, &s, &t).to_bits(), direct);
-                prop_assert_eq!(planned.g(&regions, &s, &t).to_bits(), direct);
+            }
+        }
+
+        #[test]
+        fn prop_batch_plan_matches_proximity_bit_for_bit(
+            countries in proptest::collection::vec(
+                (0usize..10, 0u8..6, 0.001f64..1.0),
+                0..12,
+            ),
+            deep in proptest::collection::vec(
+                ((0u16..5, 0u16..2, 0u16..2, 0u16..1, 0u16..2, 0u16..4), 0.001f64..1.0),
+                0..4,
+            ),
+            many in any::<bool>(),
+            q in 0.001f64..1e4,
+            second in proptest::option::of(0.001f64..1e4),
+        ) {
+            // A batch as a traffic plan meets it: country-zone regions with
+            // repeats, deep clients (in paper countries, so sharing some
+            // server's country), weights whose product with `q` underflows
+            // or is zero, and sometimes more than 24 distinct masses. Every
+            // paper server plus a client-zone server gets its planned
+            // weight, which must equal `proximity` over the folded list by
+            // bits; the list must equal the find-merge fold's, and the
+            // cache the plan filled must answer placement queries with the
+            // same bits. An optional second delivery of the reversed batch
+            // lands in the same partition, as a second batch for a ring
+            // does.
+            let t = topo();
+            let paper: Vec<(u16, u16)> = t.iter_countries().collect();
+            let mut batch: Vec<RegionWeight> = countries
+                .iter()
+                .map(|&(c, kind, w)| {
+                    let w = match kind {
+                        0 => 5e-324,
+                        1 => 0.0,
+                        _ => w,
+                    };
+                    weight(Location::client_in_country(paper[c].0, paper[c].1), w)
+                })
+                .collect();
+            batch.extend(deep.iter().map(|&((ct, co, dc, rm, rk, sv), w)| {
+                weight(Location::new(ct, co, dc, rm, rk, sv), w)
+            }));
+            if many {
+                batch.extend((0..30u16).map(|i| weight(Location::client_in_country(i % 7, i), 0.01)));
+            }
+            let mut servers: Vec<Location> = t.iter_servers().collect();
+            servers.push(Location::client_in_country(0, 0));
+            let mut reversed = batch.clone();
+            reversed.reverse();
+            let deliveries = [Some((batch, q)), second.map(|q2| (reversed, q2))];
+            let (mut regions, mut expected) = (Vec::new(), Vec::new());
+            let mut cache = ProximityCache::new();
+            for (batch, q) in deliveries.into_iter().flatten() {
+                let plan = RegionPlan::new(&batch, servers.iter().copied(), &t);
+                let planned = planned_bits(&plan, q, &mut regions, &mut cache, &servers, &t);
+                find_merge_fold(&mut expected, &batch, q);
+                let bits = |rs: &[RegionQueries]| -> Vec<(Location, u64)> {
+                    rs.iter().map(|r| (r.location, r.queries.to_bits())).collect()
+                };
+                prop_assert_eq!(bits(&regions), bits(&expected));
+                for (i, s) in servers.iter().enumerate() {
+                    let direct = proximity(&regions, s, &t).to_bits();
+                    prop_assert_eq!(planned[i], direct, "server {} at {}", i, s);
+                    prop_assert_eq!(cache.g(&regions, s, &t).to_bits(), direct);
+                }
             }
         }
 

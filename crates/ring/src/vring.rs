@@ -155,7 +155,13 @@ impl VirtualRing {
 
     /// All partition ids in ring order.
     pub fn partition_ids(&self) -> Vec<PartitionId> {
-        self.by_token.values().copied().collect()
+        self.iter_partition_ids().collect()
+    }
+
+    /// Iterates over all partition ids in ring order, for callers that
+    /// fill a reused buffer.
+    pub fn iter_partition_ids(&self) -> impl Iterator<Item = PartitionId> + '_ {
+        self.by_token.values().copied()
     }
 
     /// Splits partition `pid` into two halves, retiring its id and returning
