@@ -1,41 +1,16 @@
 //! Rent-greedy placement: minimize cost, ignore geography.
 
 use skute_cluster::ServerId;
-use skute_core::{PlacementContext, PlacementIndex, PlacementStrategy};
+use skute_core::{PlacementContext, PlacementStrategy};
 use skute_economy::RegionQueries;
 
 /// Always picks the cheapest feasible server by posted rent — the
 /// economics-without-geography corner of the design space (the resource
 /// managers of refs. [3, 4] optimize cost but "do not consider …
-/// geographical distribution of replicas").
-///
-/// Runs over [`PlacementIndex`] bucket entries (posted price cached per
-/// snapshot entry, dead/unposted servers never visited), so comparison
-/// tables measure the *policy*, not the cost of re-scanning
-/// `cluster.alive()` against the board per placement.
-/// [`CheapestPlacement::scan`] keeps the full-scan implementation as the
-/// equivalence oracle for the strategy's tests.
-#[derive(Debug, Clone, Default)]
-pub struct CheapestPlacement {
-    index: PlacementIndex,
-}
-
-impl CheapestPlacement {
-    /// The full `cluster.alive()` × board scan the index path replaced;
-    /// kept as the equivalence oracle.
-    pub fn scan(
-        ctx: &PlacementContext<'_>,
-        existing: &[ServerId],
-        partition_size: u64,
-    ) -> Option<ServerId> {
-        ctx.cluster
-            .alive()
-            .filter(|s| !existing.contains(&s.id) && s.storage_free() >= partition_size)
-            .filter_map(|s| ctx.board.price_of(s.id).map(|p| (s.id, p)))
-            .min_by(|a, b| a.1.total_cmp(&b.1).then_with(|| a.0.cmp(&b.0)))
-            .map(|(id, _)| id)
-    }
-}
+/// geographical distribution of replicas"). Ties break on the lower server
+/// id for determinism.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct CheapestPlacement;
 
 impl PlacementStrategy for CheapestPlacement {
     fn name(&self) -> &'static str {
@@ -49,7 +24,12 @@ impl PlacementStrategy for CheapestPlacement {
         partition_size: u64,
         _region_queries: &[RegionQueries],
     ) -> Option<ServerId> {
-        self.index.cheapest_posted(ctx, existing, partition_size)
+        ctx.cluster
+            .alive()
+            .filter(|s| !existing.contains(&s.id) && s.storage_free() >= partition_size)
+            .filter_map(|s| ctx.board.price_of(s.id).map(|p| (s.id, p)))
+            .min_by(|a, b| a.1.total_cmp(&b.1).then_with(|| a.0.cmp(&b.0)))
+            .map(|(id, _)| id)
     }
 }
 
@@ -62,7 +42,7 @@ mod tests {
     fn cheapest_picks_lowest_rent() {
         let fixture = small_ctx_fixture();
         let ctx = fixture.ctx();
-        let mut strategy = CheapestPlacement::default();
+        let mut strategy = CheapestPlacement;
         let pick = strategy.place_replica(&ctx, &[], 0, &[]).unwrap();
         let rent = ctx.board.price_of(pick).unwrap();
         let min = ctx.board.min_price().unwrap();
@@ -74,7 +54,7 @@ mod tests {
     fn cheapest_skips_existing_and_full() {
         let fixture = small_ctx_fixture();
         let ctx = fixture.ctx();
-        let mut strategy = CheapestPlacement::default();
+        let mut strategy = CheapestPlacement;
         let first = strategy.place_replica(&ctx, &[], 0, &[]).unwrap();
         let second = strategy.place_replica(&ctx, &[first], 0, &[]).unwrap();
         assert_ne!(first, second);
@@ -85,8 +65,8 @@ mod tests {
     fn cheapest_is_deterministic() {
         let fixture = small_ctx_fixture();
         let ctx = fixture.ctx();
-        let mut a = CheapestPlacement::default();
-        let mut b = CheapestPlacement::default();
+        let mut a = CheapestPlacement;
+        let mut b = CheapestPlacement;
         assert_eq!(
             a.place_replica(&ctx, &[], 0, &[]),
             b.place_replica(&ctx, &[], 0, &[])
@@ -94,25 +74,37 @@ mod tests {
     }
 
     #[test]
-    fn index_path_matches_scan_oracle() {
+    fn cheapest_never_picks_unposted_or_full_servers() {
         let mut fixture = small_ctx_fixture();
-        // Differentiate free space and withdraw a posting so feasibility
-        // filtering and the posted-only candidate set are both exercised.
+        // Fill some servers and withdraw the cheapest server's posting:
+        // the pick must stay feasible, posted, and the cheapest of those.
         for i in [3u32, 8, 77] {
             let s = fixture.cluster.get_mut(ServerId(i)).unwrap();
             let caps = s.capacities;
             assert!(s.usage.reserve_storage(&caps, 3 << 30));
         }
-        fixture.board.withdraw(ServerId(0));
+        let unposted = CheapestPlacement
+            .place_replica(&fixture.ctx(), &[], 0, &[])
+            .unwrap();
+        fixture.board.withdraw(unposted);
         let ctx = fixture.ctx();
-        let mut strategy = CheapestPlacement::default();
         for existing in [vec![], vec![ServerId(1)], vec![ServerId(1), ServerId(140)]] {
-            for size in [0u64, 2 << 30, u64::MAX] {
-                assert_eq!(
-                    strategy.place_replica(&ctx, &existing, size, &[]),
-                    CheapestPlacement::scan(&ctx, &existing, size),
-                    "existing {existing:?} size {size}"
-                );
+            for size in [0u64, 2 << 30] {
+                let pick = CheapestPlacement
+                    .place_replica(&ctx, &existing, size, &[])
+                    .unwrap();
+                assert_ne!(pick, unposted);
+                assert!(!existing.contains(&pick));
+                let price = ctx.board.price_of(pick).unwrap();
+                for s in ctx.cluster.alive() {
+                    if existing.contains(&s.id) || s.storage_free() < size {
+                        continue;
+                    }
+                    if let Some(p) = ctx.board.price_of(s.id) {
+                        assert!(price <= p, "existing {existing:?} size {size}");
+                    }
+                }
+                assert!(ctx.cluster.get(pick).unwrap().storage_free() >= size);
             }
         }
     }

@@ -84,7 +84,7 @@ impl EvaluationConfig {
         Self {
             partitions: 200,
             replicas: 3,
-            threshold: skute_core::threshold_for_replicas(topology, 3, 0.2),
+            threshold: skute_core::threshold_for_replicas(topology, 3),
             failures: 20,
             trials: 20,
             seed: 0xBA5E,
@@ -223,7 +223,7 @@ mod tests {
     fn spread_beats_successor_on_availability() {
         let fixture = CtxFixture::paper();
         let cfg = quick_cfg(&fixture);
-        let spread = evaluate(&mut MaxSpreadPlacement::default(), &fixture, &cfg);
+        let spread = evaluate(&mut MaxSpreadPlacement, &fixture, &cfg);
         let successor = evaluate(&mut SuccessorPlacement, &fixture, &cfg);
         assert!(
             spread.mean_availability > 2.0 * successor.mean_availability,
@@ -239,7 +239,7 @@ mod tests {
         let fixture = CtxFixture::paper();
         let cfg = quick_cfg(&fixture);
         let economic = evaluate(&mut EconomicPlacement, &fixture, &cfg);
-        let spread = evaluate(&mut MaxSpreadPlacement::default(), &fixture, &cfg);
+        let spread = evaluate(&mut MaxSpreadPlacement, &fixture, &cfg);
         assert!(
             economic.sla_satisfied_frac >= 0.99,
             "{}",
@@ -257,7 +257,7 @@ mod tests {
     fn cheapest_minimizes_rent_but_fails_sla() {
         let fixture = CtxFixture::paper();
         let cfg = quick_cfg(&fixture);
-        let cheapest = evaluate(&mut CheapestPlacement::default(), &fixture, &cfg);
+        let cheapest = evaluate(&mut CheapestPlacement, &fixture, &cfg);
         let economic = evaluate(&mut EconomicPlacement, &fixture, &cfg);
         assert!(cheapest.mean_rent <= economic.mean_rent + 1e-9);
     }
@@ -281,7 +281,7 @@ mod tests {
         let fixture = CtxFixture::paper();
         let cfg = quick_cfg(&fixture);
         let random = evaluate(&mut RandomPlacement::new(3), &fixture, &cfg);
-        let spread = evaluate(&mut MaxSpreadPlacement::default(), &fixture, &cfg);
+        let spread = evaluate(&mut MaxSpreadPlacement, &fixture, &cfg);
         let successor = evaluate(&mut SuccessorPlacement, &fixture, &cfg);
         assert!(random.mean_availability <= spread.mean_availability);
         assert!(random.mean_availability >= successor.mean_availability);

@@ -1,37 +1,28 @@
 //! Pure-diversity placement: maximize geographic spread, ignore cost.
 
 use skute_cluster::ServerId;
-use skute_core::{PlacementContext, PlacementIndex, PlacementStrategy};
+use skute_core::{PlacementContext, PlacementStrategy};
 use skute_economy::RegionQueries;
 use skute_geo::diversity;
 
 /// Picks the feasible server maximizing the summed diversity to the
 /// existing replicas, ignoring rent entirely — the availability-at-any-cost
-/// corner. Ties break on the lower server id for determinism.
-///
-/// Runs over [`PlacementIndex`] continent buckets, pruning whole buckets
-/// whose diversity upper bound cannot beat the best gain found, as long as
-/// every alive server is posted on the board (the index's candidate set);
-/// a partially posted board falls back to the full scan so the strategy's
-/// candidate set never silently shrinks. [`MaxSpreadPlacement::scan`]
-/// keeps the full-scan implementation as the equivalence oracle.
-#[derive(Debug, Clone, Default)]
-pub struct MaxSpreadPlacement {
-    index: PlacementIndex,
-    /// Memoized all-alive-servers-posted answer, stamped by
-    /// `(cluster.version, board.version)` — the check is an O(n) scan and
-    /// its inputs only change when a version bumps.
-    all_posted: Option<((u64, u64), bool)>,
-}
+/// corner. Every alive server with room is a candidate, posted on the
+/// board or not. Ties break on the lower server id for determinism.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct MaxSpreadPlacement;
 
-impl MaxSpreadPlacement {
-    /// The full `cluster.alive()` scan the bucket walk replaced; kept as
-    /// the equivalence oracle (and the fallback for partially posted
-    /// boards).
-    pub fn scan(
+impl PlacementStrategy for MaxSpreadPlacement {
+    fn name(&self) -> &'static str {
+        "max-spread"
+    }
+
+    fn place_replica(
+        &mut self,
         ctx: &PlacementContext<'_>,
         existing: &[ServerId],
         partition_size: u64,
+        _region_queries: &[RegionQueries],
     ) -> Option<ServerId> {
         let existing_locations: Vec<_> = existing
             .iter()
@@ -52,43 +43,6 @@ impl MaxSpreadPlacement {
     }
 }
 
-impl PlacementStrategy for MaxSpreadPlacement {
-    fn name(&self) -> &'static str {
-        "max-spread"
-    }
-
-    fn place_replica(
-        &mut self,
-        ctx: &PlacementContext<'_>,
-        existing: &[ServerId],
-        partition_size: u64,
-        _region_queries: &[RegionQueries],
-    ) -> Option<ServerId> {
-        // The index only sees board-posted servers, but this policy
-        // ignores rent: any alive server without a posting (a count
-        // comparison is not enough — stale postings for retired servers
-        // can mask one) falls back to the full scan so the candidate set
-        // never shrinks. The subset check is memoized per version pair so
-        // repeated placements pay two u64 compares, not an O(n) scan.
-        let stamp = (ctx.cluster.version(), ctx.board.version());
-        let all_posted = match self.all_posted {
-            Some((at, answer)) if at == stamp => answer,
-            _ => {
-                let answer = ctx
-                    .cluster
-                    .alive()
-                    .all(|s| ctx.board.price_of(s.id).is_some());
-                self.all_posted = Some((stamp, answer));
-                answer
-            }
-        };
-        if !all_posted {
-            return Self::scan(ctx, existing, partition_size);
-        }
-        self.index.max_spread(ctx, existing, partition_size)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -99,7 +53,7 @@ mod tests {
     fn spread_reaches_greedy_max_availability() {
         let fixture = small_ctx_fixture();
         let ctx = fixture.ctx();
-        let mut strategy = MaxSpreadPlacement::default();
+        let mut strategy = MaxSpreadPlacement;
         let mut existing = vec![ServerId(0)];
         for _ in 0..2 {
             let pick = strategy.place_replica(&ctx, &existing, 0, &[]).unwrap();
@@ -117,7 +71,7 @@ mod tests {
     fn spread_ignores_price() {
         let fixture = small_ctx_fixture();
         let ctx = fixture.ctx();
-        let mut strategy = MaxSpreadPlacement::default();
+        let mut strategy = MaxSpreadPlacement;
         // From server 0, countless cross-continent candidates exist; the
         // strategy must not systematically prefer cheap ones (ties break on
         // id, and id 0's first cross-continent successor wins regardless of
@@ -134,7 +88,7 @@ mod tests {
     fn spread_with_no_existing_replicas_picks_lowest_id() {
         let fixture = small_ctx_fixture();
         let ctx = fixture.ctx();
-        let mut strategy = MaxSpreadPlacement::default();
+        let mut strategy = MaxSpreadPlacement;
         assert_eq!(
             strategy.place_replica(&ctx, &[], 0, &[]),
             Some(ServerId(0)),
@@ -143,7 +97,7 @@ mod tests {
     }
 
     #[test]
-    fn bucket_walk_matches_scan_oracle() {
+    fn spread_skips_existing_and_full_servers() {
         let mut fixture = small_ctx_fixture();
         for i in [12u32, 31, 155] {
             let s = fixture.cluster.get_mut(ServerId(i)).unwrap();
@@ -151,57 +105,53 @@ mod tests {
             assert!(s.usage.reserve_storage(&caps, 3 << 30));
         }
         let ctx = fixture.ctx();
-        let mut strategy = MaxSpreadPlacement::default();
+        let gain = |existing: &[ServerId], id: ServerId| -> u32 {
+            let at = ctx.cluster.get(id).unwrap().location;
+            existing
+                .iter()
+                .map(|e| u32::from(diversity(&ctx.cluster.get(*e).unwrap().location, &at)))
+                .sum()
+        };
         for existing in [
             vec![],
             vec![ServerId(0)],
             vec![ServerId(0), ServerId(45), ServerId(90), ServerId(135)],
         ] {
             for size in [0u64, 2 << 30] {
-                assert_eq!(
-                    strategy.place_replica(&ctx, &existing, size, &[]),
-                    MaxSpreadPlacement::scan(&ctx, &existing, size),
-                    "existing {existing:?} size {size}"
-                );
+                let pick = MaxSpreadPlacement
+                    .place_replica(&ctx, &existing, size, &[])
+                    .unwrap();
+                assert!(!existing.contains(&pick));
+                assert!(ctx.cluster.get(pick).unwrap().storage_free() >= size);
+                for s in ctx.cluster.alive() {
+                    if !existing.contains(&s.id) && s.storage_free() >= size {
+                        let (best, other) = (gain(&existing, pick), gain(&existing, s.id));
+                        assert!(
+                            best > other || (best == other && pick <= s.id),
+                            "existing {existing:?} size {size}: {pick} loses to {}",
+                            s.id
+                        );
+                    }
+                }
             }
         }
     }
 
     #[test]
-    fn partially_posted_board_falls_back_to_scan() {
+    fn unposted_servers_stay_candidates() {
+        // This policy ignores rent, so a server without a posting on the
+        // board competes like any other.
         let mut fixture = small_ctx_fixture();
-        fixture.board.withdraw(ServerId(100));
-        let ctx = fixture.ctx();
-        let mut strategy = MaxSpreadPlacement::default();
-        // The withdrawn server is invisible to the index but this policy
-        // ignores rent: the fallback keeps it in the candidate set and the
-        // result equals the oracle scan.
-        for existing in [vec![], vec![ServerId(0), ServerId(50)]] {
-            assert_eq!(
-                strategy.place_replica(&ctx, &existing, 0, &[]),
-                MaxSpreadPlacement::scan(&ctx, &existing, 0),
-            );
-        }
-    }
-
-    #[test]
-    fn stale_posting_for_dead_server_does_not_mask_unposted_alive_one() {
-        // Retire a server but leave its posting on the board, and withdraw
-        // one alive server's posting: the counts match
-        // (board.len() == alive_count), but the candidate sets differ.
-        // The subset check must still take the scan path so the unposted
-        // alive server stays eligible.
-        let mut fixture = small_ctx_fixture();
-        fixture.cluster.retire(ServerId(40), 1); // posting stays behind
-        fixture.board.withdraw(ServerId(120));
+        fixture.board.withdraw(ServerId(0));
         assert_eq!(
-            fixture.board.len(),
-            fixture.cluster.alive_count(),
-            "the fixture must defeat a pure count comparison"
+            MaxSpreadPlacement.place_replica(&fixture.ctx(), &[], 0, &[]),
+            Some(ServerId(0)),
+            "zero gain everywhere, the lowest id wins unposted"
         );
         // Make the unposted server 120 the *unique* feasible candidate:
         // every other continent hosts an existing replica, and every other
         // server on 120's continent has its storage filled.
+        fixture.board.withdraw(ServerId(120));
         let c120 = fixture
             .cluster
             .get(ServerId(120))
@@ -227,9 +177,10 @@ mod tests {
             .filter(|s| s.location.continent != c120)
             .map(|s| s.id)
             .collect();
-        let mut strategy = MaxSpreadPlacement::default();
-        let scan = MaxSpreadPlacement::scan(&ctx, &existing, 1);
-        assert_eq!(scan, Some(ServerId(120)), "only 120 has room");
-        assert_eq!(strategy.place_replica(&ctx, &existing, 1, &[]), scan);
+        assert_eq!(
+            MaxSpreadPlacement.place_replica(&ctx, &existing, 1, &[]),
+            Some(ServerId(120)),
+            "only 120 has room"
+        );
     }
 }

@@ -73,7 +73,7 @@ fn bench_candidate_selection(c: &mut Criterion) {
         rent_below: None,
     };
     c.bench_function("core/economic_target_200_servers", |b| {
-        b.iter(|| economic_target(black_box(&ctx), black_box(&query)))
+        b.iter(|| economic_target(black_box(&ctx), black_box(&query), &mut Default::default()))
     });
 }
 

@@ -32,7 +32,7 @@ fn main() {
         let cfg = EvaluationConfig {
             partitions: 200,
             replicas: k,
-            threshold: threshold_for_replicas(&fixture.topology, k, 0.2),
+            threshold: threshold_for_replicas(&fixture.topology, k),
             failures: 20,
             trials: 20,
             seed: 0xBA5E,
@@ -47,8 +47,8 @@ fn main() {
         );
         let mut strategies: Vec<Box<dyn PlacementStrategy>> = vec![
             Box::new(EconomicPlacement),
-            Box::new(MaxSpreadPlacement::default()),
-            Box::new(CheapestPlacement::default()),
+            Box::new(MaxSpreadPlacement),
+            Box::new(CheapestPlacement),
             Box::new(SuccessorPlacement),
             Box::new(RandomPlacement::new(7)),
         ];

@@ -40,9 +40,9 @@ impl Board {
     }
 
     /// A counter bumped on every posting change ([`Board::post`],
-    /// [`Board::withdraw`], [`Board::begin_epoch`]). Derived structures
-    /// (e.g. a rent-sorted placement index) compare it against the value
-    /// they were built at to decide whether they are stale.
+    /// [`Board::withdraw`], [`Board::begin_epoch`]). The rent-sorted
+    /// placement index of `skute-core`, its one reader, compares it
+    /// against the value it was built at to decide whether it is stale.
     pub fn version(&self) -> u64 {
         self.version
     }

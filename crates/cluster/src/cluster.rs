@@ -106,8 +106,10 @@ impl Cluster {
     /// A counter bumped on every mutable access to the cluster (server
     /// lifecycle *and* usage-meter mutation paths). It over-approximates
     /// change — obtaining a `&mut Server` counts even if nothing is
-    /// written — which is exactly what derived read structures (e.g. a
-    /// rent-sorted placement index) need for conservative invalidation.
+    /// written — which is exactly what a derived read structure needs for
+    /// conservative invalidation. Its one reader is the rent-sorted
+    /// placement index of `skute-core`, which pairs it with
+    /// [`crate::Board::version`].
     pub fn version(&self) -> u64 {
         self.version
     }

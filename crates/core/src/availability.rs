@@ -61,24 +61,26 @@ pub fn greedy_max_availability(topology: &Topology, k: usize) -> f64 {
     availability_of(&with_conf)
 }
 
-/// Calibrates the availability threshold `th` for an SLA "satisfied by `k`
-/// replicas": a value `frac` of the way from the best availability `k−1`
-/// replicas can reach to the best `k` replicas can reach.
+/// How far [`threshold_for_replicas`] places a threshold from the best
+/// availability `k−1` replicas can reach toward the best `k` can reach.
 ///
-/// `frac` trades placement freedom against replica count: small values let
-/// moderately spread `k`-replica sets pass, values near 1 force near-optimal
-/// spreading. The reproduction uses 0.2 ([`crate::SkuteConfig::paper`]),
-/// under which e.g. `k = 2` accepts a cross-datacenter pair but rejects a
-/// same-room pair on the paper topology.
+/// It trades placement freedom against replica count: small values let
+/// moderately spread `k`-replica sets pass, values near 1 force
+/// near-optimal spreading. At 0.2, e.g. `k = 2` accepts a cross-datacenter
+/// pair but rejects a same-room pair on the paper topology.
+pub const AVAILABILITY_FRAC: f64 = 0.2;
+
+/// Calibrates the availability threshold `th` for an SLA "satisfied by `k`
+/// replicas": [`AVAILABILITY_FRAC`] of the way from the best availability
+/// `k−1` replicas can reach to the best `k` replicas can reach.
 ///
 /// # Panics
-/// Panics unless `k ≥ 1` and `frac ∈ (0, 1]`.
-pub fn threshold_for_replicas(topology: &Topology, k: usize, frac: f64) -> f64 {
+/// Panics unless `k ≥ 1`.
+pub fn threshold_for_replicas(topology: &Topology, k: usize) -> f64 {
     assert!(k >= 1, "an SLA needs at least one replica");
-    assert!(frac > 0.0 && frac <= 1.0, "frac must be in (0, 1]");
     let below = greedy_max_availability(topology, k.saturating_sub(1));
     let at = greedy_max_availability(topology, k);
-    below + frac * (at - below)
+    below + AVAILABILITY_FRAC * (at - below)
 }
 
 #[cfg(test)]
@@ -141,7 +143,7 @@ mod tests {
     fn thresholds_separate_k_from_k_minus_1() {
         let t = Topology::paper();
         for k in 2..=4 {
-            let th = threshold_for_replicas(&t, k, 0.2);
+            let th = threshold_for_replicas(&t, k);
             assert!(
                 th > greedy_max_availability(&t, k - 1),
                 "k−1 replicas can never satisfy the SLA"
@@ -158,21 +160,14 @@ mod tests {
         let t = Topology::paper();
         // k = 2 at frac 0.2: th = 12.6; a cross-datacenter pair (15) passes,
         // a same-room pair (≤7) fails.
-        let th2 = threshold_for_replicas(&t, 2, 0.2);
+        let th2 = threshold_for_replicas(&t, 2);
         assert!(availability_of(&[loc(0, 0, 0), loc(0, 0, 1)]) >= th2);
         assert!(availability_of(&[loc(0, 0, 0), loc(0, 0, 0)]) < th2);
         // k = 3: three countries on one continent (3×31) passes, any two
         // replicas fail.
-        let th3 = threshold_for_replicas(&t, 3, 0.2);
+        let th3 = threshold_for_replicas(&t, 3);
         assert!(availability_of(&[loc(0, 0, 0), loc(0, 1, 0), loc(1, 0, 0)]) >= th3);
         assert!(availability_of(&[loc(0, 0, 0), loc(4, 1, 1)]) < th3);
-    }
-
-    #[test]
-    #[should_panic(expected = "frac")]
-    fn bad_frac_rejected() {
-        let t = Topology::paper();
-        let _ = threshold_for_replicas(&t, 2, 0.0);
     }
 
     #[test]

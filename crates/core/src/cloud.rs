@@ -72,21 +72,6 @@ impl RingState {
     }
 }
 
-/// Which implementation the epoch's eq.-(3) target selections run
-/// through. A test oracle, not configuration: both variants replay the same
-/// trajectory bit for bit, and only [`SkuteCloud::set_decision_oracle`]
-/// sets it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum DecisionOracle {
-    /// Production: targets come from a walk of the rent-sorted
-    /// [`PlacementIndex`].
-    #[default]
-    None,
-    /// Every target selection is the brute-force full-cluster scan
-    /// [`economic_target`] instead of an index walk.
-    BruteForce,
-}
-
 /// The Skute data cloud: physical servers, one virtual ring per application
 /// availability level, the rent board, and the epoch-driven decentralized
 /// optimization of §II.
@@ -113,11 +98,8 @@ pub struct SkuteCloud {
     partitions_lost_epoch: u64,
     /// Actions executed outside end_epoch (emergency relocations).
     epoch_actions: ActionCounts,
-    /// Rent-sorted candidate index behind every eq.-(3) target selection
-    /// (unless [`DecisionOracle::BruteForce`] routes around it).
+    /// Rent-sorted candidate index behind every eq.-(3) target selection.
     index: PlacementIndex,
-    /// Test hook; see [`SkuteCloud::set_decision_oracle`].
-    oracle: DecisionOracle,
     /// The plan passes' thread budget plus the scratch the epoch loop
     /// reuses (see [`crate::pipeline`]).
     pipeline: EpochPipeline,
@@ -177,7 +159,6 @@ impl SkuteCloud {
             partitions_lost_epoch: 0,
             epoch_actions: ActionCounts::default(),
             index: PlacementIndex::new(),
-            oracle: DecisionOracle::None,
             pipeline: EpochPipeline::new(threads),
             work_scratch: Vec::new(),
             touched_scratch: Vec::new(),
@@ -283,11 +264,7 @@ impl SkuteCloud {
             level_spec.partitions >= 1,
             "a ring needs at least one partition"
         );
-        let threshold = threshold_for_replicas(
-            &self.topology,
-            level_spec.replicas,
-            self.config.availability_frac,
-        );
+        let threshold = threshold_for_replicas(&self.topology, level_spec.replicas);
         let quorum = level_spec
             .quorum
             .unwrap_or_else(|| QuorumConfig::availability(level_spec.replicas));
@@ -429,15 +406,6 @@ impl SkuteCloud {
     /// sim's partition events route here.
     pub fn force_continent_partition(&mut self, cut: Option<u16>) {
         self.health.force_cut(cut);
-    }
-
-    /// Routes the epoch's eq.-(3) target selections through a reference
-    /// implementation (test hook: the equivalence tests replay a scenario
-    /// under each [`DecisionOracle`] and compare trajectories bitwise).
-    /// Takes effect from the next repair, relocation or decision pass; no
-    /// other state depends on it.
-    pub fn set_decision_oracle(&mut self, oracle: DecisionOracle) {
-        self.oracle = oracle;
     }
 
     fn post_prices(&mut self) {
@@ -661,22 +629,25 @@ fn resize_storage(server: &mut Server, old: u64, new: u64) -> bool {
     }
 }
 
-/// Routes one eq.-(3) target selection through the rent-sorted index or
-/// the brute-force scan ([`DecisionOracle::BruteForce`]). The two are
-/// bit-for-bit equivalent (property-tested in `placement`); the scan exists
-/// for the equivalence tests.
+/// Answers one eq.-(3) target selection from the rent-sorted index. Debug
+/// builds also run the full [`economic_target`] scan through a fresh
+/// proximity cache, the reference the index must reproduce, and assert the
+/// same winner with a bit-identical score, so every placement of every
+/// debug-build test is checked against it (and a stale `prox` shows).
 fn select_target(
     index: &mut PlacementIndex,
-    brute_force: bool,
     ctx: &PlacementContext<'_>,
     q: &TargetQuery<'_>,
     prox: &mut ProximityCache,
 ) -> Option<(ServerId, f64)> {
-    if brute_force {
-        economic_target(ctx, q)
-    } else {
-        index.economic_target(ctx, q, prox)
-    }
+    let target = index.economic_target(ctx, q, prox);
+    let bits = |t: Option<(ServerId, f64)>| t.map(|(id, score)| (id, score.to_bits()));
+    debug_assert_eq!(
+        bits(target),
+        bits(economic_target(ctx, q, &mut ProximityCache::new())),
+        "the placement index diverges from the eq.-(3) scan"
+    );
+    target
 }
 
 #[cfg(test)]

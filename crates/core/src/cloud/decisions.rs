@@ -27,7 +27,7 @@ use skute_geo::Location;
 use skute_ring::PartitionId;
 
 use super::exec::{exec_migration, exec_replication, exec_suicide};
-use super::{select_target, DecisionOracle, SkuteCloud};
+use super::{select_target, SkuteCloud};
 use crate::decision::{classify, clears_profit_hurdle, ActionCounts, Intent, VnodeSituation};
 use crate::placement::{migration_floor, PlacementContext, TargetQuery};
 use crate::vnode::{PartitionState, VnodeId};
@@ -192,7 +192,6 @@ impl SkuteCloud {
     ) {
         let economy = self.config.economy;
         let window = economy.decision_window;
-        let brute_force = self.oracle == DecisionOracle::BruteForce;
         let phase = PhaseInputs {
             economy,
             min_rent: self.board.min_price(),
@@ -316,13 +315,7 @@ impl SkuteCloud {
                 region_queries: &partition.region_queries,
                 rent_below,
             };
-            let target = select_target(
-                &mut self.index,
-                brute_force,
-                &ctx,
-                &q,
-                &mut partition.prox_cache,
-            );
+            let target = select_target(&mut self.index, &ctx, &q, &mut partition.prox_cache);
             let Some((target, _)) = target else {
                 continue;
             };
@@ -558,16 +551,13 @@ mod tests {
             region_queries: &part.region_queries,
             rent_below,
         };
-        let (winner, _) =
-            crate::placement::economic_target(&ctx, &q).expect("a $100 server undercuts the cap");
-        for oracle in [DecisionOracle::None, DecisionOracle::BruteForce] {
-            let (mut cloud, ..) = stranded_migrant(Some(winner));
-            cloud.set_decision_oracle(oracle);
-            assert!(migration_floor(&cloud.cluster, &cloud.board, &economy) < cap);
-            let (actions, ..) = decide(&mut cloud);
-            assert_eq!(actions.migrations, 1, "{oracle:?}");
-            assert_eq!(cloud.rings[0].partitions[&pid].replicas[0].server, winner);
-        }
+        let (winner, _) = crate::placement::economic_target(&ctx, &q, &mut Default::default())
+            .expect("a $100 server undercuts the cap");
+        let (mut cloud, ..) = stranded_migrant(Some(winner));
+        assert!(migration_floor(&cloud.cluster, &cloud.board, &economy) < cap);
+        let (actions, ..) = decide(&mut cloud);
+        assert_eq!(actions.migrations, 1);
+        assert_eq!(cloud.rings[0].partitions[&pid].replicas[0].server, winner);
     }
 
     #[test]

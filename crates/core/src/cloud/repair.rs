@@ -14,7 +14,8 @@ use skute_cluster::Cluster;
 use skute_ring::PartitionId;
 
 use super::exec::{exec_migration, exec_replication, exec_suicide};
-use super::{select_target, DecisionOracle, SkuteCloud};
+use super::{select_target, SkuteCloud};
+use crate::config::MAX_REPAIRS_PER_PARTITION_PER_EPOCH;
 use crate::decision::ActionCounts;
 use crate::placement::{PlacementContext, TargetQuery};
 use crate::vnode::{PartitionState, VnodeId};
@@ -51,7 +52,6 @@ impl SkuteCloud {
     /// cache, so follow-up iterations re-evaluate.
     pub(super) fn repair_availability(&mut self, actions: &mut ActionCounts) {
         let window = self.config.economy.decision_window;
-        let max_repairs = self.config.max_repairs_per_partition_per_epoch;
         let max_replicas = self.config.economy.max_replicas;
         // Warm the cache misses; the converged steady state has none.
         let Self {
@@ -97,7 +97,7 @@ impl SkuteCloud {
                 if listed.binary_search(&pid).is_err() {
                     continue;
                 }
-                for _ in 0..max_repairs {
+                for _ in 0..MAX_REPAIRS_PER_PARTITION_PER_EPOCH {
                     let Some(partition) = self.rings[ri].partitions.get_mut(&pid) else {
                         break;
                     };
@@ -113,7 +113,6 @@ impl SkuteCloud {
                     let size = partition.size_bytes();
                     let target = select_target(
                         &mut self.index,
-                        self.oracle == DecisionOracle::BruteForce,
                         &PlacementContext::new(
                             &self.cluster,
                             &self.board,
@@ -176,7 +175,6 @@ impl SkuteCloud {
         self.servers_scratch.remove(idx);
         let target = select_target(
             &mut self.index,
-            self.oracle == DecisionOracle::BruteForce,
             &PlacementContext::new(
                 &self.cluster,
                 &self.board,

@@ -9,6 +9,10 @@ const MIB: u64 = 1024 * 1024;
 /// Default RNG seed of the paper configuration.
 pub const DEFAULT_SEED: u64 = 0x5C07E;
 
+/// Upper bound on availability-restoring replications per partition per
+/// epoch (bandwidth budgets also gate transfers).
+pub const MAX_REPAIRS_PER_PARTITION_PER_EPOCH: usize = 4;
+
 /// Configuration of a [`crate::SkuteCloud`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SkuteConfig {
@@ -17,15 +21,9 @@ pub struct SkuteConfig {
     /// Partition capacity: "a maximum partition capacity of 256 MB after
     /// which the data of the partition is split into two new ones" (§III-A).
     pub split_threshold_bytes: u64,
-    /// Calibration fraction of
-    /// [`crate::availability::threshold_for_replicas`].
-    pub availability_frac: f64,
     /// Seed of the cloud's deterministic RNG (initial placement and agent
     /// iteration order).
     pub seed: u64,
-    /// Upper bound on availability-restoring replications per partition per
-    /// epoch (bandwidth budgets also gate transfers).
-    pub max_repairs_per_partition_per_epoch: usize,
     /// Storage engine replica stores run on. [`BackendKind::Mem`] is the
     /// fast in-memory default and bit-exact oracle; [`BackendKind::Lsm`]
     /// gives every replica a durable WAL + SSTable store. Same-seed
@@ -67,9 +65,7 @@ impl SkuteConfig {
         Self {
             economy: EconomyConfig::paper(),
             split_threshold_bytes: 256 * MIB,
-            availability_frac: 0.2,
             seed: DEFAULT_SEED,
-            max_repairs_per_partition_per_epoch: 4,
             backend: BackendKind::Mem,
             fault_plan: FaultPlan::none(),
             scrub_every: 0,
@@ -120,14 +116,6 @@ impl SkuteConfig {
         self.with_fault_plan(FaultPlan::all(seed))
     }
 
-    /// Returns a copy scrubbing every `epochs` epochs inside `end_epoch`
-    /// (`0` disables the schedule; see the field docs).
-    #[must_use]
-    pub fn with_scrub_every(mut self, epochs: u64) -> Self {
-        self.scrub_every = epochs;
-        self
-    }
-
     /// Validates all parameters.
     ///
     /// # Panics
@@ -137,14 +125,6 @@ impl SkuteConfig {
         assert!(
             self.split_threshold_bytes > 0,
             "split threshold must be positive"
-        );
-        assert!(
-            self.availability_frac > 0.0 && self.availability_frac <= 1.0,
-            "availability_frac must be in (0, 1]"
-        );
-        assert!(
-            self.max_repairs_per_partition_per_epoch >= 1,
-            "at least one repair per epoch must be allowed"
         );
     }
 }
@@ -203,17 +183,6 @@ mod tests {
         assert_eq!(b.fault_plan.seed, 7);
         assert_eq!(a.seed, b.seed);
         assert_eq!(a.backend, b.backend);
-        b.validate();
-    }
-
-    #[test]
-    fn with_scrub_every_flips_only_the_cadence() {
-        let a = SkuteConfig::paper();
-        let b = a.with_scrub_every(16);
-        assert_eq!(a.scrub_every, 0, "disabled by default");
-        assert_eq!(b.scrub_every, 16);
-        assert_eq!(a.seed, b.seed);
-        assert_eq!(a.threads, b.threads);
         b.validate();
     }
 

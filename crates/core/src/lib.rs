@@ -63,14 +63,14 @@ pub mod vnode;
 
 pub use app::{AppId, AppSpec, Application, AvailabilityLevel, LevelSpec};
 pub use availability::{availability_of, greedy_max_availability, threshold_for_replicas};
-pub use cloud::{ClientRead, DecisionOracle, ReadConsistency, ReadView, SkuteCloud, TrafficBatch};
+pub use cloud::{ClientRead, ReadConsistency, ReadView, SkuteCloud, TrafficBatch};
 pub use config::SkuteConfig;
 pub use decision::ActionCounts;
 pub use error::CoreError;
 pub use health::GrayMode;
 pub use metrics::{AntiEntropyReport, EpochReport, RingReport, ScrubReport};
 pub use obs::CloudMetrics;
-pub use placement::{PlacementContext, PlacementIndex, PlacementStrategy};
+pub use placement::{PlacementContext, PlacementStrategy};
 // Fault-model types consumers configure the cloud with, re-exported so
 // downstream crates (sim, server) need no direct skute-store dependency.
 pub use skute_store::{FaultPlan, FaultPlanKind};

@@ -2,7 +2,7 @@
 //! rent-sorted candidate index, and the pluggable strategy interface.
 
 use skute_cluster::{Board, Cluster, ServerId};
-use skute_economy::{candidate_score, proximity, EconomyConfig, ProximityCache, RegionQueries};
+use skute_economy::{candidate_score, EconomyConfig, ProximityCache, RegionQueries};
 use skute_geo::{Location, Topology};
 
 /// Read-only view of the cloud a placement strategy may consult.
@@ -155,8 +155,17 @@ pub fn feasible_candidates<'a>(
 
 /// Eq. (3): picks the feasible candidate maximizing
 /// `g_j · conf_j · Σ_k diversity(s_k, s_j) · v − c_j`. Returns the winner
-/// and its score.
-pub fn economic_target(ctx: &PlacementContext<'_>, q: &TargetQuery<'_>) -> Option<(ServerId, f64)> {
+/// and its score; ties go to the lower server id.
+///
+/// `prox` memoizes the proximity weight `g_j` per server country. It must
+/// be empty or filled against `q.region_queries`; its weights are bit for
+/// bit [`skute_economy::proximity`]'s, so a warm cache answers exactly as
+/// a fresh one.
+pub fn economic_target(
+    ctx: &PlacementContext<'_>,
+    q: &TargetQuery<'_>,
+    prox: &mut ProximityCache,
+) -> Option<(ServerId, f64)> {
     let existing_locations: Vec<Location> = q
         .existing
         .iter()
@@ -164,7 +173,7 @@ pub fn economic_target(ctx: &PlacementContext<'_>, q: &TargetQuery<'_>) -> Optio
         .collect();
     feasible_candidates(ctx, q.existing, q.size, q.rent_below)
         .map(|(id, location, confidence, rent)| {
-            let g = proximity(q.region_queries, &location, ctx.topology);
+            let g = prox.g(q.region_queries, &location, ctx.topology);
             let score = candidate_score(
                 &existing_locations,
                 &location,
@@ -196,8 +205,6 @@ struct CandidateEntry {
     /// Eq.-(1) rent with no replica added (`size = 0`): a lower bound on
     /// the projected rent of any placement, and the sort key of the walk.
     base_rent: f64,
-    /// The rent posted on the board (what rent-greedy baselines compare).
-    posted: f64,
 }
 
 /// All snapshotted candidates of one continent, rent-sorted.
@@ -236,8 +243,8 @@ struct ContinentBucket {
 /// floating-point rounding is monotone for these non-negative products, so
 /// the cutoff is sound bit-for-bit: the walk returns **exactly** the
 /// winner (and tie-break) of the brute-force [`economic_target`] scan,
-/// which stays available as the equivalence oracle for tests and
-/// baselines.
+/// the reference it is checked against: by the property tests here, and
+/// on every query of a debug build by `SkuteCloud`'s target selection.
 ///
 /// Staleness is detected via [`Cluster::version`] and [`Board::version`]:
 /// the snapshot is rebuilt only when prices or usage meters actually
@@ -245,16 +252,16 @@ struct ContinentBucket {
 /// [`PlacementIndex::note_servers_changed`] so one placement repositions
 /// two entries instead of forcing a rebuild.
 #[derive(Debug, Clone, Default)]
-pub struct PlacementIndex {
+pub(crate) struct PlacementIndex {
     /// Buckets sorted by continent index.
     buckets: Vec<ContinentBucket>,
     /// Candidates inside a synthetic client zone defeat the country-level
-    /// proximity bound; fall back to the brute-force oracle when present.
+    /// proximity bound; fall back to the full scan when present.
     has_client_zone: bool,
     stamp: Option<(u64, u64)>,
     /// Source of bucket tokens; never reused within one index.
     next_token: u64,
-    /// Scratch of the query walks, reused across queries.
+    /// Scratch of the query walk, reused across queries.
     walk: WalkScratch,
     /// Servers whose executed actions invalidated their entries, queued by
     /// [`PlacementIndex::queue_servers_changed`] during a commit pass and
@@ -273,15 +280,11 @@ struct WalkScratch {
 
 impl PlacementIndex {
     /// An empty index; the first query builds it.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
-    fn entry_fields(
-        server: &skute_cluster::Server,
-        economy: &EconomyConfig,
-        posted: f64,
-    ) -> CandidateEntry {
+    fn entry_fields(server: &skute_cluster::Server, economy: &EconomyConfig) -> CandidateEntry {
         let up = server.marginal_price.price(server.monthly_cost);
         let storage_frac = server.storage_frac();
         let query_frac = server.query_load_frac();
@@ -296,14 +299,13 @@ impl PlacementIndex {
             storage_capacity: server.capacities.storage_bytes,
             storage_free: server.storage_free(),
             base_rent,
-            posted,
         }
     }
 
     /// Queues servers whose entries went stale (an action just executed on
     /// them). Applied lazily by the next query, so commit loops never pay
     /// for repositions nothing will read.
-    pub fn queue_servers_changed(&mut self, ids: &[ServerId]) {
+    pub(crate) fn queue_servers_changed(&mut self, ids: &[ServerId]) {
         self.queued.extend_from_slice(ids);
     }
 
@@ -321,7 +323,7 @@ impl PlacementIndex {
     /// last build (queued invalidations are applied first, which usually
     /// re-synchronizes the stamp without a rebuild). Returns `true` when a
     /// rebuild happened (test hook).
-    pub fn refresh(&mut self, ctx: &PlacementContext<'_>) -> bool {
+    pub(crate) fn refresh(&mut self, ctx: &PlacementContext<'_>) -> bool {
         self.flush_queued(ctx);
         let stamp = (ctx.cluster.version(), ctx.board.version());
         if self.stamp == Some(stamp) {
@@ -330,10 +332,10 @@ impl PlacementIndex {
         self.buckets.clear();
         self.has_client_zone = false;
         for server in ctx.cluster.alive() {
-            let Some(posted) = ctx.board.price_of(server.id) else {
+            if ctx.board.price_of(server.id).is_none() {
                 continue;
-            };
-            let entry = Self::entry_fields(server, ctx.economy, posted);
+            }
+            let entry = Self::entry_fields(server, ctx.economy);
             let continent = server.location.continent;
             let bi = match self
                 .buckets
@@ -391,7 +393,7 @@ impl PlacementIndex {
     /// upholds this by noting the touched servers immediately after every
     /// executed replication/migration/suicide. Board changes void the
     /// contract and drop the snapshot so the next query rebuilds.
-    pub fn note_servers_changed(&mut self, ctx: &PlacementContext<'_>, ids: &[ServerId]) {
+    pub(crate) fn note_servers_changed(&mut self, ctx: &PlacementContext<'_>, ids: &[ServerId]) {
         let Some((_, board_version)) = self.stamp else {
             return; // never built; the next query will build it
         };
@@ -407,12 +409,12 @@ impl PlacementIndex {
             let server = ctx
                 .cluster
                 .get_alive(id)
-                .and_then(|s| ctx.board.price_of(s.id).map(|p| (s, p)));
+                .filter(|s| ctx.board.price_of(s.id).is_some());
             match (pos, server) {
-                (Some((bi, ei)), Some((server, posted))) => {
+                (Some((bi, ei)), Some(server)) => {
                     // Locations never change, so the entry stays in its
                     // bucket; only its rent fields (and thus position) move.
-                    let entry = Self::entry_fields(server, ctx.economy, posted);
+                    let entry = Self::entry_fields(server, ctx.economy);
                     let bucket = &mut self.buckets[bi];
                     bucket.entries.remove(ei);
                     let at = bucket.entries.partition_point(|e| {
@@ -451,7 +453,7 @@ impl PlacementIndex {
     ///
     /// `prox` must have been filled (or cleared) against the query's
     /// `region_queries`.
-    pub fn economic_target(
+    pub(crate) fn economic_target(
         &mut self,
         ctx: &PlacementContext<'_>,
         q: &TargetQuery<'_>,
@@ -469,7 +471,7 @@ impl PlacementIndex {
         // in a country zone and no candidate does. Anything else takes the
         // oracle scan so the equivalence contract holds unconditionally.
         if self.has_client_zone || !region_queries.iter().all(|r| r.location.is_client_zone()) {
-            return economic_target(ctx, q);
+            return economic_target(ctx, q, prox);
         }
         let Self { buckets, walk, .. } = self;
         walk.existing_locs.clear();
@@ -576,101 +578,6 @@ impl PlacementIndex {
         }
         best
     }
-
-    /// The cheapest-first baseline over the index: the feasible candidate
-    /// with the lowest **posted** rent (ties to the lower id) — the same
-    /// winner as a full `cluster.alive()` scan against the board, read off
-    /// the compact snapshot entries instead.
-    pub fn cheapest_posted(
-        &mut self,
-        ctx: &PlacementContext<'_>,
-        existing: &[ServerId],
-        partition_size: u64,
-    ) -> Option<ServerId> {
-        self.refresh(ctx);
-        let mut best: Option<(f64, ServerId)> = None;
-        for bucket in &self.buckets {
-            for e in &bucket.entries {
-                if e.storage_free < partition_size || existing.contains(&e.id) {
-                    continue;
-                }
-                let candidate = (e.posted, e.id);
-                let better = match &best {
-                    None => true,
-                    Some((bp, bid)) => matches!(
-                        e.posted.total_cmp(bp).then_with(|| e.id.cmp(bid)),
-                        std::cmp::Ordering::Less
-                    ),
-                };
-                if better {
-                    best = Some(candidate);
-                }
-            }
-        }
-        best.map(|(_, id)| id)
-    }
-
-    /// The max-spread baseline over the index: the feasible candidate
-    /// maximizing the summed diversity to `existing` (ties to the lower
-    /// id), pruning whole continent buckets whose diversity upper bound
-    /// cannot beat the best gain found. Integer arithmetic throughout, so
-    /// the bucket walk returns exactly the full-scan winner; note the
-    /// candidate set is the index's (board-posted servers).
-    pub fn max_spread(
-        &mut self,
-        ctx: &PlacementContext<'_>,
-        existing: &[ServerId],
-        partition_size: u64,
-    ) -> Option<ServerId> {
-        self.refresh(ctx);
-        let Self { buckets, walk, .. } = self;
-        walk.existing_locs.clear();
-        for id in existing {
-            if let Some(s) = ctx.cluster.get(*id) {
-                walk.existing_locs.push(s.location);
-            }
-        }
-        let mut best: Option<(u32, ServerId)> = None;
-        for bucket in buckets.iter() {
-            // A candidate pairs at most 63 with a replica on another
-            // continent and at most 31 with one on its own.
-            let ub: u32 = walk
-                .existing_locs
-                .iter()
-                .map(|l| {
-                    if l.continent == bucket.continent {
-                        31
-                    } else {
-                        63
-                    }
-                })
-                .sum();
-            if let Some((best_gain, _)) = best {
-                // Strictly below: an equal bound can still tie and win on id.
-                if ub < best_gain {
-                    continue;
-                }
-            }
-            for e in &bucket.entries {
-                if e.storage_free < partition_size || existing.contains(&e.id) {
-                    continue;
-                }
-                let gain: u32 = walk
-                    .existing_locs
-                    .iter()
-                    .map(|l| u32::from(skute_geo::diversity(l, &e.location)))
-                    .sum();
-                let better = match &best {
-                    None => true,
-                    Some((bg, bid)) => gain > *bg || (gain == *bg && e.id < *bid),
-                };
-                if better {
-                    best = Some((gain, e.id));
-                }
-            }
-        }
-        best.map(|(_, id)| id)
-    }
 }
 
 /// The paper's placement policy (eq. 3) behind the strategy interface.
@@ -695,7 +602,7 @@ impl PlacementStrategy for EconomicPlacement {
             region_queries,
             rent_below: None,
         };
-        economic_target(ctx, &q).map(|(id, _)| id)
+        economic_target(ctx, &q, &mut ProximityCache::new()).map(|(id, _)| id)
     }
 }
 
@@ -704,6 +611,7 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
     use skute_cluster::{Capacities, ServerSpec};
+    use skute_economy::proximity;
     use skute_geo::Topology;
 
     fn q<'a>(
@@ -718,6 +626,35 @@ mod tests {
             region_queries,
             rent_below,
         }
+    }
+
+    /// Eq. (3) through a fresh proximity cache.
+    fn target(ctx: &PlacementContext<'_>, q: &TargetQuery<'_>) -> Option<(ServerId, f64)> {
+        economic_target(ctx, q, &mut ProximityCache::new())
+    }
+
+    /// Eq. (3) with [`proximity`] evaluated for every candidate: the scan
+    /// without its per-country memo.
+    fn uncached_target(ctx: &PlacementContext<'_>, q: &TargetQuery<'_>) -> Option<(ServerId, f64)> {
+        let existing: Vec<Location> = q
+            .existing
+            .iter()
+            .filter_map(|id| ctx.cluster.get(*id).map(|s| s.location))
+            .collect();
+        feasible_candidates(ctx, q.existing, q.size, q.rent_below)
+            .map(|(id, location, confidence, rent)| {
+                let g = proximity(q.region_queries, &location, ctx.topology);
+                let v = ctx.economy.diversity_unit_value;
+                (
+                    id,
+                    candidate_score(&existing, &location, confidence, rent, g, v),
+                )
+            })
+            .max_by(|a, b| a.1.total_cmp(&b.1).then_with(|| b.0.cmp(&a.0)))
+    }
+
+    fn bits(t: Option<(ServerId, f64)>) -> Option<(ServerId, u64)> {
+        t.map(|(id, score)| (id, score.to_bits()))
     }
 
     fn setup() -> (Topology, Cluster, Board) {
@@ -749,7 +686,7 @@ mod tests {
         };
         // One replica on server 0 (continent 0).
         let existing = vec![ServerId(0)];
-        let (winner, _) = economic_target(&ctx, &q(&existing, 0, &[], None)).unwrap();
+        let (winner, _) = target(&ctx, &q(&existing, 0, &[], None)).unwrap();
         let winner_loc = cluster.get(winner).unwrap().location;
         let origin = cluster.get(ServerId(0)).unwrap().location;
         assert_ne!(
@@ -771,7 +708,7 @@ mod tests {
             economy: &economy,
         };
         let existing: Vec<ServerId> = cluster.alive_ids();
-        assert!(economic_target(&ctx, &q(&existing, 0, &[], None)).is_none());
+        assert!(target(&ctx, &q(&existing, 0, &[], None)).is_none());
     }
 
     #[test]
@@ -785,8 +722,8 @@ mod tests {
             economy: &economy,
         };
         // Nothing can host 2 GiB on 1 GiB servers.
-        assert!(economic_target(&ctx, &q(&[], 2 << 30, &[], None)).is_none());
-        assert!(economic_target(&ctx, &q(&[], 1 << 20, &[], None)).is_some());
+        assert!(target(&ctx, &q(&[], 2 << 30, &[], None)).is_none());
+        assert!(target(&ctx, &q(&[], 1 << 20, &[], None)).is_some());
     }
 
     #[test]
@@ -801,9 +738,9 @@ mod tests {
         };
         let cheap_rent = 100.0 / 720.0;
         // Cap below the cheap price: no candidate at all.
-        assert!(economic_target(&ctx, &q(&[], 0, &[], Some(cheap_rent))).is_none());
+        assert!(target(&ctx, &q(&[], 0, &[], Some(cheap_rent))).is_none());
         // Cap between cheap and expensive: only cheap servers eligible.
-        let (winner, _) = economic_target(&ctx, &q(&[], 0, &[], Some(cheap_rent + 1e-6))).unwrap();
+        let (winner, _) = target(&ctx, &q(&[], 0, &[], Some(cheap_rent + 1e-6))).unwrap();
         assert_eq!(cluster.get(winner).unwrap().monthly_cost, 100.0);
     }
 
@@ -818,7 +755,7 @@ mod tests {
             economy: &economy,
         };
         let existing = vec![ServerId(0)];
-        let direct = economic_target(&ctx, &q(&existing, 0, &[], None)).map(|(id, _)| id);
+        let direct = target(&ctx, &q(&existing, 0, &[], None)).map(|(id, _)| id);
         let mut strategy = EconomicPlacement;
         assert_eq!(strategy.place_replica(&ctx, &existing, 0, &[]), direct);
         assert_eq!(strategy.name(), "skute-economic");
@@ -855,7 +792,7 @@ mod tests {
             for size in [0u64, 1 << 20, 1 << 29] {
                 for cap in [None, Some(cheap_rent * 1.5), Some(cheap_rent / 2.0)] {
                     for rq in [&[][..], &regions[..]] {
-                        let brute = economic_target(&ctx, &q(&existing, size, rq, cap));
+                        let brute = target(&ctx, &q(&existing, size, rq, cap));
                         let mut prox = skute_economy::ProximityCache::new();
                         let indexed =
                             index.economic_target(&ctx, &q(&existing, size, rq, cap), &mut prox);
@@ -889,7 +826,7 @@ mod tests {
             queries: 5_000.0,
         }];
         let existing = vec![ServerId(0)];
-        let brute = economic_target(&ctx, &q(&existing, 0, &regions, None));
+        let brute = target(&ctx, &q(&existing, 0, &regions, None));
         let mut index = PlacementIndex::new();
         let mut prox = skute_economy::ProximityCache::new();
         let indexed = index.economic_target(&ctx, &q(&existing, 0, &regions, None), &mut prox);
@@ -915,7 +852,7 @@ mod tests {
             };
             let rebuilt = index.refresh(&ctx);
             let got = index.economic_target(&ctx, &q(&[ServerId(0)], 1 << 20, &[], None), prox);
-            let want = economic_target(&ctx, &q(&[ServerId(0)], 1 << 20, &[], None));
+            let want = target(&ctx, &q(&[ServerId(0)], 1 << 20, &[], None));
             assert_eq!(got, want);
             (rebuilt, got)
         };
@@ -945,9 +882,10 @@ mod tests {
     }
 
     proptest::proptest! {
-        /// The rent-sorted walk must return the *same winner and tie-break*
-        /// as the brute-force scan on arbitrary clusters, prices, usage
-        /// meters, region mixes and rent caps.
+        /// The rent-sorted walk and the memoized scan must return the
+        /// *same winner, tie-break and score bits* as a scan evaluating
+        /// [`proximity`] per candidate, on arbitrary clusters, prices,
+        /// usage meters, region mixes and rent caps.
         #[test]
         fn prop_index_equals_brute_force(
             server_picks in proptest::collection::vec((0u64..200, 50.0f64..200.0, 0.2f64..1.0), 2..24),
@@ -1020,16 +958,14 @@ mod tests {
                 topology: &topology,
                 economy: &economy,
             };
-            let brute = economic_target(&ctx, &q(&existing, partition_size, &regions, rent_below));
+            let query = q(&existing, partition_size, &regions, rent_below);
+            let want = bits(uncached_target(&ctx, &query));
+            prop_assert_eq!(bits(target(&ctx, &query)), want);
             let mut index = PlacementIndex::new();
-            let mut prox = skute_economy::ProximityCache::new();
-            let indexed =
-                index.economic_target(&ctx, &q(&existing, partition_size, &regions, rent_below), &mut prox);
-            prop_assert_eq!(indexed, brute);
+            let mut prox = ProximityCache::new();
+            prop_assert_eq!(bits(index.economic_target(&ctx, &query, &mut prox)), want);
             // Re-query through the warm snapshot and cache: still identical.
-            let indexed_warm =
-                index.economic_target(&ctx, &q(&existing, partition_size, &regions, rent_below), &mut prox);
-            prop_assert_eq!(indexed_warm, brute);
+            prop_assert_eq!(bits(index.economic_target(&ctx, &query, &mut prox)), want);
         }
     }
 
@@ -1102,8 +1038,8 @@ mod tests {
             let frac = if at_floor { 1.0 } else { cap_frac };
             let cap = if floor.is_finite() { floor * frac } else { frac * 200.0 / 720.0 * 4.0 };
             let ctx = PlacementContext::new(&cluster, &board, &topology, &economy);
-            let target = economic_target(&ctx, &q(&existing, 1u64 << size_exp, &regions, Some(cap)));
-            if let Some((id, _)) = target {
+            let found = target(&ctx, &q(&existing, 1u64 << size_exp, &regions, Some(cap)));
+            if let Some((id, _)) = found {
                 let s = cluster.get(id).unwrap();
                 prop_assert!(
                     s.usage.migration_used >= s.capacities.migration_bw,
@@ -1149,68 +1085,9 @@ mod tests {
         let rebuilt = index.refresh(&ctx);
         assert!(!rebuilt, "queued repositioning avoids the rebuild");
         let indexed = index.economic_target(&ctx, &q(&[], 1 << 20, &[], None), &mut prox);
-        let brute = economic_target(&ctx, &q(&[], 1 << 20, &[], None));
+        let brute = target(&ctx, &q(&[], 1 << 20, &[], None));
         assert_eq!(indexed, brute);
         assert_ne!(indexed.unwrap().0, winner, "full server cannot win");
-    }
-
-    #[test]
-    fn index_baselines_match_full_scans() {
-        let (topology, mut cluster, mut board) = setup();
-        let economy = EconomyConfig::paper();
-        for i in [9u32, 60, 150] {
-            let s = cluster.get_mut(ServerId(i)).unwrap();
-            let caps = s.capacities;
-            assert!(s.usage.reserve_storage(&caps, 1 << 29));
-        }
-        board.withdraw(ServerId(17));
-        let ctx = PlacementContext {
-            cluster: &cluster,
-            board: &board,
-            topology: &topology,
-            economy: &economy,
-        };
-        let mut index = PlacementIndex::new();
-        for existing in [vec![], vec![ServerId(0)], vec![ServerId(0), ServerId(199)]] {
-            for size in [0u64, 1 << 29, 1 << 31] {
-                // Cheapest-first: minimum posted rent, ties to lower id.
-                let scan_cheapest = cluster
-                    .alive()
-                    .filter(|s| !existing.contains(&s.id) && s.storage_free() >= size)
-                    .filter_map(|s| board.price_of(s.id).map(|p| (s.id, p)))
-                    .min_by(|a, b| a.1.total_cmp(&b.1).then_with(|| a.0.cmp(&b.0)))
-                    .map(|(id, _)| id);
-                assert_eq!(
-                    index.cheapest_posted(&ctx, &existing, size),
-                    scan_cheapest,
-                    "cheapest: existing {existing:?} size {size}"
-                );
-                // Max-spread: maximum summed diversity, ties to lower id
-                // (over the board-posted candidate set).
-                let scan_spread = cluster
-                    .alive()
-                    .filter(|s| {
-                        !existing.contains(&s.id)
-                            && s.storage_free() >= size
-                            && board.price_of(s.id).is_some()
-                    })
-                    .map(|s| {
-                        let gain: u32 = existing
-                            .iter()
-                            .filter_map(|id| cluster.get(*id))
-                            .map(|e| u32::from(skute_geo::diversity(&e.location, &s.location)))
-                            .sum();
-                        (s.id, gain)
-                    })
-                    .max_by(|a, b| a.1.cmp(&b.1).then_with(|| b.0.cmp(&a.0)))
-                    .map(|(id, _)| id);
-                assert_eq!(
-                    index.max_spread(&ctx, &existing, size),
-                    scan_spread,
-                    "spread: existing {existing:?} size {size}"
-                );
-            }
-        }
     }
 
     #[test]
@@ -1223,8 +1100,8 @@ mod tests {
             topology: &topology,
             economy: &economy,
         };
-        let a = economic_target(&ctx, &q(&[ServerId(0)], 0, &[], None));
-        let b = economic_target(&ctx, &q(&[ServerId(0)], 0, &[], None));
+        let a = target(&ctx, &q(&[ServerId(0)], 0, &[], None));
+        let b = target(&ctx, &q(&[ServerId(0)], 0, &[], None));
         assert_eq!(a, b);
     }
 }

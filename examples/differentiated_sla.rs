@@ -26,7 +26,7 @@ fn main() {
     });
 
     for (name, replicas, _) in &apps {
-        let th = threshold_for_replicas(cloud.topology(), *replicas, 0.2);
+        let th = threshold_for_replicas(cloud.topology(), *replicas);
         println!("{name:>5}: SLA needs {replicas} replicas, threshold {th:.1}");
     }
 

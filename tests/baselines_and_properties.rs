@@ -14,7 +14,7 @@ fn quick_cfg(fixture: &CtxFixture, k: usize) -> EvaluationConfig {
     EvaluationConfig {
         partitions: 80,
         replicas: k,
-        threshold: threshold_for_replicas(&fixture.topology, k, 0.2),
+        threshold: threshold_for_replicas(&fixture.topology, k),
         failures: 20,
         trials: 10,
         seed: 0xFEED,
@@ -27,8 +27,8 @@ fn economic_dominates_the_availability_cost_frontier() {
     for k in [2usize, 3, 4] {
         let cfg = quick_cfg(&fixture, k);
         let economic = evaluate(&mut EconomicPlacement, &fixture, &cfg);
-        let spread = evaluate(&mut MaxSpreadPlacement::default(), &fixture, &cfg);
-        let cheapest = evaluate(&mut CheapestPlacement::default(), &fixture, &cfg);
+        let spread = evaluate(&mut MaxSpreadPlacement, &fixture, &cfg);
+        let cheapest = evaluate(&mut CheapestPlacement, &fixture, &cfg);
         let successor = evaluate(&mut SuccessorPlacement, &fixture, &cfg);
         let random = evaluate(&mut RandomPlacement::new(1), &fixture, &cfg);
         // Full SLA satisfaction at no more rent than the diversity-only

@@ -2,7 +2,6 @@
 //! reduced scale — cheap versions of the figure benches that run in the
 //! regular test suite.
 
-use skute::core::DecisionOracle;
 use skute::prelude::*;
 use skute::sim::paper;
 
@@ -117,26 +116,25 @@ fn thread_counts_replay_bitwise_identically_at_paper_scale() {
 }
 
 #[test]
-fn indexed_and_brute_force_placement_produce_identical_trajectories() {
-    // End-to-end equivalence oracle: routing every eq.-(3) decision through
-    // the brute-force full-cluster scan must reproduce the indexed
-    // pipeline's Observation series exactly — same winners, same
-    // tie-breaks, same floats — across a scenario with traffic, repairs
-    // and a failure burst.
-    let run = |oracle: DecisionOracle| {
-        let mut s = paper::scaled_scenario("oracle-eq", 24, 3_000, 15);
-        s.seed = 0x0514CE;
-        s.schedule = Schedule::new().at(8, CloudEvent::RemoveServers { count: 12 });
-        let mut sim = Simulation::new(s);
-        sim.cloud_mut().set_decision_oracle(oracle);
-        sim.run()
+fn index_placements_match_the_scan_through_repairs_and_a_failure_burst() {
+    // In debug builds every eq.-(3) target selection also runs the
+    // brute-force full-cluster scan and asserts the index's winner and
+    // score bit for bit. This scenario drives that check through traffic,
+    // profit decisions, availability repairs and a failure burst that
+    // retires servers under the index's snapshot.
+    let mut s = paper::scaled_scenario("oracle-eq", 24, 3_000, 15);
+    s.seed = 0x0514CE;
+    s.schedule = Schedule::new().at(8, CloudEvent::RemoveServers { count: 12 });
+    let obs = Simulation::new(s).run();
+    assert_eq!(obs.len(), 15);
+    let actions = |range: std::ops::Range<usize>| {
+        obs[range]
+            .iter()
+            .map(|o| o.report.actions.availability_replications)
+            .sum::<u64>()
     };
-    let indexed = run(DecisionOracle::None);
-    let brute = run(DecisionOracle::BruteForce);
-    assert_eq!(indexed.len(), brute.len());
-    for (epoch, (oi, ob)) in indexed.iter().zip(&brute).enumerate() {
-        assert_eq!(oi, ob, "trajectories diverge at epoch {epoch}");
-    }
+    assert!(actions(0..7) > 0, "the initial repairs place replicas");
+    assert!(actions(7..15) > 0, "the burst's repairs place replicas");
 }
 
 #[test]

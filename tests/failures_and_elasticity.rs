@@ -111,7 +111,7 @@ fn outage_scenario(epochs: u64, epoch: u64) -> Scenario {
 fn country_outage_holds_the_availability_floor() {
     let s = outage_scenario(44, 20);
     let partitions: usize = s.apps.iter().map(|a| a.partitions).sum();
-    let cap = (s.config.max_repairs_per_partition_per_epoch * partitions) as u64;
+    let cap = (skute::core::config::MAX_REPAIRS_PER_PARTITION_PER_EPOCH * partitions) as u64;
     let mut sim = Simulation::new(s);
     let obs = sim.run();
     // One country = a tenth of the 200-server fleet.

@@ -22,13 +22,13 @@ fn thresholds_strictly_separate_replica_counts() {
     let topology = Topology::paper();
     let mut last = 0.0;
     for k in 1..=6 {
-        let th = threshold_for_replicas(&topology, k, 0.2);
+        let th = threshold_for_replicas(&topology, k);
         assert!(th >= last, "thresholds must be monotone in k");
         last = th;
     }
     // k−1 greedily placed replicas can never meet th(k).
     for k in 2..=5 {
-        let th = threshold_for_replicas(&topology, k, 0.2);
+        let th = threshold_for_replicas(&topology, k);
         let best_below = skute::core::greedy_max_availability(&topology, k - 1);
         assert!(best_below < th, "k−1 replicas must fail th({k})");
     }
