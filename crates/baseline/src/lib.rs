@@ -15,7 +15,7 @@
 //! * [`MaxSpreadPlacement`] — pure geographic diversity, cost-blind.
 //!
 //! [`harness`] evaluates any strategy on availability, cost and failure
-//! survival so the `table_baselines` bench can print a comparison table.
+//! survival so the `paper_claims` example can print a comparison table.
 
 #![warn(missing_docs)]
 

@@ -459,7 +459,7 @@ impl SkuteCloud {
             self.insert_failures_epoch += 1;
             return Err(CoreError::Store(StoreError::CapacityExceeded));
         }
-        for id in servers {
+        for &id in &servers {
             let ok = self
                 .cluster
                 .get_mut(id)
@@ -468,6 +468,9 @@ impl SkuteCloud {
         }
         partition.synthetic_bytes += logical_bytes;
         partition.write_bytes_epoch += logical_bytes;
+        // A later insert of this epoch may query eq. (3) again: the
+        // charged storage meters must reach the index snapshot.
+        self.note_index(&servers);
         Ok(())
     }
 
@@ -589,6 +592,9 @@ impl SkuteCloud {
                 );
                 if outcome == ApplyOutcome::Applied {
                     applied += 1;
+                    // Runs inside `end_epoch`, after this epoch's insert
+                    // relocations may have queried eq. (3).
+                    self.index.queue_servers_changed(&[replica.server]);
                 }
             }
         }

@@ -247,10 +247,15 @@ impl SkuteCloud {
         new_bytes: u64,
     ) -> bool {
         let r = &self.rings[ring_idx].partitions[&pid].replicas[idx];
-        let old_bytes = r.store.logical_bytes();
-        self.cluster
-            .get_mut(r.server)
-            .is_some_and(|s| resize_storage(s, old_bytes, new_bytes))
+        let (server, old_bytes) = (r.server, r.store.logical_bytes());
+        let charged = self
+            .cluster
+            .get_mut(server)
+            .is_some_and(|s| resize_storage(s, old_bytes, new_bytes));
+        // The scrub runs inside `end_epoch`, after this epoch's insert
+        // relocations may have queried eq. (3).
+        self.note_index(&[server]);
+        charged
     }
 }
 

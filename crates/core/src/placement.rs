@@ -56,7 +56,7 @@ pub struct TargetQuery<'a> {
 ///
 /// Skute's economic policy is [`EconomicPlacement`]; `skute-baseline`
 /// provides random, successor-list, cheapest-first and max-spread
-/// alternatives behind this same interface so the comparison benches can
+/// alternatives behind this same interface so the baselines table can
 /// swap policies without touching the harness.
 pub trait PlacementStrategy {
     /// Human-readable policy name (used in benchmark tables).

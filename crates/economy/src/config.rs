@@ -7,8 +7,8 @@ use crate::balance::MAX_DECISION_WINDOW;
 /// The paper introduces α and β as "normalizing factors" of eq. (1) and
 /// leaves their values (as well as the money-per-query normalization of
 /// eq. 5) unspecified; the defaults here are the calibration used by the
-/// reproduction experiments and can be swept with the `ablation_rent`
-/// bench.
+/// reproduction experiments and are swept by the rent ablation of the
+/// `paper_claims` example.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EconomyConfig {
     /// α of eq. (1): weight of the storage-usage fraction in the rent.

@@ -1,4 +1,4 @@
-//! Time-series recording and CSV output for the figure harnesses.
+//! Time-series recording and CSV output (`skute-sim --csv`).
 
 use std::fmt::Write as _;
 use std::io;
@@ -111,23 +111,6 @@ impl Recorder {
         }
         std::fs::write(path, self.to_csv())
     }
-
-    /// Mean of a metric over the last `window` epochs.
-    pub fn tail_mean(&self, window: usize, metric: impl Fn(&Observation) -> f64) -> f64 {
-        let n = self.observations.len();
-        if n == 0 {
-            return 0.0;
-        }
-        let start = n.saturating_sub(window);
-        let slice = &self.observations[start..];
-        slice.iter().map(&metric).sum::<f64>() / slice.len() as f64
-    }
-}
-
-impl Extend<Observation> for Recorder {
-    fn extend<T: IntoIterator<Item = Observation>>(&mut self, iter: T) {
-        self.observations.extend(iter);
-    }
 }
 
 #[cfg(test)]
@@ -140,7 +123,9 @@ mod tests {
     fn csv_has_header_and_rows() {
         let mut sim = Simulation::new(paper::scaled_scenario("csv", 4, 100, 3));
         let mut rec = Recorder::new();
-        rec.extend(sim.run());
+        for obs in sim.run() {
+            rec.push(obs);
+        }
         assert_eq!(rec.len(), 3);
         let csv = rec.to_csv();
         let lines: Vec<&str> = csv.lines().collect();
@@ -154,21 +139,12 @@ mod tests {
     }
 
     #[test]
-    fn tail_mean_windows() {
-        let mut sim = Simulation::new(paper::scaled_scenario("tm", 4, 100, 5));
-        let mut rec = Recorder::new();
-        rec.extend(sim.run());
-        let all = rec.tail_mean(100, |o| o.report.alive_servers as f64);
-        assert_eq!(all, 200.0);
-        assert_eq!(rec.tail_mean(2, |o| o.report.epoch as f64), 4.5);
-        assert_eq!(Recorder::new().tail_mean(5, |_| 1.0), 0.0);
-    }
-
-    #[test]
     fn write_csv_creates_dirs() {
         let mut sim = Simulation::new(paper::scaled_scenario("io", 4, 100, 2));
         let mut rec = Recorder::new();
-        rec.extend(sim.run());
+        for obs in sim.run() {
+            rec.push(obs);
+        }
         let dir = std::env::temp_dir().join("skute-test-recorder");
         let path = dir.join("nested").join("out.csv");
         rec.write_csv(&path).unwrap();

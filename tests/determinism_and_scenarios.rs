@@ -1,6 +1,6 @@
 //! Deterministic replay and qualitative shape of every paper scenario at
-//! reduced scale — cheap versions of the figure benches that run in the
-//! regular test suite.
+//! reduced scale — cheap versions of the `paper_claims` example's figure
+//! claims that run in the regular test suite.
 
 use skute::prelude::*;
 use skute::sim::paper;
@@ -135,6 +135,29 @@ fn index_placements_match_the_scan_through_repairs_and_a_failure_burst() {
     };
     assert!(actions(0..7) > 0, "the initial repairs place replicas");
     assert!(actions(7..15) > 0, "the burst's repairs place replicas");
+}
+
+#[test]
+fn index_placements_match_the_scan_under_synthetic_inserts() {
+    // Insert relocations query eq. (3) in the middle of an epoch, between
+    // inserts that charge storage meters. A charge the placement index
+    // never heard of leaves its snapshot stale, and the debug build's
+    // scan check fails; the rent ablation's α = β = 0 run reaches such a
+    // query within a few epochs.
+    let mut s = paper::scaled_scenario("ablation-rent", 24, 6_000, 40);
+    s.config.economy.alpha = 0.0;
+    s.config.economy.beta = 0.0;
+    s.server_storage_bytes = 512 << 20;
+    s.config.split_threshold_bytes = 16 << 20;
+    s.inserts = Some(InsertGenerator {
+        rate_per_epoch: 300.0,
+        object_bytes: 500 * 1000,
+        key_dist: Pareto::paper(),
+        unique_key_factor: 1000,
+    });
+    let obs = Simulation::new(s).run();
+    let relocations: u64 = obs.iter().map(|o| o.report.actions.migrations).sum();
+    assert!(relocations > 0, "full servers relocate replicas");
 }
 
 #[test]
