@@ -29,6 +29,9 @@ pub struct Cluster {
     servers: Vec<Server>,
     /// Bumped on every mutable access; see [`Cluster::version`].
     version: u64,
+    /// Per server, the `version` of its last mutable access; see
+    /// [`Cluster::changed_since`].
+    stamps: Vec<u64>,
 }
 
 impl Cluster {
@@ -62,6 +65,7 @@ impl Cluster {
         );
         self.version += 1;
         let id = ServerId(self.servers.len() as u32);
+        self.stamps.push(self.version);
         self.servers.push(Server {
             id,
             location: spec.location,
@@ -82,8 +86,7 @@ impl Cluster {
     /// Retires (removes/fails) a server at `epoch`. Its stored data is lost;
     /// callers must drop the virtual nodes it hosted. Idempotent.
     pub fn retire(&mut self, id: ServerId, epoch: u64) {
-        self.version += 1;
-        if let Some(s) = self.servers.get_mut(id.0 as usize) {
+        if let Some(s) = self.get_mut(id) {
             if s.status == ServerStatus::Alive {
                 s.status = ServerStatus::Retired;
                 s.retired_epoch = Some(epoch);
@@ -100,7 +103,11 @@ impl Cluster {
     /// Mutable access to the server with id `id`.
     pub fn get_mut(&mut self, id: ServerId) -> Option<&mut Server> {
         self.version += 1;
-        self.servers.get_mut(id.0 as usize)
+        let i = id.0 as usize;
+        if let Some(stamp) = self.stamps.get_mut(i) {
+            *stamp = self.version;
+        }
+        self.servers.get_mut(i)
     }
 
     /// A counter bumped on every mutable access to the cluster (server
@@ -109,9 +116,21 @@ impl Cluster {
     /// written — which is exactly what a derived read structure needs for
     /// conservative invalidation. Its one reader is the rent-sorted
     /// placement index of `skute-core`, which pairs it with
-    /// [`crate::Board::version`].
+    /// [`crate::Board::version`] and re-reads the servers
+    /// [`Cluster::changed_since`] the version it last synchronized at.
     pub fn version(&self) -> u64 {
         self.version
+    }
+
+    /// Ids, ascending, of the servers mutably accessed since the cluster
+    /// was at `version`: commissioned, handed out by `get_mut`, yielded by
+    /// `alive_mut` or retired. Every other server is unchanged since then.
+    pub fn changed_since(&self, version: u64) -> impl Iterator<Item = ServerId> + '_ {
+        self.stamps
+            .iter()
+            .enumerate()
+            .filter(move |&(_, &stamp)| stamp > version)
+            .map(|(i, _)| ServerId(i as u32))
     }
 
     /// The server with id `id` if it is alive.
@@ -147,7 +166,15 @@ impl Cluster {
     /// Iterates mutably over alive servers.
     pub fn alive_mut(&mut self) -> impl Iterator<Item = &mut Server> {
         self.version += 1;
-        self.servers.iter_mut().filter(|s| s.is_alive())
+        let version = self.version;
+        self.servers
+            .iter_mut()
+            .zip(&mut self.stamps)
+            .filter(|(s, _)| s.is_alive())
+            .map(move |(s, stamp)| {
+                *stamp = version;
+                s
+            })
     }
 
     /// Ids of all alive servers, ascending.
@@ -263,24 +290,43 @@ mod tests {
     fn version_tracks_every_mutation_path() {
         let t = Topology::paper();
         let mut cluster = Cluster::from_topology(&t, |_, loc| spec(loc, 100.0));
+        let changed = |c: &Cluster, v| c.changed_since(v).collect::<Vec<_>>();
+        // `get_mut`, `retire` and `commission` bump the version and mark
+        // exactly the server they touch as changed.
         let v0 = cluster.version();
-        let _ = cluster.get_mut(ServerId(0));
+        assert!(changed(&cluster, v0).is_empty());
+        let _ = cluster.get_mut(ServerId(7));
         let v1 = cluster.version();
         assert!(v1 > v0, "get_mut must invalidate derived indexes");
-        let _ = cluster.alive_mut().count();
+        assert_eq!(changed(&cluster, v0), [ServerId(7)]);
+        cluster.retire(ServerId(3), 1);
         let v2 = cluster.version();
         assert!(v2 > v1);
-        cluster.begin_epoch();
+        assert_eq!(changed(&cluster, v1), [ServerId(3)]);
+        assert_eq!(changed(&cluster, v0), [ServerId(3), ServerId(7)]);
+        let id = cluster.commission(spec(t.server_at(0), 100.0), 2);
         let v3 = cluster.version();
         assert!(v3 > v2);
-        cluster.retire(ServerId(0), 1);
-        assert!(cluster.version() > v3);
-        // Read-only accessors leave the version untouched.
-        let v = cluster.version();
+        assert_eq!(changed(&cluster, v2), [id]);
+        // `alive_mut` and `begin_epoch` mark every alive server, and only
+        // those.
+        let _ = cluster.alive_mut().count();
+        let v4 = cluster.version();
+        assert!(v4 > v3);
+        assert_eq!(changed(&cluster, v3), cluster.alive_ids());
+        cluster.begin_epoch();
+        let v5 = cluster.version();
+        assert!(v5 > v4);
+        assert_eq!(changed(&cluster, v4), cluster.alive_ids());
+        // Read-only accessors leave the version untouched and mark nothing.
         let _ = cluster.alive_count();
         let _ = cluster.get(ServerId(1));
+        let _ = cluster.get_alive(ServerId(2));
+        let _ = cluster.alive().count();
+        let _ = cluster.alive_ids();
         let _ = cluster.total_storage_used();
-        assert_eq!(cluster.version(), v);
+        assert_eq!(cluster.version(), v5);
+        assert!(changed(&cluster, v5).is_empty());
     }
 
     #[test]

@@ -543,14 +543,6 @@ impl SkuteCloud {
             .ok_or(CoreError::NoPlacement)
     }
 
-    /// Tells the placement index exactly which servers the action just
-    /// executed has touched. The invalidation is queued and applied at the
-    /// next index query, where it repositions those entries instead of
-    /// rebuilding the whole snapshot.
-    fn note_index(&mut self, ids: &[ServerId]) {
-        self.index.queue_servers_changed(ids);
-    }
-
     /// A new vnode on `server` carrying `store`.
     fn new_replica(&mut self, server: ServerId, store: ReplicaStore) -> Replica {
         let id = VnodeId(self.next_vnode);

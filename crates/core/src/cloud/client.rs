@@ -468,9 +468,6 @@ impl SkuteCloud {
         }
         partition.synthetic_bytes += logical_bytes;
         partition.write_bytes_epoch += logical_bytes;
-        // A later insert of this epoch may query eq. (3) again: the
-        // charged storage meters must reach the index snapshot.
-        self.note_index(&servers);
         Ok(())
     }
 
@@ -592,9 +589,6 @@ impl SkuteCloud {
                 );
                 if outcome == ApplyOutcome::Applied {
                     applied += 1;
-                    // Runs inside `end_epoch`, after this epoch's insert
-                    // relocations may have queried eq. (3).
-                    self.index.queue_servers_changed(&[replica.server]);
                 }
             }
         }
@@ -622,7 +616,7 @@ fn charge_entry(server: &mut Server, new_entry: u64) -> impl FnOnce(Option<u64>)
 mod tests {
     use super::*;
     use crate::app::{AppSpec, LevelSpec};
-    use crate::cloud::tests::{paper_cluster, small_cloud};
+    use crate::cloud::tests::{paper_cluster, small_cloud, GIB};
     use crate::config::SkuteConfig;
     use crate::health::GrayMode;
     use skute_store::BackendKind;
@@ -676,6 +670,85 @@ mod tests {
         let used_after = cloud.cluster().total_storage_used();
         // One replica so far (epoch 1 before any end_epoch): charged once.
         assert_eq!(used_after - used_before, 500 * 1024);
+    }
+
+    #[test]
+    fn put_between_relocations_reaches_the_index() {
+        // Two relocations of one epoch query eq. (3) with a client PUT
+        // between them. The second must see the storage the PUT charged,
+        // or the PUT's host wins at its old rent (in a debug build,
+        // `select_target`'s scan check fails first).
+        use crate::placement::{economic_target, PlacementContext, TargetQuery};
+        use skute_cluster::Capacities;
+        use skute_economy::ProximityCache;
+        use skute_ring::PartitionId;
+        const MIB: u64 = 1 << 20;
+        let (mut cloud, app) = small_cloud();
+        cloud.begin_epoch();
+        // One key per partition, and each partition's seed host.
+        let mut keys: BTreeMap<PartitionId, Vec<u8>> = BTreeMap::new();
+        for i in 0.. {
+            let key = format!("key-{i}").into_bytes();
+            keys.entry(cloud.rings[0].ring.route(&key)).or_insert(key);
+            if keys.len() == cloud.rings[0].partitions.len() {
+                break;
+            }
+        }
+        let host = |cloud: &SkuteCloud, pid| cloud.replica_servers(app, 0, pid).unwrap()[0];
+        let seeds: BTreeMap<PartitionId, ServerId> =
+            keys.keys().map(|&pid| (pid, host(&cloud, pid))).collect();
+        // Two partitions on hosts of their own: A and B.
+        let mut own = seeds
+            .iter()
+            .filter(|&(_, h)| seeds.values().filter(|&o| o == h).count() == 1)
+            .map(|(&pid, _)| pid);
+        let (a, b) = (own.next().unwrap(), own.next().unwrap());
+        // A and B's hosts hold 64 MiB, the other seed hosts 1 GiB, and no
+        // other server fits a partition: relocations land on seed hosts.
+        for id in cloud.cluster.alive_ids() {
+            let bytes = if id == seeds[&a] || id == seeds[&b] {
+                64 * MIB
+            } else if seeds.values().any(|&h| h == id) {
+                GIB
+            } else {
+                MIB
+            };
+            cloud.cluster.get_mut(id).unwrap().capacities = Capacities::paper(bytes, 5_000.0);
+        }
+        // A's second write relocates A's replica through eq. (3).
+        cloud.ingest_synthetic(app, 0, &keys[&a], 40 * MIB).unwrap();
+        cloud.ingest_synthetic(app, 0, &keys[&a], 30 * MIB).unwrap();
+        assert_ne!(host(&cloud, a), seeds[&a], "A relocated");
+        cloud.ingest_synthetic(app, 0, &keys[&b], 40 * MIB).unwrap();
+        // The scan's answer for B's coming 70 MiB relocation.
+        let winner = |cloud: &SkuteCloud| {
+            let ctx = PlacementContext::new(
+                &cloud.cluster,
+                &cloud.board,
+                &cloud.topology,
+                &cloud.config.economy,
+            );
+            let q = TargetQuery {
+                existing: &[],
+                size: 70 * MIB,
+                region_queries: &cloud.rings[0].partitions[&b].region_queries,
+                rent_below: None,
+            };
+            economic_target(&ctx, &q, &mut ProximityCache::new())
+                .unwrap()
+                .0
+        };
+        let w = winner(&cloud);
+        // A client PUT into a partition on W raises W's rent with no
+        // executed action behind it; B's relocation must see it.
+        let (&c, _) = seeds.iter().find(|&(_, &h)| h == w).unwrap();
+        cloud
+            .put(app, 0, &keys[&c], vec![0u8; (200 * MIB) as usize])
+            .unwrap();
+        let after_put = winner(&cloud);
+        assert_ne!(after_put, w, "the PUT moves the scan's answer");
+        cloud.ingest_synthetic(app, 0, &keys[&b], 30 * MIB).unwrap();
+        assert_eq!(host(&cloud, b), after_put);
     }
 
     #[test]

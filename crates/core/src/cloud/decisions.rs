@@ -288,7 +288,6 @@ impl SkuteCloud {
                     exec_suicide(&mut self.cluster, partition, idx);
                     touched[w.slot] = true;
                     actions.suicides += 1;
-                    self.note_index(&[server]);
                     floor = None;
                     continue;
                 }
@@ -328,7 +327,6 @@ impl SkuteCloud {
                     actions.migrations += 1;
                     actions.migrated_bytes += t.logical;
                     actions.measured_migrated_bytes += t.measured;
-                    self.note_index(&[server, target]);
                     floor = None;
                 }
                 continue;
@@ -346,7 +344,6 @@ impl SkuteCloud {
                 actions.profit_replications += 1;
                 actions.replicated_bytes += t.logical;
                 actions.measured_replicated_bytes += t.measured;
-                self.note_index(&[target]);
                 floor = None;
             } else {
                 actions.blocked_transfers += 1;

@@ -248,14 +248,9 @@ impl SkuteCloud {
     ) -> bool {
         let r = &self.rings[ring_idx].partitions[&pid].replicas[idx];
         let (server, old_bytes) = (r.server, r.store.logical_bytes());
-        let charged = self
-            .cluster
+        self.cluster
             .get_mut(server)
-            .is_some_and(|s| resize_storage(s, old_bytes, new_bytes));
-        // The scrub runs inside `end_epoch`, after this epoch's insert
-        // relocations may have queried eq. (3).
-        self.note_index(&[server]);
-        charged
+            .is_some_and(|s| resize_storage(s, old_bytes, new_bytes))
     }
 }
 

@@ -139,7 +139,6 @@ impl SkuteCloud {
                         actions.availability_replications += 1;
                         actions.replicated_bytes += t.logical;
                         actions.measured_replicated_bytes += t.measured;
-                        self.note_index(&[target]);
                     } else {
                         actions.blocked_transfers += 1;
                         break;
@@ -192,7 +191,6 @@ impl SkuteCloud {
         let Some((target, _)) = target else {
             return;
         };
-        let source = partition.replicas[idx].server;
         // When the migration budget is exhausted, fall back to the (3×
         // larger) replication budget: copy the replica to the target, then
         // drop the blocked copy.
@@ -208,7 +206,6 @@ impl SkuteCloud {
             self.epoch_actions.migrations += 1;
             self.epoch_actions.migrated_bytes += t.logical;
             self.epoch_actions.measured_migrated_bytes += t.measured;
-            self.note_index(&[source, target]);
         }
     }
 }

@@ -207,6 +207,13 @@ struct CandidateEntry {
     base_rent: f64,
 }
 
+/// The walk order of a bucket: ascending `(base_rent, id)`.
+fn by_rent(a: &CandidateEntry, b: &CandidateEntry) -> std::cmp::Ordering {
+    a.base_rent
+        .total_cmp(&b.base_rent)
+        .then_with(|| a.id.cmp(&b.id))
+}
+
 /// All snapshotted candidates of one continent, rent-sorted.
 #[derive(Debug, Clone, Default)]
 struct ContinentBucket {
@@ -246,11 +253,12 @@ struct ContinentBucket {
 /// the reference it is checked against: by the property tests here, and
 /// on every query of a debug build by `SkuteCloud`'s target selection.
 ///
-/// Staleness is detected via [`Cluster::version`] and [`Board::version`]:
-/// the snapshot is rebuilt only when prices or usage meters actually
-/// changed, and the cloud reports executed actions through
-/// [`PlacementIndex::note_servers_changed`] so one placement repositions
-/// two entries instead of forcing a rebuild.
+/// Staleness is read off the cluster and the board at every query, so no
+/// caller reports its mutations: when [`Board::version`] or the server
+/// count moved, the snapshot is rebuilt; otherwise only the servers
+/// [`Cluster::changed_since`] the [`Cluster::version`] of the last
+/// synchronization are re-read, so one executed placement costs two entry
+/// repositions instead of a rebuild.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct PlacementIndex {
     /// Buckets sorted by continent index.
@@ -258,15 +266,13 @@ pub(crate) struct PlacementIndex {
     /// Candidates inside a synthetic client zone defeat the country-level
     /// proximity bound; fall back to the full scan when present.
     has_client_zone: bool,
-    stamp: Option<(u64, u64)>,
+    /// `(Cluster::version, Board::version, Cluster::len)` at the last
+    /// synchronization; `None` before the first build.
+    synced: Option<(u64, u64, usize)>,
     /// Source of bucket tokens; never reused within one index.
     next_token: u64,
     /// Scratch of the query walk, reused across queries.
     walk: WalkScratch,
-    /// Servers whose executed actions invalidated their entries, queued by
-    /// [`PlacementIndex::queue_servers_changed`] during a commit pass and
-    /// applied at the next query.
-    queued: Vec<ServerId>,
 }
 
 /// Reusable scratch buffers of one best-first index walk.
@@ -302,32 +308,22 @@ impl PlacementIndex {
         }
     }
 
-    /// Queues servers whose entries went stale (an action just executed on
-    /// them). Applied lazily by the next query, so commit loops never pay
-    /// for repositions nothing will read.
-    pub(crate) fn queue_servers_changed(&mut self, ids: &[ServerId]) {
-        self.queued.extend_from_slice(ids);
-    }
-
-    fn flush_queued(&mut self, ctx: &PlacementContext<'_>) {
-        if self.queued.is_empty() {
-            return;
-        }
-        let ids = std::mem::take(&mut self.queued);
-        self.note_servers_changed(ctx, &ids);
-        self.queued = ids;
-        self.queued.clear();
-    }
-
-    /// Rebuilds the snapshot iff the cluster or board changed since the
-    /// last build (queued invalidations are applied first, which usually
-    /// re-synchronizes the stamp without a rebuild). Returns `true` when a
-    /// rebuild happened (test hook).
+    /// Synchronizes the snapshot with the cluster and board of `ctx`.
+    /// Returns `true` when that took a full rebuild (test hook).
     pub(crate) fn refresh(&mut self, ctx: &PlacementContext<'_>) -> bool {
-        self.flush_queued(ctx);
-        let stamp = (ctx.cluster.version(), ctx.board.version());
-        if self.stamp == Some(stamp) {
-            return false;
+        let now = (
+            ctx.cluster.version(),
+            ctx.board.version(),
+            ctx.cluster.len(),
+        );
+        match self.synced {
+            Some(synced) if synced == now => return false,
+            Some((version, board, len)) if (board, len) == (now.1, now.2) => {
+                self.reread_since(ctx, version);
+                self.synced = Some(now);
+                return false;
+            }
+            _ => {}
         }
         self.buckets.clear();
         self.has_client_zone = false;
@@ -369,80 +365,58 @@ impl PlacementIndex {
             }
         }
         for bucket in &mut self.buckets {
-            bucket.entries.sort_unstable_by(|a, b| {
-                a.base_rent
-                    .total_cmp(&b.base_rent)
-                    .then_with(|| a.id.cmp(&b.id))
-            });
+            bucket.entries.sort_unstable_by(by_rent);
             bucket.token = self.next_token;
             self.next_token += 1;
         }
-        self.stamp = Some(stamp);
+        self.synced = Some(now);
         true
     }
 
-    /// Surgically refreshes the entries of `ids` after the caller mutated
-    /// **only those servers** since the snapshot was last in sync, then
-    /// re-stamps the snapshot as current — so executing a placement action
-    /// costs two entry repositions instead of a full rebuild before the
-    /// next decision.
-    ///
-    /// Contract: between the last [`PlacementIndex::refresh`] (or previous
-    /// note) and this call, no server outside `ids` may have changed in
-    /// any way that affects rent, storage or liveness. `SkuteCloud`
-    /// upholds this by noting the touched servers immediately after every
-    /// executed replication/migration/suicide. Board changes void the
-    /// contract and drop the snapshot so the next query rebuilds.
-    pub(crate) fn note_servers_changed(&mut self, ctx: &PlacementContext<'_>, ids: &[ServerId]) {
-        let Some((_, board_version)) = self.stamp else {
-            return; // never built; the next query will build it
-        };
-        if ctx.board.version() != board_version {
-            self.stamp = None;
-            return;
-        }
-        for &id in ids {
-            let pos =
-                self.buckets.iter().enumerate().find_map(|(bi, b)| {
-                    b.entries.iter().position(|e| e.id == id).map(|ei| (bi, ei))
-                });
-            let server = ctx
-                .cluster
-                .get_alive(id)
-                .filter(|s| ctx.board.price_of(s.id).is_some());
-            match (pos, server) {
-                (Some((bi, ei)), Some(server)) => {
-                    // Locations never change, so the entry stays in its
-                    // bucket; only its rent fields (and thus position) move.
-                    let entry = Self::entry_fields(server, ctx.economy);
-                    let bucket = &mut self.buckets[bi];
-                    bucket.entries.remove(ei);
-                    let at = bucket.entries.partition_point(|e| {
-                        matches!(
-                            e.base_rent
-                                .total_cmp(&entry.base_rent)
-                                .then_with(|| e.id.cmp(&entry.id)),
-                            std::cmp::Ordering::Less
-                        )
-                    });
-                    bucket.entries.insert(at, entry);
-                }
-                (Some((bi, ei)), None) => {
-                    // Retired or withdrawn mid-phase; conf_max and the
-                    // country representatives stay as (sound) over-bounds.
-                    self.buckets[bi].entries.remove(ei);
-                }
-                (None, Some(_)) => {
-                    // A server this snapshot never saw (e.g. commissioned
-                    // mid-phase): the surgical contract cannot cover its
-                    // country/confidence bounds — rebuild instead.
-                    self.stamp = None;
-                    return;
-                }
-                (None, None) => {}
+    /// Re-reads the entries of the servers [`Cluster::changed_since`]
+    /// `version`, repositioning each in its bucket, and drops the ones no
+    /// longer alive. Valid only while the board and the server count are
+    /// those of the snapshot: then no server can join the candidate set (a
+    /// retired server stays retired, and posting one moves the board
+    /// version). Locations never change, so a server's continent names
+    /// its bucket; `conf_max` is raised, never lowered, and the country
+    /// representatives stay as they are, both (sound) over-bounds.
+    fn reread_since(&mut self, ctx: &PlacementContext<'_>, version: u64) {
+        for id in ctx.cluster.changed_since(version) {
+            let server = ctx.cluster.get(id).expect("changed servers exist");
+            let continent = server.location.continent;
+            let Ok(bi) = self
+                .buckets
+                .binary_search_by_key(&continent, |b| b.continent)
+            else {
+                continue;
+            };
+            let bucket = &mut self.buckets[bi];
+            // Absent: never posted, or dropped at an earlier re-read.
+            let Some(at) = bucket.entries.iter().position(|e| e.id == id) else {
+                continue;
+            };
+            if !server.is_alive() {
+                bucket.entries.remove(at);
+                continue;
             }
+            let entry = Self::entry_fields(server, ctx.economy);
+            if entry.confidence > bucket.conf_max {
+                bucket.conf_max = entry.confidence;
+            }
+            // Ids are unique, so this total order puts the entry exactly
+            // where a rebuild would: in place when its rent did not move
+            // (a transfer's source only spends bandwidth).
+            if by_rent(&bucket.entries[at], &entry).is_eq() {
+                bucket.entries[at] = entry;
+                continue;
+            }
+            bucket.entries.remove(at);
+            let at = bucket
+                .entries
+                .partition_point(|e| by_rent(e, &entry).is_lt());
+            bucket.entries.insert(at, entry);
         }
-        self.stamp = Some((ctx.cluster.version(), board_version));
     }
 
     /// Eq. (3) over the index: same contract — and bit-identical result —
@@ -871,7 +845,7 @@ mod tests {
             assert!(s.usage.reserve_storage(&caps, free));
         }
         let (rebuilt, after_fill) = winner(&mut index, &mut prox, &cluster, &board);
-        assert!(rebuilt, "get_mut invalidates the snapshot");
+        assert!(!rebuilt, "a get_mut re-reads its server, not the snapshot");
         assert_ne!(after_fill.unwrap().0, prev, "full server cannot win");
         // Withdrawing a posting invalidates through the board version.
         let (next, _) = after_fill.unwrap();
@@ -898,6 +872,10 @@ mod tests {
             ),
             size_exp in 0u32..31,
             cap_frac in proptest::option::of(0.1f64..3.0),
+            (mutations, withdraw_after) in (
+                proptest::collection::vec((0usize..24, 0u8..5, any::<u64>(), 0.0f64..1.0), 0..8),
+                proptest::option::of(0usize..24),
+            ),
         ) {
             use proptest::prelude::*;
             let topology = Topology::paper();
@@ -952,19 +930,46 @@ mod tests {
             let partition_size = 1u64 << size_exp;
             let rent_below = cap_frac.map(|f| f * 100.0 / 720.0);
             let economy = EconomyConfig::paper();
-            let ctx = PlacementContext {
-                cluster: &cluster,
-                board: &board,
-                topology: &topology,
-                economy: &economy,
-            };
             let query = q(&existing, partition_size, &regions, rent_below);
-            let want = bits(uncached_target(&ctx, &query));
-            prop_assert_eq!(bits(target(&ctx, &query)), want);
             let mut index = PlacementIndex::new();
             let mut prox = ProximityCache::new();
-            prop_assert_eq!(bits(index.economic_target(&ctx, &query, &mut prox)), want);
-            // Re-query through the warm snapshot and cache: still identical.
+            {
+                let ctx = PlacementContext::new(&cluster, &board, &topology, &economy);
+                let want = bits(uncached_target(&ctx, &query));
+                prop_assert_eq!(bits(target(&ctx, &query)), want);
+                prop_assert_eq!(bits(index.economic_target(&ctx, &query, &mut prox)), want);
+                // Re-query through the warm snapshot and cache: still identical.
+                prop_assert_eq!(bits(index.economic_target(&ctx, &query, &mut prox)), want);
+            }
+            // Mutate meters, confidences and liveness behind the warm
+            // index's back, as the epoch phases and the client paths do:
+            // the next query re-reads exactly what moved (or rebuilds,
+            // after a board change) and still answers as the scan.
+            for &(i, kind, bytes, frac) in &mutations {
+                let id = ServerId((i % n) as u32);
+                match kind {
+                    4 => cluster.retire(id, 1),
+                    _ => {
+                        let s = cluster.get_mut(id).unwrap();
+                        let caps = s.capacities;
+                        match kind {
+                            0 => {
+                                let _ = s.usage.reserve_storage(&caps, bytes % (1 << 30));
+                            }
+                            1 => s.usage.release_storage(bytes % (1 << 30)),
+                            2 => {
+                                s.usage.serve_queries(&caps, frac * 900.0);
+                            }
+                            _ => s.confidence = frac,
+                        }
+                    }
+                }
+            }
+            if let Some(u) = withdraw_after {
+                board.withdraw(ServerId((u % n) as u32));
+            }
+            let ctx = PlacementContext::new(&cluster, &board, &topology, &economy);
+            let want = bits(uncached_target(&ctx, &query));
             prop_assert_eq!(bits(index.economic_target(&ctx, &query, &mut prox)), want);
         }
     }
@@ -1047,47 +1052,6 @@ mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    fn queued_invalidation_applies_at_next_read() {
-        let (topology, mut cluster, board) = setup();
-        let economy = EconomyConfig::paper();
-        let mut index = PlacementIndex::new();
-        let mut prox = skute_economy::ProximityCache::new();
-        let first = {
-            let ctx = PlacementContext {
-                cluster: &cluster,
-                board: &board,
-                topology: &topology,
-                economy: &economy,
-            };
-            index.economic_target(&ctx, &q(&[], 1 << 20, &[], None), &mut prox)
-        };
-        let (winner, _) = first.unwrap();
-        // Mutate exactly the winner (as an executed placement would) and
-        // queue the invalidation instead of applying it immediately.
-        {
-            let s = cluster.get_mut(winner).unwrap();
-            let caps = s.capacities;
-            let free = s.storage_free();
-            assert!(s.usage.reserve_storage(&caps, free));
-        }
-        index.queue_servers_changed(&[winner]);
-        let ctx = PlacementContext {
-            cluster: &cluster,
-            board: &board,
-            topology: &topology,
-            economy: &economy,
-        };
-        // The queued note re-synchronizes the stamp: no rebuild, and the
-        // answer matches the brute-force scan of the live state.
-        let rebuilt = index.refresh(&ctx);
-        assert!(!rebuilt, "queued repositioning avoids the rebuild");
-        let indexed = index.economic_target(&ctx, &q(&[], 1 << 20, &[], None), &mut prox);
-        let brute = target(&ctx, &q(&[], 1 << 20, &[], None));
-        assert_eq!(indexed, brute);
-        assert_ne!(indexed.unwrap().0, winner, "full server cannot win");
     }
 
     #[test]
