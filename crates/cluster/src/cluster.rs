@@ -198,11 +198,6 @@ impl Cluster {
     pub fn total_storage_used(&self) -> u64 {
         self.alive().map(|s| s.usage.storage_used).sum()
     }
-
-    /// Total real monthly cost of all alive servers.
-    pub fn total_monthly_cost(&self) -> f64 {
-        self.alive().map(|s| s.monthly_cost).sum()
-    }
 }
 
 #[cfg(test)]
@@ -229,7 +224,6 @@ mod tests {
         assert_eq!(cluster.alive_count(), 200);
         let cheap = cluster.alive().filter(|s| s.monthly_cost == 100.0).count();
         assert_eq!(cheap, 140, "70% of 200 servers at $100");
-        assert!((cluster.total_monthly_cost() - (140.0 * 100.0 + 60.0 * 125.0)).abs() < 1e-9);
     }
 
     #[test]
@@ -337,6 +331,5 @@ mod tests {
         assert_eq!(cluster.total_storage(), 20 * GIB);
         cluster.retire(a, 1);
         assert_eq!(cluster.total_storage(), 10 * GIB);
-        assert!((cluster.total_monthly_cost() - 125.0).abs() < 1e-12);
     }
 }

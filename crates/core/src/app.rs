@@ -2,8 +2,6 @@
 
 use std::fmt;
 
-use skute_store::QuorumConfig;
-
 /// Identifier of a registered application.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct AppId(pub u32);
@@ -26,8 +24,6 @@ pub struct AvailabilityLevel {
     pub target_replicas: usize,
     /// Minimum eq.-(2) availability `th`.
     pub threshold: f64,
-    /// Quorum parameters for client reads/writes at this level.
-    pub quorum: QuorumConfig,
 }
 
 /// Declarative description of one availability level at registration time.
@@ -40,20 +36,16 @@ pub struct LevelSpec {
     pub partitions: usize,
     /// Initial logical bytes preloaded into each partition.
     pub initial_partition_bytes: u64,
-    /// Quorum override; defaults to the availability-leaning
-    /// `QuorumConfig::availability(replicas)`.
-    pub quorum: Option<QuorumConfig>,
 }
 
 impl LevelSpec {
     /// A level satisfied by `replicas` replicas over `partitions` initial
-    /// partitions, with no preloaded data and default quorum.
+    /// partitions, with no preloaded data.
     pub fn new(replicas: usize, partitions: usize) -> Self {
         Self {
             replicas,
             partitions,
             initial_partition_bytes: 0,
-            quorum: None,
         }
     }
 
@@ -61,13 +53,6 @@ impl LevelSpec {
     #[must_use]
     pub fn with_initial_bytes(mut self, bytes: u64) -> Self {
         self.initial_partition_bytes = bytes;
-        self
-    }
-
-    /// Overrides the quorum configuration.
-    #[must_use]
-    pub fn with_quorum(mut self, quorum: QuorumConfig) -> Self {
-        self.quorum = Some(quorum);
         self
     }
 }
@@ -116,13 +101,10 @@ mod tests {
 
     #[test]
     fn level_spec_builder() {
-        let l = LevelSpec::new(3, 200)
-            .with_initial_bytes(64)
-            .with_quorum(QuorumConfig::majority(3));
+        let l = LevelSpec::new(3, 200).with_initial_bytes(64);
         assert_eq!(l.replicas, 3);
         assert_eq!(l.partitions, 200);
         assert_eq!(l.initial_partition_bytes, 64);
-        assert_eq!(l.quorum.unwrap().r, 2);
     }
 
     #[test]

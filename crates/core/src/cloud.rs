@@ -18,7 +18,7 @@ use skute_cluster::{Board, Cluster, Server, ServerId, ServerSpec};
 use skute_economy::{ProximityCache, RentModel};
 use skute_geo::{Level, Location, Topology};
 use skute_ring::{PartitionId, RingId, VirtualRing};
-use skute_store::{FaultPlan, QuorumConfig, ReplicaStore};
+use skute_store::{FaultPlan, ReplicaStore};
 
 use crate::app::{AppId, AppSpec, Application, AvailabilityLevel, LevelSpec};
 use crate::availability::threshold_for_replicas;
@@ -78,9 +78,9 @@ impl RingState {
 ///
 /// Usage per epoch: [`SkuteCloud::begin_epoch`] (posts rents, resets
 /// meters) → client traffic ([`SkuteCloud::put`]/[`SkuteCloud::get`]/
-/// [`SkuteCloud::deliver_queries`]) → [`SkuteCloud::end_epoch`] (runs every
-/// virtual node's decision process, splits overflowing partitions, and
-/// returns an [`EpochReport`]).
+/// [`SkuteCloud::deliver_queries_multi`]) → [`SkuteCloud::end_epoch`]
+/// (runs every virtual node's decision process, splits overflowing
+/// partitions, and returns an [`EpochReport`]).
 pub struct SkuteCloud {
     config: SkuteConfig,
     /// Immutable for the cloud's lifetime.
@@ -265,9 +265,6 @@ impl SkuteCloud {
             "a ring needs at least one partition"
         );
         let threshold = threshold_for_replicas(&self.topology, level_spec.replicas);
-        let quorum = level_spec
-            .quorum
-            .unwrap_or_else(|| QuorumConfig::availability(level_spec.replicas));
         let ring = VirtualRing::with_hasher(
             ring_id,
             level_spec.partitions,
@@ -281,7 +278,6 @@ impl SkuteCloud {
             level: AvailabilityLevel {
                 target_replicas: level_spec.replicas,
                 threshold,
-                quorum,
             },
             ring,
             partitions: BTreeMap::new(),
@@ -658,6 +654,22 @@ pub(crate) mod tests {
         })
     }
 
+    /// One ring's traffic as a one-element
+    /// [`SkuteCloud::deliver_queries_multi`] argument.
+    pub(crate) fn one_batch(
+        app: AppId,
+        level: u32,
+        queries: f64,
+        regions: &[skute_geo::RegionWeight],
+    ) -> Vec<TrafficBatch> {
+        vec![TrafficBatch {
+            app,
+            level,
+            queries,
+            regions: regions.to_vec(),
+        }]
+    }
+
     pub(crate) fn small_cloud() -> (SkuteCloud, AppId) {
         let topology = Topology::paper();
         let cluster = paper_cluster(&topology);
@@ -752,7 +764,9 @@ pub(crate) mod tests {
             for _ in 0..4 {
                 cloud.begin_epoch();
                 let regions = skute_geo::ClientGeo::Uniform.region_weights(cloud.topology());
-                cloud.deliver_queries(app, 0, 1000.0, &regions).unwrap();
+                cloud
+                    .deliver_queries_multi(one_batch(app, 0, 1000.0, &regions))
+                    .unwrap();
                 let r = cloud.end_epoch();
                 sums.push((r.total_vnodes(), r.actions));
             }

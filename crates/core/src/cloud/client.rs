@@ -35,10 +35,11 @@ pub enum ReadConsistency {
     /// default; fastest, may observe a divergent replica).
     #[default]
     One,
-    /// Read ⌈(k+1)/2⌉ replicas, resolve by last-writer-wins, and schedule
-    /// read-repair for every stale replica observed. Together with the
-    /// write path's `w = ⌊k/2⌋ + 1` ack requirement, `r + w > k`
-    /// guarantees a quorum read always sees every acknowledged write.
+    /// Read a majority (`⌊k/2⌋ + 1`) of the partition's k replicas,
+    /// resolve by last-writer-wins, and schedule read-repair for every
+    /// stale replica observed. Writes ack on the same majority of the same
+    /// k, and two majorities of k intersect, so a non-degraded quorum read
+    /// sees every write acknowledged since the replica set last changed.
     Quorum,
 }
 
@@ -72,9 +73,9 @@ impl FromStr for ReadConsistency {
     }
 }
 
-/// The result of a proximity-routed [`SkuteCloud::client_get`]: the value
-/// (if any), which server served it, and that server's eq.-(4) weight for
-/// the requesting client.
+/// The result of a proximity-routed [`SkuteCloud::client_get_with`]: the
+/// value (if any), which server served it, and that server's eq.-(4)
+/// weight for the requesting client.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ClientRead {
     /// The live value under the key (`None` for absent keys and
@@ -87,9 +88,9 @@ pub struct ClientRead {
     /// (1.0 when no client location was given).
     pub proximity: f64,
     /// True when the requested consistency could not be met: no replica
-    /// was reachable (consistency `One`) or fewer than ⌈(k+1)/2⌉ replicas
-    /// were reachable (consistency `Quorum`) and the read was served
-    /// best-effort from what remained.
+    /// was reachable (consistency `One`) or fewer than `⌊k/2⌋ + 1`
+    /// replicas were reachable (consistency `Quorum`) and the read was
+    /// served best-effort from what remained.
     pub degraded: bool,
     /// Replica stores consulted to answer the read.
     pub replicas_read: usize,
@@ -123,7 +124,7 @@ impl ReadView<'_> {
     /// across all replicas when the chosen replica misses — a divergent
     /// replica must not turn a stored key into a spurious 404.
     ///
-    /// `Quorum` reads ⌈(k+1)/2⌉ reachable replicas (highest eq.-(4)
+    /// `Quorum` reads `⌊k/2⌋ + 1` reachable replicas (highest eq.-(4)
     /// proximity first), resolves them by last-writer-wins, and enqueues
     /// every stale replica observed for targeted read-repair at the next
     /// [`SkuteCloud::end_epoch`]. When fewer than a quorum of replicas is
@@ -209,7 +210,7 @@ impl ReadView<'_> {
             }
             ReadConsistency::Quorum => {
                 let k = partition.replicas.len();
-                let need = k / 2 + 1;
+                let need = majority(k);
                 let degraded = reachable.len() < need;
                 // Read set: the `need` highest-proximity reachable
                 // replicas (ties to the earliest), or every replica when
@@ -325,34 +326,11 @@ impl SkuteCloud {
         self.write_record(app, level, key, Record::tombstone(version))
     }
 
-    /// Reads a key: merges the first `r` replica responses (LWW).
+    /// Reads a key's live value: [`SkuteCloud::client_get_with`] at
+    /// [`ReadConsistency::One`] with no client location.
     pub fn get(&self, app: AppId, level: u32, key: &[u8]) -> Result<Option<Bytes>, CoreError> {
-        let ring = self.ring(app, level)?;
-        let partition = ring
-            .partitions
-            .get(&ring.ring.route(key))
-            .ok_or(CoreError::NoPlacement)?;
-        if partition.replicas.is_empty() {
-            return Err(CoreError::Store(StoreError::NoReplicas));
-        }
-        let responses = partition
-            .replicas
-            .iter()
-            .take(ring.level.quorum.r)
-            .filter_map(|replica| replica.store.get(key));
-        Ok(Record::merge_all(responses).and_then(|r| r.value))
-    }
-
-    /// Serving-path read at [`ReadConsistency::One`]; see
-    /// [`SkuteCloud::client_get_with`].
-    pub fn client_get(
-        &self,
-        app: AppId,
-        level: u32,
-        key: &[u8],
-        client: Option<Location>,
-    ) -> Result<ClientRead, CoreError> {
-        self.client_get_with(app, level, key, client, ReadConsistency::One)
+        self.client_get_with(app, level, key, None, ReadConsistency::One)
+            .map(|read| read.value)
     }
 
     /// Serving-path read: [`ReadView::client_get_with`] on this cloud's
@@ -485,7 +463,6 @@ impl SkuteCloud {
     ) -> Result<(), CoreError> {
         let ring_idx = self.ring_index(app, level)?;
         let pid = self.rings[ring_idx].ring.route(key);
-        let quorum = self.rings[ring_idx].level.quorum;
         let ring = &mut self.rings[ring_idx];
         let partition = ring
             .partitions
@@ -497,7 +474,7 @@ impl SkuteCloud {
         }
         let new_entry = key.len() as u64 + record.logical_size;
         let key = Bytes::copy_from_slice(key);
-        let mut acks = 0usize;
+        let (mut acks, mut vetoes) = (0usize, 0usize);
         for replica in partition.replicas.iter_mut() {
             let Some(server) = self.cluster.get_mut(replica.server) else {
                 continue;
@@ -505,10 +482,10 @@ impl SkuteCloud {
             if !server.is_alive() {
                 continue;
             }
-            // Gray-blocked replicas silently miss the update. The quorum
-            // ack check below still guarantees `w = ⌊k/2⌋ + 1` healthy
-            // acks or a client-visible error — acknowledged writes are
-            // never lost to gray servers.
+            // Gray-blocked replicas silently miss the update. The ack
+            // check below still demands a majority of the k replicas or a
+            // client-visible error, so every acknowledged write meets
+            // every non-degraded quorum read.
             if self.health.blocks_writes(replica.server, &server.location) {
                 continue;
             }
@@ -522,17 +499,27 @@ impl SkuteCloud {
                 record.clone(),
                 charge_entry(server, new_entry),
             );
-            if outcome != ApplyOutcome::Vetoed {
+            if outcome == ApplyOutcome::Vetoed {
+                vetoes += 1;
+            } else {
                 acks += 1;
             }
         }
         partition.write_bytes_epoch += record.logical_size;
-        let w_eff = quorum.w.min(partition.replicas.len());
-        if acks < w_eff {
+        let needed = majority(partition.replicas.len());
+        if acks >= needed {
+            return Ok(());
+        }
+        // An insert failure (Fig. 5) is one that storage capacity decided:
+        // the vetoing replicas would have made the majority.
+        if acks + vetoes >= needed {
             self.insert_failures_epoch += 1;
             return Err(CoreError::Store(StoreError::CapacityExceeded));
         }
-        Ok(())
+        Err(CoreError::Store(StoreError::QuorumNotMet {
+            needed,
+            got: acks,
+        }))
     }
 
     /// Applies the targeted read-repairs quorum reads scheduled since the
@@ -596,6 +583,12 @@ impl SkuteCloud {
             m.read_repairs_applied.add(applied);
         }
     }
+}
+
+/// The quorum of a partition with `k` replicas, for writes and reads
+/// alike: any two majorities of the same k replicas share one.
+fn majority(k: usize) -> usize {
+    k / 2 + 1
 }
 
 /// True when `server` is alive with at least `bytes` of storage free.
@@ -871,6 +864,120 @@ mod tests {
         let p = &cloud.rings[0].partitions[&pid];
         for r in &p.replicas {
             assert_eq!(r.store.get_value(b"g").unwrap().as_ref(), b"v2");
+        }
+    }
+
+    /// [`small_cloud`] in its first epoch with the partition of `key`
+    /// raised to `k` replicas: its seed replica plus `k - 1` empty ones on
+    /// servers `first, first + 37, …` (mod the fleet, skipping the seed
+    /// host). Returns the replica servers in replica order.
+    fn raised_cloud(key: &[u8], k: usize, first: u32) -> (SkuteCloud, AppId, Vec<ServerId>) {
+        let (mut cloud, app) = small_cloud();
+        cloud.begin_epoch();
+        let pid = cloud.rings[0].ring.route(key);
+        let fleet = cloud.cluster.len() as u32;
+        let mut servers = cloud.replica_servers(app, 0, pid).unwrap();
+        let mut id = first;
+        while servers.len() < k {
+            let server = ServerId(id % fleet);
+            if !servers.contains(&server) {
+                let replica = cloud.new_replica(server, cloud.empty_store());
+                let p = cloud.rings[0].partitions.get_mut(&pid).unwrap();
+                p.replicas.push(replica);
+                servers.push(server);
+            }
+            id += 37;
+        }
+        (cloud, app, servers)
+    }
+
+    #[test]
+    fn acked_write_above_the_sla_count_meets_the_quorum_read() {
+        // n = 3, but replication took the partition to k = 5. Three
+        // read-only replicas leave two healthy: a write acked there must
+        // be seen by the three-replica quorum read of the other three.
+        let (mut cloud, app, servers) = raised_cloud(b"k5", 5, 0);
+        for &s in &servers[..3] {
+            cloud.health.set_mode(s, GrayMode::ReadOnly);
+        }
+        if cloud.put(app, 0, b"k5", b"v".to_vec()).is_ok() {
+            let read = cloud
+                .client_get_with(app, 0, b"k5", None, ReadConsistency::Quorum)
+                .unwrap();
+            assert!(!read.degraded);
+            assert_eq!(read.value, Some(Bytes::from_static(b"v")));
+        }
+    }
+
+    #[test]
+    fn write_short_of_a_majority_is_quorum_not_met() {
+        let (mut cloud, app, servers) = raised_cloud(b"k5", 5, 0);
+        for &s in &servers[..3] {
+            cloud.health.set_mode(s, GrayMode::ReadOnly);
+        }
+        assert_eq!(
+            cloud.put(app, 0, b"k5", b"v".to_vec()),
+            Err(CoreError::Store(StoreError::QuorumNotMet {
+                needed: 3,
+                got: 2
+            }))
+        );
+        assert_eq!(
+            cloud.end_epoch().insert_failures,
+            0,
+            "gray servers, not storage, refused the write"
+        );
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn prop_acked_writes_meet_every_quorum_read(
+            (k, first) in (1usize..13, 0u32..200),
+            modes in proptest::collection::vec(0u8..4, 12..13),
+            (cut, country, prior) in (
+                proptest::option::of(0u16..5),
+                proptest::option::of(0usize..10),
+                proptest::prelude::any::<bool>(),
+            ),
+        ) {
+            let (mut cloud, app, servers) = raised_cloud(b"p", k, first);
+            if cut.is_some() {
+                cloud.force_continent_partition(cut);
+                cloud.begin_epoch();
+            }
+            // An older value on every replica that acks it, so a stale
+            // read shows as the old value, not only as a miss.
+            if prior {
+                let _ = cloud.put(app, 0, b"p", b"old".to_vec());
+            }
+            for (&s, mode) in servers.iter().zip(&modes) {
+                let mode = match mode {
+                    0 => GrayMode::Healthy,
+                    1 => GrayMode::ReadOnly,
+                    2 => GrayMode::Slow { units: 2 },
+                    _ => GrayMode::Partitioned,
+                };
+                cloud.health.set_mode(s, mode);
+            }
+            let client = country.and_then(|c| cloud.topology.iter_client_locations().nth(c));
+            if cloud.put(app, 0, b"p", b"new".to_vec()).is_ok() {
+                for at in [None, client] {
+                    let read = cloud
+                        .client_get_with(app, 0, b"p", at, ReadConsistency::Quorum)
+                        .unwrap();
+                    if !read.degraded {
+                        proptest::prop_assert_eq!(
+                            read.value,
+                            Some(Bytes::from_static(b"new")),
+                            "k = {}, modes = {:?}, cut = {:?}, client = {:?}",
+                            k,
+                            &modes[..k],
+                            cut,
+                            at
+                        );
+                    }
+                }
+            }
         }
     }
 

@@ -215,7 +215,7 @@ mod tests {
     use super::*;
     use crate::app::{AppSpec, LevelSpec};
     use crate::availability::availability_of;
-    use crate::cloud::tests::{paper_cluster, small_cloud, GIB};
+    use crate::cloud::tests::{one_batch, paper_cluster, small_cloud, GIB};
     use crate::config::SkuteConfig;
     use skute_cluster::{Capacities, ServerSpec};
     use skute_geo::{ClientGeo, Topology};
@@ -343,7 +343,9 @@ mod tests {
                 });
             }
             checked += check_leave_one_out_memos(&cloud);
-            cloud.deliver_queries(app, 0, 3_000.0, &regions).unwrap();
+            cloud
+                .deliver_queries_multi(one_batch(app, 0, 3_000.0, &regions))
+                .unwrap();
             cloud.end_epoch();
             checked += check_leave_one_out_memos(&cloud);
         }

@@ -90,43 +90,25 @@ fn plan_one_delivery(
 }
 
 impl SkuteCloud {
-    /// Delivers an epoch's query traffic to one ring: `total_queries` are
-    /// spread over partitions proportionally to their popularity, arrive
-    /// from `regions` (normalized weights), and are answered by replicas
+    /// Delivers one epoch's query traffic to one or more rings. Each
+    /// batch's queries are spread over its ring's partitions
+    /// proportionally to their popularity, arrive from the batch's
+    /// regions (normalized weights), and are answered by replicas
     /// proportionally to their client proximity `g`, spilling over when a
     /// server's query capacity saturates. Replica utility accrues per
     /// eq. (5).
     ///
-    /// Equivalent to a one-element [`SkuteCloud::deliver_queries_multi`]
-    /// call; batching every ring's traffic into one `multi` call runs all
-    /// plan passes in a single fan-out.
-    pub fn deliver_queries(
-        &mut self,
-        app: AppId,
-        level: u32,
-        total_queries: f64,
-        regions: &[RegionWeight],
-    ) -> Result<(), CoreError> {
-        self.deliver_queries_multi(vec![TrafficBatch {
-            app,
-            level,
-            queries: total_queries,
-            regions: regions.to_vec(),
-        }])
-    }
-
-    /// Delivers one epoch's query traffic to several rings at once,
-    /// batching every ring's delivery **plan** pass into a single
-    /// fan-out over the thread budget, then committing sequentially: the
-    /// rings in batch order, each ring's partitions in ring order, every
-    /// partition served against the live per-server query-capacity meters. Delivery plans read no capacity meters, so
-    /// the trajectory is **bitwise identical** to per-ring
-    /// [`SkuteCloud::deliver_queries`] calls.
+    /// Every ring's delivery **plan** pass runs in a single fan-out over
+    /// the thread budget; commits are sequential: the rings in batch
+    /// order, each ring's partitions in ring order, every partition served
+    /// against the live per-server query-capacity meters. Delivery plans
+    /// read no capacity meters, so the trajectory is **bitwise identical**
+    /// to one-batch calls made in turn.
     ///
     /// Batches are processed in order; batches addressing the same ring
     /// observe each other's committed traffic exactly like consecutive
-    /// [`SkuteCloud::deliver_queries`] calls. A batch naming an unknown
-    /// app or level fails the whole call before any traffic lands.
+    /// one-batch calls. A batch naming an unknown app or level fails the
+    /// whole call before any traffic lands.
     pub fn deliver_queries_multi(&mut self, batches: Vec<TrafficBatch>) -> Result<(), CoreError> {
         // Resolve every ring up front: a bad batch fails the whole call
         // before any traffic lands.
@@ -343,7 +325,7 @@ impl SkuteCloud {
 mod tests {
     use super::*;
     use crate::app::{AppSpec, LevelSpec};
-    use crate::cloud::tests::{paper_cluster, small_cloud, GIB};
+    use crate::cloud::tests::{one_batch, paper_cluster, small_cloud, GIB};
     use crate::config::SkuteConfig;
     use crate::metrics::EpochReport;
     use skute_cluster::{Capacities, ServerSpec};
@@ -359,7 +341,9 @@ mod tests {
         }
         cloud.begin_epoch();
         let regions = skute_geo::ClientGeo::Uniform.region_weights(cloud.topology());
-        cloud.deliver_queries(app, 0, 3000.0, &regions).unwrap();
+        cloud
+            .deliver_queries_multi(one_batch(app, 0, 3000.0, &regions))
+            .unwrap();
         let report = cloud.end_epoch();
         let ring = report.ring(RingId::new(app.0, 0)).unwrap();
         assert!((ring.queries_offered - 3000.0).abs() < 1e-6);
@@ -399,7 +383,9 @@ mod tests {
         let mut out = Vec::new();
         for _ in 0..epochs {
             cloud.begin_epoch();
-            cloud.deliver_queries(app, 0, queries, &regions).unwrap();
+            cloud
+                .deliver_queries_multi(one_batch(app, 0, queries, &regions))
+                .unwrap();
             let report = cloud.end_epoch();
             let meters: Vec<(ServerId, u64, u64)> = cloud
                 .cluster()
@@ -536,9 +522,11 @@ mod tests {
         };
         let (mut single, app) = build();
         let regions = skute_geo::ClientGeo::Uniform.region_weights(single.topology());
-        single.deliver_queries(app, 0, 900.0, &regions).unwrap();
-        single.deliver_queries(app, 1, 1_400.0, &regions).unwrap();
-        single.deliver_queries(app, 0, 300.0, &regions).unwrap();
+        for (level, queries) in [(0, 900.0), (1, 1_400.0), (0, 300.0)] {
+            single
+                .deliver_queries_multi(one_batch(app, level, queries, &regions))
+                .unwrap();
+        }
         let a = fingerprint(&mut single);
         let (mut multi, app) = build();
         multi
@@ -602,7 +590,9 @@ mod tests {
         }
         cloud.begin_epoch();
         let regions = skute_geo::ClientGeo::Uniform.region_weights(cloud.topology());
-        cloud.deliver_queries(app, 0, 1000.0, &regions).unwrap();
+        cloud
+            .deliver_queries_multi(one_batch(app, 0, 1000.0, &regions))
+            .unwrap();
         let report = cloud.end_epoch();
         let ring = report.ring(RingId::new(app.0, 0)).unwrap();
         assert!((ring.queries_offered - 1000.0).abs() < 1e-6);

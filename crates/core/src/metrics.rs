@@ -89,11 +89,6 @@ impl EpochReport {
         self.rings.iter().map(|r| r.vnodes).sum()
     }
 
-    /// Aggregate net benefit `Σ u − Σ c` this epoch (eq. 5 summed).
-    pub fn net_benefit(&self) -> f64 {
-        self.utility_earned - self.rent_paid
-    }
-
     /// The ring report for `ring`, if present.
     pub fn ring(&self, ring: RingId) -> Option<&RingReport> {
         self.rings.iter().find(|r| r.ring == ring)
@@ -208,7 +203,6 @@ mod tests {
         let r = report();
         assert!((r.storage_frac() - 0.25).abs() < 1e-12);
         assert_eq!(r.total_vnodes(), 50);
-        assert!((r.net_benefit() - 2.5).abs() < 1e-12);
         assert_eq!(r.ring(RingId::new(1, 0)).unwrap().vnodes, 30);
         assert!(r.ring(RingId::new(9, 9)).is_none());
     }

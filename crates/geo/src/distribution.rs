@@ -70,12 +70,6 @@ impl ClientGeo {
             })
             .collect()
     }
-
-    /// True for the exactly-uniform distribution, for which the paper fixes
-    /// the proximity weight to 1 (see `skute-economy::scoring`).
-    pub fn is_uniform(&self) -> bool {
-        matches!(self, ClientGeo::Uniform)
-    }
 }
 
 #[cfg(test)]
@@ -138,15 +132,5 @@ mod tests {
         assert!(ClientGeo::Weighted(Vec::new())
             .region_weights(&t)
             .is_empty());
-    }
-
-    #[test]
-    fn is_uniform_only_for_uniform() {
-        assert!(ClientGeo::Uniform.is_uniform());
-        assert!(!ClientGeo::SingleCountry {
-            continent: 0,
-            country: 0
-        }
-        .is_uniform());
     }
 }

@@ -24,11 +24,9 @@
 pub mod distribution;
 pub mod diversity;
 pub mod hierarchy;
-pub mod latency;
 pub mod location;
 
 pub use distribution::{ClientGeo, RegionWeight};
 pub use diversity::{diversity, diversity_between, normalized_diversity, Diversity, MAX_DIVERSITY};
 pub use hierarchy::{Topology, TopologyBuilder};
-pub use latency::LatencyModel;
 pub use location::{Level, Location};

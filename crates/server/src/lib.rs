@@ -12,7 +12,7 @@
 //! |---|---|
 //! | `GET /healthz` | liveness probe, `200 ok` |
 //! | `GET /metrics` | Prometheus text exposition of the shared registry |
-//! | `GET /kv/<key>` | proximity-routed read ([`SkuteCloud::client_get`]); `X-Served-By` / `X-Proximity` / `X-Replicas-Read` response headers; 404 for absent keys |
+//! | `GET /kv/<key>` | proximity-routed read ([`SkuteCloud::client_get_with`]); `X-Served-By` / `X-Proximity` / `X-Replicas-Read` response headers; 404 for absent keys |
 //! | `PUT /kv/<key>` | write, body is the value, `204` |
 //! | `DELETE /kv/<key>` | tombstone write, `204` |
 //! | `GET /scan?prefix=&limit=` | ordered prefix scan, one `key\tvalue` line each (percent-encoded) |
@@ -21,11 +21,11 @@
 //!
 //! Reads accept an `X-Consistency: one|quorum` request header selecting
 //! the read path: `one` answers from the closest reachable replica,
-//! `quorum` reads ⌈(n+1)/2⌉ replicas, merges last-writer-wins, and
-//! schedules read-repair for stale copies. When gray failures or a
-//! partition leave fewer reachable replicas than the quorum needs, the
-//! server degrades gracefully — it still answers from what it can reach
-//! and flags the response with `X-Degraded: true`.
+//! `quorum` reads a majority of the partition's k replicas, merges
+//! last-writer-wins, and schedules read-repair for stale copies. When
+//! gray failures or a partition leave fewer reachable replicas than the
+//! quorum needs, the server degrades gracefully — it still answers from
+//! what it can reach and flags the response with `X-Degraded: true`.
 //!
 //! Every message, request or response, is sent in one write (both ends
 //! set `TCP_NODELAY`, so a second write would be a second segment). A
@@ -44,7 +44,7 @@
 //! simulator uses, so a serving cloud and a simulated cloud expose the
 //! same trajectory instrumentation.
 //!
-//! [`SkuteCloud::client_get`]: skute_core::SkuteCloud::client_get
+//! [`SkuteCloud::client_get_with`]: skute_core::SkuteCloud::client_get_with
 
 #![warn(missing_docs)]
 

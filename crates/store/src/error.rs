@@ -12,15 +12,6 @@ pub enum StoreError {
         /// Responses/acks obtained.
         got: usize,
     },
-    /// A quorum configuration violated `1 ≤ r,w ≤ n`.
-    InvalidQuorum {
-        /// Configured replica count.
-        n: usize,
-        /// Configured read quorum.
-        r: usize,
-        /// Configured write quorum.
-        w: usize,
-    },
     /// No replica of the partition is currently reachable.
     NoReplicas,
     /// A write could not be placed because storage capacity ran out.
@@ -32,9 +23,6 @@ impl fmt::Display for StoreError {
         match self {
             StoreError::QuorumNotMet { needed, got } => {
                 write!(f, "quorum not met: needed {needed}, got {got}")
-            }
-            StoreError::InvalidQuorum { n, r, w } => {
-                write!(f, "invalid quorum config: n={n}, r={r}, w={w}")
             }
             StoreError::NoReplicas => f.write_str("no replicas reachable"),
             StoreError::CapacityExceeded => f.write_str("storage capacity exceeded"),
@@ -53,10 +41,6 @@ mod tests {
         assert_eq!(
             StoreError::QuorumNotMet { needed: 2, got: 1 }.to_string(),
             "quorum not met: needed 2, got 1"
-        );
-        assert_eq!(
-            StoreError::InvalidQuorum { n: 3, r: 0, w: 1 }.to_string(),
-            "invalid quorum config: n=3, r=0, w=1"
         );
         assert_eq!(StoreError::NoReplicas.to_string(), "no replicas reachable");
         assert_eq!(

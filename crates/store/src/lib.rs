@@ -1,8 +1,8 @@
 //! # skute-store
 //!
 //! The key-value storage substrate of Skute: versioned records, pluggable
-//! per-replica storage engines with byte accounting, and Dynamo-style
-//! quorum read/write helpers.
+//! per-replica storage engines with byte accounting, and anti-entropy
+//! summaries.
 //!
 //! The paper builds on a Dynamo-like design (§I, ref. \[5\]): data is
 //! identified by keys, partitions hold key ranges, replicas of a partition
@@ -38,7 +38,6 @@
 //!   across engines) and `physical_bytes` (what a transfer really moves),
 //! * [`CowPartitionStore`] — the copy-on-write handle behind
 //!   [`ReplicaStore::Mem`],
-//! * [`quorum`] — N/R/W arithmetic and response merging,
 //! * [`merkle`] — bucketed Merkle summaries for anti-entropy, buildable
 //!   incrementally from any backend via [`MerkleBuilder`].
 
@@ -50,7 +49,6 @@ pub mod error;
 pub mod faults;
 pub mod lsm;
 pub mod merkle;
-pub mod quorum;
 pub mod value;
 
 mod shared;
@@ -61,6 +59,5 @@ pub use error::StoreError;
 pub use faults::{FaultInjector, FaultPlan, FaultPlanKind, FaultStats};
 pub use lsm::{LsmStore, StorageActivity};
 pub use merkle::{diff_buckets, MerkleBuilder, MerkleSummary};
-pub use quorum::QuorumConfig;
 pub use shared::CowPartitionStore;
 pub use value::{Record, Version};

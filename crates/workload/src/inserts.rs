@@ -61,12 +61,6 @@ impl InsertGenerator {
             })
             .collect()
     }
-
-    /// Mean logical bytes this generator pushes per epoch (before
-    /// replication).
-    pub fn bytes_per_epoch(&self) -> f64 {
-        self.rate_per_epoch * self.object_bytes as f64
-    }
 }
 
 #[cfg(test)]
@@ -79,7 +73,7 @@ mod tests {
     fn paper_rates() {
         let g = InsertGenerator::paper();
         assert_eq!(g.object_bytes, 500_000);
-        assert!((g.bytes_per_epoch() - 1e9).abs() < 1.0);
+        assert_eq!(g.rate_per_epoch, 2000.0);
     }
 
     #[test]

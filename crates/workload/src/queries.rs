@@ -51,11 +51,6 @@ impl<T: LoadTrace> QueryGenerator<T> {
         }
     }
 
-    /// Number of applications.
-    pub fn app_count(&self) -> usize {
-        self.fractions.len()
-    }
-
     /// Samples one epoch of traffic.
     pub fn epoch(&self, rng: &mut impl Rng, epoch: u64) -> Vec<AppTraffic> {
         let lambda = self.trace.rate(epoch);
@@ -102,7 +97,6 @@ mod tests {
         let total: f64 = traffic.iter().map(|t| t.queries).sum();
         assert!((traffic[0].queries / total - 4.0 / 7.0).abs() < 1e-9);
         assert!((traffic[2].queries / total - 1.0 / 7.0).abs() < 1e-9);
-        assert_eq!(g.app_count(), 3);
     }
 
     #[test]

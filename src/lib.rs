@@ -92,14 +92,14 @@ pub mod prelude {
         ReadConsistency, RingReport, ScrubReport, SkuteCloud, SkuteConfig, TrafficBatch,
     };
     pub use skute_economy::EconomyConfig;
-    pub use skute_geo::{diversity, ClientGeo, LatencyModel, Level, Location, Topology};
+    pub use skute_geo::{diversity, ClientGeo, Level, Location, Topology};
     pub use skute_obs::Registry;
     pub use skute_ring::{KeyRange, PartitionId, RingId, Token};
     pub use skute_server::{LoadConfig, LoadReport, ServerConfig, SkuteServer};
     pub use skute_sim::{
         CloudEvent, Observation, Recorder, Scenario, ScenarioApp, Schedule, Simulation, TraceKind,
     };
-    pub use skute_store::{BackendKind, FaultPlan, FaultPlanKind, FaultStats, QuorumConfig};
+    pub use skute_store::{BackendKind, FaultPlan, FaultPlanKind, FaultStats};
     pub use skute_workload::{
         ConstantTrace, InsertGenerator, LoadTrace, Pareto, Poisson, QueryGenerator, SlashdotTrace,
         Zipf,
