@@ -3,8 +3,8 @@
 //! This file keeps the struct, its construction, the application and
 //! server lifecycle and the `begin_epoch`/`end_epoch` orchestration. The
 //! rest of the `impl` sits next to what it does: `client` (the
-//! [`ReadView`] and the data path), `maintenance` (anti-entropy, scrub,
-//! storage accounting) and one file per epoch phase — `traffic`, `repair`,
+//! [`ReadView`] and the data path), `maintenance` (scrub, storage
+//! accounting) and one file per epoch phase — `traffic`, `repair`,
 //! `decisions`, `report` — over the action executors in `exec`.
 
 use std::collections::BTreeMap;
@@ -40,7 +40,7 @@ pub(crate) mod repair;
 mod report;
 pub(crate) mod traffic;
 
-pub use client::{ClientRead, ReadConsistency, ReadView};
+pub use client::{ClientRead, ClientScan, ReadConsistency, ReadView};
 pub use traffic::TrafficBatch;
 
 /// Runtime state of one virtual ring.

@@ -1,5 +1,5 @@
-//! The client data path: routed reads behind a [`ReadView`], and the
-//! write, scan, ingest and read-repair halves of [`SkuteCloud`]'s client
+//! The client data path: routed reads and scans behind a [`ReadView`],
+//! and the write, ingest and read-repair halves of [`SkuteCloud`]'s client
 //! API.
 //!
 //! A client's query goes to the closest live replica (§II, eq. 4) and
@@ -25,21 +25,25 @@ use crate::app::{AppId, Application};
 use crate::error::CoreError;
 use crate::health::HealthState;
 use crate::obs::CloudMetrics;
+use crate::vnode::PartitionState;
 
-/// Requested consistency of a serving-path read
-/// ([`SkuteCloud::client_get_with`], `skute-server`'s `X-Consistency`
-/// header).
+/// Requested consistency of a serving-path read or scan
+/// ([`ReadView::client_get_with`], [`ReadView::scan`], `skute-server`'s
+/// `X-Consistency` header).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ReadConsistency {
     /// Serve from the single highest-proximity reachable replica (the
-    /// default; fastest, may observe a divergent replica).
+    /// default; fastest, may observe a divergent replica). A key read
+    /// that misses there falls back to every local store; a scan has no
+    /// such fallback and leaves out keys its replica missed.
     #[default]
     One,
-    /// Read a majority (`⌊k/2⌋ + 1`) of the partition's k replicas,
-    /// resolve by last-writer-wins, and schedule read-repair for every
-    /// stale replica observed. Writes ack on the same majority of the same
-    /// k, and two majorities of k intersect, so a non-degraded quorum read
-    /// sees every write acknowledged since the replica set last changed.
+    /// Read a majority (`⌊k/2⌋ + 1`) of the partition's k replicas and
+    /// resolve by last-writer-wins; a key read also schedules read-repair
+    /// for every stale replica observed (a scan does not). Writes ack on
+    /// the same majority of the same k, and two majorities of k
+    /// intersect, so a non-degraded quorum read sees every write
+    /// acknowledged since the replica set last changed.
     Quorum,
 }
 
@@ -99,6 +103,21 @@ pub struct ClientRead {
     pub repairs_scheduled: usize,
 }
 
+/// The result of a [`ReadView::scan`]: the live entries under the prefix
+/// and whether the scan met its requested consistency. A scan that met
+/// [`ReadConsistency::Quorum`] holds every acknowledged write; one at
+/// [`ReadConsistency::One`] holds what its one replica per partition
+/// holds, and may leave out a key a read-only replica missed.
+#[derive(Debug, Clone, PartialEq)]
+pub struct ClientScan {
+    /// Live `(key, value)` pairs in key order.
+    pub entries: Vec<(Bytes, Bytes)>,
+    /// True when some partition's read fell short of the requested
+    /// consistency (as [`ClientRead::degraded`] would for a key of it) or
+    /// the partition has no replica left.
+    pub degraded: bool,
+}
+
 /// What a serving-path read needs of the cloud, borrowed: rings and
 /// replica membership, server liveness and location, the topology, the
 /// epoch's health state, and the two write-only sinks a read reports into
@@ -117,12 +136,12 @@ pub struct ReadView<'a> {
 impl ReadView<'_> {
     /// Routes `key` through the ring and reads it at `consistency`.
     ///
-    /// `One` picks the **alive**, reachable replica with the highest
+    /// `One` reads the **alive**, reachable replica with the highest
     /// eq.-(4) proximity weight for `client` (ties break to the earliest
     /// replica; no client location means every weight is the neutral 1.0,
     /// so the first alive replica serves) and falls back to the LWW merge
-    /// across all replicas when the chosen replica misses — a divergent
-    /// replica must not turn a stored key into a spurious 404.
+    /// across all replicas when that replica misses — a divergent replica
+    /// must not turn a stored key into a spurious 404.
     ///
     /// `Quorum` reads `⌊k/2⌋ + 1` reachable replicas (highest eq.-(4)
     /// proximity first), resolves them by last-writer-wins, and enqueues
@@ -149,134 +168,60 @@ impl ReadView<'_> {
         if partition.replicas.is_empty() {
             return Err(CoreError::Store(StoreError::NoReplicas));
         }
-        let regions = client.map(|location| {
-            [RegionQueries {
-                location,
-                queries: 1.0,
-            }]
-        });
-        // Alive, reachable replicas with their proximity weights, in
-        // replica order.
-        let mut reachable: Vec<(usize, f64)> = Vec::new();
-        for (i, replica) in partition.replicas.iter().enumerate() {
-            let Some(server) = self.cluster.get_alive(replica.server) else {
-                continue;
-            };
-            if !self
-                .health
-                .reachable(replica.server, &server.location, client)
-            {
-                continue;
-            }
-            let g = match &regions {
-                Some(r) => proximity(r, &server.location, self.topology),
-                None => 1.0,
-            };
-            reachable.push((i, g));
-        }
-        // The LWW merge across every local store, reachable or not.
-        let merge_all_replicas = || {
-            let responses = partition.replicas.iter().filter_map(|r| r.store.get(key));
-            Record::merge_all(responses).and_then(|r| r.value)
+        let (read_set, degraded) = self.read_set(partition, client, consistency);
+        let responses: Vec<(usize, f64, Option<Record>)> = read_set
+            .iter()
+            .map(|&(i, g)| (i, g, partition.replicas[i].store.get(key)))
+            .collect();
+        let winner = Record::merge_all(responses.iter().filter_map(|(_, _, r)| r.clone()));
+        // Every response below the winning version is stale; schedule the
+        // key for targeted repair. A one-replica read never sees one.
+        let repairs_scheduled = match &winner {
+            Some(w) => responses
+                .iter()
+                .filter(|(_, _, r)| match r {
+                    Some(rec) => rec.version < w.version,
+                    None => true,
+                })
+                .count(),
+            None => 0,
         };
-        let read = match consistency {
-            ReadConsistency::One => {
-                // Highest proximity wins, ties break to the earliest
-                // replica — exactly the pre-quorum routing.
-                let mut best: Option<(usize, f64)> = None;
-                for &(i, g) in &reachable {
-                    if best.is_none_or(|(_, bg)| g > bg) {
-                        best = Some((i, g));
-                    }
-                }
-                // Nothing reachable: serve from the first replica's store
-                // anyway (the data still exists; liveness is the repair
-                // pass's problem, not the read path's) and flag the read.
-                let degraded = best.is_none();
-                let (idx, g) = best.unwrap_or((0, 1.0));
-                let chosen = &partition.replicas[idx];
-                let value = match chosen.store.get(key) {
-                    Some(record) => record.value,
-                    None => merge_all_replicas(),
-                };
-                ClientRead {
-                    value,
-                    served_by: chosen.server,
-                    proximity: g,
-                    degraded,
-                    replicas_read: 1,
-                    repairs_scheduled: 0,
-                }
+        if repairs_scheduled > 0 {
+            self.repair_queue
+                .lock()
+                .expect("read-repair queue poisoned")
+                .push((ring_idx, key.to_vec()));
+        }
+        // Serve from the highest-proximity replica that held the winning
+        // record (the read set is already proximity-sorted).
+        let (idx, g) = responses
+            .iter()
+            .find(|(_, _, r)| match (&winner, r) {
+                (Some(w), Some(rec)) => rec.version == w.version,
+                (None, None) => true,
+                _ => false,
+            })
+            .map(|&(i, g, _)| (i, g))
+            .unwrap_or(read_set[0]);
+        let value = match winner {
+            Some(record) => record.value,
+            // A single replica may have diverged, and a degraded quorum
+            // can miss the key while an unreachable replica still holds
+            // it: fall back to the LWW merge across every local store
+            // rather than inventing a 404.
+            None if degraded || consistency == ReadConsistency::One => {
+                Record::merge_all(partition.replicas.iter().filter_map(|r| r.store.get(key)))
+                    .and_then(|r| r.value)
             }
-            ReadConsistency::Quorum => {
-                let k = partition.replicas.len();
-                let need = majority(k);
-                let degraded = reachable.len() < need;
-                // Read set: the `need` highest-proximity reachable
-                // replicas (ties to the earliest), or every replica when
-                // nothing is reachable at all.
-                let mut read_set: Vec<(usize, f64)> = if reachable.is_empty() {
-                    (0..k).map(|i| (i, 1.0)).collect()
-                } else {
-                    reachable.clone()
-                };
-                read_set.sort_by(|a, b| {
-                    b.1.partial_cmp(&a.1)
-                        .unwrap_or(std::cmp::Ordering::Equal)
-                        .then(a.0.cmp(&b.0))
-                });
-                read_set.truncate(need.max(1));
-                let responses: Vec<(usize, f64, Option<Record>)> = read_set
-                    .iter()
-                    .map(|&(i, g)| (i, g, partition.replicas[i].store.get(key)))
-                    .collect();
-                let winner = Record::merge_all(responses.iter().filter_map(|(_, _, r)| r.clone()));
-                // Every response below the winning version is stale;
-                // schedule the key for targeted repair.
-                let repairs_scheduled = match &winner {
-                    Some(w) => responses
-                        .iter()
-                        .filter(|(_, _, r)| match r {
-                            Some(rec) => rec.version < w.version,
-                            None => true,
-                        })
-                        .count(),
-                    None => 0,
-                };
-                if repairs_scheduled > 0 {
-                    self.repair_queue
-                        .lock()
-                        .expect("read-repair queue poisoned")
-                        .push((ring_idx, key.to_vec()));
-                }
-                // Serve from the highest-proximity replica that held the
-                // winning record (read_set is already proximity-sorted).
-                let (idx, g) = responses
-                    .iter()
-                    .find(|(_, _, r)| match (&winner, r) {
-                        (Some(w), Some(rec)) => rec.version == w.version,
-                        (None, None) => true,
-                        _ => false,
-                    })
-                    .map(|&(i, g, _)| (i, g))
-                    .unwrap_or((read_set[0].0, read_set[0].1));
-                let value = match winner {
-                    Some(record) => record.value,
-                    // A degraded quorum can miss the key entirely while an
-                    // unreachable replica still holds it; fall back to the
-                    // local LWW merge rather than inventing a 404.
-                    None if degraded => merge_all_replicas(),
-                    None => None,
-                };
-                ClientRead {
-                    value,
-                    served_by: partition.replicas[idx].server,
-                    proximity: g,
-                    degraded,
-                    replicas_read: responses.len(),
-                    repairs_scheduled,
-                }
-            }
+            None => None,
+        };
+        let read = ClientRead {
+            value,
+            served_by: partition.replicas[idx].server,
+            proximity: g,
+            degraded,
+            replicas_read: responses.len(),
+            repairs_scheduled,
         };
         if let Some(m) = self.metrics {
             if consistency == ReadConsistency::Quorum {
@@ -291,6 +236,122 @@ impl ReadView<'_> {
             }
         }
         Ok(read)
+    }
+
+    /// Ordered prefix scan over one ring at `consistency`: every
+    /// partition is read from the same replica set
+    /// [`ReadView::client_get_with`] would read a key of it from, the
+    /// responses are merged last-writer-wins, and up to `limit` live
+    /// `(key, value)` pairs under `prefix` come back in key order
+    /// (`limit = 0` means unbounded). The scan is
+    /// [`ClientScan::degraded`] when any partition's read fell short of
+    /// `consistency` or has no replica left. Scans schedule no
+    /// read-repair, and unlike a key read a scan does not fall back to
+    /// every local store on a miss: at `One` it returns what the one
+    /// replica it reads holds.
+    pub fn scan(
+        &self,
+        app: AppId,
+        level: u32,
+        prefix: &[u8],
+        limit: usize,
+        client: Option<Location>,
+        consistency: ReadConsistency,
+    ) -> Result<ClientScan, CoreError> {
+        let ring_idx = ring_index(self.apps, self.rings, app, level)?;
+        let mut merged: BTreeMap<Bytes, Record> = BTreeMap::new();
+        let mut degraded = false;
+        for partition in self.rings[ring_idx].partitions.values() {
+            if partition.replicas.is_empty() {
+                degraded = true;
+                continue;
+            }
+            let (read_set, short) = self.read_set(partition, client, consistency);
+            degraded |= short;
+            for (i, _) in read_set {
+                partition.replicas[i].store.for_each(&mut |key, record| {
+                    if !key.starts_with(prefix) {
+                        return;
+                    }
+                    match merged.get(key) {
+                        Some(existing) if record.version <= existing.version => {}
+                        _ => {
+                            merged.insert(key.clone(), record.clone());
+                        }
+                    }
+                });
+            }
+        }
+        let mut entries = Vec::new();
+        for (key, record) in merged {
+            if let Some(value) = record.value {
+                entries.push((key, value));
+                if limit > 0 && entries.len() >= limit {
+                    break;
+                }
+            }
+        }
+        if degraded {
+            if let Some(m) = self.metrics {
+                m.degraded_reads.inc();
+            }
+        }
+        Ok(ClientScan { entries, degraded })
+    }
+
+    /// The replicas a read of `partition` (which has at least one) at
+    /// `consistency` consults, with their eq.-(4) proximity weights for
+    /// `client` (the neutral 1.0 without a client location): the alive,
+    /// reachable replicas, highest weight first with ties to the earliest
+    /// replica, cut to one for `One` and to `⌊k/2⌋ + 1` for `Quorum`.
+    /// The flag is true when fewer were reachable. With none reachable
+    /// the set is the first replicas in replica order — the data still
+    /// exists, and liveness is the repair pass's problem, not the read
+    /// path's.
+    fn read_set(
+        &self,
+        partition: &PartitionState,
+        client: Option<Location>,
+        consistency: ReadConsistency,
+    ) -> (Vec<(usize, f64)>, bool) {
+        let need = match consistency {
+            ReadConsistency::One => 1,
+            ReadConsistency::Quorum => majority(partition.replicas.len()),
+        };
+        let regions = client.map(|location| {
+            [RegionQueries {
+                location,
+                queries: 1.0,
+            }]
+        });
+        let mut set: Vec<(usize, f64)> = Vec::new();
+        for (i, replica) in partition.replicas.iter().enumerate() {
+            let Some(server) = self.cluster.get_alive(replica.server) else {
+                continue;
+            };
+            if !self
+                .health
+                .reachable(replica.server, &server.location, client)
+            {
+                continue;
+            }
+            let g = match &regions {
+                Some(r) => proximity(r, &server.location, self.topology),
+                None => 1.0,
+            };
+            set.push((i, g));
+        }
+        if set.is_empty() {
+            return ((0..need).map(|i| (i, 1.0)).collect(), true);
+        }
+        let short = set.len() < need;
+        set.sort_by(|a, b| {
+            b.1.partial_cmp(&a.1)
+                .unwrap_or(std::cmp::Ordering::Equal)
+                .then(a.0.cmp(&b.0))
+        });
+        set.truncate(need);
+        (set, short)
     }
 }
 
@@ -351,11 +412,13 @@ impl SkuteCloud {
             .client_get_with(app, level, key, client, consistency)
     }
 
-    /// Ordered prefix scan over one ring: merges every partition's
-    /// replicas version-dominantly (so divergent replicas cannot hide or
-    /// resurrect entries), filters live records under `prefix`, and
-    /// returns up to `limit` `(key, value)` pairs in key order
-    /// (`limit = 0` means unbounded).
+    /// Ordered prefix scan over one ring: [`ReadView::scan`] at
+    /// [`ReadConsistency::One`] with no client location, returning up to
+    /// `limit` live `(key, value)` pairs in key order (`limit = 0` means
+    /// unbounded). Each partition is read from one replica, so a key
+    /// that replica missed is left out; a quorum scan through
+    /// [`SkuteCloud::read_view`] is the one that meets every
+    /// acknowledged write.
     pub fn scan(
         &self,
         app: AppId,
@@ -363,33 +426,9 @@ impl SkuteCloud {
         prefix: &[u8],
         limit: usize,
     ) -> Result<Vec<(Bytes, Bytes)>, CoreError> {
-        let ring_idx = self.ring_index(app, level)?;
-        let mut merged: BTreeMap<Bytes, Record> = BTreeMap::new();
-        for partition in self.rings[ring_idx].partitions.values() {
-            for replica in &partition.replicas {
-                replica.store.for_each(&mut |key, record| {
-                    if !key.starts_with(prefix) {
-                        return;
-                    }
-                    match merged.get(key) {
-                        Some(existing) if record.version <= existing.version => {}
-                        _ => {
-                            merged.insert(key.clone(), record.clone());
-                        }
-                    }
-                });
-            }
-        }
-        let mut out = Vec::new();
-        for (key, record) in merged {
-            if let Some(value) = record.value {
-                out.push((key, value));
-                if limit > 0 && out.len() >= limit {
-                    break;
-                }
-            }
-        }
-        Ok(out)
+        self.read_view()
+            .scan(app, level, prefix, limit, None, ReadConsistency::One)
+            .map(|scan| scan.entries)
     }
 
     /// Ingests a synthetic object: charges `logical_bytes` against every
@@ -528,8 +567,9 @@ impl SkuteCloud {
     /// re-accounting. The queue is sorted and deduplicated first, so the
     /// repair order is a pure function of its contents regardless of how
     /// concurrent serving threads interleaved their enqueues. A replica
-    /// whose server cannot absorb the winner's extra bytes is skipped
-    /// (anti-entropy and the scheduled scrub retry it later). Simulation
+    /// whose server cannot absorb the winner's extra bytes is skipped and
+    /// stays stale until the key is written again or a later quorum read
+    /// observes it again: no background pass converges it. Simulation
     /// trajectories never enter here — only `client_get_with` enqueues —
     /// so determinism byte-compares are untouched.
     pub(super) fn drain_read_repairs(&mut self) {
@@ -827,6 +867,79 @@ mod tests {
     }
 
     #[test]
+    fn scan_flags_a_partition_it_cannot_reach() {
+        let (mut cloud, app) = small_cloud();
+        cloud.begin_epoch();
+        cloud.put(app, 0, b"s", b"v".to_vec()).unwrap();
+        for _ in 0..6 {
+            cloud.begin_epoch();
+            cloud.end_epoch();
+        }
+        let row = vec![(Bytes::from_static(b"s"), Bytes::from_static(b"v"))];
+        let clean = cloud
+            .read_view()
+            .scan(app, 0, b"s", 0, None, ReadConsistency::Quorum)
+            .unwrap();
+        assert!(!clean.degraded);
+        assert_eq!(clean.entries, row);
+        // Cut off every replica of the key's partition: the scan still
+        // answers from the local stores, and says so as the read does.
+        let pid = cloud.rings[0].ring.route(b"s");
+        for s in cloud.replica_servers(app, 0, pid).unwrap() {
+            cloud.health.set_mode(s, GrayMode::Partitioned);
+        }
+        for consistency in [ReadConsistency::One, ReadConsistency::Quorum] {
+            let get = cloud
+                .client_get_with(app, 0, b"s", None, consistency)
+                .unwrap();
+            let scan = cloud
+                .read_view()
+                .scan(app, 0, b"s", 0, None, consistency)
+                .unwrap();
+            assert!(get.degraded, "{consistency}");
+            assert_eq!(scan.degraded, get.degraded, "{consistency}");
+            assert_eq!(scan.entries, vec![(row[0].0.clone(), get.value.unwrap())]);
+        }
+    }
+
+    #[test]
+    fn one_scan_leaves_out_what_its_replica_missed() {
+        let (mut cloud, app) = small_cloud();
+        for _ in 0..6 {
+            cloud.begin_epoch();
+            cloud.end_epoch();
+        }
+        cloud.begin_epoch();
+        let pid = cloud.rings[0].ring.route(b"r");
+        let replicas = cloud.replica_servers(app, 0, pid).unwrap();
+        assert!(replicas.len() >= 3);
+        // The first replica serves a client-less `One` read, and a
+        // read-only one acks nothing: the write lands on the rest.
+        cloud.health.set_mode(replicas[0], GrayMode::ReadOnly);
+        cloud.put(app, 0, b"r", b"v".to_vec()).unwrap();
+        let row = vec![(Bytes::from_static(b"r"), Bytes::from_static(b"v"))];
+        // A key read falls back to every store on a miss; a `One` scan
+        // reads the replica that missed the write and leaves the key
+        // out, undegraded. A quorum scan meets the acked write.
+        let get = cloud
+            .client_get_with(app, 0, b"r", None, ReadConsistency::One)
+            .unwrap();
+        assert_eq!(get.served_by, replicas[0]);
+        assert_eq!(get.value.unwrap().as_ref(), b"v");
+        let one = cloud
+            .read_view()
+            .scan(app, 0, b"r", 0, None, ReadConsistency::One)
+            .unwrap();
+        assert_eq!((one.entries, one.degraded), (vec![], false));
+        assert!(cloud.scan(app, 0, b"r", 0).unwrap().is_empty());
+        let quorum = cloud
+            .read_view()
+            .scan(app, 0, b"r", 0, None, ReadConsistency::Quorum)
+            .unwrap();
+        assert_eq!((quorum.entries, quorum.degraded), (row, false));
+    }
+
+    #[test]
     fn writes_skip_gray_blocked_replicas_without_losing_acks() {
         let (mut cloud, app) = small_cloud();
         cloud.begin_epoch();
@@ -961,6 +1074,7 @@ mod tests {
             }
             let client = country.and_then(|c| cloud.topology.iter_client_locations().nth(c));
             if cloud.put(app, 0, b"p", b"new".to_vec()).is_ok() {
+                let row = (Bytes::from_static(b"p"), Bytes::from_static(b"new"));
                 for at in [None, client] {
                     let read = cloud
                         .client_get_with(app, 0, b"p", at, ReadConsistency::Quorum)
@@ -968,8 +1082,23 @@ mod tests {
                     if !read.degraded {
                         proptest::prop_assert_eq!(
                             read.value,
-                            Some(Bytes::from_static(b"new")),
+                            Some(row.1.clone()),
                             "k = {}, modes = {:?}, cut = {:?}, client = {:?}",
+                            k,
+                            &modes[..k],
+                            cut,
+                            at
+                        );
+                    }
+                    let scan = cloud
+                        .read_view()
+                        .scan(app, 0, b"p", 0, at, ReadConsistency::Quorum)
+                        .unwrap();
+                    if !scan.degraded {
+                        proptest::prop_assert!(
+                            scan.entries.contains(&row),
+                            "scan {:?}: k = {}, modes = {:?}, cut = {:?}, client = {:?}",
+                            scan.entries,
                             k,
                             &modes[..k],
                             cut,

@@ -1,15 +1,15 @@
-//! Background maintenance of the stored data — anti-entropy and the
-//! storage scrub — with the storage accounting and fault-injection hooks
-//! the integration tests audit them through.
+//! Background maintenance of the stored data — the storage scrub — with
+//! the storage accounting and fault-injection hooks the integration tests
+//! audit it through.
 
 use skute_cluster::ServerId;
 use skute_ring::PartitionId;
-use skute_store::{AntiEntropyUnion, FaultStats, MerkleSummary, PartitionStore, StorageActivity};
+use skute_store::{FaultStats, PartitionStore, StorageActivity};
 
 use super::{resize_storage, SkuteCloud};
 use crate::app::AppId;
 use crate::error::CoreError;
-use crate::metrics::{AntiEntropyReport, ScrubReport};
+use crate::metrics::ScrubReport;
 use crate::vnode::PartitionState;
 
 impl SkuteCloud {
@@ -94,91 +94,13 @@ impl SkuteCloud {
         Ok(total)
     }
 
-    /// Anti-entropy pass over one ring: detects divergent replica stores
-    /// with Merkle summaries (replicas can diverge when a full server
-    /// rejects a write) and repairs them by installing the LWW union on
-    /// every replica, with exact storage re-accounting.
-    ///
-    /// The union is built once per divergent partition and distributed to
-    /// the divergent replicas: under the mem backend as a copy-on-write
-    /// handle (every repaired replica shares one allocation until it next
-    /// diverges), under the LSM backend by merging the union's entries
-    /// into each replica's durable store. Partitions whose replicas are
-    /// already identical (shared allocations, or all Merkle roots equal)
-    /// are skipped outright and contribute to no counter; within a
-    /// *divergent* partition, replicas that already hold the union are
-    /// skipped without a writeback and counted in
-    /// [`AntiEntropyReport::replicas_in_sync`]. A replica whose server
-    /// cannot absorb the union's extra bytes is left divergent and counted
-    /// as deferred (it will be retried after the economy rebalances).
-    pub fn anti_entropy(&mut self, app: AppId, level: u32) -> Result<AntiEntropyReport, CoreError> {
-        let ring_idx = self.ring_index(app, level)?;
-        let hasher = self.rings[ring_idx].ring.hasher();
-        let pids = self.rings[ring_idx].ring.partition_ids();
-        let mut report = AntiEntropyReport::default();
-        for pid in pids {
-            let Some(range) = self.rings[ring_idx].ring.range_of(pid) else {
-                continue;
-            };
-            let partition = match self.rings[ring_idx].partitions.get(&pid) {
-                Some(p) if p.replicas.len() >= 2 => p,
-                _ => continue,
-            };
-            // Replicas sharing one storage allocation are trivially in
-            // sync: skip the Merkle pass entirely. (Mem replicas converge
-            // to shared COW allocations; LSM replicas always own their
-            // files and converge to equal Merkle roots instead.)
-            if partition
-                .replicas
-                .windows(2)
-                .all(|w| w[0].store.shares_storage_with(&w[1].store))
-            {
-                continue;
-            }
-            let roots: Vec<u64> = partition
-                .replicas
-                .iter()
-                .map(|r| r.store.merkle_summary(hasher, range, 32).root())
-                .collect();
-            if roots.windows(2).all(|w| w[0] == w[1]) {
-                continue;
-            }
-            // Build the LWW union of all replica stores, once.
-            let union = lww_union(partition, 0..partition.replicas.len())
-                .expect("divergence takes two replicas");
-            let union_bytes = union.logical_bytes();
-            let union_root = MerkleSummary::build(&union, hasher, range, 32).root();
-            let union = AntiEntropyUnion::new(self.config.backend, union);
-            let mut any_updated = false;
-            for (idx, &root) in roots.iter().enumerate() {
-                if root == union_root {
-                    report.replicas_in_sync += 1;
-                    continue;
-                }
-                if self.recharge_replica(ring_idx, pid, idx, union_bytes) {
-                    let p = self.rings[ring_idx].partitions.get_mut(&pid).unwrap();
-                    p.replicas[idx].store.install_union(&union);
-                    report.replicas_updated += 1;
-                    any_updated = true;
-                } else {
-                    report.replicas_deferred += 1;
-                }
-            }
-            if any_updated {
-                report.partitions_repaired += 1;
-            }
-        }
-        Ok(report)
-    }
-
     /// Storage scrub over one ring: verifies every replica store's on-disk
     /// checksums (a real re-read of every SSTable run under the LSM
     /// backend; the mem oracle is trivially healthy), quarantines replicas
     /// whose corruption survived the store's bounded read retries, and
     /// re-seeds each quarantined replica from the LWW union of its
-    /// partition's **healthy** peers — a fresh store built through the
-    /// same union installation the anti-entropy pass uses, with exact
-    /// storage re-accounting. Rebuild copies are priced in **measured**
+    /// partition's **healthy** peers — a fresh store the union is merged
+    /// into, with exact storage re-accounting. Rebuild copies are priced in **measured**
     /// bytes ([`crate::ActionCounts::scrub_rebuilds`] /
     /// [`crate::ActionCounts::measured_scrub_bytes`], observability-only —
     /// decisions and the trajectory never read them, so scrubbing cannot
@@ -217,14 +139,13 @@ impl SkuteCloud {
                 continue;
             };
             let union_bytes = union.logical_bytes();
-            let union = AntiEntropyUnion::new(self.config.backend, union);
             for idx in suspects {
                 if !self.recharge_replica(ring_idx, pid, idx, union_bytes) {
                     report.replicas_deferred += 1;
                     continue;
                 }
                 let mut fresh = self.empty_store();
-                fresh.install_union(&union);
+                fresh.merge_from(&union);
                 let measured = fresh.measured_transfer().unwrap_or(union_bytes);
                 let p = self.rings[ring_idx].partitions.get_mut(&pid).unwrap();
                 p.replicas[idx].store = fresh;
@@ -265,71 +186,4 @@ fn lww_union(
         partition.replicas[i].store.merge_into(&mut union);
     }
     Some(union)
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::cloud::tests::small_cloud;
-    use skute_store::{Record, Version};
-
-    #[test]
-    fn anti_entropy_repairs_injected_divergence() {
-        let (mut cloud, app) = small_cloud();
-        cloud.begin_epoch();
-        cloud.put(app, 0, b"base", b"v".to_vec()).unwrap();
-        for _ in 0..5 {
-            cloud.begin_epoch();
-            cloud.end_epoch();
-        }
-        assert_eq!(
-            cloud.anti_entropy(app, 0).unwrap(),
-            AntiEntropyReport::default(),
-            "replicas start in sync"
-        );
-        // Inject divergence: a newer version of the key that only one
-        // replica holds (as if a full server had rejected the write on the
-        // others).
-        let pid = cloud.rings[0].ring.route(b"base");
-        let replica_count = {
-            let p = cloud.rings[0].partitions.get_mut(&pid).unwrap();
-            let record = Record::put(&b"ghost-value"[..], Version::new(99, 0, 0));
-            let old = p.replicas[0].store.get(b"base").unwrap().logical_size;
-            let grow = record.logical_size - old;
-            assert!(p.replicas[0].store.apply(&b"base"[..], record));
-            let server = p.replicas[0].server;
-            let s = cloud.cluster.get_mut(server).unwrap();
-            let caps = s.capacities;
-            assert!(s.usage.reserve_storage(&caps, grow));
-            p.replicas.len()
-        };
-        let report = cloud.anti_entropy(app, 0).unwrap();
-        assert_eq!(report.partitions_repaired, 1);
-        // The diverged replica already held the union; the others received
-        // copy-on-write handles of it.
-        assert_eq!(report.replicas_in_sync, 1);
-        assert_eq!(report.replicas_updated, replica_count - 1);
-        assert_eq!(report.replicas_deferred, 0);
-        assert_eq!(
-            cloud.anti_entropy(app, 0).unwrap(),
-            AntiEntropyReport::default(),
-            "second pass is a no-op"
-        );
-        // Every replica now holds the ghost key with exact accounting, and
-        // the repaired replicas share one store allocation.
-        let p = &cloud.rings[0].partitions[&pid];
-        for r in &p.replicas {
-            assert_eq!(r.store.get_value(b"base").unwrap().as_ref(), b"ghost-value");
-        }
-        assert!(
-            p.replicas[1..]
-                .windows(2)
-                .all(|w| w[0].store.shares_storage_with(&w[1].store)),
-            "anti-entropy writebacks share the union allocation"
-        );
-        for r in &p.replicas {
-            let server = cloud.cluster.get(r.server).unwrap();
-            assert!(server.usage.storage_used >= r.store.logical_bytes());
-        }
-    }
 }

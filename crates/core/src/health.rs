@@ -31,7 +31,8 @@ pub enum GrayMode {
     Healthy,
     /// Serves reads but fails writes — the classic gray failure: the
     /// server acks nothing, so its replicas silently diverge until a
-    /// quorum read or scrub repairs them.
+    /// quorum read's read-repair or a later write of the key converges
+    /// them.
     ReadOnly,
     /// Responds, but `units` deterministic latency units late; the
     /// confidence EWMA prices it down proportionally.
@@ -213,7 +214,8 @@ impl HealthState {
     /// True when the replica on `server` at `location` acks no writes:
     /// read-only and individually partitioned servers, and anything behind
     /// the continental cut. Such replicas silently miss updates and stay
-    /// divergent until read-repair or a scrub converges them.
+    /// divergent until a quorum read's read-repair or a later write of
+    /// the key converges them.
     pub fn blocks_writes(&self, server: ServerId, location: &Location) -> bool {
         matches!(
             self.mode_of(server),

@@ -63,12 +63,12 @@ pub mod vnode;
 
 pub use app::{AppId, AppSpec, Application, AvailabilityLevel, LevelSpec};
 pub use availability::{availability_of, greedy_max_availability, threshold_for_replicas};
-pub use cloud::{ClientRead, ReadConsistency, ReadView, SkuteCloud, TrafficBatch};
+pub use cloud::{ClientRead, ClientScan, ReadConsistency, ReadView, SkuteCloud, TrafficBatch};
 pub use config::SkuteConfig;
 pub use decision::ActionCounts;
 pub use error::CoreError;
 pub use health::GrayMode;
-pub use metrics::{AntiEntropyReport, EpochReport, RingReport, ScrubReport};
+pub use metrics::{EpochReport, RingReport, ScrubReport};
 pub use obs::CloudMetrics;
 pub use placement::{PlacementContext, PlacementStrategy};
 // Fault-model types consumers configure the cloud with, re-exported so

@@ -95,22 +95,6 @@ impl EpochReport {
     }
 }
 
-/// Outcome of one [`crate::SkuteCloud::anti_entropy`] pass over a ring.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct AntiEntropyReport {
-    /// Divergent partitions that had at least one replica repaired.
-    pub partitions_repaired: usize,
-    /// Replicas that received the LWW union (a copy-on-write handle, not a
-    /// per-replica deep copy).
-    pub replicas_updated: usize,
-    /// Replicas of divergent partitions that already held the union and
-    /// were skipped without a writeback.
-    pub replicas_in_sync: usize,
-    /// Replicas left divergent because their server could not absorb the
-    /// union's extra bytes (retried after the economy rebalances).
-    pub replicas_deferred: usize,
-}
-
 /// Outcome of one [`crate::SkuteCloud::scrub_quarantined`] pass over a
 /// ring.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]

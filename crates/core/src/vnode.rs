@@ -39,8 +39,8 @@ pub struct Replica {
     pub balance: BalanceHistory,
     /// This replica's copy of the partition's explicitly stored records,
     /// on the cloud's configured storage backend. The in-memory variant is
-    /// copy-on-write: replicas synchronized by anti-entropy or replication
-    /// share one allocation until one of them diverges. The LSM variant
+    /// copy-on-write: replicas forked by replication share one allocation
+    /// until one of them diverges. The LSM variant
     /// owns a durable store; independent copies go through
     /// [`ReplicaStore::fork`], which reports the bytes physically moved.
     pub store: ReplicaStore,

@@ -15,17 +15,21 @@
 //! | `GET /kv/<key>` | proximity-routed read ([`SkuteCloud::client_get_with`]); `X-Served-By` / `X-Proximity` / `X-Replicas-Read` response headers; 404 for absent keys |
 //! | `PUT /kv/<key>` | write, body is the value, `204` |
 //! | `DELETE /kv/<key>` | tombstone write, `204` |
-//! | `GET /scan?prefix=&limit=` | ordered prefix scan, one `key\tvalue` line each (percent-encoded) |
+//! | `GET /scan?prefix=&limit=` | ordered prefix scan ([`skute_core::ReadView::scan`]), one `key\tvalue` line each (percent-encoded); `X-Scan-Count` response header |
 //! | `POST /fault` | swap the live fault plan (`gray 42`, `partition 7`, `cut 2`, `heal`, `none`) without a restart |
 //! | `POST /shutdown` | graceful stop: respond, then drain and exit |
 //!
-//! Reads accept an `X-Consistency: one|quorum` request header selecting
-//! the read path: `one` answers from the closest reachable replica,
-//! `quorum` reads a majority of the partition's k replicas, merges
-//! last-writer-wins, and schedules read-repair for stale copies. When
-//! gray failures or a partition leave fewer reachable replicas than the
-//! quorum needs, the server degrades gracefully — it still answers from
-//! what it can reach and flags the response with `X-Degraded: true`.
+//! Reads and scans accept an `X-Consistency: one|quorum` request header
+//! selecting the replica set each partition is read from: `one` answers
+//! from the closest reachable replica, `quorum` reads a majority of the
+//! partition's k replicas and merges last-writer-wins; a quorum `GET`
+//! also schedules read-repair for the stale copies it saw. A `GET` that
+//! misses falls back to every local store; a scan does not, so a `one`
+//! scan leaves out keys its replica missed. Both echo
+//! `X-Consistency`. When gray failures or a partition leave fewer
+//! reachable replicas than the read needs, the server degrades gracefully
+//! — it still answers from what it can reach and flags the response with
+//! `X-Degraded: true`.
 //!
 //! Every message, request or response, is sent in one write (both ends
 //! set `TCP_NODELAY`, so a second write would be a second segment). A

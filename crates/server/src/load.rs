@@ -67,8 +67,8 @@ pub struct LoadConfig {
     pub seed: u64,
     /// `limit` parameter for scans.
     pub scan_limit: usize,
-    /// `X-Consistency` header sent on reads (`"one"` or `"quorum"`;
-    /// `None` omits the header and takes the server default).
+    /// `X-Consistency` header sent on reads and scans (`"one"` or
+    /// `"quorum"`; `None` omits the header and takes the server default).
     pub consistency: Option<String>,
     /// Transport-level retries per request before it counts as a
     /// transport error. Retries back off exponentially with jitter so a
@@ -111,6 +111,11 @@ pub struct LoadReport {
     pub transport_errors: u64,
     /// Transport-level retries (reconnect + re-send after backoff).
     pub retries: u64,
+    /// 2xx responses flagged `X-Degraded: true` (the requested read
+    /// consistency was not met).
+    pub degraded: u64,
+    /// Rows (`X-Scan-Count`) returned by scans that were not degraded.
+    pub scan_rows: u64,
     /// Wall-clock duration of the run.
     pub elapsed: Duration,
     /// Latency of every completed request, in seconds.
@@ -139,7 +144,7 @@ impl LoadReport {
         // New fields append at the END of the first line: CI's awk
         // indexes the earlier fields positionally.
         format!(
-            "load: issued={} ok={} not_found={} http_errors={} transport_errors={} elapsed_ms={} throughput_rps={:.1} retries={}\nload: p50_ms={:.3} p99_ms={:.3} p999_ms={:.3}",
+            "load: issued={} ok={} not_found={} http_errors={} transport_errors={} elapsed_ms={} throughput_rps={:.1} retries={} degraded={} scan_rows={}\nload: p50_ms={:.3} p99_ms={:.3} p999_ms={:.3}",
             self.issued,
             self.ok,
             self.not_found,
@@ -148,6 +153,8 @@ impl LoadReport {
             self.elapsed.as_millis(),
             self.throughput(),
             self.retries,
+            self.degraded,
+            self.scan_rows,
             q(0.50),
             q(0.99),
             q(0.999),
@@ -178,6 +185,8 @@ struct ThreadTally {
     http_errors: u64,
     transport_errors: u64,
     retries: u64,
+    degraded: u64,
+    scan_rows: u64,
 }
 
 /// Runs the closed loop to budget exhaustion.
@@ -207,6 +216,8 @@ pub fn run_load(config: LoadConfig) -> io::Result<LoadReport> {
         http_errors: 0,
         transport_errors: 0,
         retries: 0,
+        degraded: 0,
+        scan_rows: 0,
         elapsed: Duration::ZERO,
         latency,
     };
@@ -220,6 +231,8 @@ pub fn run_load(config: LoadConfig) -> io::Result<LoadReport> {
                 report.http_errors += tally.http_errors;
                 report.transport_errors += tally.transport_errors;
                 report.retries += tally.retries;
+                report.degraded += tally.degraded;
+                report.scan_rows += tally.scan_rows;
             }
             Ok(Err(e)) => first_err = first_err.or(Some(e)),
             Err(_) => {
@@ -251,6 +264,8 @@ fn client_loop(
         http_errors: 0,
         transport_errors: 0,
         retries: 0,
+        degraded: 0,
+        scan_rows: 0,
     };
     let mix: Vec<(Op, f64)> = config.mix.iter().map(|&(op, w)| (op, w as f64)).collect();
     let value: Vec<u8> = (0..config.value_bytes)
@@ -281,7 +296,7 @@ fn client_loop(
         };
         let body: &[u8] = if op == Op::Put { &value } else { &[] };
         let consistency = match op {
-            Op::Get => config.consistency.as_deref(),
+            Op::Get | Op::Scan => config.consistency.as_deref(),
             _ => None,
         };
 
@@ -298,7 +313,7 @@ fn client_loop(
                 body,
             );
             match result {
-                Ok(status) => break Ok(status),
+                Ok(response) => break Ok(response),
                 Err(e) => {
                     conn = None;
                     if attempt >= config.max_retries {
@@ -314,11 +329,21 @@ fn client_loop(
             }
         };
         match outcome {
-            Ok(status) => {
+            Ok(response) => {
                 consecutive_failures = 0;
                 latency.observe_duration(t0.elapsed());
-                match status {
-                    200..=299 => tally.ok += 1,
+                match response.status {
+                    200..=299 => {
+                        tally.ok += 1;
+                        if response.header("x-degraded") == Some("true") {
+                            tally.degraded += 1;
+                        } else if op == Op::Scan {
+                            tally.scan_rows += response
+                                .header("x-scan-count")
+                                .and_then(|n| n.parse::<u64>().ok())
+                                .unwrap_or(0);
+                        }
+                    }
                     404 => tally.not_found += 1,
                     _ => tally.http_errors += 1,
                 }
@@ -343,7 +368,7 @@ fn issue(
     country: Option<&str>,
     consistency: Option<&str>,
     body: &[u8],
-) -> io::Result<u16> {
+) -> io::Result<http::Response> {
     if conn.is_none() {
         let stream = TcpStream::connect(addr)?;
         stream.set_nodelay(true).ok();
@@ -360,8 +385,7 @@ fn issue(
         headers.push(("X-Consistency", c));
     }
     http::write_request(writer, method, target, &headers, body)?;
-    let response = http::read_response(reader)?;
-    Ok(response.status)
+    http::read_response(reader)
 }
 
 /// One-shot GET (CI uses this to scrape `/metrics` without curl).

@@ -566,6 +566,15 @@ fn client_location(state: &ServerState, request: &Request) -> Result<Option<Loca
     Ok(Some(Location::client_in_country(ct, co)))
 }
 
+/// The read consistency a request asks for in its `X-Consistency` header
+/// (`one` when absent).
+fn read_consistency(request: &Request) -> Result<ReadConsistency, String> {
+    match request.header("x-consistency") {
+        Some(raw) => raw.trim().parse(),
+        None => Ok(ReadConsistency::One),
+    }
+}
+
 /// Charges one request's query-units to the epoch tally.
 fn charge(state: &ServerState, slot: &mut CloudSlot, client: Option<Location>) {
     let key = client
@@ -610,12 +619,9 @@ fn handle_kv(
         Op::Put => slot.cloud.put(app, 0, key, request.body),
         Op::Delete => slot.cloud.delete(app, 0, key),
         _ => {
-            let consistency = match request.header("x-consistency") {
-                Some(raw) => match raw.trim().parse::<ReadConsistency>() {
-                    Ok(c) => c,
-                    Err(msg) => return reply(out, 400, format!("{msg}\n").as_bytes(), keep_alive),
-                },
-                None => ReadConsistency::One,
+            let consistency = match read_consistency(&request) {
+                Ok(c) => c,
+                Err(msg) => return reply(out, 400, format!("{msg}\n").as_bytes(), keep_alive),
             };
             let read = match slot.cloud.client_get_with(app, 0, key, client, consistency) {
                 Ok(read) => read,
@@ -725,6 +731,11 @@ fn handle_fault(
     reply(out, 200, done.as_bytes(), keep_alive)
 }
 
+/// `GET /scan?prefix=&limit=`: a [`ReadView::scan`] at the requested
+/// consistency. The body is encoded after the cloud lock is released,
+/// since `limit=0` returns every row.
+///
+/// [`ReadView::scan`]: skute_core::ReadView::scan
 fn handle_scan(
     state: &Arc<ServerState>,
     request: &Request,
@@ -743,28 +754,42 @@ fn handle_scan(
         Ok(c) => c,
         Err(msg) => return reply(out, 400, format!("{msg}\n").as_bytes(), keep_alive),
     };
+    let consistency = match read_consistency(request) {
+        Ok(c) => c,
+        Err(msg) => return reply(out, 400, format!("{msg}\n").as_bytes(), keep_alive),
+    };
     let mut slot = state.slot.lock().expect("cloud lock");
     charge(state, &mut slot, client);
     let app = slot.app;
-    match slot.cloud.scan(app, 0, prefix.as_bytes(), limit) {
-        Ok(pairs) => {
-            let mut body = Vec::new();
-            for (key, value) in &pairs {
-                body.extend_from_slice(http::percent_encode(key).as_bytes());
-                body.push(b'\t');
-                body.extend_from_slice(http::percent_encode(value).as_bytes());
-                body.push(b'\n');
-            }
-            http::encode_response_head(out, 200, "text/plain", body.len(), keep_alive);
-            http::encode_header(out, "X-Scan-Count", pairs.len());
-            http::encode_body(out, &body);
-            200
+    let scan = slot
+        .cloud
+        .read_view()
+        .scan(app, 0, prefix.as_bytes(), limit, client, consistency);
+    drop(slot);
+    let scan = match scan {
+        Ok(scan) => scan,
+        Err(e) => {
+            return reply(
+                out,
+                500,
+                format!("scan failed: {e:?}\n").as_bytes(),
+                keep_alive,
+            )
         }
-        Err(e) => reply(
-            out,
-            500,
-            format!("scan failed: {e:?}\n").as_bytes(),
-            keep_alive,
-        ),
+    };
+    let mut body = Vec::new();
+    for (key, value) in &scan.entries {
+        body.extend_from_slice(http::percent_encode(key).as_bytes());
+        body.push(b'\t');
+        body.extend_from_slice(http::percent_encode(value).as_bytes());
+        body.push(b'\n');
     }
+    http::encode_response_head(out, 200, "text/plain", body.len(), keep_alive);
+    http::encode_header(out, "X-Scan-Count", scan.entries.len());
+    http::encode_header(out, "X-Consistency", consistency);
+    if scan.degraded {
+        http::encode_header(out, "X-Degraded", "true");
+    }
+    http::encode_body(out, &body);
+    200
 }

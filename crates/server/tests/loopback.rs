@@ -134,6 +134,28 @@ fn serve_load_scrape_shutdown() {
         let scan = read_response(&mut reader).unwrap();
         assert_eq!(scan.status, 200);
         assert!(String::from_utf8_lossy(&scan.body).contains("pinned\tv1"));
+        // Scans take the same consistency levels as reads.
+        write_request(
+            &mut writer,
+            "GET",
+            "/scan?prefix=pinned&limit=5",
+            &[("X-Consistency", "quorum")],
+            b"",
+        )
+        .unwrap();
+        let scan = read_response(&mut reader).unwrap();
+        assert_eq!(scan.status, 200);
+        assert_eq!(scan.header("x-consistency"), Some("quorum"));
+        assert!(String::from_utf8_lossy(&scan.body).contains("pinned\tv1"));
+        write_request(
+            &mut writer,
+            "GET",
+            "/scan?prefix=pinned",
+            &[("X-Consistency", "bogus")],
+            b"",
+        )
+        .unwrap();
+        assert_eq!(read_response(&mut reader).unwrap().status, 400);
         // Quorum read: majority of replicas consulted, headers say so.
         write_request(
             &mut writer,
@@ -176,10 +198,10 @@ fn serve_load_scrape_shutdown() {
         + metric_series(&exposition, "skute_server_requests_total", "op=\"put\"")
         + metric_series(&exposition, "skute_server_requests_total", "op=\"delete\"")
         + metric_series(&exposition, "skute_server_requests_total", "op=\"scan\"");
-    // 600 load requests + 6 pinned kv/scan requests above (the /fault
+    // 600 load requests + 8 pinned kv/scan requests above (the /fault
     // posts count under their own op label).
     assert_eq!(
-        kv_requests as u64, 606,
+        kv_requests as u64, 608,
         "request counters match issued load"
     );
     let responses = metric_sum(&exposition, "skute_server_responses_total");

@@ -12,7 +12,7 @@
 //!   transfers stream those bytes.
 //!
 //! Everything the simulation *decides* on — apply gating, logical byte
-//! accounting, Merkle summaries — is bit-identical across backends, which
+//! accounting, stored contents — is bit-identical across backends, which
 //! is what keeps `--backend lsm` runs byte-identical to the in-memory
 //! default (CI compares them). Only durability and the *measured* transfer
 //! counters differ.
@@ -28,7 +28,6 @@ use skute_ring::{KeyHasher, KeyRange};
 use crate::engine::{ApplyOutcome, PartitionStore};
 use crate::faults::{FaultPlan, FaultStats};
 use crate::lsm::{LsmStore, StorageActivity};
-use crate::merkle::MerkleSummary;
 use crate::shared::CowPartitionStore;
 use crate::value::Record;
 
@@ -76,8 +75,7 @@ impl FromStr for BackendKind {
 /// generics.
 ///
 /// `Clone` is cheap for both variants (an `Arc` bump) and **shares**
-/// storage with the original — that is intentional and used only by
-/// anti-entropy's converged fast path. Replication must go through
+/// storage with the original. Replication must go through
 /// [`ReplicaStore::fork`], which produces an independent copy and reports
 /// the bytes physically moved.
 #[derive(Debug, Clone)]
@@ -205,26 +203,13 @@ impl ReplicaStore {
         }
     }
 
-    /// True when both handles share the same underlying storage (the
-    /// anti-entropy converged fast path).
+    /// True when both handles share the same underlying storage (a mem
+    /// fork does; an LSM fork never does).
     pub fn shares_storage_with(&self, other: &ReplicaStore) -> bool {
         match (self, other) {
             (ReplicaStore::Mem(a), ReplicaStore::Mem(b)) => a.shares_storage_with(b),
             (ReplicaStore::Lsm(a), ReplicaStore::Lsm(b)) => Arc::ptr_eq(a, b),
             _ => false,
-        }
-    }
-
-    /// Merkle summary of the stored entries over `range`.
-    pub fn merkle_summary(
-        &self,
-        hasher: KeyHasher,
-        range: KeyRange,
-        buckets: usize,
-    ) -> MerkleSummary {
-        match self {
-            ReplicaStore::Mem(s) => MerkleSummary::build(s, hasher, range, buckets),
-            ReplicaStore::Lsm(s) => s.lock().merkle_summary(hasher, range, buckets),
         }
     }
 
@@ -367,44 +352,6 @@ impl ReplicaStore {
     }
 }
 
-/// The converged union anti-entropy distributes back to divergent
-/// replicas. For the mem backend it carries a shared COW handle, so all
-/// repaired replicas end up sharing one allocation (the fast-path
-/// invariant the next epoch's scan relies on); for the LSM backend each
-/// replica merges the union's entries into its own durable state, and
-/// convergence shows up as equal Merkle roots instead.
-#[derive(Debug)]
-pub enum AntiEntropyUnion {
-    /// Shared COW handle, installed wholesale into mem replicas.
-    Mem(CowPartitionStore),
-    /// Materialized union, merged entry-wise into LSM replicas.
-    Lsm(PartitionStore),
-}
-
-impl AntiEntropyUnion {
-    /// Wraps a materialized union for distribution under `kind`.
-    pub fn new(kind: BackendKind, union: PartitionStore) -> Self {
-        match kind {
-            BackendKind::Mem => AntiEntropyUnion::Mem(CowPartitionStore::from_store(union)),
-            BackendKind::Lsm => AntiEntropyUnion::Lsm(union),
-        }
-    }
-}
-
-impl ReplicaStore {
-    /// Repairs this replica from the anti-entropy union. Mem-to-mem
-    /// installs the shared handle; every other pairing merges entries
-    /// (version gating makes the content converge identically).
-    pub fn install_union(&mut self, union: &AntiEntropyUnion) {
-        match (&mut *self, union) {
-            (ReplicaStore::Mem(s), AntiEntropyUnion::Mem(u)) => *s = u.clone(),
-            (ReplicaStore::Mem(s), AntiEntropyUnion::Lsm(u)) => s.make_mut().merge_from(u),
-            (ReplicaStore::Lsm(s), AntiEntropyUnion::Mem(u)) => s.lock().merge_from(u),
-            (ReplicaStore::Lsm(s), AntiEntropyUnion::Lsm(u)) => s.lock().merge_from(u),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -424,18 +371,24 @@ mod tests {
         store
     }
 
-    /// Satellite: ring split followed by absorb restores identical
-    /// contents, sizes, and Merkle summary — under both backends.
+    /// Every `(key, record)` pair a store holds, in key order.
+    fn entries(store: &PartitionStore) -> Vec<(Bytes, Record)> {
+        store
+            .iter()
+            .map(|(key, record)| (key.clone(), record.clone()))
+            .collect()
+    }
+
+    /// Ring split followed by absorb restores identical contents and
+    /// sizes under both backends.
     #[test]
     fn split_then_absorb_round_trips_both_backends() {
         let hasher = KeyHasher::default();
-        let full = KeyRange::full();
         for kind in [BackendKind::Mem, BackendKind::Lsm] {
             let mut store = seeded(kind);
             let before_len = store.len();
             let before_bytes = store.logical_bytes();
-            let before_summary = store.merkle_summary(hasher, full, 32);
-            let before_snapshot = store.snapshot();
+            let before = entries(&store.snapshot());
 
             let high = KeyRange::new(Token(0), Token(u64::MAX / 2));
             let high_store = store.split_off(hasher, high);
@@ -462,24 +415,18 @@ mod tests {
                 before_bytes,
                 "{kind}: absorb restores bytes"
             );
-            let after_summary = store.merkle_summary(hasher, full, 32);
             assert_eq!(
-                before_summary, after_summary,
-                "{kind}: absorb restores the Merkle summary"
+                entries(&store.snapshot()),
+                before,
+                "{kind}: absorb restores every entry"
             );
-            let after = store.snapshot();
-            for (key, record) in before_snapshot.iter() {
-                assert_eq!(after.get(key), Some(record), "{kind}: key {key:?}");
-            }
         }
     }
 
-    /// Satellite: `merge_from` an in-memory store round-trips under both
-    /// backends and converges to the same Merkle summary.
+    /// `merge_from` an in-memory store round-trips under both backends
+    /// and reproduces the source's entries exactly.
     #[test]
     fn merge_from_converges_both_backends() {
-        let hasher = KeyHasher::default();
-        let full = KeyRange::full();
         let mut source = PartitionStore::new();
         for i in 0..40u32 {
             source.apply(
@@ -487,36 +434,30 @@ mod tests {
                 Record::put(&b"merged"[..], Version::new(7, u64::from(i), 1)),
             );
         }
-        let reference = MerkleSummary::build(&source, hasher, full, 16);
         for kind in [BackendKind::Mem, BackendKind::Lsm] {
             let mut store = seeded(kind);
             store.merge_from(&source);
             let mut expected = store.snapshot();
             expected.merge_from(&source); // idempotent: already merged
             assert_eq!(expected.len(), store.len(), "{kind}");
-            // A store holding exactly the source's keys summarizes equally.
+            // A store merged from the source alone holds exactly its entries.
             let mut only_source = ReplicaStore::open(kind);
             only_source.merge_from(&source);
             assert_eq!(
-                only_source.merkle_summary(hasher, full, 16),
-                reference,
-                "{kind}: merge_from reproduces the source summary"
+                entries(&only_source.snapshot()),
+                entries(&source),
+                "{kind}: merge_from reproduces the source entries"
             );
         }
     }
 
     #[test]
     fn backends_agree_bit_for_bit_on_same_history() {
-        let hasher = KeyHasher::default();
-        let full = KeyRange::full();
         let mem = seeded(BackendKind::Mem);
         let lsm = seeded(BackendKind::Lsm);
         assert_eq!(mem.len(), lsm.len());
         assert_eq!(mem.logical_bytes(), lsm.logical_bytes());
-        assert_eq!(
-            mem.merkle_summary(hasher, full, 32),
-            lsm.merkle_summary(hasher, full, 32)
-        );
+        assert_eq!(entries(&mem.snapshot()), entries(&lsm.snapshot()));
         // Oracle parity: mem measures transfers at exactly logical size.
         assert_eq!(mem.physical_bytes(), mem.logical_bytes());
         let (fork, measured) = mem.fork();
@@ -526,39 +467,6 @@ mod tests {
         assert_eq!(lsm_measured, Some(lsm.physical_bytes()));
         assert!(!lsm_fork.shares_storage_with(&lsm), "lsm fork is a copy");
         assert_eq!(lsm_fork.logical_bytes(), lsm.logical_bytes());
-    }
-
-    #[test]
-    fn install_union_converges_all_pairings() {
-        let hasher = KeyHasher::default();
-        let full = KeyRange::full();
-        let mut union = PartitionStore::new();
-        for i in 0..30u32 {
-            union.apply(
-                format!("u-{i}").into_bytes(),
-                Record::put(&b"u"[..], Version::new(3, u64::from(i), 0)),
-            );
-        }
-        let reference = MerkleSummary::build(&union, hasher, full, 16);
-        for kind in [BackendKind::Mem, BackendKind::Lsm] {
-            let wrapped = AntiEntropyUnion::new(kind, union.clone());
-            for replica_kind in [BackendKind::Mem, BackendKind::Lsm] {
-                let mut replica = ReplicaStore::open(replica_kind);
-                replica.install_union(&wrapped);
-                assert_eq!(
-                    replica.merkle_summary(hasher, full, 16),
-                    reference,
-                    "union {kind} into replica {replica_kind}"
-                );
-            }
-        }
-        // Mem-to-mem install shares the union's allocation (fast path).
-        let wrapped = AntiEntropyUnion::new(BackendKind::Mem, union.clone());
-        let mut a = ReplicaStore::open(BackendKind::Mem);
-        let mut b = ReplicaStore::open(BackendKind::Mem);
-        a.install_union(&wrapped);
-        b.install_union(&wrapped);
-        assert!(a.shares_storage_with(&b));
     }
 
     #[test]

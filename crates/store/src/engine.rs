@@ -137,8 +137,8 @@ impl PartitionStore {
         high_store
     }
 
-    /// Merges every entry of `other` into `self` (anti-entropy after a
-    /// replica transfer); version-dominant records win.
+    /// Merges every entry of `other` into `self`; version-dominant records
+    /// win.
     pub fn absorb(&mut self, other: PartitionStore) {
         for (key, record) in other.records {
             self.apply(key, record);
@@ -147,8 +147,8 @@ impl PartitionStore {
 
     /// [`PartitionStore::absorb`] without taking ownership: merges clones
     /// of `other`'s entries into `self`. Record payloads are ref-counted
-    /// [`Bytes`], so this copies handles, not data — the anti-entropy union
-    /// builder uses it to fold every replica in without cloning whole
+    /// [`Bytes`], so this copies handles, not data — scrub's rebuild union
+    /// uses it to fold every healthy replica in without cloning whole
     /// stores first.
     pub fn merge_from(&mut self, other: &PartitionStore) {
         for (key, record) in &other.records {

@@ -1,8 +1,7 @@
 //! # skute-store
 //!
-//! The key-value storage substrate of Skute: versioned records, pluggable
-//! per-replica storage engines with byte accounting, and anti-entropy
-//! summaries.
+//! The key-value storage substrate of Skute: versioned records and
+//! pluggable per-replica storage engines with byte accounting.
 //!
 //! The paper builds on a Dynamo-like design (§I, ref. \[5\]): data is
 //! identified by keys, partitions hold key ranges, replicas of a partition
@@ -37,9 +36,7 @@
 //!   hooks — `logical_bytes` (what the economic model prices; bit-identical
 //!   across engines) and `physical_bytes` (what a transfer really moves),
 //! * [`CowPartitionStore`] — the copy-on-write handle behind
-//!   [`ReplicaStore::Mem`],
-//! * [`merkle`] — bucketed Merkle summaries for anti-entropy, buildable
-//!   incrementally from any backend via [`MerkleBuilder`].
+//!   [`ReplicaStore::Mem`].
 
 #![warn(missing_docs)]
 
@@ -48,16 +45,14 @@ pub mod engine;
 pub mod error;
 pub mod faults;
 pub mod lsm;
-pub mod merkle;
 pub mod value;
 
 mod shared;
 
-pub use backend::{AntiEntropyUnion, BackendKind, ReplicaStore};
+pub use backend::{BackendKind, ReplicaStore};
 pub use engine::{ApplyOutcome, PartitionStore};
 pub use error::StoreError;
 pub use faults::{FaultInjector, FaultPlan, FaultPlanKind, FaultStats};
 pub use lsm::{LsmStore, StorageActivity};
-pub use merkle::{diff_buckets, MerkleBuilder, MerkleSummary};
 pub use shared::CowPartitionStore;
 pub use value::{Record, Version};

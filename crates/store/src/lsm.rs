@@ -99,7 +99,6 @@ use skute_ring::{KeyHasher, KeyRange};
 
 use crate::engine::{ApplyOutcome, PartitionStore};
 use crate::faults::{crc32, FaultInjector, FaultPlan, FaultStats};
-use crate::merkle::{MerkleBuilder, MerkleSummary};
 use crate::value::{Record, Version};
 
 /// WAL file name within a store directory.
@@ -1178,20 +1177,8 @@ impl LsmStore {
         }
     }
 
-    /// Merkle summary of the stored entries over `range`.
-    pub fn merkle_summary(
-        &self,
-        hasher: KeyHasher,
-        range: KeyRange,
-        buckets: usize,
-    ) -> MerkleSummary {
-        let mut builder = MerkleBuilder::new(hasher, range, buckets);
-        self.for_each(&mut |key, record| builder.add(key, record));
-        builder.finish()
-    }
-
     /// Materializes the store's contents as an in-memory
-    /// [`PartitionStore`] (anti-entropy unions, oracle comparisons).
+    /// [`PartitionStore`] (scrub's rebuild unions, oracle comparisons).
     pub fn snapshot(&self) -> PartitionStore {
         let mut snap = PartitionStore::new();
         for (k, r) in self.merged() {

@@ -9,11 +9,10 @@ use crate::engine::PartitionStore;
 ///
 /// Cloning is an `Arc` bump; the first mutation after a clone
 /// ([`CowPartitionStore::make_mut`]) detaches a private copy. This is the
-/// storage type of replica stores: synchronizing replicas (anti-entropy
-/// writebacks, replication transfers) shares one allocation instead of
-/// deep-copying the store per replica, and replicas that still share an
-/// allocation are trivially in sync ([`CowPartitionStore::shares_storage_with`]),
-/// letting anti-entropy skip Merkle comparison entirely.
+/// storage type of mem replica stores: a replication transfer shares one
+/// allocation instead of deep-copying the store per replica, and replicas
+/// that still share an allocation hold identical contents
+/// ([`CowPartitionStore::shares_storage_with`]).
 ///
 /// Reads go through `Deref`, so the full [`PartitionStore`] read API is
 /// available directly on the handle.

@@ -124,11 +124,14 @@ fn parse_args() -> Result<Args, String> {
                             [--uniform-countries] [--consistency one|quorum]\n\
                             [--retries N]\n\
                             | --scrape PATH | --post PATH [--body TEXT]\n\n\
-                     Prints 'load: issued=.. ok=.. .. retries=..' and\n\
-                     'load: p50_ms=..' summary lines. --consistency sets the\n\
-                     X-Consistency header on reads (quorum = majority read with\n\
-                     read-repair). --retries bounds transport-level retries per\n\
-                     request (exponential backoff with jitter; default 2).\n\
+                     Prints 'load: issued=.. ok=.. .. retries=.. degraded=..\n\
+                     scan_rows=..' and 'load: p50_ms=..' summary lines\n\
+                     (degraded: answers flagged X-Degraded; scan_rows: rows of\n\
+                     the scans that were not). --consistency sets the\n\
+                     X-Consistency header on reads and scans (quorum = majority\n\
+                     read; quorum GETs also schedule read-repair). --retries\n\
+                     bounds transport-level retries per request (exponential\n\
+                     backoff with jitter; default 2).\n\
                      --scrape GETs one path and prints the body; --post POSTs\n\
                      one path (e.g. /shutdown, or /fault with --body 'gray 42')\n\
                      and prints the status."
