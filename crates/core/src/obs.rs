@@ -21,7 +21,7 @@
 //! | `skute_insert_failures_total` | counter | | synthetic ingests rejected for capacity |
 //! | `skute_partitions_lost_total` | counter | | partitions that lost their last replica |
 //! | `skute_scrub_rebuilds_total` | counter | | quarantined replicas re-seeded from peers |
-//! | `skute_storage_engine_ops` | gauge | `op` | fleet-wide LSM totals, refreshed on scrape: the write path (`wal_append`, `memtable_flush`, `compaction`) and the read path (`point_read`, `run_probe`, `bloom_skip` — `run_probe / point_read` is the sorted runs actually read per lookup) |
+//! | `skute_storage_engine_ops` | gauge | `op` | fleet-wide LSM totals, refreshed on scrape: the write path (`wal_append`, `memtable_flush`, `compaction`) and the read path (`point_read`, `run_probe`, `bloom_skip` — `run_probe / point_read` is the sorted runs actually read per lookup — and `corrupt_block`, run blocks a lookup could not decode and read as a miss) |
 //! | `skute_storage_fault_recoveries` | gauge | `kind` | fleet-wide injected-fault recoveries, refreshed on scrape |
 //! | `skute_read_quorum_reads_total` | counter | | serving-path reads answered at quorum consistency |
 //! | `skute_read_quorum_divergent_total` | counter | | quorum reads that observed at least one stale replica |
@@ -100,6 +100,9 @@ pub struct CloudMetrics {
     pub lsm_run_probes: Gauge,
     /// Fleet-wide sorted runs ruled out by bloom filter (refreshed gauge).
     pub lsm_bloom_skips: Gauge,
+    /// Fleet-wide run blocks point lookups could not decode (refreshed
+    /// gauge).
+    pub lsm_corrupt_blocks: Gauge,
     /// Fleet-wide WAL-append retries recovered (refreshed gauge).
     pub fault_wal_retries: Gauge,
     /// Fleet-wide flush retries recovered (refreshed gauge).
@@ -219,6 +222,7 @@ impl CloudMetrics {
             lsm_point_reads: engine_op("point_read"),
             lsm_run_probes: engine_op("run_probe"),
             lsm_bloom_skips: engine_op("bloom_skip"),
+            lsm_corrupt_blocks: engine_op("corrupt_block"),
             fault_wal_retries: fault("wal_retry"),
             fault_flush_retries: fault("flush_retry"),
             fault_read_retries: fault("read_retry"),
@@ -306,6 +310,7 @@ impl CloudMetrics {
         self.lsm_point_reads.set(activity.point_reads as i64);
         self.lsm_run_probes.set(activity.run_probes as i64);
         self.lsm_bloom_skips.set(activity.bloom_skips as i64);
+        self.lsm_corrupt_blocks.set(activity.corrupt_blocks as i64);
         self.fault_wal_retries.set(faults.wal_retries as i64);
         self.fault_flush_retries.set(faults.flush_retries as i64);
         self.fault_read_retries.set(faults.read_retries as i64);

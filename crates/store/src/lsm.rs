@@ -17,10 +17,10 @@
 //!   so a crash after the append is recoverable by replay.
 //! * `NNNNNNNN.sst` — immutable sorted runs (SSTables), numbered in
 //!   creation order. Each holds the entries of one memtable flush (or one
-//!   compaction), in key order, with an in-memory sparse index (one
-//!   `(key, offset)` pin every [`INDEX_EVERY`] entries) and an in-memory
-//!   bloom filter over its keys, both rebuilt by the verification scan on
-//!   open — neither is part of the on-disk format.
+//!   compaction), in key order, with an in-memory sparse index (the first
+//!   key and offset of every block of about [`BLOCK_BYTES`] encoded bytes)
+//!   and an in-memory bloom filter over its keys, both rebuilt by the
+//!   verification scan on open — neither is part of the on-disk format.
 //!
 //! # Write and read paths
 //!
@@ -43,12 +43,15 @@
 //! three steps, none of which moves a file cursor, so `get` is truly
 //! `&self`: the run's bloom filter (≈[`BLOOM_BITS_PER_KEY`] bits per key)
 //! rejects most keys the run does not hold without any I/O; the sparse
-//! index names the one block that could hold the key; and a single
-//! positional read fetches exactly that block into a reused buffer, where
-//! entries are decoded in place — every entry walked is still
-//! CRC-verified, every length is bounded by the block, and only the
-//! matched record is copied out. The fault injector is never consulted on
-//! point reads.
+//! index names the one block (≈ 1 KiB) that could hold the key; and a
+//! single positional read fetches exactly that block into a reused
+//! buffer, where entries are decoded in place — every entry walked is
+//! still CRC-verified, every length is bounded by the block, and only the
+//! matched record is copied out. The write path's lookup copies out not
+//! even that: it needs only the displaced entry's version and logical
+//! size, read in place. A block that no longer decodes reads as a miss in
+//! that run and is counted ([`StorageActivity::corrupt_blocks`]). The
+//! fault injector is never consulted on point reads.
 //!
 //! # Crash consistency and faults
 //!
@@ -104,8 +107,11 @@ use crate::value::{Record, Version};
 /// WAL file name within a store directory.
 const WAL_NAME: &str = "wal.log";
 
-/// One sparse-index pin per this many SSTable entries.
-const INDEX_EVERY: usize = 16;
+/// Target size of a sparse-index block, in encoded bytes: a block closes
+/// at the first entry boundary at or past it, so every block but a run's
+/// last holds at least this much and a block is never less than one
+/// entry.
+const BLOCK_BYTES: u64 = 1024;
 
 /// Bloom filter budget per key of a run; with [`BLOOM_PROBES`] probes the
 /// false-positive rate is ≈ 0.8 %.
@@ -152,8 +158,8 @@ pub fn fresh_store_dir() -> PathBuf {
 
 /// Logical weight of one entry — identical arithmetic to the in-memory
 /// engine's accounting, so the two backends agree bit-for-bit.
-fn entry_size(key: &[u8], record: &Record) -> u64 {
-    key.len() as u64 + record.logical_size
+fn entry_size(key: &[u8], logical_size: u64) -> u64 {
+    key.len() as u64 + logical_size
 }
 
 /// Encoded length of one WAL/SSTable entry, CRC trailer included.
@@ -371,11 +377,16 @@ impl Bloom {
         bloom
     }
 
-    /// The bit positions of `hash` (double hashing over its two halves).
+    /// The bit positions of `hash`: double hashing with `hash` and its
+    /// halves swapped as the step, each probe mapped onto the filter by a
+    /// multiply-shift (the high word of `probe × nbits`), not a division.
     fn probes(&self, hash: u64) -> impl Iterator<Item = usize> {
-        let nbits = self.bits.len() as u64 * 64;
-        let step = (hash >> 32) | 1;
-        (0..BLOOM_PROBES).map(move |i| (hash.wrapping_add(i.wrapping_mul(step)) % nbits) as usize)
+        let nbits = self.bits.len() as u128 * 64;
+        let step = hash.rotate_left(32) | 1;
+        (0..BLOOM_PROBES).map(move |i| {
+            let probe = hash.wrapping_add(i.wrapping_mul(step));
+            ((u128::from(probe) * nbits) >> 64) as usize
+        })
     }
 
     fn may_contain(&self, hash: u64) -> bool {
@@ -398,15 +409,84 @@ fn sync_dir(dir: &Path) {
     }
 }
 
+/// A sorted run's sparse index: the first key and byte offset of every
+/// block. The keys sit back to back in one arena, so an index is three
+/// allocations however many blocks the run has.
+#[derive(Debug)]
+struct RunIndex {
+    /// Every block's first key, in block order.
+    keys: Vec<u8>,
+    /// Where each block's first key ends in `keys`.
+    key_ends: Vec<u32>,
+    /// Where each block starts in the run.
+    starts: Vec<u64>,
+}
+
+impl RunIndex {
+    /// An empty index with room for every block of a run of `bytes`: all
+    /// blocks but the last hold at least [`BLOCK_BYTES`].
+    fn for_run_of(bytes: u64) -> Self {
+        let blocks = usize::try_from(bytes / BLOCK_BYTES + 1).expect("lsm: run fits in memory");
+        Self {
+            keys: Vec::new(),
+            key_ends: Vec::with_capacity(blocks),
+            starts: Vec::with_capacity(blocks),
+        }
+    }
+
+    /// Notes the run's next entry, `key` at `offset`: it opens a block if
+    /// it is the first entry or the current block already holds
+    /// [`BLOCK_BYTES`].
+    fn add(&mut self, key: &[u8], offset: u64) {
+        if self
+            .starts
+            .last()
+            .is_some_and(|&start| offset - start < BLOCK_BYTES)
+        {
+            return;
+        }
+        self.keys.extend_from_slice(key);
+        self.key_ends
+            .push(u32::try_from(self.keys.len()).expect("lsm: index keys under 4 GiB"));
+        self.starts.push(offset);
+    }
+
+    /// The first key of block `block`.
+    fn key(&self, block: usize) -> &[u8] {
+        let from = block
+            .checked_sub(1)
+            .map_or(0, |b| self.key_ends[b] as usize);
+        &self.keys[from..self.key_ends[block] as usize]
+    }
+
+    /// The byte range, within a run of `run_bytes`, of the one block that
+    /// could hold `key`: the last block whose first key is at most `key`.
+    /// `None` when `key` sorts before the run's smallest key.
+    fn block_of(&self, key: &[u8], run_bytes: u64) -> Option<(u64, u64)> {
+        let (mut lo, mut hi) = (0, self.starts.len());
+        while lo < hi {
+            let mid = lo + (hi - lo) / 2;
+            if self.key(mid) <= key {
+                lo = mid + 1;
+            } else {
+                hi = mid;
+            }
+        }
+        let block = lo.checked_sub(1)?;
+        let end = self.starts.get(lo).copied().unwrap_or(run_bytes);
+        Some((self.starts[block], end))
+    }
+}
+
 /// One immutable sorted run on disk plus its in-memory sparse index and
 /// bloom filter.
 #[derive(Debug)]
 struct SsTable {
     path: PathBuf,
     file: File,
-    /// `(first key of block, byte offset)` every [`INDEX_EVERY`] entries;
+    /// The first key and offset of every block of about [`BLOCK_BYTES`];
     /// always pins the run's first entry.
-    index: Vec<(Bytes, u64)>,
+    index: RunIndex,
     bloom: Bloom,
     bytes: u64,
 }
@@ -417,17 +497,14 @@ impl SsTable {
     fn open(path: PathBuf) -> Result<Self, EntryError> {
         let file = File::open(&path).expect("lsm: open sstable");
         let bytes = file.metadata().expect("lsm: stat sstable").len();
-        let mut index = Vec::new();
+        let mut index = RunIndex::for_run_of(bytes);
         let mut hashes = Vec::new();
         let mut reader = BufReader::new(&file);
         let mut raw = Vec::new();
         let mut offset = 0u64;
         while let Some((key, _)) = try_read_entry(&mut reader, &mut raw)? {
-            let hash = bloom_hash(&key);
-            if hashes.len() % INDEX_EVERY == 0 {
-                index.push((key, offset));
-            }
-            hashes.push(hash);
+            index.add(&key, offset);
+            hashes.push(bloom_hash(&key));
             offset += raw.len() as u64 + CRC_LEN;
         }
         Ok(Self {
@@ -441,39 +518,46 @@ impl SsTable {
 
     /// Point lookup: bloom check, sparse-index floor, then one positional
     /// read of exactly the block that could hold `key` into `block`,
-    /// decoded in place. `hash` is [`bloom_hash`] of `key`. A decode
-    /// failure (or a run that shrank under us) reads as a miss — the run
-    /// was verified at open, so this only happens under later on-disk
-    /// corruption, which quarantine-and-rebuild handles.
-    fn get(
+    /// decoded in place; `found` sees the matched entry there and copies
+    /// out what its caller needs. `hash` is [`bloom_hash`] of `key`.
+    ///
+    /// A block that cannot be read whole or decoded reads as a miss in
+    /// this run, so the lookup falls through to older runs and may answer
+    /// with an older version of the key, or with none; it counts one
+    /// [`StorageActivity::corrupt_blocks`]. The run was verified at open,
+    /// so this only happens under later on-disk corruption, which
+    /// [`LsmStore::verify`] turns into quarantine and a rebuild.
+    fn get<T>(
         &self,
         key: &[u8],
         hash: u64,
         block: &mut Vec<u8>,
         counters: &ReadCounters,
-    ) -> Option<Record> {
+        found: impl Fn(&EntryView<'_>) -> T,
+    ) -> Option<T> {
         if !self.bloom.may_contain(hash) {
             counters.bloom_skips.fetch_add(1, Ordering::Relaxed);
             return None;
         }
-        let at = self.index.partition_point(|(k, _)| k.as_ref() <= key);
-        if at == 0 {
-            return None; // key sorts before the run's smallest key
-        }
+        let (start, end) = self.index.block_of(key, self.bytes)?;
         counters.run_probes.fetch_add(1, Ordering::Relaxed);
-        let start = self.index[at - 1].1;
-        let end = self.index.get(at).map_or(self.bytes, |pin| pin.1);
         block.resize((end - start) as usize, 0);
         match self.file.read_exact_at(block, start) {
             Ok(()) => {}
-            Err(e) if e.kind() == ErrorKind::UnexpectedEof => return None,
+            Err(e) if e.kind() == ErrorKind::UnexpectedEof => {
+                counters.corrupt_blocks.fetch_add(1, Ordering::Relaxed);
+                return None;
+            }
             Err(e) => panic!("lsm: read sstable block: {e}"),
         }
         let mut rest = block.as_slice();
         while !rest.is_empty() {
-            let entry = decode_entry(rest).ok()?;
+            let Ok(entry) = decode_entry(rest) else {
+                counters.corrupt_blocks.fetch_add(1, Ordering::Relaxed);
+                return None;
+            };
             match entry.key.cmp(key) {
-                std::cmp::Ordering::Equal => return Some(entry.to_record()),
+                std::cmp::Ordering::Equal => return Some(found(&entry)),
                 std::cmp::Ordering::Greater => return None,
                 std::cmp::Ordering::Less => rest = &rest[entry.encoded_len..],
             }
@@ -554,6 +638,7 @@ struct ReadCounters {
     point_reads: AtomicU64,
     run_probes: AtomicU64,
     bloom_skips: AtomicU64,
+    corrupt_blocks: AtomicU64,
 }
 
 /// Cumulative engine-activity counters: how often the write and read paths
@@ -576,6 +661,10 @@ pub struct StorageActivity {
     /// Sorted runs a point lookup ruled out by their bloom filter, without
     /// I/O.
     pub bloom_skips: u64,
+    /// Run blocks a point lookup could not read whole or decode: on-disk
+    /// corruption since the run was verified. Each read as a miss in its
+    /// run (see [`LsmStore::corrupt_newest_run`]).
+    pub corrupt_blocks: u64,
 }
 
 impl StorageActivity {
@@ -587,6 +676,7 @@ impl StorageActivity {
         self.point_reads += other.point_reads;
         self.run_probes += other.run_probes;
         self.bloom_skips += other.bloom_skips;
+        self.corrupt_blocks += other.corrupt_blocks;
     }
 }
 
@@ -746,7 +836,10 @@ impl LsmStore {
         };
         let merged = store.merged();
         store.key_count = merged.len();
-        store.logical_bytes = merged.iter().map(|(k, r)| entry_size(k, r)).sum();
+        store.logical_bytes = merged
+            .iter()
+            .map(|(k, r)| entry_size(k, r.logical_size))
+            .sum();
         store
     }
 
@@ -796,13 +889,14 @@ impl LsmStore {
     }
 
     /// Cumulative engine-activity counters (WAL appends, flushes,
-    /// compactions; point reads, run probes, bloom skips). Observability
-    /// only.
+    /// compactions; point reads, run probes, bloom skips, corrupt blocks).
+    /// Observability only.
     pub fn activity(&self) -> StorageActivity {
         StorageActivity {
             point_reads: self.reads.point_reads.load(Ordering::Relaxed),
             run_probes: self.reads.run_probes.load(Ordering::Relaxed),
             bloom_skips: self.reads.bloom_skips.load(Ordering::Relaxed),
+            corrupt_blocks: self.reads.corrupt_blocks.load(Ordering::Relaxed),
             ..self.activity
         }
     }
@@ -861,10 +955,18 @@ impl LsmStore {
         self.wal.as_mut().expect("just opened")
     }
 
-    fn lookup(&self, key: &[u8]) -> Option<Record> {
+    /// The newest entry under `key`, handed to `in_memtable` or, when a
+    /// sorted run holds it, to `in_run` in place in the block buffer, so
+    /// each caller copies out only what it needs.
+    fn find<T>(
+        &self,
+        key: &[u8],
+        in_memtable: impl FnOnce(&Record) -> T,
+        in_run: impl Fn(&EntryView<'_>) -> T,
+    ) -> Option<T> {
         self.reads.point_reads.fetch_add(1, Ordering::Relaxed);
         if let Some(r) = self.memtable.get(key) {
-            return Some(r.clone());
+            return Some(in_memtable(r));
         }
         if self.tables.is_empty() {
             return None;
@@ -875,8 +977,12 @@ impl LsmStore {
             self.tables
                 .iter()
                 .rev()
-                .find_map(|table| table.get(key, hash, block, &self.reads))
+                .find_map(|table| table.get(key, hash, block, &self.reads, &in_run))
         })
+    }
+
+    fn lookup(&self, key: &[u8]) -> Option<Record> {
+        self.find(key, Record::clone, |entry| entry.to_record())
     }
 
     /// Applies `record` under `key` if its version dominates the stored
@@ -900,9 +1006,15 @@ impl LsmStore {
         admit: impl FnOnce(Option<u64>) -> bool,
     ) -> ApplyOutcome {
         let key = key.into();
-        let displaced = match self.lookup(&key) {
-            Some(existing) if record.version <= existing.version => return ApplyOutcome::Stale,
-            existing => existing.map(|e| entry_size(&key, &e)),
+        // The gate needs the stored version and size, never the value.
+        let stored = self.find(
+            &key,
+            |r| (r.version, r.logical_size),
+            |e| (e.version, e.logical_size),
+        );
+        let displaced = match stored {
+            Some((version, _)) if record.version <= version => return ApplyOutcome::Stale,
+            stored => stored.map(|(_, logical_size)| entry_size(&key, logical_size)),
         };
         if !admit(displaced) {
             return ApplyOutcome::Vetoed;
@@ -911,7 +1023,7 @@ impl LsmStore {
             Some(old) => self.logical_bytes -= old,
             None => self.key_count += 1,
         }
-        self.logical_bytes += entry_size(&key, &record);
+        self.logical_bytes += entry_size(&key, record.logical_size);
         let mut buf = Vec::with_capacity(encoded_len(&key, &record) as usize);
         encode_entry(&mut buf, &key, &record);
         let acked = self.wal_bytes;
@@ -1010,6 +1122,10 @@ impl LsmStore {
     /// fault-injection helper for forging *persistent* on-disk corruption
     /// (unlike the injector's transient faults). Returns `false` when no
     /// run exists. The next [`LsmStore::verify`] quarantines the store.
+    /// Until then, a point read whose walk through its block reaches the
+    /// flipped entry counts a [`StorageActivity::corrupt_blocks`] and
+    /// answers from the older runs as if the newest did not hold the key:
+    /// with an older version, or with none.
     pub fn corrupt_newest_run(&mut self) -> bool {
         let Some(table) = self.tables.last() else {
             return false;
@@ -1704,6 +1820,52 @@ mod tests {
         assert!(!Bloom::build(&[]).may_contain(bloom_hash(b"anything")));
     }
 
+    #[test]
+    fn a_corrupt_block_reads_as_a_miss_in_its_run_and_is_counted() {
+        let mut store = LsmStore::create();
+        let keys: Vec<Vec<u8>> = (0..40u32)
+            .map(|i| format!("key-{i:02}").into_bytes())
+            .collect();
+        // The older run holds every other key; the newest holds them all.
+        let mut older = PartitionStore::new();
+        for k in keys.iter().step_by(2) {
+            older.apply(k.clone(), rec(b"older", 1));
+            store.apply(k.clone(), rec(b"older", 1));
+        }
+        store.flush();
+        for k in &keys {
+            store.apply(k.clone(), rec(b"newest", 2));
+        }
+        store.flush();
+        assert_eq!(store.table_count(), 2);
+        assert!(store.corrupt_newest_run());
+        let (mut stale, mut emptied) = (0, 0);
+        for k in &keys {
+            let before = store.activity().corrupt_blocks;
+            let got = store.get(k);
+            match store.activity().corrupt_blocks - before {
+                // The newest run's answer is lost: the read falls through
+                // to the older run, stale or empty, and says nothing else.
+                1 => {
+                    assert_eq!(got.as_ref(), older.get(k), "key {k:?}");
+                    if got.is_some() {
+                        stale += 1;
+                    } else {
+                        emptied += 1;
+                    }
+                }
+                0 => assert_eq!(got, Some(rec(b"newest", 2)), "key {k:?}"),
+                n => panic!("one lookup counted {n} corrupt blocks"),
+            }
+        }
+        assert!(
+            stale >= 1 && emptied >= 1,
+            "{stale} stale, {emptied} emptied"
+        );
+        assert!(!store.quarantined(), "a point read does not quarantine");
+        assert!(!store.verify());
+    }
+
     /// What the filter-and-engine property drives the two engines with.
     struct Pair {
         lsm: LsmStore,
@@ -1963,6 +2125,63 @@ mod tests {
             for (key, record) in oracle.iter() {
                 let got = recovered.get(key);
                 prop_assert_eq!(got.as_ref(), Some(record));
+            }
+        }
+    }
+
+    proptest! {
+        /// The sparse index at its block boundaries. One run holds entries
+        /// whose values range over 0–4 096 B, with a per-case cap, so a
+        /// block holds one entry or many and single entries overrun
+        /// [`BLOCK_BYTES`]. Every stored key, a key before the first,
+        /// one between each neighbouring pair and one after the last read
+        /// as the oracle says; every hit reads exactly one block; and the
+        /// index never outgrows the room `RunIndex::for_run_of` gave it.
+        #[test]
+        fn run_index_matches_the_oracle_at_block_boundaries(
+            entries in collection::vec(
+                (collection::vec(any::<u8>(), 1usize..10), 0usize..4097, any::<bool>()),
+                1usize..80,
+            ),
+            cap_pick in 0usize..4,
+        ) {
+            let cap = [8, 100, 1_000, 4_096][cap_pick];
+            let mut lsm = LsmStore::create();
+            lsm.set_flush_threshold(u64::MAX);
+            let mut oracle = PartitionStore::new();
+            for (key, len, tombstone) in &entries {
+                let version = Version::new(1, 0, 0);
+                let record = if *tombstone && len % 5 == 0 {
+                    Record::tombstone(version)
+                } else {
+                    Record::put(vec![b'v'; len % (cap + 1)], version)
+                };
+                let a = oracle.apply(key.clone(), record.clone());
+                prop_assert_eq!(a, lsm.apply(key.clone(), record));
+            }
+            lsm.flush();
+            prop_assert_eq!(lsm.table_count(), 1);
+            let run = &lsm.tables[0];
+            prop_assert!(run.index.starts.len() as u64 <= run.bytes / BLOCK_BYTES + 1);
+
+            let keys: Vec<&Bytes> = oracle.iter().map(|(k, _)| k).collect();
+            for key in &keys {
+                let before = lsm.activity().run_probes;
+                let got = lsm.get(key);
+                prop_assert_eq!(got.as_ref(), oracle.get(key), "key {:?}", key);
+                prop_assert_eq!(lsm.activity().run_probes, before + 1, "key {:?}", key);
+            }
+            let mut absent: Vec<Vec<u8>> = vec![Vec::new()];
+            for pair in keys.windows(2) {
+                let between = [pair[0].as_ref(), &[0]].concat();
+                if between.as_slice() < pair[1].as_ref() {
+                    absent.push(between);
+                }
+            }
+            absent.push([keys[keys.len() - 1].as_ref(), &[0]].concat());
+            for key in &absent {
+                prop_assert_eq!(oracle.get(key), None);
+                prop_assert_eq!(lsm.get(key), None, "key {:?}", key);
             }
         }
     }
