@@ -33,9 +33,8 @@ use crate::vnode::PartitionState;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ReadConsistency {
     /// Serve from the single highest-proximity reachable replica (the
-    /// default; fastest, may observe a divergent replica). A key read
-    /// that misses there falls back to every local store; a scan has no
-    /// such fallback and leaves out keys its replica missed.
+    /// default; fastest). A key read and each partition of a scan answer
+    /// what that one replica holds, even where it missed a write.
     #[default]
     One,
     /// Read a majority (`⌊k/2⌋ + 1`) of the partition's k replicas and
@@ -48,6 +47,15 @@ pub enum ReadConsistency {
 }
 
 impl ReadConsistency {
+    /// How many of a partition's `k` replicas a read at this consistency
+    /// consults.
+    fn replicas(self, k: usize) -> usize {
+        match self {
+            ReadConsistency::One => 1,
+            ReadConsistency::Quorum => majority(k),
+        }
+    }
+
     /// Stable lowercase name (the `X-Consistency` header value).
     pub fn as_str(self) -> &'static str {
         match self {
@@ -85,18 +93,19 @@ pub struct ClientRead {
     /// The live value under the key (`None` for absent keys and
     /// tombstones).
     pub value: Option<Bytes>,
-    /// The replica server the read was routed to (for quorum reads, the
-    /// highest-proximity replica that held the winning record).
+    /// The replica server that answered, always one the client could
+    /// reach (for quorum reads, the highest-proximity replica of the read
+    /// set that held the winning record).
     pub served_by: ServerId,
     /// The serving server's eq.-(4) proximity weight for this client
     /// (1.0 when no client location was given).
     pub proximity: f64,
-    /// True when the requested consistency could not be met: no replica
-    /// was reachable (consistency `One`) or fewer than `⌊k/2⌋ + 1`
-    /// replicas were reachable (consistency `Quorum`) and the read was
-    /// served best-effort from what remained.
+    /// True when a `Quorum` read reached fewer than `⌊k/2⌋ + 1` replicas
+    /// and answered from those it reached. A read that reaches no replica
+    /// fails instead, so an answered `One` read is never degraded.
     pub degraded: bool,
-    /// Replica stores consulted to answer the read.
+    /// Replica stores consulted to answer the read: the reachable read
+    /// set, never a store the client could not reach.
     pub replicas_read: usize,
     /// Stale replicas observed by a quorum read and enqueued for
     /// read-repair at the next epoch close.
@@ -107,14 +116,14 @@ pub struct ClientRead {
 /// and whether the scan met its requested consistency. A scan that met
 /// [`ReadConsistency::Quorum`] holds every acknowledged write; one at
 /// [`ReadConsistency::One`] holds what its one replica per partition
-/// holds, and may leave out a key a read-only replica missed.
+/// holds, as a `One` get of each key would answer.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ClientScan {
     /// Live `(key, value)` pairs in key order.
     pub entries: Vec<(Bytes, Bytes)>,
     /// True when some partition's read fell short of the requested
     /// consistency (as [`ClientRead::degraded`] would for a key of it) or
-    /// the partition has no replica left.
+    /// reached no replica at all, in which case its keys are left out.
     pub degraded: bool,
 }
 
@@ -136,21 +145,26 @@ pub struct ReadView<'a> {
 impl ReadView<'_> {
     /// Routes `key` through the ring and reads it at `consistency`.
     ///
-    /// `One` reads the **alive**, reachable replica with the highest
-    /// eq.-(4) proximity weight for `client` (ties break to the earliest
-    /// replica; no client location means every weight is the neutral 1.0,
-    /// so the first alive replica serves) and falls back to the LWW merge
-    /// across all replicas when that replica misses — a divergent replica
-    /// must not turn a stored key into a spurious 404.
+    /// The stores read are exactly `ReadView::read_set`'s. `One` reads
+    /// the **alive**, reachable replica with the highest eq.-(4) proximity
+    /// weight for `client` (ties break to the earliest replica; no client
+    /// location means every weight is the neutral 1.0, so the first alive
+    /// reachable replica serves) and answers what it holds: a replica that
+    /// missed a write answers like one holding an older version.
+    /// Read-repair and later writes converge it, not the read.
     ///
     /// `Quorum` reads `⌊k/2⌋ + 1` reachable replicas (highest eq.-(4)
     /// proximity first), resolves them by last-writer-wins, and enqueues
     /// every stale replica observed for targeted read-repair at the next
     /// [`SkuteCloud::end_epoch`]. When fewer than a quorum of replicas is
     /// reachable — a continental cut, gray-partitioned servers — the read
-    /// degrades gracefully to the best reachable subset (or the local
-    /// stores outright when nothing is reachable) and is flagged
+    /// answers from the reachable ones and is flagged
     /// [`ClientRead::degraded`].
+    ///
+    /// When no replica is reachable, at either consistency, the read fails
+    /// with [`StoreError::QuorumNotMet`] (`got: 0`): the key is
+    /// unavailable to this client, not absent. It still counts as a
+    /// degraded read.
     pub fn client_get_with(
         &self,
         app: AppId,
@@ -170,8 +184,8 @@ impl ReadView<'_> {
         }
         let (read_set, degraded) = self.read_set(partition, client, consistency);
         let responses: Vec<(usize, f64, Option<Record>)> = read_set
-            .iter()
-            .map(|&(i, g)| (i, g, partition.replicas[i].store.get(key)))
+            .into_iter()
+            .map(|(i, g)| (i, g, partition.replicas[i].store.get(key)))
             .collect();
         let winner = Record::merge_all(responses.iter().filter_map(|(_, _, r)| r.clone()));
         // Every response below the winning version is stale; schedule the
@@ -192,63 +206,50 @@ impl ReadView<'_> {
                 .expect("read-repair queue poisoned")
                 .push((ring_idx, key.to_vec()));
         }
-        // Serve from the highest-proximity replica that held the winning
-        // record (the read set is already proximity-sorted).
-        let (idx, g) = responses
-            .iter()
-            .find(|(_, _, r)| match (&winner, r) {
-                (Some(w), Some(rec)) => rec.version == w.version,
-                (None, None) => true,
-                _ => false,
-            })
-            .map(|&(i, g, _)| (i, g))
-            .unwrap_or(read_set[0]);
-        let value = match winner {
-            Some(record) => record.value,
-            // A single replica may have diverged, and a degraded quorum
-            // can miss the key while an unreachable replica still holds
-            // it: fall back to the LWW merge across every local store
-            // rather than inventing a 404.
-            None if degraded || consistency == ReadConsistency::One => {
-                Record::merge_all(partition.replicas.iter().filter_map(|r| r.store.get(key)))
-                    .and_then(|r| r.value)
+        if let Some(m) = self.metrics {
+            if consistency == ReadConsistency::Quorum {
+                m.quorum_reads.inc();
+                if repairs_scheduled > 0 {
+                    m.quorum_divergent.inc();
+                }
+                m.read_repairs_scheduled.add(repairs_scheduled as u64);
             }
-            None => None,
+            if degraded {
+                m.degraded_reads.inc();
+            }
+        }
+        // Serve from the highest-proximity replica that held the winning
+        // record (the read set is already proximity-sorted). Every
+        // non-empty read set holds one; an empty one reached nothing.
+        let Some(&(idx, g, _)) = responses.iter().find(|(_, _, r)| match (&winner, r) {
+            (Some(w), Some(rec)) => rec.version == w.version,
+            (None, None) => true,
+            _ => false,
+        }) else {
+            return Err(CoreError::Store(StoreError::QuorumNotMet {
+                needed: consistency.replicas(partition.replicas.len()),
+                got: 0,
+            }));
         };
-        let read = ClientRead {
-            value,
+        Ok(ClientRead {
+            value: winner.and_then(|w| w.value),
             served_by: partition.replicas[idx].server,
             proximity: g,
             degraded,
             replicas_read: responses.len(),
             repairs_scheduled,
-        };
-        if let Some(m) = self.metrics {
-            if consistency == ReadConsistency::Quorum {
-                m.quorum_reads.inc();
-                if read.repairs_scheduled > 0 {
-                    m.quorum_divergent.inc();
-                }
-                m.read_repairs_scheduled.add(read.repairs_scheduled as u64);
-            }
-            if read.degraded {
-                m.degraded_reads.inc();
-            }
-        }
-        Ok(read)
+        })
     }
 
     /// Ordered prefix scan over one ring at `consistency`: every
     /// partition is read from the same replica set
-    /// [`ReadView::client_get_with`] would read a key of it from, the
-    /// responses are merged last-writer-wins, and up to `limit` live
-    /// `(key, value)` pairs under `prefix` come back in key order
-    /// (`limit = 0` means unbounded). The scan is
-    /// [`ClientScan::degraded`] when any partition's read fell short of
-    /// `consistency` or has no replica left. Scans schedule no
-    /// read-repair, and unlike a key read a scan does not fall back to
-    /// every local store on a miss: at `One` it returns what the one
-    /// replica it reads holds.
+    /// [`ReadView::client_get_with`] would read a key of it from, so a
+    /// scan and the gets of its keys agree. The responses are merged
+    /// last-writer-wins, and up to `limit` live `(key, value)` pairs under
+    /// `prefix` come back in key order (`limit = 0` means unbounded). The
+    /// scan is [`ClientScan::degraded`] when any partition's read fell
+    /// short of `consistency`; a partition with no reachable replica (or
+    /// none at all) is left out. Scans schedule no read-repair.
     pub fn scan(
         &self,
         app: AppId,
@@ -262,10 +263,6 @@ impl ReadView<'_> {
         let mut merged: BTreeMap<Bytes, Record> = BTreeMap::new();
         let mut degraded = false;
         for partition in self.rings[ring_idx].partitions.values() {
-            if partition.replicas.is_empty() {
-                degraded = true;
-                continue;
-            }
             let (read_set, short) = self.read_set(partition, client, consistency);
             degraded |= short;
             for (i, _) in read_set {
@@ -299,25 +296,21 @@ impl ReadView<'_> {
         Ok(ClientScan { entries, degraded })
     }
 
-    /// The replicas a read of `partition` (which has at least one) at
-    /// `consistency` consults, with their eq.-(4) proximity weights for
-    /// `client` (the neutral 1.0 without a client location): the alive,
-    /// reachable replicas, highest weight first with ties to the earliest
-    /// replica, cut to one for `One` and to `⌊k/2⌋ + 1` for `Quorum`.
-    /// The flag is true when fewer were reachable. With none reachable
-    /// the set is the first replicas in replica order — the data still
-    /// exists, and liveness is the repair pass's problem, not the read
-    /// path's.
+    /// The replicas a read of `partition` at `consistency` consults, and
+    /// the only choice of them: key reads and scans read no other store.
+    /// Each comes with its eq.-(4) proximity weight for `client` (the
+    /// neutral 1.0 without a client location). The set is the alive
+    /// replicas `client` can reach, highest weight first with ties to the
+    /// earliest replica, cut to one for `One` and to `⌊k/2⌋ + 1` for
+    /// `Quorum`. The flag is true when fewer were reachable; with none
+    /// reachable, or no replica left, the set is empty.
     fn read_set(
         &self,
         partition: &PartitionState,
         client: Option<Location>,
         consistency: ReadConsistency,
     ) -> (Vec<(usize, f64)>, bool) {
-        let need = match consistency {
-            ReadConsistency::One => 1,
-            ReadConsistency::Quorum => majority(partition.replicas.len()),
-        };
+        let need = consistency.replicas(partition.replicas.len());
         let regions = client.map(|location| {
             [RegionQueries {
                 location,
@@ -340,9 +333,6 @@ impl ReadView<'_> {
                 None => 1.0,
             };
             set.push((i, g));
-        }
-        if set.is_empty() {
-            return ((0..need).map(|i| (i, 1.0)).collect(), true);
         }
         let short = set.len() < need;
         set.sort_by(|a, b| {
@@ -388,7 +378,9 @@ impl SkuteCloud {
     }
 
     /// Reads a key's live value: [`SkuteCloud::client_get_with`] at
-    /// [`ReadConsistency::One`] with no client location.
+    /// [`ReadConsistency::One`] with no client location, so the answer of
+    /// the first alive reachable replica. Fails with
+    /// [`StoreError::QuorumNotMet`] when no replica is reachable.
     pub fn get(&self, app: AppId, level: u32, key: &[u8]) -> Result<Option<Bytes>, CoreError> {
         self.client_get_with(app, level, key, None, ReadConsistency::One)
             .map(|read| read.value)
@@ -415,10 +407,11 @@ impl SkuteCloud {
     /// Ordered prefix scan over one ring: [`ReadView::scan`] at
     /// [`ReadConsistency::One`] with no client location, returning up to
     /// `limit` live `(key, value)` pairs in key order (`limit = 0` means
-    /// unbounded). Each partition is read from one replica, so a key
-    /// that replica missed is left out; a quorum scan through
-    /// [`SkuteCloud::read_view`] is the one that meets every
-    /// acknowledged write.
+    /// unbounded). Each partition is read from its one reachable replica
+    /// that [`SkuteCloud::get`] reads, so a key that replica missed is left
+    /// out, and so is a partition with no reachable replica; a quorum scan
+    /// through [`SkuteCloud::read_view`] meets every acknowledged write and
+    /// says when it fell short.
     pub fn scan(
         &self,
         app: AppId,
@@ -846,6 +839,8 @@ mod tests {
         let pid = cloud.rings[0].ring.route(b"d");
         let replicas = cloud.replica_servers(app, 0, pid).unwrap();
         assert!(replicas.len() >= 3);
+        let metrics = CloudMetrics::register(&skute_obs::Registry::new());
+        cloud.set_metrics(metrics.clone());
         // Gray-partition every replica server but the first.
         for &s in &replicas[1..] {
             cloud.health.set_mode(s, GrayMode::Partitioned);
@@ -856,14 +851,20 @@ mod tests {
         assert!(read.degraded, "sub-quorum reachability is flagged");
         assert_eq!(read.value.as_ref().unwrap().as_ref(), b"v");
         assert_eq!(read.served_by, replicas[0]);
-        // Nothing reachable at all: the read still answers from the
-        // local stores rather than failing outright.
+        assert_eq!(read.replicas_read, 1);
+        // Nothing reachable at all: the key is unavailable, and no store
+        // behind the partition is read to answer it anyway. The read
+        // still counts, as a degraded quorum read.
         cloud.health.set_mode(replicas[0], GrayMode::Partitioned);
-        let read = cloud
-            .client_get_with(app, 0, b"d", None, ReadConsistency::Quorum)
-            .unwrap();
-        assert!(read.degraded);
-        assert_eq!(read.value.unwrap().as_ref(), b"v");
+        assert_eq!(
+            cloud.client_get_with(app, 0, b"d", None, ReadConsistency::Quorum),
+            Err(CoreError::Store(StoreError::QuorumNotMet {
+                needed: majority(replicas.len()),
+                got: 0
+            }))
+        );
+        assert_eq!(metrics.quorum_reads.get(), 2);
+        assert_eq!(metrics.degraded_reads.get(), 2);
     }
 
     #[test]
@@ -882,28 +883,36 @@ mod tests {
             .unwrap();
         assert!(!clean.degraded);
         assert_eq!(clean.entries, row);
-        // Cut off every replica of the key's partition: the scan still
-        // answers from the local stores, and says so as the read does.
+        // Cut off every replica of the key's partition: the get is
+        // unavailable, and the scan leaves the partition out and says so.
         let pid = cloud.rings[0].ring.route(b"s");
-        for s in cloud.replica_servers(app, 0, pid).unwrap() {
+        let replicas = cloud.replica_servers(app, 0, pid).unwrap();
+        for &s in &replicas {
             cloud.health.set_mode(s, GrayMode::Partitioned);
         }
         for consistency in [ReadConsistency::One, ReadConsistency::Quorum] {
-            let get = cloud
-                .client_get_with(app, 0, b"s", None, consistency)
-                .unwrap();
+            assert_eq!(
+                cloud.client_get_with(app, 0, b"s", None, consistency),
+                Err(CoreError::Store(StoreError::QuorumNotMet {
+                    needed: consistency.replicas(replicas.len()),
+                    got: 0
+                })),
+                "{consistency}"
+            );
             let scan = cloud
                 .read_view()
                 .scan(app, 0, b"s", 0, None, consistency)
                 .unwrap();
-            assert!(get.degraded, "{consistency}");
-            assert_eq!(scan.degraded, get.degraded, "{consistency}");
-            assert_eq!(scan.entries, vec![(row[0].0.clone(), get.value.unwrap())]);
+            assert_eq!(
+                (scan.entries, scan.degraded),
+                (vec![], true),
+                "{consistency}"
+            );
         }
     }
 
     #[test]
-    fn one_scan_leaves_out_what_its_replica_missed() {
+    fn one_get_and_one_scan_answer_what_the_reachable_replica_holds() {
         let (mut cloud, app) = small_cloud();
         for _ in 0..6 {
             cloud.begin_epoch();
@@ -918,25 +927,32 @@ mod tests {
         cloud.health.set_mode(replicas[0], GrayMode::ReadOnly);
         cloud.put(app, 0, b"r", b"v".to_vec()).unwrap();
         let row = vec![(Bytes::from_static(b"r"), Bytes::from_static(b"v"))];
-        // A key read falls back to every store on a miss; a `One` scan
-        // reads the replica that missed the write and leaves the key
-        // out, undegraded. A quorum scan meets the acked write.
-        let get = cloud
-            .client_get_with(app, 0, b"r", None, ReadConsistency::One)
-            .unwrap();
-        assert_eq!(get.served_by, replicas[0]);
-        assert_eq!(get.value.unwrap().as_ref(), b"v");
-        let one = cloud
-            .read_view()
-            .scan(app, 0, b"r", 0, None, ReadConsistency::One)
-            .unwrap();
-        assert_eq!((one.entries, one.degraded), (vec![], false));
-        assert!(cloud.scan(app, 0, b"r", 0).unwrap().is_empty());
         let quorum = cloud
             .read_view()
             .scan(app, 0, b"r", 0, None, ReadConsistency::Quorum)
             .unwrap();
         assert_eq!((quorum.entries, quorum.degraded), (row, false));
+        // Only the replica that missed the write stays reachable. Both
+        // `One` reads answer from it alone, and agree that it holds
+        // nothing; neither reads the partitioned stores that hold `v`.
+        cloud.health.set_mode(replicas[0], GrayMode::Healthy);
+        for &s in &replicas[1..3] {
+            cloud.health.set_mode(s, GrayMode::Partitioned);
+        }
+        let get = cloud
+            .client_get_with(app, 0, b"r", None, ReadConsistency::One)
+            .unwrap();
+        assert_eq!(
+            (get.value, get.served_by, get.replicas_read, get.degraded),
+            (None, replicas[0], 1, false)
+        );
+        let one = cloud
+            .read_view()
+            .scan(app, 0, b"r", 0, None, ReadConsistency::One)
+            .unwrap();
+        assert_eq!((one.entries, one.degraded), (vec![], false));
+        assert_eq!(cloud.get(app, 0, b"r").unwrap(), None);
+        assert!(cloud.scan(app, 0, b"r", 0).unwrap().is_empty());
     }
 
     #[test]
@@ -1073,38 +1089,64 @@ mod tests {
                 cloud.health.set_mode(s, mode);
             }
             let client = country.and_then(|c| cloud.topology.iter_client_locations().nth(c));
-            if cloud.put(app, 0, b"p", b"new".to_vec()).is_ok() {
-                let row = (Bytes::from_static(b"p"), Bytes::from_static(b"new"));
-                for at in [None, client] {
-                    let read = cloud
-                        .client_get_with(app, 0, b"p", at, ReadConsistency::Quorum)
-                        .unwrap();
-                    if !read.degraded {
+            let acked = cloud.put(app, 0, b"p", b"new".to_vec()).is_ok();
+            let row = (Bytes::from_static(b"p"), Bytes::from_static(b"new"));
+            let partition = &cloud.rings[0].partitions[&cloud.rings[0].ring.route(b"p")];
+            for at in [None, client] {
+                let modes = &modes[..k];
+                let case = format!("k = {k}, modes = {modes:?}, cut = {cut:?}, client = {at:?}");
+                // The replicas `at` can reach: the only stores a read of
+                // it may consult.
+                let reachable: Vec<usize> = (0..k)
+                    .filter(|&i| {
+                        cloud.cluster.get_alive(servers[i]).is_some_and(|server| {
+                            cloud.health.reachable(servers[i], &server.location, at)
+                        })
+                    })
+                    .collect();
+                let unavailable =
+                    |needed| CoreError::Store(StoreError::QuorumNotMet { needed, got: 0 });
+                // `One` answers exactly what one reachable replica holds,
+                // and reaching none is never an answer.
+                match cloud.client_get_with(app, 0, b"p", at, ReadConsistency::One) {
+                    Ok(read) => {
+                        let i = servers.iter().position(|&s| s == read.served_by).unwrap();
+                        proptest::prop_assert!(reachable.contains(&i), "{}", case);
                         proptest::prop_assert_eq!(
                             read.value,
-                            Some(row.1.clone()),
-                            "k = {}, modes = {:?}, cut = {:?}, client = {:?}",
-                            k,
-                            &modes[..k],
-                            cut,
-                            at
+                            partition.replicas[i].store.get_value(b"p"),
+                            "{}",
+                            case
                         );
                     }
-                    let scan = cloud
-                        .read_view()
-                        .scan(app, 0, b"p", 0, at, ReadConsistency::Quorum)
-                        .unwrap();
-                    if !scan.degraded {
-                        proptest::prop_assert!(
-                            scan.entries.contains(&row),
-                            "scan {:?}: k = {}, modes = {:?}, cut = {:?}, client = {:?}",
-                            scan.entries,
-                            k,
-                            &modes[..k],
-                            cut,
-                            at
-                        );
+                    Err(e) => {
+                        proptest::prop_assert!(reachable.is_empty(), "{}", case);
+                        proptest::prop_assert_eq!(e, unavailable(1), "{}", case);
                     }
+                }
+                match cloud.client_get_with(app, 0, b"p", at, ReadConsistency::Quorum) {
+                    Ok(read) => {
+                        proptest::prop_assert!(!reachable.is_empty(), "{}", case);
+                        if acked && !read.degraded {
+                            proptest::prop_assert_eq!(read.value, Some(row.1.clone()), "{}", case);
+                        }
+                    }
+                    Err(e) => {
+                        proptest::prop_assert!(reachable.is_empty(), "{}", case);
+                        proptest::prop_assert_eq!(e, unavailable(majority(k)), "{}", case);
+                    }
+                }
+                let scan = cloud
+                    .read_view()
+                    .scan(app, 0, b"p", 0, at, ReadConsistency::Quorum)
+                    .unwrap();
+                if acked && !scan.degraded {
+                    proptest::prop_assert!(
+                        scan.entries.contains(&row),
+                        "scan {:?}: {}",
+                        scan.entries,
+                        case
+                    );
                 }
             }
         }

@@ -23,9 +23,9 @@
 //! | `skute_scrub_rebuilds_total` | counter | | quarantined replicas re-seeded from peers |
 //! | `skute_storage_engine_ops` | gauge | `op` | fleet-wide LSM totals, refreshed on scrape: the write path (`wal_append`, `memtable_flush`, `compaction`) and the read path (`point_read`, `run_probe`, `bloom_skip` — `run_probe / point_read` is the sorted runs actually read per lookup — and `corrupt_block`, run blocks a lookup could not decode and read as a miss) |
 //! | `skute_storage_fault_recoveries` | gauge | `kind` | fleet-wide injected-fault recoveries, refreshed on scrape |
-//! | `skute_read_quorum_reads_total` | counter | | serving-path reads answered at quorum consistency |
+//! | `skute_read_quorum_reads_total` | counter | | serving-path key reads at quorum consistency, unavailable ones included |
 //! | `skute_read_quorum_divergent_total` | counter | | quorum reads that observed at least one stale replica |
-//! | `skute_degraded_reads_total` | counter | | reads served below their requested consistency (quorum unreachable / no reachable replica) |
+//! | `skute_degraded_reads_total` | counter | | reads and scans below their requested consistency (quorum unreachable), and key reads unavailable for want of any reachable replica |
 //! | `skute_read_repairs_total` | counter | `stage` | stale replicas scheduled by quorum reads / repaired at epoch close |
 //! | `skute_server_confidence_bp` | gauge | `stat` | fleet confidence in basis points (min / mean), refreshed each gray epoch |
 //! | `skute_gray_degraded_servers` | gauge | | alive servers currently in a degraded gray mode or behind the cut |
@@ -115,11 +115,13 @@ pub struct CloudMetrics {
     pub fault_torn_tails: Gauge,
     /// Fleet-wide partial runs discarded at open (refreshed gauge).
     pub fault_partial_runs: Gauge,
-    /// Serving-path reads answered at quorum consistency.
+    /// Serving-path key reads at quorum consistency, unavailable ones
+    /// included.
     pub quorum_reads: Counter,
     /// Quorum reads that observed at least one stale replica.
     pub quorum_divergent: Counter,
-    /// Reads served below their requested consistency.
+    /// Reads and scans below their requested consistency, unavailable key
+    /// reads included.
     pub degraded_reads: Counter,
     /// Stale replicas enqueued for read-repair by quorum reads.
     pub read_repairs_scheduled: Counter,

@@ -12,9 +12,9 @@
 //! |---|---|
 //! | `GET /healthz` | liveness probe, `200 ok` |
 //! | `GET /metrics` | Prometheus text exposition of the shared registry |
-//! | `GET /kv/<key>` | proximity-routed read ([`SkuteCloud::client_get_with`]); `X-Served-By` / `X-Proximity` / `X-Replicas-Read` response headers; 404 for absent keys |
-//! | `PUT /kv/<key>` | write, body is the value, `204` |
-//! | `DELETE /kv/<key>` | tombstone write, `204` |
+//! | `GET /kv/<key>` | proximity-routed read ([`SkuteCloud::client_get_with`]); `X-Served-By` / `X-Proximity` / `X-Replicas-Read` response headers; 404 for absent keys; 503 when no replica is reachable |
+//! | `PUT /kv/<key>` | write, body is the value, `204`; 503 when fewer than a majority of replicas ack |
+//! | `DELETE /kv/<key>` | tombstone write, `204`; 503 as for `PUT` |
 //! | `GET /scan?prefix=&limit=` | ordered prefix scan ([`skute_core::ReadView::scan`]), one `key\tvalue` line each (percent-encoded); `X-Scan-Count` response header |
 //! | `POST /fault` | swap the live fault plan (`gray 42`, `partition 7`, `cut 2`, `heal`, `none`) without a restart |
 //! | `POST /shutdown` | graceful stop: respond, then drain and exit |
@@ -23,13 +23,15 @@
 //! selecting the replica set each partition is read from: `one` answers
 //! from the closest reachable replica, `quorum` reads a majority of the
 //! partition's k replicas and merges last-writer-wins; a quorum `GET`
-//! also schedules read-repair for the stale copies it saw. A `GET` that
-//! misses falls back to every local store; a scan does not, so a `one`
-//! scan leaves out keys its replica missed. Both echo
+//! also schedules read-repair for the stale copies it saw. Neither reads
+//! a replica its client cannot reach, and a `GET` and a scan read the
+//! same replicas, so a `one` scan leaves out a key its replica missed
+//! exactly when a `one` `GET` of it answers 404. Both echo
 //! `X-Consistency`. When gray failures or a partition leave fewer
-//! reachable replicas than the read needs, the server degrades gracefully
-//! — it still answers from what it can reach and flags the response with
-//! `X-Degraded: true`.
+//! reachable replicas than a quorum read needs, it answers from those it
+//! reached and flags the response with `X-Degraded: true`. When none is
+//! reachable, a `GET` answers `503 Service Unavailable`, and a scan leaves
+//! the partition out and flags itself degraded.
 //!
 //! Every message, request or response, is sent in one write (both ends
 //! set `TCP_NODELAY`, so a second write would be a second segment). A

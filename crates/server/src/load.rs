@@ -104,8 +104,11 @@ pub struct LoadReport {
     pub ok: u64,
     /// 404 responses (expected for reads of never-written keys).
     pub not_found: u64,
-    /// Other HTTP status codes.
+    /// Other HTTP status codes, 503 excepted.
     pub http_errors: u64,
+    /// 503 responses: no reachable replica for a read, or a write short
+    /// of a majority.
+    pub unavailable: u64,
     /// Connection-level failures that exhausted their retry budget (the
     /// request still counts as issued).
     pub transport_errors: u64,
@@ -129,7 +132,7 @@ impl LoadReport {
         if secs <= 0.0 {
             0.0
         } else {
-            (self.ok + self.not_found + self.http_errors) as f64 / secs
+            (self.ok + self.not_found + self.http_errors + self.unavailable) as f64 / secs
         }
     }
 
@@ -144,7 +147,7 @@ impl LoadReport {
         // New fields append at the END of the first line: CI's awk
         // indexes the earlier fields positionally.
         format!(
-            "load: issued={} ok={} not_found={} http_errors={} transport_errors={} elapsed_ms={} throughput_rps={:.1} retries={} degraded={} scan_rows={}\nload: p50_ms={:.3} p99_ms={:.3} p999_ms={:.3}",
+            "load: issued={} ok={} not_found={} http_errors={} transport_errors={} elapsed_ms={} throughput_rps={:.1} retries={} degraded={} scan_rows={} unavailable={}\nload: p50_ms={:.3} p99_ms={:.3} p999_ms={:.3}",
             self.issued,
             self.ok,
             self.not_found,
@@ -155,6 +158,7 @@ impl LoadReport {
             self.retries,
             self.degraded,
             self.scan_rows,
+            self.unavailable,
             q(0.50),
             q(0.99),
             q(0.999),
@@ -183,6 +187,7 @@ struct ThreadTally {
     ok: u64,
     not_found: u64,
     http_errors: u64,
+    unavailable: u64,
     transport_errors: u64,
     retries: u64,
     degraded: u64,
@@ -214,6 +219,7 @@ pub fn run_load(config: LoadConfig) -> io::Result<LoadReport> {
         ok: 0,
         not_found: 0,
         http_errors: 0,
+        unavailable: 0,
         transport_errors: 0,
         retries: 0,
         degraded: 0,
@@ -229,6 +235,7 @@ pub fn run_load(config: LoadConfig) -> io::Result<LoadReport> {
                 report.ok += tally.ok;
                 report.not_found += tally.not_found;
                 report.http_errors += tally.http_errors;
+                report.unavailable += tally.unavailable;
                 report.transport_errors += tally.transport_errors;
                 report.retries += tally.retries;
                 report.degraded += tally.degraded;
@@ -262,6 +269,7 @@ fn client_loop(
         ok: 0,
         not_found: 0,
         http_errors: 0,
+        unavailable: 0,
         transport_errors: 0,
         retries: 0,
         degraded: 0,
@@ -345,6 +353,7 @@ fn client_loop(
                         }
                     }
                     404 => tally.not_found += 1,
+                    503 => tally.unavailable += 1,
                     _ => tally.http_errors += 1,
                 }
             }

@@ -14,12 +14,12 @@ use std::time::{Duration, Instant};
 
 use skute_cluster::{Capacities, Cluster, ServerSpec};
 use skute_core::{
-    AppId, AppSpec, FaultPlan, FaultPlanKind, LevelSpec, ReadConsistency, SkuteCloud, SkuteConfig,
-    TrafficBatch,
+    AppId, AppSpec, CoreError, FaultPlan, FaultPlanKind, LevelSpec, ReadConsistency, SkuteCloud,
+    SkuteConfig, TrafficBatch,
 };
 use skute_geo::{Location, RegionWeight, Topology};
 use skute_obs::{exponential_buckets, Counter, Gauge, Histogram, Registry};
-use skute_store::BackendKind;
+use skute_store::{BackendKind, StoreError};
 
 use crate::http::{self, Request};
 
@@ -595,7 +595,9 @@ fn charge(state: &ServerState, slot: &mut CloudSlot, client: Option<Location>) {
 }
 
 /// `GET` / `PUT` / `DELETE /kv/<key>`: encodes the response into `out`
-/// and returns its status.
+/// and returns its status. A read that reaches no replica and a write
+/// short of a majority answer `503` (unavailable: retry later, or from
+/// elsewhere); every other cloud error answers `500`.
 fn handle_kv(
     state: &Arc<ServerState>,
     request: Request,
@@ -628,7 +630,7 @@ fn handle_kv(
                 Err(e) => {
                     return reply(
                         out,
-                        500,
+                        error_status(&e),
                         format!("get failed: {e:?}\n").as_bytes(),
                         keep_alive,
                     )
@@ -644,8 +646,8 @@ fn handle_kv(
             http::encode_header(out, "X-Proximity", format_args!("{:.6}", read.proximity));
             http::encode_header(out, "X-Consistency", consistency);
             http::encode_header(out, "X-Replicas-Read", read.replicas_read);
-            // Degraded reads still answer (graceful degradation);
-            // the header lets clients detect the weakened quorum.
+            // A degraded read answers from the replicas it reached; the
+            // header lets clients detect the weakened quorum.
             if read.degraded {
                 http::encode_header(out, "X-Degraded", "true");
             }
@@ -657,10 +659,19 @@ fn handle_kv(
         Ok(()) => reply(out, 204, b"", keep_alive),
         Err(e) => reply(
             out,
-            500,
+            error_status(&e),
             format!("{} failed: {e:?}\n", op.as_str()).as_bytes(),
             keep_alive,
         ),
+    }
+}
+
+/// The status of a failed key operation: `503` when too few replicas
+/// were reachable, `500` otherwise.
+fn error_status(e: &CoreError) -> u16 {
+    match e {
+        CoreError::Store(StoreError::QuorumNotMet { .. }) => 503,
+        _ => 500,
     }
 }
 

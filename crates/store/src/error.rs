@@ -5,14 +5,17 @@ use std::fmt;
 /// Errors produced by the storage substrate.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum StoreError {
-    /// An operation could not assemble the required quorum.
+    /// An operation could not assemble the required quorum: a write
+    /// acked by fewer than a majority, or a read that reached no replica
+    /// (`got: 0`).
     QuorumNotMet {
         /// Responses/acks required.
         needed: usize,
         /// Responses/acks obtained.
         got: usize,
     },
-    /// No replica of the partition is currently reachable.
+    /// The partition has no replica left (an unreachable one is
+    /// [`StoreError::QuorumNotMet`]).
     NoReplicas,
     /// A write could not be placed because storage capacity ran out.
     CapacityExceeded,

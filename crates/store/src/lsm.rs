@@ -205,10 +205,9 @@ enum EntryError {
     Corrupt,
 }
 
-/// Reads `len` bytes into `raw` (so the checksum can cover them), returning
-/// the start offset of the field within `raw`. `raw` grows a chunk at a
-/// time, so a corrupt length allocates for the bytes actually present,
-/// not for what it claims.
+/// Appends the next `len` bytes of `r` to `raw`, returning where they
+/// start in `raw`. `raw` grows a chunk at a time, so a corrupt length
+/// allocates for the bytes actually present, not for what it claims.
 fn read_field(r: &mut impl Read, raw: &mut Vec<u8>, len: usize) -> Result<usize, EntryError> {
     let start = raw.len();
     let end = start + len;
@@ -229,13 +228,13 @@ fn field_u64(raw: &[u8], at: usize) -> u64 {
     u64::from_le_bytes(raw[at..at + 8].try_into().expect("8-byte field"))
 }
 
-/// Decodes and checksum-verifies one entry. `Ok(None)` is clean EOF;
-/// `raw` is left holding the entry's bytes (CRC excluded), so the caller
-/// can account `raw.len() + CRC_LEN` consumed bytes.
-fn try_read_entry(
+/// Reads the next entry of a stream into `raw` and decodes it there with
+/// [`decode_entry`]. `Ok(None)` is clean EOF: the stream ends before the
+/// entry's first byte. Ending anywhere later is a tear.
+fn try_read_entry<'a>(
     r: &mut impl Read,
-    raw: &mut Vec<u8>,
-) -> Result<Option<(Bytes, Record)>, EntryError> {
+    raw: &'a mut Vec<u8>,
+) -> Result<Option<EntryView<'a>>, EntryError> {
     raw.clear();
     // Header read distinguishes clean EOF (no bytes at all) from a tear.
     let mut hdr = [0u8; 4];
@@ -254,7 +253,7 @@ fn try_read_entry(
     if key_len > MAX_FIELD {
         return Err(EntryError::Corrupt);
     }
-    let key_at = read_field(r, raw, key_len)?;
+    read_field(r, raw, key_len)?;
     let live_at = read_field(r, raw, 1)?;
     let live = raw[live_at] != 0;
     let vlen_at = read_field(r, raw, 4)?;
@@ -262,28 +261,9 @@ fn try_read_entry(
     if value_len > MAX_FIELD {
         return Err(EntryError::Corrupt);
     }
-    let val_at = read_field(r, raw, if live { value_len } else { 0 })?;
-    let tail_at = read_field(r, raw, 8 + 8 + 4 + 8)?;
-    let mut crc_buf = [0u8; 4];
-    r.read_exact(&mut crc_buf)
-        .map_err(|_| EntryError::Truncated)?;
-    if crc32(raw) != u32::from_le_bytes(crc_buf) {
-        return Err(EntryError::Corrupt);
-    }
-    let key = Bytes::from(raw[key_at..key_at + key_len].to_vec());
-    let value = live.then(|| Bytes::from(raw[val_at..val_at + value_len].to_vec()));
-    let epoch = field_u64(raw, tail_at);
-    let seq = field_u64(raw, tail_at + 8);
-    let writer = field_u32(raw, tail_at + 16);
-    let logical_size = field_u64(raw, tail_at + 20);
-    Ok(Some((
-        key,
-        Record {
-            value,
-            version: Version::new(epoch, seq, writer),
-            logical_size,
-        },
-    )))
+    read_field(r, raw, if live { value_len } else { 0 })?;
+    read_field(r, raw, 8 + 8 + 4 + 8 + CRC_LEN as usize)?;
+    decode_entry(raw).map(Some)
 }
 
 /// One entry decoded in place; the slices borrow the buffer it came from.
@@ -320,9 +300,10 @@ fn take_field<'a>(buf: &'a [u8], at: &mut usize, len: usize) -> Result<&'a [u8],
     Ok(field)
 }
 
-/// [`try_read_entry`] over a slice: decodes and checksum-verifies the
-/// entry at the head of a non-empty `buf` without allocating. Every
-/// length is bounded by `buf` before it is used.
+/// Decodes and checksum-verifies the entry at the head of a non-empty
+/// `buf` without allocating: the one entry decoder, behind point reads
+/// and, through [`try_read_entry`], every stream read. Every length is
+/// bounded by `buf` before it is used.
 fn decode_entry(buf: &[u8]) -> Result<EntryView<'_>, EntryError> {
     let mut at = 0usize;
     let key_len = field_u32(take_field(buf, &mut at, 4)?, 0) as usize;
@@ -502,10 +483,10 @@ impl SsTable {
         let mut reader = BufReader::new(&file);
         let mut raw = Vec::new();
         let mut offset = 0u64;
-        while let Some((key, _)) = try_read_entry(&mut reader, &mut raw)? {
-            index.add(&key, offset);
-            hashes.push(bloom_hash(&key));
-            offset += raw.len() as u64 + CRC_LEN;
+        while let Some(entry) = try_read_entry(&mut reader, &mut raw)? {
+            index.add(entry.key, offset);
+            hashes.push(bloom_hash(entry.key));
+            offset += entry.encoded_len as u64;
         }
         Ok(Self {
             path,
@@ -571,8 +552,8 @@ impl SsTable {
         let mut reader = BufReader::new(&self.file);
         reader.seek(SeekFrom::Start(0)).expect("lsm: seek sstable");
         let mut raw = Vec::new();
-        while let Ok(Some((k, record))) = try_read_entry(&mut reader, &mut raw) {
-            f(k, record);
+        while let Ok(Some(entry)) = try_read_entry(&mut reader, &mut raw) {
+            f(Bytes::copy_from_slice(entry.key), entry.to_record());
         }
     }
 
@@ -788,12 +769,12 @@ impl LsmStore {
             let mut good = 0u64;
             loop {
                 match try_read_entry(&mut reader, &mut raw) {
-                    Ok(Some((key, record))) => {
-                        good += raw.len() as u64 + CRC_LEN;
+                    Ok(Some(entry)) => {
+                        good += entry.encoded_len as u64;
                         // Entries were version-gated when first written,
                         // so later WAL entries for a key always dominate
                         // earlier ones.
-                        memtable.insert(key, record);
+                        memtable.insert(Bytes::copy_from_slice(entry.key), entry.to_record());
                     }
                     Ok(None) => break,
                     Err(_) => {
@@ -1777,7 +1758,9 @@ mod tests {
 
     /// The streaming decoder, fed from a slice.
     fn stream_decode(bytes: &[u8]) -> Result<Option<(Bytes, Record)>, EntryError> {
-        try_read_entry(&mut &bytes[..], &mut Vec::new())
+        let mut raw = Vec::new();
+        let entry = try_read_entry(&mut &bytes[..], &mut raw)?;
+        Ok(entry.map(|e| (Bytes::copy_from_slice(e.key), e.to_record())))
     }
 
     #[test]

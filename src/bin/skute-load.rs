@@ -125,9 +125,11 @@ fn parse_args() -> Result<Args, String> {
                             [--retries N]\n\
                             | --scrape PATH | --post PATH [--body TEXT]\n\n\
                      Prints 'load: issued=.. ok=.. .. retries=.. degraded=..\n\
-                     scan_rows=..' and 'load: p50_ms=..' summary lines\n\
-                     (degraded: answers flagged X-Degraded; scan_rows: rows of\n\
-                     the scans that were not). --consistency sets the\n\
+                     scan_rows=.. unavailable=..' and 'load: p50_ms=..' summary\n\
+                     lines (degraded: answers flagged X-Degraded; scan_rows:\n\
+                     rows of the scans that were not; unavailable: 503s, a read\n\
+                     that reached no replica or a write short of a majority,\n\
+                     not counted in http_errors). --consistency sets the\n\
                      X-Consistency header on reads and scans (quorum = majority\n\
                      read; quorum GETs also schedule read-repair). --retries\n\
                      bounds transport-level retries per request (exponential\n\

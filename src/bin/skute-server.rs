@@ -90,9 +90,12 @@ fn parse_args() -> Result<ServerConfig, String> {
                      feeds the epoch tick (every --epoch-ms milliseconds) so\n\
                      placement follows demand. Reads accept X-Consistency:\n\
                      one|quorum (quorum merges a majority of replicas LWW and\n\
-                     schedules read-repair; degraded quorums still answer,\n\
-                     flagged X-Degraded: true). POST /fault swaps the live\n\
-                     fault plan: body '<plan> [seed]' (e.g. 'gray 42'),\n\
+                     schedules read-repair). A read only reads replicas its\n\
+                     client can reach: a quorum short of a majority answers\n\
+                     from those, flagged X-Degraded: true; a read that reaches\n\
+                     none, or a write short of a majority, answers 503.\n\
+                     POST /fault swaps the live fault plan: body\n\
+                     '<plan> [seed]' (e.g. 'gray 42'),\n\
                      'cut <continent>', or 'heal'. --read/write-timeout-ms\n\
                      bound per-connection socket stalls (0 = no timeout)."
                 );
