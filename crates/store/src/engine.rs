@@ -28,7 +28,7 @@ pub enum ApplyOutcome {
 /// order-insensitive for LWW). Size accounting counts key bytes plus the
 /// record's logical size, so that the 256 MB partition cap and the storage
 /// saturation experiment see the byte volumes the paper intends.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct PartitionStore {
     records: BTreeMap<Bytes, Record>,
     logical_bytes: u64,

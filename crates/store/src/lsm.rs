@@ -35,7 +35,15 @@
 //! flush threshold it is written out as a fresh SSTable and the WAL is
 //! truncated (its entries are now durable in the run). Once more than
 //! [`MAX_TABLES`] runs of the tier accumulate, a size-tiered compaction
-//! collapses them into a single run.
+//! streams them through one k-way merge into a single run: every input
+//! entry is CRC-verified as it is read, the newest source wins each key,
+//! and the winner's encoded bytes are copied verbatim, CRC trailer
+//! included; the inputs are deleted only once the new run is durable,
+//! and the new run is then read back (verified) like a flushed one. The
+//! ordered whole-store reads ([`for_each`](LsmStore::for_each),
+//! [`snapshot`](LsmStore::snapshot), [`absorb`](LsmStore::absorb) and the
+//! accounting on open) stream through the same merge, with the memtable as
+//! its newest source.
 //!
 //! Reads are leveled: memtable first, then SSTables newest-to-oldest — the
 //! first hit wins, because an entry only ever lands in the store if its
@@ -73,7 +81,10 @@
 //!    checksum cannot be repaired locally; the store is marked
 //!    [`quarantined`](LsmStore::quarantined) and the cluster layer
 //!    re-seeds the replica from a healthy peer (priced as a real,
-//!    measured transfer).
+//!    measured transfer). A compaction whose merge meets an input entry
+//!    that no longer decodes follows the same rule: it removes its partial
+//!    output, keeps its inputs, and quarantines the store, which compacts
+//!    no more.
 //!
 //! In-path faults come from an optional [`FaultInjector`] (seeded by the
 //! run's [`FaultPlan`]): torn appends, failed fsyncs, partial flushes,
@@ -90,7 +101,7 @@
 //! [`crate::StoreError`] stays `Clone + Eq` and carries no I/O variants.
 
 use std::cell::RefCell;
-use std::collections::BTreeMap;
+use std::collections::{btree_map, BTreeMap};
 use std::fs::{self, File, OpenOptions};
 use std::io::{BufReader, BufWriter, ErrorKind, Read, Seek, SeekFrom, Write};
 use std::os::unix::fs::FileExt;
@@ -305,6 +316,17 @@ fn take_field<'a>(buf: &'a [u8], at: &mut usize, len: usize) -> Result<&'a [u8],
 /// and, through [`try_read_entry`], every stream read. Every length is
 /// bounded by `buf` before it is used.
 fn decode_entry(buf: &[u8]) -> Result<EntryView<'_>, EntryError> {
+    let view = parse_entry(buf)?;
+    let body = view.encoded_len - CRC_LEN as usize;
+    if crc32(&buf[..body]) != field_u32(buf, body) {
+        return Err(EntryError::Corrupt);
+    }
+    Ok(view)
+}
+
+/// [`decode_entry`] without the checksum: the fields of an entry whose
+/// bytes were verified when they were read.
+fn parse_entry(buf: &[u8]) -> Result<EntryView<'_>, EntryError> {
     let mut at = 0usize;
     let key_len = field_u32(take_field(buf, &mut at, 4)?, 0) as usize;
     if key_len > MAX_FIELD {
@@ -318,11 +340,7 @@ fn decode_entry(buf: &[u8]) -> Result<EntryView<'_>, EntryError> {
     }
     let value = take_field(buf, &mut at, if live { value_len } else { 0 })?;
     let tail = take_field(buf, &mut at, 8 + 8 + 4 + 8)?;
-    let body = at;
-    let crc = field_u32(take_field(buf, &mut at, CRC_LEN as usize)?, 0);
-    if crc32(&buf[..body]) != crc {
-        return Err(EntryError::Corrupt);
-    }
+    take_field(buf, &mut at, CRC_LEN as usize)?;
     Ok(EntryView {
         key,
         value: live.then_some(value),
@@ -546,17 +564,6 @@ impl SsTable {
         None
     }
 
-    /// Full scan in key order; stops at the first undecodable entry (see
-    /// [`SsTable::get`] on when that can happen).
-    fn for_each(&self, f: &mut dyn FnMut(Bytes, Record)) {
-        let mut reader = BufReader::new(&self.file);
-        reader.seek(SeekFrom::Start(0)).expect("lsm: seek sstable");
-        let mut raw = Vec::new();
-        while let Ok(Some(entry)) = try_read_entry(&mut reader, &mut raw) {
-            f(Bytes::copy_from_slice(entry.key), entry.to_record());
-        }
-    }
-
     /// Re-reads the whole run, verifying every checksum.
     fn scan_ok(&self) -> bool {
         let mut reader = BufReader::new(&self.file);
@@ -571,6 +578,153 @@ impl SsTable {
                 Err(_) => return false,
             }
         }
+    }
+}
+
+/// One input of [`merge`], read front to back.
+enum Source<'a> {
+    /// A sorted run, through a cursor that checksum-verifies every entry.
+    Run {
+        reader: BufReader<&'a File>,
+        /// The head entry's encoded bytes; empty once the run is exhausted.
+        head: Vec<u8>,
+    },
+    Memtable {
+        entries: btree_map::Iter<'a, Bytes, Record>,
+        head: Option<(&'a Bytes, &'a Record)>,
+    },
+}
+
+impl<'a> Source<'a> {
+    fn run(table: &'a SsTable) -> Result<Self, EntryError> {
+        let mut reader = BufReader::new(&table.file);
+        reader.seek(SeekFrom::Start(0)).expect("lsm: seek sstable");
+        let mut source = Source::Run {
+            reader,
+            head: Vec::new(),
+        };
+        source.advance()?;
+        Ok(source)
+    }
+
+    fn memtable(memtable: &'a BTreeMap<Bytes, Record>) -> Self {
+        let mut entries = memtable.iter();
+        let head = entries.next();
+        Source::Memtable { entries, head }
+    }
+
+    /// The head entry's key; `None` once the source is exhausted.
+    fn key(&self) -> Option<&[u8]> {
+        match self {
+            Source::Run { head, .. } => {
+                let key_len = head.get(..4).map(|len| field_u32(len, 0) as usize)?;
+                Some(&head[4..4 + key_len])
+            }
+            Source::Memtable { head, .. } => head.map(|(key, _)| key.as_ref()),
+        }
+    }
+
+    fn head(&self) -> Merged<'_> {
+        match self {
+            Source::Run { head, .. } => Merged::Run(head),
+            Source::Memtable { head, .. } => {
+                let (key, record) = head.expect("lsm: the merge visits only a present head");
+                Merged::Memtable(key, record)
+            }
+        }
+    }
+
+    /// Moves to the next entry; a run entry that fails to decode is the
+    /// error.
+    fn advance(&mut self) -> Result<(), EntryError> {
+        match self {
+            Source::Run { reader, head } => {
+                try_read_entry(reader, head)?;
+            }
+            Source::Memtable { entries, head } => *head = entries.next(),
+        }
+        Ok(())
+    }
+}
+
+/// The entry that wins one step of [`merge`].
+enum Merged<'a> {
+    /// A run's entry as its encoded bytes, verified when they were read.
+    Run(&'a [u8]),
+    Memtable(&'a Bytes, &'a Record),
+}
+
+impl Merged<'_> {
+    fn view(&self) -> EntryView<'_> {
+        match *self {
+            Merged::Run(raw) => parse_entry(raw).expect("lsm: a merged entry was verified on read"),
+            Merged::Memtable(key, record) => EntryView {
+                key,
+                value: record.value.as_deref(),
+                version: record.version,
+                logical_size: record.logical_size,
+                encoded_len: encoded_len(key, record) as usize,
+            },
+        }
+    }
+
+    fn owned(&self) -> (Bytes, Record) {
+        match *self {
+            Merged::Run(_) => {
+                let view = self.view();
+                (Bytes::copy_from_slice(view.key), view.to_record())
+            }
+            Merged::Memtable(key, record) => (key.clone(), record.clone()),
+        }
+    }
+
+    /// The encoded bytes of a run's entry, to copy verbatim.
+    fn encoded(&self) -> &[u8] {
+        match *self {
+            Merged::Run(raw) => raw,
+            Merged::Memtable(..) => unreachable!("lsm: only runs are copied verbatim"),
+        }
+    }
+}
+
+/// The k-way merge behind compaction and every whole-store read: streams
+/// `tables` (oldest to newest), then `memtable` as the newest source, in
+/// key order, handing `visit` one entry per key. Each step takes the
+/// smallest head key and advances every source that holds it; the newest
+/// of them wins, which is the version-dominant entry, since every write
+/// was gated on entry. `Err` at the first run entry that does not decode,
+/// after `visit` has seen every smaller key.
+fn merge<'a>(
+    tables: &'a [SsTable],
+    memtable: Option<&'a BTreeMap<Bytes, Record>>,
+    mut visit: impl FnMut(Merged<'_>),
+) -> Result<(), EntryError> {
+    let mut sources = tables
+        .iter()
+        .map(Source::run)
+        .collect::<Result<Vec<_>, _>>()?;
+    sources.extend(memtable.map(Source::memtable));
+    loop {
+        let mut winner: Option<(usize, &[u8])> = None;
+        for (i, source) in sources.iter().enumerate() {
+            if let Some(key) = source.key() {
+                if winner.is_none_or(|(_, least)| key <= least) {
+                    winner = Some((i, key));
+                }
+            }
+        }
+        let Some((w, _)) = winner else {
+            return Ok(());
+        };
+        let (older, newer) = sources.split_at_mut(w);
+        visit(newer[0].head());
+        let key = newer[0].key();
+        for source in older {
+            if source.key() == key {
+                source.advance()?;
+            }
+        }
+        newer[0].advance()?;
     }
 }
 
@@ -815,12 +969,17 @@ impl LsmStore {
             reads: ReadCounters::default(),
             quarantined,
         };
-        let merged = store.merged();
-        store.key_count = merged.len();
-        store.logical_bytes = merged
-            .iter()
-            .map(|(k, r)| entry_size(k, r.logical_size))
-            .sum();
+        let (mut key_count, mut logical_bytes) = (0, 0);
+        let merged = store.merged(|entry| {
+            let view = entry.view();
+            key_count += 1;
+            logical_bytes += entry_size(view.key, view.logical_size);
+        });
+        store.key_count = key_count;
+        store.logical_bytes = logical_bytes;
+        // The runs were verified just above; one that no longer decodes
+        // was corrupted since (rule 3).
+        store.quarantined |= merged.is_err();
         store
     }
 
@@ -1129,34 +1288,23 @@ impl LsmStore {
         let seq = self.next_table_seq;
         self.next_table_seq += 1;
         let path = self.dir.join(format!("{seq:08}.sst"));
-        {
-            let total = self.memtable_bytes;
-            let Self {
-                memtable,
-                injector,
-                stats,
-                ..
-            } = self;
-            let mut attempt = 0u32;
-            loop {
-                let tear = injector.as_mut().and_then(|i| i.flush_fault(total));
-                match Self::write_run(&path, memtable.iter(), tear) {
-                    Ok(()) => break,
-                    Err(()) => {
-                        // Injected partial flush: wipe the torn run and
-                        // rewrite it whole.
-                        let _ = fs::remove_file(&path);
-                        stats.flush_retries += 1;
-                        stats.backoff_steps += 1u64 << attempt.min(BACKOFF_CAP);
-                        attempt += 1;
-                        assert!(
-                            attempt < MAX_IO_RETRIES,
-                            "lsm: flush retry budget exhausted"
-                        );
-                    }
-                }
+        let total = self.memtable_bytes;
+        let Self {
+            memtable,
+            injector,
+            stats,
+            ..
+        } = self;
+        let written = Self::write_run(&path, total, injector, stats, |run| {
+            let mut buf = Vec::new();
+            for (key, record) in memtable.iter() {
+                buf.clear();
+                encode_entry(&mut buf, key, record);
+                run.write_all(&buf).expect("lsm: write sstable");
             }
-        }
+            Ok(())
+        });
+        written.expect("lsm: a memtable has no entry to fail decoding");
         // Crash-consistency ordering: the run was fsynced by write_run and
         // its directory entry is synced here, BEFORE the WAL shrinks — a
         // crash between flush and truncation replays a WAL whose entries
@@ -1175,74 +1323,82 @@ impl LsmStore {
         self.maybe_compact();
     }
 
-    /// Writes one sorted run, fsyncing it before returning. `tear`
-    /// simulates a write dying after that many bytes: the torn file is
-    /// left on disk (exactly what a crash leaves) and `Err` tells the
-    /// caller to discard and retry.
-    fn write_run<'a>(
-        path: &PathBuf,
-        entries: impl Iterator<Item = (&'a Bytes, &'a Record)>,
-        tear: Option<u64>,
-    ) -> Result<(), ()> {
-        let mut writer = BufWriter::new(File::create(path).expect("lsm: create sstable"));
-        let mut buf = Vec::new();
-        let mut written = 0u64;
-        for (key, record) in entries {
-            buf.clear();
-            encode_entry(&mut buf, key, record);
-            if let Some(t) = tear {
-                if written + buf.len() as u64 > t {
-                    let cut = (t - written) as usize;
-                    writer
-                        .write_all(&buf[..cut])
-                        .expect("lsm: write sstable (faulted)");
-                    writer.flush().expect("lsm: flush sstable (faulted)");
-                    return Err(());
-                }
-            }
-            writer.write_all(&buf).expect("lsm: write sstable");
-            written += buf.len() as u64;
+    /// Writes one sorted run at `path` through `fill` and fsyncs it. An
+    /// injected partial write (its tear point drawn over `total` bytes)
+    /// leaves the torn run on disk, as a crash would; it is wiped and the
+    /// run rewritten whole, with deterministic backoff. `Err` when `fill`
+    /// meets an entry that does not decode.
+    fn write_run(
+        path: &Path,
+        total: u64,
+        injector: &mut Option<FaultInjector>,
+        stats: &mut FaultStats,
+        mut fill: impl FnMut(&mut BufWriter<File>) -> Result<(), EntryError>,
+    ) -> Result<(), EntryError> {
+        let mut attempt = 0u32;
+        loop {
+            let tear = injector.as_mut().and_then(|i| i.flush_fault(total));
+            let mut writer = BufWriter::new(File::create(path).expect("lsm: create sstable"));
+            fill(&mut writer)?;
+            let file = writer.into_inner().expect("lsm: flush sstable");
+            let Some(torn) = tear else {
+                file.sync_all().expect("lsm: fsync sstable");
+                return Ok(());
+            };
+            file.set_len(torn).expect("lsm: tear sstable (faulted)");
+            drop(file);
+            let _ = fs::remove_file(path);
+            stats.flush_retries += 1;
+            stats.backoff_steps += 1u64 << attempt.min(BACKOFF_CAP);
+            attempt += 1;
+            assert!(
+                attempt < MAX_IO_RETRIES,
+                "lsm: run write retry budget exhausted"
+            );
         }
-        let file = writer.into_inner().expect("lsm: flush sstable");
-        file.sync_all().expect("lsm: fsync sstable");
-        Ok(())
     }
 
     /// Size-tiered compaction: once more than [`MAX_TABLES`] runs
-    /// accumulate, the whole tier collapses into a single run (newest
-    /// occurrence of a key wins — which is the version-dominant one, since
-    /// every write was gated on entry). The input runs are deleted only
-    /// after the merged run and its directory entry are durable.
+    /// accumulate, the whole tier is streamed through [`merge`] into a
+    /// single run, each winning entry copied verbatim, CRC trailer and
+    /// all. The input runs are deleted only after the merged run and its
+    /// directory entry are durable. An input entry that no longer decodes
+    /// is corruption since the run was verified (recovery rule 3): the
+    /// partial output goes, the inputs stay, and the store is quarantined
+    /// and compacts no more.
     fn maybe_compact(&mut self) {
-        if self.tables.len() <= MAX_TABLES {
+        if self.quarantined || self.tables.len() <= MAX_TABLES {
             return;
-        }
-        let mut merged: BTreeMap<Bytes, Record> = BTreeMap::new();
-        for table in &self.tables {
-            table.for_each(&mut |k, r| {
-                merged.insert(k, r);
-            });
         }
         let seq = self.next_table_seq;
         self.next_table_seq += 1;
         let path = self.dir.join(format!("{seq:08}.sst"));
-        let total: u64 = merged.iter().map(|(k, r)| encoded_len(k, r)).sum();
-        let mut attempt = 0u32;
-        loop {
-            let tear = self.injector.as_mut().and_then(|i| i.flush_fault(total));
-            match Self::write_run(&path, merged.iter(), tear) {
-                Ok(()) => break,
-                Err(()) => {
-                    let _ = fs::remove_file(&path);
-                    self.stats.flush_retries += 1;
-                    self.stats.backoff_steps += 1u64 << attempt.min(BACKOFF_CAP);
-                    attempt += 1;
-                    assert!(
-                        attempt < MAX_IO_RETRIES,
-                        "lsm: compaction retry budget exhausted"
-                    );
-                }
-            }
+        // The injector draws its tear point over the output's length,
+        // which only a counting pass knows before the write.
+        let mut total = 0u64;
+        let counted = match self.injector {
+            Some(_) => merge(&self.tables, None, |entry| {
+                total += entry.encoded().len() as u64;
+            }),
+            None => Ok(()),
+        };
+        let Self {
+            tables,
+            injector,
+            stats,
+            ..
+        } = self;
+        let written = counted.and_then(|()| {
+            Self::write_run(&path, total, injector, stats, |run| {
+                merge(tables, None, |entry| {
+                    run.write_all(entry.encoded()).expect("lsm: write sstable");
+                })
+            })
+        });
+        if written.is_err() {
+            let _ = fs::remove_file(&path);
+            self.quarantined = true;
+            return;
         }
         sync_dir(&self.dir);
         for table in self.tables.drain(..) {
@@ -1253,53 +1409,59 @@ impl LsmStore {
         self.activity.compactions += 1;
     }
 
-    /// The merged view of all levels, in key order.
-    fn merged(&self) -> BTreeMap<Bytes, Record> {
-        let mut merged = BTreeMap::new();
-        for table in &self.tables {
-            table.for_each(&mut |k, r| {
-                merged.insert(k, r);
-            });
-        }
-        for (k, r) in &self.memtable {
-            merged.insert(k.clone(), r.clone());
-        }
-        merged
+    /// Streams the merged view of all levels, memtable included, through
+    /// [`merge`].
+    fn merged(&self, visit: impl FnMut(Merged<'_>)) -> Result<(), EntryError> {
+        merge(&self.tables, Some(&self.memtable), visit)
     }
 
-    /// Visits every entry in key order.
+    /// Visits every entry in key order. A run entry that no longer
+    /// decodes (on-disk corruption since the run was verified) ends the
+    /// walk early.
     pub fn for_each(&self, f: &mut dyn FnMut(&Bytes, &Record)) {
-        for (k, r) in self.merged().iter() {
-            f(k, r);
-        }
+        let _ = self.merged(|entry| {
+            let (key, record) = entry.owned();
+            f(&key, &record);
+        });
     }
 
     /// Materializes the store's contents as an in-memory
-    /// [`PartitionStore`] (scrub's rebuild unions, oracle comparisons).
+    /// [`PartitionStore`] (scrub's rebuild unions, oracle comparisons);
+    /// stops early where [`LsmStore::for_each`] does.
     pub fn snapshot(&self) -> PartitionStore {
         let mut snap = PartitionStore::new();
-        for (k, r) in self.merged() {
-            let applied = snap.apply(k, r);
+        let _ = self.merged(|entry| {
+            let (key, record) = entry.owned();
+            let applied = snap.apply(key, record);
             debug_assert!(applied, "merged view holds one record per key");
-        }
+        });
         snap
     }
 
     /// Splits off every key whose ring token falls inside `high` into a
     /// fresh store, compaction-style: both halves are rewritten from the
     /// merged view, so each ends up with one clean run's worth of state.
-    /// The new store inherits this store's fault plan.
+    /// The new store inherits this store's fault plan. A run entry that no
+    /// longer decodes leaves both halves short, and quarantines both.
     pub fn split_off(&mut self, hasher: KeyHasher, high: KeyRange) -> LsmStore {
-        let merged = self.merged();
-        self.reset_storage();
         let mut high_store = LsmStore::create_with(self.plan);
         high_store.set_flush_threshold(self.flush_threshold);
-        for (key, record) in merged {
+        let mut low = Vec::new();
+        let merged = self.merged(|entry| {
+            let (key, record) = entry.owned();
             if high.contains(hasher.token(&key)) {
                 high_store.apply(key, record);
             } else {
-                self.apply(key, record);
+                low.push((key, record));
             }
+        });
+        self.reset_storage();
+        for (key, record) in low {
+            self.apply(key, record);
+        }
+        if merged.is_err() {
+            self.quarantined = true;
+            high_store.quarantined = true;
         }
         high_store
     }
@@ -1322,10 +1484,15 @@ impl LsmStore {
     }
 
     /// Merges every entry of `other` into `self`; version-dominant records
-    /// win.
+    /// win. A run entry of `other` that no longer decodes leaves `self`
+    /// short of `other`'s later keys, and quarantines it.
     pub fn absorb(&mut self, other: LsmStore) {
-        for (key, record) in other.merged() {
+        let merged = other.merged(|entry| {
+            let (key, record) = entry.owned();
             self.apply(key, record);
+        });
+        if merged.is_err() {
+            self.quarantined = true;
         }
     }
 
@@ -1650,7 +1817,11 @@ mod tests {
         // Forge the window the fsync ordering protects: the run is
         // durable but the WAL still holds the same entries (a crash right
         // between write_run and the WAL truncation).
-        LsmStore::write_run(&dir.join("00000000.sst"), store.memtable.iter(), None).unwrap();
+        let mut run = Vec::new();
+        for (key, record) in &store.memtable {
+            encode_entry(&mut run, key, record);
+        }
+        fs::write(dir.join("00000000.sst"), run).unwrap();
         std::mem::forget(store);
         let recovered = LsmStore::open(dir);
         // Replay on top of the run is idempotent: nothing double-counted.
@@ -1849,6 +2020,42 @@ mod tests {
         assert!(!store.verify());
     }
 
+    #[test]
+    fn a_compaction_over_a_corrupt_run_quarantines_and_keeps_its_inputs() {
+        let mut store = LsmStore::create();
+        let keys: Vec<Vec<u8>> = (0..40u32)
+            .map(|i| format!("key-{i:02}").into_bytes())
+            .collect();
+        for version in 1..=2 {
+            for k in &keys {
+                store.apply(k.clone(), rec(format!("v{version}").as_bytes(), version));
+            }
+            store.flush();
+        }
+        assert!(store.corrupt_newest_run());
+        // More runs take the tier past `MAX_TABLES`: the last flush
+        // compacts, and the merge meets the corrupt entry.
+        for i in 0..MAX_TABLES - 1 {
+            store.apply(format!("more-{i}").into_bytes(), rec(b"m", 1));
+            store.flush();
+        }
+        assert_eq!(store.activity().compactions, 0);
+        assert!(store.quarantined(), "a corrupt input quarantines");
+        assert_eq!(store.table_count(), MAX_TABLES + 1, "the inputs are kept");
+        assert!(store.tables.iter().all(|t| t.path.is_file()));
+        let runs = fs::read_dir(store.dir())
+            .unwrap()
+            .filter(|e| e.as_ref().unwrap().path().extension() == Some("sst".as_ref()))
+            .count();
+        assert_eq!(runs, MAX_TABLES + 1, "the partial output is removed");
+        assert!(!store.verify());
+        // A quarantined store flushes but compacts no more.
+        store.apply(b"after".to_vec(), rec(b"a", 1));
+        store.flush();
+        assert_eq!(store.table_count(), MAX_TABLES + 2);
+        assert_eq!(store.activity().compactions, 0);
+    }
+
     /// What the filter-and-engine property drives the two engines with.
     struct Pair {
         lsm: LsmStore,
@@ -1872,6 +2079,16 @@ mod tests {
                 let got = self.lsm.get(key);
                 prop_assert_eq!(got.as_ref(), Some(record), "{}: key {:?}", when, key);
             }
+            let mut walked = Vec::new();
+            self.lsm
+                .for_each(&mut |key, record| walked.push((key.clone(), record.clone())));
+            prop_assert!(
+                walked.iter().map(|(k, r)| (k, r)).eq(self.oracle.iter()),
+                "{}: for_each walked {:?}",
+                when,
+                walked
+            );
+            prop_assert!(self.lsm.snapshot() == self.oracle, "{}: snapshot", when);
             Ok(())
         }
 
@@ -2108,6 +2325,50 @@ mod tests {
             for (key, record) in oracle.iter() {
                 let got = recovered.get(key);
                 prop_assert_eq!(got.as_ref(), Some(record));
+            }
+        }
+    }
+
+    proptest! {
+        /// Compaction copies the merged view verbatim. Random puts,
+        /// tombstones and stale writes under small flush thresholds run
+        /// several compactions, with and without injected faults; right
+        /// after each, the one run left holds exactly `encode_entry` of
+        /// the oracle's records in key order, and the store's physical
+        /// size is that run plus the WAL.
+        #[test]
+        fn compaction_copies_the_merged_view_verbatim(
+            ops in collection::vec((0u32..64, 0u8..8, any::<bool>()), 1usize..300),
+            flush_threshold in 64u64..512,
+            faulted in any::<bool>(),
+        ) {
+            let plan = if faulted { FaultPlan::all(0xC0DE) } else { FaultPlan::none() };
+            let mut lsm = LsmStore::create_with(plan);
+            lsm.set_flush_threshold(flush_threshold);
+            let mut oracle = PartitionStore::new();
+            for (i, &(pick, kind, fresh)) in ops.iter().enumerate() {
+                let key = format!("k{pick:02}").into_bytes();
+                // Mostly dominating versions, some stale ones.
+                let version = Version::new(if fresh { 1 + i as u64 } else { u64::from(kind) }, 0, 0);
+                let record = if kind == 0 {
+                    Record::tombstone(version)
+                } else {
+                    Record::put(format!("value-{i}").repeat(usize::from(kind)).into_bytes(), version)
+                };
+                let compactions = lsm.activity().compactions;
+                let a = oracle.apply(key.clone(), record.clone());
+                prop_assert_eq!(a, lsm.apply(key, record), "gating diverged at op {}", i);
+                if lsm.activity().compactions == compactions {
+                    continue;
+                }
+                prop_assert_eq!(lsm.table_count(), 1);
+                let mut expected = Vec::new();
+                for (key, record) in oracle.iter() {
+                    encode_entry(&mut expected, key, record);
+                }
+                let run = fs::read(&lsm.tables[0].path).unwrap();
+                prop_assert!(run == expected, "op {}: the run is not the oracle's encoding", i);
+                prop_assert_eq!(lsm.physical_bytes(), expected.len() as u64 + lsm.wal_bytes);
             }
         }
     }
