@@ -21,7 +21,7 @@
 //! | `skute_insert_failures_total` | counter | | synthetic ingests rejected for capacity |
 //! | `skute_partitions_lost_total` | counter | | partitions that lost their last replica |
 //! | `skute_scrub_rebuilds_total` | counter | | quarantined replicas re-seeded from peers |
-//! | `skute_storage_engine_ops` | gauge | `op` | fleet-wide LSM totals, refreshed on scrape: the write path (`wal_append`, `memtable_flush`, `compaction`) and the read path (`point_read`, `run_probe`, `bloom_skip` — `run_probe / point_read` is the sorted runs actually read per lookup — and `corrupt_block`, run blocks a lookup could not decode and read as a miss) |
+//! | `skute_storage_engine_ops` | gauge | `op` | fleet-wide LSM totals, refreshed on scrape: the write path (`wal_append`, `memtable_flush`, `compaction`) and the read path (`point_read`, `run_probe`, `bloom_skip` — `run_probe / point_read` is the sorted runs actually read per lookup — and `corrupt_block`, run blocks a lookup could not decode and read as a miss, plus `for_each` / `snapshot` walks such a block cut short) |
 //! | `skute_storage_fault_recoveries` | gauge | `kind` | fleet-wide injected-fault recoveries, refreshed on scrape |
 //! | `skute_read_quorum_reads_total` | counter | | serving-path key reads at quorum consistency, unavailable ones included |
 //! | `skute_read_quorum_divergent_total` | counter | | quorum reads that observed at least one stale replica |

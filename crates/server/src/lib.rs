@@ -10,8 +10,8 @@
 //!
 //! | Route | Meaning |
 //! |---|---|
-//! | `GET /healthz` | liveness probe, `200 ok` |
-//! | `GET /metrics` | Prometheus text exposition of the shared registry |
+//! | `GET /healthz` | liveness probe: `200 ok`, or `503` once a handler has panicked holding the cloud lock (every later request that needs the cloud fails) |
+//! | `GET /metrics` | Prometheus text exposition of the shared registry; renders through a poisoned cloud lock too |
 //! | `GET /kv/<key>` | proximity-routed read ([`SkuteCloud::client_get_with`]); `X-Served-By` / `X-Proximity` / `X-Replicas-Read` response headers; 404 for absent keys; 503 when no replica is reachable |
 //! | `PUT /kv/<key>` | write, body is the value, `204`; 503 when fewer than a majority of replicas ack |
 //! | `DELETE /kv/<key>` | tombstone write, `204`; 503 as for `PUT` |

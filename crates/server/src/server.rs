@@ -8,7 +8,7 @@ use std::collections::BTreeMap;
 use std::io::{self, BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, PoisonError};
 use std::thread;
 use std::time::{Duration, Instant};
 
@@ -503,10 +503,18 @@ fn handle_request(
     state.metrics.requests[op as usize].inc();
     out.clear();
     let status = match op {
+        // A handler that panicked holding the cloud lock poisoned it, and
+        // every later request that needs the cloud panics on it: the
+        // server can no longer serve.
+        Op::Health if state.slot.is_poisoned() => {
+            reply(out, 503, b"cloud lock poisoned\n", keep_alive)
+        }
         Op::Health => reply(out, 200, b"ok\n", keep_alive),
         Op::Metrics => {
             {
-                let slot = state.slot.lock().expect("cloud lock");
+                // The counters stay readable through a poisoned lock, so
+                // a scrape still shows what the server did before.
+                let slot = state.slot.lock().unwrap_or_else(PoisonError::into_inner);
                 slot.cloud.refresh_storage_metrics();
             }
             // Count this response *before* rendering so the scrape's

@@ -19,8 +19,10 @@
 //!   creation order. Each holds the entries of one memtable flush (or one
 //!   compaction), in key order, with an in-memory sparse index (the first
 //!   key and offset of every block of about [`BLOCK_BYTES`] encoded bytes)
-//!   and an in-memory bloom filter over its keys, both rebuilt by the
-//!   verification scan on open — neither is part of the on-disk format.
+//!   and an in-memory bloom filter over its keys — neither is part of the
+//!   on-disk format. A run the store writes gets both as it is written; a
+//!   run read from disk (on open, and so in a fork) gets them from the
+//!   verification scan every such run goes through.
 //!
 //! # Write and read paths
 //!
@@ -38,8 +40,8 @@
 //! streams them through one k-way merge into a single run: every input
 //! entry is CRC-verified as it is read, the newest source wins each key,
 //! and the winner's encoded bytes are copied verbatim, CRC trailer
-//! included; the inputs are deleted only once the new run is durable,
-//! and the new run is then read back (verified) like a flushed one. The
+//! included; the inputs are deleted only once the new run is durable.
+//! Neither a flush nor a compaction reads back the run it wrote. The
 //! ordered whole-store reads ([`for_each`](LsmStore::for_each),
 //! [`snapshot`](LsmStore::snapshot), [`absorb`](LsmStore::absorb) and the
 //! accounting on open) stream through the same merge, with the memtable as
@@ -350,14 +352,21 @@ fn parse_entry(buf: &[u8]) -> Result<EntryView<'_>, EntryError> {
     })
 }
 
+/// The key of an entry whose encoded bytes were verified (or produced) by
+/// this engine.
+fn entry_key(encoded: &[u8]) -> &[u8] {
+    &encoded[4..4 + field_u32(encoded, 0) as usize]
+}
+
 /// The hash a run's bloom filter is built and probed with.
 fn bloom_hash(key: &[u8]) -> u64 {
     KeyHasher::default().hash(key)
 }
 
 /// A bloom filter over the keys of one sorted run: never a false
-/// negative, ≈ 0.8 % false positives. In memory only — rebuilt on open.
-#[derive(Debug)]
+/// negative, ≈ 0.8 % false positives. In memory only: built as the run
+/// is written, or by the scan of a run read from disk.
+#[derive(Debug, PartialEq)]
 struct Bloom {
     bits: Vec<u64>,
 }
@@ -411,7 +420,7 @@ fn sync_dir(dir: &Path) {
 /// A sorted run's sparse index: the first key and byte offset of every
 /// block. The keys sit back to back in one arena, so an index is three
 /// allocations however many blocks the run has.
-#[derive(Debug)]
+#[derive(Debug, PartialEq)]
 struct RunIndex {
     /// Every block's first key, in block order.
     keys: Vec<u8>,
@@ -491,28 +500,20 @@ struct SsTable {
 }
 
 impl SsTable {
-    /// Opens a run, scanning it once to verify every entry's checksum and
-    /// rebuild the sparse index and the bloom filter.
+    /// Opens a run read from disk, scanning it once to verify every
+    /// entry's checksum and build the sparse index and the bloom filter.
+    /// A run the store writes itself gets both from its [`RunWriter`]
+    /// instead.
     fn open(path: PathBuf) -> Result<Self, EntryError> {
         let file = File::open(&path).expect("lsm: open sstable");
         let bytes = file.metadata().expect("lsm: stat sstable").len();
-        let mut index = RunIndex::for_run_of(bytes);
-        let mut hashes = Vec::new();
+        let mut run = RunBuilder::new(bytes);
         let mut reader = BufReader::new(&file);
         let mut raw = Vec::new();
-        let mut offset = 0u64;
         while let Some(entry) = try_read_entry(&mut reader, &mut raw)? {
-            index.add(entry.key, offset);
-            hashes.push(bloom_hash(entry.key));
-            offset += entry.encoded_len as u64;
+            run.note(entry.key, entry.encoded_len);
         }
-        Ok(Self {
-            path,
-            file,
-            index,
-            bloom: Bloom::build(&hashes),
-            bytes,
-        })
+        Ok(run.table(path, file))
     }
 
     /// Point lookup: bloom check, sparse-index floor, then one positional
@@ -564,6 +565,15 @@ impl SsTable {
         None
     }
 
+    /// True when this run's size, index and filter equal what
+    /// [`SsTable::open`] builds from its file, as they must for a run
+    /// indexed while it was written.
+    fn matches_its_file(&self) -> bool {
+        SsTable::open(self.path.clone()).is_ok_and(|disk| {
+            (disk.bytes, &disk.index, &disk.bloom) == (self.bytes, &self.index, &self.bloom)
+        })
+    }
+
     /// Re-reads the whole run, verifying every checksum.
     fn scan_ok(&self) -> bool {
         let mut reader = BufReader::new(&self.file);
@@ -578,6 +588,60 @@ impl SsTable {
                 Err(_) => return false,
             }
         }
+    }
+}
+
+/// A run's sparse index and bloom filter, built from its entries in
+/// order: as the store writes the run, or as a run read from disk is
+/// scanned.
+struct RunBuilder {
+    index: RunIndex,
+    hashes: Vec<u64>,
+    /// Bytes noted so far: where the next entry starts.
+    bytes: u64,
+}
+
+impl RunBuilder {
+    /// A builder whose index has room for a run of `room` bytes.
+    fn new(room: u64) -> Self {
+        Self {
+            index: RunIndex::for_run_of(room),
+            hashes: Vec::new(),
+            bytes: 0,
+        }
+    }
+
+    /// Notes the run's next entry: `key`, `encoded_len` bytes long.
+    fn note(&mut self, key: &[u8], encoded_len: usize) {
+        self.index.add(key, self.bytes);
+        self.hashes.push(bloom_hash(key));
+        self.bytes += encoded_len as u64;
+    }
+
+    /// The run at `path`, read through `file`.
+    fn table(self, path: PathBuf, file: File) -> SsTable {
+        SsTable {
+            path,
+            file,
+            index: self.index,
+            bloom: Bloom::build(&self.hashes),
+            bytes: self.bytes,
+        }
+    }
+}
+
+/// Writes one sorted run, noting each entry as it goes out, so the store
+/// never re-reads a run it has just written.
+struct RunWriter {
+    out: BufWriter<File>,
+    built: RunBuilder,
+}
+
+impl RunWriter {
+    /// Appends one encoded entry, CRC trailer included.
+    fn push(&mut self, encoded: &[u8]) {
+        self.built.note(entry_key(encoded), encoded.len());
+        self.out.write_all(encoded).expect("lsm: write sstable");
     }
 }
 
@@ -616,10 +680,7 @@ impl<'a> Source<'a> {
     /// The head entry's key; `None` once the source is exhausted.
     fn key(&self) -> Option<&[u8]> {
         match self {
-            Source::Run { head, .. } => {
-                let key_len = head.get(..4).map(|len| field_u32(len, 0) as usize)?;
-                Some(&head[4..4 + key_len])
-            }
+            Source::Run { head, .. } => (!head.is_empty()).then(|| entry_key(head)),
             Source::Memtable { head, .. } => head.map(|(key, _)| key.as_ref()),
         }
     }
@@ -796,9 +857,11 @@ pub struct StorageActivity {
     /// Sorted runs a point lookup ruled out by their bloom filter, without
     /// I/O.
     pub bloom_skips: u64,
-    /// Run blocks a point lookup could not read whole or decode: on-disk
-    /// corruption since the run was verified. Each read as a miss in its
-    /// run (see [`LsmStore::corrupt_newest_run`]).
+    /// Run blocks a point lookup could not read whole or decode, each read
+    /// as a miss in its run (see [`LsmStore::corrupt_newest_run`]), plus
+    /// the [`LsmStore::for_each`] and [`LsmStore::snapshot`] walks that a
+    /// run entry which no longer decodes cut short: on-disk corruption
+    /// since the run was verified.
     pub corrupt_blocks: u64,
 }
 
@@ -1295,23 +1358,22 @@ impl LsmStore {
             stats,
             ..
         } = self;
-        let written = Self::write_run(&path, total, injector, stats, |run| {
+        let table = Self::write_run(path, total, total, injector, stats, |run| {
             let mut buf = Vec::new();
             for (key, record) in memtable.iter() {
                 buf.clear();
                 encode_entry(&mut buf, key, record);
-                run.write_all(&buf).expect("lsm: write sstable");
+                run.push(&buf);
             }
             Ok(())
-        });
-        written.expect("lsm: a memtable has no entry to fail decoding");
+        })
+        .expect("lsm: a memtable has no entry to fail decoding");
         // Crash-consistency ordering: the run was fsynced by write_run and
         // its directory entry is synced here, BEFORE the WAL shrinks — a
         // crash between flush and truncation replays a WAL whose entries
         // are already (idempotently) in the run, never the reverse.
         sync_dir(&self.dir);
-        self.tables
-            .push(SsTable::open(path).expect("lsm: freshly written run is well-formed"));
+        self.tables.push(table);
         self.memtable.clear();
         self.memtable_bytes = 0;
         // The flushed entries are durable in the run: truncate the WAL.
@@ -1323,31 +1385,49 @@ impl LsmStore {
         self.maybe_compact();
     }
 
-    /// Writes one sorted run at `path` through `fill` and fsyncs it. An
-    /// injected partial write (its tear point drawn over `total` bytes)
-    /// leaves the torn run on disk, as a crash would; it is wiped and the
-    /// run rewritten whole, with deterministic backoff. `Err` when `fill`
-    /// meets an entry that does not decode.
+    /// Writes one sorted run at `path` through `fill`, fsyncs it and
+    /// returns it, indexed as it was written (its index sized for `room`
+    /// bytes). An injected partial write (its tear point drawn over
+    /// `total` bytes) leaves the torn run on disk, as a crash would; it is
+    /// wiped and the run rewritten whole by a fresh writer, with
+    /// deterministic backoff. `Err` when `fill` meets an entry that does
+    /// not decode.
     fn write_run(
-        path: &Path,
+        path: PathBuf,
         total: u64,
+        room: u64,
         injector: &mut Option<FaultInjector>,
         stats: &mut FaultStats,
-        mut fill: impl FnMut(&mut BufWriter<File>) -> Result<(), EntryError>,
-    ) -> Result<(), EntryError> {
+        mut fill: impl FnMut(&mut RunWriter) -> Result<(), EntryError>,
+    ) -> Result<SsTable, EntryError> {
         let mut attempt = 0u32;
         loop {
             let tear = injector.as_mut().and_then(|i| i.flush_fault(total));
-            let mut writer = BufWriter::new(File::create(path).expect("lsm: create sstable"));
-            fill(&mut writer)?;
-            let file = writer.into_inner().expect("lsm: flush sstable");
+            let file = OpenOptions::new()
+                .read(true)
+                .write(true)
+                .create(true)
+                .truncate(true)
+                .open(&path)
+                .expect("lsm: create sstable");
+            let mut run = RunWriter {
+                out: BufWriter::new(file),
+                built: RunBuilder::new(room),
+            };
+            fill(&mut run)?;
+            let file = run.out.into_inner().expect("lsm: flush sstable");
             let Some(torn) = tear else {
                 file.sync_all().expect("lsm: fsync sstable");
-                return Ok(());
+                let table = run.built.table(path, file);
+                debug_assert!(
+                    table.matches_its_file(),
+                    "lsm: a run's index and filter differ from its file's"
+                );
+                return Ok(table);
             };
             file.set_len(torn).expect("lsm: tear sstable (faulted)");
             drop(file);
-            let _ = fs::remove_file(path);
+            let _ = fs::remove_file(&path);
             stats.flush_retries += 1;
             stats.backoff_steps += 1u64 << attempt.min(BACKOFF_CAP);
             attempt += 1;
@@ -1382,6 +1462,9 @@ impl LsmStore {
             }),
             None => Ok(()),
         };
+        // The output is at most its inputs' size, so its index never
+        // regrows.
+        let room = self.tables.iter().map(|t| t.bytes).sum();
         let Self {
             tables,
             injector,
@@ -1389,23 +1472,20 @@ impl LsmStore {
             ..
         } = self;
         let written = counted.and_then(|()| {
-            Self::write_run(&path, total, injector, stats, |run| {
-                merge(tables, None, |entry| {
-                    run.write_all(entry.encoded()).expect("lsm: write sstable");
-                })
+            Self::write_run(path.clone(), total, room, injector, stats, |run| {
+                merge(tables, None, |entry| run.push(entry.encoded()))
             })
         });
-        if written.is_err() {
+        let Ok(table) = written else {
             let _ = fs::remove_file(&path);
             self.quarantined = true;
             return;
-        }
+        };
         sync_dir(&self.dir);
         for table in self.tables.drain(..) {
             let _ = fs::remove_file(&table.path);
         }
-        self.tables
-            .push(SsTable::open(path).expect("lsm: freshly compacted run is well-formed"));
+        self.tables.push(table);
         self.activity.compactions += 1;
     }
 
@@ -1415,26 +1495,36 @@ impl LsmStore {
         merge(&self.tables, Some(&self.memtable), visit)
     }
 
+    /// Counts one [`StorageActivity::corrupt_blocks`] for a whole-store
+    /// walk that a run entry which no longer decodes cut short.
+    fn count_short_walk(&self, walked: Result<(), EntryError>) {
+        if walked.is_err() {
+            self.reads.corrupt_blocks.fetch_add(1, Ordering::Relaxed);
+        }
+    }
+
     /// Visits every entry in key order. A run entry that no longer
     /// decodes (on-disk corruption since the run was verified) ends the
-    /// walk early.
+    /// walk early and counts one [`StorageActivity::corrupt_blocks`].
     pub fn for_each(&self, f: &mut dyn FnMut(&Bytes, &Record)) {
-        let _ = self.merged(|entry| {
+        let walked = self.merged(|entry| {
             let (key, record) = entry.owned();
             f(&key, &record);
         });
+        self.count_short_walk(walked);
     }
 
     /// Materializes the store's contents as an in-memory
     /// [`PartitionStore`] (scrub's rebuild unions, oracle comparisons);
-    /// stops early where [`LsmStore::for_each`] does.
+    /// stops early, and counts it, where [`LsmStore::for_each`] does.
     pub fn snapshot(&self) -> PartitionStore {
         let mut snap = PartitionStore::new();
-        let _ = self.merged(|entry| {
+        let walked = self.merged(|entry| {
             let (key, record) = entry.owned();
             let applied = snap.apply(key, record);
             debug_assert!(applied, "merged view holds one record per key");
         });
+        self.count_short_walk(walked);
         snap
     }
 
@@ -2021,6 +2111,36 @@ mod tests {
     }
 
     #[test]
+    fn a_walk_cut_short_by_a_corrupt_run_is_counted() {
+        let mut store = LsmStore::create();
+        let keys: Vec<Vec<u8>> = (0..40u32)
+            .map(|i| format!("key-{i:02}").into_bytes())
+            .collect();
+        for version in 1..=2 {
+            for k in &keys {
+                store.apply(k.clone(), rec(format!("v{version}").as_bytes(), version));
+            }
+            store.flush();
+        }
+        assert_eq!(store.table_count(), 2);
+        let mut walked = 0;
+        store.for_each(&mut |_, _| walked += 1);
+        assert_eq!(walked, keys.len());
+        assert_eq!(
+            store.activity().corrupt_blocks,
+            0,
+            "a whole walk counts nothing"
+        );
+        assert!(store.corrupt_newest_run());
+        let mut walked = 0;
+        store.for_each(&mut |_, _| walked += 1);
+        assert!(walked < keys.len(), "the walk stops at the corrupt entry");
+        assert_eq!(store.activity().corrupt_blocks, 1);
+        assert!(store.snapshot().len() < keys.len());
+        assert_eq!(store.activity().corrupt_blocks, 2);
+    }
+
+    #[test]
     fn a_compaction_over_a_corrupt_run_quarantines_and_keeps_its_inputs() {
         let mut store = LsmStore::create();
         let keys: Vec<Vec<u8>> = (0..40u32)
@@ -2369,6 +2489,50 @@ mod tests {
                 let run = fs::read(&lsm.tables[0].path).unwrap();
                 prop_assert!(run == expected, "op {}: the run is not the oracle's encoding", i);
                 prop_assert_eq!(lsm.physical_bytes(), expected.len() as u64 + lsm.wal_bytes);
+            }
+        }
+    }
+
+    proptest! {
+        /// A run the store writes is indexed as it is written. Random puts,
+        /// overwrites and deletes under tiny flush thresholds run many
+        /// flushes and compactions, clean, under partial flushes (torn run
+        /// writes, each retried by a fresh writer) and under every fault
+        /// family; after every operation, each live run's size, index and
+        /// filter equal what `SsTable::open` builds from its file.
+        #[test]
+        fn written_runs_index_as_reopened(
+            ops in collection::vec((0u32..48, 0u8..8, any::<bool>()), 1usize..200),
+            flush_threshold in 32u64..320,
+            plan_pick in 0usize..3,
+        ) {
+            let plan = match plan_pick {
+                0 => FaultPlan::none(),
+                1 => FaultPlan { kind: FaultPlanKind::PartialFlush, seed: 0x1DE5 },
+                _ => FaultPlan::all(0x1DE5),
+            };
+            let mut lsm = LsmStore::create_with(plan);
+            lsm.set_flush_threshold(flush_threshold);
+            let mut versions = vec![0u64; 48];
+            for (i, &(pick, kind, overwrite)) in ops.iter().enumerate() {
+                // An overwrite takes a key that was written before.
+                let written: Vec<usize> = (0..versions.len()).filter(|&s| versions[s] > 0).collect();
+                let slot = match written.len() {
+                    n if overwrite && n > 0 => written[pick as usize % n],
+                    _ => pick as usize,
+                };
+                versions[slot] += 1;
+                let version = Version::new(versions[slot], 0, 0);
+                let key = format!("k{slot:02}").into_bytes();
+                let record = if kind == 0 {
+                    Record::tombstone(version)
+                } else {
+                    Record::put(format!("value-{i}").repeat(usize::from(kind)).into_bytes(), version)
+                };
+                prop_assert!(lsm.apply(key, record), "op {} was not applied", i);
+                for (t, table) in lsm.tables.iter().enumerate() {
+                    prop_assert!(table.matches_its_file(), "op {}: run {} differs from its file", i, t);
+                }
             }
         }
     }
