@@ -956,6 +956,34 @@ mod tests {
     }
 
     #[test]
+    fn a_read_from_a_server_location_routes_as_from_its_country() {
+        // Eq. (4) counts a client by its country, so a read from any real
+        // server location (a replica's own among them) is served by the
+        // replica, and with the proximity bits, of a read from that
+        // country's client zone.
+        let (mut cloud, app) = small_cloud();
+        for _ in 0..6 {
+            cloud.begin_epoch();
+            cloud.end_epoch();
+        }
+        cloud.begin_epoch();
+        cloud.put(app, 0, b"g", b"v".to_vec()).unwrap();
+        let locations: Vec<Location> = cloud.topology.iter_servers().collect();
+        for at in locations {
+            let country = Location::client_in_country(at.continent, at.country);
+            for consistency in [ReadConsistency::One, ReadConsistency::Quorum] {
+                let read = |client| {
+                    let r = cloud
+                        .client_get_with(app, 0, b"g", Some(client), consistency)
+                        .unwrap();
+                    (r.served_by, r.proximity.to_bits(), r.value)
+                };
+                assert_eq!(read(at), read(country), "client at {at}");
+            }
+        }
+    }
+
+    #[test]
     fn writes_skip_gray_blocked_replicas_without_losing_acks() {
         let (mut cloud, app) = small_cloud();
         cloud.begin_epoch();

@@ -220,8 +220,9 @@ struct ContinentBucket {
     continent: u16,
     /// Sorted by `(base_rent, id)` ascending.
     entries: Vec<CandidateEntry>,
-    /// One representative location per distinct country in the bucket
-    /// (proximity is constant within a country; see [`ProximityCache`]).
+    /// One representative location per distinct country in the bucket:
+    /// eq. (4) weighs a server by its country (see [`ProximityCache`]), so
+    /// the greatest weight over them is the bucket's greatest.
     reps: Vec<Location>,
     conf_max: f64,
     /// Identifies this bucket's `reps` set to proximity caches across
@@ -242,8 +243,11 @@ struct ContinentBucket {
 ///
 /// `g_max(continent) · conf_max(continent) · div_ub(continent) · v − base_rent`
 ///
-/// where `div_ub` counts 63 per existing replica on another continent and
-/// 31 per replica on the same one — the diversity sum any candidate of the
+/// where `g_max` is the greatest eq.-(4) weight over the continent's
+/// server countries (a bound on every candidate's weight for any client
+/// mix, since eq. (4) weighs a server by its country), and `div_ub`
+/// counts 63 per existing replica on another continent and 31 per
+/// replica on the same one — the diversity sum any candidate of the
 /// continent can at most reach — and the walk stops as soon as every
 /// remaining head's bound falls below the best score found. Every factor
 /// upper-bounds the corresponding factor of the eq.-(3) score and
@@ -263,9 +267,6 @@ struct ContinentBucket {
 pub(crate) struct PlacementIndex {
     /// Buckets sorted by continent index.
     buckets: Vec<ContinentBucket>,
-    /// Candidates inside a synthetic client zone defeat the country-level
-    /// proximity bound; fall back to the full scan when present.
-    has_client_zone: bool,
     /// `(Cluster::version, Board::version, Cluster::len)` at the last
     /// synchronization; `None` before the first build.
     synced: Option<(u64, u64, usize)>,
@@ -326,7 +327,6 @@ impl PlacementIndex {
             _ => {}
         }
         self.buckets.clear();
-        self.has_client_zone = false;
         for server in ctx.cluster.alive() {
             if ctx.board.price_of(server.id).is_none() {
                 continue;
@@ -354,9 +354,7 @@ impl PlacementIndex {
             if server.confidence > bucket.conf_max {
                 bucket.conf_max = server.confidence;
             }
-            if server.location.is_client_zone() {
-                self.has_client_zone = true;
-            } else if !bucket
+            if !bucket
                 .reps
                 .iter()
                 .any(|l| l.country_key() == server.location.country_key())
@@ -440,13 +438,6 @@ impl PlacementIndex {
             region_queries,
             rent_below,
         } = *q;
-        // The per-continent g_max bound relies on proximity being constant
-        // within a server country, which holds only when every client sits
-        // in a country zone and no candidate does. Anything else takes the
-        // oracle scan so the equivalence contract holds unconditionally.
-        if self.has_client_zone || !region_queries.iter().all(|r| r.location.is_client_zone()) {
-            return economic_target(ctx, q, prox);
-        }
         let Self { buckets, walk, .. } = self;
         walk.existing_locs.clear();
         for id in existing {
@@ -782,11 +773,11 @@ mod tests {
 
     #[test]
     fn index_matches_brute_force_for_non_zone_clients() {
-        // Regression: a client at a *real server location* (reachable via
-        // `ClientGeo::Weighted`) makes proximity vary within a country, so
-        // the per-continent g_max bound is unsound — the index must detect
-        // the mix and take the oracle path instead of pruning the true
-        // winner (an exact-location match with a huge proximity weight).
+        // A client at a *real server location* (reachable via
+        // `ClientGeo::Weighted`) weighs as its country's client zone, so
+        // the per-continent g_max bound holds and the index answers with
+        // no fallback: the oracle's winner and score bits, which are also
+        // those of the country client.
         let (topology, cluster, board) = setup();
         let economy = EconomyConfig::paper();
         let ctx = PlacementContext {
@@ -795,17 +786,25 @@ mod tests {
             topology: &topology,
             economy: &economy,
         };
-        let regions = [RegionQueries {
-            location: topology.server_at(150),
-            queries: 5_000.0,
-        }];
+        let at = topology.server_at(150);
+        let client = |location| {
+            [RegionQueries {
+                location,
+                queries: 5_000.0,
+            }]
+        };
+        let regions = client(at);
         let existing = vec![ServerId(0)];
         let brute = target(&ctx, &q(&existing, 0, &regions, None));
         let mut index = PlacementIndex::new();
         let mut prox = skute_economy::ProximityCache::new();
         let indexed = index.economic_target(&ctx, &q(&existing, 0, &regions, None), &mut prox);
-        assert_eq!(indexed, brute);
-        assert_eq!(brute.unwrap().0, ServerId(150), "exact match dominates");
+        assert_eq!(bits(indexed), bits(brute));
+        let country = client(Location::client_in_country(at.continent, at.country));
+        assert_eq!(
+            bits(brute),
+            bits(target(&ctx, &q(&existing, 0, &country, None)))
+        );
     }
 
     #[test]
@@ -858,11 +857,15 @@ mod tests {
     proptest::proptest! {
         /// The rent-sorted walk and the memoized scan must return the
         /// *same winner, tie-break and score bits* as a scan evaluating
-        /// [`proximity`] per candidate, on arbitrary clusters, prices,
-        /// usage meters, region mixes and rent caps.
+        /// [`proximity`] per candidate, on arbitrary clusters (servers in
+        /// client zones among them), prices, usage meters, region mixes
+        /// (clients at server locations among them) and rent caps.
         #[test]
         fn prop_index_equals_brute_force(
-            server_picks in proptest::collection::vec((0u64..200, 50.0f64..200.0, 0.2f64..1.0), 2..24),
+            server_picks in proptest::collection::vec(
+                (0u64..200, 50.0f64..200.0, 0.2f64..1.0, 0u8..8),
+                2..24,
+            ),
             usage in proptest::collection::vec((any::<u64>(), 0.0f64..900.0), 0..12),
             unposted in proptest::collection::vec(0usize..24, 0..4),
             existing_picks in proptest::collection::vec(0usize..24, 0..4),
@@ -880,10 +883,17 @@ mod tests {
             use proptest::prelude::*;
             let topology = Topology::paper();
             let mut cluster = Cluster::new();
-            for &(loc_idx, cost, conf) in &server_picks {
+            for &(loc_idx, cost, conf, zone) in &server_picks {
+                let l = topology.server_at(loc_idx);
                 cluster.commission(
                     ServerSpec {
-                        location: topology.server_at(loc_idx),
+                        // One server in eight sits in its country's client
+                        // zone: eq. (4) weighs it by its country like any.
+                        location: if zone == 0 {
+                            Location::client_in_country(l.continent, l.country)
+                        } else {
+                            l
+                        },
                         capacities: Capacities::paper(1 << 30, 1000.0),
                         monthly_cost: cost,
                         confidence: conf,
@@ -918,9 +928,9 @@ mod tests {
                         if in_zone {
                             Location::client_in_country(l.continent, l.country)
                         } else {
-                            // A client at a real server location: proximity
-                            // is no longer country-constant, so the index
-                            // must detect it and take the oracle path.
+                            // A client at a real server location: it
+                            // weighs as its country, so the index answers
+                            // with no fallback to the scan.
                             l
                         }
                     },

@@ -1,4 +1,11 @@
 //! Eq. (3) and (4): candidate-server scoring and client proximity.
+//!
+//! Eq. (4) weighs clients and servers at country granularity (§III-A): a
+//! client counts by its `(continent, country)` and a server by its
+//! country, whatever their finer location levels. The diversity between
+//! the two is then a function of the two countries alone
+//! (`zone_diversity`), so every server of a country carries the same
+//! weight and each weight is memoized once per server country.
 
 use skute_geo::{diversity, Location, RegionWeight, Topology};
 
@@ -6,43 +13,17 @@ use skute_geo::{diversity, Location, RegionWeight, Topology};
 /// `q_l` of eq. (4).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RegionQueries {
-    /// The client region (country granularity).
+    /// The client region (country granularity: finer location levels do
+    /// not change its weight).
     pub location: Location,
     /// Queries received from this region during the epoch.
     pub queries: f64,
 }
 
-/// Raw eq. (4) over an arbitrary `(queries, location)` stream:
-/// `g_j = Σ_l q_l / (1 + Σ_l q_l · diversity(l, s_j))`.
-///
-/// Takes a cloneable iterator so callers can evaluate the uniform client
-/// population without materializing a region list; summation order is the
-/// iterator's order, so the same stream always yields the same bits.
-fn raw_g_over<'a, I>(pairs: I, server: &Location) -> f64
-where
-    I: Iterator<Item = (f64, Location)> + Clone + 'a,
-{
-    let total: f64 = pairs.clone().map(|(q, _)| q).sum();
-    if total <= 0.0 {
-        return 0.0;
-    }
-    let weighted: f64 = pairs
-        .map(|(q, l)| q * f64::from(diversity(&l, server)))
-        .sum();
-    total / (1.0 + weighted)
-}
-
-/// Raw eq. (4): `g_j = Σ_l q_l / (1 + Σ_l q_l · diversity(l, s_j))`.
-fn raw_g(regions: &[RegionQueries], server: &Location) -> f64 {
-    raw_g_over(regions.iter().map(|r| (r.queries, r.location)), server)
-}
-
-/// Client regions a [`RegionMasses`] aggregate holds inline. Region
-/// mixes with more distinct regions — none of the paper scenarios come
-/// close, but large-country workloads do — spill the remainder to one
-/// heap word run per aggregation instead of abandoning the analytic
-/// kernel for the general per-location diversity scan; the common path
-/// stays allocation-free.
+/// Client countries a [`RegionMasses`] aggregate holds inline. Mixes
+/// with more distinct countries (client countries need not be topology
+/// countries) spill the remainder to one heap run per aggregation; the
+/// common path stays allocation-free.
 const INLINE_CLIENT_REGIONS: usize = 24;
 
 /// Mass slots a [`RegionPlan`] sums on the stack per partition. A batch
@@ -50,56 +31,17 @@ const INLINE_CLIENT_REGIONS: usize = 24;
 /// weights come from [`ProximityCache::g`].
 const PLAN_MASS_SLOTS: usize = INLINE_CLIENT_REGIONS;
 
-/// The identity a client region aggregates under.
-///
-/// Country-zone clients ([`Location::client_in_country`]) collapse to
-/// their `(continent, country)` prefix: their diversity to any
-/// non-client-zone server is 15, 31 or 63 by country/continent relation
-/// alone. Clients at arbitrary locations keep their full location — their
-/// diversity to a same-country server depends on the finer levels — but
-/// still flow through the same kernel instead of the general scan.
-#[derive(Debug, Clone, Copy, PartialEq)]
-enum MassKey {
-    /// A country-zone client: only the `(continent, country)` prefix
-    /// matters against non-client-zone servers.
-    Country((u16, u16)),
-    /// A client at an arbitrary (non-country-zone) location.
-    Deep(Location),
-}
-
-impl MassKey {
-    /// The aggregation key of one client location.
-    fn of(location: &Location) -> Self {
-        if location.is_client_zone() {
-            MassKey::Country(location.country_key())
-        } else {
-            MassKey::Deep(*location)
-        }
-    }
-
-    /// The diversity between this region and a non-client-zone `server`.
-    fn diversity_to(self, server: &Location) -> f64 {
-        match self {
-            MassKey::Country(client) => zone_diversity(client, server.country_key()),
-            MassKey::Deep(client) => f64::from(diversity(&client, server)),
-        }
-    }
-}
-
-/// Query mass aggregated per client region, in first-appearance order —
-/// the sufficient statistic of eq. (4) against any non-client-zone server.
-/// [`ProximityCache::g`] builds one lazily, boxed, for the placement
-/// queries of a region mix.
+/// Query mass aggregated per client country, in first-appearance order —
+/// the sufficient statistic of eq. (4). [`ProximityCache::g`] builds one
+/// lazily, boxed, for the placement queries of a region mix.
 #[derive(Debug, Clone)]
 struct RegionMasses {
     total: f64,
     len: usize,
-    /// Whether any region aggregated under [`MassKey::Deep`].
-    has_deep: bool,
-    /// The first [`INLINE_CLIENT_REGIONS`] distinct regions.
-    inline: [(MassKey, f64); INLINE_CLIENT_REGIONS],
-    /// Regions beyond the inline capacity, in first-appearance order.
-    spill: Vec<(MassKey, f64)>,
+    /// The first [`INLINE_CLIENT_REGIONS`] distinct countries.
+    inline: [((u16, u16), f64); INLINE_CLIENT_REGIONS],
+    /// Countries beyond the inline capacity, in first-appearance order.
+    spill: Vec<((u16, u16), f64)>,
 }
 
 impl Default for RegionMasses {
@@ -107,24 +49,20 @@ impl Default for RegionMasses {
         Self {
             total: 0.0,
             len: 0,
-            has_deep: false,
-            inline: [(MassKey::Country((0, 0)), 0.0); INLINE_CLIENT_REGIONS],
+            inline: [((0, 0), 0.0); INLINE_CLIENT_REGIONS],
             spill: Vec::new(),
         }
     }
 }
 
 impl RegionMasses {
-    /// Aggregates `regions`. Infallible: country-zone clients collapse to
-    /// per-country masses, arbitrary client locations keep their full
-    /// location as the key. Any number of distinct regions aggregates —
-    /// the first 24 inline, the rest on the heap.
+    /// Aggregates `regions` by client country: the first 24 countries
+    /// inline, the rest on the heap.
     fn aggregate(regions: &[RegionQueries]) -> Self {
         let mut masses = Self::default();
         for r in regions {
             masses.total += r.queries;
-            let key = MassKey::of(&r.location);
-            masses.has_deep |= matches!(key, MassKey::Deep(_));
+            let key = r.location.country_key();
             let inline_len = masses.len.min(INLINE_CLIENT_REGIONS);
             match masses.inline[..inline_len]
                 .iter_mut()
@@ -145,27 +83,17 @@ impl RegionMasses {
         masses
     }
 
-    /// All aggregated `(region, mass)` pairs, in first-appearance order.
-    fn regions(&self) -> impl Iterator<Item = &(MassKey, f64)> {
+    /// All aggregated `(country, mass)` pairs, in first-appearance order.
+    fn regions(&self) -> impl Iterator<Item = &((u16, u16), f64)> {
         self.inline[..self.len.min(INLINE_CLIENT_REGIONS)]
             .iter()
             .chain(self.spill.iter())
     }
-
-    /// True when some [`MassKey::Deep`] client shares `country` — the one
-    /// case where same-country servers can have different weights and
-    /// per-country memoization would be unsound.
-    fn has_deep_in(&self, country: (u16, u16)) -> bool {
-        self.has_deep
-            && self
-                .regions()
-                .any(|(k, _)| matches!(k, MassKey::Deep(l) if l.country_key() == country))
-    }
 }
 
-/// Country-zone diversity of a client country vs a server country: 15 in
-/// the same country (they always diverge at the synthetic datacenter), 31
-/// in the same continent, 63 across continents.
+/// The eq.-(4) diversity of a client country to a server country: 15 in
+/// the same country (a country's clients sit in a synthetic datacenter no
+/// server shares), 31 in the same continent, 63 across continents.
 #[inline]
 fn zone_diversity(client: (u16, u16), server: (u16, u16)) -> f64 {
     if client.0 != server.0 {
@@ -197,13 +125,13 @@ impl UniformSplit {
     }
 }
 
-/// The eq.-(4) kernel: the weight of one non-client-zone server, eq. (4)
+/// The eq.-(4) kernel: the weight of one server country, eq. (4)
 /// normalized by eq. (4) under the uniform split of the same total.
-/// `terms` pairs each region mass with its diversity to the server, in
+/// `terms` pairs each country mass with its diversity to the server, in
 /// mass order; `uniform` lists the server's diversity to each topology
 /// country, in [`Topology::iter_countries`] order.
 ///
-/// Every weight the crate memoizes comes from here, whether the
+/// Every weight the crate computes comes from here, whether the
 /// diversities are computed on the spot ([`analytic_g`]) or read from a
 /// [`RegionPlan`] row: the same products, added in the same order.
 fn eq4_kernel(
@@ -228,20 +156,20 @@ fn eq4_kernel(
     raw / baseline
 }
 
-/// The analytic eq.-(4) proximity of a non-client-zone `server` against
-/// aggregated region masses: [`eq4_kernel`] with the diversities computed
-/// on the spot. Bit-for-bit identical to the general per-location scan
-/// for duplicate-free region mixes (the mixes the workload layer
-/// produces): both sides accumulate the same summands in the same order.
-fn analytic_g(masses: &RegionMasses, server: &Location, topology: &Topology) -> f64 {
-    let key = server.country_key();
+/// The eq.-(4) proximity of a server in country `server` against
+/// aggregated country masses: [`eq4_kernel`] with the diversities
+/// computed on the spot. Bit-for-bit identical to a per-location
+/// diversity scan over a duplicate-free mix of country-zone clients and
+/// a real server: both sides accumulate the same summands in the same
+/// order.
+fn analytic_g(masses: &RegionMasses, server: (u16, u16), topology: &Topology) -> f64 {
     eq4_kernel(
         masses.total,
         masses
             .regions()
-            .map(|&(k, mass)| (mass, k.diversity_to(server))),
+            .map(|&(client, mass)| (mass, zone_diversity(client, server))),
         UniformSplit::of(masses.total, topology),
-        topology.iter_countries().map(|c| zone_diversity(c, key)),
+        topology.iter_countries().map(|c| zone_diversity(c, server)),
     )
 }
 
@@ -254,28 +182,16 @@ fn analytic_g(masses: &RegionMasses, server: &Location, topology: &Topology) -> 
 /// paper stipulates (§III-A), and regionally skewed traffic scales servers
 /// near the traffic above 1 and far servers below 1.
 ///
-/// Every non-client-zone server evaluates through the analytic region
-/// kernel ([`analytic_g`]) — country-zone clients as per-country masses,
-/// arbitrary client locations as full-location masses. Only a server that
-/// itself sits in a client zone takes the general per-location diversity
-/// scan. With no queries at all the weight is neutral (1).
+/// Clients aggregate per country and the server counts by its country
+/// (`analytic_g`), so a client or server location weighs exactly as
+/// [`Location::client_in_country`] of its country would. With no queries
+/// at all the weight is neutral (1).
 pub fn proximity(regions: &[RegionQueries], server: &Location, topology: &Topology) -> f64 {
-    let total: f64 = regions.iter().map(|r| r.queries).sum();
-    if total <= 0.0 {
+    let masses = RegionMasses::aggregate(regions);
+    if masses.total <= 0.0 {
         return 1.0;
     }
-    if !server.is_client_zone() {
-        return analytic_g(&RegionMasses::aggregate(regions), server, topology);
-    }
-    let per = total / topology.country_count() as f64;
-    let baseline = raw_g_over(
-        topology.iter_client_locations().map(move |l| (per, l)),
-        server,
-    );
-    if baseline <= 0.0 {
-        return 1.0;
-    }
-    raw_g(regions, server) / baseline
+    analytic_g(&masses, server.country_key(), topology)
 }
 
 /// What one traffic batch fixes for every partition it reaches.
@@ -283,12 +199,12 @@ pub fn proximity(regions: &[RegionQueries], server: &Location, topology: &Topolo
 /// A batch offers the same region weights to every partition of its ring,
 /// so whatever eq. (4) derives from the region *locations* is the same for
 /// all of them: which batch regions merge into one `region_queries` entry
-/// (first-appearance order), which entries share a mass, and
-/// each server's diversity to every mass and to every uniform-baseline
-/// country. The plan resolves that once per batch. Per partition,
-/// [`RegionPlan::deliver`] writes the region list by slot and sums its
-/// masses on the stack, and [`PlannedWeights::g`] evaluates a server as
-/// one pass of the eq.-(4) kernel over the server's row. The kernel, the
+/// (first-appearance order), which entries share a country mass, and
+/// each server country's diversity to every mass and to every
+/// uniform-baseline country. The plan resolves that once per batch. Per
+/// partition, [`RegionPlan::deliver`] writes the region list by slot and
+/// sums its masses on the stack, and [`PlannedWeights::g`] evaluates a
+/// server as one pass of the eq.-(4) kernel over the server's row. The kernel, the
 /// diversities and the summation order are those of [`proximity`], so
 /// every weight is bit-for-bit [`ProximityCache::g`]'s.
 #[derive(Debug, Clone)]
@@ -301,9 +217,6 @@ pub struct RegionPlan {
     entries: Vec<(Location, usize)>,
     /// The number of distinct masses.
     masses: usize,
-    /// Countries hosting a deep (non-country-zone) client. Their servers'
-    /// weights depend on finer levels and are not memoized per country.
-    deep_countries: Vec<(u16, u16)>,
     /// Values per server row: the masses, then the topology's countries.
     stride: usize,
     /// One row per planned server, in the order given to
@@ -332,14 +245,14 @@ impl RegionPlan {
         topology: &Topology,
     ) -> Self {
         let mut entries: Vec<(Location, usize)> = Vec::new();
-        let mut keys: Vec<MassKey> = Vec::new();
+        let mut keys: Vec<(u16, u16)> = Vec::new();
         let batch = regions
             .iter()
             .map(|region| {
                 if let Some(slot) = entries.iter().position(|&(l, _)| l == region.location) {
                     return (region.weight, slot);
                 }
-                let key = MassKey::of(&region.location);
+                let key = region.location.country_key();
                 let mass = keys.iter().position(|&k| k == key).unwrap_or_else(|| {
                     keys.push(key);
                     keys.len() - 1
@@ -348,18 +261,11 @@ impl RegionPlan {
                 (region.weight, entries.len() - 1)
             })
             .collect();
-        let deep_countries = keys
-            .iter()
-            .filter_map(|k| match k {
-                MassKey::Deep(l) => Some(l.country_key()),
-                MassKey::Country(_) => None,
-            })
-            .collect();
         let mut rows = Vec::new();
         if keys.len() <= PLAN_MASS_SLOTS {
             for server in servers {
                 let key = server.country_key();
-                rows.extend(keys.iter().map(|k| k.diversity_to(&server)));
+                rows.extend(keys.iter().map(|&k| zone_diversity(k, key)));
                 rows.extend(topology.iter_countries().map(|c| zone_diversity(c, key)));
             }
         }
@@ -367,7 +273,6 @@ impl RegionPlan {
             batch,
             entries,
             masses: keys.len(),
-            deep_countries,
             stride: keys.len() + topology.iter_countries().count(),
             rows,
         }
@@ -456,19 +361,15 @@ pub struct PlannedWeights<'a> {
 impl PlannedWeights<'_> {
     /// The weight of the plan's server `index`, located at `server`:
     /// memoized in the partition's cache per country, exactly as
-    /// [`ProximityCache::g`] memoizes it, and with its bits. A
-    /// client-zone server, a server the plan has no row for, or a mix the
-    /// plan did not sum goes through [`ProximityCache::g`] itself.
+    /// [`ProximityCache::g`] memoizes it, and with its bits. A server the
+    /// plan has no row for, or a mix the plan did not sum, goes through
+    /// [`ProximityCache::g`] itself.
     pub fn g(&mut self, index: usize, server: &Location) -> f64 {
         let stride = self.plan.stride;
-        let planned = match &self.mix {
-            Some(mix) if !server.is_client_zone() => self
-                .plan
-                .rows
-                .get(index * stride..(index + 1) * stride)
-                .map(|row| (mix, row)),
-            _ => None,
-        };
+        let planned = self.mix.as_ref().and_then(|mix| {
+            let row = self.plan.rows.get(index * stride..(index + 1) * stride)?;
+            Some((mix, row))
+        });
         let Some((mix, row)) = planned else {
             return self.cache.g(self.regions, server, self.topology);
         };
@@ -486,25 +387,17 @@ impl PlannedWeights<'_> {
             mix.split,
             uniform_row.iter().copied(),
         );
-        if !self.plan.deep_countries.contains(&key) {
-            self.cache.entries.push((key, g));
-        }
+        self.cache.entries.push((key, g));
         g
     }
 }
 
 /// Memoizes eq.-(4) proximity per server country for one fixed region mix.
 ///
-/// Query clients are synthetic country-level locations
-/// ([`Location::client_in_country`]), so the diversity between a client and
-/// any *real* (non-client-zone) server — and therefore the whole proximity
-/// weight — depends only on the server's `(continent, country)` prefix.
-/// One partition's decision phase evaluates proximity for every feasible
-/// candidate server; this cache collapses that to one evaluation per
-/// country. Servers that themselves sit in a client zone (a synthetic
-/// datacenter index) bypass the cache, and so does a server whose country
-/// also hosts a non-country-zone client (its same-country siblings can
-/// have different weights); both stay bit-exact for arbitrary locations.
+/// Eq. (4) weighs a server by its `(continent, country)` prefix alone
+/// (see [`proximity`]), so one partition's decision phase, which
+/// evaluates proximity for every feasible candidate server, needs one
+/// evaluation per server country; this cache holds them.
 ///
 /// The caller owns invalidation: [`ProximityCache::clear`] must run
 /// whenever the region mix it was filled from changes (`SkuteCloud` clears
@@ -582,13 +475,7 @@ impl ProximityCache {
     /// server's country. Bit-for-bit identical to calling [`proximity`]
     /// directly.
     pub fn g(&mut self, regions: &[RegionQueries], server: &Location, topology: &Topology) -> f64 {
-        if server.is_client_zone() {
-            // A pathological server inside a client zone can match a client
-            // location deeper than the country level; compute it directly.
-            return proximity(regions, server, topology);
-        }
-        // An entry exists only for a country without deep clients, under a
-        // mix with queries: exactly the countries whose weight is shared.
+        // An entry exists only under a mix with queries.
         let key = server.country_key();
         if let Some(g) = self.memoized(key) {
             return g;
@@ -599,13 +486,8 @@ impl ProximityCache {
         if masses.total <= 0.0 {
             return 1.0;
         }
-        let g = analytic_g(masses, server, topology);
-        // A non-country-zone client sharing this server's country makes the
-        // weight depend on the finer location levels, so same-country servers
-        // can differ: such a weight is not memoized.
-        if !masses.has_deep_in(key) {
-            self.entries.push((key, g));
-        }
+        let g = analytic_g(masses, key, topology);
+        self.entries.push((key, g));
         g
     }
 }
@@ -643,10 +525,28 @@ mod tests {
         Topology::paper()
     }
 
-    /// The pre-kernel reference: eq. (4) by per-location diversity scan,
-    /// normalized by the uniform baseline — what [`proximity`] computed
-    /// before every non-client-zone server was routed through
-    /// [`analytic_g`].
+    /// Raw eq. (4) over a `(queries, location)` stream by per-location
+    /// diversity, `Σ_l q_l / (1 + Σ_l q_l · diversity(l, s_j))`, summed in
+    /// stream order.
+    fn raw_g_over<I>(pairs: I, server: &Location) -> f64
+    where
+        I: Iterator<Item = (f64, Location)> + Clone,
+    {
+        let total: f64 = pairs.clone().map(|(q, _)| q).sum();
+        if total <= 0.0 {
+            return 0.0;
+        }
+        let weighted: f64 = pairs
+            .map(|(q, l)| q * f64::from(diversity(&l, server)))
+            .sum();
+        total / (1.0 + weighted)
+    }
+
+    /// The per-location reference for [`proximity`]: raw eq. (4) over
+    /// `regions`, normalized by raw eq. (4) over the countries' client
+    /// zones under the uniform split. On a duplicate-free mix of
+    /// country-zone clients and a real server every diversity is its
+    /// countries' [`zone_diversity`], so it equals the kernel by bits.
     fn general_scan(regions: &[RegionQueries], server: &Location, t: &Topology) -> f64 {
         let total: f64 = regions.iter().map(|r| r.queries).sum();
         if total <= 0.0 {
@@ -657,7 +557,7 @@ mod tests {
         if baseline <= 0.0 {
             return 1.0;
         }
-        raw_g(regions, server) / baseline
+        raw_g_over(regions.iter().map(|r| (r.queries, r.location)), server) / baseline
     }
 
     /// The delivery fold before [`RegionPlan`]: each batch region's
@@ -849,57 +749,50 @@ mod tests {
     }
 
     #[test]
-    fn deep_clients_route_through_the_kernel() {
-        // Regression: clients outside country zones used to abandon the
-        // analytic kernel for the general scan (and defeated the
-        // per-country memoization entirely). They now aggregate under
-        // their full location and flow through the same kernel,
-        // bit-identical to the scan.
+    fn a_client_location_weighs_as_its_country() {
+        // Eq. (4) counts a client by its country: one pinned to a rack of
+        // continent 2, country 1 weighs exactly as that country's client
+        // zone on every server, and the cache keeps one entry per server
+        // country.
         let t = topo();
-        let regions = [
-            RegionQueries {
-                location: Location::client_in_country(0, 0),
-                queries: 700.0,
-            },
-            // A client pinned to a rack of continent 2, country 1.
-            RegionQueries {
-                location: Location::new(2, 1, 0, 0, 1, 0),
-                queries: 200.0,
-            },
-            RegionQueries {
-                location: Location::client_in_country(4, 0),
-                queries: 100.0,
-            },
-        ];
+        let rack = Location::new(2, 1, 0, 0, 1, 0);
+        let mix = |client: Location| {
+            [
+                (Location::client_in_country(0, 0), 700.0),
+                (client, 200.0),
+                (Location::client_in_country(4, 0), 100.0),
+            ]
+            .map(|(location, queries)| RegionQueries { location, queries })
+        };
+        let regions = mix(rack);
+        let by_country = mix(Location::client_in_country(2, 1));
         let mut cache = ProximityCache::new();
-        for i in 0..200u64 {
-            let server = t.server_at(i);
+        for server in t.iter_servers() {
             let direct = proximity(&regions, &server, &t);
-            let scan = general_scan(&regions, &server, &t);
+            let country = proximity(&by_country, &server, &t);
+            assert_eq!(direct.to_bits(), country.to_bits(), "server {server}");
             let cached = cache.g(&regions, &server, &t);
-            assert_eq!(direct.to_bits(), scan.to_bits(), "server {i}");
-            assert_eq!(cached.to_bits(), direct.to_bits(), "server {i}");
+            assert_eq!(cached.to_bits(), direct.to_bits(), "server {server}");
         }
-        // Within the deep client's country, servers differ by finer
-        // levels: the colocated server outweighs its country siblings,
-        // and neither weight is memoized per country.
-        let colocated = Location::new(2, 1, 0, 0, 1, 0);
+        assert_eq!(cache.entries.len(), 10);
+        // The server at the client's own rack weighs as its country
+        // siblings, from the same entry.
         let sibling = Location::new(2, 1, 1, 0, 0, 0);
-        let g_colocated = cache.g(&regions, &colocated, &t);
-        let g_sibling = cache.g(&regions, &sibling, &t);
-        assert!(g_colocated > g_sibling, "{g_colocated} vs {g_sibling}");
-        let masses = RegionMasses::aggregate(&regions);
-        assert!(masses.has_deep_in((2, 1)));
-        assert!(!masses.has_deep_in((0, 0)));
+        assert_eq!(
+            cache.g(&regions, &rack, &t),
+            cache.g(&regions, &sibling, &t)
+        );
+        assert_eq!(cache.entries.len(), 10);
     }
 
     #[test]
     fn a_placement_query_after_a_plan_pass_reads_the_plans_weights() {
         // The delivery plan fills the cache from its per-batch rows, so the
         // cache holds entries but no masses. A later placement query (`g`)
-        // reads a planned country's entry; on a country the plan left
-        // unmemoized (a deep client shares it) or never visited, it builds
-        // the masses lazily — with the same bits.
+        // reads a planned country's entry; on a country the plan never
+        // visited, it builds the masses lazily — with the same bits. A
+        // client below country level changes neither: it weighs as its
+        // country.
         let t = topo();
         let batch = [
             weight(Location::client_in_country(0, 0), 0.6),
@@ -914,43 +807,23 @@ mod tests {
         // countries).
         let planned = planned_bits(&plan, 1000.0, &mut regions, &mut cache, &servers[..40], &t);
         assert!(cache.masses.is_none());
-        assert_eq!(cache.entries.len(), 1, "country (0, 1) hosts a deep client");
-        for i in 0..20 {
+        assert_eq!(cache.entries.len(), 2, "both visited countries");
+        for i in 0..40 {
             let g = cache.g(&regions, &t.server_at(i), &t);
             assert_eq!(g.to_bits(), planned[i as usize], "server {i}");
         }
         assert!(cache.masses.is_none(), "a memoized country needs no masses");
-        for i in 20..40 {
-            let g = cache.g(&regions, &t.server_at(i), &t);
-            assert_eq!(g.to_bits(), planned[i as usize], "server {i}");
-        }
+        let g = cache.g(&regions, &t.server_at(40), &t);
         assert!(
             cache.masses.is_some(),
             "built on the first unmemoized query"
         );
+        assert_eq!(g, proximity(&regions, &t.server_at(40), &t));
         for i in 40..200 {
             let server = t.server_at(i);
             let g = cache.g(&regions, &server, &t);
             assert_eq!(g.to_bits(), proximity(&regions, &server, &t).to_bits());
         }
-    }
-
-    #[test]
-    fn cache_bypasses_client_zone_servers() {
-        let t = topo();
-        let regions = [RegionQueries {
-            location: Location::client_in_country(0, 0),
-            queries: 500.0,
-        }];
-        // A server that *is* the client zone location matches the client at
-        // every level — its proximity differs from its country siblings'.
-        let weird = Location::client_in_country(0, 0);
-        let sibling = t.server_at(0);
-        let mut cache = ProximityCache::new();
-        let g_sibling = cache.g(&regions, &sibling, &t);
-        let g_weird = cache.g(&regions, &weird, &t);
-        assert_eq!(g_weird, proximity(&regions, &weird, &t));
-        assert!(g_weird > g_sibling, "exact-match client zone is closer");
     }
 
     proptest! {
@@ -983,10 +856,9 @@ mod tests {
             ),
             server_idx in 0u64..200,
         ) {
-            // A duplicate-free mix of country-zone and arbitrary deep
-            // client locations: the analytic kernel must reproduce the
-            // general per-location scan bit for bit on every
-            // non-client-zone server.
+            // A duplicate-free country-zone mix: the analytic kernel must
+            // reproduce the general per-location scan bit for bit on every
+            // real server.
             let t = topo();
             let countries: Vec<(u16, u16)> = t.iter_countries().collect();
             let mut regions: Vec<RegionQueries> = qs
@@ -997,24 +869,27 @@ mod tests {
                     RegionQueries { location: Location::client_in_country(ct, co), queries: q }
                 })
                 .collect();
-            let mut deep_locs: Vec<Location> = deep
-                .into_iter()
-                .map(|(ct, co, dc, rm, rk, sv)| Location::new(ct, co, dc, rm, rk, sv))
-                .collect();
-            deep_locs.sort();
-            deep_locs.dedup();
-            regions.extend(deep_locs.into_iter().map(|l| RegionQueries {
-                location: l,
-                queries: 10.0,
-            }));
             let server = t.server_at(server_idx);
             let kernel = proximity(&regions, &server, &t);
             let scan = general_scan(&regions, &server, &t);
             prop_assert_eq!(kernel.to_bits(), scan.to_bits());
+            // Clients below country level weigh as their country: the mix
+            // with them equals, by bits, the mix with each mapped to its
+            // country's client zone.
+            let mut mapped = regions.clone();
+            for (ct, co, dc, rm, rk, sv) in deep {
+                let location = Location::new(ct, co, dc, rm, rk, sv);
+                regions.push(RegionQueries { location, queries: 10.0 });
+                let location = Location::client_in_country(ct, co);
+                mapped.push(RegionQueries { location, queries: 10.0 });
+            }
+            prop_assert_eq!(
+                proximity(&regions, &server, &t).to_bits(),
+                proximity(&mapped, &server, &t).to_bits()
+            );
             // And the cache agrees with the direct evaluation on the
-            // server, a same-country sibling (memoized per country unless a
-            // deep client shares it) and a client-zone server of that
-            // country (evaluated directly).
+            // server, a same-country sibling and a client-zone server of
+            // that country, all three memoized per country.
             let mut cache = ProximityCache::new();
             let sibling = t.server_at(server_idx ^ 1);
             let zone = Location::client_in_country(server.continent, server.country);
@@ -1039,9 +914,10 @@ mod tests {
             second in proptest::option::of(0.001f64..1e4),
         ) {
             // A batch as a traffic plan meets it: country-zone regions with
-            // repeats, deep clients (in paper countries, so sharing some
-            // server's country), weights whose product with `q` underflows
-            // or is zero, and sometimes more than 24 distinct masses. Every
+            // repeats, clients below country level (in paper countries, so
+            // some share a mass with a country zone), weights whose product
+            // with `q` underflows or is zero, and sometimes more than 24
+            // distinct masses. Every
             // paper server plus a client-zone server gets its planned
             // weight, which must equal `proximity` over the folded list by
             // bits; the list must equal the find-merge fold's, and the

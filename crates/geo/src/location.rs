@@ -212,11 +212,11 @@ impl Location {
 
     /// The `(continent, country)` prefix of this location.
     ///
-    /// Because query clients live at country granularity (their synthetic
-    /// datacenter never matches a real server's), the diversity between a
-    /// client and a server — and therefore the eq.-(4) proximity weight —
-    /// depends only on this prefix for every non-client-zone server.
-    /// Proximity caches key on it.
+    /// Query clients live at country granularity, and eq. (4) weighs both
+    /// a client and a server by this prefix alone, whatever their finer
+    /// levels: a client counts as its country's client zone, and every
+    /// server of a country gets the same proximity weight. Proximity
+    /// caches key on it.
     pub const fn country_key(&self) -> (u16, u16) {
         (self.continent, self.country)
     }

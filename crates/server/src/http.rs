@@ -29,22 +29,33 @@ pub struct Request {
 }
 
 impl Request {
-    /// The path portion of the target (before any `?`), percent-decoded.
-    pub fn path(&self) -> String {
-        let raw = self.target.split('?').next().unwrap_or("");
-        percent_decode(raw)
+    /// The path portion of the target (before any `?`), percent-decoded
+    /// to bytes (see [`percent_decode_bytes`]).
+    pub fn path_bytes(&self) -> Vec<u8> {
+        percent_decode_bytes(self.target.split('?').next().unwrap_or(""))
     }
 
-    /// The first query parameter named `name`, percent-decoded.
-    pub fn query_param(&self, name: &str) -> Option<String> {
+    /// [`Request::path_bytes`] as text (see [`percent_decode`]).
+    pub fn path(&self) -> String {
+        String::from_utf8_lossy(&self.path_bytes()).into_owned()
+    }
+
+    /// The first query parameter named `name`, percent-decoded to bytes.
+    pub fn query_param_bytes(&self, name: &str) -> Option<Vec<u8>> {
         let query = self.target.split_once('?')?.1;
         for pair in query.split('&') {
             let (k, v) = pair.split_once('=').unwrap_or((pair, ""));
             if percent_decode(k) == name {
-                return Some(percent_decode(v));
+                return Some(percent_decode_bytes(v));
             }
         }
         None
+    }
+
+    /// [`Request::query_param_bytes`] as text (see [`percent_decode`]).
+    pub fn query_param(&self, name: &str) -> Option<String> {
+        self.query_param_bytes(name)
+            .map(|v| String::from_utf8_lossy(&v).into_owned())
     }
 
     /// The first header named `name` (case-insensitive).
@@ -241,9 +252,11 @@ pub fn write_request<W: Write>(
     w.flush()
 }
 
-/// Percent-decodes a URL component (`%41` → `A`, `+` left alone — keys may
-/// legitimately contain it). Malformed escapes pass through verbatim.
-pub fn percent_decode(s: &str) -> String {
+/// Percent-decodes a URL component to its bytes (`%41` → `A`, `+` left
+/// alone — keys may legitimately contain it). Malformed escapes pass
+/// through verbatim. Keys are arbitrary bytes, so `%FE` and `%FF` stay
+/// two different bytes.
+pub fn percent_decode_bytes(s: &str) -> Vec<u8> {
     let bytes = s.as_bytes();
     let mut out = Vec::with_capacity(bytes.len());
     let mut i = 0;
@@ -262,7 +275,13 @@ pub fn percent_decode(s: &str) -> String {
         out.push(bytes[i]);
         i += 1;
     }
-    String::from_utf8_lossy(&out).into_owned()
+    out
+}
+
+/// [`percent_decode_bytes`] as text: bytes that are not UTF-8 become
+/// U+FFFD, so two components differing only there decode alike.
+pub fn percent_decode(s: &str) -> String {
+    String::from_utf8_lossy(&percent_decode_bytes(s)).into_owned()
 }
 
 /// Percent-encodes a URL path component (everything but unreserved chars).
@@ -596,9 +615,26 @@ mod tests {
         let key: &[u8] = b"user:1/\xFF space";
         let encoded = percent_encode(key);
         assert!(!encoded.contains(' '));
+        assert_eq!(percent_decode_bytes(&encoded), key);
         assert_eq!(percent_decode(&encoded).as_bytes()[..7], key[..7]);
         // Malformed escapes pass through instead of erroring.
         assert_eq!(percent_decode("a%ZZb%"), "a%ZZb%");
+        assert_eq!(percent_decode_bytes("a%ZZb%"), b"a%ZZb%");
+    }
+
+    #[test]
+    fn keys_differing_in_a_non_utf8_byte_decode_apart() {
+        // The text view maps both bytes to U+FFFD; the byte view keeps them.
+        assert_eq!(percent_decode("%FE"), percent_decode("%FF"));
+        assert_eq!(percent_decode_bytes("%FE"), [0xFE]);
+        assert_eq!(percent_decode_bytes("%FF"), [0xFF]);
+        let raw = b"GET /kv/a%FE?prefix=%FFz&limit=3 HTTP/1.1\r\n\r\n";
+        let req = read_request(&mut reader(raw)).unwrap().unwrap();
+        assert_eq!(req.path_bytes(), b"/kv/a\xFE");
+        assert_eq!(req.path(), "/kv/a\u{FFFD}");
+        assert_eq!(req.query_param_bytes("prefix").unwrap(), b"\xFFz");
+        assert_eq!(req.query_param("limit").as_deref(), Some("3"));
+        assert_eq!(req.query_param_bytes("missing"), None);
     }
 
     #[test]

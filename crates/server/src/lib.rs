@@ -15,9 +15,13 @@
 //! | `GET /kv/<key>` | proximity-routed read ([`SkuteCloud::client_get_with`]); `X-Served-By` / `X-Proximity` / `X-Replicas-Read` response headers; 404 for absent keys; 503 when no replica is reachable |
 //! | `PUT /kv/<key>` | write, body is the value, `204`; 503 when fewer than a majority of replicas ack |
 //! | `DELETE /kv/<key>` | tombstone write, `204`; 503 as for `PUT` |
-//! | `GET /scan?prefix=&limit=` | ordered prefix scan ([`skute_core::ReadView::scan`]), one `key\tvalue` line each (percent-encoded); `X-Scan-Count` response header |
+//! | `GET /scan?prefix=&limit=` | ordered prefix scan ([`skute_core::ReadView::scan`]) of the percent-decoded `prefix` bytes, one `key\tvalue` line each (percent-encoded); `X-Scan-Count` response header |
 //! | `POST /fault` | swap the live fault plan (`gray 42`, `partition 7`, `cut 2`, `heal`, `none`) without a restart |
 //! | `POST /shutdown` | graceful stop: respond, then drain and exit |
+//!
+//! A `<key>` is arbitrary bytes, percent-encoded in the path and decoded
+//! byte for byte ([`http::percent_decode_bytes`]): `/kv/%FE` and
+//! `/kv/%FF` name two keys.
 //!
 //! Reads and scans accept an `X-Consistency: one|quorum` request header
 //! selecting the replica set each partition is read from: `one` answers

@@ -107,16 +107,17 @@ impl Op {
         Op::Other,
     ];
 
-    fn of(method: &str, path: &str) -> Op {
+    /// The operation of `method` on the percent-decoded `path`.
+    fn of(method: &str, path: &[u8]) -> Op {
         match (method, path) {
-            ("GET", "/metrics") => Op::Metrics,
-            ("GET", "/healthz") => Op::Health,
-            ("POST", "/fault") => Op::Fault,
-            ("POST", "/shutdown") => Op::Shutdown,
-            ("GET", "/scan") => Op::Scan,
-            ("GET", p) if p.starts_with("/kv/") => Op::Get,
-            ("PUT", p) if p.starts_with("/kv/") => Op::Put,
-            ("DELETE", p) if p.starts_with("/kv/") => Op::Delete,
+            ("GET", b"/metrics") => Op::Metrics,
+            ("GET", b"/healthz") => Op::Health,
+            ("POST", b"/fault") => Op::Fault,
+            ("POST", b"/shutdown") => Op::Shutdown,
+            ("GET", b"/scan") => Op::Scan,
+            ("GET", p) if p.starts_with(b"/kv/") => Op::Get,
+            ("PUT", p) if p.starts_with(b"/kv/") => Op::Put,
+            ("DELETE", p) if p.starts_with(b"/kv/") => Op::Delete,
             _ => Op::Other,
         }
     }
@@ -206,7 +207,7 @@ impl ServerMetrics {
             responses: Outcome::ALL.map(|outcome| {
                 registry.counter_with(
                     "skute_server_responses_total",
-                    "HTTP responses written, by outcome class.",
+                    "HTTP responses written, by outcome class (requests minus responses counts requests that died unanswered).",
                     &[("outcome", outcome.as_str())],
                 )
             }),
@@ -216,7 +217,7 @@ impl ServerMetrics {
             ),
             epoch_pending_queries: registry.gauge(
                 "skute_server_epoch_pending_queries",
-                "Query-units accumulated since the last epoch tick (request queue depth in economy units).",
+                "Query-units charged since the last epoch tick, rounded (request queue depth in economy units).",
             ),
             epoch_ticks: registry.counter(
                 "skute_server_epoch_ticks_total",
@@ -233,6 +234,9 @@ struct CloudSlot {
     app: AppId,
     /// Query-units observed this epoch, per client country.
     tally: BTreeMap<(u16, u16), f64>,
+    /// The tally's total, kept as requests are charged: what the
+    /// `skute_server_epoch_pending_queries` gauge shows, rounded.
+    pending: f64,
 }
 
 /// Shared state behind the listener.
@@ -319,6 +323,7 @@ impl SkuteServer {
                     cloud,
                     app,
                     tally: BTreeMap::new(),
+                    pending: 0.0,
                 }),
                 topology,
                 registry,
@@ -422,6 +427,7 @@ fn tick(state: &Arc<ServerState>) {
     slot.cloud.end_epoch();
     slot.cloud.begin_epoch();
     slot.tally.clear();
+    slot.pending = 0.0;
     state.metrics.epoch_ticks.inc();
     state.metrics.epoch_pending_queries.set(0);
 }
@@ -430,10 +436,20 @@ fn tick(state: &Arc<ServerState>) {
 /// large response does not pin its size for the connection's lifetime.
 const OUT_RETAIN: usize = 64 * 1024;
 
+/// Takes one connection off `skute_server_active_connections` when
+/// dropped, so a handler that panics still closes its count.
+struct OpenConnection<'a>(&'a Gauge);
+
+impl Drop for OpenConnection<'_> {
+    fn drop(&mut self) {
+        self.0.sub(1);
+    }
+}
+
 fn handle_connection(state: Arc<ServerState>, stream: TcpStream) {
     state.metrics.active_connections.add(1);
+    let _open = OpenConnection(&state.metrics.active_connections);
     serve_connection(&state, stream);
-    state.metrics.active_connections.sub(1);
 }
 
 /// The request loop of one connection: one read per request and one
@@ -498,7 +514,7 @@ fn handle_request(
     keep_alive: bool,
 ) -> bool {
     let started = Instant::now();
-    let path = request.path();
+    let path = request.path_bytes();
     let op = Op::of(&request.method, &path);
     state.metrics.requests[op as usize].inc();
     out.clear();
@@ -596,25 +612,27 @@ fn charge(state: &ServerState, slot: &mut CloudSlot, client: Option<Location>) {
         key
     };
     *slot.tally.entry(key).or_insert(0.0) += state.config.queries_per_request;
+    slot.pending += state.config.queries_per_request;
     state
         .metrics
         .epoch_pending_queries
-        .add(state.config.queries_per_request.round() as i64);
+        .set(slot.pending.round() as i64);
 }
 
-/// `GET` / `PUT` / `DELETE /kv/<key>`: encodes the response into `out`
-/// and returns its status. A read that reaches no replica and a write
+/// `GET` / `PUT` / `DELETE /kv/<key>`, the key being the bytes the
+/// percent-decoded `path` holds after `/kv/`: encodes the response into
+/// `out` and returns its status. A read that reaches no replica and a write
 /// short of a majority answer `503` (unavailable: retry later, or from
 /// elsewhere); every other cloud error answers `500`.
 fn handle_kv(
     state: &Arc<ServerState>,
     request: Request,
     op: Op,
-    path: &str,
+    path: &[u8],
     out: &mut Vec<u8>,
     keep_alive: bool,
 ) -> u16 {
-    let key = &path.as_bytes()["/kv/".len()..];
+    let key = &path["/kv/".len()..];
     if key.is_empty() {
         return reply(out, 400, b"empty key\n", keep_alive);
     }
@@ -750,9 +768,10 @@ fn handle_fault(
     reply(out, 200, done.as_bytes(), keep_alive)
 }
 
-/// `GET /scan?prefix=&limit=`: a [`ReadView::scan`] at the requested
-/// consistency. The body is encoded after the cloud lock is released,
-/// since `limit=0` returns every row.
+/// `GET /scan?prefix=&limit=`: a [`ReadView::scan`] of the
+/// percent-decoded `prefix` bytes at the requested consistency. The
+/// body is encoded after the cloud lock is released, since `limit=0`
+/// returns every row.
 ///
 /// [`ReadView::scan`]: skute_core::ReadView::scan
 fn handle_scan(
@@ -761,7 +780,7 @@ fn handle_scan(
     out: &mut Vec<u8>,
     keep_alive: bool,
 ) -> u16 {
-    let prefix = request.query_param("prefix").unwrap_or_default();
+    let prefix = request.query_param_bytes("prefix").unwrap_or_default();
     let limit = match request.query_param("limit") {
         Some(raw) => match raw.parse::<usize>() {
             Ok(n) => n,
@@ -783,7 +802,7 @@ fn handle_scan(
     let scan = slot
         .cloud
         .read_view()
-        .scan(app, 0, prefix.as_bytes(), limit, client, consistency);
+        .scan(app, 0, &prefix, limit, client, consistency);
     drop(slot);
     let scan = match scan {
         Ok(scan) => scan,

@@ -365,3 +365,79 @@ fn idle_closes_quietly_and_half_a_request_gets_408() {
     assert_eq!(post(&addr, "/shutdown").unwrap(), 200);
     handle.join().unwrap().unwrap();
 }
+
+/// One request on its own connection, answered in full.
+fn exchange(addr: &str, method: &str, target: &str, body: &[u8]) -> skute_server::http::Response {
+    use skute_server::http::{read_response, write_request};
+    use std::io::BufReader;
+    use std::net::TcpStream;
+
+    let stream = TcpStream::connect(addr).expect("server is listening");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
+    let mut reader = BufReader::new(stream.try_clone().unwrap());
+    let mut writer = stream;
+    write_request(
+        &mut writer,
+        method,
+        target,
+        &[("Connection", "close")],
+        body,
+    )
+    .unwrap();
+    read_response(&mut reader).expect("a response")
+}
+
+/// Binds a server with no tick thread and serves it on a thread.
+fn serve(config: ServerConfig) -> (String, thread::JoinHandle<std::io::Result<()>>) {
+    let server = SkuteServer::bind(ServerConfig {
+        addr: "127.0.0.1:0".to_string(),
+        partitions: 8,
+        warmup_epochs: 2,
+        epoch_ms: 0,
+        ..config
+    })
+    .expect("bind");
+    let addr = server.addr().to_string();
+    (addr, thread::spawn(move || server.run()))
+}
+
+/// Keys are arbitrary bytes: two keys that differ only in a byte that is
+/// not UTF-8 are two keys on the wire, for reads and for scans.
+#[test]
+fn keys_differing_in_a_non_utf8_byte_stay_apart() {
+    let (addr, handle) = serve(ServerConfig::default());
+    assert_eq!(exchange(&addr, "PUT", "/kv/bin-%FE", b"fe").status, 204);
+    assert_eq!(exchange(&addr, "PUT", "/kv/bin-%FF", b"ff").status, 204);
+    for (target, value) in [("/kv/bin-%FE", b"fe"), ("/kv/bin-%FF", b"ff")] {
+        let got = exchange(&addr, "GET", target, b"");
+        assert_eq!((got.status, &got.body[..]), (200, &value[..]), "{target}");
+    }
+    let scan = exchange(&addr, "GET", "/scan?prefix=bin-&limit=0", b"");
+    assert_eq!(scan.status, 200);
+    assert_eq!(scan.body, b"bin-%FE\tfe\nbin-%FF\tff\n");
+    let one = exchange(&addr, "GET", "/scan?prefix=bin-%FF&limit=0", b"");
+    assert_eq!(one.body, b"bin-%FF\tff\n");
+    assert_eq!(post(&addr, "/shutdown").unwrap(), 200);
+    handle.join().unwrap().unwrap();
+}
+
+/// The pending-queries gauge shows the query-units charged since the
+/// last tick, fractional units included: four requests at half a unit
+/// each read 2.
+#[test]
+fn pending_queries_gauge_sums_fractional_units() {
+    let (addr, handle) = serve(ServerConfig {
+        queries_per_request: 0.5,
+        ..ServerConfig::default()
+    });
+    assert_eq!(exchange(&addr, "PUT", "/kv/a", b"v").status, 204);
+    assert_eq!(exchange(&addr, "GET", "/kv/a", b"").status, 200);
+    assert_eq!(exchange(&addr, "GET", "/kv/b", b"").status, 404);
+    assert_eq!(exchange(&addr, "DELETE", "/kv/a", b"").status, 204);
+    let page = scrape(&addr, "/metrics").unwrap();
+    assert_eq!(metric_sum(&page, "skute_server_epoch_pending_queries"), 2.0);
+    assert_eq!(post(&addr, "/shutdown").unwrap(), 200);
+    handle.join().unwrap().unwrap();
+}

@@ -3,8 +3,9 @@
 //! such a panic the way a dying disk would: it serves the LSM backend,
 //! writes a key, then replaces the process's store root with a plain
 //! file, so that the next write to a store not yet on disk panics on
-//! creating its directory. From then on `/healthz` must answer 503, and
-//! `/metrics` must still render.
+//! creating its directory. From then on `/healthz` must answer 503,
+//! `/metrics` must still render, and the panicked connection must no
+//! longer count as open.
 //!
 //! A test binary of its own: the store root is shared by every LSM store
 //! of the process, and replacing it breaks all of them.
@@ -13,7 +14,7 @@ use std::fs;
 use std::io::{self, BufReader};
 use std::net::TcpStream;
 use std::thread;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use skute_server::http::{read_response, write_request};
 use skute_server::{post, scrape, ServerConfig, SkuteServer};
@@ -73,6 +74,21 @@ fn a_poisoned_cloud_lock_fails_healthz_and_metrics_still_render() {
     let metrics = scrape(&addr, "/metrics").expect("/metrics renders through the poisoned lock");
     assert!(metrics.contains("skute_server_requests_total"));
     assert!(metrics.contains("skute_storage_engine_ops"));
+
+    // The panicked connection closes its count as it unwinds: soon the
+    // scrape's own connection is the only one open.
+    let open = |page: &str| {
+        page.lines()
+            .find_map(|l| l.strip_prefix("skute_server_active_connections "))
+            .and_then(|v| v.trim().parse::<i64>().ok())
+    };
+    let deadline = Instant::now() + Duration::from_secs(2);
+    let mut last = open(&metrics);
+    while last != Some(1) && Instant::now() < deadline {
+        thread::sleep(Duration::from_millis(20));
+        last = open(&scrape(&addr, "/metrics").unwrap());
+    }
+    assert_eq!(last, Some(1), "active connections after the panic");
 
     assert_eq!(post(&addr, "/shutdown").unwrap(), 200);
     handle.join().unwrap().unwrap();
