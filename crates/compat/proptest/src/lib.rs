@@ -2,8 +2,8 @@
 //! [`proptest`](https://docs.rs/proptest/1): random property testing with
 //! the upstream macro surface (`proptest!`, `prop_assert!`,
 //! `prop_assert_eq!`, `prop_assume!`) and strategy combinators (integer and
-//! float ranges, [`any`], tuples, [`collection::vec`], [`option::of`],
-//! `prop_map`, [`Just`]).
+//! float ranges, [`any`](prelude::any), tuples, [`collection::vec`],
+//! [`option::of`], `prop_map`, [`Just`](strategy::Just)).
 //!
 //! Differences from upstream, deliberate for an offline subset:
 //! - **no shrinking** — a failing case reports its inputs and seed but is
@@ -242,7 +242,7 @@ pub mod arbitrary {
 }
 
 pub mod collection {
-    //! Collection strategies ([`vec`]).
+    //! Collection strategies ([`vec()`]).
 
     use super::strategy::Strategy;
     use super::StdRng;

@@ -16,7 +16,7 @@ use std::sync::Mutex;
 use bytes::Bytes;
 
 use skute_cluster::{Cluster, Server, ServerId};
-use skute_economy::{proximity, RegionQueries};
+use skute_economy::{ProximityCache, RegionQueries};
 use skute_geo::{Location, Topology};
 use skute_store::{ApplyOutcome, Record, StoreError, Version};
 
@@ -299,7 +299,8 @@ impl ReadView<'_> {
     /// The replicas a read of `partition` at `consistency` consults, and
     /// the only choice of them: key reads and scans read no other store.
     /// Each comes with its eq.-(4) proximity weight for `client` (the
-    /// neutral 1.0 without a client location). The set is the alive
+    /// neutral 1.0 without a client location), weighed through one cache,
+    /// so the read aggregates its one-region mix once. The set is the alive
     /// replicas `client` can reach, highest weight first with ties to the
     /// earliest replica, cut to one for `One` and to `⌊k/2⌋ + 1` for
     /// `Quorum`. The flag is true when fewer were reachable; with none
@@ -317,6 +318,7 @@ impl ReadView<'_> {
                 queries: 1.0,
             }]
         });
+        let mut prox = ProximityCache::new();
         let mut set: Vec<(usize, f64)> = Vec::new();
         for (i, replica) in partition.replicas.iter().enumerate() {
             let Some(server) = self.cluster.get_alive(replica.server) else {
@@ -329,7 +331,7 @@ impl ReadView<'_> {
                 continue;
             }
             let g = match &regions {
-                Some(r) => proximity(r, &server.location, self.topology),
+                Some(r) => prox.g(r, &server.location, self.topology),
                 None => 1.0,
             };
             set.push((i, g));
@@ -1116,7 +1118,10 @@ mod tests {
                 };
                 cloud.health.set_mode(s, mode);
             }
-            let client = country.and_then(|c| cloud.topology.iter_client_locations().nth(c));
+            let client = country.and_then(|c| {
+                let (ct, co) = cloud.topology.iter_countries().nth(c)?;
+                Some(Location::client_in_country(ct, co))
+            });
             let acked = cloud.put(app, 0, b"p", b"new".to_vec()).is_ok();
             let row = (Bytes::from_static(b"p"), Bytes::from_static(b"new"));
             let partition = &cloud.rings[0].partitions[&cloud.rings[0].ring.route(b"p")];

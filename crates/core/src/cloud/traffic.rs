@@ -4,13 +4,14 @@
 //!
 //! A batch offers one region mix to every partition of its ring, so the
 //! driver resolves what the mix fixes once per batch: the ring's
-//! Σ popularity, each server's region-weighted client distance, and the
-//! eq.-(4) [`RegionPlan`] (region-list slots, mass slots, per-server
-//! diversity rows). Each partition's plan then writes its region list by
-//! slot and weighs each replica with one pass over its server's row.
+//! Σ popularity and each server's region-weighted client distance. Each
+//! partition's plan then folds its share of the batch into its region
+//! list and weighs each replica through the partition's
+//! [`ProximityCache`](skute_economy::ProximityCache), which aggregates
+//! the new mix once and evaluates eq. (4) once per replica country.
 
 use skute_cluster::{Cluster, ServerId};
-use skute_economy::RegionPlan;
+use skute_economy::RegionQueries;
 use skute_geo::{RegionWeight, Topology};
 
 use super::SkuteCloud;
@@ -43,8 +44,8 @@ struct PlannedBatch {
     /// The region-weighted client distance of every server (latency proxy,
     /// diversity units), indexed by `ServerId.0` over the whole cluster.
     dists: Vec<f64>,
-    /// The batch's eq.-(4) region plan over the cluster's servers by id.
-    regions: RegionPlan,
+    /// Client regions with normalized weights.
+    regions: Vec<RegionWeight>,
 }
 
 /// One partition's delivery plan: its share of the batch folded into its
@@ -71,16 +72,33 @@ fn plan_one_delivery(
         delivery,
         ..
     } = &mut *part;
-    // The region mix changes: the plan drops the stale memoized proximity
-    // and refills it per replica country. Placement decisions later in the
+    // The region mix changes: drop the stale memoized proximity, which
+    // the replicas refill per country. Placement decisions later in the
     // epoch reuse the refilled entries.
-    let mut weights = batch
-        .regions
-        .deliver(q, region_queries, prox_cache, topology);
+    prox_cache.clear();
+    for region in &batch.regions {
+        let add = q * region.weight;
+        if add <= 0.0 {
+            continue;
+        }
+        match region_queries
+            .iter_mut()
+            .find(|r| r.location == region.location)
+        {
+            Some(r) => r.queries += add,
+            None => region_queries.push(RegionQueries {
+                location: region.location,
+                queries: add,
+            }),
+        }
+    }
     for r in replicas.iter_mut() {
         let id = r.server.0 as usize;
         (r.proximity, r.client_distance) = match cluster.get(r.server) {
-            Some(s) => (weights.g(id, &s.location), batch.dists[id]),
+            Some(s) => (
+                prox_cache.g(region_queries, &s.location, topology),
+                batch.dists[id],
+            ),
             None => (1.0, 0.0),
         };
     }
@@ -168,17 +186,12 @@ impl SkuteCloud {
                             .sum()
                     })
                     .collect();
-                let regions = RegionPlan::new(
-                    &b.regions,
-                    self.cluster.iter().map(|s| s.location),
-                    &self.topology,
-                );
                 Some(PlannedBatch {
                     ring,
                     queries: b.queries,
                     total_pop,
                     dists,
-                    regions,
+                    regions: b.regions,
                 })
             })
             .collect();
@@ -325,10 +338,14 @@ impl SkuteCloud {
 mod tests {
     use super::*;
     use crate::app::{AppSpec, LevelSpec};
+    use crate::cloud::select_target;
     use crate::cloud::tests::{one_batch, paper_cluster, small_cloud, GIB};
     use crate::config::SkuteConfig;
     use crate::metrics::EpochReport;
+    use crate::placement::{PlacementContext, TargetQuery};
     use skute_cluster::{Capacities, ServerSpec};
+    use skute_economy::proximity;
+    use skute_geo::Location;
     use skute_ring::RingId;
 
     #[test]
@@ -575,6 +592,76 @@ mod tests {
         let r = bad.end_epoch();
         for ring in &r.rings {
             assert_eq!(ring.queries_offered, 0.0, "no traffic may land");
+        }
+    }
+
+    #[test]
+    fn two_mixes_into_one_ring_weigh_as_a_fresh_proximity() {
+        // Two batches with different region mixes for one ring: the second
+        // lands in a later wave, after the first filled every partition's
+        // cache. Each delivery clears the cache before it folds, so every
+        // replica weight, and every weight a later placement query reads
+        // from the same cache, is a fresh eq. (4) over the partition's
+        // whole mix, bit for bit.
+        let (mut cloud, app) = small_cloud();
+        for _ in 0..5 {
+            cloud.begin_epoch();
+            cloud.end_epoch();
+        }
+        cloud.begin_epoch();
+        let mix = |regions: &[((u16, u16), f64)]| -> Vec<RegionWeight> {
+            regions
+                .iter()
+                .map(|&((ct, co), weight)| RegionWeight {
+                    location: Location::client_in_country(ct, co),
+                    weight,
+                })
+                .collect()
+        };
+        let batch = |queries, regions| TrafficBatch {
+            app,
+            level: 0,
+            queries,
+            regions,
+        };
+        cloud
+            .deliver_queries_multi(vec![
+                batch(2_000.0, mix(&[((0, 0), 0.8), ((1, 0), 0.2)])),
+                batch(1_500.0, mix(&[((4, 1), 0.7), ((0, 0), 0.3)])),
+            ])
+            .unwrap();
+        let SkuteCloud {
+            rings,
+            cluster,
+            board,
+            topology,
+            config,
+            index,
+            ..
+        } = &mut cloud;
+        let ctx = PlacementContext::new(cluster, board, topology, &config.economy);
+        for part in rings[0].partitions.values_mut() {
+            assert_eq!(part.region_queries.len(), 3, "the two mixes merge");
+            for r in &part.replicas {
+                let server = cluster.get(r.server).unwrap().location;
+                let fresh = proximity(&part.region_queries, &server, topology);
+                assert_eq!(r.proximity.to_bits(), fresh.to_bits(), "{server}");
+            }
+            let existing = part.replica_servers();
+            let q = TargetQuery {
+                existing: &existing,
+                size: 0,
+                region_queries: &part.region_queries,
+                rent_below: None,
+            };
+            assert!(select_target(index, &ctx, &q, &mut part.prox_cache).is_some());
+            for s in cluster.iter() {
+                let fresh = proximity(&part.region_queries, &s.location, topology);
+                let cached = part
+                    .prox_cache
+                    .g(&part.region_queries, &s.location, topology);
+                assert_eq!(cached.to_bits(), fresh.to_bits(), "{}", s.location);
+            }
         }
     }
 

@@ -33,7 +33,7 @@
 //!
 //! The plan functions and the commits live in the phase files. This module
 //! holds what fans a plan pass out: the phase collects `&mut` borrows of
-//! its partitions, [`EpochPipeline`] cuts them into contiguous chunks and
+//! its partitions, `EpochPipeline` cuts them into contiguous chunks and
 //! hands the chunks to [`WorkerPool::run_tasks`], whose scoped workers
 //! read the cluster and topology through plain shared borrows of the
 //! cloud's own fields. There is one route at every thread count: a budget

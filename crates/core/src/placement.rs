@@ -225,9 +225,6 @@ struct ContinentBucket {
     /// the greatest weight over them is the bucket's greatest.
     reps: Vec<Location>,
     conf_max: f64,
-    /// Identifies this bucket's `reps` set to proximity caches across
-    /// queries (unique per index instance, reassigned on rebuild).
-    token: u64,
 }
 
 /// An incrementally maintained, rent-sorted view of the feasible candidate
@@ -270,8 +267,6 @@ pub(crate) struct PlacementIndex {
     /// `(Cluster::version, Board::version, Cluster::len)` at the last
     /// synchronization; `None` before the first build.
     synced: Option<(u64, u64, usize)>,
-    /// Source of bucket tokens; never reused within one index.
-    next_token: u64,
     /// Scratch of the query walk, reused across queries.
     walk: WalkScratch,
 }
@@ -364,8 +359,6 @@ impl PlacementIndex {
         }
         for bucket in &mut self.buckets {
             bucket.entries.sort_unstable_by(by_rent);
-            bucket.token = self.next_token;
-            self.next_token += 1;
         }
         self.synced = Some(now);
         true
@@ -461,7 +454,10 @@ impl PlacementIndex {
             for l in &walk.existing_locs {
                 div_ub += if l.continent == b.continent { 31 } else { 63 };
             }
-            let g_max = prox.g_max(b.token, &b.reps, region_queries, ctx.topology);
+            let mut g_max = 0.0f64;
+            for l in &b.reps {
+                g_max = g_max.max(prox.g(region_queries, l, ctx.topology));
+            }
             walk.gains.push(g_max * b.conf_max * f64::from(div_ub) * v);
             walk.heads.push(0);
         }

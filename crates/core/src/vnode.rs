@@ -126,10 +126,9 @@ pub struct PartitionState {
     pub write_bytes_epoch: u64,
     /// Per-country proximity weights memoized against the current
     /// `region_queries`; cleared whenever they change (epoch start, query
-    /// delivery). The delivery plan fills it from its batch's
-    /// [`skute_economy::RegionPlan`]; every placement decision of the
-    /// partition within the epoch shares it, building the cache's boxed
-    /// masses only on a country the plan did not fill.
+    /// delivery). The delivery plan fills it once per replica country;
+    /// every placement decision of the partition within the epoch reads
+    /// the same entries and adds the countries the plan did not weigh.
     pub prox_cache: ProximityCache,
     /// Memoized eq.-(2) availability of the current replica set. While
     /// `Some`, every replica's eq. (2) without itself is memoized too

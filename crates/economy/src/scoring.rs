@@ -7,7 +7,7 @@
 //! (`zone_diversity`), so every server of a country carries the same
 //! weight and each weight is memoized once per server country.
 
-use skute_geo::{diversity, Location, RegionWeight, Topology};
+use skute_geo::{diversity, Location, Topology};
 
 /// Query volume observed from one client region for one partition — the
 /// `q_l` of eq. (4).
@@ -18,77 +18,6 @@ pub struct RegionQueries {
     pub location: Location,
     /// Queries received from this region during the epoch.
     pub queries: f64,
-}
-
-/// Client countries a [`RegionMasses`] aggregate holds inline. Mixes
-/// with more distinct countries (client countries need not be topology
-/// countries) spill the remainder to one heap run per aggregation; the
-/// common path stays allocation-free.
-const INLINE_CLIENT_REGIONS: usize = 24;
-
-/// Mass slots a [`RegionPlan`] sums on the stack per partition. A batch
-/// with more distinct masses still writes region lists by slot, but its
-/// weights come from [`ProximityCache::g`].
-const PLAN_MASS_SLOTS: usize = INLINE_CLIENT_REGIONS;
-
-/// Query mass aggregated per client country, in first-appearance order —
-/// the sufficient statistic of eq. (4). [`ProximityCache::g`] builds one
-/// lazily, boxed, for the placement queries of a region mix.
-#[derive(Debug, Clone)]
-struct RegionMasses {
-    total: f64,
-    len: usize,
-    /// The first [`INLINE_CLIENT_REGIONS`] distinct countries.
-    inline: [((u16, u16), f64); INLINE_CLIENT_REGIONS],
-    /// Countries beyond the inline capacity, in first-appearance order.
-    spill: Vec<((u16, u16), f64)>,
-}
-
-impl Default for RegionMasses {
-    fn default() -> Self {
-        Self {
-            total: 0.0,
-            len: 0,
-            inline: [((0, 0), 0.0); INLINE_CLIENT_REGIONS],
-            spill: Vec::new(),
-        }
-    }
-}
-
-impl RegionMasses {
-    /// Aggregates `regions` by client country: the first 24 countries
-    /// inline, the rest on the heap.
-    fn aggregate(regions: &[RegionQueries]) -> Self {
-        let mut masses = Self::default();
-        for r in regions {
-            masses.total += r.queries;
-            let key = r.location.country_key();
-            let inline_len = masses.len.min(INLINE_CLIENT_REGIONS);
-            match masses.inline[..inline_len]
-                .iter_mut()
-                .chain(masses.spill.iter_mut())
-                .find(|(k, _)| *k == key)
-            {
-                Some((_, q)) => *q += r.queries,
-                None => {
-                    if masses.len < INLINE_CLIENT_REGIONS {
-                        masses.inline[masses.len] = (key, r.queries);
-                    } else {
-                        masses.spill.push((key, r.queries));
-                    }
-                    masses.len += 1;
-                }
-            }
-        }
-        masses
-    }
-
-    /// All aggregated `(country, mass)` pairs, in first-appearance order.
-    fn regions(&self) -> impl Iterator<Item = &((u16, u16), f64)> {
-        self.inline[..self.len.min(INLINE_CLIENT_REGIONS)]
-            .iter()
-            .chain(self.spill.iter())
-    }
 }
 
 /// The eq.-(4) diversity of a client country to a server country: 15 in
@@ -105,76 +34,9 @@ fn zone_diversity(client: (u16, u16), server: (u16, u16)) -> f64 {
     }
 }
 
-/// A query total spread uniformly over the topology's countries (the
-/// paper's uniform client geography): the share `per` of each country and
-/// the total re-accumulated from the shares, one `+=` per country.
-#[derive(Debug, Clone, Copy)]
-struct UniformSplit {
-    per: f64,
-    total: f64,
-}
-
-impl UniformSplit {
-    fn of(total: f64, topology: &Topology) -> Self {
-        let per = total / topology.country_count() as f64;
-        let mut sum = 0.0;
-        for _ in topology.iter_countries() {
-            sum += per;
-        }
-        Self { per, total: sum }
-    }
-}
-
-/// The eq.-(4) kernel: the weight of one server country, eq. (4)
-/// normalized by eq. (4) under the uniform split of the same total.
-/// `terms` pairs each country mass with its diversity to the server, in
-/// mass order; `uniform` lists the server's diversity to each topology
-/// country, in [`Topology::iter_countries`] order.
-///
-/// Every weight the crate computes comes from here, whether the
-/// diversities are computed on the spot ([`analytic_g`]) or read from a
-/// [`RegionPlan`] row: the same products, added in the same order.
-fn eq4_kernel(
-    total: f64,
-    terms: impl Iterator<Item = (f64, f64)>,
-    split: UniformSplit,
-    uniform: impl Iterator<Item = f64>,
-) -> f64 {
-    let mut weighted = 0.0;
-    for (mass, d) in terms {
-        weighted += mass * d;
-    }
-    let raw = total / (1.0 + weighted);
-    let mut weighted_uniform = 0.0;
-    for d in uniform {
-        weighted_uniform += split.per * d;
-    }
-    let baseline = split.total / (1.0 + weighted_uniform);
-    if baseline <= 0.0 {
-        return 1.0;
-    }
-    raw / baseline
-}
-
-/// The eq.-(4) proximity of a server in country `server` against
-/// aggregated country masses: [`eq4_kernel`] with the diversities
-/// computed on the spot. Bit-for-bit identical to a per-location
-/// diversity scan over a duplicate-free mix of country-zone clients and
-/// a real server: both sides accumulate the same summands in the same
-/// order.
-fn analytic_g(masses: &RegionMasses, server: (u16, u16), topology: &Topology) -> f64 {
-    eq4_kernel(
-        masses.total,
-        masses
-            .regions()
-            .map(|&(client, mass)| (mass, zone_diversity(client, server))),
-        UniformSplit::of(masses.total, topology),
-        topology.iter_countries().map(|c| zone_diversity(c, server)),
-    )
-}
-
 /// The client-proximity weight `g_j` of server `server` for a partition
-/// whose epoch queries came from `regions`.
+/// whose epoch queries came from `regions`: [`ProximityCache::g`] of a
+/// fresh cache.
 ///
 /// Computed as eq. (4) normalized by eq. (4) evaluated with the same total
 /// query volume spread uniformly over all countries of `topology`: under a
@@ -182,243 +44,38 @@ fn analytic_g(masses: &RegionMasses, server: (u16, u16), topology: &Topology) ->
 /// paper stipulates (§III-A), and regionally skewed traffic scales servers
 /// near the traffic above 1 and far servers below 1.
 ///
-/// Clients aggregate per country and the server counts by its country
-/// (`analytic_g`), so a client or server location weighs exactly as
+/// Clients aggregate per country and the server counts by its country, so
+/// a client or server location weighs exactly as
 /// [`Location::client_in_country`] of its country would. With no queries
 /// at all the weight is neutral (1).
 pub fn proximity(regions: &[RegionQueries], server: &Location, topology: &Topology) -> f64 {
-    let masses = RegionMasses::aggregate(regions);
-    if masses.total <= 0.0 {
-        return 1.0;
-    }
-    analytic_g(&masses, server.country_key(), topology)
+    ProximityCache::new().g(regions, server, topology)
 }
 
-/// What one traffic batch fixes for every partition it reaches.
-///
-/// A batch offers the same region weights to every partition of its ring,
-/// so whatever eq. (4) derives from the region *locations* is the same for
-/// all of them: which batch regions merge into one `region_queries` entry
-/// (first-appearance order), which entries share a country mass, and
-/// each server country's diversity to every mass and to every
-/// uniform-baseline country. The plan resolves that once per batch. Per
-/// partition, [`RegionPlan::deliver`] writes the region list by slot and
-/// sums its masses on the stack, and [`PlannedWeights::g`] evaluates a
-/// server as one pass of the eq.-(4) kernel over the server's row. The kernel, the
-/// diversities and the summation order are those of [`proximity`], so
-/// every weight is bit-for-bit [`ProximityCache::g`]'s.
-#[derive(Debug, Clone)]
-pub struct RegionPlan {
-    /// Per batch region, in batch order: its weight and its slot in a
-    /// fresh `region_queries` list (a repeated location shares the slot of
-    /// its first appearance).
-    batch: Vec<(f64, usize)>,
-    /// Per `region_queries` slot: its location and its mass slot.
-    entries: Vec<(Location, usize)>,
-    /// The number of distinct masses.
-    masses: usize,
-    /// Values per server row: the masses, then the topology's countries.
-    stride: usize,
-    /// One row per planned server, in the order given to
-    /// [`RegionPlan::new`]: its diversity to each mass, then to each
-    /// country in [`Topology::iter_countries`] order. Empty when the batch
-    /// has more than [`PLAN_MASS_SLOTS`] masses.
-    rows: Vec<f64>,
-}
-
-/// One partition's region masses, summed on the stack by
-/// [`RegionPlan::deliver`].
-#[derive(Debug, Clone, Copy)]
-struct PlanMix {
-    masses: [f64; PLAN_MASS_SLOTS],
-    total: f64,
-    split: UniformSplit,
-}
-
-impl RegionPlan {
-    /// Plans the batch `regions` against `servers`, listed in the order
-    /// [`PlannedWeights::g`] names them by index (a cluster's servers by
-    /// id).
-    pub fn new(
-        regions: &[RegionWeight],
-        servers: impl IntoIterator<Item = Location>,
-        topology: &Topology,
-    ) -> Self {
-        let mut entries: Vec<(Location, usize)> = Vec::new();
-        let mut keys: Vec<(u16, u16)> = Vec::new();
-        let batch = regions
-            .iter()
-            .map(|region| {
-                if let Some(slot) = entries.iter().position(|&(l, _)| l == region.location) {
-                    return (region.weight, slot);
-                }
-                let key = region.location.country_key();
-                let mass = keys.iter().position(|&k| k == key).unwrap_or_else(|| {
-                    keys.push(key);
-                    keys.len() - 1
-                });
-                entries.push((region.location, mass));
-                (region.weight, entries.len() - 1)
-            })
-            .collect();
-        let mut rows = Vec::new();
-        if keys.len() <= PLAN_MASS_SLOTS {
-            for server in servers {
-                let key = server.country_key();
-                rows.extend(keys.iter().map(|&k| zone_diversity(k, key)));
-                rows.extend(topology.iter_countries().map(|c| zone_diversity(c, key)));
-            }
-        }
-        Self {
-            batch,
-            entries,
-            masses: keys.len(),
-            stride: keys.len() + topology.iter_countries().count(),
-            rows,
-        }
-    }
-
-    /// Adds one partition's share `q` of the batch to its
-    /// `region_queries`, drops the weights `cache` memoized for the old
-    /// mix, and returns the partition's weights.
-    ///
-    /// A partition with no region queries yet this epoch, whose every
-    /// `q · weight` is positive, gets its list written by slot and its
-    /// masses summed on the stack. Any other (a second batch into the same
-    /// ring, or a product that is not positive) takes the general
-    /// find-merge fold, and its weights come from `cache`. Both folds
-    /// build the same list.
-    pub fn deliver<'a>(
-        &'a self,
-        q: f64,
-        region_queries: &'a mut Vec<RegionQueries>,
-        cache: &'a mut ProximityCache,
-        topology: &'a Topology,
-    ) -> PlannedWeights<'a> {
-        cache.clear();
-        let fresh = region_queries.is_empty() && self.batch.iter().all(|&(w, _)| q * w > 0.0);
-        let mut mix = None;
-        if fresh {
-            for &(weight, slot) in &self.batch {
-                let queries = q * weight;
-                if slot == region_queries.len() {
-                    let location = self.entries[slot].0;
-                    region_queries.push(RegionQueries { location, queries });
-                } else {
-                    region_queries[slot].queries += queries;
-                }
-            }
-            if self.masses <= PLAN_MASS_SLOTS {
-                let mut masses = [0.0; PLAN_MASS_SLOTS];
-                let mut total = 0.0;
-                for (r, &(_, m)) in region_queries.iter().zip(&self.entries) {
-                    total += r.queries;
-                    masses[m] += r.queries;
-                }
-                let split = UniformSplit::of(total, topology);
-                mix = Some(PlanMix {
-                    masses,
-                    total,
-                    split,
-                });
-            }
-        } else {
-            for &(weight, slot) in &self.batch {
-                let add = q * weight;
-                if add <= 0.0 {
-                    continue;
-                }
-                let location = self.entries[slot].0;
-                match region_queries.iter_mut().find(|r| r.location == location) {
-                    Some(r) => r.queries += add,
-                    None => region_queries.push(RegionQueries {
-                        location,
-                        queries: add,
-                    }),
-                }
-            }
-        }
-        PlannedWeights {
-            plan: self,
-            regions: region_queries,
-            cache,
-            topology,
-            mix,
-        }
-    }
-}
-
-/// One partition's eq.-(4) weights after a [`RegionPlan::deliver`].
-pub struct PlannedWeights<'a> {
-    plan: &'a RegionPlan,
-    regions: &'a [RegionQueries],
-    cache: &'a mut ProximityCache,
-    topology: &'a Topology,
-    /// The partition's masses, when `deliver` summed them.
-    mix: Option<PlanMix>,
-}
-
-impl PlannedWeights<'_> {
-    /// The weight of the plan's server `index`, located at `server`:
-    /// memoized in the partition's cache per country, exactly as
-    /// [`ProximityCache::g`] memoizes it, and with its bits. A server the
-    /// plan has no row for, or a mix the plan did not sum, goes through
-    /// [`ProximityCache::g`] itself.
-    pub fn g(&mut self, index: usize, server: &Location) -> f64 {
-        let stride = self.plan.stride;
-        let planned = self.mix.as_ref().and_then(|mix| {
-            let row = self.plan.rows.get(index * stride..(index + 1) * stride)?;
-            Some((mix, row))
-        });
-        let Some((mix, row)) = planned else {
-            return self.cache.g(self.regions, server, self.topology);
-        };
-        let key = server.country_key();
-        if let Some(g) = self.cache.memoized(key) {
-            return g;
-        }
-        let (mass_row, uniform_row) = row.split_at(self.plan.masses);
-        let g = eq4_kernel(
-            mix.total,
-            mix.masses[..mass_row.len()]
-                .iter()
-                .copied()
-                .zip(mass_row.iter().copied()),
-            mix.split,
-            uniform_row.iter().copied(),
-        );
-        self.cache.entries.push((key, g));
-        g
-    }
-}
-
-/// Memoizes eq.-(4) proximity per server country for one fixed region mix.
+/// The one eq.-(4) evaluator: proximity weights of one fixed region mix,
+/// memoized per server country.
 ///
 /// Eq. (4) weighs a server by its `(continent, country)` prefix alone
-/// (see [`proximity`]), so one partition's decision phase, which
-/// evaluates proximity for every feasible candidate server, needs one
-/// evaluation per server country; this cache holds them.
+/// (see [`proximity`]), so one partition's delivery and decision phases,
+/// which evaluate proximity for every replica and every feasible candidate
+/// server, need one evaluation per server country; this cache holds them,
+/// with the mix's query mass per client country, aggregated on the first
+/// miss after a clear.
 ///
 /// The caller owns invalidation: [`ProximityCache::clear`] must run
 /// whenever the region mix it was filled from changes (`SkuteCloud` clears
-/// per-partition caches at epoch start, and [`RegionPlan::deliver`] clears
-/// one before every delivery).
-///
-/// Two ways in fill the same per-country entries. The delivery plan fills
-/// them from its per-batch rows ([`PlannedWeights::g`]), once per replica
-/// country. [`ProximityCache::g`] aggregates the mix itself on its first
-/// miss and keeps the aggregate boxed until the next clear; only placement
-/// queries need that, so most caches never hold one and the cache stays a
-/// few words wide.
+/// per-partition caches at epoch start and before every query delivery).
+/// A clear keeps both buffers' capacity, so a partition refills its cache
+/// every epoch without allocating.
 #[derive(Debug, Clone, Default)]
 pub struct ProximityCache {
-    /// Aggregated region masses for [`ProximityCache::g`], built on its
-    /// first miss per region mix (`None` before).
-    masses: Option<Box<RegionMasses>>,
+    /// The mix's total query volume, once `masses` is built.
+    total: f64,
+    /// Query mass per client country, in first-appearance order: the
+    /// sufficient statistic of eq. (4). Empty until the first miss.
+    masses: Vec<((u16, u16), f64)>,
+    /// The memoized weight per server country.
     entries: Vec<((u16, u16), f64)>,
-    /// Memoized maximum weights over caller-identified location sets
-    /// (see [`ProximityCache::g_max`]).
-    g_max_memo: Vec<(u64, f64)>,
 }
 
 impl ProximityCache {
@@ -427,66 +84,58 @@ impl ProximityCache {
         Self::default()
     }
 
-    /// Drops all memoized weights (the region mix changed).
+    /// Drops the aggregated mix and every memoized weight (the region mix
+    /// changed), keeping the buffers.
     pub fn clear(&mut self) {
-        self.masses = None;
+        self.total = 0.0;
+        self.masses.clear();
         self.entries.clear();
-        self.g_max_memo.clear();
-    }
-
-    /// The maximum proximity weight over `locations`, memoized under
-    /// `token`: callers that query the same location sets many times per
-    /// region mix (e.g. a placement index bounding each per-continent
-    /// candidate walk by the best weight over that continent's country
-    /// representatives) pass a token per set that changes when the set
-    /// changes, and pay for each scan once.
-    pub fn g_max(
-        &mut self,
-        token: u64,
-        locations: &[Location],
-        regions: &[RegionQueries],
-        topology: &Topology,
-    ) -> f64 {
-        if let Some(&(_, g)) = self.g_max_memo.iter().find(|(t, _)| *t == token) {
-            return g;
-        }
-        let mut g_max = 0.0f64;
-        for l in locations {
-            g_max = g_max.max(self.g(regions, l, topology));
-        }
-        self.g_max_memo.push((token, g_max));
-        g_max
     }
 
     /// True when nothing is memoized yet.
     pub fn is_empty(&self) -> bool {
-        self.masses.is_none() && self.entries.is_empty()
-    }
-
-    /// The weight memoized for server country `key`, if any.
-    fn memoized(&self, key: (u16, u16)) -> Option<f64> {
-        self.entries
-            .iter()
-            .find(|(k, _)| *k == key)
-            .map(|&(_, g)| g)
+        self.masses.is_empty() && self.entries.is_empty()
     }
 
     /// The proximity weight of `server` for `regions`, memoized by the
-    /// server's country. Bit-for-bit identical to calling [`proximity`]
-    /// directly.
+    /// server's country: eq. (4) over the per-country masses, normalized
+    /// by eq. (4) under the uniform split of the same total, each sum
+    /// accumulated in a fixed order (masses in first-appearance order, the
+    /// uniform baseline in [`Topology::iter_countries`] order).
     pub fn g(&mut self, regions: &[RegionQueries], server: &Location, topology: &Topology) -> f64 {
         // An entry exists only under a mix with queries.
         let key = server.country_key();
-        if let Some(g) = self.memoized(key) {
+        if let Some(&(_, g)) = self.entries.iter().find(|(k, _)| *k == key) {
             return g;
         }
-        let masses = self
-            .masses
-            .get_or_insert_with(|| Box::new(RegionMasses::aggregate(regions)));
-        if masses.total <= 0.0 {
+        if self.masses.is_empty() {
+            // Also taken again for a mix with no regions, which aggregates
+            // to nothing.
+            for r in regions {
+                self.total += r.queries;
+                let client = r.location.country_key();
+                match self.masses.iter_mut().find(|(k, _)| *k == client) {
+                    Some((_, q)) => *q += r.queries,
+                    None => self.masses.push((client, r.queries)),
+                }
+            }
+        }
+        if self.total <= 0.0 {
             return 1.0;
         }
-        let g = analytic_g(masses, key, topology);
+        let mut weighted = 0.0;
+        for &(client, mass) in &self.masses {
+            weighted += mass * zone_diversity(client, key);
+        }
+        let raw = self.total / (1.0 + weighted);
+        let per = self.total / topology.country_count() as f64;
+        let (mut uniform_total, mut weighted_uniform) = (0.0, 0.0);
+        for country in topology.iter_countries() {
+            uniform_total += per;
+            weighted_uniform += per * zone_diversity(country, key);
+        }
+        let baseline = uniform_total / (1.0 + weighted_uniform);
+        let g = if baseline <= 0.0 { 1.0 } else { raw / baseline };
         self.entries.push((key, g));
         g
     }
@@ -553,52 +202,14 @@ mod tests {
             return 1.0;
         }
         let per = total / t.country_count() as f64;
-        let baseline = raw_g_over(t.iter_client_locations().map(move |l| (per, l)), server);
+        let zones = t
+            .iter_countries()
+            .map(move |(ct, co)| (per, Location::client_in_country(ct, co)));
+        let baseline = raw_g_over(zones, server);
         if baseline <= 0.0 {
             return 1.0;
         }
         raw_g_over(regions.iter().map(|r| (r.queries, r.location)), server) / baseline
-    }
-
-    /// The delivery fold before [`RegionPlan`]: each batch region's
-    /// `q · weight`, skipped unless positive, merged into the entry with
-    /// its location or appended.
-    fn find_merge_fold(regions: &mut Vec<RegionQueries>, batch: &[RegionWeight], q: f64) {
-        for region in batch {
-            let add = q * region.weight;
-            if add <= 0.0 {
-                continue;
-            }
-            match regions.iter_mut().find(|r| r.location == region.location) {
-                Some(r) => r.queries += add,
-                None => regions.push(RegionQueries {
-                    location: region.location,
-                    queries: add,
-                }),
-            }
-        }
-    }
-
-    fn weight(location: Location, weight: f64) -> RegionWeight {
-        RegionWeight { location, weight }
-    }
-
-    /// Delivers `q` of `plan` into a fresh partition and returns the
-    /// planned weight bits of `servers[i]` under index `i`.
-    fn planned_bits(
-        plan: &RegionPlan,
-        q: f64,
-        regions: &mut Vec<RegionQueries>,
-        cache: &mut ProximityCache,
-        servers: &[Location],
-        t: &Topology,
-    ) -> Vec<u64> {
-        let mut weights = plan.deliver(q, regions, cache, t);
-        servers
-            .iter()
-            .enumerate()
-            .map(|(i, s)| weights.g(i, s).to_bits())
-            .collect()
     }
 
     #[test]
@@ -679,31 +290,32 @@ mod tests {
     #[test]
     fn cache_matches_direct_proximity_and_collapses_countries() {
         let t = topo();
-        let batch = [
-            weight(Location::client_in_country(0, 0), 0.9),
-            weight(Location::client_in_country(2, 1), 0.1),
-        ];
-        let servers: Vec<Location> = t.iter_servers().collect();
-        let plan = RegionPlan::new(&batch, servers.iter().copied(), &t);
-        let mut regions = Vec::new();
-        let mut planned = ProximityCache::new();
-        let via_plan = planned_bits(&plan, 1000.0, &mut regions, &mut planned, &servers, &t);
+        let regions = [
+            (Location::client_in_country(0, 0), 900.0),
+            (Location::client_in_country(2, 1), 100.0),
+        ]
+        .map(|(location, queries)| RegionQueries { location, queries });
         let mut cache = ProximityCache::new();
-        for (i, server) in servers.iter().enumerate() {
-            let direct = proximity(&regions, server, &t);
-            let cached = cache.g(&regions, server, &t);
+        for (i, server) in t.iter_servers().enumerate() {
+            let direct = proximity(&regions, &server, &t);
+            let cached = cache.g(&regions, &server, &t);
             assert_eq!(cached.to_bits(), direct.to_bits(), "server {i}");
-            assert_eq!(via_plan[i], direct.to_bits(), "server {i}");
         }
-        // 200 servers share 10 countries: each cache holds 10 entries.
-        assert_eq!((cache.entries.len(), planned.entries.len()), (10, 10));
-        assert!(planned.masses.is_none(), "the plan builds no masses");
+        // 200 servers share 10 countries: the cache holds 10 entries over
+        // the mix's 2 country masses.
+        assert_eq!((cache.entries.len(), cache.masses.len()), (10, 2));
         assert!(!cache.is_empty());
-        // Re-querying stays identical and clearing resets.
+        // Re-querying stays identical; clearing resets and keeps the
+        // buffers.
         let s = t.server_at(3);
         assert_eq!(cache.g(&regions, &s, &t), proximity(&regions, &s, &t));
+        let capacity = (cache.masses.capacity(), cache.entries.capacity());
         cache.clear();
         assert!(cache.is_empty());
+        assert_eq!(
+            (cache.masses.capacity(), cache.entries.capacity()),
+            capacity
+        );
     }
 
     #[test]
@@ -711,7 +323,6 @@ mod tests {
         // Regression: mixes with more than 24 distinct client countries
         // used to abandon the analytic per-country kernel for the general
         // per-location scan (and defeated the per-country memoization).
-        // The aggregate now spills past the inline capacity instead.
         let t = topo();
         let regions: Vec<RegionQueries> = (0..30u16)
             .map(|i| RegionQueries {
@@ -719,9 +330,6 @@ mod tests {
                 queries: 100.0 + f64::from(i),
             })
             .collect();
-        let masses = RegionMasses::aggregate(&regions);
-        assert_eq!(masses.regions().count(), 30);
-        assert_eq!(masses.len, 30);
         // The cache stays bit-for-bit identical to the direct evaluation
         // and still collapses to one entry per server country.
         let mut cache = ProximityCache::new();
@@ -731,6 +339,7 @@ mod tests {
             let cached = cache.g(&regions, &server, &t);
             assert_eq!(cached.to_bits(), direct.to_bits(), "server {i}");
         }
+        assert_eq!(cache.masses.len(), 30);
         // And on a duplicate-free mix the analytic value agrees with the
         // general per-location scan bit for bit.
         let server = t.server_at(42);
@@ -738,14 +347,15 @@ mod tests {
             proximity(&regions, &server, &t).to_bits(),
             general_scan(&regions, &server, &t).to_bits()
         );
-        // A duplicated country merges into its spilled slot.
+        // A duplicated country merges into its mass.
         let mut dup = regions.clone();
         dup.push(RegionQueries {
             location: Location::client_in_country(29 % 7, 29),
             queries: 50.0,
         });
-        let merged = RegionMasses::aggregate(&dup);
-        assert_eq!(merged.regions().count(), 30);
+        cache.clear();
+        cache.g(&dup, &server, &t);
+        assert_eq!(cache.masses.len(), 30);
     }
 
     #[test]
@@ -785,47 +395,6 @@ mod tests {
         assert_eq!(cache.entries.len(), 10);
     }
 
-    #[test]
-    fn a_placement_query_after_a_plan_pass_reads_the_plans_weights() {
-        // The delivery plan fills the cache from its per-batch rows, so the
-        // cache holds entries but no masses. A later placement query (`g`)
-        // reads a planned country's entry; on a country the plan never
-        // visited, it builds the masses lazily — with the same bits. A
-        // client below country level changes neither: it weighs as its
-        // country.
-        let t = topo();
-        let batch = [
-            weight(Location::client_in_country(0, 0), 0.6),
-            weight(Location::new(0, 1, 1, 0, 0, 2), 0.3),
-            weight(Location::client_in_country(3, 1), 0.1),
-        ];
-        let servers: Vec<Location> = t.iter_servers().collect();
-        let plan = RegionPlan::new(&batch, servers.iter().copied(), &t);
-        let mut regions = Vec::new();
-        let mut cache = ProximityCache::new();
-        // The delivery visits continent 0 only (servers 0..40, two
-        // countries).
-        let planned = planned_bits(&plan, 1000.0, &mut regions, &mut cache, &servers[..40], &t);
-        assert!(cache.masses.is_none());
-        assert_eq!(cache.entries.len(), 2, "both visited countries");
-        for i in 0..40 {
-            let g = cache.g(&regions, &t.server_at(i), &t);
-            assert_eq!(g.to_bits(), planned[i as usize], "server {i}");
-        }
-        assert!(cache.masses.is_none(), "a memoized country needs no masses");
-        let g = cache.g(&regions, &t.server_at(40), &t);
-        assert!(
-            cache.masses.is_some(),
-            "built on the first unmemoized query"
-        );
-        assert_eq!(g, proximity(&regions, &t.server_at(40), &t));
-        for i in 40..200 {
-            let server = t.server_at(i);
-            let g = cache.g(&regions, &server, &t);
-            assert_eq!(g.to_bits(), proximity(&regions, &server, &t).to_bits());
-        }
-    }
-
     proptest! {
         #[test]
         fn prop_proximity_positive_and_finite(
@@ -855,6 +424,7 @@ mod tests {
                 0..4,
             ),
             server_idx in 0u64..200,
+            (qs2, shift) in (proptest::collection::vec(0.001f64..1e5, 1..9), 0usize..10),
         ) {
             // A duplicate-free country-zone mix: the analytic kernel must
             // reproduce the general per-location scan bit for bit on every
@@ -897,73 +467,24 @@ mod tests {
                 let direct = proximity(&regions, &s, &t).to_bits();
                 prop_assert_eq!(cache.g(&regions, &s, &t).to_bits(), direct);
             }
-        }
-
-        #[test]
-        fn prop_batch_plan_matches_proximity_bit_for_bit(
-            countries in proptest::collection::vec(
-                (0usize..10, 0u8..6, 0.001f64..1.0),
-                0..12,
-            ),
-            deep in proptest::collection::vec(
-                ((0u16..5, 0u16..2, 0u16..2, 0u16..1, 0u16..2, 0u16..4), 0.001f64..1.0),
-                0..4,
-            ),
-            many in any::<bool>(),
-            q in 0.001f64..1e4,
-            second in proptest::option::of(0.001f64..1e4),
-        ) {
-            // A batch as a traffic plan meets it: country-zone regions with
-            // repeats, clients below country level (in paper countries, so
-            // some share a mass with a country zone), weights whose product
-            // with `q` underflows or is zero, and sometimes more than 24
-            // distinct masses. Every
-            // paper server plus a client-zone server gets its planned
-            // weight, which must equal `proximity` over the folded list by
-            // bits; the list must equal the find-merge fold's, and the
-            // cache the plan filled must answer placement queries with the
-            // same bits. An optional second delivery of the reversed batch
-            // lands in the same partition, as a second batch for a ring
-            // does.
-            let t = topo();
-            let paper: Vec<(u16, u16)> = t.iter_countries().collect();
-            let mut batch: Vec<RegionWeight> = countries
+            // Reuse, as a partition's cache is reused across deliveries and
+            // epochs: after a clear, a second mix (more or fewer countries,
+            // in another order) refills the kept buffers and answers the
+            // scan's bits on every server country, none of the first mix's
+            // masses or weights surviving.
+            let second: Vec<RegionQueries> = qs2
                 .iter()
-                .map(|&(c, kind, w)| {
-                    let w = match kind {
-                        0 => 5e-324,
-                        1 => 0.0,
-                        _ => w,
-                    };
-                    weight(Location::client_in_country(paper[c].0, paper[c].1), w)
+                .enumerate()
+                .map(|(i, &q)| {
+                    let (ct, co) = countries[(i + shift) % countries.len()];
+                    RegionQueries { location: Location::client_in_country(ct, co), queries: q }
                 })
                 .collect();
-            batch.extend(deep.iter().map(|&((ct, co, dc, rm, rk, sv), w)| {
-                weight(Location::new(ct, co, dc, rm, rk, sv), w)
-            }));
-            if many {
-                batch.extend((0..30u16).map(|i| weight(Location::client_in_country(i % 7, i), 0.01)));
-            }
-            let mut servers: Vec<Location> = t.iter_servers().collect();
-            servers.push(Location::client_in_country(0, 0));
-            let mut reversed = batch.clone();
-            reversed.reverse();
-            let deliveries = [Some((batch, q)), second.map(|q2| (reversed, q2))];
-            let (mut regions, mut expected) = (Vec::new(), Vec::new());
-            let mut cache = ProximityCache::new();
-            for (batch, q) in deliveries.into_iter().flatten() {
-                let plan = RegionPlan::new(&batch, servers.iter().copied(), &t);
-                let planned = planned_bits(&plan, q, &mut regions, &mut cache, &servers, &t);
-                find_merge_fold(&mut expected, &batch, q);
-                let bits = |rs: &[RegionQueries]| -> Vec<(Location, u64)> {
-                    rs.iter().map(|r| (r.location, r.queries.to_bits())).collect()
-                };
-                prop_assert_eq!(bits(&regions), bits(&expected));
-                for (i, s) in servers.iter().enumerate() {
-                    let direct = proximity(&regions, s, &t).to_bits();
-                    prop_assert_eq!(planned[i], direct, "server {} at {}", i, s);
-                    prop_assert_eq!(cache.g(&regions, s, &t).to_bits(), direct);
-                }
+            cache.clear();
+            for i in (0..200u64).step_by(17).chain([server_idx]) {
+                let s = t.server_at(i);
+                let scan = general_scan(&second, &s, &t).to_bits();
+                prop_assert_eq!(cache.g(&second, &s, &t).to_bits(), scan, "server {}", i);
             }
         }
 

@@ -83,9 +83,9 @@ mod tests {
         assert_eq!(regions.len(), 10);
         let total: f64 = regions.iter().map(|r| r.weight).sum();
         assert!((total - 1.0).abs() < 1e-12);
-        for r in &regions {
+        for (r, (ct, co)) in regions.iter().zip(t.iter_countries()) {
             assert!((r.weight - 0.1).abs() < 1e-12);
-            assert!(r.location.is_client_zone());
+            assert_eq!(r.location, Location::client_in_country(ct, co));
         }
     }
 

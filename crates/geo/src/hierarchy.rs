@@ -86,16 +86,6 @@ impl Topology {
             .flat_map(move |ct| (0..self.countries_per_continent).map(move |co| (ct, co)))
     }
 
-    /// Enumerates one synthetic client location per country, in
-    /// [`Topology::iter_countries`] order. This is the uniform client
-    /// population that normalizes the eq.-(4) proximity weight; iterating
-    /// it directly lets hot paths evaluate the uniform baseline without
-    /// materializing a region list per call.
-    pub fn iter_client_locations(&self) -> impl Iterator<Item = Location> + Clone + '_ {
-        self.iter_countries()
-            .map(|(ct, co)| Location::client_in_country(ct, co))
-    }
-
     /// The location of the `index`-th server in lexicographic order.
     ///
     /// # Panics
@@ -279,17 +269,6 @@ mod tests {
         let countries: Vec<_> = t.iter_countries().collect();
         assert_eq!(countries.len(), 10);
         assert!(countries.contains(&(4, 1)));
-    }
-
-    #[test]
-    fn client_locations_match_countries() {
-        let t = Topology::paper();
-        let clients: Vec<_> = t.iter_client_locations().collect();
-        assert_eq!(clients.len(), 10);
-        for (client, (ct, co)) in clients.iter().zip(t.iter_countries()) {
-            assert!(client.is_client_zone());
-            assert_eq!(client.country_key(), (ct, co));
-        }
     }
 
     #[test]

@@ -205,11 +205,6 @@ impl Location {
         Self::new(continent, country, CLIENT_ZONE, 0, 0, 0)
     }
 
-    /// True when this location was produced by [`Location::client_in_country`].
-    pub const fn is_client_zone(&self) -> bool {
-        self.datacenter == CLIENT_ZONE
-    }
-
     /// The `(continent, country)` prefix of this location.
     ///
     /// Query clients live at country granularity, and eq. (4) weighs both
@@ -310,8 +305,7 @@ mod tests {
     fn client_zone_diverges_at_datacenter() {
         let client = Location::client_in_country(0, 1);
         let server = Location::new(0, 1, 0, 0, 0, 0);
-        assert!(client.is_client_zone());
-        assert!(!server.is_client_zone());
+        assert_ne!(server, client);
         assert_eq!(client.first_divergence(&server), Some(Level::Datacenter));
     }
 

@@ -346,8 +346,10 @@ impl SkuteServer {
     }
 
     /// Serves until a `POST /shutdown` arrives. Spawns the epoch tick
-    /// thread (when `epoch_ms > 0`) and one thread per connection.
-    pub fn run(self) -> io::Result<()> {
+    /// thread (when `epoch_ms > 0`) and one thread per connection. Borrows
+    /// the server, so [`SkuteServer::tick_now`] stays callable while it
+    /// serves.
+    pub fn run(&self) -> io::Result<()> {
         let state = Arc::clone(&self.state);
         let ticker = if state.config.epoch_ms > 0 {
             let tick_state = Arc::clone(&state);
@@ -401,9 +403,13 @@ fn sleep_then_tick(state: &Arc<ServerState>, period: Duration) {
 }
 
 /// One epoch tick: converts the tally into a [`TrafficBatch`], runs the
-/// decision process, opens the next epoch, and clears the tally.
+/// decision process, opens the next epoch, and clears the tally. A
+/// poisoned cloud lock skips the tick: the epoch does not advance on a
+/// cloud a panic left half-updated.
 fn tick(state: &Arc<ServerState>) {
-    let mut slot = state.slot.lock().expect("cloud lock");
+    let Ok(mut slot) = state.slot.lock() else {
+        return;
+    };
     let total: f64 = slot.tally.values().sum();
     if total > 0.0 {
         let regions: Vec<RegionWeight> = slot
@@ -520,11 +526,9 @@ fn handle_request(
     out.clear();
     let status = match op {
         // A handler that panicked holding the cloud lock poisoned it, and
-        // every later request that needs the cloud panics on it: the
+        // every later request that needs the cloud answers 503: the
         // server can no longer serve.
-        Op::Health if state.slot.is_poisoned() => {
-            reply(out, 503, b"cloud lock poisoned\n", keep_alive)
-        }
+        Op::Health if state.slot.is_poisoned() => reply(out, 503, POISONED, keep_alive),
         Op::Health => reply(out, 200, b"ok\n", keep_alive),
         Op::Metrics => {
             {
@@ -562,6 +566,10 @@ fn handle_request(
     }
     op == Op::Shutdown || !written
 }
+
+/// The body of the `503` that every request needing the cloud answers once
+/// a panicked handler has poisoned the cloud lock.
+const POISONED: &[u8] = b"cloud lock poisoned\n";
 
 /// Encodes a `text/plain` response with no extra headers; returns `status`.
 fn reply(out: &mut Vec<u8>, status: u16, body: &[u8], keep_alive: bool) -> u16 {
@@ -623,7 +631,8 @@ fn charge(state: &ServerState, slot: &mut CloudSlot, client: Option<Location>) {
 /// percent-decoded `path` holds after `/kv/`: encodes the response into
 /// `out` and returns its status. A read that reaches no replica and a write
 /// short of a majority answer `503` (unavailable: retry later, or from
-/// elsewhere); every other cloud error answers `500`.
+/// elsewhere), as does every request once the cloud lock is poisoned;
+/// every other cloud error answers `500`.
 fn handle_kv(
     state: &Arc<ServerState>,
     request: Request,
@@ -640,7 +649,9 @@ fn handle_kv(
         Ok(c) => c,
         Err(msg) => return reply(out, 400, format!("{msg}\n").as_bytes(), keep_alive),
     };
-    let mut slot = state.slot.lock().expect("cloud lock");
+    let Ok(mut slot) = state.slot.lock() else {
+        return reply(out, 503, POISONED, keep_alive);
+    };
     charge(state, &mut slot, client);
     let app = slot.app;
     let written = match op {
@@ -722,7 +733,9 @@ fn handle_fault(
     let body = String::from_utf8_lossy(&request.body);
     let mut words = body.split_whitespace();
     let verb = words.next().unwrap_or_default();
-    let mut slot = state.slot.lock().expect("cloud lock");
+    let Ok(mut slot) = state.slot.lock() else {
+        return reply(out, 503, POISONED, keep_alive);
+    };
     let done = match verb {
         "" => {
             return reply(
@@ -796,7 +809,9 @@ fn handle_scan(
         Ok(c) => c,
         Err(msg) => return reply(out, 400, format!("{msg}\n").as_bytes(), keep_alive),
     };
-    let mut slot = state.slot.lock().expect("cloud lock");
+    let Ok(mut slot) = state.slot.lock() else {
+        return reply(out, 503, POISONED, keep_alive);
+    };
     charge(state, &mut slot, client);
     let app = slot.app;
     let scan = slot

@@ -42,8 +42,7 @@ fn serve_load_scrape_shutdown() {
     })
     .expect("bind on a free port");
     let addr = server.addr().to_string();
-    // tick_now needs the state alive inside run(); keep a handle around
-    // by ticking through HTTP-observable effects only.
+    // The test ticks only through HTTP-observable effects.
     let handle = thread::spawn(move || server.run());
 
     // Wait for the accept loop.
@@ -244,8 +243,8 @@ fn epoch_tick_feeds_observed_traffic() {
     let addr = server.addr().to_string();
     // Serve on a thread but keep the tick under test control.
     let tick = {
-        // tick_now borrows &self; run(self) consumes it. Drive ticks
-        // before starting the accept loop via the public test hook.
+        // Drive ticks before starting the accept loop via the public
+        // test hook.
         server.tick_now();
         server.tick_now();
         server

@@ -3,9 +3,10 @@
 //! such a panic the way a dying disk would: it serves the LSM backend,
 //! writes a key, then replaces the process's store root with a plain
 //! file, so that the next write to a store not yet on disk panics on
-//! creating its directory. From then on `/healthz` must answer 503,
-//! `/metrics` must still render, and the panicked connection must no
-//! longer count as open.
+//! creating its directory. From then on `/healthz` and every request that
+//! needs the cloud (`/kv`, `/scan`, `/fault`) must answer 503, the epoch
+//! tick must return without panicking, `/metrics` must still render, and
+//! the panicked connection must no longer count as open.
 //!
 //! A test binary of its own: the store root is shared by every LSM store
 //! of the process, and replacing it breaks all of them.
@@ -13,6 +14,7 @@
 use std::fs;
 use std::io::{self, BufReader};
 use std::net::TcpStream;
+use std::sync::Arc;
 use std::thread;
 use std::time::{Duration, Instant};
 
@@ -34,18 +36,23 @@ fn request(addr: &str, method: &str, path: &str, body: &[u8]) -> io::Result<u16>
 }
 
 #[test]
-fn a_poisoned_cloud_lock_fails_healthz_and_metrics_still_render() {
-    let server = SkuteServer::bind(ServerConfig {
-        addr: "127.0.0.1:0".to_string(),
-        backend: BackendKind::Lsm,
-        partitions: 20,
-        warmup_epochs: 2,
-        epoch_ms: 0,
-        ..ServerConfig::default()
-    })
-    .expect("bind on a free port");
+fn a_poisoned_cloud_lock_answers_503_and_metrics_still_render() {
+    let server = Arc::new(
+        SkuteServer::bind(ServerConfig {
+            addr: "127.0.0.1:0".to_string(),
+            backend: BackendKind::Lsm,
+            partitions: 20,
+            warmup_epochs: 2,
+            epoch_ms: 0,
+            ..ServerConfig::default()
+        })
+        .expect("bind on a free port"),
+    );
     let addr = server.addr().to_string();
-    let handle = thread::spawn(move || server.run());
+    let handle = thread::spawn({
+        let server = Arc::clone(&server);
+        move || server.run()
+    });
 
     assert_eq!(request(&addr, "PUT", "/kv/first", b"v").unwrap(), 204);
     assert_eq!(request(&addr, "GET", "/kv/first", b"").unwrap(), 200);
@@ -71,6 +78,19 @@ fn a_poisoned_cloud_lock_fails_healthz_and_metrics_still_render() {
         503,
         "/healthz answers 503 once the cloud lock is poisoned"
     );
+    for (method, path, body) in [
+        ("GET", "/kv/first", &b""[..]),
+        ("PUT", "/kv/second", b"v"),
+        ("GET", "/scan", b""),
+        ("POST", "/fault", b"heal"),
+    ] {
+        assert_eq!(
+            request(&addr, method, path, body).unwrap(),
+            503,
+            "{method} {path} answers 503 through the poisoned lock"
+        );
+    }
+    server.tick_now();
     let metrics = scrape(&addr, "/metrics").expect("/metrics renders through the poisoned lock");
     assert!(metrics.contains("skute_server_requests_total"));
     assert!(metrics.contains("skute_storage_engine_ops"));

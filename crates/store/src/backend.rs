@@ -7,7 +7,7 @@
 //!   footprint, which is exactly the oracle-parity contract: under the mem
 //!   backend, measured transfer bytes equal the logical sizes the economic
 //!   model always priced.
-//! * [`LsmStore`](crate::LsmStore) — the durable WAL + memtable + SSTable
+//! * [`LsmStore`] — the durable WAL + memtable + SSTable
 //!   engine. Its physical footprint is real file bytes, and replica
 //!   transfers stream those bytes.
 //!
@@ -241,23 +241,6 @@ impl ReplicaStore {
         }
     }
 
-    /// Merges `other` into `self`; version-dominant records win.
-    pub fn absorb(&mut self, other: ReplicaStore) {
-        match self {
-            ReplicaStore::Mem(s) => other.merge_into(s.make_mut()),
-            ReplicaStore::Lsm(s) => match other {
-                ReplicaStore::Lsm(o) => match Arc::try_unwrap(o) {
-                    Ok(m) => s.lock().absorb(m.into_inner()),
-                    Err(shared) => {
-                        let snap = shared.lock().snapshot();
-                        s.lock().merge_from(&snap);
-                    }
-                },
-                ReplicaStore::Mem(o) => s.lock().merge_from(&o),
-            },
-        }
-    }
-
     /// Moves every key whose ring token falls in `high` into a returned
     /// sibling store of the same kind.
     pub fn split_off(&mut self, hasher: KeyHasher, high: KeyRange) -> ReplicaStore {
@@ -379,10 +362,10 @@ mod tests {
             .collect()
     }
 
-    /// Ring split followed by absorb restores identical contents and
-    /// sizes under both backends.
+    /// A ring split conserves keys, bytes and entries under both
+    /// backends: the two halves merged are the store before the split.
     #[test]
-    fn split_then_absorb_round_trips_both_backends() {
+    fn split_halves_merge_back_to_the_store_both_backends() {
         let hasher = KeyHasher::default();
         for kind in [BackendKind::Mem, BackendKind::Lsm] {
             let mut store = seeded(kind);
@@ -408,17 +391,18 @@ mod tests {
                 "{kind}: split conserves logical bytes"
             );
 
-            store.absorb(high_store);
-            assert_eq!(store.len(), before_len, "{kind}: absorb restores count");
+            let mut merged = store.snapshot();
+            merged.merge_from(&high_store.snapshot());
+            assert_eq!(merged.len(), before_len, "{kind}: merge restores count");
             assert_eq!(
-                store.logical_bytes(),
+                merged.logical_bytes(),
                 before_bytes,
-                "{kind}: absorb restores bytes"
+                "{kind}: merge restores bytes"
             );
             assert_eq!(
-                entries(&store.snapshot()),
+                entries(&merged),
                 before,
-                "{kind}: absorb restores every entry"
+                "{kind}: merge restores every entry"
             );
         }
     }

@@ -137,16 +137,8 @@ impl PartitionStore {
         high_store
     }
 
-    /// Merges every entry of `other` into `self`; version-dominant records
-    /// win.
-    pub fn absorb(&mut self, other: PartitionStore) {
-        for (key, record) in other.records {
-            self.apply(key, record);
-        }
-    }
-
-    /// [`PartitionStore::absorb`] without taking ownership: merges clones
-    /// of `other`'s entries into `self`. Record payloads are ref-counted
+    /// Merges clones of every entry of `other` into `self`;
+    /// version-dominant records win. Record payloads are ref-counted
     /// [`Bytes`], so this copies handles, not data — scrub's rebuild union
     /// uses it to fold every healthy replica in without cloning whole
     /// stores first.
@@ -240,20 +232,7 @@ mod tests {
     }
 
     #[test]
-    fn absorb_merges_with_version_dominance() {
-        let mut a = PartitionStore::new();
-        let mut b = PartitionStore::new();
-        assert!(a.apply(&b"x"[..], rec(b"a-old", 1)));
-        assert!(b.apply(&b"x"[..], rec(b"b-new", 2)));
-        assert!(b.apply(&b"y"[..], rec(b"only-b", 1)));
-        a.absorb(b);
-        assert_eq!(a.get_value(b"x").unwrap().as_ref(), b"b-new");
-        assert_eq!(a.get_value(b"y").unwrap().as_ref(), b"only-b");
-        assert_eq!(a.len(), 2);
-    }
-
-    #[test]
-    fn merge_from_matches_absorb_and_leaves_source_intact() {
+    fn merge_from_merges_with_version_dominance_and_leaves_source_intact() {
         let mut a = PartitionStore::new();
         let mut b = PartitionStore::new();
         assert!(a.apply(&b"x"[..], rec(b"a-old", 1)));
@@ -262,6 +241,7 @@ mod tests {
         a.merge_from(&b);
         assert_eq!(a.get_value(b"x").unwrap().as_ref(), b"b-new");
         assert_eq!(a.get_value(b"y").unwrap().as_ref(), b"only-b");
+        assert_eq!(a.len(), 2);
         assert_eq!(b.len(), 2, "source is untouched");
         assert_eq!(b.get_value(b"y").unwrap().as_ref(), b"only-b");
     }

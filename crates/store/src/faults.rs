@@ -284,7 +284,7 @@ impl FaultInjector {
     }
 
     /// An injector for the next store in process creation order (the
-    /// simulation path; see [`struct@FAULT_IDENTITY`]).
+    /// simulation path; see `FAULT_IDENTITY`).
     pub fn for_next_store(plan: FaultPlan) -> Self {
         Self::new(plan, FAULT_IDENTITY.fetch_add(1, Ordering::Relaxed))
     }

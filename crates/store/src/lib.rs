@@ -31,7 +31,7 @@
 //!   ([`BackendKind::Mem`] or [`BackendKind::Lsm`]) and the one contract
 //!   both engines fulfil: version-gated `apply` (and its admission-gated
 //!   form `apply_gated`), point `get`, ordered iteration, ring-aware
-//!   `split_off`/`absorb`, `flush`, explicit [`ReplicaStore::fork`] for
+//!   `split_off`, `flush`, explicit [`ReplicaStore::fork`] for
 //!   replication that reports measured bytes, and *two* byte-accounting
 //!   hooks — `logical_bytes` (what the economic model prices; bit-identical
 //!   across engines) and `physical_bytes` (what a transfer really moves),

@@ -1,7 +1,7 @@
 //! `LsmStore`: a durable log-structured merge engine for one replica of
 //! one partition.
 //!
-//! The in-memory [`PartitionStore`](crate::PartitionStore) is the fast
+//! The in-memory [`PartitionStore`] is the fast
 //! default and bit-exact oracle of the simulation; this engine is the
 //! second variant of [`ReplicaStore`](crate::ReplicaStore), and the one
 //! that makes the paper's data-transfer costs real:
@@ -18,7 +18,7 @@
 //! * `NNNNNNNN.sst` — immutable sorted runs (SSTables), numbered in
 //!   creation order. Each holds the entries of one memtable flush (or one
 //!   compaction), in key order, with an in-memory sparse index (the first
-//!   key and offset of every block of about [`BLOCK_BYTES`] encoded bytes)
+//!   key and offset of every block of about `BLOCK_BYTES` encoded bytes)
 //!   and an in-memory bloom filter over its keys — neither is part of the
 //!   on-disk format. A run the store writes gets both as it is written; a
 //!   run read from disk (on open, and so in a fork) gets them from the
@@ -36,22 +36,21 @@
 //! apply that always admits. When the memtable's encoded size crosses the
 //! flush threshold it is written out as a fresh SSTable and the WAL is
 //! truncated (its entries are now durable in the run). Once more than
-//! [`MAX_TABLES`] runs of the tier accumulate, a size-tiered compaction
+//! `MAX_TABLES` runs of the tier accumulate, a size-tiered compaction
 //! streams them through one k-way merge into a single run: every input
 //! entry is CRC-verified as it is read, the newest source wins each key,
 //! and the winner's encoded bytes are copied verbatim, CRC trailer
 //! included; the inputs are deleted only once the new run is durable.
 //! Neither a flush nor a compaction reads back the run it wrote. The
 //! ordered whole-store reads ([`for_each`](LsmStore::for_each),
-//! [`snapshot`](LsmStore::snapshot), [`absorb`](LsmStore::absorb) and the
-//! accounting on open) stream through the same merge, with the memtable as
-//! its newest source.
+//! [`snapshot`](LsmStore::snapshot) and the accounting on open) stream
+//! through the same merge, with the memtable as its newest source.
 //!
 //! Reads are leveled: memtable first, then SSTables newest-to-oldest — the
 //! first hit wins, because an entry only ever lands in the store if its
 //! version dominated everything older at write time. Probing a run is
 //! three steps, none of which moves a file cursor, so `get` is truly
-//! `&self`: the run's bloom filter (≈[`BLOOM_BITS_PER_KEY`] bits per key)
+//! `&self`: the run's bloom filter (≈`BLOOM_BITS_PER_KEY` bits per key)
 //! rejects most keys the run does not hold without any I/O; the sparse
 //! index names the one block (≈ 1 KiB) that could hold the key; and a
 //! single positional read fetches exactly that block into a reused
@@ -1573,19 +1572,6 @@ impl LsmStore {
         self.key_count = 0;
     }
 
-    /// Merges every entry of `other` into `self`; version-dominant records
-    /// win. A run entry of `other` that no longer decodes leaves `self`
-    /// short of `other`'s later keys, and quarantines it.
-    pub fn absorb(&mut self, other: LsmStore) {
-        let merged = other.merged(|entry| {
-            let (key, record) = entry.owned();
-            self.apply(key, record);
-        });
-        if merged.is_err() {
-            self.quarantined = true;
-        }
-    }
-
     /// Merges clones of an in-memory store's entries into `self`.
     pub fn merge_from(&mut self, other: &PartitionStore) {
         for (key, record) in other.iter() {
@@ -2369,6 +2355,7 @@ mod tests {
                     _ => {
                         let cut = u64::from(pick) << 54;
                         let high = KeyRange::new(Token(cut), Token(cut.wrapping_add(u64::MAX / 2)));
+                        let before = pair.lsm.snapshot();
                         let high_pair = Pair {
                             lsm: pair.lsm.split_off(hasher, high),
                             oracle: pair.oracle.split_off(hasher, high),
@@ -2377,11 +2364,11 @@ mod tests {
                         };
                         high_pair.assert_equal("high half after split_off")?;
                         pair.assert_equal("low half after split_off")?;
-                        if flag {
-                            pair.oracle.absorb(high_pair.oracle);
-                            pair.lsm.absorb(high_pair.lsm);
-                            pair.assert_equal("after absorbing the high half back")?;
-                        }
+                        // The split conserves keys, bytes and entries: the
+                        // two halves merged are the store before it.
+                        let mut merged = pair.lsm.snapshot();
+                        merged.merge_from(&high_pair.lsm.snapshot());
+                        prop_assert!(merged == before, "the halves merged differ from the store before the split");
                     }
                 }
             }
