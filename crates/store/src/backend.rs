@@ -41,20 +41,14 @@ pub enum BackendKind {
     Lsm,
 }
 
-impl BackendKind {
-    /// Stable lowercase name (`mem` / `lsm`), as accepted by
-    /// `skute-sim --backend`.
-    pub fn as_str(self) -> &'static str {
-        match self {
-            BackendKind::Mem => "mem",
-            BackendKind::Lsm => "lsm",
-        }
-    }
-}
-
+/// The stable lowercase name (`mem` / `lsm`), as accepted by
+/// `skute-sim --backend`.
 impl fmt::Display for BackendKind {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(self.as_str())
+        f.write_str(match self {
+            BackendKind::Mem => "mem",
+            BackendKind::Lsm => "lsm",
+        })
     }
 }
 
@@ -94,11 +88,6 @@ impl Default for ReplicaStore {
 }
 
 impl ReplicaStore {
-    /// A fresh, empty store of the requested kind.
-    pub fn open(kind: BackendKind) -> Self {
-        Self::open_with(kind, FaultPlan::none())
-    }
-
     /// A fresh, empty store of the requested kind, running under `plan`
     /// (the mem oracle has no IO path and ignores it).
     pub fn open_with(kind: BackendKind, plan: FaultPlan) -> Self {
@@ -107,14 +96,6 @@ impl ReplicaStore {
             BackendKind::Lsm => {
                 ReplicaStore::Lsm(Arc::new(Mutex::new(LsmStore::create_with(plan))))
             }
-        }
-    }
-
-    /// Which engine this store runs on.
-    pub fn kind(&self) -> BackendKind {
-        match self {
-            ReplicaStore::Mem(_) => BackendKind::Mem,
-            ReplicaStore::Lsm(_) => BackendKind::Lsm,
         }
     }
 
@@ -167,7 +148,7 @@ impl ReplicaStore {
     pub fn get_value(&self, key: &[u8]) -> Option<Bytes> {
         match self {
             ReplicaStore::Mem(s) => s.get_value(key).cloned(),
-            ReplicaStore::Lsm(s) => s.lock().get_value(key),
+            ReplicaStore::Lsm(s) => s.lock().get(key).and_then(|r| r.value),
         }
     }
 
@@ -205,7 +186,8 @@ impl ReplicaStore {
 
     /// True when both handles share the same underlying storage (a mem
     /// fork does; an LSM fork never does).
-    pub fn shares_storage_with(&self, other: &ReplicaStore) -> bool {
+    #[cfg(test)]
+    fn shares_storage_with(&self, other: &ReplicaStore) -> bool {
         match (self, other) {
             (ReplicaStore::Mem(a), ReplicaStore::Mem(b)) => a.shares_storage_with(b),
             (ReplicaStore::Lsm(a), ReplicaStore::Lsm(b)) => Arc::ptr_eq(a, b),
@@ -237,7 +219,12 @@ impl ReplicaStore {
     pub fn merge_from(&mut self, src: &PartitionStore) {
         match self {
             ReplicaStore::Mem(s) => s.make_mut().merge_from(src),
-            ReplicaStore::Lsm(s) => s.lock().merge_from(src),
+            ReplicaStore::Lsm(s) => {
+                let mut s = s.lock();
+                for (key, record) in src.iter() {
+                    s.apply(key.clone(), record.clone());
+                }
+            }
         }
     }
 
@@ -342,7 +329,7 @@ mod tests {
     use skute_ring::Token;
 
     fn seeded(kind: BackendKind) -> ReplicaStore {
-        let mut store = ReplicaStore::open(kind);
+        let mut store = ReplicaStore::open_with(kind, FaultPlan::none());
         for i in 0..100u32 {
             let key = format!("key-{i:04}").into_bytes();
             let record = Record::put(
@@ -375,7 +362,11 @@ mod tests {
 
             let high = KeyRange::new(Token(0), Token(u64::MAX / 2));
             let high_store = store.split_off(hasher, high);
-            assert_eq!(high_store.kind(), kind, "split preserves the backend");
+            assert_eq!(
+                matches!(high_store, ReplicaStore::Lsm(_)),
+                kind == BackendKind::Lsm,
+                "split preserves the backend"
+            );
             assert!(
                 !high_store.is_empty() && !store.is_empty(),
                 "100 hashed keys land on both sides of a half-ring cut"
@@ -425,7 +416,7 @@ mod tests {
             expected.merge_from(&source); // idempotent: already merged
             assert_eq!(expected.len(), store.len(), "{kind}");
             // A store merged from the source alone holds exactly its entries.
-            let mut only_source = ReplicaStore::open(kind);
+            let mut only_source = ReplicaStore::open_with(kind, FaultPlan::none());
             only_source.merge_from(&source);
             assert_eq!(
                 entries(&only_source.snapshot()),
@@ -456,7 +447,7 @@ mod tests {
     #[test]
     fn backend_kind_parses_round_trip() {
         for kind in [BackendKind::Mem, BackendKind::Lsm] {
-            assert_eq!(kind.as_str().parse::<BackendKind>(), Ok(kind));
+            assert_eq!(kind.to_string().parse::<BackendKind>(), Ok(kind));
         }
         assert!("rocksdb".parse::<BackendKind>().is_err());
         assert_eq!(BackendKind::default(), BackendKind::Mem);

@@ -62,42 +62,20 @@ impl PartitionStore {
     /// Applies `record` under `key` if its version dominates the stored one.
     /// Returns `true` when the store changed.
     pub fn apply(&mut self, key: impl Into<Bytes>, record: Record) -> bool {
-        self.apply_gated(key, record, |_| true) == ApplyOutcome::Applied
-    }
-
-    /// [`PartitionStore::apply`] with an admission gate: once the version
-    /// check passes, `admit` sees the logical size (key + record) of the
-    /// entry the write would displace — `None` for a fresh key — and may
-    /// veto the write, all on one lookup.
-    pub fn apply_gated(
-        &mut self,
-        key: impl Into<Bytes>,
-        record: Record,
-        admit: impl FnOnce(Option<u64>) -> bool,
-    ) -> ApplyOutcome {
         let key = key.into();
+        let added = Self::entry_size(&key, &record);
         match self.records.get_mut(&key) {
+            Some(existing) if record.version <= existing.version => return false,
             Some(existing) => {
-                if record.version <= existing.version {
-                    return ApplyOutcome::Stale;
-                }
-                let displaced = Self::entry_size(&key, existing);
-                if !admit(Some(displaced)) {
-                    return ApplyOutcome::Vetoed;
-                }
-                self.logical_bytes -= displaced;
-                self.logical_bytes += Self::entry_size(&key, &record);
+                self.logical_bytes -= Self::entry_size(&key, existing);
                 *existing = record;
             }
             None => {
-                if !admit(None) {
-                    return ApplyOutcome::Vetoed;
-                }
-                self.logical_bytes += Self::entry_size(&key, &record);
                 self.records.insert(key, record);
             }
         }
-        ApplyOutcome::Applied
+        self.logical_bytes += added;
+        true
     }
 
     /// The record stored under `key`, tombstones included.
@@ -106,7 +84,7 @@ impl PartitionStore {
     }
 
     /// The live value under `key` (`None` for absent keys *and* tombstones).
-    pub fn get_value(&self, key: &[u8]) -> Option<&Bytes> {
+    pub(crate) fn get_value(&self, key: &[u8]) -> Option<&Bytes> {
         self.records.get(key).and_then(|r| r.value.as_ref())
     }
 
@@ -142,7 +120,7 @@ impl PartitionStore {
     /// [`Bytes`], so this copies handles, not data — scrub's rebuild union
     /// uses it to fold every healthy replica in without cloning whole
     /// stores first.
-    pub fn merge_from(&mut self, other: &PartitionStore) {
+    pub(crate) fn merge_from(&mut self, other: &PartitionStore) {
         for (key, record) in &other.records {
             self.apply(key.clone(), record.clone());
         }
@@ -191,7 +169,11 @@ mod tests {
     #[test]
     fn synthetic_sizes_count_logically() {
         let mut s = PartitionStore::new();
-        let r = Record::put_sized(Bytes::new(), Version::new(1, 0, 0), 500 * 1024);
+        let r = Record {
+            value: Some(Bytes::new()),
+            version: Version::new(1, 0, 0),
+            logical_size: 500 * 1024,
+        };
         assert!(s.apply(&b"obj"[..], r));
         assert_eq!(s.logical_bytes(), 3 + 500 * 1024);
     }
@@ -202,7 +184,7 @@ mod tests {
         assert!(s.apply(&b"k"[..], rec(b"v", 1)));
         assert!(s.apply(&b"k"[..], Record::tombstone(Version::new(2, 0, 0))));
         assert!(s.get_value(b"k").is_none());
-        assert!(s.get(b"k").unwrap().is_tombstone());
+        assert!(s.get(b"k").unwrap().value.is_none());
     }
 
     #[test]

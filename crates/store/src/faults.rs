@@ -1,5 +1,5 @@
 //! Deterministic storage-fault injection: seeded [`FaultPlan`]s and the
-//! per-store [`FaultInjector`] the LSM engine consults inside its IO path.
+//! per-store `FaultInjector` the LSM engine consults inside its IO path.
 //!
 //! The paper's availability claims are only meaningful if the substrate
 //! survives the failures it models, so faults here are a first-class,
@@ -10,13 +10,13 @@
 //!   configuration and inherited by every store a replica forks or splits
 //!   off;
 //! * each [`LsmStore`](crate::LsmStore) with an active plan owns a
-//!   [`FaultInjector`]: a counter-based splitmix64 stream derived from the
+//!   `FaultInjector`: a counter-based splitmix64 stream derived from the
 //!   plan seed and a per-store identity, so fault decisions depend only on
 //!   the plan and the (deterministic, main-thread) order of store
 //!   creations — never on wall clock, thread scheduling, or pointer
 //!   addresses;
 //! * every injected fault is **transient by construction**: the injector
-//!   caps consecutive faults at one hook ([`MAX_CONSECUTIVE_FAULTS`]) below
+//!   caps consecutive faults at one hook (`MAX_CONSECUTIVE_FAULTS`) below
 //!   the engine's bounded retry budget, so recovery always converges and
 //!   the *logical* state of a faulted store stays bit-identical to an
 //!   unfaulted run. Degradation surfaces only in physical-IO statistics
@@ -24,7 +24,7 @@
 //!   observe.
 //!
 //! The module also hosts the IEEE CRC32 used by the WAL-record and
-//! SSTable-entry checksums ([`crc32`]).
+//! SSTable-entry checksums (`crc32`).
 
 use std::fmt;
 use std::str::FromStr;
@@ -37,11 +37,12 @@ pub enum FaultPlanKind {
     #[default]
     None,
     /// WAL appends tear: only a prefix of the record reaches the log
-    /// before the simulated fsync fails; the engine truncates the torn
-    /// tail back to the acked offset and retries.
+    /// before the append is reported as failed; the engine truncates the
+    /// torn tail back to the acked offset and retries.
     TornTails,
-    /// WAL fsyncs fail transiently with the record fully written; the
-    /// engine treats the record as unacked, rewinds, and retries.
+    /// WAL appends are reported as failed after the whole record was
+    /// written (the name is historical: the append path has no fsync);
+    /// the engine treats the record as unacked, rewinds, and retries.
     FlakyFsync,
     /// SSTable flushes tear partway through the run; the engine discards
     /// the partial file and rewrites it.
@@ -137,12 +138,6 @@ impl FaultPlan {
         }
     }
 
-    /// The same plan with a different seed.
-    #[must_use]
-    pub fn with_seed(self, seed: u64) -> Self {
-        Self { seed, ..self }
-    }
-
     /// True when any fault family is enabled.
     pub fn is_active(&self) -> bool {
         self.kind != FaultPlanKind::None
@@ -151,7 +146,7 @@ impl FaultPlan {
     /// True when the plan injects faults into the storage IO path (and
     /// the LSM engine therefore needs an injector). Gray and partition
     /// plans degrade servers and links, never bytes on disk.
-    pub fn has_storage_faults(&self) -> bool {
+    pub(crate) fn has_storage_faults(&self) -> bool {
         matches!(
             self.kind,
             FaultPlanKind::TornTails
@@ -174,24 +169,9 @@ impl FaultPlan {
         matches!(self.kind, FaultPlanKind::Gray | FaultPlanKind::Partition)
     }
 
-    /// Torn WAL tails enabled.
-    pub fn torn_tails(&self) -> bool {
-        matches!(self.kind, FaultPlanKind::TornTails | FaultPlanKind::All)
-    }
-
-    /// Transient fsync failures enabled.
-    pub fn flaky_fsyncs(&self) -> bool {
-        matches!(self.kind, FaultPlanKind::FlakyFsync | FaultPlanKind::All)
-    }
-
-    /// Partial SSTable flushes enabled.
-    pub fn partial_flushes(&self) -> bool {
-        matches!(self.kind, FaultPlanKind::PartialFlush | FaultPlanKind::All)
-    }
-
-    /// Transient read bit flips enabled.
-    pub fn bit_flips(&self) -> bool {
-        matches!(self.kind, FaultPlanKind::BitFlips | FaultPlanKind::All)
+    /// True when the plan injects the storage fault `family`.
+    pub(crate) fn injects(&self, family: FaultPlanKind) -> bool {
+        self.kind == family || self.kind == FaultPlanKind::All
     }
 }
 
@@ -199,7 +179,7 @@ impl FaultPlan {
 /// from. Observability only: none of these feed decisions or the CSV.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct FaultStats {
-    /// WAL appends retried after an injected tear or failed fsync.
+    /// WAL appends retried after an injected tear or failed append.
     pub wal_retries: u64,
     /// SSTable flushes retried after an injected partial write.
     pub flush_retries: u64,
@@ -240,7 +220,7 @@ impl FaultStats {
 /// Ceiling on consecutive faults the injector reports at any single hook;
 /// the next draw after the ceiling is forcibly clean, so an engine retry
 /// loop with a budget above this bound always converges.
-pub const MAX_CONSECUTIVE_FAULTS: u32 = 2;
+pub(crate) const MAX_CONSECUTIVE_FAULTS: u32 = 2;
 
 /// Process-wide store-identity counter. Stores with an active plan are
 /// only ever constructed on the simulation's main thread (creation,
@@ -265,7 +245,7 @@ pub fn splitmix64(mut x: u64) -> u64 {
 /// so the fault sequence is a pure function of `(plan, identity, call
 /// order)`.
 #[derive(Debug, Clone)]
-pub struct FaultInjector {
+pub(crate) struct FaultInjector {
     plan: FaultPlan,
     stream: u64,
     counter: u64,
@@ -274,7 +254,7 @@ pub struct FaultInjector {
 
 impl FaultInjector {
     /// An injector for the store with the given identity.
-    pub fn new(plan: FaultPlan, identity: u64) -> Self {
+    pub(crate) fn new(plan: FaultPlan, identity: u64) -> Self {
         Self {
             plan,
             stream: splitmix64(plan.seed ^ splitmix64(identity)),
@@ -285,13 +265,8 @@ impl FaultInjector {
 
     /// An injector for the next store in process creation order (the
     /// simulation path; see `FAULT_IDENTITY`).
-    pub fn for_next_store(plan: FaultPlan) -> Self {
+    pub(crate) fn for_next_store(plan: FaultPlan) -> Self {
         Self::new(plan, FAULT_IDENTITY.fetch_add(1, Ordering::Relaxed))
-    }
-
-    /// The plan this injector draws from.
-    pub fn plan(&self) -> FaultPlan {
-        self.plan
     }
 
     fn draw(&mut self) -> u64 {
@@ -321,11 +296,11 @@ impl FaultInjector {
     /// Consulted before every WAL append of `len` encoded bytes. `Some(p)`
     /// means the append faults after `p` bytes physically reach the log:
     /// `p < len` is a torn tail, `p == len` a record that landed whole but
-    /// whose fsync failed — either way the record is unacked and the
-    /// engine must truncate back and retry.
-    pub fn wal_append_fault(&mut self, len: usize) -> Option<usize> {
-        let torn = self.plan.torn_tails();
-        let flaky = self.plan.flaky_fsyncs();
+    /// whose append was reported as failed — either way the record is
+    /// unacked and the engine must truncate back and retry.
+    pub(crate) fn wal_append_fault(&mut self, len: usize) -> Option<usize> {
+        let torn = self.plan.injects(FaultPlanKind::TornTails);
+        let flaky = self.plan.injects(FaultPlanKind::FlakyFsync);
         if (!torn && !flaky) || !self.fault(8) {
             return None;
         }
@@ -339,8 +314,8 @@ impl FaultInjector {
     /// Consulted before every sorted-run write of `total` encoded bytes.
     /// `Some(n)` tears the run after `n` bytes; the engine discards the
     /// partial file and rewrites.
-    pub fn flush_fault(&mut self, total: u64) -> Option<u64> {
-        if !self.plan.partial_flushes() || !self.fault(4) {
+    pub(crate) fn flush_fault(&mut self, total: u64) -> Option<u64> {
+        if !self.plan.injects(FaultPlanKind::PartialFlush) || !self.fault(4) {
             return None;
         }
         Some(self.draw() % total.max(1))
@@ -349,15 +324,15 @@ impl FaultInjector {
     /// Consulted per verification scan: true simulates a transient bit
     /// flip (a checksum mismatch on an otherwise-clean file); the engine
     /// re-reads.
-    pub fn read_flip(&mut self) -> bool {
-        self.plan.bit_flips() && self.fault(6)
+    pub(crate) fn read_flip(&mut self) -> bool {
+        self.plan.injects(FaultPlanKind::BitFlips) && self.fault(6)
     }
 
     /// Consulted before every replica-fork copy of `total` physical
     /// bytes. `Some(n)` aborts the copy after `n` bytes; the engine
     /// deletes the partial destination and restarts, and every attempted
     /// byte counts into the measured transfer volume.
-    pub fn fork_fault(&mut self, total: u64) -> Option<u64> {
+    pub(crate) fn fork_fault(&mut self, total: u64) -> Option<u64> {
         if total == 0 || !self.plan.has_storage_faults() || !self.fault(4) {
             return None;
         }
@@ -391,7 +366,7 @@ const fn crc_table() -> [u32; 256] {
 
 /// IEEE CRC32 of `bytes` (the checksum guarding every WAL record and
 /// SSTable entry).
-pub fn crc32(bytes: &[u8]) -> u32 {
+pub(crate) fn crc32(bytes: &[u8]) -> u32 {
     let mut c = 0xFFFF_FFFFu32;
     for &b in bytes {
         c = CRC_TABLE[((c ^ u32::from(b)) & 0xFF) as usize] ^ (c >> 8);
@@ -457,10 +432,10 @@ mod tests {
         for plan in [gray, partition] {
             assert!(plan.is_active());
             assert!(!plan.has_storage_faults());
-            assert!(!plan.torn_tails());
-            assert!(!plan.flaky_fsyncs());
-            assert!(!plan.partial_flushes());
-            assert!(!plan.bit_flips());
+            assert!(!plan.injects(FaultPlanKind::TornTails));
+            assert!(!plan.injects(FaultPlanKind::FlakyFsync));
+            assert!(!plan.injects(FaultPlanKind::PartialFlush));
+            assert!(!plan.injects(FaultPlanKind::BitFlips));
             let mut inj = FaultInjector::new(plan, 0);
             for _ in 0..1000 {
                 assert!(inj.wal_append_fault(64).is_none());
@@ -479,16 +454,16 @@ mod tests {
     #[test]
     fn all_plan_enables_every_family() {
         let plan = FaultPlan::all(1);
-        assert!(plan.torn_tails());
-        assert!(plan.flaky_fsyncs());
-        assert!(plan.partial_flushes());
-        assert!(plan.bit_flips());
+        assert!(plan.injects(FaultPlanKind::TornTails));
+        assert!(plan.injects(FaultPlanKind::FlakyFsync));
+        assert!(plan.injects(FaultPlanKind::PartialFlush));
+        assert!(plan.injects(FaultPlanKind::BitFlips));
         let torn = FaultPlan {
             kind: FaultPlanKind::TornTails,
             seed: 1,
         };
-        assert!(torn.torn_tails());
-        assert!(!torn.partial_flushes());
+        assert!(torn.injects(FaultPlanKind::TornTails));
+        assert!(!torn.injects(FaultPlanKind::PartialFlush));
     }
 
     #[test]

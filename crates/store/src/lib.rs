@@ -24,9 +24,9 @@
 //!   CRC32-checked records, torn-tail truncation on replay, and
 //!   quarantine of unrecoverable corruption,
 //! * [`faults`] — seeded, deterministic storage-fault injection
-//!   ([`FaultPlan`] / [`FaultInjector`]): torn WAL tails, failed fsyncs,
-//!   partial flushes, mid-copy aborts and transient read flips, all
-//!   transient by construction and repaired by bounded retries,
+//!   ([`FaultPlan`]): torn and failed WAL appends, partial flushes,
+//!   mid-copy aborts and transient read flips, all transient by
+//!   construction and repaired by bounded retries,
 //! * [`ReplicaStore`] — the enum-dispatched store a replica carries
 //!   ([`BackendKind::Mem`] or [`BackendKind::Lsm`]) and the one contract
 //!   both engines fulfil: version-gated `apply` (and its admission-gated
@@ -52,7 +52,7 @@ mod shared;
 pub use backend::{BackendKind, ReplicaStore};
 pub use engine::{ApplyOutcome, PartitionStore};
 pub use error::StoreError;
-pub use faults::{FaultInjector, FaultPlan, FaultPlanKind, FaultStats};
+pub use faults::{FaultPlan, FaultPlanKind, FaultStats};
 pub use lsm::{LsmStore, StorageActivity};
 pub use shared::CowPartitionStore;
 pub use value::{Record, Version};

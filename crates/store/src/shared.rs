@@ -8,11 +8,10 @@ use crate::engine::PartitionStore;
 /// A copy-on-write handle to a [`PartitionStore`] with value semantics.
 ///
 /// Cloning is an `Arc` bump; the first mutation after a clone
-/// ([`CowPartitionStore::make_mut`]) detaches a private copy. This is the
+/// (`make_mut`) detaches a private copy. This is the
 /// storage type of mem replica stores: a replication transfer shares one
 /// allocation instead of deep-copying the store per replica, and replicas
-/// that still share an allocation hold identical contents
-/// ([`CowPartitionStore::shares_storage_with`]).
+/// that still share an allocation hold identical contents.
 ///
 /// Reads go through `Deref`, so the full [`PartitionStore`] read API is
 /// available directly on the handle.
@@ -23,12 +22,12 @@ pub struct CowPartitionStore {
 
 impl CowPartitionStore {
     /// A handle over an empty store.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
     /// Wraps an existing store.
-    pub fn from_store(store: PartitionStore) -> Self {
+    pub(crate) fn from_store(store: PartitionStore) -> Self {
         Self {
             inner: Arc::new(store),
         }
@@ -36,13 +35,14 @@ impl CowPartitionStore {
 
     /// Mutable access to the underlying store, detaching a private copy
     /// first if the allocation is shared with other handles.
-    pub fn make_mut(&mut self) -> &mut PartitionStore {
+    pub(crate) fn make_mut(&mut self) -> &mut PartitionStore {
         Arc::make_mut(&mut self.inner)
     }
 
     /// True when both handles point at the same allocation (and therefore
     /// hold byte-identical contents).
-    pub fn shares_storage_with(&self, other: &Self) -> bool {
+    #[cfg(test)]
+    pub(crate) fn shares_storage_with(&self, other: &Self) -> bool {
         Arc::ptr_eq(&self.inner, &other.inner)
     }
 }

@@ -54,15 +54,6 @@ impl Record {
         }
     }
 
-    /// A live record with an explicit logical size (synthetic payloads).
-    pub fn put_sized(value: impl Into<Bytes>, version: Version, logical_size: u64) -> Self {
-        Self {
-            value: Some(value.into()),
-            version,
-            logical_size,
-        }
-    }
-
     /// A tombstone.
     pub fn tombstone(version: Version) -> Self {
         Self {
@@ -72,15 +63,10 @@ impl Record {
         }
     }
 
-    /// True when the record is a tombstone.
-    pub fn is_tombstone(&self) -> bool {
-        self.value.is_none()
-    }
-
     /// Last-writer-wins merge: the record with the higher version survives;
     /// on an exact version tie the records are identical by construction
     /// (same writer, same seq), so either is returned.
-    pub fn merge(a: Record, b: Record) -> Record {
+    pub(crate) fn merge(a: Record, b: Record) -> Record {
         if a.version >= b.version {
             a
         } else {
@@ -111,20 +97,13 @@ mod tests {
     fn put_uses_payload_length() {
         let r = Record::put(&b"hello"[..], Version::new(1, 0, 0));
         assert_eq!(r.logical_size, 5);
-        assert!(!r.is_tombstone());
-    }
-
-    #[test]
-    fn put_sized_decouples_logical_size() {
-        let r = Record::put_sized(Bytes::new(), Version::new(1, 0, 0), 500 * 1024);
-        assert_eq!(r.logical_size, 500 * 1024);
-        assert_eq!(r.value.as_ref().unwrap().len(), 0);
+        assert!(r.value.is_some());
     }
 
     #[test]
     fn tombstone_has_no_value_or_size() {
         let t = Record::tombstone(Version::new(3, 0, 0));
-        assert!(t.is_tombstone());
+        assert!(t.value.is_none());
         assert_eq!(t.logical_size, 0);
     }
 
@@ -140,7 +119,7 @@ mod tests {
     fn tombstone_can_win_merge() {
         let live = Record::put(&b"v"[..], Version::new(1, 0, 0));
         let dead = Record::tombstone(Version::new(2, 0, 0));
-        assert!(Record::merge(live, dead.clone()).is_tombstone());
+        assert!(Record::merge(live, dead.clone()).value.is_none());
         let _ = dead;
     }
 
