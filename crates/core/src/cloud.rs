@@ -291,6 +291,8 @@ impl SkuteCloud {
             let mut state = PartitionState::new(pid, 1.0);
             state.synthetic_bytes = level_spec.initial_partition_bytes;
             let server = self.seed_server(level_spec.initial_partition_bytes)?;
+            // Room for the ring's target, which the decisions grow it to.
+            state.replicas.reserve_exact(level_spec.replicas);
             state
                 .replicas
                 .push(self.new_replica(server, self.empty_store()));

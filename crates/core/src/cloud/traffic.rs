@@ -6,9 +6,9 @@
 //! driver resolves what the mix fixes once per batch: the ring's
 //! Σ popularity and each server's region-weighted client distance. Each
 //! partition's plan then folds its share of the batch into its region
-//! list and weighs each replica through the partition's
-//! [`ProximityCache`](skute_economy::ProximityCache), which aggregates
-//! the new mix once and evaluates eq. (4) once per replica country.
+//! list, one entry per client location, and weighs each replica through
+//! the partition's [`ProximityCache`](skute_economy::ProximityCache),
+//! which sums eq. (4) over that list once per replica country.
 
 use skute_cluster::{Cluster, ServerId};
 use skute_economy::RegionQueries;
@@ -76,6 +76,11 @@ fn plan_one_delivery(
     // the replicas refill per country. Placement decisions later in the
     // epoch reuse the refilled entries.
     prox_cache.clear();
+    // A partition's first fill sizes its mix to the batch: every later
+    // epoch's fill reuses the same slots.
+    if region_queries.is_empty() {
+        region_queries.reserve_exact(batch.regions.len());
+    }
     for region in &batch.regions {
         let add = q * region.weight;
         if add <= 0.0 {
@@ -662,6 +667,27 @@ mod tests {
                     .g(&part.region_queries, &s.location, topology);
                 assert_eq!(cached.to_bits(), fresh.to_bits(), "{}", s.location);
             }
+        }
+    }
+
+    #[test]
+    fn region_mixes_hold_no_spare_slots() {
+        // A partition's region mix is sized to the batch on its first fill
+        // and refilled in place every later epoch; a split's children
+        // start empty and size their own.
+        let (mut cloud, app) = small_cloud();
+        let regions = skute_geo::ClientGeo::Uniform.region_weights(cloud.topology());
+        for _ in 0..4 {
+            cloud.begin_epoch();
+            cloud
+                .deliver_queries_multi(one_batch(app, 0, 2_000.0, &regions))
+                .unwrap();
+            for part in cloud.rings[0].partitions.values() {
+                let mix = &part.region_queries;
+                assert_eq!(mix.len(), regions.len(), "partition {:?}", part.id);
+                assert_eq!(mix.capacity(), mix.len(), "partition {:?}", part.id);
+            }
+            cloud.end_epoch();
         }
     }
 

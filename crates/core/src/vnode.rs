@@ -118,17 +118,21 @@ pub struct PartitionState {
     /// workload accounting); every replica's server is charged this amount.
     pub synthetic_bytes: u64,
     /// Query volume per client region observed this epoch (the `q_l` of
-    /// eq. 4).
+    /// eq. 4): the partition's one copy of its client mix, one entry per
+    /// client location, sized to the first batch that filled it and
+    /// refilled in place every epoch.
     pub region_queries: Vec<RegionQueries>,
     /// Total queries addressed to the partition this epoch (before drops).
     pub queries_epoch: f64,
     /// Bytes written to the partition this epoch (consistency-cost input).
     pub write_bytes_epoch: u64,
     /// Per-country proximity weights memoized against the current
-    /// `region_queries`; cleared whenever they change (epoch start, query
-    /// delivery). The delivery plan fills it once per replica country;
-    /// every placement decision of the partition within the epoch reads
-    /// the same entries and adds the countries the plan did not weigh.
+    /// `region_queries`, and nothing else: each miss sums eq. (4) over
+    /// `region_queries` itself. Cleared whenever they change (epoch start,
+    /// query delivery). The delivery plan fills it once per replica
+    /// country; every placement decision of the partition within the
+    /// epoch reads the same entries and adds the countries the plan did
+    /// not weigh.
     pub prox_cache: ProximityCache,
     /// Memoized eq.-(2) availability of the current replica set. While
     /// `Some`, every replica's eq. (2) without itself is memoized too

@@ -44,10 +44,12 @@ fn zone_diversity(client: (u16, u16), server: (u16, u16)) -> f64 {
 /// paper stipulates (§III-A), and regionally skewed traffic scales servers
 /// near the traffic above 1 and far servers below 1.
 ///
-/// Clients aggregate per country and the server counts by its country, so
-/// a client or server location weighs exactly as
-/// [`Location::client_in_country`] of its country would. With no queries
-/// at all the weight is neutral (1).
+/// A client counts by its country and the server by its country, so a
+/// client or server location weighs exactly as
+/// [`Location::client_in_country`] of its country would. The sums run over
+/// `regions` in slice order: a mix naming one country twice weighs as the
+/// mix with the two merged, up to the association of the sums. With no
+/// queries at all the weight is neutral (1).
 pub fn proximity(regions: &[RegionQueries], server: &Location, topology: &Topology) -> f64 {
     ProximityCache::new().g(regions, server, topology)
 }
@@ -58,22 +60,16 @@ pub fn proximity(regions: &[RegionQueries], server: &Location, topology: &Topolo
 /// Eq. (4) weighs a server by its `(continent, country)` prefix alone
 /// (see [`proximity`]), so one partition's delivery and decision phases,
 /// which evaluate proximity for every replica and every feasible candidate
-/// server, need one evaluation per server country; this cache holds them,
-/// with the mix's query mass per client country, aggregated on the first
-/// miss after a clear.
+/// server, need one evaluation per server country; this cache holds them
+/// and nothing else. Each miss sums eq. (4) over the mix it is handed.
 ///
 /// The caller owns invalidation: [`ProximityCache::clear`] must run
 /// whenever the region mix it was filled from changes (`SkuteCloud` clears
 /// per-partition caches at epoch start and before every query delivery).
-/// A clear keeps both buffers' capacity, so a partition refills its cache
+/// A clear keeps the buffer's capacity, so a partition refills its cache
 /// every epoch without allocating.
 #[derive(Debug, Clone, Default)]
 pub struct ProximityCache {
-    /// The mix's total query volume, once `masses` is built.
-    total: f64,
-    /// Query mass per client country, in first-appearance order: the
-    /// sufficient statistic of eq. (4). Empty until the first miss.
-    masses: Vec<((u16, u16), f64)>,
     /// The memoized weight per server country.
     entries: Vec<((u16, u16), f64)>,
 }
@@ -84,51 +80,38 @@ impl ProximityCache {
         Self::default()
     }
 
-    /// Drops the aggregated mix and every memoized weight (the region mix
-    /// changed), keeping the buffers.
+    /// Drops every memoized weight (the region mix changed), keeping the
+    /// buffer.
     pub fn clear(&mut self) {
-        self.total = 0.0;
-        self.masses.clear();
         self.entries.clear();
     }
 
     /// True when nothing is memoized yet.
     pub fn is_empty(&self) -> bool {
-        self.masses.is_empty() && self.entries.is_empty()
+        self.entries.is_empty()
     }
 
     /// The proximity weight of `server` for `regions`, memoized by the
-    /// server's country: eq. (4) over the per-country masses, normalized
-    /// by eq. (4) under the uniform split of the same total, each sum
-    /// accumulated in a fixed order (masses in first-appearance order, the
-    /// uniform baseline in [`Topology::iter_countries`] order).
+    /// server's country: eq. (4) over the mix, normalized by eq. (4) under
+    /// the uniform split of the same total, each sum accumulated in a fixed
+    /// order (the mix in slice order, the uniform baseline in
+    /// [`Topology::iter_countries`] order).
     pub fn g(&mut self, regions: &[RegionQueries], server: &Location, topology: &Topology) -> f64 {
         // An entry exists only under a mix with queries.
         let key = server.country_key();
         if let Some(&(_, g)) = self.entries.iter().find(|(k, _)| *k == key) {
             return g;
         }
-        if self.masses.is_empty() {
-            // Also taken again for a mix with no regions, which aggregates
-            // to nothing.
-            for r in regions {
-                self.total += r.queries;
-                let client = r.location.country_key();
-                match self.masses.iter_mut().find(|(k, _)| *k == client) {
-                    Some((_, q)) => *q += r.queries,
-                    None => self.masses.push((client, r.queries)),
-                }
-            }
+        let (mut total, mut weighted) = (0.0, 0.0);
+        for r in regions {
+            total += r.queries;
+            weighted += r.queries * zone_diversity(r.location.country_key(), key);
         }
-        if self.total <= 0.0 {
+        if total <= 0.0 {
             return 1.0;
         }
-        let mut weighted = 0.0;
-        for &(client, mass) in &self.masses {
-            weighted += mass * zone_diversity(client, key);
-        }
-        let raw = self.total / (1.0 + weighted);
-        let per = self.total / topology.country_count() as f64;
+        let raw = total / (1.0 + weighted);
+        let per = total / topology.country_count() as f64;
         let (mut uniform_total, mut weighted_uniform) = (0.0, 0.0);
         for country in topology.iter_countries() {
             uniform_total += per;
@@ -300,22 +283,23 @@ mod tests {
             let direct = proximity(&regions, &server, &t);
             let cached = cache.g(&regions, &server, &t);
             assert_eq!(cached.to_bits(), direct.to_bits(), "server {i}");
+            assert_eq!(
+                direct.to_bits(),
+                general_scan(&regions, &server, &t).to_bits(),
+                "server {i}"
+            );
         }
-        // 200 servers share 10 countries: the cache holds 10 entries over
-        // the mix's 2 country masses.
-        assert_eq!((cache.entries.len(), cache.masses.len()), (10, 2));
+        // 200 servers share 10 countries: the cache holds 10 entries.
+        assert_eq!(cache.entries.len(), 10);
         assert!(!cache.is_empty());
         // Re-querying stays identical; clearing resets and keeps the
-        // buffers.
+        // buffer.
         let s = t.server_at(3);
         assert_eq!(cache.g(&regions, &s, &t), proximity(&regions, &s, &t));
-        let capacity = (cache.masses.capacity(), cache.entries.capacity());
+        let capacity = cache.entries.capacity();
         cache.clear();
         assert!(cache.is_empty());
-        assert_eq!(
-            (cache.masses.capacity(), cache.entries.capacity()),
-            capacity
-        );
+        assert_eq!(cache.entries.capacity(), capacity);
     }
 
     #[test]
@@ -339,7 +323,7 @@ mod tests {
             let cached = cache.g(&regions, &server, &t);
             assert_eq!(cached.to_bits(), direct.to_bits(), "server {i}");
         }
-        assert_eq!(cache.masses.len(), 30);
+        assert_eq!(cache.entries.len(), 10);
         // And on a duplicate-free mix the analytic value agrees with the
         // general per-location scan bit for bit.
         let server = t.server_at(42);
@@ -347,15 +331,21 @@ mod tests {
             proximity(&regions, &server, &t).to_bits(),
             general_scan(&regions, &server, &t).to_bits()
         );
-        // A duplicated country merges into its mass.
+        // A duplicated country weighs as its merged mass, up to the
+        // association of the sums, and the cache still answers the direct
+        // evaluation's bits.
         let mut dup = regions.clone();
         dup.push(RegionQueries {
             location: Location::client_in_country(29 % 7, 29),
             queries: 50.0,
         });
+        let mut merged = regions.clone();
+        merged[29].queries += 50.0;
+        let d = proximity(&dup, &server, &t);
+        let m = proximity(&merged, &server, &t);
+        assert!((d - m).abs() <= 1e-12 * m, "{d} vs {m}");
         cache.clear();
-        cache.g(&dup, &server, &t);
-        assert_eq!(cache.masses.len(), 30);
+        assert_eq!(cache.g(&dup, &server, &t).to_bits(), d.to_bits());
     }
 
     #[test]
@@ -469,9 +459,9 @@ mod tests {
             }
             // Reuse, as a partition's cache is reused across deliveries and
             // epochs: after a clear, a second mix (more or fewer countries,
-            // in another order) refills the kept buffers and answers the
+            // in another order) refills the kept buffer and answers the
             // scan's bits on every server country, none of the first mix's
-            // masses or weights surviving.
+            // weights surviving.
             let second: Vec<RegionQueries> = qs2
                 .iter()
                 .enumerate()

@@ -427,6 +427,17 @@ mod tests {
     }
 
     #[test]
+    fn fresh_mem_stores_share_one_allocation_until_written() {
+        let mut a = ReplicaStore::default();
+        let b = ReplicaStore::open_with(BackendKind::Mem, FaultPlan::none());
+        assert!(a.shares_storage_with(&b), "empty stores allocate nothing");
+        assert!(a.apply(&b"k"[..], Record::put(&b"v"[..], Version::new(1, 0, 0))));
+        assert!(!a.shares_storage_with(&b), "the first write detaches");
+        assert!(b.is_empty(), "the shared empty store stays empty");
+        assert!(b.shares_storage_with(&ReplicaStore::default()));
+    }
+
+    #[test]
     fn backends_agree_bit_for_bit_on_same_history() {
         let mem = seeded(BackendKind::Mem);
         let lsm = seeded(BackendKind::Lsm);

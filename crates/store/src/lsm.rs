@@ -79,7 +79,9 @@
 //!    (and its directory entry) durable *before* the WAL shrinks, and
 //!    compaction deletes its inputs only *after* the merged run is
 //!    durable, so a short newest run is an unfinished flush/compaction
-//!    whose entries still live in the WAL or the older runs.
+//!    whose entries still live in the WAL or the older runs. A directory
+//!    sync follows every such discard and every compaction's deletions,
+//!    so a power loss brings no deleted run back.
 //! 3. **Anything else quarantines.** Full-length data failing its
 //!    checksum cannot be repaired locally; the store is marked
 //!    quarantined (by open or by `verify`) and the cluster layer
@@ -909,8 +911,11 @@ impl LsmStore {
                     // truncates the log only after the run is durable) or
                     // by the older runs (compaction deletes its inputs
                     // only after the merged run is durable), so the
-                    // partial file is simply discarded.
+                    // partial file is simply discarded, durably: after a
+                    // power loss it must not come back beneath a newer
+                    // run, where its tear reads as corruption.
                     store.disk.remove(&path);
+                    store.disk.sync_dir()?;
                     store.disk.stats.partial_runs_discarded += 1;
                 }
                 Err(_) => {
@@ -1251,6 +1256,9 @@ impl LsmStore {
         for table in self.tables.drain(..) {
             self.disk.remove(&table.path);
         }
+        // The removals are durable too: a power loss must not bring the
+        // inputs back beside the merged run.
+        self.disk.sync_dir()?;
         self.tables.push(table);
         self.activity.compactions += 1;
         Ok(())
@@ -1338,8 +1346,9 @@ impl LsmStore {
     }
 
     /// Replicates this store into a fresh directory by physically copying
-    /// the WAL and every sorted run, then opening the copy (which replays
-    /// the WAL — the same code path crash recovery takes). Returns the new
+    /// the WAL and every sorted run, fsyncing the copy, then opening it
+    /// (which replays the WAL — the same code path crash recovery takes),
+    /// so the fork is durable before the caller counts it. Returns the new
     /// store and the **measured** bytes actually streamed; an injected
     /// mid-copy abort wipes the partial destination and restarts, and
     /// every wasted byte still counts into the measured total — failed
@@ -1350,8 +1359,9 @@ impl LsmStore {
             return (LsmStore::on(Disk::new(dst_dir, self.plan), self.plan), 0);
         }
         let runs: Vec<&Path> = self.tables.iter().map(|t| t.path.as_path()).collect();
-        let measured = settle(self.disk.fork_into(&dst_dir, &runs, self.physical_bytes()));
-        let mut fork = LsmStore::open_with(dst_dir, self.plan);
+        let mut dst = Disk::new(dst_dir, self.plan);
+        let measured = settle(self.disk.fork_into(&mut dst, &runs, self.physical_bytes()));
+        let mut fork = settle(Self::recover(dst, self.plan));
         fork.set_flush_threshold(self.flush_threshold);
         (fork, measured)
     }
@@ -1586,7 +1596,7 @@ mod tests {
         // prefix of a would-be newest run.
         let donor = fs::read(dir.join(format!("{:08}.sst", next_seq - 1))).unwrap();
         fs::write(dir.join(format!("{next_seq:08}.sst")), &donor[..10]).unwrap();
-        let recovered = LsmStore::open(dir.clone());
+        let mut recovered = LsmStore::open(dir.clone());
         assert_eq!(recovered.fault_stats().partial_runs_discarded, 1);
         assert!(!recovered.quarantined);
         assert_eq!(recovered.len(), oracle.len());
@@ -1598,6 +1608,17 @@ mod tests {
             !dir.join(format!("{next_seq:08}.sst")).exists(),
             "the partial run was deleted"
         );
+        // Durably: a power loss right after the open does not bring it
+        // back.
+        recovered.disk.crash_unsynced();
+        std::mem::forget(recovered);
+        assert!(
+            !dir.join(format!("{next_seq:08}.sst")).exists(),
+            "the discard survives a power loss"
+        );
+        let reopened = LsmStore::open(dir);
+        assert_eq!(reopened.fault_stats().partial_runs_discarded, 0);
+        assert_eq!(reopened.len(), oracle.len());
     }
 
     #[test]
@@ -1758,6 +1779,31 @@ mod tests {
         assert_eq!(fork.logical_bytes(), store.logical_bytes());
         for (key, record) in store.snapshot().iter() {
             assert_eq!(fork.get(key).as_ref(), Some(record));
+        }
+    }
+
+    /// A fork is durable when it returns: a power loss right after it
+    /// leaves the copy holding every record of the source, the source's
+    /// unflushed WAL tail included.
+    #[test]
+    fn a_fork_survives_a_power_loss() {
+        for plan in [FaultPlan::none(), FaultPlan::all(0xF0)] {
+            let mut store = LsmStore::create_with(plan);
+            store.set_flush_threshold(128);
+            for i in 0..60u32 {
+                store.apply(i.to_le_bytes().to_vec(), rec(b"fork-payload", 1));
+            }
+            let (mut fork, _) = store.fork();
+            let dir = fork.dir().to_path_buf();
+            fork.disk.crash_unsynced();
+            std::mem::forget(fork);
+            let recovered = LsmStore::open(dir);
+            assert!(!recovered.quarantined);
+            assert_eq!(recovered.len(), store.len());
+            assert_eq!(recovered.logical_bytes(), store.logical_bytes());
+            for (key, record) in store.snapshot().iter() {
+                assert_eq!(recovered.get(key).as_ref(), Some(record));
+            }
         }
     }
 
@@ -2145,10 +2191,11 @@ mod tests {
         /// * a process crash (`mem::forget`: every byte written survives)
         ///   loses no acked write;
         /// * a power loss (`Disk::crash_unsynced`, then `mem::forget`: only
-        ///   synced bytes and entries survive) loses no write acked before
-        ///   the last completed flush. The WAL append is not fsynced, so
-        ///   writes acked after it are lost until ROADMAP item 5(i)'s group
-        ///   commit syncs the log. The store directory's own entry in its
+        ///   synced bytes and entries survive, and only synced removals
+        ///   hold) loses no write acked before the last completed flush,
+        ///   and brings back no run that flush or its compaction deleted.
+        ///   The WAL append is not fsynced, so writes acked after it are
+        ///   lost until ROADMAP item 5(i)'s group commit syncs the log. The store directory's own entry in its
         ///   parent is outside the model until item 13 gives stores a
         ///   fixed home.
         #[test]
@@ -2171,8 +2218,11 @@ mod tests {
                 let mut store = store_at(&dir, plan);
                 store.set_flush_threshold(flush_threshold);
                 let mut oracle = PartitionStore::new();
-                // The acked writes as of the last completed flush.
+                // The acked writes, and the runs deleted, as of the last
+                // completed flush (and the compaction it ran).
                 let mut flushed = PartitionStore::new();
+                let mut runs = std::collections::BTreeSet::new();
+                let mut deleted = Vec::new();
                 let kill = kill_after.min(n_ops);
                 for i in 0..kill {
                     let key = ((i as u32) % key_mod).to_le_bytes().to_vec();
@@ -2186,6 +2236,12 @@ mod tests {
                     prop_assert_eq!(a, b, "gating diverged at op {}", i);
                     if store.activity().memtable_flushes > flushes {
                         flushed = oracle.clone();
+                        runs.extend(store.tables.iter().map(|t| t.path.clone()));
+                        deleted = runs
+                            .iter()
+                            .filter(|&path| store.tables.iter().all(|t| t.path != *path))
+                            .cloned()
+                            .collect();
                     }
                 }
                 if power_loss {
@@ -2208,6 +2264,9 @@ mod tests {
                 let recovered = LsmStore::open(dir);
                 prop_assert!(!recovered.quarantined);
                 if power_loss {
+                    for path in &deleted {
+                        prop_assert!(!path.exists(), "power loss: {:?} is back", path);
+                    }
                     for (key, record) in flushed.iter() {
                         let got = recovered.get(key).map(|r| r.version);
                         prop_assert!(

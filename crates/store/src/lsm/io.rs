@@ -5,12 +5,15 @@
 //! which the store meets in one place, [`settle`].
 //!
 //! Under `#[cfg(test)]` the disk keeps a crash model in the spirit of ALICE
-//! (Pillai et al., OSDI 2014): each file's synced length, and whether a
+//! (Pillai et al., OSDI 2014): each file's synced length, whether a
 //! directory sync (which marks every entry it holds) made its entry
-//! durable; [`Disk::crash_unsynced`] leaves the files a power loss would.
-//! A store opened from a directory takes every file it finds as durable.
-//! The store directory's own entry in its parent is outside the model: a
-//! store has no fixed home to sync it in.
+//! durable, and the synced bytes of every durable file removed since the
+//! last directory sync; [`Disk::crash_unsynced`] leaves the files a power
+//! loss would. A store opened from a directory takes every file it finds
+//! as durable, except the files a fork copied into it, which are as
+//! durable as the fork's syncs made them. The store directory's own entry
+//! in its parent is outside the model: a store has no fixed home to sync
+//! it in.
 
 use std::fs::{self, File, OpenOptions};
 use std::io::{self, BufReader, BufWriter, ErrorKind, Read, Write};
@@ -203,11 +206,21 @@ impl Disk {
         Ok(())
     }
 
-    /// Removes a file, best effort: a leftover is harmless.
+    /// Removes a file, best effort: a leftover is harmless. The removal
+    /// is durable only once the next [`Disk::sync_dir`] completes.
     pub(super) fn remove(&mut self, path: &Path) {
-        let _ = fs::remove_file(path);
         #[cfg(test)]
-        self.model.files.remove(path);
+        self.model.removing(path);
+        let _ = fs::remove_file(path);
+    }
+
+    /// Fsyncs the file at `path`.
+    fn sync_file(&mut self, path: &Path) -> Result<(), Failed> {
+        let file = File::open(path).map_err(failed("open", path))?;
+        file.sync_all().map_err(failed("sync", path))?;
+        #[cfg(test)]
+        self.model.synced(path);
+        Ok(())
     }
 
     /// Appends one encoded WAL record, `acked` bytes into the log. An
@@ -280,30 +293,40 @@ impl Disk {
         self.remove(&self.dir.join(WAL_NAME));
     }
 
-    /// Copies `runs` and the WAL into `dst` and returns the bytes streamed.
-    /// An injected mid-copy abort (drawn over `total` bytes, at file
-    /// granularity) wipes the partial copy and starts over, and its wasted
-    /// bytes count too: failed replication attempts are paid for.
+    /// Copies `runs` and the WAL into `dst`'s directory, durably, and
+    /// returns the bytes streamed. An injected mid-copy abort (drawn over
+    /// `total` bytes, at file granularity) wipes the partial copy and
+    /// starts over, and its wasted bytes count too: failed replication
+    /// attempts are paid for. The whole copy is then fsynced, file by file
+    /// and then the directory's entries, so a fork the cloud counts
+    /// survives a power loss.
     pub(super) fn fork_into(
         &mut self,
-        dst: &Path,
+        dst: &mut Disk,
         runs: &[&Path],
         total: u64,
     ) -> Result<u64, Failed> {
         let mut measured = 0;
+        let mut copies = Vec::new();
         self.retry(
             |s| &mut s.fork_retries,
             |disk| {
                 let abort = disk.injector.as_mut().and_then(|i| i.fork_fault(total));
-                fs::create_dir_all(dst).map_err(failed("create", dst))?;
+                fs::create_dir_all(&dst.dir).map_err(failed("create", &dst.dir))?;
                 let wal = Some(disk.dir.join(WAL_NAME)).filter(|wal| wal.is_file());
                 let mut copied = 0;
                 for src in runs.iter().copied().chain(wal.as_deref()) {
-                    let to = dst.join(src.file_name().unwrap_or_default());
-                    copied += fs::copy(src, to).map_err(failed("copy", src))?;
+                    let to = dst.dir.join(src.file_name().unwrap_or_default());
+                    #[cfg(test)]
+                    dst.model.created(&to);
+                    copied += fs::copy(src, &to).map_err(failed("copy", src))?;
+                    copies.push(to);
                     if abort.is_some_and(|cap| copied >= cap) {
                         measured += copied;
-                        let _ = fs::remove_dir_all(dst);
+                        let _ = fs::remove_dir_all(&dst.dir);
+                        copies.clear();
+                        #[cfg(test)]
+                        dst.model.files.clear();
                         return Ok(None);
                     }
                 }
@@ -311,6 +334,10 @@ impl Disk {
                 Ok(Some(()))
             },
         )?;
+        for path in &copies {
+            dst.sync_file(path)?;
+        }
+        dst.sync_dir()?;
         Ok(measured)
     }
 
@@ -329,7 +356,8 @@ impl Disk {
 
     /// Leaves on disk what a power loss now would: every file cut back to
     /// its synced length, every file whose entry no directory sync has
-    /// made durable removed.
+    /// made durable removed, and every durable file removed since the last
+    /// directory sync back with its synced bytes.
     #[cfg(test)]
     pub(super) fn crash_unsynced(&mut self) {
         self.wal = None;
@@ -344,15 +372,20 @@ impl Disk {
                     .unwrap();
             }
         }
+        for (path, bytes) in &self.model.removed {
+            fs::write(path, bytes).unwrap();
+        }
     }
 }
 
 /// The test-only crash model: per file, its synced length and whether its
-/// directory entry is durable.
+/// directory entry is durable; per durable file removed since the last
+/// directory sync, its synced bytes.
 #[cfg(test)]
 #[derive(Debug, Default)]
 struct Model {
     files: std::collections::BTreeMap<PathBuf, (u64, bool)>,
+    removed: std::collections::BTreeMap<PathBuf, Vec<u8>>,
     fail_dir_sync: bool,
 }
 
@@ -363,9 +396,10 @@ impl Model {
         self.files.entry(path.to_path_buf()).or_insert((0, false));
     }
 
+    /// A file an open found, durable unless a fork's copy made it.
     fn found(&mut self, path: &Path) {
         let len = fs::metadata(path).unwrap().len();
-        self.files.insert(path.to_path_buf(), (len, true));
+        self.files.entry(path.to_path_buf()).or_insert((len, true));
     }
 
     fn synced(&mut self, path: &Path) {
@@ -373,10 +407,21 @@ impl Model {
         self.files.entry(path.to_path_buf()).or_insert((0, false)).0 = len;
     }
 
+    /// A file about to be removed: a durable one comes back, with its
+    /// synced bytes, after a power loss before the next directory sync.
+    fn removing(&mut self, path: &Path) {
+        if let Some((synced, true)) = self.files.remove(path) {
+            let mut bytes = fs::read(path).unwrap();
+            bytes.truncate(synced as usize);
+            self.removed.insert(path.to_path_buf(), bytes);
+        }
+    }
+
     fn dir_synced(&mut self) {
         for (_, entry) in self.files.values_mut() {
             *entry = true;
         }
+        self.removed.clear();
     }
 }
 

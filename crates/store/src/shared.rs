@@ -1,7 +1,7 @@
 //! The copy-on-write handle the in-memory replica store is held through.
 
 use std::ops::Deref;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use crate::engine::PartitionStore;
 
@@ -15,9 +15,21 @@ use crate::engine::PartitionStore;
 ///
 /// Reads go through `Deref`, so the full [`PartitionStore`] read API is
 /// available directly on the handle.
-#[derive(Debug, Clone, Default)]
+///
+/// Every empty handle ([`Default`]) shares one process-wide empty store,
+/// so a fresh replica allocates nothing until its first write detaches it.
+#[derive(Debug, Clone)]
 pub struct CowPartitionStore {
     inner: Arc<PartitionStore>,
+}
+
+impl Default for CowPartitionStore {
+    fn default() -> Self {
+        static EMPTY: OnceLock<Arc<PartitionStore>> = OnceLock::new();
+        Self {
+            inner: Arc::clone(EMPTY.get_or_init(Arc::default)),
+        }
+    }
 }
 
 impl CowPartitionStore {
