@@ -36,11 +36,11 @@ impl PlacementStrategy for CheapestPlacement {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::harness::test_support::small_ctx_fixture;
+    use crate::harness::CtxFixture;
 
     #[test]
     fn cheapest_picks_lowest_rent() {
-        let fixture = small_ctx_fixture();
+        let fixture = CtxFixture::paper();
         let ctx = fixture.ctx();
         let mut strategy = CheapestPlacement;
         let pick = strategy.place_replica(&ctx, &[], 0, &[]).unwrap();
@@ -52,7 +52,7 @@ mod tests {
 
     #[test]
     fn cheapest_skips_existing_and_full() {
-        let fixture = small_ctx_fixture();
+        let fixture = CtxFixture::paper();
         let ctx = fixture.ctx();
         let mut strategy = CheapestPlacement;
         let first = strategy.place_replica(&ctx, &[], 0, &[]).unwrap();
@@ -63,7 +63,7 @@ mod tests {
 
     #[test]
     fn cheapest_is_deterministic() {
-        let fixture = small_ctx_fixture();
+        let fixture = CtxFixture::paper();
         let ctx = fixture.ctx();
         let mut a = CheapestPlacement;
         let mut b = CheapestPlacement;
@@ -75,7 +75,7 @@ mod tests {
 
     #[test]
     fn cheapest_never_picks_unposted_or_full_servers() {
-        let mut fixture = small_ctx_fixture();
+        let mut fixture = CtxFixture::paper();
         // Fill some servers and withdraw the cheapest server's posting:
         // the pick must stay feasible, posted, and the cheapest of those.
         for i in [3u32, 8, 77] {

@@ -13,13 +13,13 @@ use skute_geo::Topology;
 #[derive(Debug, Clone)]
 pub struct CtxFixture {
     /// Physical servers.
-    pub cluster: Cluster,
+    pub(crate) cluster: Cluster,
     /// Posted rents.
-    pub board: Board,
+    pub(crate) board: Board,
     /// Geographic layout.
     pub topology: Topology,
     /// Economy tunables.
-    pub economy: EconomyConfig,
+    pub(crate) economy: EconomyConfig,
 }
 
 impl CtxFixture {
@@ -36,7 +36,7 @@ impl CtxFixture {
         let economy = EconomyConfig::paper();
         let rent_model = RentModel::new(economy.alpha, economy.beta);
         let mut board = Board::new();
-        board.begin_epoch(1);
+        board.begin_epoch();
         for s in cluster.alive() {
             board.post(s.id, rent_model.price_server(s));
         }
@@ -49,7 +49,7 @@ impl CtxFixture {
     }
 
     /// Borrows the fixture as a placement context.
-    pub fn ctx(&self) -> PlacementContext<'_> {
+    pub(crate) fn ctx(&self) -> PlacementContext<'_> {
         PlacementContext {
             cluster: &self.cluster,
             board: &self.board,
@@ -80,7 +80,8 @@ pub struct EvaluationConfig {
 impl EvaluationConfig {
     /// A paper-like default: 200 partitions × 3 replicas, threshold
     /// calibrated for k = 3, 20-server failure bursts, 20 trials.
-    pub fn paper(topology: &Topology) -> Self {
+    #[cfg(test)]
+    pub(crate) fn paper(topology: &Topology) -> Self {
         Self {
             partitions: 200,
             replicas: 3,
@@ -193,16 +194,6 @@ pub fn evaluate(
         },
         surviving_sla_frac: surviving_sum / cfg.trials as f64,
         lost_partition_frac: lost_sum / cfg.trials as f64,
-    }
-}
-
-/// Shared fixtures for the strategy unit tests.
-pub mod test_support {
-    use super::CtxFixture;
-
-    /// The paper cluster fixture used across strategy tests.
-    pub fn small_ctx_fixture() -> CtxFixture {
-        CtxFixture::paper()
     }
 }
 

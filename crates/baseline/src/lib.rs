@@ -14,16 +14,16 @@
 //!   economic-only corner),
 //! * [`MaxSpreadPlacement`] — pure geographic diversity, cost-blind.
 //!
-//! [`harness`] evaluates any strategy on availability, cost and failure
+//! `harness` evaluates any strategy on availability, cost and failure
 //! survival so the `paper_claims` example can print a comparison table.
 
 #![warn(missing_docs)]
 
-pub mod cheapest;
-pub mod harness;
-pub mod random;
-pub mod spread;
-pub mod successor;
+mod cheapest;
+mod harness;
+mod random;
+mod spread;
+mod successor;
 
 pub use cheapest::CheapestPlacement;
 pub use harness::{evaluate, CtxFixture, EvaluationConfig, StrategyOutcome};

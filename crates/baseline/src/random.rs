@@ -49,11 +49,11 @@ impl PlacementStrategy for RandomPlacement {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::harness::test_support::small_ctx_fixture;
+    use crate::harness::CtxFixture;
 
     #[test]
     fn random_picks_feasible_servers() {
-        let fixture = small_ctx_fixture();
+        let fixture = CtxFixture::paper();
         let ctx = fixture.ctx();
         let mut strategy = RandomPlacement::new(1);
         let existing = vec![ServerId(0)];
@@ -66,7 +66,7 @@ mod tests {
 
     #[test]
     fn random_is_seed_deterministic() {
-        let fixture = small_ctx_fixture();
+        let fixture = CtxFixture::paper();
         let ctx = fixture.ctx();
         let picks = |seed| {
             let mut s = RandomPlacement::new(seed);
@@ -79,7 +79,7 @@ mod tests {
 
     #[test]
     fn random_returns_none_when_cluster_is_full() {
-        let fixture = small_ctx_fixture();
+        let fixture = CtxFixture::paper();
         let ctx = fixture.ctx();
         let mut strategy = RandomPlacement::new(1);
         assert!(strategy.place_replica(&ctx, &[], u64::MAX, &[]).is_none());

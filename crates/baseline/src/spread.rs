@@ -46,12 +46,12 @@ impl PlacementStrategy for MaxSpreadPlacement {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::harness::test_support::small_ctx_fixture;
+    use crate::harness::CtxFixture;
     use skute_core::availability_of;
 
     #[test]
     fn spread_reaches_greedy_max_availability() {
-        let fixture = small_ctx_fixture();
+        let fixture = CtxFixture::paper();
         let ctx = fixture.ctx();
         let mut strategy = MaxSpreadPlacement;
         let mut existing = vec![ServerId(0)];
@@ -69,7 +69,7 @@ mod tests {
 
     #[test]
     fn spread_ignores_price() {
-        let fixture = small_ctx_fixture();
+        let fixture = CtxFixture::paper();
         let ctx = fixture.ctx();
         let mut strategy = MaxSpreadPlacement;
         // From server 0, countless cross-continent candidates exist; the
@@ -86,7 +86,7 @@ mod tests {
 
     #[test]
     fn spread_with_no_existing_replicas_picks_lowest_id() {
-        let fixture = small_ctx_fixture();
+        let fixture = CtxFixture::paper();
         let ctx = fixture.ctx();
         let mut strategy = MaxSpreadPlacement;
         assert_eq!(
@@ -98,7 +98,7 @@ mod tests {
 
     #[test]
     fn spread_skips_existing_and_full_servers() {
-        let mut fixture = small_ctx_fixture();
+        let mut fixture = CtxFixture::paper();
         for i in [12u32, 31, 155] {
             let s = fixture.cluster.get_mut(ServerId(i)).unwrap();
             let caps = s.capacities;
@@ -141,7 +141,7 @@ mod tests {
     fn unposted_servers_stay_candidates() {
         // This policy ignores rent, so a server without a posting on the
         // board competes like any other.
-        let mut fixture = small_ctx_fixture();
+        let mut fixture = CtxFixture::paper();
         fixture.board.withdraw(ServerId(0));
         assert_eq!(
             MaxSpreadPlacement.place_replica(&fixture.ctx(), &[], 0, &[]),

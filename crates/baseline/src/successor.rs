@@ -50,12 +50,12 @@ impl PlacementStrategy for SuccessorPlacement {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::harness::test_support::small_ctx_fixture;
+    use crate::harness::CtxFixture;
     use skute_geo::diversity;
 
     #[test]
     fn successors_are_consecutive_ids() {
-        let fixture = small_ctx_fixture();
+        let fixture = CtxFixture::paper();
         let ctx = fixture.ctx();
         let mut strategy = SuccessorPlacement;
         let mut existing = vec![ServerId(10)];
@@ -68,7 +68,7 @@ mod tests {
 
     #[test]
     fn successor_wraps_around() {
-        let fixture = small_ctx_fixture();
+        let fixture = CtxFixture::paper();
         let ctx = fixture.ctx();
         let n = ctx.cluster.len() as u32;
         let mut strategy = SuccessorPlacement;
@@ -82,7 +82,7 @@ mod tests {
     fn successor_sets_are_geographically_clustered() {
         // The criticism the paper levels at [5]: consecutive servers share
         // racks, so the replica set has low diversity.
-        let fixture = small_ctx_fixture();
+        let fixture = CtxFixture::paper();
         let ctx = fixture.ctx();
         let mut strategy = SuccessorPlacement;
         let a = ServerId(0);

@@ -13,30 +13,20 @@ use crate::server::ServerId;
 /// `prices[id.0]` and a lookup is one bounds-checked load.
 #[derive(Debug, Clone, Default)]
 pub struct Board {
-    epoch: u64,
     prices: Vec<Option<f64>>,
-    /// Number of `Some` slots in `prices`.
-    posted: usize,
     version: u64,
 }
 
 impl Board {
-    /// An empty board at epoch zero.
+    /// An empty board.
     pub fn new() -> Self {
         Self::default()
     }
 
-    /// Clears all postings and advances the board to `epoch`.
-    pub fn begin_epoch(&mut self, epoch: u64) {
-        self.epoch = epoch;
+    /// Clears all postings for a new epoch.
+    pub fn begin_epoch(&mut self) {
         self.prices.clear();
-        self.posted = 0;
         self.version += 1;
-    }
-
-    /// The epoch the current postings refer to.
-    pub fn epoch(&self) -> u64 {
-        self.epoch
     }
 
     /// A counter bumped on every posting change ([`Board::post`],
@@ -53,18 +43,14 @@ impl Board {
         if slot >= self.prices.len() {
             self.prices.resize(slot + 1, None);
         }
-        if self.prices[slot].replace(price).is_none() {
-            self.posted += 1;
-        }
+        self.prices[slot] = Some(price);
         self.version += 1;
     }
 
     /// Withdraws a server's posting (server retired mid-epoch).
     pub fn withdraw(&mut self, server: ServerId) {
         if let Some(slot) = self.prices.get_mut(server.0 as usize) {
-            if slot.take().is_some() {
-                self.posted -= 1;
-            }
+            *slot = None;
         }
         self.version += 1;
     }
@@ -72,16 +58,6 @@ impl Board {
     /// The posted price of `server`, if any.
     pub fn price_of(&self, server: ServerId) -> Option<f64> {
         self.prices.get(server.0 as usize).copied().flatten()
-    }
-
-    /// Number of servers currently posted.
-    pub fn len(&self) -> usize {
-        self.posted
-    }
-
-    /// True when no server is posted.
-    pub fn is_empty(&self) -> bool {
-        self.posted == 0
     }
 
     /// The lowest posted price, used as the utility floor that stops
@@ -98,13 +74,13 @@ mod tests {
     #[test]
     fn postings_are_per_epoch() {
         let mut b = Board::new();
-        b.begin_epoch(1);
+        b.begin_epoch();
         b.post(ServerId(0), 2.0);
         b.post(ServerId(1), 1.5);
-        assert_eq!(b.len(), 2);
-        assert_eq!(b.epoch(), 1);
-        b.begin_epoch(2);
-        assert!(b.is_empty(), "prices do not carry across epochs");
+        assert_eq!(b.min_price(), Some(1.5));
+        b.begin_epoch();
+        assert_eq!(b.min_price(), None, "prices do not carry across epochs");
+        assert_eq!(b.price_of(ServerId(0)), None);
     }
 
     #[test]
@@ -129,7 +105,7 @@ mod tests {
         b.withdraw(ServerId(0));
         let v2 = b.version();
         assert!(v2 > v1);
-        b.begin_epoch(5);
+        b.begin_epoch();
         assert!(b.version() > v2);
     }
 
@@ -139,12 +115,11 @@ mod tests {
         b.post(ServerId(0), 2.0);
         b.post(ServerId(0), 4.0);
         assert_eq!(b.price_of(ServerId(0)), Some(4.0));
-        assert_eq!(b.len(), 1, "a re-post is still one posting");
         b.withdraw(ServerId(0));
         assert_eq!(b.price_of(ServerId(0)), None);
         b.withdraw(ServerId(0));
         b.withdraw(ServerId(9));
-        assert!(b.is_empty(), "withdrawing nothing counts nothing");
+        assert_eq!(b.min_price(), None, "withdrawing nothing posts nothing");
         assert_eq!(b.price_of(ServerId(9)), None);
     }
 }

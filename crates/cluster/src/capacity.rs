@@ -8,9 +8,10 @@
 //! while storage persists.
 
 /// Number of bytes in a mebibyte, for readable capacity constructors.
-pub const MIB: u64 = 1024 * 1024;
+pub(crate) const MIB: u64 = 1024 * 1024;
 /// Number of bytes in a gibibyte.
-pub const GIB: u64 = 1024 * MIB;
+#[cfg(test)]
+pub(crate) const GIB: u64 = 1024 * MIB;
 
 /// Fixed resource limits of a server.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -42,7 +43,7 @@ impl Capacities {
 /// Per-epoch consumption against a server's [`Capacities`].
 ///
 /// Storage is cumulative; bandwidth and query counters are reset by
-/// [`UsageMeter::begin_epoch`]. Reservation methods are all-or-nothing: they
+/// `UsageMeter::begin_epoch`. Reservation methods are all-or-nothing: they
 /// either debit the full amount and return `true`, or leave the meter
 /// untouched and return `false`, so callers never partially transfer a
 /// partition.
@@ -62,7 +63,7 @@ pub struct UsageMeter {
 
 impl UsageMeter {
     /// Resets the per-epoch counters (bandwidth, queries); storage persists.
-    pub fn begin_epoch(&mut self) {
+    pub(crate) fn begin_epoch(&mut self) {
         self.replication_used = 0;
         self.migration_used = 0;
         self.queries_served = 0.0;
@@ -70,7 +71,7 @@ impl UsageMeter {
     }
 
     /// Fraction of storage in use, in `[0, 1]`.
-    pub fn storage_frac(&self, caps: &Capacities) -> f64 {
+    pub(crate) fn storage_frac(&self, caps: &Capacities) -> f64 {
         if caps.storage_bytes == 0 {
             return 1.0;
         }
@@ -78,7 +79,7 @@ impl UsageMeter {
     }
 
     /// Fraction of query capacity consumed this epoch, clamped to `[0, 1]`.
-    pub fn query_load_frac(&self, caps: &Capacities) -> f64 {
+    pub(crate) fn query_load_frac(&self, caps: &Capacities) -> f64 {
         if caps.query_capacity <= 0.0 {
             return 1.0;
         }
@@ -86,7 +87,7 @@ impl UsageMeter {
     }
 
     /// Free storage in bytes.
-    pub fn storage_free(&self, caps: &Capacities) -> u64 {
+    pub(crate) fn storage_free(&self, caps: &Capacities) -> u64 {
         caps.storage_bytes.saturating_sub(self.storage_used)
     }
 
@@ -133,16 +134,6 @@ impl UsageMeter {
         }
         self.migration_used = self.migration_used.saturating_add(bytes);
         true
-    }
-
-    /// Records `queries` arriving at the server; the portion above the
-    /// remaining query capacity is dropped. Returns the number served.
-    pub fn serve_queries(&mut self, caps: &Capacities, queries: f64) -> f64 {
-        let remaining = (caps.query_capacity - self.queries_served).max(0.0);
-        let served = queries.min(remaining);
-        self.queries_served += served;
-        self.queries_dropped += queries - served;
-        served
     }
 }
 
@@ -221,17 +212,6 @@ mod tests {
             "oversized partition still moves"
         );
         assert!(!m.reserve_migration_bw(&c, 1));
-    }
-
-    #[test]
-    fn queries_above_capacity_are_dropped() {
-        let c = caps();
-        let mut m = UsageMeter::default();
-        assert_eq!(m.serve_queries(&c, 30.0), 30.0);
-        assert_eq!(m.serve_queries(&c, 30.0), 20.0, "only 20 of capacity left");
-        assert_eq!(m.queries_served, 50.0);
-        assert_eq!(m.queries_dropped, 10.0);
-        assert_eq!(m.query_load_frac(&c), 1.0);
     }
 
     #[test]

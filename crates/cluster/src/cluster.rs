@@ -22,7 +22,7 @@ pub struct ServerSpec {
 /// The set of physical servers of a data cloud, with lifecycle management.
 ///
 /// Server ids are slot indices and are never reused; retired servers stay in
-/// the table (status [`ServerStatus::Retired`]) so late references resolve
+/// the table (status `ServerStatus::Retired`) so late references resolve
 /// to a tombstone instead of dangling.
 #[derive(Debug, Clone, Default)]
 pub struct Cluster {
@@ -35,11 +35,6 @@ pub struct Cluster {
 }
 
 impl Cluster {
-    /// An empty cluster.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
     /// Builds a cluster with one server per location of `topology`, using
     /// `spec` to configure each (the paper differentiates cost: "$100 for
     /// 70% of the servers and $125 for the rest").
@@ -47,18 +42,18 @@ impl Cluster {
         topology: &Topology,
         mut spec: impl FnMut(usize, Location) -> ServerSpec,
     ) -> Self {
-        let mut cluster = Self::new();
+        let mut cluster = Self::default();
         for (i, loc) in topology.iter_servers().enumerate() {
-            cluster.commission(spec(i, loc), 0);
+            cluster.commission(spec(i, loc));
         }
         cluster
     }
 
-    /// Adds a server to the cloud at `epoch`, returning its id.
+    /// Adds a server to the cloud, returning its id.
     ///
     /// # Panics
     /// Panics if the spec's confidence is outside `[0, 1]`.
-    pub fn commission(&mut self, spec: ServerSpec, epoch: u64) -> ServerId {
+    pub fn commission(&mut self, spec: ServerSpec) -> ServerId {
         assert!(
             (0.0..=1.0).contains(&spec.confidence),
             "confidence must lie in [0, 1]"
@@ -77,7 +72,6 @@ impl Cluster {
             monthly_cost: spec.monthly_cost,
             marginal_price: MarginalPrice::paper(),
             status: ServerStatus::Alive,
-            joined_epoch: epoch,
             retired_epoch: None,
         });
         id
@@ -164,7 +158,7 @@ impl Cluster {
     }
 
     /// Iterates mutably over alive servers.
-    pub fn alive_mut(&mut self) -> impl Iterator<Item = &mut Server> {
+    pub(crate) fn alive_mut(&mut self) -> impl Iterator<Item = &mut Server> {
         self.version += 1;
         let version = self.version;
         self.servers
@@ -204,6 +198,11 @@ impl Cluster {
 mod tests {
     use super::*;
     use crate::capacity::GIB;
+
+    /// The `i`-th server of `t` in lexicographic order.
+    fn server_at(t: &Topology, i: u64) -> Location {
+        t.iter_servers().nth(i as usize).unwrap()
+    }
 
     fn spec(loc: Location, cost: f64) -> ServerSpec {
         ServerSpec {
@@ -248,20 +247,19 @@ mod tests {
 
     #[test]
     fn commission_after_retire_gets_fresh_id() {
-        let mut cluster = Cluster::new();
-        let a = cluster.commission(spec(Location::new(0, 0, 0, 0, 0, 0), 100.0), 0);
+        let mut cluster = Cluster::default();
+        let a = cluster.commission(spec(Location::new(0, 0, 0, 0, 0, 0), 100.0));
         cluster.retire(a, 1);
-        let b = cluster.commission(spec(Location::new(0, 0, 0, 0, 0, 1), 100.0), 2);
+        let b = cluster.commission(spec(Location::new(0, 0, 0, 0, 0, 1), 100.0));
         assert_ne!(a, b);
-        assert_eq!(cluster.get(b).unwrap().joined_epoch, 2);
         assert_eq!(cluster.len(), 2);
         assert_eq!(cluster.alive_count(), 1);
     }
 
     #[test]
     fn begin_epoch_resets_meters_of_alive_servers() {
-        let mut cluster = Cluster::new();
-        let id = cluster.commission(spec(Location::new(0, 0, 0, 0, 0, 0), 100.0), 0);
+        let mut cluster = Cluster::default();
+        let id = cluster.commission(spec(Location::new(0, 0, 0, 0, 0, 0), 100.0));
         {
             let s = cluster.get_mut(id).unwrap();
             let caps = s.capacities;
@@ -274,10 +272,10 @@ mod tests {
     #[test]
     #[should_panic(expected = "confidence")]
     fn invalid_confidence_rejected() {
-        let mut cluster = Cluster::new();
+        let mut cluster = Cluster::default();
         let mut s = spec(Location::new(0, 0, 0, 0, 0, 0), 100.0);
         s.confidence = 1.5;
-        let _ = cluster.commission(s, 0);
+        let _ = cluster.commission(s);
     }
 
     #[test]
@@ -298,7 +296,7 @@ mod tests {
         assert!(v2 > v1);
         assert_eq!(changed(&cluster, v1), [ServerId(3)]);
         assert_eq!(changed(&cluster, v0), [ServerId(3), ServerId(7)]);
-        let id = cluster.commission(spec(t.server_at(0), 100.0), 2);
+        let id = cluster.commission(spec(server_at(&t, 0), 100.0));
         let v3 = cluster.version();
         assert!(v3 > v2);
         assert_eq!(changed(&cluster, v2), [id]);
@@ -325,9 +323,9 @@ mod tests {
 
     #[test]
     fn totals_only_count_alive() {
-        let mut cluster = Cluster::new();
-        let a = cluster.commission(spec(Location::new(0, 0, 0, 0, 0, 0), 100.0), 0);
-        let _b = cluster.commission(spec(Location::new(0, 0, 0, 0, 0, 1), 125.0), 0);
+        let mut cluster = Cluster::default();
+        let a = cluster.commission(spec(Location::new(0, 0, 0, 0, 0, 0), 100.0));
+        let _b = cluster.commission(spec(Location::new(0, 0, 0, 0, 0, 1), 125.0));
         assert_eq!(cluster.total_storage(), 20 * GIB);
         cluster.retire(a, 1);
         assert_eq!(cluster.total_storage(), 10 * GIB);

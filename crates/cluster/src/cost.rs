@@ -12,101 +12,27 @@
 //! epochs_per_month`; the congestion-dependence of eq. (1) comes entirely
 //! from the α/β terms. This is the default.
 //!
-//! An alternative reading — dividing the share by the trailing mean
-//! utilization, so under-used servers charge more per marginal unit — is
-//! available via [`MarginalPrice::with_utilization_pricing`], but beware its
-//! fixed point: an empty server becomes the *most* expensive in the cloud
-//! and no virtual node ever migrates onto it, permanently stranding its
-//! capacity (this is observable in the `fig5_saturation` experiment, which
-//! loses 30% of the cloud with it).
 
 /// Estimator of the marginal usage price `up` of eq. (1).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MarginalPrice {
     /// Number of epochs that make up one (real-rent) month.
-    pub epochs_per_month: u32,
-    /// EWMA smoothing factor for the trailing mean utilization, in `(0, 1]`.
-    pub ewma_alpha: f64,
-    /// Floor applied to the mean utilization before dividing, in `(0, 1]`.
-    /// Only used when utilization pricing is enabled.
-    pub utilization_floor: f64,
-    /// Whether `up` is divided by the trailing mean utilization.
-    pub utilization_pricing: bool,
-    mean_utilization: f64,
+    epochs_per_month: u32,
 }
 
 impl MarginalPrice {
-    /// Creates an estimator with flat amortization (the default model).
-    ///
-    /// # Panics
-    /// Panics unless `epochs_per_month ≥ 1`, `0 < ewma_alpha ≤ 1` and
-    /// `0 < utilization_floor ≤ 1`.
-    pub fn new(epochs_per_month: u32, ewma_alpha: f64, utilization_floor: f64) -> Self {
-        assert!(
-            epochs_per_month >= 1,
-            "a month must span at least one epoch"
-        );
-        assert!(
-            ewma_alpha > 0.0 && ewma_alpha <= 1.0,
-            "ewma_alpha must be in (0, 1]"
-        );
-        assert!(
-            utilization_floor > 0.0 && utilization_floor <= 1.0,
-            "utilization_floor must be in (0, 1]"
-        );
-        Self {
-            epochs_per_month,
-            ewma_alpha,
-            utilization_floor,
-            utilization_pricing: false,
-            // Start from full utilization so the utilization-pricing mode
-            // boots at the plain per-epoch share.
-            mean_utilization: 1.0,
-        }
-    }
-
     /// Defaults used throughout the paper reproduction: 720 epochs/month
     /// (hourly epochs), flat amortization.
-    pub fn paper() -> Self {
-        Self::new(720, 0.05, 0.2)
-    }
-
-    /// Enables utilization-divided pricing (see the module docs for the
-    /// stranded-capacity caveat).
-    #[must_use]
-    pub fn with_utilization_pricing(mut self) -> Self {
-        self.utilization_pricing = true;
-        self
-    }
-
-    /// Feeds one epoch's observed utilization (in `[0, 1]`) into the
-    /// trailing mean.
-    pub fn observe(&mut self, utilization: f64) {
-        let u = utilization.clamp(0.0, 1.0);
-        self.mean_utilization =
-            (1.0 - self.ewma_alpha) * self.mean_utilization + self.ewma_alpha * u;
-    }
-
-    /// Current trailing mean utilization.
-    pub fn mean_utilization(&self) -> f64 {
-        self.mean_utilization
+    pub(crate) fn paper() -> Self {
+        Self {
+            epochs_per_month: 720,
+        }
     }
 
     /// The marginal usage price `up` for a server with the given real
     /// monthly cost.
     pub fn price(&self, monthly_cost: f64) -> f64 {
-        let per_epoch = monthly_cost / f64::from(self.epochs_per_month);
-        if self.utilization_pricing {
-            per_epoch / self.mean_utilization.max(self.utilization_floor)
-        } else {
-            per_epoch
-        }
-    }
-}
-
-impl Default for MarginalPrice {
-    fn default() -> Self {
-        Self::paper()
+        monthly_cost / f64::from(self.epochs_per_month)
     }
 }
 
@@ -116,65 +42,13 @@ mod tests {
 
     #[test]
     fn flat_price_is_plain_rent_share() {
-        let mut mp = MarginalPrice::new(100, 0.5, 0.2);
-        assert!((mp.price(100.0) - 1.0).abs() < 1e-12);
-        // Flat mode ignores utilization entirely.
-        for _ in 0..50 {
-            mp.observe(0.1);
-        }
-        assert!((mp.price(100.0) - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn utilization_mode_boots_at_plain_share() {
-        let mp = MarginalPrice::new(100, 0.1, 0.2).with_utilization_pricing();
-        assert!((mp.price(100.0) - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn utilization_mode_charges_idle_servers_more() {
-        let mut mp = MarginalPrice::new(100, 0.5, 0.2).with_utilization_pricing();
-        let busy = mp.price(100.0);
-        for _ in 0..50 {
-            mp.observe(0.25);
-        }
-        let idle = mp.price(100.0);
-        assert!(idle > busy, "idle={idle} busy={busy}");
-        assert!((mp.mean_utilization() - 0.25).abs() < 1e-3);
-    }
-
-    #[test]
-    fn utilization_floor_caps_the_blowup() {
-        let mut mp = MarginalPrice::new(100, 1.0, 0.2).with_utilization_pricing();
-        mp.observe(0.0);
-        // 1/0.2 = 5× the per-epoch share, not infinity.
-        assert!((mp.price(100.0) - 5.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn observe_clamps_out_of_range() {
-        let mut mp = MarginalPrice::new(10, 1.0, 0.2);
-        mp.observe(7.0);
-        assert_eq!(mp.mean_utilization(), 1.0);
-        mp.observe(-3.0);
-        assert_eq!(mp.mean_utilization(), 0.0);
+        let mp = MarginalPrice::paper();
+        assert!((mp.price(720.0) - 1.0).abs() < 1e-12);
     }
 
     #[test]
     fn more_expensive_server_has_higher_up() {
         let mp = MarginalPrice::paper();
         assert!(mp.price(125.0) > mp.price(100.0));
-    }
-
-    #[test]
-    #[should_panic(expected = "ewma_alpha")]
-    fn invalid_alpha_rejected() {
-        let _ = MarginalPrice::new(10, 0.0, 0.2);
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one epoch")]
-    fn zero_epoch_month_rejected() {
-        let _ = MarginalPrice::new(0, 0.5, 0.2);
     }
 }

@@ -13,10 +13,10 @@
 
 #![warn(missing_docs)]
 
-pub mod board;
-pub mod capacity;
-pub mod cost;
-pub mod server;
+mod board;
+mod capacity;
+mod cost;
+mod server;
 
 mod cluster;
 
@@ -24,4 +24,4 @@ pub use board::Board;
 pub use capacity::{Capacities, UsageMeter};
 pub use cluster::{Cluster, ServerSpec};
 pub use cost::MarginalPrice;
-pub use server::{Server, ServerId, ServerStatus, HEALTH_EWMA_ALPHA};
+pub use server::{Server, ServerId};

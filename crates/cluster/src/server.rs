@@ -19,7 +19,7 @@ impl fmt::Display for ServerId {
 
 /// Lifecycle state of a server.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ServerStatus {
+pub(crate) enum ServerStatus {
     /// Serving traffic and hosting virtual nodes.
     Alive,
     /// Removed from the cloud (decommissioned or failed). Its data is gone;
@@ -31,7 +31,7 @@ pub enum ServerStatus {
 /// sample moves the score a quarter of the way toward the observation, so
 /// a freshly degraded server is priced most of the way down within one
 /// gray window and recovers on the same timescale.
-pub const HEALTH_EWMA_ALPHA: f64 = 0.25;
+pub(crate) const HEALTH_EWMA_ALPHA: f64 = 0.25;
 
 /// A physical server: a location in the geographic hierarchy, capacity
 /// limits, usage meters, a real monthly cost and a confidence factor.
@@ -60,10 +60,10 @@ pub struct Server {
     pub confidence: f64,
     /// The operator-assessed confidence the server was commissioned with
     /// (the paper's static `conf`).
-    pub base_confidence: f64,
+    pub(crate) base_confidence: f64,
     /// EWMA over observed health samples in `[0, 1]`; 1.0 until the
     /// first observation.
-    pub health_score: f64,
+    pub(crate) health_score: f64,
     /// Fixed resource limits.
     pub capacities: Capacities,
     /// Consumption against the limits.
@@ -73,11 +73,9 @@ pub struct Server {
     /// Marginal usage price estimator (the `up` term of eq. 1).
     pub marginal_price: MarginalPrice,
     /// Lifecycle state.
-    pub status: ServerStatus,
-    /// Epoch at which the server joined the cloud.
-    pub joined_epoch: u64,
+    pub(crate) status: ServerStatus,
     /// Epoch at which the server was retired, if it was.
-    pub retired_epoch: Option<u64>,
+    pub(crate) retired_epoch: Option<u64>,
 }
 
 impl Server {
@@ -94,12 +92,6 @@ impl Server {
     /// Fraction of query capacity consumed this epoch, in `[0, 1]`.
     pub fn query_load_frac(&self) -> f64 {
         self.usage.query_load_frac(&self.capacities)
-    }
-
-    /// Combined utilization measure fed to the marginal-price estimator:
-    /// the mean of storage and query-load fractions.
-    pub fn utilization(&self) -> f64 {
-        0.5 * (self.storage_frac() + self.query_load_frac())
     }
 
     /// Free storage in bytes.
@@ -135,7 +127,6 @@ mod tests {
             monthly_cost: 100.0,
             marginal_price: MarginalPrice::paper(),
             status: ServerStatus::Alive,
-            joined_epoch: 0,
             retired_epoch: None,
         }
     }
@@ -149,13 +140,12 @@ mod tests {
     }
 
     #[test]
-    fn utilization_averages_storage_and_load() {
+    fn fractions_track_storage_and_load() {
         let mut s = server();
         assert!(s.usage.reserve_storage(&s.capacities, 500 * MIB));
-        s.usage.serve_queries(&s.capacities.clone(), 100.0);
+        s.usage.queries_served = 100.0;
         assert!((s.storage_frac() - 0.5).abs() < 1e-12);
         assert!((s.query_load_frac() - 1.0).abs() < 1e-12);
-        assert!((s.utilization() - 0.75).abs() < 1e-12);
     }
 
     #[test]

@@ -21,7 +21,7 @@ impl fmt::Display for AppId {
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AvailabilityLevel {
     /// Replica count the SLA is designed around.
-    pub target_replicas: usize,
+    pub(crate) target_replicas: usize,
     /// Minimum eq.-(2) availability `th`.
     pub threshold: f64,
 }
@@ -30,12 +30,12 @@ pub struct AvailabilityLevel {
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LevelSpec {
     /// Replica count the SLA is designed around (k ≥ 1).
-    pub replicas: usize,
+    pub(crate) replicas: usize,
     /// Initial number of partitions (the paper starts each application at
     /// M = 200).
-    pub partitions: usize,
+    pub(crate) partitions: usize,
     /// Initial logical bytes preloaded into each partition.
-    pub initial_partition_bytes: u64,
+    pub(crate) initial_partition_bytes: u64,
 }
 
 impl LevelSpec {
@@ -63,7 +63,7 @@ pub struct AppSpec {
     /// Human-readable name.
     pub name: String,
     /// One entry per availability level (at least one required).
-    pub levels: Vec<LevelSpec>,
+    pub(crate) levels: Vec<LevelSpec>,
 }
 
 impl AppSpec {
@@ -87,10 +87,6 @@ impl AppSpec {
 /// A registered application.
 #[derive(Debug, Clone)]
 pub struct Application {
-    /// Identifier assigned at registration.
-    pub id: AppId,
-    /// Human-readable name.
-    pub name: String,
     /// Calibrated availability levels, one virtual ring each.
     pub levels: Vec<AvailabilityLevel>,
 }

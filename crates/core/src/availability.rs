@@ -34,7 +34,7 @@ pub fn availability_of(replicas: &[(Location, f64)]) -> f64 {
 /// Greedy is exact for the ladder-valued ultrametric diversity: spreading
 /// replicas over distinct continents first, then distinct countries, etc.,
 /// maximizes every pairwise term independently.
-pub fn greedy_max_availability(topology: &Topology, k: usize) -> f64 {
+pub(crate) fn greedy_max_availability(topology: &Topology, k: usize) -> f64 {
     if k < 2 {
         return 0.0;
     }
@@ -68,10 +68,10 @@ pub fn greedy_max_availability(topology: &Topology, k: usize) -> f64 {
 /// moderately spread `k`-replica sets pass, values near 1 force
 /// near-optimal spreading. At 0.2, e.g. `k = 2` accepts a cross-datacenter
 /// pair but rejects a same-room pair on the paper topology.
-pub const AVAILABILITY_FRAC: f64 = 0.2;
+pub(crate) const AVAILABILITY_FRAC: f64 = 0.2;
 
 /// Calibrates the availability threshold `th` for an SLA "satisfied by `k`
-/// replicas": [`AVAILABILITY_FRAC`] of the way from the best availability
+/// replicas": `AVAILABILITY_FRAC` of the way from the best availability
 /// `k−1` replicas can reach to the best `k` replicas can reach.
 ///
 /// # Panics
@@ -88,6 +88,11 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
     use skute_geo::Location;
+
+    /// The `i`-th server of `t` in lexicographic order.
+    fn server_at(t: &Topology, i: u64) -> Location {
+        t.iter_servers().nth(i as usize).unwrap()
+    }
 
     fn loc(ct: u16, co: u16, dc: u16) -> (Location, f64) {
         (Location::new(ct, co, dc, 0, 0, 0), 1.0)
@@ -142,7 +147,7 @@ mod tests {
     #[test]
     fn thresholds_separate_k_from_k_minus_1() {
         let t = Topology::paper();
-        for k in 2..=4 {
+        for k in 2..=5 {
             let th = threshold_for_replicas(&t, k);
             assert!(
                 th > greedy_max_availability(&t, k - 1),
@@ -187,7 +192,7 @@ mod tests {
         ) {
             let t = Topology::paper();
             let mut set: Vec<(Location, f64)> = (0..n as u64)
-                .map(|i| (t.server_at(i * 37 % 200), 1.0))
+                .map(|i| (server_at(&t, i * 37 % 200), 1.0))
                 .collect();
             let before = availability_of(&set);
             set.push((Location::new(extra_ct, 0, 0, 0, 0, 0), 1.0));
@@ -199,7 +204,7 @@ mod tests {
         fn prop_availability_permutation_invariant(perm_seed in 0usize..24) {
             let t = Topology::paper();
             let mut set: Vec<(Location, f64)> =
-                vec![(t.server_at(0), 1.0), (t.server_at(57), 0.9), (t.server_at(123), 0.8), (t.server_at(199), 1.0)];
+                vec![(server_at(&t, 0), 1.0), (server_at(&t, 57), 0.9), (server_at(&t, 123), 0.8), (server_at(&t, 199), 1.0)];
             let base = availability_of(&set);
             let rot = perm_seed % set.len();
             set.rotate_left(rot);

@@ -67,6 +67,7 @@ impl RingState {
         }
     }
 
+    #[cfg(test)]
     fn vnode_count(&self) -> usize {
         self.partitions.values().map(|p| p.replica_count()).sum()
     }
@@ -195,6 +196,12 @@ impl SkuteCloud {
     /// timings and per-epoch counters into it. Attaching (or detaching)
     /// metrics never changes the trajectory — the sink is write-only.
     pub fn set_metrics(&mut self, metrics: Arc<CloudMetrics>) {
+        // The cut gauge moves only when the health state refreshes, which
+        // a cloud that was never cut skips: start it from the current cut.
+        let cut = self.health.cut();
+        metrics
+            .partition_cut_continent
+            .set(cut.map_or(-1, i64::from));
         self.metrics = Some(metrics);
     }
 
@@ -239,8 +246,6 @@ impl SkuteCloud {
             }
         }
         self.apps.push(Application {
-            id: app_id,
-            name: spec.name,
             levels: rings.iter().map(|ring| ring.level).collect(),
         });
         self.rings.append(&mut rings);
@@ -266,7 +271,6 @@ impl SkuteCloud {
         );
         let threshold = threshold_for_replicas(&self.topology, level_spec.replicas);
         let ring = VirtualRing::with_hasher(
-            ring_id,
             level_spec.partitions,
             skute_ring::KeyHasher::with_seed(
                 u64::from(ring_id.app) << 32 | u64::from(ring_id.level),
@@ -288,7 +292,7 @@ impl SkuteCloud {
         });
         let partitions = &mut rings.last_mut().expect("just pushed").partitions;
         for pid in partition_ids {
-            let mut state = PartitionState::new(pid, 1.0);
+            let mut state = PartitionState::new(1.0);
             state.synthetic_bytes = level_spec.initial_partition_bytes;
             let server = self.seed_server(level_spec.initial_partition_bytes)?;
             // Room for the ring's target, which the decisions grow it to.
@@ -334,25 +338,14 @@ impl SkuteCloud {
         Ok(self.partition(app, level, pid)?.replica_servers())
     }
 
-    /// Total virtual nodes of one ring.
-    pub fn ring_vnodes(&self, app: AppId, level: u32) -> Result<usize, CoreError> {
-        Ok(self.ring(app, level)?.vnode_count())
-    }
-
     // ------------------------------------------------------------------
     // Epoch lifecycle
     // ------------------------------------------------------------------
 
-    /// Opens a new epoch: feeds utilization into the marginal-price
-    /// estimators, posts eq.-(1) rents on the board, and resets all
+    /// Opens a new epoch: posts eq.-(1) rents on the board and resets all
     /// per-epoch meters and accumulators.
     pub fn begin_epoch(&mut self) {
         self.epoch += 1;
-        // Feed utilization observed during the epoch that just closed.
-        for s in self.cluster.alive_mut() {
-            let util = s.utilization();
-            s.marginal_price.observe(util);
-        }
         self.refresh_health();
         self.post_prices();
         self.cluster.begin_epoch();
@@ -385,11 +378,6 @@ impl SkuteCloud {
         }
     }
 
-    /// The continent currently severed from the rest of the cloud, if any.
-    pub fn partitioned_continent(&self) -> Option<u16> {
-        self.health.cut()
-    }
-
     /// Replaces the fault plan mid-run (CI injects a gray plan into a
     /// serving cloud this way). Gray modes and the continental cut apply
     /// from the next [`SkuteCloud::begin_epoch`]; storage-fault families
@@ -407,7 +395,7 @@ impl SkuteCloud {
     }
 
     fn post_prices(&mut self) {
-        self.board.begin_epoch(self.epoch);
+        self.board.begin_epoch();
         let prices: Vec<(ServerId, f64)> = self
             .cluster
             .alive()
@@ -460,7 +448,7 @@ impl SkuteCloud {
     /// Commissions a new server mid-epoch; its rent is posted immediately so
     /// the decision phase of this very epoch can already use it.
     pub fn add_server(&mut self, spec: ServerSpec) -> ServerId {
-        let id = self.cluster.commission(spec, self.epoch);
+        let id = self.cluster.commission(spec);
         let price = self
             .cluster
             .get(id)
@@ -685,7 +673,7 @@ pub(crate) mod tests {
     #[test]
     fn create_application_seeds_one_replica_per_partition() {
         let (cloud, app) = small_cloud();
-        assert_eq!(cloud.ring_vnodes(app, 0).unwrap(), 16);
+        assert_eq!(cloud.ring(app, 0).unwrap().vnode_count(), 16);
         for pid in cloud.partition_ids(app, 0).unwrap() {
             assert_eq!(cloud.replica_servers(app, 0, pid).unwrap().len(), 1);
         }
@@ -804,8 +792,8 @@ pub(crate) mod tests {
             )
             .unwrap();
         assert_eq!(cloud.applications()[0].levels.len(), 2);
-        assert!(cloud.ring_vnodes(app, 0).is_ok());
-        assert!(cloud.ring_vnodes(app, 1).is_ok());
+        assert!(cloud.ring(app, 0).is_ok());
+        assert!(cloud.ring(app, 1).is_ok());
         cloud.begin_epoch();
         cloud.put(app, 0, b"cheap", b"1".to_vec()).unwrap();
         cloud.put(app, 1, b"precious", b"2".to_vec()).unwrap();

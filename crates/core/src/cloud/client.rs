@@ -28,7 +28,7 @@ use crate::obs::CloudMetrics;
 use crate::vnode::PartitionState;
 
 /// Requested consistency of a serving-path read or scan
-/// ([`ReadView::client_get_with`], [`ReadView::scan`], `skute-server`'s
+/// (`ReadView::client_get_with`, [`ReadView::scan`], `skute-server`'s
 /// `X-Consistency` header).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ReadConsistency {
@@ -57,7 +57,7 @@ impl ReadConsistency {
     }
 
     /// Stable lowercase name (the `X-Consistency` header value).
-    pub fn as_str(self) -> &'static str {
+    pub(crate) fn as_str(self) -> &'static str {
         match self {
             ReadConsistency::One => "one",
             ReadConsistency::Quorum => "quorum",
@@ -165,7 +165,7 @@ impl ReadView<'_> {
     /// with [`StoreError::QuorumNotMet`] (`got: 0`): the key is
     /// unavailable to this client, not absent. It still counts as a
     /// degraded read.
-    pub fn client_get_with(
+    pub(crate) fn client_get_with(
         &self,
         app: AppId,
         level: u32,
@@ -243,7 +243,7 @@ impl ReadView<'_> {
 
     /// Ordered prefix scan over one ring at `consistency`: every
     /// partition is read from the same replica set
-    /// [`ReadView::client_get_with`] would read a key of it from, so a
+    /// `ReadView::client_get_with` would read a key of it from, so a
     /// scan and the gets of its keys agree. The responses are merged
     /// last-writer-wins, and up to `limit` live `(key, value)` pairs under
     /// `prefix` come back in key order (`limit = 0` means unbounded). The
@@ -388,7 +388,7 @@ impl SkuteCloud {
             .map(|read| read.value)
     }
 
-    /// Serving-path read: [`ReadView::client_get_with`] on this cloud's
+    /// Serving-path read: `ReadView::client_get_with` on this cloud's
     /// [`SkuteCloud::read_view`].
     ///
     /// Read-only (`&self`): the serving path never touches capacity
@@ -647,7 +647,7 @@ mod tests {
     use crate::cloud::tests::{paper_cluster, small_cloud, GIB};
     use crate::config::SkuteConfig;
     use crate::health::GrayMode;
-    use skute_store::BackendKind;
+    use skute_store::{ApplyOutcome, BackendKind};
 
     #[test]
     fn put_get_roundtrip_across_epochs() {
@@ -797,7 +797,8 @@ mod tests {
             let record = Record::put(&b"v2"[..], Version::new(99, 0, 0));
             let old = p.replicas[0].store.get(b"q").unwrap().logical_size;
             let grow = record.logical_size.saturating_sub(old);
-            assert!(p.replicas[0].store.apply(&b"q"[..], record));
+            let applied = p.replicas[0].store.apply_gated(&b"q"[..], record, |_| true);
+            assert_eq!(applied, ApplyOutcome::Applied);
             let server = p.replicas[0].server;
             let s = cloud.cluster.get_mut(server).unwrap();
             let caps = s.capacities;
@@ -818,7 +819,10 @@ mod tests {
         cloud.end_epoch();
         let p = &cloud.rings[0].partitions[&pid];
         for r in &p.replicas {
-            assert_eq!(r.store.get_value(b"q").unwrap().as_ref(), b"v2");
+            assert_eq!(
+                r.store.get(b"q").and_then(|r| r.value).unwrap().as_ref(),
+                b"v2"
+            );
         }
         cloud.begin_epoch();
         let again = cloud
@@ -841,8 +845,8 @@ mod tests {
         let pid = cloud.rings[0].ring.route(b"d");
         let replicas = cloud.replica_servers(app, 0, pid).unwrap();
         assert!(replicas.len() >= 3);
-        let metrics = CloudMetrics::register(&skute_obs::Registry::new());
-        cloud.set_metrics(metrics.clone());
+        let registry = skute_obs::Registry::new();
+        cloud.set_metrics(CloudMetrics::register(&registry));
         // Gray-partition every replica server but the first.
         for &s in &replicas[1..] {
             cloud.health.set_mode(s, GrayMode::Partitioned);
@@ -865,8 +869,12 @@ mod tests {
                 got: 0
             }))
         );
-        assert_eq!(metrics.quorum_reads.get(), 2);
-        assert_eq!(metrics.degraded_reads.get(), 2);
+        let text = registry.render();
+        assert!(
+            text.contains("\nskute_read_quorum_reads_total 2\n"),
+            "{text}"
+        );
+        assert!(text.contains("\nskute_degraded_reads_total 2\n"), "{text}");
     }
 
     #[test]
@@ -1005,11 +1013,24 @@ mod tests {
         {
             let p = &cloud.rings[0].partitions[&pid];
             assert_eq!(
-                p.replicas[0].store.get_value(b"g").unwrap().as_ref(),
+                p.replicas[0]
+                    .store
+                    .get(b"g")
+                    .and_then(|r| r.value)
+                    .unwrap()
+                    .as_ref(),
                 b"v1",
                 "the read-only replica missed the write"
             );
-            assert_eq!(p.replicas[1].store.get_value(b"g").unwrap().as_ref(), b"v2");
+            assert_eq!(
+                p.replicas[1]
+                    .store
+                    .get(b"g")
+                    .and_then(|r| r.value)
+                    .unwrap()
+                    .as_ref(),
+                b"v2"
+            );
         }
         // Once the server recovers, a quorum read observes the stale
         // replica, serves the acked value, and schedules its repair.
@@ -1022,7 +1043,10 @@ mod tests {
         cloud.end_epoch();
         let p = &cloud.rings[0].partitions[&pid];
         for r in &p.replicas {
-            assert_eq!(r.store.get_value(b"g").unwrap().as_ref(), b"v2");
+            assert_eq!(
+                r.store.get(b"g").and_then(|r| r.value).unwrap().as_ref(),
+                b"v2"
+            );
         }
     }
 
@@ -1147,7 +1171,7 @@ mod tests {
                         proptest::prop_assert!(reachable.contains(&i), "{}", case);
                         proptest::prop_assert_eq!(
                             read.value,
-                            partition.replicas[i].store.get_value(b"p"),
+                            partition.replicas[i].store.get(b"p").and_then(|r| r.value),
                             "{}",
                             case
                         );
@@ -1256,7 +1280,10 @@ mod tests {
         let future = Record::put(vec![b'f'; 50], Version::new(u64::MAX, 0, 0));
         {
             let p = cloud.rings[0].partitions.get_mut(&pid).unwrap();
-            assert!(p.replicas[0].store.apply(KEY, future.clone()));
+            let applied = p.replicas[0]
+                .store
+                .apply_gated(KEY, future.clone(), |_| true);
+            assert_eq!(applied, ApplyOutcome::Applied);
         }
         accepted += 1;
         cloud.put(app, 0, KEY, vec![b'd'; 80]).unwrap();
@@ -1330,7 +1357,7 @@ mod tests {
         for cut in [None, Some(inside.continent)] {
             cloud.force_continent_partition(cut);
             cloud.begin_epoch();
-            assert_eq!(cloud.partitioned_continent(), cut);
+            assert_eq!(cloud.health.cut(), cut);
             // Everything a read may consult, and nothing else.
             let view = ReadView {
                 apps: &cloud.apps,

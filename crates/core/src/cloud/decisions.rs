@@ -440,10 +440,8 @@ mod tests {
     fn server(cloud: &SkuteCloud, index: u32) -> ServerId {
         let id = ServerId(index);
         assert_eq!(
-            cloud
-                .topology
-                .index_of(&cloud.cluster.get(id).unwrap().location),
-            u64::from(index)
+            cloud.topology.iter_servers().nth(index as usize),
+            Some(cloud.cluster.get(id).unwrap().location)
         );
         id
     }
@@ -571,9 +569,15 @@ mod tests {
         assert_eq!(actions, ActionCounts::default());
         assert_eq!(rent_paid, rent, "only the posted vnode pays");
         assert_eq!(utility_earned, floor, "and earns (the utility floor)");
-        let recorded = |pid| cloud.rings[0].partitions[&pid].replicas[0].balance.len();
-        assert_eq!(recorded(pids[0]), 0);
-        assert_eq!(recorded(pids[1]), 1);
+        // One decision pass records at most one balance per vnode.
+        let recorded = |pid| {
+            cloud.rings[0].partitions[&pid].replicas[0]
+                .balance
+                .window_mean()
+                .is_some()
+        };
+        assert!(!recorded(pids[0]));
+        assert!(recorded(pids[1]));
     }
 
     // The walk skips a vnode of an untouched partition whose storage-order
@@ -642,7 +646,9 @@ mod tests {
         let (mut cloud, pids) = seeded_cloud_with(LevelSpec::new(2, 1), SEED);
         let (earner, loser) = (server(&cloud, 0), server(&cloud, 7));
         install(&mut cloud, pids[0], &[(earner, 1.0), (loser, -1.0)]);
-        for s in cloud.cluster.alive_mut() {
+        let alive: Vec<ServerId> = cloud.cluster().alive().map(|s| s.id).collect();
+        for id in alive {
+            let s = cloud.cluster.get_mut(id).unwrap();
             s.usage.migration_used = s.capacities.migration_bw;
         }
         assert!(visits_before(&cloud, 0, 1), "seed {SEED}: earner first");

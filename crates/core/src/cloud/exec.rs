@@ -12,8 +12,8 @@ use crate::vnode::{PartitionState, Replica, VnodeId};
 /// `logical` for the mem oracle, real WAL + SSTable bytes for LSM).
 #[derive(Debug, Clone, Copy)]
 pub(super) struct Transfer {
-    pub logical: u64,
-    pub measured: u64,
+    pub(crate) logical: u64,
+    pub(crate) measured: u64,
 }
 
 /// What moving replica `replica`'s store physically streams: the synthetic

@@ -79,21 +79,6 @@ impl SkuteCloud {
         Ok(r.store.corrupt_newest_run())
     }
 
-    /// Fleet-wide injected-fault counters of one ring: the sum of every
-    /// replica store's [`FaultStats`]. Observability only — under the mem
-    /// oracle (no IO path to fault) all counters are zero.
-    pub fn fault_stats(&self, app: AppId, level: u32) -> Result<FaultStats, CoreError> {
-        let mut total = FaultStats::default();
-        for p in self.ring(app, level)?.partitions.values() {
-            for r in &p.replicas {
-                if let Some(stats) = r.store.fault_stats() {
-                    total.absorb(&stats);
-                }
-            }
-        }
-        Ok(total)
-    }
-
     /// Storage scrub over one ring: verifies every replica store's on-disk
     /// checksums (a real re-read of every SSTable run under the LSM
     /// backend; the mem oracle is trivially healthy), quarantines replicas
@@ -101,8 +86,8 @@ impl SkuteCloud {
     /// re-seeds each quarantined replica from the LWW union of its
     /// partition's **healthy** peers — a fresh store the union is merged
     /// into, with exact storage re-accounting. Rebuild copies are priced in **measured**
-    /// bytes ([`crate::ActionCounts::scrub_rebuilds`] /
-    /// [`crate::ActionCounts::measured_scrub_bytes`], observability-only —
+    /// bytes (`crate::ActionCounts::scrub_rebuilds` /
+    /// `crate::ActionCounts::measured_scrub_bytes`, observability-only —
     /// decisions and the trajectory never read them, so scrubbing cannot
     /// perturb determinism). A quarantined replica whose server cannot
     /// absorb the union's extra bytes is deferred; a partition whose every

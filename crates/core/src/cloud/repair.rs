@@ -217,7 +217,7 @@ mod tests {
     use crate::availability::availability_of;
     use crate::cloud::tests::{one_batch, paper_cluster, small_cloud, GIB};
     use crate::config::SkuteConfig;
-    use skute_cluster::{Capacities, ServerSpec};
+    use skute_cluster::{Capacities, ServerId, ServerSpec};
     use skute_geo::{ClientGeo, Topology};
     use skute_store::{FaultPlan, FaultPlanKind};
 
@@ -255,7 +255,9 @@ mod tests {
         // miss at all, yet the commit must still open those partitions.
         let (mut cloud, app) = small_cloud();
         cloud.begin_epoch();
-        for s in cloud.cluster.alive_mut() {
+        let alive: Vec<ServerId> = cloud.cluster().alive().map(|s| s.id).collect();
+        for id in alive {
+            let s = cloud.cluster.get_mut(id).unwrap();
             s.usage.replication_used = s.capacities.replication_bw;
         }
         let blocked = cloud.end_epoch();
@@ -280,7 +282,7 @@ mod tests {
     fn check_leave_one_out_memos(cloud: &SkuteCloud) -> usize {
         let mut checked = 0;
         let mut scratch = Vec::new();
-        for part in cloud.rings.iter().flat_map(|ring| ring.partitions.values()) {
+        for (pid, part) in cloud.rings.iter().flat_map(|ring| &ring.partitions) {
             if part.cached_availability.is_none() {
                 continue;
             }
@@ -297,8 +299,7 @@ mod tests {
                     part.availability_without(&cloud.cluster, idx, &mut scratch)
                         .to_bits(),
                     availability_of(&placed).to_bits(),
-                    "partition {} replica {idx}",
-                    part.id
+                    "partition {pid} replica {idx}",
                 );
                 checked += 1;
             }
@@ -320,7 +321,10 @@ mod tests {
             seed: 7,
         };
         let mut cloud = SkuteCloud::new(
-            SkuteConfig::paper().with_fault_plan(gray),
+            SkuteConfig {
+                fault_plan: gray,
+                ..SkuteConfig::paper()
+            },
             topology,
             cluster,
         );

@@ -23,8 +23,8 @@ impl SkuteCloud {
                 };
                 let parent = self.rings[ri].partitions.remove(&pid).unwrap();
                 let hasher = self.rings[ri].ring.hasher();
-                let mut low_state = PartitionState::new(low.id, parent.popularity / 2.0);
-                let mut high_state = PartitionState::new(high.id, parent.popularity / 2.0);
+                let mut low_state = PartitionState::new(parent.popularity / 2.0);
+                let mut high_state = PartitionState::new(parent.popularity / 2.0);
                 low_state.synthetic_bytes = parent.synthetic_bytes / 2;
                 high_state.synthetic_bytes = parent.synthetic_bytes - low_state.synthetic_bytes;
                 for replica in parent.replicas {
@@ -121,7 +121,10 @@ mod tests {
         cloud.begin_epoch();
         let report = cloud.end_epoch();
         assert_eq!(report.epoch, 1);
-        assert_eq!(report.total_vnodes(), cloud.ring_vnodes(app, 0).unwrap());
+        assert_eq!(
+            report.total_vnodes(),
+            cloud.ring(app, 0).unwrap().vnode_count()
+        );
         assert_eq!(report.alive_servers, 200);
         assert!(report.actions.availability_replications > 0);
         let ring = report.ring(RingId::new(app.0, 0)).unwrap();

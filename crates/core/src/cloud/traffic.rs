@@ -11,7 +11,7 @@
 //! which sums eq. (4) over that list once per replica country.
 
 use skute_cluster::{Cluster, ServerId};
-use skute_economy::RegionQueries;
+use skute_economy::{utility, RegionQueries};
 use skute_geo::{RegionWeight, Topology};
 
 use super::SkuteCloud;
@@ -293,7 +293,7 @@ impl SkuteCloud {
             let r = &mut replicas[i];
             let served = Self::serve_on(cluster, r.server, want);
             r.queries_epoch += served;
-            r.utility_epoch += gamma * served * r.proximity;
+            r.utility_epoch += utility(served, r.proximity, gamma);
             distance_sum += served * r.client_distance;
             served_total += served;
             served
@@ -349,7 +349,7 @@ mod tests {
     use crate::metrics::EpochReport;
     use crate::placement::{PlacementContext, TargetQuery};
     use skute_cluster::{Capacities, ServerSpec};
-    use skute_economy::proximity;
+    use skute_economy::scoring::proximity;
     use skute_geo::Location;
     use skute_ring::RingId;
 
@@ -682,10 +682,10 @@ mod tests {
             cloud
                 .deliver_queries_multi(one_batch(app, 0, 2_000.0, &regions))
                 .unwrap();
-            for part in cloud.rings[0].partitions.values() {
+            for (pid, part) in &cloud.rings[0].partitions {
                 let mix = &part.region_queries;
-                assert_eq!(mix.len(), regions.len(), "partition {:?}", part.id);
-                assert_eq!(mix.capacity(), mix.len(), "partition {:?}", part.id);
+                assert_eq!(mix.len(), regions.len(), "partition {pid}");
+                assert_eq!(mix.capacity(), mix.len(), "partition {pid}");
             }
             cloud.end_epoch();
         }

@@ -7,11 +7,11 @@ use skute_store::{BackendKind, FaultPlan};
 const MIB: u64 = 1024 * 1024;
 
 /// Default RNG seed of the paper configuration.
-pub const DEFAULT_SEED: u64 = 0x5C07E;
+pub(crate) const DEFAULT_SEED: u64 = 0x5C07E;
 
 /// Upper bound on availability-restoring replications per partition per
 /// epoch (bandwidth budgets also gate transfers).
-pub const MAX_REPAIRS_PER_PARTITION_PER_EPOCH: usize = 4;
+pub(crate) const MAX_REPAIRS_PER_PARTITION_PER_EPOCH: usize = 4;
 
 /// Configuration of a [`crate::SkuteCloud`].
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -23,7 +23,7 @@ pub struct SkuteConfig {
     pub split_threshold_bytes: u64,
     /// Seed of the cloud's deterministic RNG (initial placement and agent
     /// iteration order).
-    pub seed: u64,
+    pub(crate) seed: u64,
     /// Storage engine replica stores run on. [`BackendKind::Mem`] is the
     /// fast in-memory default and bit-exact oracle; [`BackendKind::Lsm`]
     /// gives every replica a durable WAL + SSTable store. Same-seed
@@ -99,23 +99,6 @@ impl SkuteConfig {
         self
     }
 
-    /// Returns a copy with replica stores running under the given
-    /// storage-fault plan (see the field docs). The trajectory stays
-    /// bitwise identical; only fault statistics and measured transfer
-    /// bytes change.
-    #[must_use]
-    pub fn with_fault_plan(mut self, plan: FaultPlan) -> Self {
-        self.fault_plan = plan;
-        self
-    }
-
-    /// Returns a copy injecting **every** fault family, seeded with
-    /// `seed` (`skute-sim --fault-seed`).
-    #[must_use]
-    pub fn with_fault_seed(self, seed: u64) -> Self {
-        self.with_fault_plan(FaultPlan::all(seed))
-    }
-
     /// Validates all parameters.
     ///
     /// # Panics
@@ -171,18 +154,6 @@ mod tests {
         assert_eq!(b.backend, BackendKind::Lsm);
         assert_eq!(a.seed, b.seed);
         assert_eq!(a.threads, b.threads);
-        b.validate();
-    }
-
-    #[test]
-    fn with_fault_plan_flips_only_the_plan() {
-        let a = SkuteConfig::paper();
-        let b = a.with_fault_seed(7);
-        assert!(!a.fault_plan.is_active());
-        assert!(b.fault_plan.is_active());
-        assert_eq!(b.fault_plan.seed, 7);
-        assert_eq!(a.seed, b.seed);
-        assert_eq!(a.backend, b.backend);
         b.validate();
     }
 

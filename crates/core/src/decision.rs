@@ -58,39 +58,17 @@ pub struct ActionCounts {
     /// Quarantined replicas re-seeded from a healthy peer by the scrub
     /// pass. Observability only — the rebuild restores the replica's
     /// converged contents, so the trajectory never moves.
-    pub scrub_rebuilds: u64,
+    pub(crate) scrub_rebuilds: u64,
     /// Bytes scrub rebuilds *physically* streamed from healthy peers (see
     /// [`ActionCounts::measured_replicated_bytes`] for why measured
     /// counters stay out of decisions and the CSV).
-    pub measured_scrub_bytes: u64,
+    pub(crate) measured_scrub_bytes: u64,
 }
 
 impl ActionCounts {
     /// Total replications of both kinds.
     pub fn replications(&self) -> u64 {
         self.availability_replications + self.profit_replications
-    }
-
-    /// Total bytes moved between servers this epoch, at logical size.
-    pub fn transferred_bytes(&self) -> u64 {
-        self.replicated_bytes + self.migrated_bytes
-    }
-
-    /// Total bytes *physically* streamed between servers this epoch, as
-    /// measured by the storage backend.
-    pub fn measured_transferred_bytes(&self) -> u64 {
-        self.measured_replicated_bytes + self.measured_migrated_bytes
-    }
-
-    /// The epoch's data-transfer cost, priced from the **measured** bytes
-    /// the backend actually streamed (`per_mib` is
-    /// `EconomyConfig::transfer_cost_per_mib`). Under the in-memory oracle
-    /// measured equals logical, so this reproduces the logical-size
-    /// pricing exactly; under the LSM engine it prices real WAL + SSTable
-    /// bytes.
-    pub fn transfer_cost(&self, per_mib: f64) -> f64 {
-        const MIB: f64 = (1024 * 1024) as f64;
-        per_mib * self.measured_transferred_bytes() as f64 / MIB
     }
 
     /// Always `None` (both counters are always zero), kept for the same
@@ -121,29 +99,29 @@ impl ActionCounts {
 /// Inputs of the pure per-vnode classification (economic branch of §II-C;
 /// the availability branch runs first and at partition level).
 #[derive(Debug, Clone, Copy)]
-pub struct VnodeSituation {
+pub(crate) struct VnodeSituation {
     /// Last f epochs all strictly negative.
-    pub negative_streak: bool,
+    pub(crate) negative_streak: bool,
     /// Last f epochs all strictly positive.
-    pub positive_streak: bool,
+    pub(crate) positive_streak: bool,
     /// Mean balance over the window, if any history exists.
-    pub window_mean: Option<f64>,
+    pub(crate) window_mean: Option<f64>,
     /// Partition availability with this replica removed.
-    pub availability_without_self: f64,
+    pub(crate) availability_without_self: f64,
     /// SLA threshold of the ring.
-    pub threshold: f64,
+    pub(crate) threshold: f64,
     /// Current replica count of the partition.
-    pub replica_count: usize,
+    pub(crate) replica_count: usize,
     /// Configured replica ceiling.
-    pub max_replicas: usize,
+    pub(crate) max_replicas: usize,
     /// Virtual rent this replica currently pays per epoch (used to recover
     /// its income from the balance when projecting a new replica's share).
-    pub current_rent: f64,
+    pub(crate) current_rent: f64,
     /// Projected extra per-epoch cost of one more replica: candidate rent
     /// plus the data-consistency network cost.
-    pub projected_replica_cost: f64,
+    pub(crate) projected_replica_cost: f64,
     /// The replication hurdle multiplier from the economy config.
-    pub hurdle: f64,
+    pub(crate) hurdle: f64,
 }
 
 /// Projects the per-epoch balance a *new* replica would earn, from the
@@ -160,7 +138,7 @@ pub struct VnodeSituation {
 /// then converges above the SLA target and stays there, because a
 /// profitable surplus replica never builds the negative streak it needs to
 /// suicide.
-pub fn projected_new_replica_balance(situation: &VnodeSituation) -> Option<f64> {
+pub(crate) fn projected_new_replica_balance(situation: &VnodeSituation) -> Option<f64> {
     let mean = situation.window_mean?;
     let k = situation.replica_count as f64;
     let income = (mean + situation.current_rent) * k / (k + 1.0);
@@ -171,7 +149,7 @@ pub fn projected_new_replica_balance(situation: &VnodeSituation) -> Option<f64> 
 /// replica clear the hurdle over its projected cost? Shared by
 /// [`classify`] and the executor's re-verification against the actual
 /// candidate rent, so the rule cannot drift between the two sites.
-pub fn clears_profit_hurdle(situation: &VnodeSituation) -> bool {
+pub(crate) fn clears_profit_hurdle(situation: &VnodeSituation) -> bool {
     match projected_new_replica_balance(situation) {
         Some(projected) => projected > situation.hurdle * situation.projected_replica_cost,
         None => false,
@@ -181,7 +159,7 @@ pub fn clears_profit_hurdle(situation: &VnodeSituation) -> bool {
 /// The economic intent of a virtual node, before feasibility (candidate
 /// availability, bandwidth, storage) is checked by the executor.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Intent {
+pub(crate) enum Intent {
     /// Do nothing.
     Stay,
     /// Remove this replica.
@@ -197,7 +175,7 @@ pub enum Intent {
 /// allows), profits replicate only when the projected post-dilution balance
 /// of the *new* replica (see [`projected_new_replica_balance`]) clears the
 /// hurdle over the projected cost of the extra replica.
-pub fn classify(situation: &VnodeSituation) -> Intent {
+pub(crate) fn classify(situation: &VnodeSituation) -> Intent {
     if situation.negative_streak {
         if situation.replica_count > 1 && situation.availability_without_self >= situation.threshold
         {
@@ -368,21 +346,10 @@ mod tests {
         assert_eq!(a.availability_replications, 2);
         assert_eq!(a.replications(), 6);
         assert_eq!(a.blocked_transfers, 12);
-        assert_eq!(a.transferred_bytes(), 300);
-        assert_eq!(a.measured_transferred_bytes(), 400);
+        assert_eq!(a.replicated_bytes + a.migrated_bytes, 300);
+        assert_eq!(a.measured_replicated_bytes + a.measured_migrated_bytes, 400);
         assert_eq!(a.scrub_rebuilds, 4);
         assert_eq!(a.measured_scrub_bytes, 80);
         assert_eq!(a.spec_hit_rate(), None);
-    }
-
-    #[test]
-    fn transfer_cost_prices_measured_bytes() {
-        let counts = ActionCounts {
-            measured_replicated_bytes: 3 * 1024 * 1024,
-            measured_migrated_bytes: 1024 * 1024,
-            ..ActionCounts::default()
-        };
-        assert_eq!(counts.transfer_cost(0.001), 0.004);
-        assert_eq!(ActionCounts::default().transfer_cost(0.001), 0.0);
     }
 }

@@ -20,10 +20,10 @@ use crate::obs::CloudMetrics;
 /// re-rolling. Long enough for the confidence EWMA (alpha 0.25) to track
 /// a degraded server down, short enough that several distinct fault
 /// configurations occur within one CI-sized run.
-pub const GRAY_WINDOW_EPOCHS: u64 = 8;
+pub(crate) const GRAY_WINDOW_EPOCHS: u64 = 8;
 
 /// The degraded mode of one server under a gray fault plan, derived per
-/// epoch window by [`gray_mode`].
+/// epoch window by `gray_mode`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum GrayMode {
     /// Fully functional (the overwhelmingly common draw).
@@ -46,13 +46,13 @@ pub enum GrayMode {
 
 impl GrayMode {
     /// True for any non-healthy mode.
-    pub fn is_degraded(self) -> bool {
+    pub(crate) fn is_degraded(self) -> bool {
         self != GrayMode::Healthy
     }
 
     /// The health sample this mode feeds the confidence EWMA
     /// (1.0 = perfect, towards 0.0 = unusable).
-    pub fn health_sample(self) -> f64 {
+    pub(crate) fn health_sample(self) -> f64 {
         match self {
             GrayMode::Healthy => 1.0,
             GrayMode::Slow { units } => 0.6 - 0.05 * f64::from(units.min(4)),
@@ -66,7 +66,7 @@ impl GrayMode {
 /// `(plan, server, epoch window)`. Modes hold for [`GRAY_WINDOW_EPOCHS`]
 /// consecutive epochs so the confidence EWMA has time to track them, then
 /// re-roll. Non-gray plans always answer [`GrayMode::Healthy`].
-pub fn gray_mode(plan: &FaultPlan, server: u64, epoch: u64) -> GrayMode {
+pub(crate) fn gray_mode(plan: &FaultPlan, server: u64, epoch: u64) -> GrayMode {
     if !plan.gray_failures() {
         return GrayMode::Healthy;
     }
@@ -90,7 +90,7 @@ pub fn gray_mode(plan: &FaultPlan, server: u64, epoch: u64) -> GrayMode {
 /// (`continents` is the topology's continent count), a pure function of
 /// `(plan, epoch window)`. `None` for plans without a continental split or
 /// when the topology has fewer than two continents.
-pub fn partitioned_continent(plan: &FaultPlan, epoch: u64, continents: u16) -> Option<u16> {
+pub(crate) fn partitioned_continent(plan: &FaultPlan, epoch: u64, continents: u16) -> Option<u16> {
     if !plan.continental_partitions() || continents < 2 {
         return None;
     }
@@ -102,7 +102,7 @@ pub fn partitioned_continent(plan: &FaultPlan, epoch: u64, continents: u16) -> O
 /// The health state of the current epoch: per-server gray modes and the
 /// continent severed from the rest of the cloud.
 #[derive(Debug, Default)]
-pub struct HealthState {
+pub(crate) struct HealthState {
     /// Gray modes indexed by server id; empty while the plan has never
     /// been gray, so legacy runs pay nothing.
     modes: Vec<GrayMode>,
@@ -115,14 +115,14 @@ pub struct HealthState {
 
 impl HealthState {
     /// The continent currently severed from the rest of the cloud, if any.
-    pub fn cut(&self) -> Option<u16> {
+    pub(crate) fn cut(&self) -> Option<u16> {
         self.cut
     }
 
     /// Overrides the plan's continental cut from the next
     /// [`HealthState::refresh`] on: `Some(c)` severs continent `c`, `None`
     /// forces the cut healed (even under a partition plan).
-    pub fn force_cut(&mut self, cut: Option<u16>) {
+    pub(crate) fn force_cut(&mut self, cut: Option<u16>) {
         self.forced_cut = Some(cut);
     }
 
@@ -135,7 +135,7 @@ impl HealthState {
     /// memoized eq.-(2) availability. Sequential, in ascending server-id
     /// order, and a pure function of `(plan, epoch)`: gray trajectories
     /// are invariant across thread counts and storage backends.
-    pub fn refresh(
+    pub(crate) fn refresh(
         &mut self,
         plan: &FaultPlan,
         epoch: u64,
@@ -193,7 +193,7 @@ impl HealthState {
     /// at `location` under the current gray modes and continental cut. A
     /// client with no stated location is assumed to sit outside the cut
     /// continent (the majority side).
-    pub fn reachable(
+    pub(crate) fn reachable(
         &self,
         server: ServerId,
         location: &Location,
@@ -216,7 +216,7 @@ impl HealthState {
     /// the continental cut. Such replicas silently miss updates and stay
     /// divergent until a quorum read's read-repair or a later write of
     /// the key converges them.
-    pub fn blocks_writes(&self, server: ServerId, location: &Location) -> bool {
+    pub(crate) fn blocks_writes(&self, server: ServerId, location: &Location) -> bool {
         matches!(
             self.mode_of(server),
             GrayMode::ReadOnly | GrayMode::Partitioned
@@ -278,7 +278,14 @@ mod tests {
         );
         // Non-gray plans never degrade.
         assert_eq!(
-            gray_mode(&FaultPlan::all(77), 3, 0),
+            gray_mode(
+                &FaultPlan {
+                    kind: FaultPlanKind::All,
+                    seed: 77
+                },
+                3,
+                0
+            ),
             GrayMode::Healthy,
             "storage plans have no gray modes"
         );
@@ -311,7 +318,17 @@ mod tests {
             None,
             "one continent: no cut"
         );
-        assert_eq!(partitioned_continent(&FaultPlan::all(5), 0, 5), None);
+        assert_eq!(
+            partitioned_continent(
+                &FaultPlan {
+                    kind: FaultPlanKind::All,
+                    seed: 5
+                },
+                0,
+                5
+            ),
+            None
+        );
         assert_eq!(partitioned_continent(&FaultPlan::none(), 0, 5), None);
     }
 

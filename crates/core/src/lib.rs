@@ -10,7 +10,7 @@
 //! each epoch a virtual node decides to **replicate**, **migrate**,
 //! **suicide** or do nothing (§II-C), driven by
 //!
-//! * the availability of its partition (eq. 2, [`availability`]),
+//! * the availability of its partition (eq. 2, `availability`),
 //! * its balance `b = u(pop, g) − c` (eq. 5, `skute-economy`),
 //! * candidate scoring `max Σ g·conf·diversity − c` (eq. 3),
 //!
@@ -48,21 +48,21 @@
 
 #![warn(missing_docs)]
 
-pub mod app;
-pub mod availability;
-pub mod cloud;
-pub mod config;
-pub mod decision;
-pub mod error;
-pub mod health;
-pub mod metrics;
-pub mod obs;
-pub mod pipeline;
+mod app;
+mod availability;
+mod cloud;
+mod config;
+mod decision;
+mod error;
+mod health;
+mod metrics;
+mod obs;
+mod pipeline;
 pub mod placement;
-pub mod vnode;
+mod vnode;
 
 pub use app::{AppId, AppSpec, Application, AvailabilityLevel, LevelSpec};
-pub use availability::{availability_of, greedy_max_availability, threshold_for_replicas};
+pub use availability::{availability_of, threshold_for_replicas};
 pub use cloud::{ClientRead, ClientScan, ReadConsistency, ReadView, SkuteCloud, TrafficBatch};
 pub use config::SkuteConfig;
 pub use decision::ActionCounts;
@@ -74,4 +74,3 @@ pub use placement::{PlacementContext, PlacementStrategy};
 // Fault-model types consumers configure the cloud with, re-exported so
 // downstream crates (sim, server) need no direct skute-store dependency.
 pub use skute_store::{FaultPlan, FaultPlanKind};
-pub use vnode::{DeliveryPlan, PartitionState, Replica, VnodeId};

@@ -70,7 +70,7 @@ pub struct EpochReport {
     /// Total (floored) utility earned by vnodes this epoch.
     pub utility_earned: f64,
     /// Lowest posted rent on the board this epoch.
-    pub min_rent: Option<f64>,
+    pub(crate) min_rent: Option<f64>,
     /// Number of alive servers.
     pub alive_servers: usize,
 }
@@ -90,7 +90,8 @@ impl EpochReport {
     }
 
     /// The ring report for `ring`, if present.
-    pub fn ring(&self, ring: RingId) -> Option<&RingReport> {
+    #[cfg(test)]
+    pub(crate) fn ring(&self, ring: RingId) -> Option<&RingReport> {
         self.rings.iter().find(|r| r.ring == ring)
     }
 }

@@ -58,85 +58,85 @@ pub struct CloudMetrics {
     /// Split + report assembly timing.
     pub phase_report: Histogram,
     /// Epochs closed.
-    pub epochs: Counter,
+    pub(crate) epochs: Counter,
     /// Queries offered (rounded to whole queries per epoch).
-    pub queries_offered: Counter,
+    pub(crate) queries_offered: Counter,
     /// Queries served.
-    pub queries_served: Counter,
+    pub(crate) queries_served: Counter,
     /// Queries dropped.
-    pub queries_dropped: Counter,
+    pub(crate) queries_dropped: Counter,
     /// SLA-driven replications.
-    pub availability_replications: Counter,
+    pub(crate) availability_replications: Counter,
     /// Profit-driven replications.
-    pub profit_replications: Counter,
+    pub(crate) profit_replications: Counter,
     /// eq.-(3) migrations.
-    pub migrations: Counter,
+    pub(crate) migrations: Counter,
     /// Vnode suicides.
-    pub suicides: Counter,
+    pub(crate) suicides: Counter,
     /// Partition splits.
-    pub splits: Counter,
+    pub(crate) splits: Counter,
     /// Transfers blocked by bandwidth or storage.
-    pub blocked_transfers: Counter,
+    pub(crate) blocked_transfers: Counter,
     /// Logical bytes moved by replications.
-    pub replicated_bytes: Counter,
+    pub(crate) replicated_bytes: Counter,
     /// Logical bytes moved by migrations.
-    pub migrated_bytes: Counter,
+    pub(crate) migrated_bytes: Counter,
     /// Synthetic ingests rejected for capacity.
-    pub insert_failures: Counter,
+    pub(crate) insert_failures: Counter,
     /// Partitions that lost their last replica.
-    pub partitions_lost: Counter,
+    pub(crate) partitions_lost: Counter,
     /// Quarantined replicas re-seeded from healthy peers.
-    pub scrub_rebuilds: Counter,
+    pub(crate) scrub_rebuilds: Counter,
     /// Fleet-wide LSM WAL appends (refreshed gauge).
-    pub lsm_wal_appends: Gauge,
+    pub(crate) lsm_wal_appends: Gauge,
     /// Fleet-wide LSM memtable flushes (refreshed gauge).
-    pub lsm_flushes: Gauge,
+    pub(crate) lsm_flushes: Gauge,
     /// Fleet-wide LSM compactions (refreshed gauge).
-    pub lsm_compactions: Gauge,
+    pub(crate) lsm_compactions: Gauge,
     /// Fleet-wide LSM point lookups, reads and applies alike (refreshed
     /// gauge).
-    pub lsm_point_reads: Gauge,
+    pub(crate) lsm_point_reads: Gauge,
     /// Fleet-wide sorted-run blocks read by point lookups (refreshed gauge).
-    pub lsm_run_probes: Gauge,
+    pub(crate) lsm_run_probes: Gauge,
     /// Fleet-wide sorted runs ruled out by bloom filter (refreshed gauge).
-    pub lsm_bloom_skips: Gauge,
+    pub(crate) lsm_bloom_skips: Gauge,
     /// Fleet-wide run blocks point lookups could not decode (refreshed
     /// gauge).
-    pub lsm_corrupt_blocks: Gauge,
+    pub(crate) lsm_corrupt_blocks: Gauge,
     /// Fleet-wide WAL-append retries recovered (refreshed gauge).
-    pub fault_wal_retries: Gauge,
+    pub(crate) fault_wal_retries: Gauge,
     /// Fleet-wide flush retries recovered (refreshed gauge).
-    pub fault_flush_retries: Gauge,
+    pub(crate) fault_flush_retries: Gauge,
     /// Fleet-wide read retries recovered (refreshed gauge).
-    pub fault_read_retries: Gauge,
+    pub(crate) fault_read_retries: Gauge,
     /// Fleet-wide fork retries recovered (refreshed gauge).
-    pub fault_fork_retries: Gauge,
+    pub(crate) fault_fork_retries: Gauge,
     /// Fleet-wide torn WAL tails repaired (refreshed gauge).
-    pub fault_torn_tails: Gauge,
+    pub(crate) fault_torn_tails: Gauge,
     /// Fleet-wide partial runs discarded at open (refreshed gauge).
-    pub fault_partial_runs: Gauge,
+    pub(crate) fault_partial_runs: Gauge,
     /// Serving-path key reads at quorum consistency, unavailable ones
     /// included.
-    pub quorum_reads: Counter,
+    pub(crate) quorum_reads: Counter,
     /// Quorum reads that observed at least one stale replica.
-    pub quorum_divergent: Counter,
+    pub(crate) quorum_divergent: Counter,
     /// Reads and scans below their requested consistency, unavailable key
     /// reads included.
-    pub degraded_reads: Counter,
+    pub(crate) degraded_reads: Counter,
     /// Stale replicas enqueued for read-repair by quorum reads.
-    pub read_repairs_scheduled: Counter,
+    pub(crate) read_repairs_scheduled: Counter,
     /// Stale replicas actually repaired at epoch close.
-    pub read_repairs_applied: Counter,
+    pub(crate) read_repairs_applied: Counter,
     /// Minimum alive-server confidence, in basis points (refreshed each
     /// gray epoch).
-    pub confidence_min_bp: Gauge,
+    pub(crate) confidence_min_bp: Gauge,
     /// Mean alive-server confidence, in basis points (refreshed each gray
     /// epoch).
-    pub confidence_mean_bp: Gauge,
+    pub(crate) confidence_mean_bp: Gauge,
     /// Alive servers currently gray-degraded or behind the cut.
-    pub gray_degraded_servers: Gauge,
+    pub(crate) gray_degraded_servers: Gauge,
     /// Continent currently severed by the fault plan (-1 = none).
-    pub partition_cut_continent: Gauge,
+    pub(crate) partition_cut_continent: Gauge,
 }
 
 impl CloudMetrics {
@@ -276,7 +276,7 @@ impl CloudMetrics {
 
     /// Folds one closed epoch's report into the counters. Queries are f64
     /// loads; they round to whole queries so the counters stay integral.
-    pub fn observe_report(&self, report: &EpochReport) {
+    pub(crate) fn observe_report(&self, report: &EpochReport) {
         self.epochs.inc();
         let (mut offered, mut served, mut dropped) = (0.0f64, 0.0f64, 0.0f64);
         for ring in &report.rings {
@@ -305,7 +305,7 @@ impl CloudMetrics {
     /// Overwrites the refreshed storage gauges from fleet-wide totals
     /// (called at scrape/snapshot time by
     /// [`SkuteCloud::refresh_storage_metrics`](crate::SkuteCloud::refresh_storage_metrics)).
-    pub fn set_storage_totals(&self, activity: &StorageActivity, faults: &FaultStats) {
+    pub(crate) fn set_storage_totals(&self, activity: &StorageActivity, faults: &FaultStats) {
         self.lsm_wal_appends.set(activity.wal_appends as i64);
         self.lsm_flushes.set(activity.memtable_flushes as i64);
         self.lsm_compactions.set(activity.compactions as i64);

@@ -75,11 +75,11 @@ fn phase_chunk(n: usize) -> usize {
 /// Per-ring aggregates of the epoch report.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct RingPhaseStats {
-    pub vnodes: usize,
-    pub mean_availability: f64,
-    pub min_availability: f64,
-    pub sla_satisfied_frac: f64,
-    pub load_cv: f64,
+    pub(crate) vnodes: usize,
+    pub(crate) mean_availability: f64,
+    pub(crate) min_availability: f64,
+    pub(crate) sla_satisfied_frac: f64,
+    pub(crate) load_cv: f64,
 }
 
 /// The plan passes' thread budget and the report accumulators the epoch

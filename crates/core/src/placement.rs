@@ -20,7 +20,7 @@ pub struct PlacementContext<'a> {
 
 impl<'a> PlacementContext<'a> {
     /// A context over the four things every placement query reads.
-    pub fn new(
+    pub(crate) fn new(
         cluster: &'a Cluster,
         board: &'a Board,
         topology: &'a Topology,
@@ -39,17 +39,17 @@ impl<'a> PlacementContext<'a> {
 /// go? The index walk and the brute-force scan both take this value, so
 /// the two cannot disagree on what was asked.
 #[derive(Debug, Clone, Copy)]
-pub struct TargetQuery<'a> {
+pub(crate) struct TargetQuery<'a> {
     /// Servers already hosting the partition (never candidates).
-    pub existing: &'a [ServerId],
+    pub(crate) existing: &'a [ServerId],
     /// Bytes the new replica will occupy.
-    pub size: u64,
+    pub(crate) size: u64,
     /// The partition's observed per-region query volume.
-    pub region_queries: &'a [RegionQueries],
+    pub(crate) region_queries: &'a [RegionQueries],
     /// Restricts the search to servers renting below this (the migration
     /// case: "find a less expensive server that is closer to the client
     /// locations").
-    pub rent_below: Option<f64>,
+    pub(crate) rent_below: Option<f64>,
 }
 
 /// A replica placement policy.
@@ -128,7 +128,7 @@ pub(crate) fn migration_floor(cluster: &Cluster, board: &Board, economy: &Econom
 /// prices only refresh at epoch boundaries, the projection also gives
 /// within-epoch feedback that stops every concurrently repairing partition
 /// from herding onto the one currently-cheapest server.
-pub fn feasible_candidates<'a>(
+pub(crate) fn feasible_candidates<'a>(
     ctx: &'a PlacementContext<'a>,
     existing: &'a [ServerId],
     partition_size: u64,
@@ -159,9 +159,9 @@ pub fn feasible_candidates<'a>(
 ///
 /// `prox` memoizes the proximity weight `g_j` per server country. It must
 /// be empty or filled against `q.region_queries`; its weights are bit for
-/// bit [`skute_economy::proximity`]'s, so a warm cache answers exactly as
+/// bit [`skute_economy::scoring::proximity`]'s, so a warm cache answers exactly as
 /// a fresh one.
-pub fn economic_target(
+pub(crate) fn economic_target(
     ctx: &PlacementContext<'_>,
     q: &TargetQuery<'_>,
     prox: &mut ProximityCache,
@@ -572,8 +572,13 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
     use skute_cluster::{Capacities, ServerSpec};
-    use skute_economy::proximity;
+    use skute_economy::scoring::proximity;
     use skute_geo::Topology;
+
+    /// The `i`-th server of `t` in lexicographic order.
+    fn server_at(t: &Topology, i: u64) -> Location {
+        t.iter_servers().nth(i as usize).unwrap()
+    }
 
     fn q<'a>(
         existing: &'a [ServerId],
@@ -627,7 +632,7 @@ mod tests {
             confidence: 1.0,
         });
         let mut board = Board::new();
-        board.begin_epoch(1);
+        board.begin_epoch();
         for s in cluster.alive() {
             // Price proportional to monthly cost so rents differentiate.
             board.post(s.id, s.monthly_cost / 720.0);
@@ -731,7 +736,8 @@ mod tests {
             let s = cluster.get_mut(ServerId(i)).unwrap();
             let caps = s.capacities;
             assert!(s.usage.reserve_storage(&caps, (u64::from(i) % 7 + 1) << 26));
-            s.usage.serve_queries(&caps, f64::from(i % 11) * 40.0);
+            s.usage.queries_served =
+                (s.usage.queries_served + f64::from(i % 11) * 40.0).min(caps.query_capacity);
         }
         let ctx = PlacementContext {
             cluster: &cluster,
@@ -782,7 +788,7 @@ mod tests {
             topology: &topology,
             economy: &economy,
         };
-        let at = topology.server_at(150);
+        let at = server_at(&topology, 150);
         let client = |location| {
             [RegionQueries {
                 location,
@@ -878,9 +884,9 @@ mod tests {
         ) {
             use proptest::prelude::*;
             let topology = Topology::paper();
-            let mut cluster = Cluster::new();
+            let mut cluster = Cluster::default();
             for &(loc_idx, cost, conf, zone) in &server_picks {
-                let l = topology.server_at(loc_idx);
+                let l = server_at(&topology, loc_idx);
                 cluster.commission(
                     ServerSpec {
                         // One server in eight sits in its country's client
@@ -894,7 +900,6 @@ mod tests {
                         monthly_cost: cost,
                         confidence: conf,
                     },
-                    0,
                 );
             }
             let n = cluster.len();
@@ -904,10 +909,10 @@ mod tests {
                 let s = cluster.get_mut(id).unwrap();
                 let caps = s.capacities;
                 let _ = s.usage.reserve_storage(&caps, bytes % (1 << 30));
-                s.usage.serve_queries(&caps, queries);
+                s.usage.queries_served = (s.usage.queries_served + queries).min(caps.query_capacity);
             }
             let mut board = Board::new();
-            board.begin_epoch(1);
+            board.begin_epoch();
             for s in cluster.alive() {
                 board.post(s.id, s.monthly_cost / 720.0);
             }
@@ -920,7 +925,7 @@ mod tests {
                 .iter()
                 .map(|&(loc_idx, queries, in_zone)| RegionQueries {
                     location: {
-                        let l = topology.server_at(loc_idx);
+                        let l = server_at(&topology, loc_idx);
                         if in_zone {
                             Location::client_in_country(l.continent, l.country)
                         } else {
@@ -964,7 +969,7 @@ mod tests {
                             }
                             1 => s.usage.release_storage(bytes % (1 << 30)),
                             2 => {
-                                s.usage.serve_queries(&caps, frac * 900.0);
+                                s.usage.queries_served = (s.usage.queries_served + frac * 900.0).min(caps.query_capacity);
                             }
                             _ => s.confidence = frac,
                         }
@@ -998,16 +1003,15 @@ mod tests {
         ) {
             use proptest::prelude::*;
             let topology = Topology::paper();
-            let mut cluster = Cluster::new();
+            let mut cluster = Cluster::default();
             for &(loc_idx, cost, conf) in &server_picks {
                 cluster.commission(
                     ServerSpec {
-                        location: topology.server_at(loc_idx),
+                        location: server_at(&topology, loc_idx),
                         capacities: Capacities::paper(1 << 30, 1000.0),
                         monthly_cost: cost,
                         confidence: conf,
                     },
-                    0,
                 );
             }
             let n = cluster.len();
@@ -1015,14 +1019,14 @@ mod tests {
                 let s = cluster.get_mut(ServerId((bytes % n as u64) as u32)).unwrap();
                 let caps = s.capacities;
                 let _ = s.usage.reserve_storage(&caps, bytes % (1 << 30));
-                s.usage.serve_queries(&caps, queries);
+                s.usage.queries_served = (s.usage.queries_served + queries).min(caps.query_capacity);
             }
             // Half the draws reach the 100 MiB budget: spent servers.
             for &(i, used) in &migration {
                 cluster.get_mut(ServerId((i % n) as u32)).unwrap().usage.migration_used = used;
             }
             let mut board = Board::new();
-            board.begin_epoch(1);
+            board.begin_epoch();
             for s in cluster.alive() {
                 board.post(s.id, s.monthly_cost / 720.0);
             }
@@ -1034,7 +1038,7 @@ mod tests {
             let regions: Vec<RegionQueries> = region_picks
                 .iter()
                 .map(|&(loc_idx, queries)| {
-                    let l = topology.server_at(loc_idx);
+                    let l = server_at(&topology, loc_idx);
                     RegionQueries {
                         location: Location::client_in_country(l.continent, l.country),
                         queries,

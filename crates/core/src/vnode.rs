@@ -5,7 +5,6 @@ use std::fmt;
 use skute_cluster::{Cluster, ServerId};
 use skute_economy::{BalanceHistory, ProximityCache, RegionQueries};
 use skute_geo::Location;
-use skute_ring::PartitionId;
 use skute_store::ReplicaStore;
 
 use crate::availability::availability_of;
@@ -13,7 +12,7 @@ use crate::availability::availability_of;
 /// Identifier of a virtual node (one replica of one partition), unique for
 /// the lifetime of a cloud.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub struct VnodeId(pub u64);
+pub(crate) struct VnodeId(pub u64);
 
 impl fmt::Display for VnodeId {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -30,31 +29,31 @@ impl fmt::Display for VnodeId {
 /// per-epoch values its partition computes for it: the traffic plan's
 /// weight and distance, and its share of the availability memo.
 #[derive(Debug, Clone)]
-pub struct Replica {
+pub(crate) struct Replica {
     /// Virtual node identifier.
-    pub id: VnodeId,
+    pub(crate) id: VnodeId,
     /// Hosting server.
-    pub server: ServerId,
+    pub(crate) server: ServerId,
     /// Per-epoch balance history (window f).
-    pub balance: BalanceHistory,
+    pub(crate) balance: BalanceHistory,
     /// This replica's copy of the partition's explicitly stored records,
     /// on the cloud's configured storage backend. The in-memory variant is
     /// copy-on-write: replicas forked by replication share one allocation
     /// until one of them diverges. The LSM variant
     /// owns a durable store; independent copies go through
     /// [`ReplicaStore::fork`], which reports the bytes physically moved.
-    pub store: ReplicaStore,
+    pub(crate) store: ReplicaStore,
     /// Utility accrued in the current epoch (reset by `begin_epoch`).
-    pub utility_epoch: f64,
+    pub(crate) utility_epoch: f64,
     /// Queries served by this replica in the current epoch.
-    pub queries_epoch: f64,
+    pub(crate) queries_epoch: f64,
     /// The eq.-(4) proximity weight g of this replica's server to the
     /// partition's clients, written by the traffic plan and read by its
     /// commit (see [`DeliveryPlan`]).
-    pub proximity: f64,
+    pub(crate) proximity: f64,
     /// The region-weighted client distance of this replica's server,
     /// written by the traffic plan beside [`Replica::proximity`].
-    pub client_distance: f64,
+    pub(crate) client_distance: f64,
     /// Eq. (2) over the partition's other replicas: the vnode's
     /// availability "without itself" that §II-C weighs suicide against.
     /// Part of the partition's availability memo: written with it and
@@ -65,7 +64,7 @@ pub struct Replica {
 
 impl Replica {
     /// A fresh replica on `server` with an empty store.
-    pub fn new(id: VnodeId, server: ServerId, window: usize) -> Self {
+    pub(crate) fn new(id: VnodeId, server: ServerId, window: usize) -> Self {
         Self {
             id,
             server,
@@ -80,7 +79,7 @@ impl Replica {
     }
 
     /// Resets the per-epoch accumulators.
-    pub fn begin_epoch(&mut self) {
+    pub(crate) fn begin_epoch(&mut self) {
         self.utility_epoch = 0.0;
         self.queries_epoch = 0.0;
     }
@@ -94,38 +93,36 @@ impl Replica {
 /// derives the serving order from the weights, so a plan carries no heap
 /// buffer. Reused across epochs; meaningless unless [`DeliveryPlan::ready`].
 #[derive(Debug, Clone, Copy, Default)]
-pub struct DeliveryPlan {
+pub(crate) struct DeliveryPlan {
     /// Queries addressed to the partition by the planned delivery.
-    pub q: f64,
+    pub(crate) q: f64,
     /// Σ of the replicas' proximity weights, in replica order.
-    pub sum_g: f64,
+    pub(crate) sum_g: f64,
     /// True between a plan pass and its commit pass.
-    pub ready: bool,
+    pub(crate) ready: bool,
 }
 
 /// Runtime state of one partition of one virtual ring.
 #[derive(Debug, Clone)]
-pub struct PartitionState {
-    /// Ring-local partition identifier.
-    pub id: PartitionId,
+pub(crate) struct PartitionState {
     /// Replicas (virtual nodes), one per hosting server; never empty for a
     /// live partition.
-    pub replicas: Vec<Replica>,
+    pub(crate) replicas: Vec<Replica>,
     /// Popularity weight of the partition (the paper draws these from
     /// Pareto(1, 50)); splits halve it between the children.
-    pub popularity: f64,
+    pub(crate) popularity: f64,
     /// Logical bytes ingested without materialized records (synthetic
     /// workload accounting); every replica's server is charged this amount.
-    pub synthetic_bytes: u64,
+    pub(crate) synthetic_bytes: u64,
     /// Query volume per client region observed this epoch (the `q_l` of
     /// eq. 4): the partition's one copy of its client mix, one entry per
     /// client location, sized to the first batch that filled it and
     /// refilled in place every epoch.
-    pub region_queries: Vec<RegionQueries>,
+    pub(crate) region_queries: Vec<RegionQueries>,
     /// Total queries addressed to the partition this epoch (before drops).
-    pub queries_epoch: f64,
+    pub(crate) queries_epoch: f64,
     /// Bytes written to the partition this epoch (consistency-cost input).
-    pub write_bytes_epoch: u64,
+    pub(crate) write_bytes_epoch: u64,
     /// Per-country proximity weights memoized against the current
     /// `region_queries`, and nothing else: each miss sums eq. (4) over
     /// `region_queries` itself. Cleared whenever they change (epoch start,
@@ -133,7 +130,7 @@ pub struct PartitionState {
     /// country; every placement decision of the partition within the
     /// epoch reads the same entries and adds the countries the plan did
     /// not weigh.
-    pub prox_cache: ProximityCache,
+    pub(crate) prox_cache: ProximityCache,
     /// Memoized eq.-(2) availability of the current replica set. While
     /// `Some`, every replica's eq. (2) without itself is memoized too
     /// (`PartitionState::memoize_availability` writes both). Invalidated
@@ -144,16 +141,15 @@ pub struct PartitionState {
     /// [`PartitionState::note_confidence_changed`]. Survives across epochs
     /// otherwise: a converged partition never re-evaluates eq. (2) in
     /// `repair_availability`, the decision phase or the epoch report.
-    pub cached_availability: Option<f64>,
+    pub(crate) cached_availability: Option<f64>,
     /// Traffic-delivery scratch (see [`DeliveryPlan`]).
-    pub delivery: DeliveryPlan,
+    pub(crate) delivery: DeliveryPlan,
 }
 
 impl PartitionState {
     /// A new partition with no replicas yet.
-    pub fn new(id: PartitionId, popularity: f64) -> Self {
+    pub(crate) fn new(popularity: f64) -> Self {
         Self {
-            id,
             replicas: Vec::new(),
             popularity,
             synthetic_bytes: 0,
@@ -169,14 +165,14 @@ impl PartitionState {
     /// Records that the replica set changed (replica added, removed, or
     /// moved to another server): drops the memoized availability. Every
     /// mutation of `replicas` must call this.
-    pub fn note_membership_changed(&mut self) {
+    pub(crate) fn note_membership_changed(&mut self) {
         self.cached_availability = None;
     }
 
     /// Records that server confidences changed under the replica set
     /// (health-EWMA updates at epoch start): drops the memoized
     /// availability so eq. (2) re-evaluates.
-    pub fn note_confidence_changed(&mut self) {
+    pub(crate) fn note_confidence_changed(&mut self) {
         self.cached_availability = None;
     }
 
@@ -240,7 +236,7 @@ impl PartitionState {
     /// The logical size of one replica of this partition: synthetic bytes
     /// plus the largest materialized store among replicas (replicas converge
     /// to identical contents; the max is the safe transfer size).
-    pub fn size_bytes(&self) -> u64 {
+    pub(crate) fn size_bytes(&self) -> u64 {
         let stored = self
             .replicas
             .iter()
@@ -251,24 +247,24 @@ impl PartitionState {
     }
 
     /// Number of replicas.
-    pub fn replica_count(&self) -> usize {
+    pub(crate) fn replica_count(&self) -> usize {
         self.replicas.len()
     }
 
     /// The servers currently hosting a replica, in replica order.
-    pub fn replica_servers(&self) -> Vec<ServerId> {
+    pub(crate) fn replica_servers(&self) -> Vec<ServerId> {
         self.replicas.iter().map(|r| r.server).collect()
     }
 
     /// True when some replica lives on `server`.
-    pub fn has_replica_on(&self, server: ServerId) -> bool {
+    pub(crate) fn has_replica_on(&self, server: ServerId) -> bool {
         self.replicas.iter().any(|r| r.server == server)
     }
 
     /// Resets the per-epoch accumulators of the partition and its replicas.
     /// The availability cache is *not* reset: it depends only on replica
     /// membership, not on epoch-scoped meters.
-    pub fn begin_epoch(&mut self) {
+    pub(crate) fn begin_epoch(&mut self) {
         self.region_queries.clear();
         self.prox_cache.clear();
         self.queries_epoch = 0.0;
@@ -283,7 +279,7 @@ impl PartitionState {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use skute_store::{Record, Version};
+    use skute_store::{ApplyOutcome, Record, Version};
 
     #[test]
     fn replica_epoch_reset() {
@@ -297,21 +293,20 @@ mod tests {
 
     #[test]
     fn partition_size_combines_synthetic_and_store() {
-        let mut p = PartitionState::new(PartitionId(0), 1.0);
+        let mut p = PartitionState::new(1.0);
         p.synthetic_bytes = 1000;
         assert_eq!(p.size_bytes(), 1000);
         let mut r = Replica::new(VnodeId(1), ServerId(0), 3);
-        assert!(r.store.apply(
-            &b"key"[..],
-            Record::put(&b"0123456789"[..], Version::new(1, 0, 0))
-        ));
+        let record = Record::put(&b"0123456789"[..], Version::new(1, 0, 0));
+        let applied = r.store.apply_gated(&b"key"[..], record, |_| true);
+        assert_eq!(applied, ApplyOutcome::Applied);
         p.replicas.push(r);
         assert_eq!(p.size_bytes(), 1000 + 3 + 10);
     }
 
     #[test]
     fn replica_servers_and_membership() {
-        let mut p = PartitionState::new(PartitionId(0), 1.0);
+        let mut p = PartitionState::new(1.0);
         p.replicas.push(Replica::new(VnodeId(1), ServerId(4), 3));
         p.replicas.push(Replica::new(VnodeId(2), ServerId(9), 3));
         assert_eq!(p.replica_servers(), vec![ServerId(4), ServerId(9)]);
@@ -322,7 +317,7 @@ mod tests {
 
     #[test]
     fn partition_epoch_reset_clears_accumulators() {
-        let mut p = PartitionState::new(PartitionId(0), 1.0);
+        let mut p = PartitionState::new(1.0);
         p.queries_epoch = 12.0;
         p.write_bytes_epoch = 77;
         p.region_queries.push(RegionQueries {
@@ -335,12 +330,15 @@ mod tests {
             &skute_geo::Location::new(0, 0, 0, 0, 0, 0),
             &topo,
         );
-        assert!(!p.prox_cache.is_empty());
         p.begin_epoch();
         assert_eq!(p.queries_epoch, 0.0);
         assert_eq!(p.write_bytes_epoch, 0);
         assert!(p.region_queries.is_empty());
-        assert!(p.prox_cache.is_empty(), "stale proximity must not survive");
+        assert_eq!(
+            format!("{:?}", p.prox_cache),
+            format!("{:?}", ProximityCache::new()),
+            "stale proximity must not survive"
+        );
     }
 
     #[test]
@@ -378,7 +376,7 @@ mod tests {
 
     #[test]
     fn membership_note_drops_availability() {
-        let mut p = PartitionState::new(PartitionId(0), 1.0);
+        let mut p = PartitionState::new(1.0);
         p.cached_availability = Some(63.0);
         p.note_membership_changed();
         assert_eq!(p.cached_availability, None);

@@ -8,7 +8,7 @@ use std::fmt;
 /// array, not a tuning knob: [`crate::EconomyConfig::validate`] rejects any
 /// larger `decision_window`. The paper's default is 3 and the window
 /// ablation sweeps 1, 2, 4 and 8.
-pub const MAX_DECISION_WINDOW: usize = 8;
+pub(crate) const MAX_DECISION_WINDOW: usize = 8;
 
 /// Rolling history of a virtual node's per-epoch balances
 /// (`b = u(pop, g) − c`, eq. 5), with detection of the f-epoch positive and
@@ -59,18 +59,18 @@ impl BalanceHistory {
     }
 
     /// The configured window f.
-    pub fn window(&self) -> usize {
+    pub(crate) fn window(&self) -> usize {
         usize::from(self.window)
     }
 
     /// Number of balances in the current window (at most f; zero after
     /// [`BalanceHistory::reset_window`]).
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         usize::from(self.len)
     }
 
     /// True when the current window holds no balance.
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.len == 0
     }
 

@@ -20,7 +20,7 @@ pub struct EconomyConfig {
     pub utility_per_query: f64,
     /// f of §II-C: number of consecutive epochs a balance must stay
     /// negative (positive) before a vnode migrates/suicides (replicates).
-    /// At most [`MAX_DECISION_WINDOW`], the inline window of every vnode.
+    /// At most `MAX_DECISION_WINDOW`, the inline window of every vnode.
     pub decision_window: usize,
     /// Monetary value of one unit of diversity in eq. (3), balancing the
     /// diversity sum against rents. Larger values favour spread over cost.
@@ -29,13 +29,6 @@ pub struct EconomyConfig {
     /// MiB of write traffic to the partition (the "increased network cost
     /// for data consistency" of §II-C).
     pub consistency_cost_per_mib: f64,
-    /// Data-transfer cost per MiB a replication or migration moves between
-    /// servers (the transfer term of the paper's cost model). Priced from
-    /// the storage backend's **measured** bytes
-    /// (`ActionCounts::transfer_cost` in `skute-core`): identical to the
-    /// logical size under the in-memory oracle, real WAL + SSTable bytes
-    /// under the LSM engine.
-    pub transfer_cost_per_mib: f64,
     /// Safety margin: a vnode only replicates for profit when its mean
     /// balance exceeds this multiple of the projected extra cost.
     pub replication_hurdle: f64,
@@ -59,7 +52,6 @@ impl EconomyConfig {
             decision_window: 3,
             diversity_unit_value: 0.02,
             consistency_cost_per_mib: 0.001,
-            transfer_cost_per_mib: 0.001,
             replication_hurdle: 1.5,
             max_replicas: 12,
             migration_margin: 0.1,
@@ -95,10 +87,6 @@ impl EconomyConfig {
         assert!(
             self.consistency_cost_per_mib >= 0.0,
             "consistency_cost_per_mib must be ≥ 0"
-        );
-        assert!(
-            self.transfer_cost_per_mib >= 0.0 && self.transfer_cost_per_mib.is_finite(),
-            "transfer_cost_per_mib must be ≥ 0"
         );
         assert!(
             self.replication_hurdle >= 0.0,
@@ -163,14 +151,6 @@ mod tests {
     fn zero_max_replicas_rejected() {
         let mut c = EconomyConfig::paper();
         c.max_replicas = 0;
-        c.validate();
-    }
-
-    #[test]
-    #[should_panic(expected = "transfer_cost_per_mib")]
-    fn negative_transfer_cost_rejected() {
-        let mut c = EconomyConfig::paper();
-        c.transfer_cost_per_mib = -0.5;
         c.validate();
     }
 }

@@ -18,14 +18,14 @@
 
 #![warn(missing_docs)]
 
-pub mod balance;
-pub mod config;
-pub mod rent;
+mod balance;
+mod config;
+mod rent;
 pub mod scoring;
-pub mod utility;
+mod utility;
 
-pub use balance::{BalanceHistory, MAX_DECISION_WINDOW};
+pub use balance::BalanceHistory;
 pub use config::EconomyConfig;
 pub use rent::RentModel;
-pub use scoring::{candidate_score, proximity, ProximityCache, RegionQueries};
+pub use scoring::{candidate_score, ProximityCache, RegionQueries};
 pub use utility::{floored_utility, utility};

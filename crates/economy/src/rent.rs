@@ -13,9 +13,9 @@ use skute_cluster::Server;
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RentModel {
     /// α — storage-usage weight.
-    pub alpha: f64,
+    pub(crate) alpha: f64,
     /// β — query-load weight.
-    pub beta: f64,
+    pub(crate) beta: f64,
 }
 
 impl RentModel {
@@ -26,7 +26,7 @@ impl RentModel {
 
     /// Eq. (1) from raw inputs.
     #[inline]
-    pub fn price(&self, up: f64, storage_usage: f64, query_load: f64) -> f64 {
+    pub(crate) fn price(&self, up: f64, storage_usage: f64, query_load: f64) -> f64 {
         up * (1.0 + self.alpha * storage_usage + self.beta * query_load)
     }
 
@@ -62,23 +62,20 @@ mod tests {
 
     #[test]
     fn price_server_uses_meters() {
-        let mut cluster = Cluster::new();
-        let id = cluster.commission(
-            ServerSpec {
-                location: Location::new(0, 0, 0, 0, 0, 0),
-                capacities: Capacities::paper(1000, 100.0),
-                monthly_cost: 720.0, // => per-epoch share 1.0 with paper month
-                confidence: 1.0,
-            },
-            0,
-        );
+        let mut cluster = Cluster::default();
+        let id = cluster.commission(ServerSpec {
+            location: Location::new(0, 0, 0, 0, 0, 0),
+            capacities: Capacities::paper(1000, 100.0),
+            monthly_cost: 720.0, // => per-epoch share 1.0 with paper month
+            confidence: 1.0,
+        });
         let m = RentModel::new(1.0, 1.0);
         let idle_price = m.price_server(cluster.get(id).unwrap());
         {
             let s = cluster.get_mut(id).unwrap();
             let caps = s.capacities;
             assert!(s.usage.reserve_storage(&caps, 500));
-            s.usage.serve_queries(&caps, 50.0);
+            s.usage.queries_served = 50.0;
         }
         let busy_price = m.price_server(cluster.get(id).unwrap());
         assert!(busy_price > idle_price);

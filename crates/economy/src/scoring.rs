@@ -87,7 +87,8 @@ impl ProximityCache {
     }
 
     /// True when nothing is memoized yet.
-    pub fn is_empty(&self) -> bool {
+    #[cfg(test)]
+    pub(crate) fn is_empty(&self) -> bool {
         self.entries.is_empty()
     }
 
@@ -153,6 +154,11 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
 
+    /// The `i`-th server of `t` in lexicographic order.
+    fn server_at(t: &Topology, i: u64) -> Location {
+        t.iter_servers().nth(i as usize).unwrap()
+    }
+
     fn topo() -> Topology {
         Topology::paper()
     }
@@ -208,7 +214,7 @@ mod tests {
             })
             .collect();
         for i in [0u64, 57, 123, 199] {
-            let server = t.server_at(i);
+            let server = server_at(&t, i);
             let g = proximity(&regions, &server, &t);
             assert!((g - 1.0).abs() < 1e-12, "server {i}: g = {g}");
         }
@@ -217,7 +223,7 @@ mod tests {
     #[test]
     fn no_queries_is_neutral() {
         let t = topo();
-        let server = t.server_at(0);
+        let server = server_at(&t, 0);
         assert_eq!(proximity(&[], &server, &t), 1.0);
     }
 
@@ -228,8 +234,8 @@ mod tests {
             location: Location::client_in_country(0, 0),
             queries: 1000.0,
         }];
-        let local = t.server_at(0); // continent 0, country 0
-        let remote = t.server_at(199); // continent 4, country 1
+        let local = server_at(&t, 0); // continent 0, country 0
+        let remote = server_at(&t, 199); // continent 4, country 1
         let g_local = proximity(&regions, &local, &t);
         let g_remote = proximity(&regions, &remote, &t);
         assert!(g_local > 1.0, "g_local = {g_local}");
@@ -240,15 +246,15 @@ mod tests {
     #[test]
     fn candidate_score_prefers_diverse_then_cheap() {
         let t = topo();
-        let existing = vec![t.server_at(0)];
-        let same_rack = t.server_at(1);
-        let other_continent = t.server_at(199);
+        let existing = vec![server_at(&t, 0)];
+        let same_rack = server_at(&t, 1);
+        let other_continent = server_at(&t, 199);
         let v = 0.02;
         let s_near = candidate_score(&existing, &same_rack, 1.0, 0.2, 1.0, v);
         let s_far = candidate_score(&existing, &other_continent, 1.0, 0.2, 1.0, v);
         assert!(s_far > s_near, "diversity dominates at equal rent");
         // Between two equally diverse candidates the cheaper one wins.
-        let other_continent_b = t.server_at(198);
+        let other_continent_b = server_at(&t, 198);
         let s_far_cheap = candidate_score(&existing, &other_continent_b, 1.0, 0.1, 1.0, v);
         assert!(s_far_cheap > s_far);
     }
@@ -256,8 +262,8 @@ mod tests {
     #[test]
     fn zero_confidence_candidate_scores_negative_rent() {
         let t = topo();
-        let existing = vec![t.server_at(0)];
-        let cand = t.server_at(199);
+        let existing = vec![server_at(&t, 0)];
+        let cand = server_at(&t, 199);
         let s = candidate_score(&existing, &cand, 0.0, 0.3, 1.0, 0.02);
         assert!((s - (-0.3)).abs() < 1e-12);
     }
@@ -265,7 +271,7 @@ mod tests {
     #[test]
     fn empty_replica_set_scores_pure_rent() {
         let t = topo();
-        let cand = t.server_at(5);
+        let cand = server_at(&t, 5);
         let s = candidate_score(&[], &cand, 1.0, 0.25, 1.0, 0.02);
         assert!((s - (-0.25)).abs() < 1e-12);
     }
@@ -294,7 +300,7 @@ mod tests {
         assert!(!cache.is_empty());
         // Re-querying stays identical; clearing resets and keeps the
         // buffer.
-        let s = t.server_at(3);
+        let s = server_at(&t, 3);
         assert_eq!(cache.g(&regions, &s, &t), proximity(&regions, &s, &t));
         let capacity = cache.entries.capacity();
         cache.clear();
@@ -318,7 +324,7 @@ mod tests {
         // and still collapses to one entry per server country.
         let mut cache = ProximityCache::new();
         for i in 0..200u64 {
-            let server = t.server_at(i);
+            let server = server_at(&t, i);
             let direct = proximity(&regions, &server, &t);
             let cached = cache.g(&regions, &server, &t);
             assert_eq!(cached.to_bits(), direct.to_bits(), "server {i}");
@@ -326,7 +332,7 @@ mod tests {
         assert_eq!(cache.entries.len(), 10);
         // And on a duplicate-free mix the analytic value agrees with the
         // general per-location scan bit for bit.
-        let server = t.server_at(42);
+        let server = server_at(&t, 42);
         assert_eq!(
             proximity(&regions, &server, &t).to_bits(),
             general_scan(&regions, &server, &t).to_bits()
@@ -401,7 +407,7 @@ mod tests {
                     RegionQueries { location: Location::client_in_country(ct, co), queries: q }
                 })
                 .collect();
-            let g = proximity(&regions, &t.server_at(server_idx), &t);
+            let g = proximity(&regions, &server_at(&t, server_idx), &t);
             prop_assert!(g.is_finite());
             prop_assert!(g > 0.0);
         }
@@ -429,7 +435,7 @@ mod tests {
                     RegionQueries { location: Location::client_in_country(ct, co), queries: q }
                 })
                 .collect();
-            let server = t.server_at(server_idx);
+            let server = server_at(&t, server_idx);
             let kernel = proximity(&regions, &server, &t);
             let scan = general_scan(&regions, &server, &t);
             prop_assert_eq!(kernel.to_bits(), scan.to_bits());
@@ -451,7 +457,7 @@ mod tests {
             // server, a same-country sibling and a client-zone server of
             // that country, all three memoized per country.
             let mut cache = ProximityCache::new();
-            let sibling = t.server_at(server_idx ^ 1);
+            let sibling = server_at(&t, server_idx ^ 1);
             let zone = Location::client_in_country(server.continent, server.country);
             for s in [server, sibling, zone, server] {
                 let direct = proximity(&regions, &s, &t).to_bits();
@@ -472,7 +478,7 @@ mod tests {
                 .collect();
             cache.clear();
             for i in (0..200u64).step_by(17).chain([server_idx]) {
-                let s = t.server_at(i);
+                let s = server_at(&t, i);
                 let scan = general_scan(&second, &s, &t).to_bits();
                 prop_assert_eq!(cache.g(&second, &s, &t).to_bits(), scan, "server {}", i);
             }
@@ -483,8 +489,8 @@ mod tests {
             rent1 in 0.0f64..2.0, rent2 in 0.0f64..2.0, server_idx in 0u64..200
         ) {
             let t = topo();
-            let existing = vec![t.server_at(0), t.server_at(100)];
-            let cand = t.server_at(server_idx);
+            let existing = vec![server_at(&t, 0), server_at(&t, 100)];
+            let cand = server_at(&t, server_idx);
             let lo = candidate_score(&existing, &cand, 1.0, rent1.min(rent2), 1.0, 0.02);
             let hi = candidate_score(&existing, &cand, 1.0, rent1.max(rent2), 1.0, 0.02);
             prop_assert!(lo >= hi);

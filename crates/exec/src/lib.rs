@@ -32,7 +32,8 @@ impl WorkerPool {
     }
 
     /// The resolved worker budget (≥ 1).
-    pub fn threads(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn threads(&self) -> usize {
         self.threads
     }
 

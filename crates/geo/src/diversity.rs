@@ -27,15 +27,15 @@
 use crate::location::{Level, Location};
 
 /// A diversity value in `0..=63` as produced by [`diversity`].
-pub type Diversity = u8;
+pub(crate) type Diversity = u8;
 
 /// Largest possible diversity: two servers on different continents.
-pub const MAX_DIVERSITY: Diversity = 0b11_1111;
+pub(crate) const MAX_DIVERSITY: Diversity = 0b11_1111;
 
 /// Diversity of two locations whose coarsest differing level is `level`
 /// (e.g. `Level::Country` → 31).
-#[inline]
-pub const fn diversity_between(level: Level) -> Diversity {
+#[cfg(test)]
+const fn diversity_between(level: Level) -> Diversity {
     // NOT of a similarity that has ones strictly above `level.bit()`.
     (1u8 << (level.bit() + 1)) - 1
 }
@@ -43,7 +43,7 @@ pub const fn diversity_between(level: Level) -> Diversity {
 /// The 6-bit similarity of two locations: bit `k` is set iff the locations
 /// agree on the level with bit `k` *and every coarser level*.
 #[inline]
-pub fn similarity(a: &Location, b: &Location) -> u8 {
+pub(crate) fn similarity(a: &Location, b: &Location) -> u8 {
     let mut sim = 0u8;
     for level in Level::ALL {
         if a.component(level) == b.component(level) {
@@ -55,19 +55,12 @@ pub fn similarity(a: &Location, b: &Location) -> u8 {
     sim
 }
 
-/// The paper's diversity metric: binary NOT of [`similarity`] restricted to
+/// The paper's diversity metric: binary NOT of `similarity` restricted to
 /// the low six bits. Symmetric, zero iff `a == b`, and monotone in the depth
 /// of the first differing level.
 #[inline]
 pub fn diversity(a: &Location, b: &Location) -> Diversity {
     !similarity(a, b) & MAX_DIVERSITY
-}
-
-/// Diversity scaled to `[0, 1]` (`diversity / 63`), convenient for proximity
-/// weighting where an absolute scale is needed.
-#[inline]
-pub fn normalized_diversity(a: &Location, b: &Location) -> f64 {
-    f64::from(diversity(a, b)) / f64::from(MAX_DIVERSITY)
 }
 
 #[cfg(test)]
@@ -127,14 +120,6 @@ mod tests {
         assert_eq!(diversity_between(Level::Room), 7);
         assert_eq!(diversity_between(Level::Rack), 3);
         assert_eq!(diversity_between(Level::Server), 1);
-    }
-
-    #[test]
-    fn normalized_diversity_bounds() {
-        let a = loc(0, 0, 0, 0, 0, 0);
-        let b = loc(1, 0, 0, 0, 0, 0);
-        assert_eq!(normalized_diversity(&a, &a), 0.0);
-        assert_eq!(normalized_diversity(&a, &b), 1.0);
     }
 
     fn arb_location() -> impl Strategy<Value = Location> {

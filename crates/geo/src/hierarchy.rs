@@ -52,7 +52,7 @@ impl Topology {
     }
 
     /// Total number of distinct subtrees at `level` (e.g. total racks).
-    pub fn count_at(&self, level: Level) -> u64 {
+    pub(crate) fn count_at(&self, level: Level) -> u64 {
         let mut total = 1u64;
         for l in Level::ALL {
             total *= u64::from(self.fanout(l));
@@ -90,7 +90,7 @@ impl Topology {
     ///
     /// # Panics
     /// Panics if `index >= self.server_count()`.
-    pub fn server_at(&self, index: u64) -> Location {
+    pub(crate) fn server_at(&self, index: u64) -> Location {
         assert!(
             index < self.server_count(),
             "server index {index} out of range for topology with {} servers",
@@ -111,19 +111,9 @@ impl Topology {
         Location::new(ct, co, dc, rm, rk, sv)
     }
 
-    /// Lexicographic index of a server location (inverse of
-    /// [`Topology::server_at`]).
-    pub fn index_of(&self, loc: &Location) -> u64 {
-        let mut idx = u64::from(loc.continent);
-        idx = idx * u64::from(self.countries_per_continent) + u64::from(loc.country);
-        idx = idx * u64::from(self.datacenters_per_country) + u64::from(loc.datacenter);
-        idx = idx * u64::from(self.rooms_per_datacenter) + u64::from(loc.room);
-        idx = idx * u64::from(self.racks_per_room) + u64::from(loc.rack);
-        idx * u64::from(self.servers_per_rack) + u64::from(loc.server)
-    }
-
     /// True when `loc` denotes a server that exists in this topology.
-    pub fn contains(&self, loc: &Location) -> bool {
+    #[cfg(test)]
+    fn contains(&self, loc: &Location) -> bool {
         loc.continent < self.continents
             && loc.country < self.countries_per_continent
             && loc.datacenter < self.datacenters_per_country
@@ -177,13 +167,13 @@ impl TopologyBuilder {
     }
 
     /// Sets the number of rooms per datacenter.
-    pub fn rooms_per_datacenter(mut self, n: u16) -> Self {
+    pub(crate) fn rooms_per_datacenter(mut self, n: u16) -> Self {
         self.rooms_per_datacenter = n;
         self
     }
 
     /// Sets the number of racks per room.
-    pub fn racks_per_room(mut self, n: u16) -> Self {
+    pub(crate) fn racks_per_room(mut self, n: u16) -> Self {
         self.racks_per_room = n;
         self
     }
@@ -248,11 +238,10 @@ mod tests {
     }
 
     #[test]
-    fn server_at_and_index_of_are_inverse() {
+    fn servers_enumerate_in_lexicographic_order() {
         let t = Topology::paper();
-        for i in 0..t.server_count() {
-            assert_eq!(t.index_of(&t.server_at(i)), i);
-        }
+        let servers: Vec<_> = t.iter_servers().collect();
+        assert!(servers.windows(2).all(|w| w[0] < w[1]));
     }
 
     #[test]
@@ -304,9 +293,11 @@ mod tests {
                 u64::from(ct) * u64::from(co) * u64::from(dc)
                     * u64::from(rm) * u64::from(rk) * u64::from(sv)
             );
-            for i in 0..n {
-                prop_assert_eq!(t.index_of(&t.server_at(i)), i);
-            }
+            // Strictly increasing valid locations, one per index: a bijection
+            // onto the topology's servers in lexicographic order.
+            let servers: Vec<_> = t.iter_servers().collect();
+            prop_assert!(servers.windows(2).all(|w| w[0] < w[1]));
+            prop_assert!(servers.iter().all(|s| t.contains(s)));
         }
     }
 }

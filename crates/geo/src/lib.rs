@@ -21,12 +21,12 @@
 
 #![warn(missing_docs)]
 
-pub mod distribution;
-pub mod diversity;
-pub mod hierarchy;
-pub mod location;
+mod distribution;
+mod diversity;
+mod hierarchy;
+mod location;
 
 pub use distribution::{ClientGeo, RegionWeight};
-pub use diversity::{diversity, diversity_between, normalized_diversity, Diversity, MAX_DIVERSITY};
+pub use diversity::diversity;
 pub use hierarchy::{Topology, TopologyBuilder};
 pub use location::{Level, Location};

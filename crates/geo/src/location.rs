@@ -6,7 +6,7 @@ use std::fmt;
 /// (continent) to the least significant (server).
 ///
 /// The paper encodes the similarity of two locations as a 6-bit number with
-/// "leftmost significance" (§II-B); [`Level::bit`] returns the bit position
+/// "leftmost significance" (§II-B); `Level::bit` returns the bit position
 /// each level occupies in that encoding.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Level {
@@ -26,7 +26,7 @@ pub enum Level {
 
 impl Level {
     /// All levels from most to least significant.
-    pub const ALL: [Level; 6] = [
+    pub(crate) const ALL: [Level; 6] = [
         Level::Continent,
         Level::Country,
         Level::Datacenter,
@@ -38,7 +38,7 @@ impl Level {
     /// Bit position of this level in the 6-bit similarity encoding
     /// (continent = 5 … server = 0).
     #[inline]
-    pub const fn bit(self) -> u8 {
+    pub(crate) const fn bit(self) -> u8 {
         match self {
             Level::Continent => 5,
             Level::Country => 4,
@@ -46,38 +46,6 @@ impl Level {
             Level::Room => 2,
             Level::Rack => 1,
             Level::Server => 0,
-        }
-    }
-
-    /// Depth of this level in the hierarchy (continent = 0 … server = 5).
-    #[inline]
-    pub const fn depth(self) -> usize {
-        5 - self.bit() as usize
-    }
-
-    /// The next finer level, or `None` for [`Level::Server`].
-    #[inline]
-    pub const fn finer(self) -> Option<Level> {
-        match self {
-            Level::Continent => Some(Level::Country),
-            Level::Country => Some(Level::Datacenter),
-            Level::Datacenter => Some(Level::Room),
-            Level::Room => Some(Level::Rack),
-            Level::Rack => Some(Level::Server),
-            Level::Server => None,
-        }
-    }
-
-    /// The next coarser level, or `None` for [`Level::Continent`].
-    #[inline]
-    pub const fn coarser(self) -> Option<Level> {
-        match self {
-            Level::Continent => None,
-            Level::Country => Some(Level::Continent),
-            Level::Datacenter => Some(Level::Country),
-            Level::Room => Some(Level::Datacenter),
-            Level::Rack => Some(Level::Room),
-            Level::Server => Some(Level::Rack),
         }
     }
 }
@@ -102,7 +70,7 @@ impl fmt::Display for Level {
 /// (e.g. `rack` is the rack number inside its room). Two locations share a
 /// component only if they agree on **all coarser components too** — "rack 0
 /// in datacenter A" and "rack 0 in datacenter B" are physically distinct
-/// racks, which [`Location::shares_prefix_through`] accounts for.
+/// racks, which the diversity metric (`diversity`) accounts for.
 ///
 /// Query clients are also represented as `Location`s: the workload layer
 /// places a client in a country by using [`Location::client_in_country`],
@@ -115,13 +83,13 @@ pub struct Location {
     /// Country index within the continent.
     pub country: u16,
     /// Datacenter index within the country.
-    pub datacenter: u16,
+    pub(crate) datacenter: u16,
     /// Room index within the datacenter.
-    pub room: u16,
+    pub(crate) room: u16,
     /// Rack index within the room.
-    pub rack: u16,
+    pub(crate) rack: u16,
     /// Server index within the rack.
-    pub server: u16,
+    pub(crate) server: u16,
 }
 
 /// Synthetic datacenter index marking "a client zone outside any datacenter".
@@ -150,7 +118,7 @@ impl Location {
 
     /// The component at `level`.
     #[inline]
-    pub const fn component(&self, level: Level) -> u16 {
+    pub(crate) const fn component(&self, level: Level) -> u16 {
         match level {
             Level::Continent => self.continent,
             Level::Country => self.country,
@@ -161,37 +129,10 @@ impl Location {
         }
     }
 
-    /// Returns a copy with the component at `level` replaced.
-    #[must_use]
-    pub const fn with_component(mut self, level: Level, value: u16) -> Self {
-        match level {
-            Level::Continent => self.continent = value,
-            Level::Country => self.country = value,
-            Level::Datacenter => self.datacenter = value,
-            Level::Room => self.room = value,
-            Level::Rack => self.rack = value,
-            Level::Server => self.server = value,
-        }
-        self
-    }
-
-    /// True when both locations agree on every component from
-    /// [`Level::Continent`] down to and including `level`.
-    pub fn shares_prefix_through(&self, other: &Location, level: Level) -> bool {
-        for l in Level::ALL {
-            if self.component(l) != other.component(l) {
-                return false;
-            }
-            if l == level {
-                return true;
-            }
-        }
-        true
-    }
-
     /// The coarsest level at which the two locations differ, or `None` if
     /// they are the same server.
-    pub fn first_divergence(&self, other: &Location) -> Option<Level> {
+    #[cfg(test)]
+    pub(crate) fn first_divergence(&self, other: &Location) -> Option<Level> {
         Level::ALL
             .into_iter()
             .find(|&l| self.component(l) != other.component(l))
@@ -242,27 +183,6 @@ mod tests {
     }
 
     #[test]
-    fn level_depth_inverts_bit() {
-        for l in Level::ALL {
-            assert_eq!(l.depth(), 5 - l.bit() as usize);
-        }
-    }
-
-    #[test]
-    fn finer_and_coarser_roundtrip() {
-        for l in Level::ALL {
-            if let Some(f) = l.finer() {
-                assert_eq!(f.coarser(), Some(l));
-            }
-            if let Some(c) = l.coarser() {
-                assert_eq!(c.finer(), Some(l));
-            }
-        }
-        assert_eq!(Level::Server.finer(), None);
-        assert_eq!(Level::Continent.coarser(), None);
-    }
-
-    #[test]
     fn component_accessors_match_fields() {
         let loc = Location::new(1, 2, 3, 4, 5, 6);
         assert_eq!(loc.component(Level::Continent), 1);
@@ -271,24 +191,6 @@ mod tests {
         assert_eq!(loc.component(Level::Room), 4);
         assert_eq!(loc.component(Level::Rack), 5);
         assert_eq!(loc.component(Level::Server), 6);
-    }
-
-    #[test]
-    fn with_component_replaces_one_field() {
-        let loc = Location::new(0, 0, 0, 0, 0, 0).with_component(Level::Rack, 9);
-        assert_eq!(loc.rack, 9);
-        assert_eq!(loc.room, 0);
-        assert_eq!(loc.server, 0);
-    }
-
-    #[test]
-    fn shares_prefix_requires_all_coarser_components() {
-        let a = Location::new(0, 1, 0, 0, 3, 0);
-        let b = Location::new(0, 1, 0, 0, 3, 4);
-        let c = Location::new(0, 2, 0, 0, 3, 0); // same rack index, other country
-        assert!(a.shares_prefix_through(&b, Level::Rack));
-        assert!(!a.shares_prefix_through(&c, Level::Rack));
-        assert!(a.shares_prefix_through(&c, Level::Continent));
     }
 
     #[test]

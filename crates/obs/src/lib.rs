@@ -51,7 +51,7 @@ pub struct Counter {
 
 impl Counter {
     /// A standalone counter (not registered anywhere).
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
@@ -66,7 +66,7 @@ impl Counter {
     }
 
     /// Current value.
-    pub fn get(&self) -> u64 {
+    pub(crate) fn get(&self) -> u64 {
         self.value.load(Ordering::Relaxed)
     }
 }
@@ -80,7 +80,7 @@ pub struct Gauge {
 
 impl Gauge {
     /// A standalone gauge (not registered anywhere).
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
@@ -100,7 +100,7 @@ impl Gauge {
     }
 
     /// Current value.
-    pub fn get(&self) -> i64 {
+    pub(crate) fn get(&self) -> i64 {
         self.value.load(Ordering::Relaxed)
     }
 }
@@ -160,7 +160,7 @@ impl Histogram {
     /// Records one observation. The matching bucket is the first whose
     /// upper bound is **≥** the value (Prometheus `le` semantics: a value
     /// exactly on a boundary lands in that boundary's bucket).
-    pub fn observe(&self, v: f64) {
+    pub(crate) fn observe(&self, v: f64) {
         let v = if v.is_finite() && v > 0.0 { v } else { 0.0 };
         let idx = self
             .inner
@@ -184,7 +184,7 @@ impl Histogram {
     }
 
     /// Total observations.
-    pub fn count(&self) -> u64 {
+    pub(crate) fn count(&self) -> u64 {
         self.inner
             .counts
             .iter()
@@ -199,7 +199,7 @@ impl Histogram {
 
     /// `(upper_bound, cumulative_count)` per bucket, ending with the
     /// `+Inf` bucket (`f64::INFINITY`, total count).
-    pub fn cumulative_buckets(&self) -> Vec<(f64, u64)> {
+    pub(crate) fn cumulative_buckets(&self) -> Vec<(f64, u64)> {
         let mut cum = 0u64;
         let mut out = Vec::with_capacity(self.inner.bounds.len() + 1);
         for (i, c) in self.inner.counts.iter().enumerate() {
@@ -264,7 +264,7 @@ pub fn exponential_buckets(start: f64, factor: f64, count: usize) -> Vec<f64> {
 
 /// What a family's series measure.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum MetricKind {
+pub(crate) enum MetricKind {
     /// Monotonically increasing.
     Counter,
     /// Goes up and down.
@@ -417,7 +417,8 @@ impl Registry {
     }
 
     /// Registers (or retrieves) an unlabeled histogram over `bounds`.
-    pub fn histogram(&self, name: &str, help: &str, bounds: &[f64]) -> Histogram {
+    #[cfg(test)]
+    pub(crate) fn histogram(&self, name: &str, help: &str, bounds: &[f64]) -> Histogram {
         self.histogram_with(name, help, &[], bounds)
     }
 

@@ -31,12 +31,6 @@ fn splitmix64(mut z: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// Maps a key to its position on the ring. Deterministic across runs.
-#[inline]
-pub fn key_token(key: &[u8]) -> Token {
-    KeyHasher::default().token(key)
-}
-
 /// A seedable key hasher. Different seeds give statistically independent
 /// placements, which lets distinct virtual rings spread the *same* keys over
 /// different partitions if desired.
@@ -73,7 +67,10 @@ mod tests {
     fn hashing_is_deterministic() {
         let h = KeyHasher::default();
         assert_eq!(h.hash(b"user:42"), h.hash(b"user:42"));
-        assert_eq!(key_token(b"user:42"), key_token(b"user:42"));
+        assert_eq!(
+            KeyHasher::default().token(b"user:42"),
+            KeyHasher::default().token(b"user:42")
+        );
     }
 
     #[test]
@@ -113,15 +110,15 @@ mod tests {
     proptest! {
         #[test]
         fn prop_deterministic(key in proptest::collection::vec(any::<u8>(), 0..64)) {
-            prop_assert_eq!(key_token(&key), key_token(&key));
+            prop_assert_eq!(KeyHasher::default().token(&key), KeyHasher::default().token(&key));
         }
 
         #[test]
         fn prop_avalanche_on_single_bit(key in proptest::collection::vec(any::<u8>(), 1..32)) {
             let mut flipped = key.clone();
             flipped[0] ^= 1;
-            let a = key_token(&key).0;
-            let b = key_token(&flipped).0;
+            let a = KeyHasher::default().token(&key).0;
+            let b = KeyHasher::default().token(&flipped).0;
             // At least a quarter of the 64 bits should differ on average;
             // require a loose lower bound that practically never fails.
             prop_assert!((a ^ b).count_ones() >= 8);

@@ -9,7 +9,7 @@
 //! the range of keys in (previous token, token]" (§I).
 //!
 //! This crate provides:
-//! * [`hash::key_token`] — a stable, seedable 64-bit key hash,
+//! * [`KeyHasher`] — a stable, seedable 64-bit key hash,
 //! * [`Token`] and [`KeyRange`] — positions on the ring and wrap-around
 //!   `(prev, token]` ranges,
 //! * [`Partition`] — an identified key range that can split when it outgrows
@@ -23,12 +23,12 @@
 
 #![warn(missing_docs)]
 
-pub mod hash;
-pub mod partition;
-pub mod token;
-pub mod vring;
+mod hash;
+mod partition;
+mod token;
+mod vring;
 
-pub use hash::{key_token, KeyHasher};
+pub use hash::KeyHasher;
 pub use partition::{Partition, PartitionId};
 pub use token::{KeyRange, Token};
 pub use vring::{RingId, VirtualRing};

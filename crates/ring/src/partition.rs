@@ -2,7 +2,7 @@
 
 use std::fmt;
 
-use crate::token::{KeyRange, Token};
+use crate::token::KeyRange;
 
 /// Identifier of a partition, unique within one [`crate::VirtualRing`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -29,18 +29,8 @@ pub struct Partition {
 
 impl Partition {
     /// Creates a partition over `range`.
-    pub const fn new(id: PartitionId, range: KeyRange) -> Self {
+    pub(crate) const fn new(id: PartitionId, range: KeyRange) -> Self {
         Self { id, range }
-    }
-
-    /// The partition's token (inclusive end of its range).
-    pub const fn token(&self) -> Token {
-        self.range.end
-    }
-
-    /// Whether this partition is responsible for `token`.
-    pub fn owns(&self, token: Token) -> bool {
-        self.range.contains(token)
     }
 }
 
@@ -53,15 +43,16 @@ impl fmt::Display for Partition {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::token::Token;
 
     #[test]
     fn partition_owns_its_range() {
         let p = Partition::new(PartitionId(7), KeyRange::new(Token(100), Token(200)));
-        assert!(p.owns(Token(150)));
-        assert!(p.owns(Token(200)));
-        assert!(!p.owns(Token(100)));
-        assert!(!p.owns(Token(201)));
-        assert_eq!(p.token(), Token(200));
+        assert!(p.range.contains(Token(150)));
+        assert!(p.range.contains(Token(200)));
+        assert!(!p.range.contains(Token(100)));
+        assert!(!p.range.contains(Token(201)));
+        assert_eq!(p.range.end, Token(200));
     }
 
     #[test]

@@ -7,16 +7,11 @@ use std::fmt;
 pub struct Token(pub u64);
 
 impl Token {
-    /// Smallest token.
-    pub const MIN: Token = Token(0);
-    /// Largest token.
-    pub const MAX: Token = Token(u64::MAX);
-
     /// The token halfway around the arc from `start` (exclusive) to `self`
     /// (inclusive), used when splitting a partition in two equal halves.
     /// Wrap-around arcs are handled; the arc must contain at least two
     /// positions for the midpoint to be distinct from both ends.
-    pub fn midpoint_from(self, start: Token) -> Token {
+    pub(crate) fn midpoint_from(self, start: Token) -> Token {
         let width = self.0.wrapping_sub(start.0); // arc length, wraps correctly
         Token(start.0.wrapping_add(width / 2))
     }
@@ -43,9 +38,9 @@ impl From<u64> for Token {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct KeyRange {
     /// Exclusive start of the arc (the previous partition's token).
-    pub start: Token,
+    pub(crate) start: Token,
     /// Inclusive end of the arc (this partition's token).
-    pub end: Token,
+    pub(crate) end: Token,
 }
 
 impl KeyRange {
@@ -55,7 +50,7 @@ impl KeyRange {
     }
 
     /// The range covering the whole ring.
-    pub const fn full() -> Self {
+    pub(crate) const fn full() -> Self {
         Self {
             start: Token(0),
             end: Token(0),
@@ -63,7 +58,7 @@ impl KeyRange {
     }
 
     /// True when this range covers the whole ring.
-    pub const fn is_full(&self) -> bool {
+    pub(crate) const fn is_full(&self) -> bool {
         self.start.0 == self.end.0
     }
 
@@ -82,7 +77,7 @@ impl KeyRange {
     }
 
     /// Number of ring positions in the range (as u128 so the full ring fits).
-    pub fn width(&self) -> u128 {
+    pub(crate) fn width(&self) -> u128 {
         if self.is_full() {
             1u128 << 64
         } else {
@@ -95,7 +90,7 @@ impl KeyRange {
     ///
     /// # Panics
     /// Panics if the range holds fewer than two positions and cannot split.
-    pub fn split(&self) -> (KeyRange, KeyRange) {
+    pub(crate) fn split(&self) -> (KeyRange, KeyRange) {
         assert!(
             self.width() >= 2,
             "cannot split a range of width {}",

@@ -42,7 +42,6 @@ impl fmt::Display for RingId {
 /// * partition ids are never reused.
 #[derive(Debug, Clone)]
 pub struct VirtualRing {
-    id: RingId,
     hasher: KeyHasher,
     /// Map from a partition's end token to its id; the BTreeMap order *is*
     /// the ring order.
@@ -53,12 +52,13 @@ pub struct VirtualRing {
 }
 
 impl VirtualRing {
-    /// Creates a ring with `partitions` equally sized partitions.
+    /// Creates a ring with `partitions` equally sized partitions. The
+    /// ring does not keep `_id`: its owner knows which ring it built.
     ///
     /// # Panics
     /// Panics if `partitions == 0`.
-    pub fn new(id: RingId, partitions: usize) -> Self {
-        Self::with_hasher(id, partitions, KeyHasher::default())
+    pub fn new(_id: RingId, partitions: usize) -> Self {
+        Self::with_hasher(partitions, KeyHasher::default())
     }
 
     /// Creates a ring that routes keys with a specific hasher, so sibling
@@ -66,13 +66,12 @@ impl VirtualRing {
     ///
     /// # Panics
     /// Panics if `partitions == 0`.
-    pub fn with_hasher(id: RingId, partitions: usize, hasher: KeyHasher) -> Self {
+    pub fn with_hasher(partitions: usize, hasher: KeyHasher) -> Self {
         assert!(
             partitions > 0,
             "a virtual ring needs at least one partition"
         );
         let mut ring = Self {
-            id,
             hasher,
             by_token: BTreeMap::new(),
             ranges: std::collections::HashMap::with_capacity(partitions),
@@ -109,13 +108,9 @@ impl VirtualRing {
         self.ranges.insert(p.id, p.range);
     }
 
-    /// This ring's identifier.
-    pub const fn id(&self) -> RingId {
-        self.id
-    }
-
     /// Number of partitions currently tiling the ring.
-    pub fn partition_count(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn partition_count(&self) -> usize {
         self.by_token.len()
     }
 
@@ -125,7 +120,7 @@ impl VirtualRing {
     }
 
     /// The partition responsible for a raw ring position.
-    pub fn route_token(&self, token: Token) -> PartitionId {
+    pub(crate) fn route_token(&self, token: Token) -> PartitionId {
         // Owner is the first partition whose end token is ≥ the key token;
         // if none, the ring wraps to the smallest end token.
         match self.by_token.range(token..).next() {
@@ -142,12 +137,14 @@ impl VirtualRing {
     }
 
     /// The key range of partition `pid`, if it exists.
-    pub fn range_of(&self, pid: PartitionId) -> Option<KeyRange> {
+    #[cfg(test)]
+    pub(crate) fn range_of(&self, pid: PartitionId) -> Option<KeyRange> {
         self.ranges.get(&pid).copied()
     }
 
     /// Iterates over all partitions in ring order.
-    pub fn partitions(&self) -> impl Iterator<Item = Partition> + '_ {
+    #[cfg(test)]
+    pub(crate) fn partitions(&self) -> impl Iterator<Item = Partition> + '_ {
         self.by_token
             .iter()
             .map(move |(_, &pid)| Partition::new(pid, self.ranges[&pid]))
@@ -311,8 +308,8 @@ mod tests {
 
     #[test]
     fn distinct_hashers_scatter_keys_differently() {
-        let a = VirtualRing::with_hasher(RingId::new(0, 0), 64, KeyHasher::with_seed(1));
-        let b = VirtualRing::with_hasher(RingId::new(1, 0), 64, KeyHasher::with_seed(2));
+        let a = VirtualRing::with_hasher(64, KeyHasher::with_seed(1));
+        let b = VirtualRing::with_hasher(64, KeyHasher::with_seed(2));
         let moved = (0..512u32)
             .filter(|i| {
                 let k = i.to_le_bytes();

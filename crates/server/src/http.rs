@@ -19,11 +19,11 @@ const MAX_BODY: usize = 16 << 20;
 #[derive(Debug, Clone)]
 pub struct Request {
     /// Upper-cased method (`GET`, `PUT`, ...).
-    pub method: String,
+    pub(crate) method: String,
     /// The raw request target (path + optional `?query`), undecoded.
-    pub target: String,
+    pub(crate) target: String,
     /// Headers in arrival order, names lower-cased.
-    pub headers: Vec<(String, String)>,
+    pub(crate) headers: Vec<(String, String)>,
     /// The body (empty without a `Content-Length`).
     pub body: Vec<u8>,
 }
@@ -31,17 +31,17 @@ pub struct Request {
 impl Request {
     /// The path portion of the target (before any `?`), percent-decoded
     /// to bytes (see [`percent_decode_bytes`]).
-    pub fn path_bytes(&self) -> Vec<u8> {
+    pub(crate) fn path_bytes(&self) -> Vec<u8> {
         percent_decode_bytes(self.target.split('?').next().unwrap_or(""))
     }
 
-    /// [`Request::path_bytes`] as text (see [`percent_decode`]).
+    /// `Request::path_bytes` as text (see `percent_decode`).
     pub fn path(&self) -> String {
         String::from_utf8_lossy(&self.path_bytes()).into_owned()
     }
 
     /// The first query parameter named `name`, percent-decoded to bytes.
-    pub fn query_param_bytes(&self, name: &str) -> Option<Vec<u8>> {
+    pub(crate) fn query_param_bytes(&self, name: &str) -> Option<Vec<u8>> {
         let query = self.target.split_once('?')?.1;
         for pair in query.split('&') {
             let (k, v) = pair.split_once('=').unwrap_or((pair, ""));
@@ -53,7 +53,7 @@ impl Request {
     }
 
     /// [`Request::query_param_bytes`] as text (see [`percent_decode`]).
-    pub fn query_param(&self, name: &str) -> Option<String> {
+    pub(crate) fn query_param(&self, name: &str) -> Option<String> {
         self.query_param_bytes(name)
             .map(|v| String::from_utf8_lossy(&v).into_owned())
     }
@@ -64,7 +64,7 @@ impl Request {
     }
 
     /// True when the client asked to close the connection.
-    pub fn wants_close(&self) -> bool {
+    pub(crate) fn wants_close(&self) -> bool {
         self.header("connection")
             .is_some_and(|v| v.eq_ignore_ascii_case("close"))
     }
@@ -145,7 +145,7 @@ const HEAD_ROOM: usize = 256;
 /// Appends one whole response to `out`: status line, the standard
 /// headers, `extra_headers` verbatim, the blank line and the body. The
 /// connection header reflects `keep_alive`.
-pub fn encode_response(
+pub(crate) fn encode_response(
     out: &mut Vec<u8>,
     status: u16,
     content_type: &str,
@@ -164,7 +164,7 @@ pub fn encode_response(
 /// but not including the blank line. Follow with any number of
 /// [`encode_header`] calls and exactly one [`encode_body`] of `body_len`
 /// bytes.
-pub fn encode_response_head(
+pub(crate) fn encode_response_head(
     out: &mut Vec<u8>,
     status: u16,
     content_type: &str,
@@ -182,18 +182,18 @@ pub fn encode_response_head(
 }
 
 /// Appends one `name: value` header line to a head under construction.
-pub fn encode_header(out: &mut Vec<u8>, name: &str, value: impl Display) {
+pub(crate) fn encode_header(out: &mut Vec<u8>, name: &str, value: impl Display) {
     write!(out, "{name}: {value}\r\n").expect("writing to a Vec cannot fail");
 }
 
 /// Ends the head with the blank line and appends the body.
-pub fn encode_body(out: &mut Vec<u8>, body: &[u8]) {
+pub(crate) fn encode_body(out: &mut Vec<u8>, body: &[u8]) {
     out.extend_from_slice(b"\r\n");
     out.extend_from_slice(body);
 }
 
 /// Appends one whole request (client side) to `out`.
-pub fn encode_request(
+pub(crate) fn encode_request(
     out: &mut Vec<u8>,
     method: &str,
     target: &str,
@@ -256,7 +256,7 @@ pub fn write_request<W: Write>(
 /// alone — keys may legitimately contain it). Malformed escapes pass
 /// through verbatim. Keys are arbitrary bytes, so `%FE` and `%FF` stay
 /// two different bytes.
-pub fn percent_decode_bytes(s: &str) -> Vec<u8> {
+pub(crate) fn percent_decode_bytes(s: &str) -> Vec<u8> {
     let bytes = s.as_bytes();
     let mut out = Vec::with_capacity(bytes.len());
     let mut i = 0;
@@ -280,12 +280,12 @@ pub fn percent_decode_bytes(s: &str) -> Vec<u8> {
 
 /// [`percent_decode_bytes`] as text: bytes that are not UTF-8 become
 /// U+FFFD, so two components differing only there decode alike.
-pub fn percent_decode(s: &str) -> String {
+pub(crate) fn percent_decode(s: &str) -> String {
     String::from_utf8_lossy(&percent_decode_bytes(s)).into_owned()
 }
 
 /// Percent-encodes a URL path component (everything but unreserved chars).
-pub fn percent_encode(s: &[u8]) -> String {
+pub(crate) fn percent_encode(s: &[u8]) -> String {
     let mut out = String::with_capacity(s.len());
     for &b in s {
         match b {

@@ -20,7 +20,7 @@
 //! | `POST /shutdown` | graceful stop: respond, then drain and exit |
 //!
 //! A `<key>` is arbitrary bytes, percent-encoded in the path and decoded
-//! byte for byte ([`http::percent_decode_bytes`]): `/kv/%FE` and
+//! byte for byte (`http::percent_decode_bytes`): `/kv/%FE` and
 //! `/kv/%FF` name two keys.
 //!
 //! Reads and scans accept an `X-Consistency: one|quorum` request header
@@ -59,8 +59,8 @@
 #![warn(missing_docs)]
 
 pub mod http;
-pub mod load;
+mod load;
 mod server;
 
-pub use load::{post, post_body, run_load, scrape, LoadConfig, LoadReport, Op};
+pub use load::{post_body, run_load, scrape, LoadConfig, LoadReport, Op};
 pub use server::{ServerConfig, SkuteServer};

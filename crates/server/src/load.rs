@@ -108,26 +108,26 @@ pub struct LoadReport {
     pub http_errors: u64,
     /// 503 responses: no reachable replica for a read, or a write short
     /// of a majority.
-    pub unavailable: u64,
+    pub(crate) unavailable: u64,
     /// Connection-level failures that exhausted their retry budget (the
     /// request still counts as issued).
     pub transport_errors: u64,
     /// Transport-level retries (reconnect + re-send after backoff).
-    pub retries: u64,
+    pub(crate) retries: u64,
     /// 2xx responses flagged `X-Degraded: true` (the requested read
     /// consistency was not met).
-    pub degraded: u64,
+    pub(crate) degraded: u64,
     /// Rows (`X-Scan-Count`) returned by scans that were not degraded.
-    pub scan_rows: u64,
+    pub(crate) scan_rows: u64,
     /// Wall-clock duration of the run.
-    pub elapsed: Duration,
+    pub(crate) elapsed: Duration,
     /// Latency of every completed request, in seconds.
-    pub latency: Histogram,
+    pub(crate) latency: Histogram,
 }
 
 impl LoadReport {
     /// Completed requests per second.
-    pub fn throughput(&self) -> f64 {
+    pub(crate) fn throughput(&self) -> f64 {
         let secs = self.elapsed.as_secs_f64();
         if secs <= 0.0 {
             0.0
@@ -137,7 +137,7 @@ impl LoadReport {
     }
 
     /// Latency quantile in seconds (`None` before any request completed).
-    pub fn quantile(&self, q: f64) -> Option<f64> {
+    pub(crate) fn quantile(&self, q: f64) -> Option<f64> {
         self.latency.quantile(q)
     }
 
@@ -413,11 +413,6 @@ pub fn scrape(addr: &str, path: &str) -> io::Result<String> {
     }
     String::from_utf8(response.body)
         .map_err(|_| io::Error::new(io::ErrorKind::InvalidData, "non-UTF-8 response body"))
-}
-
-/// One-shot POST (CI uses this for the graceful `/shutdown`).
-pub fn post(addr: &str, path: &str) -> io::Result<u16> {
-    post_body(addr, path, b"")
 }
 
 /// One-shot POST with a body (CI uses this to inject fault plans over

@@ -649,6 +649,15 @@ fn handle_kv(
         Ok(c) => c,
         Err(msg) => return reply(out, 400, format!("{msg}\n").as_bytes(), keep_alive),
     };
+    // A read's consistency is parsed before the lock, so a request refused
+    // with 400 charges nothing.
+    let consistency = match op {
+        Op::Get => match read_consistency(&request) {
+            Ok(c) => c,
+            Err(msg) => return reply(out, 400, format!("{msg}\n").as_bytes(), keep_alive),
+        },
+        _ => ReadConsistency::One,
+    };
     let Ok(mut slot) = state.slot.lock() else {
         return reply(out, 503, POISONED, keep_alive);
     };
@@ -658,10 +667,6 @@ fn handle_kv(
         Op::Put => slot.cloud.put(app, 0, key, request.body),
         Op::Delete => slot.cloud.delete(app, 0, key),
         _ => {
-            let consistency = match read_consistency(&request) {
-                Ok(c) => c,
-                Err(msg) => return reply(out, 400, format!("{msg}\n").as_bytes(), keep_alive),
-            };
             let read = match slot.cloud.client_get_with(app, 0, key, client, consistency) {
                 Ok(read) => read,
                 Err(e) => {

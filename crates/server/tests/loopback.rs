@@ -4,7 +4,7 @@
 use std::thread;
 use std::time::Duration;
 
-use skute_server::{post, run_load, scrape, LoadConfig, Op, ServerConfig, SkuteServer};
+use skute_server::{post_body, run_load, scrape, LoadConfig, Op, ServerConfig, SkuteServer};
 
 /// Extracts the summed value of every series of `family` from a
 /// Prometheus exposition.
@@ -82,9 +82,10 @@ fn serve_load_scrape_shutdown() {
         "every issued request got a response"
     );
     assert!(report.ok > 0, "some requests succeeded");
+    let summary = report.summary_lines();
     assert!(
-        report.quantile(0.99).is_some(),
-        "latency histogram populated"
+        !summary.contains("p99_ms=0.000"),
+        "latency histogram populated: {summary}"
     );
 
     // Round-trip a specific key through raw HTTP to pin the data path.
@@ -219,7 +220,7 @@ fn serve_load_scrape_shutdown() {
     );
 
     // Graceful shutdown: POST /shutdown, run() returns.
-    assert_eq!(post(&addr, "/shutdown").unwrap(), 200);
+    assert_eq!(post_body(&addr, "/shutdown", b"").unwrap(), 200);
     for _ in 0..200 {
         if handle.is_finished() {
             break;
@@ -258,7 +259,7 @@ fn epoch_tick_feeds_observed_traffic() {
     }
     let before = scrape(&addr, "/metrics").unwrap();
     assert!(metric_series(&before, "skute_server_epoch_ticks_total", "") >= 2.0);
-    assert_eq!(post(&addr, "/shutdown").unwrap(), 200);
+    assert_eq!(post_body(&addr, "/shutdown", b"").unwrap(), 200);
     let _ = handle.join().unwrap();
 }
 
@@ -361,12 +362,23 @@ fn idle_closes_quietly_and_half_a_request_gets_408() {
         400
     );
 
-    assert_eq!(post(&addr, "/shutdown").unwrap(), 200);
+    assert_eq!(post_body(&addr, "/shutdown", b"").unwrap(), 200);
     handle.join().unwrap().unwrap();
 }
 
 /// One request on its own connection, answered in full.
 fn exchange(addr: &str, method: &str, target: &str, body: &[u8]) -> skute_server::http::Response {
+    exchange_with(addr, method, target, &[], body)
+}
+
+/// [`exchange`] with extra request headers.
+fn exchange_with(
+    addr: &str,
+    method: &str,
+    target: &str,
+    headers: &[(&str, &str)],
+    body: &[u8],
+) -> skute_server::http::Response {
     use skute_server::http::{read_response, write_request};
     use std::io::BufReader;
     use std::net::TcpStream;
@@ -377,14 +389,9 @@ fn exchange(addr: &str, method: &str, target: &str, body: &[u8]) -> skute_server
         .unwrap();
     let mut reader = BufReader::new(stream.try_clone().unwrap());
     let mut writer = stream;
-    write_request(
-        &mut writer,
-        method,
-        target,
-        &[("Connection", "close")],
-        body,
-    )
-    .unwrap();
+    let mut all = vec![("Connection", "close")];
+    all.extend_from_slice(headers);
+    write_request(&mut writer, method, target, &all, body).unwrap();
     read_response(&mut reader).expect("a response")
 }
 
@@ -418,7 +425,7 @@ fn keys_differing_in_a_non_utf8_byte_stay_apart() {
     assert_eq!(scan.body, b"bin-%FE\tfe\nbin-%FF\tff\n");
     let one = exchange(&addr, "GET", "/scan?prefix=bin-%FF&limit=0", b"");
     assert_eq!(one.body, b"bin-%FF\tff\n");
-    assert_eq!(post(&addr, "/shutdown").unwrap(), 200);
+    assert_eq!(post_body(&addr, "/shutdown", b"").unwrap(), 200);
     handle.join().unwrap().unwrap();
 }
 
@@ -435,8 +442,12 @@ fn pending_queries_gauge_sums_fractional_units() {
     assert_eq!(exchange(&addr, "GET", "/kv/a", b"").status, 200);
     assert_eq!(exchange(&addr, "GET", "/kv/b", b"").status, 404);
     assert_eq!(exchange(&addr, "DELETE", "/kv/a", b"").status, 204);
+    // A read refused with 400 is not offered load: it charges nothing.
+    let consistency = [("X-Consistency", "linearizable")];
+    let refused = exchange_with(&addr, "GET", "/kv/a", &consistency, b"");
+    assert_eq!(refused.status, 400);
     let page = scrape(&addr, "/metrics").unwrap();
     assert_eq!(metric_sum(&page, "skute_server_epoch_pending_queries"), 2.0);
-    assert_eq!(post(&addr, "/shutdown").unwrap(), 200);
+    assert_eq!(post_body(&addr, "/shutdown", b"").unwrap(), 200);
     handle.join().unwrap().unwrap();
 }

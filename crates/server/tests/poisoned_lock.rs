@@ -19,7 +19,7 @@ use std::thread;
 use std::time::{Duration, Instant};
 
 use skute_server::http::{read_response, write_request};
-use skute_server::{post, scrape, ServerConfig, SkuteServer};
+use skute_server::{post_body, scrape, ServerConfig, SkuteServer};
 use skute_store::lsm::fresh_store_dir;
 use skute_store::BackendKind;
 
@@ -110,7 +110,7 @@ fn a_poisoned_cloud_lock_answers_503_and_metrics_still_render() {
     }
     assert_eq!(last, Some(1), "active connections after the panic");
 
-    assert_eq!(post(&addr, "/shutdown").unwrap(), 200);
+    assert_eq!(post_body(&addr, "/shutdown", b"").unwrap(), 200);
     handle.join().unwrap().unwrap();
     let _ = fs::remove_file(&root);
 }

@@ -43,7 +43,8 @@ impl Simulation {
     /// Pareto(1, 50) popularity to every partition.
     ///
     /// # Panics
-    /// Panics if the scenario is inconsistent (see [`Scenario::validate`]).
+    /// Panics if the scenario is inconsistent (no application, one load
+    /// fraction per application, an invalid configuration).
     pub fn new(scenario: Scenario) -> Self {
         scenario.validate();
         let mut rng = StdRng::seed_from_u64(scenario.seed ^ 0x51u64.wrapping_shl(32));
@@ -114,11 +115,6 @@ impl Simulation {
     /// Registered application ids, in scenario order.
     pub fn apps(&self) -> &[AppId] {
         &self.apps
-    }
-
-    /// The scenario being simulated.
-    pub fn scenario(&self) -> &Scenario {
-        &self.scenario
     }
 
     /// Runs one epoch: lifecycle events → query traffic → inserts →

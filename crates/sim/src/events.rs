@@ -74,17 +74,19 @@ impl Schedule {
     }
 
     /// The events scheduled for `epoch`.
-    pub fn events_at(&self, epoch: u64) -> &[CloudEvent] {
+    pub(crate) fn events_at(&self, epoch: u64) -> &[CloudEvent] {
         self.events.get(&epoch).map(Vec::as_slice).unwrap_or(&[])
     }
 
     /// True when nothing is scheduled.
-    pub fn is_empty(&self) -> bool {
+    #[cfg(test)]
+    pub(crate) fn is_empty(&self) -> bool {
         self.events.is_empty()
     }
 
     /// Total number of scheduled events.
-    pub fn len(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn len(&self) -> usize {
         self.events.values().map(Vec::len).sum()
     }
 }

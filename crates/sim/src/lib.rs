@@ -20,11 +20,11 @@
 
 #![warn(missing_docs)]
 
-pub mod engine;
-pub mod events;
+mod engine;
+mod events;
 pub mod paper;
-pub mod recorder;
-pub mod scenario;
+mod recorder;
+mod scenario;
 
 pub use engine::{Observation, Simulation};
 pub use events::{CloudEvent, Schedule};

@@ -8,9 +8,9 @@ use crate::events::{CloudEvent, Schedule};
 use crate::scenario::{Scenario, ScenarioApp, TraceKind};
 
 /// Number of bytes in a mebibyte.
-pub const MIB: u64 = 1024 * 1024;
+pub(crate) const MIB: u64 = 1024 * 1024;
 /// Number of bytes in a gibibyte.
-pub const GIB: u64 = 1024 * MIB;
+pub(crate) const GIB: u64 = 1024 * MIB;
 
 /// The §III-A baseline: 200 servers over 10 countries (5 continents × 2
 /// countries × 2 datacenters × 1 room × 2 racks × 5 servers), three

@@ -30,17 +30,13 @@ impl Recorder {
     }
 
     /// Number of recorded epochs.
-    pub fn len(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn len(&self) -> usize {
         self.observations.len()
     }
 
-    /// True when nothing was recorded.
-    pub fn is_empty(&self) -> bool {
-        self.observations.is_empty()
-    }
-
     /// Renders the full time series as CSV.
-    pub fn to_csv(&self) -> String {
+    pub(crate) fn to_csv(&self) -> String {
         let rings = self
             .observations
             .first()

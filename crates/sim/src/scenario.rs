@@ -2,7 +2,7 @@
 
 use skute_core::SkuteConfig;
 use skute_geo::{ClientGeo, Topology};
-use skute_workload::{InsertGenerator, LoadTrace, PiecewiseTrace, SlashdotTrace};
+use skute_workload::{InsertGenerator, LoadTrace, SlashdotTrace};
 
 use crate::events::Schedule;
 
@@ -13,8 +13,6 @@ pub enum TraceKind {
     Constant(f64),
     /// The Fig. 4 Slashdot spike.
     Slashdot(SlashdotTrace),
-    /// Piecewise-constant rate.
-    Piecewise(PiecewiseTrace),
 }
 
 impl LoadTrace for TraceKind {
@@ -22,7 +20,6 @@ impl LoadTrace for TraceKind {
         match self {
             TraceKind::Constant(r) => *r,
             TraceKind::Slashdot(t) => t.rate(epoch),
-            TraceKind::Piecewise(t) => t.rate(epoch),
         }
     }
 }
@@ -31,7 +28,7 @@ impl LoadTrace for TraceKind {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ScenarioApp {
     /// SLA replica count (the paper's apps use 2, 3, 4).
-    pub replicas: usize,
+    pub(crate) replicas: usize,
     /// Initial partitions (the paper: M = 200).
     pub partitions: usize,
     /// Initial logical bytes per partition.
@@ -48,13 +45,13 @@ pub struct Scenario {
     /// Storage per server, bytes.
     pub server_storage_bytes: u64,
     /// Query capacity per server, queries/epoch.
-    pub server_query_capacity: f64,
+    pub(crate) server_query_capacity: f64,
     /// Monthly cost of the cheap server class (paper: $100).
-    pub cheap_cost: f64,
+    pub(crate) cheap_cost: f64,
     /// Monthly cost of the expensive server class (paper: $125).
-    pub expensive_cost: f64,
+    pub(crate) expensive_cost: f64,
     /// Fraction of servers in the cheap class (paper: 0.7).
-    pub cheap_fraction: f64,
+    pub(crate) cheap_fraction: f64,
     /// The applications sharing the cloud.
     pub apps: Vec<ScenarioApp>,
     /// Fractions of the total query load attracted by each application
@@ -80,12 +77,12 @@ impl Scenario {
     /// True when a server index falls in the cheap cost class. The pattern
     /// is deterministic (`i mod 10 < 10·cheap_fraction`), giving exactly the
     /// paper's 70/30 split on multiples of ten.
-    pub fn is_cheap(&self, server_index: usize) -> bool {
+    pub(crate) fn is_cheap(&self, server_index: usize) -> bool {
         ((server_index % 10) as f64) < self.cheap_fraction * 10.0
     }
 
     /// Monthly cost of the `i`-th commissioned server.
-    pub fn cost_of(&self, server_index: usize) -> f64 {
+    pub(crate) fn cost_of(&self, server_index: usize) -> f64 {
         if self.is_cheap(server_index) {
             self.cheap_cost
         } else {
@@ -98,7 +95,7 @@ impl Scenario {
     /// # Panics
     /// Panics when the load fractions don't match the app count, no app is
     /// defined, or the config is invalid.
-    pub fn validate(&self) {
+    pub(crate) fn validate(&self) {
         assert!(
             !self.apps.is_empty(),
             "a scenario needs at least one application"
@@ -126,8 +123,6 @@ mod tests {
         let s = TraceKind::Slashdot(SlashdotTrace::paper());
         assert_eq!(s.rate(0), 3000.0);
         assert_eq!(s.rate(125), 183_000.0);
-        let p = TraceKind::Piecewise(PiecewiseTrace::new(vec![(0, 1.0), (10, 2.0)]));
-        assert_eq!(p.rate(10), 2.0);
     }
 
     #[test]

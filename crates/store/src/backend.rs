@@ -100,7 +100,8 @@ impl ReplicaStore {
     }
 
     /// Version-gated write; returns `true` when the store changed.
-    pub fn apply(&mut self, key: impl Into<Bytes>, record: Record) -> bool {
+    #[cfg(test)]
+    pub(crate) fn apply(&mut self, key: impl Into<Bytes>, record: Record) -> bool {
         self.apply_gated(key, record, |_| true) == ApplyOutcome::Applied
     }
 
@@ -144,16 +145,9 @@ impl ReplicaStore {
         }
     }
 
-    /// The live value under `key` (`None` for absent keys and tombstones).
-    pub fn get_value(&self, key: &[u8]) -> Option<Bytes> {
-        match self {
-            ReplicaStore::Mem(s) => s.get_value(key).cloned(),
-            ReplicaStore::Lsm(s) => s.lock().get(key).and_then(|r| r.value),
-        }
-    }
-
     /// Number of keys (including tombstones).
-    pub fn len(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn len(&self) -> usize {
         match self {
             ReplicaStore::Mem(s) => s.len(),
             ReplicaStore::Lsm(s) => s.lock().len(),
@@ -161,7 +155,8 @@ impl ReplicaStore {
     }
 
     /// True when no keys are stored.
-    pub fn is_empty(&self) -> bool {
+    #[cfg(test)]
+    pub(crate) fn is_empty(&self) -> bool {
         self.len() == 0
     }
 
@@ -177,7 +172,8 @@ impl ReplicaStore {
 
     /// Bytes a transfer of this replica physically moves (logical bytes
     /// for the mem oracle, WAL + SSTable file bytes for the LSM engine).
-    pub fn physical_bytes(&self) -> u64 {
+    #[cfg(test)]
+    pub(crate) fn physical_bytes(&self) -> u64 {
         match self {
             ReplicaStore::Mem(s) => s.logical_bytes(),
             ReplicaStore::Lsm(s) => s.lock().physical_bytes(),

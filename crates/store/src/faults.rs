@@ -129,18 +129,13 @@ impl FaultPlan {
         Self::default()
     }
 
-    /// A plan injecting every fault family, seeded with `seed`
-    /// (`skute-sim --fault-seed`).
-    pub fn all(seed: u64) -> Self {
+    /// A plan injecting every fault family, seeded with `seed`.
+    #[cfg(test)]
+    pub(crate) fn all(seed: u64) -> Self {
         Self {
             kind: FaultPlanKind::All,
             seed,
         }
-    }
-
-    /// True when any fault family is enabled.
-    pub fn is_active(&self) -> bool {
-        self.kind != FaultPlanKind::None
     }
 
     /// True when the plan injects faults into the storage IO path (and
@@ -201,7 +196,8 @@ pub struct FaultStats {
 
 impl FaultStats {
     /// Total injected-fault retries across all hooks.
-    pub fn total_retries(&self) -> u64 {
+    #[cfg(test)]
+    pub(crate) fn total_retries(&self) -> u64 {
         self.wal_retries + self.flush_retries + self.read_retries + self.fork_retries
     }
 
@@ -415,8 +411,8 @@ mod tests {
             assert_eq!(kind.as_str().parse::<FaultPlanKind>(), Ok(kind));
         }
         assert!("chaos".parse::<FaultPlanKind>().is_err());
-        assert!(!FaultPlan::none().is_active());
-        assert!(FaultPlan::all(7).is_active());
+        assert_eq!(FaultPlan::none().kind, FaultPlanKind::None);
+        assert_eq!(FaultPlan::all(7).kind, FaultPlanKind::All);
     }
 
     #[test]
@@ -430,7 +426,6 @@ mod tests {
             seed: 11,
         };
         for plan in [gray, partition] {
-            assert!(plan.is_active());
             assert!(!plan.has_storage_faults());
             assert!(!plan.injects(FaultPlanKind::TornTails));
             assert!(!plan.injects(FaultPlanKind::FlakyFsync));

@@ -40,12 +40,12 @@
 
 #![warn(missing_docs)]
 
-pub mod backend;
-pub mod engine;
-pub mod error;
+mod backend;
+mod engine;
+mod error;
 pub mod faults;
 pub mod lsm;
-pub mod value;
+mod value;
 
 mod shared;
 

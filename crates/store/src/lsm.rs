@@ -1324,6 +1324,10 @@ impl LsmStore {
         for (key, record) in low {
             self.apply(key, record);
         }
+        // Both halves durable before the caller counts the split: the
+        // removals above hold once the low half's records are synced.
+        settle(self.disk.sync_store());
+        settle(high_store.disk.sync_store());
         if merged.is_err() {
             self.quarantined = true;
             high_store.quarantined = true;
@@ -1803,6 +1807,45 @@ mod tests {
             assert_eq!(recovered.logical_bytes(), store.logical_bytes());
             for (key, record) in store.snapshot().iter() {
                 assert_eq!(recovered.get(key).as_ref(), Some(record));
+            }
+        }
+    }
+
+    /// A finished split is durable on both sides: a power loss right
+    /// after it leaves each half's directory holding exactly its half of
+    /// the records, whether the low half's rewrite stayed in its WAL or
+    /// crossed the flush threshold.
+    #[test]
+    fn a_split_leaves_both_halves_durable() {
+        let hasher = KeyHasher::default();
+        let high = KeyRange::new(Token(1 << 62), Token(u64::MAX / 2));
+        for (threshold, low_flushes) in [(1 << 20, false), (128, true)] {
+            let mut store = LsmStore::create();
+            store.set_flush_threshold(128);
+            let mut oracle = PartitionStore::new();
+            for i in 0..120u32 {
+                let key = i.to_le_bytes().to_vec();
+                oracle.apply(key.clone(), rec(b"split-payload", 1));
+                store.apply(key, rec(b"split-payload", 1));
+            }
+            // Every record durable in a run before the split.
+            store.flush();
+            store.set_flush_threshold(threshold);
+            let flushes = store.activity().memtable_flushes;
+            let mut high_store = store.split_off(hasher, high);
+            let high_oracle = oracle.split_off(hasher, high);
+            assert_eq!(store.activity().memtable_flushes > flushes, low_flushes);
+            for (half, expected) in [(&mut store, &oracle), (&mut high_store, &high_oracle)] {
+                let dir = half.dir().to_path_buf();
+                half.disk.crash_unsynced();
+                std::mem::forget(std::mem::replace(half, LsmStore::create()));
+                let recovered = LsmStore::open(dir);
+                assert!(!recovered.quarantined);
+                assert_eq!(recovered.len(), expected.len());
+                assert_eq!(recovered.logical_bytes(), expected.logical_bytes());
+                for (key, record) in expected.iter() {
+                    assert_eq!(recovered.get(key).as_ref(), Some(record));
+                }
             }
         }
     }

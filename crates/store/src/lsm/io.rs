@@ -287,6 +287,21 @@ impl Disk {
         Ok(())
     }
 
+    /// Makes everything the store holds durable: fsyncs the WAL, if there
+    /// is one, and then the directory's entries, so the removals before it
+    /// hold only once the records that replace them are synced. Draws on
+    /// no fault hook.
+    pub(super) fn sync_store(&mut self) -> Result<(), Failed> {
+        if !self.created {
+            return Ok(());
+        }
+        let wal = self.dir.join(WAL_NAME);
+        if wal.is_file() {
+            self.sync_file(&wal)?;
+        }
+        self.sync_dir()
+    }
+
     /// Closes and removes the WAL, best effort.
     pub(super) fn remove_wal(&mut self) {
         self.wal = None;

@@ -11,11 +11,11 @@ use bytes::Bytes;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct Version {
     /// Epoch of the write.
-    pub epoch: u64,
+    pub(crate) epoch: u64,
     /// Per-coordinator sequence number within the epoch.
-    pub seq: u64,
+    pub(crate) seq: u64,
     /// Id of the coordinating writer, as a total-order tiebreak.
-    pub writer: u32,
+    pub(crate) writer: u32,
 }
 
 impl Version {

@@ -13,14 +13,19 @@
 //! alongside.
 
 use skute_ring::{KeyHasher, KeyRange, Token};
-use skute_store::{FaultPlan, FaultStats, LsmStore, PartitionStore, Record, Version};
+use skute_store::{
+    FaultPlan, FaultPlanKind, FaultStats, LsmStore, PartitionStore, Record, Version,
+};
 
 const FLUSH_THRESHOLD: u64 = 192;
 
-/// Runs the script under `FaultPlan::all(seed)` and returns the faults
-/// every store it went through recovered from.
+/// Runs the script under every fault family, seeded with `seed`, and
+/// returns the faults every store it went through recovered from.
 fn faults_recovered(seed: u64) -> FaultStats {
-    let plan = FaultPlan::all(seed);
+    let plan = FaultPlan {
+        kind: FaultPlanKind::All,
+        seed,
+    };
     let mut total = FaultStats::default();
     let mut oracle = PartitionStore::new();
     let mut store = LsmStore::create_with(plan);

@@ -2,8 +2,7 @@
 //!
 //! Implemented from first principles over `rand::Rng` (the `rand_distr`
 //! crate is deliberately avoided to keep the dependency set to the allowed
-//! list): inverse-transform Pareto, Knuth/normal-approximation Poisson and
-//! CDF-table Zipf.
+//! list): inverse-transform Pareto and Knuth/normal-approximation Poisson.
 
 use rand::Rng;
 
@@ -17,9 +16,9 @@ use rand::Rng;
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Pareto {
     /// Shape α > 0 (smaller ⇒ heavier tail).
-    pub shape: f64,
+    pub(crate) shape: f64,
     /// Scale x_m > 0 (the minimum value).
-    pub scale: f64,
+    pub(crate) scale: f64,
 }
 
 impl Pareto {
@@ -27,7 +26,7 @@ impl Pareto {
     ///
     /// # Panics
     /// Panics unless both parameters are positive and finite.
-    pub fn new(shape: f64, scale: f64) -> Self {
+    pub(crate) fn new(shape: f64, scale: f64) -> Self {
         assert!(shape > 0.0 && shape.is_finite(), "shape must be positive");
         assert!(scale > 0.0 && scale.is_finite(), "scale must be positive");
         Self { shape, scale }
@@ -39,14 +38,14 @@ impl Pareto {
     }
 
     /// Draws one sample by inverse transform: `x_m / U^(1/α)`.
-    pub fn sample(&self, rng: &mut impl Rng) -> f64 {
+    pub(crate) fn sample(&self, rng: &mut impl Rng) -> f64 {
         // Guard against U = 0 (probability ~2^-53 but would yield +inf).
         let u: f64 = rng.gen_range(f64::EPSILON..1.0);
         self.scale / u.powf(1.0 / self.shape)
     }
 
     /// Draws `n` samples.
-    pub fn sample_n(&self, rng: &mut impl Rng, n: usize) -> Vec<f64> {
+    pub(crate) fn sample_n(&self, rng: &mut impl Rng, n: usize) -> Vec<f64> {
         (0..n).map(|_| self.sample(rng)).collect()
     }
 }
@@ -60,7 +59,7 @@ impl Pareto {
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Poisson {
     /// Mean event count per draw.
-    pub lambda: f64,
+    pub(crate) lambda: f64,
 }
 
 impl Poisson {
@@ -68,13 +67,13 @@ impl Poisson {
     ///
     /// # Panics
     /// Panics unless `lambda` is non-negative and finite.
-    pub fn new(lambda: f64) -> Self {
+    pub(crate) fn new(lambda: f64) -> Self {
         assert!(lambda >= 0.0 && lambda.is_finite(), "lambda must be ≥ 0");
         Self { lambda }
     }
 
     /// Draws one sample.
-    pub fn sample(&self, rng: &mut impl Rng) -> u64 {
+    pub(crate) fn sample(&self, rng: &mut impl Rng) -> u64 {
         if self.lambda == 0.0 {
             return 0;
         }
@@ -102,54 +101,6 @@ fn box_muller(rng: &mut impl Rng) -> f64 {
     let u1: f64 = rng.gen_range(f64::EPSILON..1.0);
     let u2: f64 = rng.gen_range(0.0..1.0);
     (-2.0 * u1.ln()).sqrt() * (std::f64::consts::TAU * u2).cos()
-}
-
-/// Zipf distribution over ranks `1..=n` with exponent `s`, sampled from a
-/// precomputed CDF table (O(log n) per draw).
-#[derive(Debug, Clone, PartialEq)]
-pub struct Zipf {
-    cdf: Vec<f64>,
-}
-
-impl Zipf {
-    /// Builds the CDF table for `n` ranks with exponent `s`.
-    ///
-    /// # Panics
-    /// Panics if `n == 0` or `s` is negative/not finite.
-    pub fn new(n: usize, s: f64) -> Self {
-        assert!(n > 0, "Zipf needs at least one rank");
-        assert!(s >= 0.0 && s.is_finite(), "exponent must be ≥ 0");
-        let mut cdf = Vec::with_capacity(n);
-        let mut acc = 0.0;
-        for k in 1..=n {
-            acc += 1.0 / (k as f64).powf(s);
-            cdf.push(acc);
-        }
-        let total = acc;
-        for v in &mut cdf {
-            *v /= total;
-        }
-        Self { cdf }
-    }
-
-    /// Number of ranks.
-    pub fn len(&self) -> usize {
-        self.cdf.len()
-    }
-
-    /// True when there is a single rank.
-    pub fn is_empty(&self) -> bool {
-        self.cdf.is_empty()
-    }
-
-    /// Draws a rank in `0..n` (0 = most popular).
-    pub fn sample(&self, rng: &mut impl Rng) -> usize {
-        let u: f64 = rng.gen_range(0.0..1.0);
-        match self.cdf.binary_search_by(|p| p.total_cmp(&u)) {
-            Ok(i) => i,
-            Err(i) => i.min(self.cdf.len() - 1),
-        }
-    }
 }
 
 #[cfg(test)]
@@ -220,32 +171,6 @@ mod tests {
         let d = Poisson::new(0.0);
         let mut r = rng();
         assert_eq!(d.sample(&mut r), 0);
-    }
-
-    #[test]
-    fn zipf_rank_zero_most_popular() {
-        let z = Zipf::new(100, 1.0);
-        let mut r = rng();
-        let mut counts = vec![0u32; 100];
-        for _ in 0..50_000 {
-            counts[z.sample(&mut r)] += 1;
-        }
-        assert!(counts[0] > counts[10]);
-        assert!(counts[10] > counts[90]);
-        assert_eq!(z.len(), 100);
-    }
-
-    #[test]
-    fn zipf_uniform_when_s_zero() {
-        let z = Zipf::new(10, 0.0);
-        let mut r = rng();
-        let mut counts = vec![0u32; 10];
-        for _ in 0..100_000 {
-            counts[z.sample(&mut r)] += 1;
-        }
-        for &c in &counts {
-            assert!((f64::from(c) / 10_000.0 - 1.0).abs() < 0.1);
-        }
     }
 
     #[test]

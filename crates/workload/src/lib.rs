@@ -19,12 +19,12 @@
 
 #![warn(missing_docs)]
 
-pub mod dist;
-pub mod inserts;
-pub mod queries;
-pub mod trace;
+mod dist;
+mod inserts;
+mod queries;
+mod trace;
 
-pub use dist::{Pareto, Poisson, Zipf};
+pub use dist::{Pareto, Poisson};
 pub use inserts::{InsertGenerator, InsertRequest};
 pub use queries::{pareto_popularities, AppTraffic, QueryGenerator};
-pub use trace::{ConstantTrace, LoadTrace, PiecewiseTrace, SlashdotTrace};
+pub use trace::{ConstantTrace, LoadTrace, SlashdotTrace};

@@ -62,38 +62,6 @@ impl LoadTrace for SlashdotTrace {
     }
 }
 
-/// Piecewise-constant rate from breakpoints `(from_epoch, rate)`; the rate
-/// of the last breakpoint at or before the epoch applies.
-#[derive(Debug, Clone, PartialEq)]
-pub struct PiecewiseTrace {
-    segments: Vec<(u64, f64)>,
-}
-
-impl PiecewiseTrace {
-    /// Builds a trace from breakpoints sorted by epoch.
-    ///
-    /// # Panics
-    /// Panics if `segments` is empty, unsorted, or doesn't start at epoch 0.
-    pub fn new(segments: Vec<(u64, f64)>) -> Self {
-        assert!(!segments.is_empty(), "need at least one segment");
-        assert_eq!(segments[0].0, 0, "first segment must start at epoch 0");
-        assert!(
-            segments.windows(2).all(|w| w[0].0 < w[1].0),
-            "segments must be strictly increasing in epoch"
-        );
-        Self { segments }
-    }
-}
-
-impl LoadTrace for PiecewiseTrace {
-    fn rate(&self, epoch: u64) -> f64 {
-        match self.segments.binary_search_by_key(&epoch, |s| s.0) {
-            Ok(i) => self.segments[i].1,
-            Err(i) => self.segments[i - 1].1,
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -132,28 +100,5 @@ mod tests {
         for e in 125..374 {
             assert!(t.rate(e + 1) <= t.rate(e), "decay must fall at {e}");
         }
-    }
-
-    #[test]
-    fn piecewise_lookup() {
-        let t = PiecewiseTrace::new(vec![(0, 10.0), (5, 20.0), (10, 5.0)]);
-        assert_eq!(t.rate(0), 10.0);
-        assert_eq!(t.rate(4), 10.0);
-        assert_eq!(t.rate(5), 20.0);
-        assert_eq!(t.rate(9), 20.0);
-        assert_eq!(t.rate(10), 5.0);
-        assert_eq!(t.rate(99), 5.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "epoch 0")]
-    fn piecewise_must_start_at_zero() {
-        let _ = PiecewiseTrace::new(vec![(1, 10.0)]);
-    }
-
-    #[test]
-    #[should_panic(expected = "strictly increasing")]
-    fn piecewise_must_be_sorted() {
-        let _ = PiecewiseTrace::new(vec![(0, 10.0), (5, 20.0), (5, 30.0)]);
     }
 }

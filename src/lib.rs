@@ -23,7 +23,7 @@
 //! | [`store`] | versioned records, partition stores, quorum R/W |
 //! | [`economy`] | eq. (1) rent, eq. (3)/(4) scoring, eq. (5) balances |
 //! | [`core`] | availability (eq. 2), SLAs, virtual-node agents, [`SkuteCloud`] |
-//! | [`workload`] | Pareto/Poisson/Zipf samplers, Slashdot trace, inserts |
+//! | [`workload`] | Pareto/Poisson samplers, Slashdot trace, inserts |
 //! | [`sim`] | epoch simulation engine and the paper's scenarios |
 //! | [`baseline`] | random/successor/cheapest/max-spread placement baselines |
 //! | [`obs`] | zero-dependency metrics registry + Prometheus exposition |
@@ -102,6 +102,5 @@ pub mod prelude {
     pub use skute_store::{BackendKind, FaultPlan, FaultPlanKind, FaultStats};
     pub use skute_workload::{
         ConstantTrace, InsertGenerator, LoadTrace, Pareto, Poisson, QueryGenerator, SlashdotTrace,
-        Zipf,
     };
 }

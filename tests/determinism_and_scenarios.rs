@@ -363,7 +363,7 @@ fn paper_scenarios_all_validate_and_build() {
         paper::fig5_scenario(),
         paper::outage_scenario(),
     ] {
-        scenario.validate();
+        // `Simulation::new` validates the scenario.
         let mut short = scenario.clone();
         short.epochs = 1;
         let mut sim = Simulation::new(short);

@@ -111,7 +111,9 @@ fn outage_scenario(epochs: u64, epoch: u64) -> Scenario {
 fn country_outage_holds_the_availability_floor() {
     let s = outage_scenario(44, 20);
     let partitions: usize = s.apps.iter().map(|a| a.partitions).sum();
-    let cap = (skute::core::config::MAX_REPAIRS_PER_PARTITION_PER_EPOCH * partitions) as u64;
+    // The repair phase runs at most four availability repairs per
+    // partition per epoch.
+    let cap = (4 * partitions) as u64;
     let mut sim = Simulation::new(s);
     let obs = sim.run();
     // One country = a tenth of the 200-server fleet.

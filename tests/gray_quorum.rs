@@ -7,6 +7,17 @@
 use skute::prelude::*;
 use skute::sim::paper;
 
+/// The continent the cloud reports severed: its exported
+/// `skute_partition_cut_continent` gauge, where -1 means none.
+fn reported_cut(registry: &Registry) -> Option<u16> {
+    let text = registry.render();
+    let value = text
+        .lines()
+        .find_map(|l| l.strip_prefix("skute_partition_cut_continent "))
+        .expect("the cut gauge is exported");
+    u16::try_from(value.trim().parse::<i64>().unwrap()).ok()
+}
+
 /// Patches the only fields allowed to differ between the mem oracle and
 /// the LSM engine: replication/migration byte meters are measured from
 /// real stores on LSM and synthetic on mem.
@@ -77,10 +88,12 @@ fn gray_events_inject_and_heal_partitions_mid_run() {
         Simulation::new(s)
     };
     let mut sim = run();
+    let registry = Registry::new();
+    sim.attach_metrics(CloudMetrics::register(&registry));
     let mut cut_seen = false;
     for epoch in 1..=14u64 {
         sim.step();
-        let cut = sim.cloud().partitioned_continent();
+        let cut = reported_cut(&registry);
         // Events apply after the epoch's begin, so the epoch-4 cut
         // surfaces at begin_epoch(5) and the epoch-8 heal lands at
         // begin_epoch(9). (Past epoch 10 the gray plan derives its own
@@ -110,6 +123,8 @@ fn forced_partition_preserves_acked_writes_and_read_repair_converges() {
         confidence: 1.0,
     });
     let mut cloud = SkuteCloud::new(SkuteConfig::paper(), topology, cluster);
+    let registry = Registry::new();
+    cloud.set_metrics(CloudMetrics::register(&registry));
     let app = cloud
         .create_application(AppSpec::new("kv").level(LevelSpec::new(3, 8)))
         .unwrap();
@@ -126,7 +141,7 @@ fn forced_partition_preserves_acked_writes_and_read_repair_converges() {
     cloud.force_continent_partition(Some(0));
     cloud.end_epoch();
     cloud.begin_epoch();
-    assert_eq!(cloud.partitioned_continent(), Some(0));
+    assert_eq!(reported_cut(&registry), Some(0));
     // Overwrite under the cut: replicas behind it miss the write, but
     // every acked put reached a write quorum of healthy replicas.
     let mut acked = Vec::new();
@@ -140,7 +155,7 @@ fn forced_partition_preserves_acked_writes_and_read_repair_converges() {
     cloud.force_continent_partition(None);
     cloud.end_epoch();
     cloud.begin_epoch();
-    assert_eq!(cloud.partitioned_continent(), None);
+    assert_eq!(reported_cut(&registry), None);
     // Read as a client *inside* the formerly cut continent, so eq.-(4)
     // proximity pulls the stale replicas into every quorum read set.
     let client = Some(Location::client_in_country(0, 0));
