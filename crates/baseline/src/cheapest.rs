@@ -2,7 +2,6 @@
 
 use skute_cluster::ServerId;
 use skute_core::{PlacementContext, PlacementStrategy};
-use skute_economy::RegionQueries;
 
 /// Always picks the cheapest feasible server by posted rent — the
 /// economics-without-geography corner of the design space (the resource
@@ -22,7 +21,6 @@ impl PlacementStrategy for CheapestPlacement {
         ctx: &PlacementContext<'_>,
         existing: &[ServerId],
         partition_size: u64,
-        _region_queries: &[RegionQueries],
     ) -> Option<ServerId> {
         ctx.cluster
             .alive()
@@ -43,7 +41,7 @@ mod tests {
         let fixture = CtxFixture::paper();
         let ctx = fixture.ctx();
         let mut strategy = CheapestPlacement;
-        let pick = strategy.place_replica(&ctx, &[], 0, &[]).unwrap();
+        let pick = strategy.place_replica(&ctx, &[], 0).unwrap();
         let rent = ctx.board.price_of(pick).unwrap();
         let min = ctx.board.min_price().unwrap();
         assert!((rent - min).abs() < 1e-12);
@@ -55,10 +53,10 @@ mod tests {
         let fixture = CtxFixture::paper();
         let ctx = fixture.ctx();
         let mut strategy = CheapestPlacement;
-        let first = strategy.place_replica(&ctx, &[], 0, &[]).unwrap();
-        let second = strategy.place_replica(&ctx, &[first], 0, &[]).unwrap();
+        let first = strategy.place_replica(&ctx, &[], 0).unwrap();
+        let second = strategy.place_replica(&ctx, &[first], 0).unwrap();
         assert_ne!(first, second);
-        assert!(strategy.place_replica(&ctx, &[], u64::MAX, &[]).is_none());
+        assert!(strategy.place_replica(&ctx, &[], u64::MAX).is_none());
     }
 
     #[test]
@@ -67,10 +65,7 @@ mod tests {
         let ctx = fixture.ctx();
         let mut a = CheapestPlacement;
         let mut b = CheapestPlacement;
-        assert_eq!(
-            a.place_replica(&ctx, &[], 0, &[]),
-            b.place_replica(&ctx, &[], 0, &[])
-        );
+        assert_eq!(a.place_replica(&ctx, &[], 0), b.place_replica(&ctx, &[], 0));
     }
 
     #[test]
@@ -84,14 +79,14 @@ mod tests {
             assert!(s.usage.reserve_storage(&caps, 3 << 30));
         }
         let unposted = CheapestPlacement
-            .place_replica(&fixture.ctx(), &[], 0, &[])
+            .place_replica(&fixture.ctx(), &[], 0)
             .unwrap();
         fixture.board.withdraw(unposted);
         let ctx = fixture.ctx();
         for existing in [vec![], vec![ServerId(1)], vec![ServerId(1), ServerId(140)]] {
             for size in [0u64, 2 << 30] {
                 let pick = CheapestPlacement
-                    .place_replica(&ctx, &existing, size, &[])
+                    .place_replica(&ctx, &existing, size)
                     .unwrap();
                 assert_ne!(pick, unposted);
                 assert!(!existing.contains(&pick));

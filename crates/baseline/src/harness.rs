@@ -129,7 +129,7 @@ pub fn evaluate(
     for _ in 0..cfg.partitions {
         let mut replicas = vec![alive[rng.gen_range(0..alive.len())]];
         while replicas.len() < cfg.replicas {
-            match strategy.place_replica(&ctx, &replicas, 0, &[]) {
+            match strategy.place_replica(&ctx, &replicas, 0) {
                 Some(id) => replicas.push(id),
                 None => break,
             }

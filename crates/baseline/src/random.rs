@@ -6,7 +6,6 @@ use rand::SeedableRng;
 
 use skute_cluster::ServerId;
 use skute_core::{PlacementContext, PlacementStrategy};
-use skute_economy::RegionQueries;
 
 /// Places each replica on a uniformly random feasible server: the
 /// availability-agnostic, cost-agnostic null hypothesis.
@@ -34,7 +33,6 @@ impl PlacementStrategy for RandomPlacement {
         ctx: &PlacementContext<'_>,
         existing: &[ServerId],
         partition_size: u64,
-        _region_queries: &[RegionQueries],
     ) -> Option<ServerId> {
         let candidates: Vec<ServerId> = ctx
             .cluster
@@ -58,7 +56,7 @@ mod tests {
         let mut strategy = RandomPlacement::new(1);
         let existing = vec![ServerId(0)];
         for _ in 0..32 {
-            let pick = strategy.place_replica(&ctx, &existing, 0, &[]).unwrap();
+            let pick = strategy.place_replica(&ctx, &existing, 0).unwrap();
             assert_ne!(pick, ServerId(0), "existing replicas excluded");
             assert!(ctx.cluster.get_alive(pick).is_some());
         }
@@ -71,7 +69,7 @@ mod tests {
         let picks = |seed| {
             let mut s = RandomPlacement::new(seed);
             (0..8)
-                .map(|_| s.place_replica(&ctx, &[], 0, &[]).unwrap())
+                .map(|_| s.place_replica(&ctx, &[], 0).unwrap())
                 .collect::<Vec<_>>()
         };
         assert_eq!(picks(9), picks(9));
@@ -82,7 +80,7 @@ mod tests {
         let fixture = CtxFixture::paper();
         let ctx = fixture.ctx();
         let mut strategy = RandomPlacement::new(1);
-        assert!(strategy.place_replica(&ctx, &[], u64::MAX, &[]).is_none());
+        assert!(strategy.place_replica(&ctx, &[], u64::MAX).is_none());
         assert_eq!(strategy.name(), "random");
     }
 }

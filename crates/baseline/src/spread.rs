@@ -2,7 +2,6 @@
 
 use skute_cluster::ServerId;
 use skute_core::{PlacementContext, PlacementStrategy};
-use skute_economy::RegionQueries;
 use skute_geo::diversity;
 
 /// Picks the feasible server maximizing the summed diversity to the
@@ -22,7 +21,6 @@ impl PlacementStrategy for MaxSpreadPlacement {
         ctx: &PlacementContext<'_>,
         existing: &[ServerId],
         partition_size: u64,
-        _region_queries: &[RegionQueries],
     ) -> Option<ServerId> {
         let existing_locations: Vec<_> = existing
             .iter()
@@ -56,7 +54,7 @@ mod tests {
         let mut strategy = MaxSpreadPlacement;
         let mut existing = vec![ServerId(0)];
         for _ in 0..2 {
-            let pick = strategy.place_replica(&ctx, &existing, 0, &[]).unwrap();
+            let pick = strategy.place_replica(&ctx, &existing, 0).unwrap();
             existing.push(pick);
         }
         let placed: Vec<_> = existing
@@ -76,9 +74,7 @@ mod tests {
         // strategy must not systematically prefer cheap ones (ties break on
         // id, and id 0's first cross-continent successor wins regardless of
         // cost class).
-        let pick = strategy
-            .place_replica(&ctx, &[ServerId(0)], 0, &[])
-            .unwrap();
+        let pick = strategy.place_replica(&ctx, &[ServerId(0)], 0).unwrap();
         let a = ctx.cluster.get(ServerId(0)).unwrap().location;
         let b = ctx.cluster.get(pick).unwrap().location;
         assert_ne!(a.continent, b.continent);
@@ -90,7 +86,7 @@ mod tests {
         let ctx = fixture.ctx();
         let mut strategy = MaxSpreadPlacement;
         assert_eq!(
-            strategy.place_replica(&ctx, &[], 0, &[]),
+            strategy.place_replica(&ctx, &[], 0),
             Some(ServerId(0)),
             "zero gain everywhere, deterministic tie-break"
         );
@@ -119,7 +115,7 @@ mod tests {
         ] {
             for size in [0u64, 2 << 30] {
                 let pick = MaxSpreadPlacement
-                    .place_replica(&ctx, &existing, size, &[])
+                    .place_replica(&ctx, &existing, size)
                     .unwrap();
                 assert!(!existing.contains(&pick));
                 assert!(ctx.cluster.get(pick).unwrap().storage_free() >= size);
@@ -144,7 +140,7 @@ mod tests {
         let mut fixture = CtxFixture::paper();
         fixture.board.withdraw(ServerId(0));
         assert_eq!(
-            MaxSpreadPlacement.place_replica(&fixture.ctx(), &[], 0, &[]),
+            MaxSpreadPlacement.place_replica(&fixture.ctx(), &[], 0),
             Some(ServerId(0)),
             "zero gain everywhere, the lowest id wins unposted"
         );
@@ -178,7 +174,7 @@ mod tests {
             .map(|s| s.id)
             .collect();
         assert_eq!(
-            MaxSpreadPlacement.place_replica(&ctx, &existing, 1, &[]),
+            MaxSpreadPlacement.place_replica(&ctx, &existing, 1),
             Some(ServerId(120)),
             "only 120 has room"
         );

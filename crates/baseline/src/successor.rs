@@ -2,7 +2,6 @@
 
 use skute_cluster::ServerId;
 use skute_core::{PlacementContext, PlacementStrategy};
-use skute_economy::RegionQueries;
 
 /// Places replicas on the next alive servers in id order after the first
 /// replica — the Dynamo/consistent-hashing successor list \[5\].
@@ -24,7 +23,6 @@ impl PlacementStrategy for SuccessorPlacement {
         ctx: &PlacementContext<'_>,
         existing: &[ServerId],
         partition_size: u64,
-        _region_queries: &[RegionQueries],
     ) -> Option<ServerId> {
         let total = ctx.cluster.len() as u32;
         if total == 0 {
@@ -60,7 +58,7 @@ mod tests {
         let mut strategy = SuccessorPlacement;
         let mut existing = vec![ServerId(10)];
         for expect in [11u32, 12, 13] {
-            let pick = strategy.place_replica(&ctx, &existing, 0, &[]).unwrap();
+            let pick = strategy.place_replica(&ctx, &existing, 0).unwrap();
             assert_eq!(pick, ServerId(expect));
             existing.push(pick);
         }
@@ -72,9 +70,7 @@ mod tests {
         let ctx = fixture.ctx();
         let n = ctx.cluster.len() as u32;
         let mut strategy = SuccessorPlacement;
-        let pick = strategy
-            .place_replica(&ctx, &[ServerId(n - 1)], 0, &[])
-            .unwrap();
+        let pick = strategy.place_replica(&ctx, &[ServerId(n - 1)], 0).unwrap();
         assert_eq!(pick, ServerId(0));
     }
 
@@ -86,7 +82,7 @@ mod tests {
         let ctx = fixture.ctx();
         let mut strategy = SuccessorPlacement;
         let a = ServerId(0);
-        let b = strategy.place_replica(&ctx, &[a], 0, &[]).unwrap();
+        let b = strategy.place_replica(&ctx, &[a], 0).unwrap();
         let la = ctx.cluster.get(a).unwrap().location;
         let lb = ctx.cluster.get(b).unwrap().location;
         assert!(

@@ -8,7 +8,8 @@
 //! example applications offer levels "satisfied by 2, 3, 4 replicas"
 //! (§III-A). [`threshold_for_replicas`] calibrates a threshold against a
 //! topology so that `k` reasonably spread replicas meet the SLA while `k−1`
-//! replicas — however well placed — cannot (see DESIGN.md §3.3).
+//! replicas — however well placed — cannot (see README, "How this code reads
+//! the paper").
 
 use skute_geo::{diversity, Location, Topology};
 

@@ -15,7 +15,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use skute_cluster::{Board, Cluster, Server, ServerId, ServerSpec};
-use skute_economy::{ProximityCache, RentModel};
+use skute_economy::{ProximityCache, RegionMix, RentModel};
 use skute_geo::{Level, Location, Topology};
 use skute_ring::{PartitionId, RingId, VirtualRing};
 use skute_store::{FaultPlan, ReplicaStore};
@@ -41,6 +41,7 @@ mod report;
 pub(crate) mod traffic;
 
 pub use client::{ClientRead, ClientScan, ReadConsistency, ReadView};
+use traffic::Deliveries;
 pub use traffic::TrafficBatch;
 
 /// Runtime state of one virtual ring.
@@ -49,6 +50,9 @@ struct RingState {
     level: AvailabilityLevel,
     ring: VirtualRing,
     partitions: BTreeMap<PartitionId, PartitionState>,
+    /// The epoch's traffic batches, in delivery order: every partition's
+    /// eq.-(4) client mix is a view over them.
+    deliveries: Deliveries,
     queries_offered_epoch: f64,
     queries_served_epoch: f64,
     queries_dropped_epoch: f64,
@@ -62,6 +66,7 @@ impl RingState {
         self.queries_served_epoch = 0.0;
         self.queries_dropped_epoch = 0.0;
         self.distance_sum_epoch = 0.0;
+        self.deliveries.clear();
         for p in self.partitions.values_mut() {
             p.begin_epoch();
         }
@@ -115,6 +120,9 @@ pub struct SkuteCloud {
     /// A partition's `(replica index, proximity)` serving order in the
     /// traffic commit.
     order_scratch: Vec<(usize, f64)>,
+    /// The eq.-(4) memo of one eq.-(3) walk (repair, emergency relocation,
+    /// decision), cleared before each partition's walk.
+    prox_scratch: ProximityCache,
     /// The partitions of one ring the repair commit may act on.
     repair_scratch: Vec<PartitionId>,
     /// One ring's partition ids in ring order, refilled by the traffic
@@ -166,6 +174,7 @@ impl SkuteCloud {
             servers_scratch: Vec::new(),
             placed_scratch: Vec::new(),
             order_scratch: Vec::new(),
+            prox_scratch: ProximityCache::new(),
             repair_scratch: Vec::new(),
             pids_scratch: Vec::new(),
             metrics: None,
@@ -285,6 +294,7 @@ impl SkuteCloud {
             },
             ring,
             partitions: BTreeMap::new(),
+            deliveries: Deliveries::default(),
             queries_offered_epoch: 0.0,
             queries_served_epoch: 0.0,
             queries_dropped_epoch: 0.0,
@@ -306,7 +316,10 @@ impl SkuteCloud {
     }
 
     /// Assigns popularity weights to the partitions of one ring, in ring
-    /// order (the paper draws them from Pareto(1, 50)).
+    /// order (the paper draws them from Pareto(1, 50)). A partition's
+    /// eq.-(4) client mix is its popularity's share of the ring's traffic,
+    /// so traffic already delivered this epoch re-weighs at the new
+    /// popularity; the delivered queries and utility do not move.
     pub fn assign_popularity(
         &mut self,
         app: AppId,
@@ -612,10 +625,10 @@ fn resize_storage(server: &mut Server, old: u64, new: u64) -> bool {
 /// proximity cache, the reference the index must reproduce, and assert the
 /// same winner with a bit-identical score, so every placement of every
 /// debug-build test is checked against it (and a stale `prox` shows).
-fn select_target(
+fn select_target<M: RegionMix + ?Sized>(
     index: &mut PlacementIndex,
     ctx: &PlacementContext<'_>,
-    q: &TargetQuery<'_>,
+    q: &TargetQuery<'_, M>,
     prox: &mut ProximityCache,
 ) -> Option<(ServerId, f64)> {
     let target = index.economic_target(ctx, q, prox);

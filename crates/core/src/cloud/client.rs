@@ -331,7 +331,7 @@ impl ReadView<'_> {
                 continue;
             }
             let g = match &regions {
-                Some(r) => prox.g(r, &server.location, self.topology),
+                Some(r) => prox.g(&r[..], &server.location, self.topology),
                 None => 1.0,
             };
             set.push((i, g));
@@ -756,10 +756,11 @@ mod tests {
                 &cloud.topology,
                 &cloud.config.economy,
             );
+            let ring = &cloud.rings[0];
             let q = TargetQuery {
                 existing: &[],
                 size: 70 * MIB,
-                region_queries: &cloud.rings[0].partitions[&b].region_queries,
+                mix: &ring.deliveries.mix_of(&ring.partitions[&b]),
                 rent_below: None,
             };
             economic_target(&ctx, &q, &mut ProximityCache::new())

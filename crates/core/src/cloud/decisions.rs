@@ -27,7 +27,7 @@ use skute_geo::Location;
 use skute_ring::PartitionId;
 
 use super::exec::{exec_migration, exec_replication, exec_suicide};
-use super::{select_target, SkuteCloud};
+use super::{select_target, RingState, SkuteCloud};
 use crate::decision::{classify, clears_profit_hurdle, ActionCounts, Intent, VnodeSituation};
 use crate::placement::{migration_floor, PlacementContext, TargetQuery};
 use crate::vnode::{PartitionState, VnodeId};
@@ -264,10 +264,16 @@ impl SkuteCloud {
                     continue;
                 }
             }
-            let threshold = self.rings[w.ring].level.threshold;
+            let RingState {
+                level,
+                partitions,
+                deliveries,
+                ..
+            } = &mut self.rings[w.ring];
+            let threshold = level.threshold;
             // Splits run after the phase and only a vnode's own visit can
             // remove it, so both lookups succeed; they stay total anyway.
-            let Some(partition) = self.rings[w.ring].partitions.get_mut(&w.pid) else {
+            let Some(partition) = partitions.get_mut(&w.pid) else {
                 continue;
             };
             let Some(idx) = partition.replicas.iter().position(|r| r.id == w.vnode) else {
@@ -308,13 +314,15 @@ impl SkuteCloud {
                 &mut self.servers_scratch,
             );
             let ctx = PlacementContext::new(&self.cluster, &self.board, &self.topology, &economy);
+            let mix = deliveries.mix_of(partition);
             let q = TargetQuery {
                 existing: &self.servers_scratch,
                 size,
-                region_queries: &partition.region_queries,
+                mix: &mix,
                 rent_below,
             };
-            let target = select_target(&mut self.index, &ctx, &q, &mut partition.prox_cache);
+            self.prox_scratch.clear();
+            let target = select_target(&mut self.index, &ctx, &q, &mut self.prox_scratch);
             let Some((target, _)) = target else {
                 continue;
             };
@@ -543,7 +551,7 @@ mod tests {
         let q = TargetQuery {
             existing: &existing,
             size,
-            region_queries: &part.region_queries,
+            mix: &probe.rings[0].deliveries.mix_of(part),
             rent_below,
         };
         let (winner, _) = crate::placement::economic_target(&ctx, &q, &mut Default::default())

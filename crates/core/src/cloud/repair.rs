@@ -14,7 +14,7 @@ use skute_cluster::Cluster;
 use skute_ring::PartitionId;
 
 use super::exec::{exec_migration, exec_replication, exec_suicide};
-use super::{select_target, SkuteCloud};
+use super::{select_target, RingState, SkuteCloud};
 use crate::config::MAX_REPAIRS_PER_PARTITION_PER_EPOCH;
 use crate::decision::ActionCounts;
 use crate::placement::{PlacementContext, TargetQuery};
@@ -97,10 +97,17 @@ impl SkuteCloud {
                 if listed.binary_search(&pid).is_err() {
                     continue;
                 }
+                let RingState {
+                    partitions,
+                    deliveries,
+                    ..
+                } = &mut self.rings[ri];
+                let Some(partition) = partitions.get_mut(&pid) else {
+                    continue;
+                };
+                let mix = deliveries.mix_of(partition);
+                self.prox_scratch.clear();
                 for _ in 0..MAX_REPAIRS_PER_PARTITION_PER_EPOCH {
-                    let Some(partition) = self.rings[ri].partitions.get_mut(&pid) else {
-                        break;
-                    };
                     if partition.replica_count() >= max_replicas {
                         break;
                     }
@@ -122,10 +129,10 @@ impl SkuteCloud {
                         &TargetQuery {
                             existing: &self.servers_scratch,
                             size,
-                            region_queries: &partition.region_queries,
+                            mix: &mix,
                             rent_below: None,
                         },
-                        &mut partition.prox_cache,
+                        &mut self.prox_scratch,
                     );
                     let Some((target, _)) = target else {
                         actions.blocked_transfers += 1;
@@ -161,12 +168,19 @@ impl SkuteCloud {
         idx: usize,
         incoming: u64,
     ) {
-        let Some(partition) = self.rings[ring_idx].partitions.get_mut(&pid) else {
+        let RingState {
+            partitions,
+            deliveries,
+            ..
+        } = &mut self.rings[ring_idx];
+        let Some(partition) = partitions.get_mut(&pid) else {
             return;
         };
         if idx >= partition.replicas.len() {
             return;
         }
+        let mix = deliveries.mix_of(partition);
+        self.prox_scratch.clear();
         let size = partition.synthetic_bytes + partition.replicas[idx].store.logical_bytes();
         self.servers_scratch.clear();
         self.servers_scratch
@@ -183,10 +197,10 @@ impl SkuteCloud {
             &TargetQuery {
                 existing: &self.servers_scratch,
                 size: size.saturating_add(incoming),
-                region_queries: &partition.region_queries,
+                mix: &mix,
                 rent_below: None,
             },
-            &mut partition.prox_cache,
+            &mut self.prox_scratch,
         );
         let Some((target, _)) = target else {
             return;

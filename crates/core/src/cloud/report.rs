@@ -25,6 +25,10 @@ impl SkuteCloud {
                 let hasher = self.rings[ri].ring.hasher();
                 let mut low_state = PartitionState::new(parent.popularity / 2.0);
                 let mut high_state = PartitionState::new(parent.popularity / 2.0);
+                // The children received none of the epoch's batches so far.
+                let mix_from = self.rings[ri].deliveries.len();
+                low_state.mix_from = mix_from;
+                high_state.mix_from = mix_from;
                 low_state.synthetic_bytes = parent.synthetic_bytes / 2;
                 high_state.synthetic_bytes = parent.synthetic_bytes - low_state.synthetic_bytes;
                 for replica in parent.replicas {

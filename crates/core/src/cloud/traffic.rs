@@ -4,17 +4,19 @@
 //!
 //! A batch offers one region mix to every partition of its ring, so the
 //! driver resolves what the mix fixes once per batch: the ring's
-//! Σ popularity and each server's region-weighted client distance. Each
-//! partition's plan then folds its share of the batch into its region
-//! list, one entry per client location, and weighs each replica through
-//! the partition's [`ProximityCache`](skute_economy::ProximityCache),
-//! which sums eq. (4) over that list once per replica country.
+//! Σ popularity and each server's region-weighted client distance. The
+//! ring keeps every batch of the epoch ([`Deliveries`]), and a partition's
+//! eq.-(4) client mix is a view over them ([`ClientMix`]): the
+//! mean-field reading of §III gives every partition `Q · pop / Σ pop` of
+//! each batch, so its mix is the ring's scaled by its popularity, and no
+//! partition keeps a copy. Each partition's plan weighs its replicas
+//! through its chunk's [`ProximityCache`], once per replica country.
 
 use skute_cluster::{Cluster, ServerId};
-use skute_economy::{utility, RegionQueries};
-use skute_geo::{RegionWeight, Topology};
+use skute_economy::{utility, ProximityCache, RegionMix};
+use skute_geo::{Location, RegionWeight, Topology};
 
-use super::SkuteCloud;
+use super::{RingState, SkuteCloud};
 use crate::app::AppId;
 use crate::error::CoreError;
 use crate::vnode::PartitionState;
@@ -33,6 +35,128 @@ pub struct TrafficBatch {
     pub regions: Vec<RegionWeight>,
 }
 
+/// One batch a ring received this epoch: what every partition's share of
+/// it derives from.
+#[derive(Debug)]
+struct DeliveredBatch {
+    /// Queries offered to the ring.
+    queries: f64,
+    /// The ring's Σ popularity: the proportional-split denominator.
+    total_pop: f64,
+    /// Client regions with normalized weights.
+    regions: Vec<RegionWeight>,
+}
+
+/// A ring's delivered traffic batches of the epoch, in delivery order.
+/// `SkuteCloud::begin_epoch` clears them.
+#[derive(Debug, Default)]
+pub(super) struct Deliveries {
+    batches: Vec<DeliveredBatch>,
+    /// True once some client location appears twice across `batches`,
+    /// so a mix must merge its terms.
+    repeats: bool,
+}
+
+impl Deliveries {
+    /// Drops the epoch's batches.
+    pub(super) fn clear(&mut self) {
+        self.batches.clear();
+        self.repeats = false;
+    }
+
+    /// The number of batches delivered so far this epoch: where the mix of
+    /// a partition created now starts.
+    pub(super) fn len(&self) -> u32 {
+        self.batches.len() as u32
+    }
+
+    fn push(&mut self, batch: DeliveredBatch) {
+        let earlier = self.batches.iter().flat_map(|b| &b.regions);
+        for (i, r) in batch.regions.iter().enumerate() {
+            let mut seen = earlier.clone().chain(&batch.regions[..i]);
+            self.repeats |= seen.any(|e| e.location == r.location);
+        }
+        self.batches.push(batch);
+    }
+
+    /// The eq.-(4) client mix of `part`: its popularity's share of every
+    /// batch from its [`PartitionState::mix_from`] on. The view copies
+    /// what it reads of `part`, so `part` stays free to change.
+    pub(super) fn mix_of(&self, part: &PartitionState) -> ClientMix<'_> {
+        let from = (part.mix_from as usize).min(self.batches.len());
+        ClientMix {
+            batches: &self.batches[from..],
+            popularity: part.popularity,
+            repeats: self.repeats,
+        }
+    }
+}
+
+/// One partition's eq.-(4) client mix, borrowed from its ring's
+/// [`Deliveries`]. It yields exactly the region list a partition that
+/// folded each batch into its own copy would hold: one term per client
+/// location, in first-seen order, each the sum of its `q_b · w` in
+/// delivery order, where `q_b = Q_b · pop / Σ pop_b` is the partition's
+/// share of batch `b`; a batch whose share is not positive, and a term
+/// that is not, adds nothing. A partition that received nothing this
+/// epoch has an empty mix, which eq. (4) weighs neutrally.
+#[derive(Debug, Clone, Copy)]
+pub(super) struct ClientMix<'a> {
+    batches: &'a [DeliveredBatch],
+    popularity: f64,
+    repeats: bool,
+}
+
+/// True when a query share adds nothing to a mix.
+fn adds_nothing(queries: f64) -> bool {
+    queries <= 0.0
+}
+
+impl ClientMix<'_> {
+    /// Every `(location, q_b · w)` term that adds to the mix, in delivery
+    /// order.
+    fn terms(&self) -> impl Iterator<Item = (&Location, f64)> + Clone + '_ {
+        let pop = self.popularity;
+        self.batches
+            .iter()
+            .flat_map(move |b| {
+                let q = b.queries * pop / b.total_pop;
+                let regions = if adds_nothing(q) {
+                    &[][..]
+                } else {
+                    &b.regions[..]
+                };
+                regions.iter().map(move |r| (&r.location, q * r.weight))
+            })
+            .filter(|&(_, add)| !adds_nothing(add))
+    }
+}
+
+impl RegionMix for ClientMix<'_> {
+    fn for_each_region(&self, mut f: impl FnMut(&Location, f64)) {
+        let terms = self.terms();
+        if !self.repeats {
+            for (location, add) in terms {
+                f(location, add);
+            }
+            return;
+        }
+        // A repeated location weighs once, at its first term, with its
+        // terms summed in delivery order.
+        for (i, (location, add)) in terms.clone().enumerate() {
+            if terms.clone().take(i).any(|(l, _)| l == location) {
+                continue;
+            }
+            let sum = terms
+                .clone()
+                .skip(i + 1)
+                .filter(|&(l, _)| l == location)
+                .fold(add, |sum, (_, add)| sum + add);
+            f(location, sum);
+        }
+    }
+}
+
 /// One batch of a delivery wave, with what it fixes for every partition
 /// of its ring.
 struct PlannedBatch {
@@ -44,66 +168,37 @@ struct PlannedBatch {
     /// The region-weighted client distance of every server (latency proxy,
     /// diversity units), indexed by `ServerId.0` over the whole cluster.
     dists: Vec<f64>,
-    /// Client regions with normalized weights.
-    regions: Vec<RegionWeight>,
 }
 
-/// One partition's delivery plan: its share of the batch folded into its
-/// region mix, and each replica's eq.-(4) weight and client distance,
-/// written into the replica. Pure per-partition work against immutable
-/// cluster state, so the fan-out ([`crate::pipeline`]) may run partitions
-/// in any grouping.
+/// One partition's delivery plan: its share of the batch, and each
+/// replica's eq.-(4) weight under its mix (which the ring's `deliveries`
+/// already extend by the batch) and client distance, written into the
+/// replica. `prox` is the chunk's scratch. Pure per-partition work against
+/// immutable cluster state, so the fan-out ([`crate::pipeline`]) may run
+/// partitions in any grouping.
 fn plan_one_delivery(
     part: &mut PartitionState,
     cluster: &Cluster,
     topology: &Topology,
     batch: &PlannedBatch,
+    deliveries: &Deliveries,
+    prox: &mut ProximityCache,
 ) {
     part.delivery.ready = false;
     let q = batch.queries * part.popularity / batch.total_pop;
-    if q <= 0.0 {
+    if adds_nothing(q) {
         return;
     }
     part.queries_epoch += q;
+    let mix = deliveries.mix_of(part);
+    prox.clear();
     let PartitionState {
-        region_queries,
-        prox_cache,
-        replicas,
-        delivery,
-        ..
+        replicas, delivery, ..
     } = &mut *part;
-    // The region mix changes: drop the stale memoized proximity, which
-    // the replicas refill per country. Placement decisions later in the
-    // epoch reuse the refilled entries.
-    prox_cache.clear();
-    // A partition's first fill sizes its mix to the batch: every later
-    // epoch's fill reuses the same slots.
-    if region_queries.is_empty() {
-        region_queries.reserve_exact(batch.regions.len());
-    }
-    for region in &batch.regions {
-        let add = q * region.weight;
-        if add <= 0.0 {
-            continue;
-        }
-        match region_queries
-            .iter_mut()
-            .find(|r| r.location == region.location)
-        {
-            Some(r) => r.queries += add,
-            None => region_queries.push(RegionQueries {
-                location: region.location,
-                queries: add,
-            }),
-        }
-    }
     for r in replicas.iter_mut() {
         let id = r.server.0 as usize;
         (r.proximity, r.client_distance) = match cluster.get(r.server) {
-            Some(s) => (
-                prox_cache.g(region_queries, &s.location, topology),
-                batch.dists[id],
-            ),
+            Some(s) => (prox.g(&mix, &s.location, topology), batch.dists[id]),
             None => (1.0, 0.0),
         };
     }
@@ -163,46 +258,49 @@ impl SkuteCloud {
         let plan_start = self.obs_start();
         // A batch offering no queries, or addressing a ring without
         // popularity, delivers nothing; the rest resolve once what every
-        // partition of their ring shares.
-        let wave: Vec<PlannedBatch> = wave
-            .into_iter()
-            .filter_map(|(ring, b)| {
-                if b.queries <= 0.0 {
-                    return None;
-                }
-                let total_pop: f64 = self.rings[ring]
-                    .partitions
-                    .values()
-                    .map(|p| p.popularity)
-                    .sum();
-                if total_pop <= 0.0 {
-                    return None;
-                }
-                let dists = self
-                    .cluster
-                    .iter()
-                    .map(|s| {
-                        b.regions
-                            .iter()
-                            .map(|reg| {
-                                reg.weight
-                                    * f64::from(skute_geo::diversity(&reg.location, &s.location))
-                            })
-                            .sum()
-                    })
-                    .collect();
-                Some(PlannedBatch {
-                    ring,
-                    queries: b.queries,
-                    total_pop,
-                    dists,
-                    regions: b.regions,
+        // partition of their ring shares, and their ring keeps them: the
+        // partitions' mixes now include them.
+        let mut planned: Vec<PlannedBatch> = Vec::with_capacity(wave.len());
+        for (ring, b) in wave {
+            if b.queries <= 0.0 {
+                continue;
+            }
+            let total_pop: f64 = self.rings[ring]
+                .partitions
+                .values()
+                .map(|p| p.popularity)
+                .sum();
+            if total_pop <= 0.0 {
+                continue;
+            }
+            let dists = self
+                .cluster
+                .iter()
+                .map(|s| {
+                    b.regions
+                        .iter()
+                        .map(|reg| {
+                            reg.weight * f64::from(skute_geo::diversity(&reg.location, &s.location))
+                        })
+                        .sum()
                 })
-            })
-            .collect();
-        if wave.is_empty() {
+                .collect();
+            self.rings[ring].deliveries.push(DeliveredBatch {
+                queries: b.queries,
+                total_pop,
+                regions: b.regions,
+            });
+            planned.push(PlannedBatch {
+                ring,
+                queries: b.queries,
+                total_pop,
+                dists,
+            });
+        }
+        if planned.is_empty() {
             return;
         }
+        let wave = planned;
         // Plan pass: one fan-out across every partition of every ring of
         // the wave (the rings are distinct, so the borrows are disjoint).
         let Self {
@@ -212,15 +310,26 @@ impl SkuteCloud {
             pipeline,
             ..
         } = self;
-        let mut items: Vec<(&PlannedBatch, &mut PartitionState)> = Vec::new();
+        let mut items: Vec<(&PlannedBatch, &Deliveries, &mut PartitionState)> = Vec::new();
         for (ri, ring) in rings.iter_mut().enumerate() {
             if let Some(batch) = wave.iter().find(|b| b.ring == ri) {
-                items.extend(ring.partitions.values_mut().map(|part| (batch, part)));
+                let RingState {
+                    partitions,
+                    deliveries,
+                    ..
+                } = ring;
+                let deliveries = &*deliveries;
+                items.extend(
+                    partitions
+                        .values_mut()
+                        .map(|part| (batch, deliveries, part)),
+                );
             }
         }
         pipeline.for_each_chunk(&mut items, |chunk| {
-            for (batch, part) in chunk {
-                plan_one_delivery(part, cluster, topology, batch);
+            let mut prox = ProximityCache::new();
+            for (batch, deliveries, part) in chunk {
+                plan_one_delivery(part, cluster, topology, batch, deliveries, &mut prox);
             }
         });
         self.obs_phase(plan_start, |m| &m.phase_traffic_plan);
@@ -346,12 +455,13 @@ mod tests {
     use crate::cloud::select_target;
     use crate::cloud::tests::{one_batch, paper_cluster, small_cloud, GIB};
     use crate::config::SkuteConfig;
+    use crate::decision::ActionCounts;
     use crate::metrics::EpochReport;
     use crate::placement::{PlacementContext, TargetQuery};
     use skute_cluster::{Capacities, ServerSpec};
     use skute_economy::scoring::proximity;
-    use skute_geo::Location;
-    use skute_ring::RingId;
+    use skute_economy::RegionQueries;
+    use skute_ring::{PartitionId, RingId};
 
     #[test]
     fn queries_accrue_utility_and_load() {
@@ -600,39 +710,84 @@ mod tests {
         }
     }
 
+    /// The region list a partition that kept its own copy of its mix
+    /// would hold: each batch's share folded in, in delivery order, one
+    /// entry per client location, `(queries, regions)` per batch.
+    fn folded_mix(
+        batches: &[(f64, Vec<RegionWeight>)],
+        popularity: f64,
+        total_pop: f64,
+    ) -> Vec<RegionQueries> {
+        let mut mix: Vec<RegionQueries> = Vec::new();
+        for (queries, regions) in batches {
+            let q = queries * popularity / total_pop;
+            if q <= 0.0 {
+                continue;
+            }
+            for r in regions {
+                let add = q * r.weight;
+                if add <= 0.0 {
+                    continue;
+                }
+                match mix.iter_mut().find(|m| m.location == r.location) {
+                    Some(m) => m.queries += add,
+                    None => mix.push(RegionQueries {
+                        location: r.location,
+                        queries: add,
+                    }),
+                }
+            }
+        }
+        mix
+    }
+
+    /// A mix's terms, in order, as `(location, queries bits)`.
+    fn term_bits<M: RegionMix + ?Sized>(mix: &M) -> Vec<(Location, u64)> {
+        let mut terms = Vec::new();
+        mix.for_each_region(|location, queries| terms.push((*location, queries.to_bits())));
+        terms
+    }
+
+    /// Client regions from `((continent, country), weight)` pairs.
+    fn regions_of(pairs: &[((u16, u16), f64)]) -> Vec<RegionWeight> {
+        pairs
+            .iter()
+            .map(|&((ct, co), weight)| RegionWeight {
+                location: Location::client_in_country(ct, co),
+                weight,
+            })
+            .collect()
+    }
+
+    /// One ring-0 batch of `app`.
+    fn batch_of(app: AppId, queries: f64, regions: Vec<RegionWeight>) -> TrafficBatch {
+        TrafficBatch {
+            app,
+            level: 0,
+            queries,
+            regions,
+        }
+    }
+
     #[test]
-    fn two_mixes_into_one_ring_weigh_as_a_fresh_proximity() {
-        // Two batches with different region mixes for one ring: the second
-        // lands in a later wave, after the first filled every partition's
-        // cache. Each delivery clears the cache before it folds, so every
-        // replica weight, and every weight a later placement query reads
-        // from the same cache, is a fresh eq. (4) over the partition's
-        // whole mix, bit for bit.
+    fn two_batches_into_one_ring_weigh_as_the_merged_mix() {
+        // Two batches for one ring, both naming country (0, 0): the second
+        // lands in a later wave. Every replica weight, and every weight an
+        // eq.-(3) walk reads, is eq. (4) over the merged mix the test
+        // builds here, bit for bit.
         let (mut cloud, app) = small_cloud();
+        cloud
+            .assign_popularity(app, 0, |i| 1.0 + 0.37 * i as f64)
+            .unwrap();
         for _ in 0..5 {
             cloud.begin_epoch();
             cloud.end_epoch();
         }
         cloud.begin_epoch();
-        let mix = |regions: &[((u16, u16), f64)]| -> Vec<RegionWeight> {
-            regions
-                .iter()
-                .map(|&((ct, co), weight)| RegionWeight {
-                    location: Location::client_in_country(ct, co),
-                    weight,
-                })
-                .collect()
-        };
-        let batch = |queries, regions| TrafficBatch {
-            app,
-            level: 0,
-            queries,
-            regions,
-        };
         cloud
             .deliver_queries_multi(vec![
-                batch(2_000.0, mix(&[((0, 0), 0.8), ((1, 0), 0.2)])),
-                batch(1_500.0, mix(&[((4, 1), 0.7), ((0, 0), 0.3)])),
+                batch_of(app, 2_000.0, regions_of(&[((0, 0), 0.8), ((1, 0), 0.2)])),
+                batch_of(app, 1_500.0, regions_of(&[((4, 1), 0.7), ((0, 0), 0.3)])),
             ])
             .unwrap();
         let SkuteCloud {
@@ -645,49 +800,203 @@ mod tests {
             ..
         } = &mut cloud;
         let ctx = PlacementContext::new(cluster, board, topology, &config.economy);
-        for part in rings[0].partitions.values_mut() {
-            assert_eq!(part.region_queries.len(), 3, "the two mixes merge");
+        let ring = &rings[0];
+        let total_pop: f64 = ring.partitions.values().map(|p| p.popularity).sum();
+        fn query<const N: usize>(mix: [((u16, u16), f64); N]) -> [RegionQueries; N] {
+            mix.map(|((ct, co), queries)| RegionQueries {
+                location: Location::client_in_country(ct, co),
+                queries,
+            })
+        }
+        let mut unmerged_differs = false;
+        for part in ring.partitions.values() {
+            let q1 = 2_000.0 * part.popularity / total_pop;
+            let q2 = 1_500.0 * part.popularity / total_pop;
+            // (0, 0) weighs once, at its first place, its two terms summed
+            // first batch first.
+            let merged = query([
+                ((0, 0), q1 * 0.8 + q2 * 0.3),
+                ((1, 0), q1 * 0.2),
+                ((4, 1), q2 * 0.7),
+            ]);
+            let unmerged = query([
+                ((0, 0), q1 * 0.8),
+                ((1, 0), q1 * 0.2),
+                ((4, 1), q2 * 0.7),
+                ((0, 0), q2 * 0.3),
+            ]);
+            let mix = ring.deliveries.mix_of(part);
+            assert_eq!(term_bits(&mix), term_bits(&merged[..]));
             for r in &part.replicas {
                 let server = cluster.get(r.server).unwrap().location;
-                let fresh = proximity(&part.region_queries, &server, topology);
+                let fresh = proximity(&merged, &server, topology);
                 assert_eq!(r.proximity.to_bits(), fresh.to_bits(), "{server}");
             }
             let existing = part.replica_servers();
             let q = TargetQuery {
                 existing: &existing,
                 size: 0,
-                region_queries: &part.region_queries,
+                mix: &mix,
                 rent_below: None,
             };
-            assert!(select_target(index, &ctx, &q, &mut part.prox_cache).is_some());
+            let mut prox = ProximityCache::new();
+            assert!(select_target(index, &ctx, &q, &mut prox).is_some());
             for s in cluster.iter() {
-                let fresh = proximity(&part.region_queries, &s.location, topology);
-                let cached = part
-                    .prox_cache
-                    .g(&part.region_queries, &s.location, topology);
-                assert_eq!(cached.to_bits(), fresh.to_bits(), "{}", s.location);
+                let fresh = proximity(&merged, &s.location, topology);
+                let walked = prox.g(&mix, &s.location, topology);
+                assert_eq!(walked.to_bits(), fresh.to_bits(), "{}", s.location);
+                unmerged_differs |= proximity(&unmerged, &s.location, topology) != fresh;
+            }
+        }
+        assert!(
+            unmerged_differs,
+            "the fixture must tell a merged mix from the two batches' terms in turn"
+        );
+    }
+
+    proptest::proptest! {
+        /// A partition's mix, over 1–3 batches into its ring with random
+        /// queries, popularities, countries (repeats included) and weights
+        /// (zeros included), is exactly the list a partition folding each
+        /// batch into its own copy would hold; its replicas' weights and a
+        /// walk's weights are eq. (4) over that list, bit for bit.
+        #[test]
+        fn prop_a_partition_mix_is_its_folded_share_of_the_ring_batches(
+            batches in proptest::collection::vec(
+                (
+                    (0u8..4, 1.0f64..5_000.0),
+                    proptest::collection::vec((0usize..10, (0u8..3, 0.0f64..1.0)), 1..6),
+                ),
+                1..4,
+            ),
+            pops in proptest::collection::vec((0u8..4, 0.1f64..50.0), 1..5),
+        ) {
+            // A zero choice stands for an exact zero.
+            let pick = |(zero, x): (u8, f64)| if zero == 0 { 0.0 } else { x };
+            let (mut cloud, app) = small_cloud();
+            cloud
+                .assign_popularity(app, 0, |i| pick(pops[i % pops.len()]))
+                .unwrap();
+            for _ in 0..2 {
+                cloud.begin_epoch();
+                cloud.end_epoch();
+            }
+            cloud.begin_epoch();
+            let countries: Vec<(u16, u16)> = cloud.topology().iter_countries().collect();
+            let batches: Vec<(f64, Vec<RegionWeight>)> = batches
+                .into_iter()
+                .map(|(queries, regions)| {
+                    let regions: Vec<((u16, u16), f64)> = regions
+                        .into_iter()
+                        .map(|(c, weight)| (countries[c], pick(weight)))
+                        .collect();
+                    (pick(queries), regions_of(&regions))
+                })
+                .collect();
+            cloud
+                .deliver_queries_multi(
+                    batches
+                        .iter()
+                        .map(|(queries, regions)| batch_of(app, *queries, regions.clone()))
+                        .collect(),
+                )
+                .unwrap();
+            let ring = &cloud.rings[0];
+            let total_pop: f64 = ring.partitions.values().map(|p| p.popularity).sum();
+            let topology = cloud.topology();
+            for part in ring.partitions.values() {
+                let folded = if total_pop > 0.0 {
+                    folded_mix(&batches, part.popularity, total_pop)
+                } else {
+                    Vec::new()
+                };
+                let mix = ring.deliveries.mix_of(part);
+                proptest::prop_assert_eq!(term_bits(&mix), term_bits(&folded[..]));
+                if part.delivery.ready {
+                    for r in &part.replicas {
+                        let server = cloud.cluster.get(r.server).unwrap().location;
+                        let fresh = proximity(&folded, &server, topology);
+                        proptest::prop_assert_eq!(r.proximity.to_bits(), fresh.to_bits());
+                    }
+                }
+                let mut prox = ProximityCache::new();
+                for s in cloud.cluster.iter() {
+                    let fresh = proximity(&folded, &s.location, topology);
+                    proptest::prop_assert_eq!(prox.g(&mix, &s.location, topology).to_bits(), fresh.to_bits());
+                }
             }
         }
     }
 
     #[test]
-    fn region_mixes_hold_no_spare_slots() {
-        // A partition's region mix is sized to the batch on its first fill
-        // and refilled in place every later epoch; a split's children
-        // start empty and size their own.
+    fn split_children_and_idle_partitions_weigh_an_empty_mix() {
+        // A partition without popularity receives nothing, and a split's
+        // children receive none of the batches delivered before they
+        // existed: their mixes are empty and weigh neutrally. A later
+        // batch reaches the children alone in their mix, and the next
+        // epoch starts every mix empty.
         let (mut cloud, app) = small_cloud();
-        let regions = skute_geo::ClientGeo::Uniform.region_weights(cloud.topology());
-        for _ in 0..4 {
-            cloud.begin_epoch();
-            cloud
-                .deliver_queries_multi(one_batch(app, 0, 2_000.0, &regions))
-                .unwrap();
-            for (pid, part) in &cloud.rings[0].partitions {
-                let mix = &part.region_queries;
-                assert_eq!(mix.len(), regions.len(), "partition {pid}");
-                assert_eq!(mix.capacity(), mix.len(), "partition {pid}");
-            }
-            cloud.end_epoch();
+        cloud
+            .assign_popularity(app, 0, |i| if i == 0 { 0.0 } else { 1.0 + i as f64 })
+            .unwrap();
+        cloud.begin_epoch();
+        let first = regions_of(&[((0, 0), 0.6), ((2, 1), 0.4)]);
+        let second = regions_of(&[((3, 0), 1.0)]);
+        cloud
+            .deliver_queries_multi(vec![batch_of(app, 2_000.0, first.clone())])
+            .unwrap();
+        let pids = cloud.partition_ids(app, 0).unwrap();
+        let (idle, parent) = (pids[0], pids[5]);
+        let threshold = cloud.config.split_threshold_bytes;
+        cloud.rings[0]
+            .partitions
+            .get_mut(&parent)
+            .unwrap()
+            .synthetic_bytes = threshold + 1;
+        let mut actions = ActionCounts::default();
+        cloud.split_overflowing(&mut actions);
+        assert_eq!(actions.splits, 1);
+        let children: Vec<PartitionId> = cloud
+            .partition_ids(app, 0)
+            .unwrap()
+            .into_iter()
+            .filter(|pid| !pids.contains(pid))
+            .collect();
+        assert_eq!(children.len(), 2);
+        let server = Location::new(0, 0, 0, 0, 0, 0);
+        let mix_terms = |cloud: &SkuteCloud, pid: PartitionId| {
+            let ring = &cloud.rings[0];
+            let mix = ring.deliveries.mix_of(&ring.partitions[&pid]);
+            let g = ProximityCache::new().g(&mix, &server, cloud.topology());
+            (term_bits(&mix), g)
+        };
+        for &pid in children.iter().chain([&idle]) {
+            assert_eq!(mix_terms(&cloud, pid), (Vec::new(), 1.0), "{pid:?}");
+        }
+        let total_pop = |cloud: &SkuteCloud| -> f64 {
+            cloud.rings[0]
+                .partitions
+                .values()
+                .map(|p| p.popularity)
+                .sum()
+        };
+        let (sibling, t1) = (pids[1], total_pop(&cloud));
+        let pop = cloud.rings[0].partitions[&sibling].popularity;
+        let folded = folded_mix(&[(2_000.0, first.clone())], pop, t1);
+        assert_eq!(mix_terms(&cloud, sibling).0, term_bits(&folded[..]));
+        cloud
+            .deliver_queries_multi(vec![batch_of(app, 1_000.0, second.clone())])
+            .unwrap();
+        let t2 = total_pop(&cloud);
+        for &pid in &children {
+            let pop = cloud.rings[0].partitions[&pid].popularity;
+            let folded = folded_mix(&[(1_000.0, second.clone())], pop, t2);
+            assert_eq!(mix_terms(&cloud, pid).0, term_bits(&folded[..]), "{pid:?}");
+        }
+        cloud.end_epoch();
+        cloud.begin_epoch();
+        for pid in cloud.partition_ids(app, 0).unwrap() {
+            assert_eq!(mix_terms(&cloud, pid), (Vec::new(), 1.0), "{pid:?}");
         }
     }
 

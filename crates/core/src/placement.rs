@@ -2,7 +2,7 @@
 //! rent-sorted candidate index, and the pluggable strategy interface.
 
 use skute_cluster::{Board, Cluster, ServerId};
-use skute_economy::{candidate_score, EconomyConfig, ProximityCache, RegionQueries};
+use skute_economy::{candidate_score, EconomyConfig, ProximityCache, RegionMix, RegionQueries};
 use skute_geo::{Location, Topology};
 
 /// Read-only view of the cloud a placement strategy may consult.
@@ -38,14 +38,14 @@ impl<'a> PlacementContext<'a> {
 /// One eq.-(3) target question: where should a replica of this partition
 /// go? The index walk and the brute-force scan both take this value, so
 /// the two cannot disagree on what was asked.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct TargetQuery<'a> {
+pub(crate) struct TargetQuery<'a, M: ?Sized = [RegionQueries]> {
     /// Servers already hosting the partition (never candidates).
     pub(crate) existing: &'a [ServerId],
     /// Bytes the new replica will occupy.
     pub(crate) size: u64,
-    /// The partition's observed per-region query volume.
-    pub(crate) region_queries: &'a [RegionQueries],
+    /// The partition's eq.-(4) client mix: its observed query volume per
+    /// client region.
+    pub(crate) mix: &'a M,
     /// Restricts the search to servers renting below this (the migration
     /// case: "find a less expensive server that is closer to the client
     /// locations").
@@ -65,15 +65,14 @@ pub trait PlacementStrategy {
     /// Chooses a server to host a new replica of a partition whose replicas
     /// currently live on `existing`, or `None` if no feasible server exists.
     ///
-    /// `partition_size` is the bytes the new replica will occupy;
-    /// `region_queries` is the partition's observed per-region query volume
-    /// (used by proximity-aware policies).
+    /// `partition_size` is the bytes the new replica will occupy. The
+    /// partition has no client traffic, so a proximity-aware policy weighs
+    /// every server neutrally.
     fn place_replica(
         &mut self,
         ctx: &PlacementContext<'_>,
         existing: &[ServerId],
         partition_size: u64,
-        region_queries: &[RegionQueries],
     ) -> Option<ServerId>;
 }
 
@@ -158,12 +157,12 @@ pub(crate) fn feasible_candidates<'a>(
 /// and its score; ties go to the lower server id.
 ///
 /// `prox` memoizes the proximity weight `g_j` per server country. It must
-/// be empty or filled against `q.region_queries`; its weights are bit for
-/// bit [`skute_economy::scoring::proximity`]'s, so a warm cache answers exactly as
-/// a fresh one.
-pub(crate) fn economic_target(
+/// be empty or filled against `q.mix`; its weights are bit for bit
+/// [`skute_economy::scoring::proximity`]'s, so a warm cache answers exactly
+/// as a fresh one.
+pub(crate) fn economic_target<M: RegionMix + ?Sized>(
     ctx: &PlacementContext<'_>,
-    q: &TargetQuery<'_>,
+    q: &TargetQuery<'_, M>,
     prox: &mut ProximityCache,
 ) -> Option<(ServerId, f64)> {
     let existing_locations: Vec<Location> = q
@@ -173,7 +172,7 @@ pub(crate) fn economic_target(
         .collect();
     feasible_candidates(ctx, q.existing, q.size, q.rent_below)
         .map(|(id, location, confidence, rent)| {
-            let g = prox.g(q.region_queries, &location, ctx.topology);
+            let g = prox.g(q.mix, &location, ctx.topology);
             let score = candidate_score(
                 &existing_locations,
                 &location,
@@ -417,20 +416,20 @@ impl PlacementIndex {
     /// it per candidate.
     ///
     /// `prox` must have been filled (or cleared) against the query's
-    /// `region_queries`.
-    pub(crate) fn economic_target(
+    /// `mix`.
+    pub(crate) fn economic_target<M: RegionMix + ?Sized>(
         &mut self,
         ctx: &PlacementContext<'_>,
-        q: &TargetQuery<'_>,
+        q: &TargetQuery<'_, M>,
         prox: &mut ProximityCache,
     ) -> Option<(ServerId, f64)> {
         self.refresh(ctx);
-        let TargetQuery {
+        let &TargetQuery {
             existing,
             size: partition_size,
-            region_queries,
+            mix,
             rent_below,
-        } = *q;
+        } = q;
         let Self { buckets, walk, .. } = self;
         walk.existing_locs.clear();
         for id in existing {
@@ -456,7 +455,7 @@ impl PlacementIndex {
             }
             let mut g_max = 0.0f64;
             for l in &b.reps {
-                g_max = g_max.max(prox.g(region_queries, l, ctx.topology));
+                g_max = g_max.max(prox.g(mix, l, ctx.topology));
             }
             walk.gains.push(g_max * b.conf_max * f64::from(div_ub) * v);
             walk.heads.push(0);
@@ -519,7 +518,7 @@ impl PlacementIndex {
                     continue;
                 }
             }
-            let g = prox.g(region_queries, &e.location, ctx.topology);
+            let g = prox.g(mix, &e.location, ctx.topology);
             let score = candidate_score(
                 &walk.existing_locs,
                 &e.location,
@@ -555,12 +554,11 @@ impl PlacementStrategy for EconomicPlacement {
         ctx: &PlacementContext<'_>,
         existing: &[ServerId],
         partition_size: u64,
-        region_queries: &[RegionQueries],
     ) -> Option<ServerId> {
         let q = TargetQuery {
             existing,
             size: partition_size,
-            region_queries,
+            mix: &[][..],
             rent_below: None,
         };
         economic_target(ctx, &q, &mut ProximityCache::new()).map(|(id, _)| id)
@@ -589,7 +587,7 @@ mod tests {
         TargetQuery {
             existing,
             size,
-            region_queries,
+            mix: region_queries,
             rent_below,
         }
     }
@@ -609,7 +607,7 @@ mod tests {
             .collect();
         feasible_candidates(ctx, q.existing, q.size, q.rent_below)
             .map(|(id, location, confidence, rent)| {
-                let g = proximity(q.region_queries, &location, ctx.topology);
+                let g = proximity(q.mix, &location, ctx.topology);
                 let v = ctx.economy.diversity_unit_value;
                 (
                     id,
@@ -723,7 +721,7 @@ mod tests {
         let existing = vec![ServerId(0)];
         let direct = target(&ctx, &q(&existing, 0, &[], None)).map(|(id, _)| id);
         let mut strategy = EconomicPlacement;
-        assert_eq!(strategy.place_replica(&ctx, &existing, 0, &[]), direct);
+        assert_eq!(strategy.place_replica(&ctx, &existing, 0), direct);
         assert_eq!(strategy.name(), "skute-economic");
     }
 

@@ -3,7 +3,7 @@
 use std::fmt;
 
 use skute_cluster::{Cluster, ServerId};
-use skute_economy::{BalanceHistory, ProximityCache, RegionQueries};
+use skute_economy::BalanceHistory;
 use skute_geo::Location;
 use skute_store::ReplicaStore;
 
@@ -114,23 +114,18 @@ pub(crate) struct PartitionState {
     /// Logical bytes ingested without materialized records (synthetic
     /// workload accounting); every replica's server is charged this amount.
     pub(crate) synthetic_bytes: u64,
-    /// Query volume per client region observed this epoch (the `q_l` of
-    /// eq. 4): the partition's one copy of its client mix, one entry per
-    /// client location, sized to the first batch that filled it and
-    /// refilled in place every epoch.
-    pub(crate) region_queries: Vec<RegionQueries>,
     /// Total queries addressed to the partition this epoch (before drops).
     pub(crate) queries_epoch: f64,
     /// Bytes written to the partition this epoch (consistency-cost input).
     pub(crate) write_bytes_epoch: u64,
-    /// Per-country proximity weights memoized against the current
-    /// `region_queries`, and nothing else: each miss sums eq. (4) over
-    /// `region_queries` itself. Cleared whenever they change (epoch start,
-    /// query delivery). The delivery plan fills it once per replica
-    /// country; every placement decision of the partition within the
-    /// epoch reads the same entries and adds the countries the plan did
-    /// not weigh.
-    pub(crate) prox_cache: ProximityCache,
+    /// The first of its ring's delivered batches this epoch that reached
+    /// the partition: 0 for every partition at epoch start, the ring's
+    /// batch count for a split's children, which received none of the
+    /// batches delivered before they existed. The partition's eq.-(4)
+    /// client mix (the `q_l` of eq. 4) is no copy it keeps: it is its
+    /// popularity's share of those batches, a view the ring builds
+    /// ([`crate::cloud::traffic::Deliveries::mix_of`]).
+    pub(crate) mix_from: u32,
     /// Memoized eq.-(2) availability of the current replica set. While
     /// `Some`, every replica's eq. (2) without itself is memoized too
     /// (`PartitionState::memoize_availability` writes both). Invalidated
@@ -153,10 +148,9 @@ impl PartitionState {
             replicas: Vec::new(),
             popularity,
             synthetic_bytes: 0,
-            region_queries: Vec::new(),
+            mix_from: 0,
             queries_epoch: 0.0,
             write_bytes_epoch: 0,
-            prox_cache: ProximityCache::new(),
             cached_availability: None,
             delivery: DeliveryPlan::default(),
         }
@@ -265,8 +259,7 @@ impl PartitionState {
     /// The availability cache is *not* reset: it depends only on replica
     /// membership, not on epoch-scoped meters.
     pub(crate) fn begin_epoch(&mut self) {
-        self.region_queries.clear();
-        self.prox_cache.clear();
+        self.mix_from = 0;
         self.queries_epoch = 0.0;
         self.write_bytes_epoch = 0;
         self.delivery.ready = false;
@@ -320,24 +313,13 @@ mod tests {
         let mut p = PartitionState::new(1.0);
         p.queries_epoch = 12.0;
         p.write_bytes_epoch = 77;
-        p.region_queries.push(RegionQueries {
-            location: skute_geo::Location::client_in_country(0, 0),
-            queries: 12.0,
-        });
-        let topo = skute_geo::Topology::paper();
-        let _ = p.prox_cache.g(
-            &p.region_queries.clone(),
-            &skute_geo::Location::new(0, 0, 0, 0, 0, 0),
-            &topo,
-        );
+        p.mix_from = 3;
         p.begin_epoch();
         assert_eq!(p.queries_epoch, 0.0);
         assert_eq!(p.write_bytes_epoch, 0);
-        assert!(p.region_queries.is_empty());
         assert_eq!(
-            format!("{:?}", p.prox_cache),
-            format!("{:?}", ProximityCache::new()),
-            "stale proximity must not survive"
+            p.mix_from, 0,
+            "the new epoch's mix starts at its first batch"
         );
     }
 
@@ -348,9 +330,12 @@ mod tests {
         // and the decision walk's cache misses were this struct: an inline
         // 24-region mass array here once made it 864 bytes, and three
         // per-replica delivery vectors 256. What is per replica belongs in
-        // the replica.
+        // the replica. The client mix and its eq.-(4) memo are no longer
+        // here either (144 → 104 bytes): the mix is a view over the
+        // ring's batches and the memo is a walk's scratch, so `replicas`
+        // is the one heap buffer a partition owns.
         assert!(
-            std::mem::size_of::<PartitionState>() <= 192,
+            std::mem::size_of::<PartitionState>() <= 104,
             "PartitionState is {} bytes",
             std::mem::size_of::<PartitionState>()
         );

@@ -20,6 +20,23 @@ pub struct RegionQueries {
     pub queries: f64,
 }
 
+/// A client mix eq. (4) can weigh: a sequence of `(location, queries)`
+/// terms in a fixed order. A slice of [`RegionQueries`] is one; a
+/// partition's view over its ring's delivered traffic is another, which
+/// yields its terms without holding a copy of them.
+pub trait RegionMix {
+    /// Calls `f` with every term of the mix, in the mix's order.
+    fn for_each_region(&self, f: impl FnMut(&Location, f64));
+}
+
+impl RegionMix for [RegionQueries] {
+    fn for_each_region(&self, mut f: impl FnMut(&Location, f64)) {
+        for r in self {
+            f(&r.location, r.queries);
+        }
+    }
+}
+
 /// The eq.-(4) diversity of a client country to a server country: 15 in
 /// the same country (a country's clients sit in a synthetic datacenter no
 /// server shares), 31 in the same continent, 63 across continents.
@@ -58,16 +75,16 @@ pub fn proximity(regions: &[RegionQueries], server: &Location, topology: &Topolo
 /// memoized per server country.
 ///
 /// Eq. (4) weighs a server by its `(continent, country)` prefix alone
-/// (see [`proximity`]), so one partition's delivery and decision phases,
-/// which evaluate proximity for every replica and every feasible candidate
-/// server, need one evaluation per server country; this cache holds them
+/// (see [`proximity`]), so one walk over a partition's servers (the
+/// replicas its delivery plan weighs, the candidates an eq.-(3) query
+/// scores) needs one evaluation per server country; this cache holds them
 /// and nothing else. Each miss sums eq. (4) over the mix it is handed.
 ///
-/// The caller owns invalidation: [`ProximityCache::clear`] must run
-/// whenever the region mix it was filled from changes (`SkuteCloud` clears
-/// per-partition caches at epoch start and before every query delivery).
-/// A clear keeps the buffer's capacity, so a partition refills its cache
-/// every epoch without allocating.
+/// A cache is scratch, not state: the caller owns one per walk and
+/// [`ProximityCache::clear`]s it before weighing another mix
+/// (`SkuteCloud` keeps one per plan chunk and one for its eq.-(3) walks,
+/// and clears it per partition). A clear keeps the buffer's capacity, so
+/// a reused cache refills without allocating.
 #[derive(Debug, Clone, Default)]
 pub struct ProximityCache {
     /// The memoized weight per server country.
@@ -95,19 +112,24 @@ impl ProximityCache {
     /// The proximity weight of `server` for `regions`, memoized by the
     /// server's country: eq. (4) over the mix, normalized by eq. (4) under
     /// the uniform split of the same total, each sum accumulated in a fixed
-    /// order (the mix in slice order, the uniform baseline in
+    /// order (the mix in its own order, the uniform baseline in
     /// [`Topology::iter_countries`] order).
-    pub fn g(&mut self, regions: &[RegionQueries], server: &Location, topology: &Topology) -> f64 {
+    pub fn g<M: RegionMix + ?Sized>(
+        &mut self,
+        regions: &M,
+        server: &Location,
+        topology: &Topology,
+    ) -> f64 {
         // An entry exists only under a mix with queries.
         let key = server.country_key();
         if let Some(&(_, g)) = self.entries.iter().find(|(k, _)| *k == key) {
             return g;
         }
         let (mut total, mut weighted) = (0.0, 0.0);
-        for r in regions {
-            total += r.queries;
-            weighted += r.queries * zone_diversity(r.location.country_key(), key);
-        }
+        regions.for_each_region(|location, queries| {
+            total += queries;
+            weighted += queries * zone_diversity(location.country_key(), key);
+        });
         if total <= 0.0 {
             return 1.0;
         }
@@ -287,7 +309,7 @@ mod tests {
         let mut cache = ProximityCache::new();
         for (i, server) in t.iter_servers().enumerate() {
             let direct = proximity(&regions, &server, &t);
-            let cached = cache.g(&regions, &server, &t);
+            let cached = cache.g(&regions[..], &server, &t);
             assert_eq!(cached.to_bits(), direct.to_bits(), "server {i}");
             assert_eq!(
                 direct.to_bits(),
@@ -301,7 +323,7 @@ mod tests {
         // Re-querying stays identical; clearing resets and keeps the
         // buffer.
         let s = server_at(&t, 3);
-        assert_eq!(cache.g(&regions, &s, &t), proximity(&regions, &s, &t));
+        assert_eq!(cache.g(&regions[..], &s, &t), proximity(&regions, &s, &t));
         let capacity = cache.entries.capacity();
         cache.clear();
         assert!(cache.is_empty());
@@ -326,7 +348,7 @@ mod tests {
         for i in 0..200u64 {
             let server = server_at(&t, i);
             let direct = proximity(&regions, &server, &t);
-            let cached = cache.g(&regions, &server, &t);
+            let cached = cache.g(&regions[..], &server, &t);
             assert_eq!(cached.to_bits(), direct.to_bits(), "server {i}");
         }
         assert_eq!(cache.entries.len(), 10);
@@ -351,7 +373,7 @@ mod tests {
         let m = proximity(&merged, &server, &t);
         assert!((d - m).abs() <= 1e-12 * m, "{d} vs {m}");
         cache.clear();
-        assert_eq!(cache.g(&dup, &server, &t).to_bits(), d.to_bits());
+        assert_eq!(cache.g(&dup[..], &server, &t).to_bits(), d.to_bits());
     }
 
     #[test]
@@ -377,7 +399,7 @@ mod tests {
             let direct = proximity(&regions, &server, &t);
             let country = proximity(&by_country, &server, &t);
             assert_eq!(direct.to_bits(), country.to_bits(), "server {server}");
-            let cached = cache.g(&regions, &server, &t);
+            let cached = cache.g(&regions[..], &server, &t);
             assert_eq!(cached.to_bits(), direct.to_bits(), "server {server}");
         }
         assert_eq!(cache.entries.len(), 10);
@@ -385,8 +407,8 @@ mod tests {
         // siblings, from the same entry.
         let sibling = Location::new(2, 1, 1, 0, 0, 0);
         assert_eq!(
-            cache.g(&regions, &rack, &t),
-            cache.g(&regions, &sibling, &t)
+            cache.g(&regions[..], &rack, &t),
+            cache.g(&regions[..], &sibling, &t)
         );
         assert_eq!(cache.entries.len(), 10);
     }
@@ -461,7 +483,7 @@ mod tests {
             let zone = Location::client_in_country(server.continent, server.country);
             for s in [server, sibling, zone, server] {
                 let direct = proximity(&regions, &s, &t).to_bits();
-                prop_assert_eq!(cache.g(&regions, &s, &t).to_bits(), direct);
+                prop_assert_eq!(cache.g(&regions[..], &s, &t).to_bits(), direct);
             }
             // Reuse, as a partition's cache is reused across deliveries and
             // epochs: after a clear, a second mix (more or fewer countries,
@@ -480,7 +502,7 @@ mod tests {
             for i in (0..200u64).step_by(17).chain([server_idx]) {
                 let s = server_at(&t, i);
                 let scan = general_scan(&second, &s, &t).to_bits();
-                prop_assert_eq!(cache.g(&second, &s, &t).to_bits(), scan, "server {}", i);
+                prop_assert_eq!(cache.g(&second[..], &s, &t).to_bits(), scan, "server {}", i);
             }
         }
 

@@ -7,7 +7,7 @@
 //! `u = γ · queries · g`, where `g` is the proximity weight of eq. (4)
 //! (large when close): utility *grows* with proximity. Eq. (5)'s phrasing
 //! "divided by the geographic proximity" contradicts the quoted prose and is
-//! treated as a typo (see DESIGN.md §3.1).
+//! treated as a typo (see README, "How this code reads the paper").
 
 /// Utility earned by a vnode that answered `queries` queries at proximity
 /// `g`, with `gamma` the monetary normalization (money per query).

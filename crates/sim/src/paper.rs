@@ -24,7 +24,7 @@ pub(crate) const GIB: u64 = 1024 * MIB;
 /// both hold (500 GB / 600 partitions ≈ 833 MB each), so we preload 128 MiB
 /// per partition: at equilibrium (2+3+4) × 200 replicas × 128 MiB ≈ 225 GiB
 /// stored, the same order of magnitude, with every partition under the cap
-/// (see DESIGN.md §3.7).
+/// (see README, "How this code reads the paper").
 pub fn base_scenario() -> Scenario {
     Scenario {
         name: "paper-base".into(),
@@ -176,6 +176,43 @@ pub fn scaled_scenario(
     s
 }
 
+/// Servers retired, and later re-added, per churn period of
+/// [`churn_schedule`].
+const CHURN_SERVERS: u64 = 20;
+/// The first retirement of [`churn_schedule`].
+const CHURN_FIRST_REMOVAL: u64 = 40;
+/// Epochs from one churn period's first retirement to the next's.
+const CHURN_PERIOD: u64 = 60;
+/// Epochs from a retirement to its server's replacement.
+const CHURN_ADD_AFTER: u64 = 30;
+
+/// The server churn the M = 2000 epoch probes run under, over `epochs`
+/// epochs: from epoch 40 and every 60 epochs after, 20 servers retired one
+/// per epoch, each replaced by a new server 30 epochs after it left.
+///
+/// Servers leave one per epoch, not 20 at once: a simultaneous loss of 20
+/// of 200 servers takes both replicas of some two-replica partitions with
+/// it, while one at a time the repair pass restores each partition before
+/// the next server leaves. The churn keeps the repair and decision passes
+/// busy after the cold-start convergence, which a steady scenario leaves
+/// idle.
+pub fn churn_schedule(epochs: u64) -> Schedule {
+    let mut schedule = Schedule::new();
+    let mut removal = CHURN_FIRST_REMOVAL;
+    while removal < epochs {
+        for i in 0..CHURN_SERVERS {
+            schedule = schedule
+                .at(removal + i, CloudEvent::RemoveServers { count: 1 })
+                .at(
+                    removal + CHURN_ADD_AFTER + i,
+                    CloudEvent::AddServers { count: 1 },
+                );
+        }
+        removal += CHURN_PERIOD;
+    }
+    schedule
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -224,6 +261,32 @@ mod tests {
         let gen = s.inserts.unwrap();
         assert_eq!(gen.rate_per_epoch, 2000.0);
         assert_eq!(gen.object_bytes, 500_000);
+    }
+
+    #[test]
+    fn churn_retires_twenty_per_period_and_replaces_each_thirty_epochs_later() {
+        let remove = [CloudEvent::RemoveServers { count: 1 }];
+        let add = [CloudEvent::AddServers { count: 1 }];
+        let s = churn_schedule(130);
+        for (epoch, events) in [
+            (39, &[][..]),
+            (40, &remove[..]),
+            (59, &remove[..]),
+            (60, &[][..]),
+            (69, &[][..]),
+            (70, &add[..]),
+            (89, &add[..]),
+            (90, &[][..]),
+            (100, &remove[..]),
+            (130, &add[..]),
+            (149, &add[..]),
+            (150, &[][..]),
+        ] {
+            assert_eq!(s.events_at(epoch), events, "epoch {epoch}");
+        }
+        // A period starts only before the horizon, and runs out in full.
+        assert_eq!(s.len(), 2 * 2 * 20);
+        assert!(churn_schedule(40).is_empty());
     }
 
     #[test]

@@ -12,7 +12,7 @@ use rand::Rng;
 /// read it as `(shape α = 1, scale x_m = 50)` — a heavy-tailed popularity
 /// with minimum 50 — which matches the skewed, Slashdot-prone traffic the
 /// paper motivates (a shape of 50 would be nearly deterministic). See
-/// DESIGN.md §3.
+/// README, "How this code reads the paper".
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Pareto {
     /// Shape α > 0 (smaller ⇒ heavier tail).

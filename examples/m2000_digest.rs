@@ -1,9 +1,8 @@
 //! Trajectory digest of the epoch loop at M = 2000 under server churn.
 //!
-//! Runs `paper::scaled_scenario("epoch_churn_m2000", 2000, 3000, E)` with
-//! the benchmark's churn schedule (from epoch 40, every 60 epochs, 20
-//! servers retired one per epoch and, 30 epochs later, 20 added one per
-//! epoch) and folds every epoch's `format!("{:?}", observation)` into one
+//! Runs `paper::scaled_scenario("epoch_churn_m2000", 2000, 3000, E)` under
+//! `paper::churn_schedule` (from epoch 40, every 60 epochs, 20 servers
+//! retired one per epoch, each replaced 30 epochs later) and folds every epoch's `format!("{:?}", observation)` into one
 //! FNV-1a hash. Two trees with equal digests for a seed stepped the same
 //! trajectory, bit for bit, on the host that ran both: `Debug` prints every
 //! float so that it parses back to the same bits.
@@ -12,20 +11,12 @@
 //! (defaults: seed 1, 700 epochs). Prints the running digest every 100
 //! epochs and the final one last.
 
-use skute::sim::{paper, CloudEvent, Schedule, Simulation};
+use skute::sim::{paper, Simulation};
 
 /// Partitions per application (three applications: 2, 3 and 4 replicas).
 const PARTITIONS: usize = 2000;
 /// Queries per epoch.
 const QUERIES: u64 = 3000;
-/// Servers retired, and later added back, per churn period.
-const CHURN: u64 = 20;
-/// First retirement.
-const FIRST_REMOVAL: u64 = 40;
-/// Epochs from one period's first retirement to the next's.
-const CHURN_PERIOD: u64 = 60;
-/// Epochs from a period's first retirement to its first addition.
-const ADD_AFTER: u64 = 30;
 
 /// FNV-1a over `bytes`, continuing from `hash`.
 fn fnv1a(mut hash: u64, bytes: &[u8]) -> u64 {
@@ -48,17 +39,7 @@ fn main() {
 
     let mut scenario = paper::scaled_scenario("epoch_churn_m2000", PARTITIONS, QUERIES, epochs);
     scenario.seed = seed;
-    let mut schedule = Schedule::new();
-    let mut removal = FIRST_REMOVAL;
-    while removal < epochs {
-        for i in 0..CHURN {
-            schedule = schedule
-                .at(removal + i, CloudEvent::RemoveServers { count: 1 })
-                .at(removal + ADD_AFTER + i, CloudEvent::AddServers { count: 1 });
-        }
-        removal += CHURN_PERIOD;
-    }
-    scenario.schedule = schedule;
+    scenario.schedule = paper::churn_schedule(epochs);
 
     let mut sim = Simulation::new(scenario);
     let mut digest = 0xcbf2_9ce4_8422_2325;

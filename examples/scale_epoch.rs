@@ -1,33 +1,28 @@
 //! Cost of one epoch at M partitions: the scale probe of the epoch loop.
 //!
-//! Runs `paper::scaled_scenario("epoch_churn_m2000", M, 1.5·M, E)` with
-//! the benchmark's churn schedule (from epoch 40, every 60 epochs, 20
-//! servers retired one per epoch and, 30 epochs later, 20 added one per
-//! epoch), threads = 1. The first `min(100, E/2)` epochs warm up untimed;
-//! the rest form the timed window, stepped with `CloudMetrics` attached.
-//! Prints the window's wall-clock ms/epoch, the pipeline's own ms/epoch
-//! per phase (what the phases do not cover — query generation,
-//! `begin_epoch`, scheduled events — is `other`), and the process's peak
-//! resident set (`VmHWM` from `/proc/self/status`).
+//! Runs `paper::scaled_scenario("epoch_churn_m2000", M, 1.5·M, E)`,
+//! threads = 1, in one of two regimes: `churn` (the default) under
+//! `paper::churn_schedule` (from epoch 40, every 60 epochs, 20 servers
+//! retired one per epoch, each replaced 30 epochs later), or `steady`
+//! with no scheduled event. The first `min(100, E/2)` epochs warm up
+//! untimed; the rest form the timed window, stepped with `CloudMetrics`
+//! attached. Prints the window's wall-clock ms/epoch, the pipeline's own
+//! ms/epoch per phase (what the phases do not cover — query generation,
+//! `begin_epoch`, scheduled events — is `other`), the process's peak
+//! resident set (`VmHWM` from `/proc/self/status`), and the vnodes alive
+//! at the end with the peak resident bytes per vnode (fixed process cost
+//! included).
 //!
 //! Run with: `cargo run --release --example scale_epoch -- [M] [EPOCHS]
-//! [SEED]` (defaults: M = 2000, 300 epochs, seed 1). One run is one
-//! sample: compare trees with alternating runs.
+//! [SEED] [churn|steady]` (defaults: M = 2000, 300 epochs, seed 1,
+//! churn). One run is one sample: compare trees with alternating runs.
 
 use std::sync::Arc;
 use std::time::Instant;
 
 use skute::prelude::{CloudMetrics, Registry};
-use skute::sim::{paper, CloudEvent, Schedule, Simulation};
+use skute::sim::{paper, Simulation};
 
-/// Servers retired, and later added back, per churn period.
-const CHURN: u64 = 20;
-/// First retirement.
-const FIRST_REMOVAL: u64 = 40;
-/// Epochs from one period's first retirement to the next's.
-const CHURN_PERIOD: u64 = 60;
-/// Epochs from a period's first retirement to its first addition.
-const ADD_AFTER: u64 = 30;
 /// The most epochs stepped before the timed window.
 const WARM_UP: u64 = 100;
 
@@ -62,6 +57,12 @@ fn main() {
     let partitions = arg("M", 2000);
     let epochs = arg("EPOCHS", 300);
     let seed = arg("SEED", 1);
+    let regime = args.next().unwrap_or_else(|| "churn".into());
+    let steady = match regime.as_str() {
+        "churn" => false,
+        "steady" => true,
+        other => panic!("the regime must be churn or steady, got {other:?}"),
+    };
     let warm_up = WARM_UP.min(epochs / 2);
     let window = epochs - warm_up;
     assert!(window > 0, "EPOCHS must be at least 1");
@@ -70,17 +71,9 @@ fn main() {
     let mut scenario =
         paper::scaled_scenario("epoch_churn_m2000", partitions as usize, queries, epochs);
     scenario.seed = seed;
-    let mut schedule = Schedule::new();
-    let mut removal = FIRST_REMOVAL;
-    while removal < epochs {
-        for i in 0..CHURN {
-            schedule = schedule
-                .at(removal + i, CloudEvent::RemoveServers { count: 1 })
-                .at(removal + ADD_AFTER + i, CloudEvent::AddServers { count: 1 });
-        }
-        removal += CHURN_PERIOD;
+    if !steady {
+        scenario.schedule = paper::churn_schedule(epochs);
     }
-    scenario.schedule = schedule;
 
     let started = Instant::now();
     let mut sim = Simulation::new(scenario);
@@ -91,8 +84,9 @@ fn main() {
     let metrics = CloudMetrics::register(&Arc::new(Registry::new()));
     sim.attach_metrics(Arc::clone(&metrics));
     let started = Instant::now();
+    let mut vnodes = 0;
     for _ in 0..window {
-        sim.step();
+        vnodes = sim.step().report.rings.iter().map(|r| r.vnodes).sum();
     }
     let per_epoch = |seconds: f64| seconds * 1e3 / window as f64;
     let total = per_epoch(started.elapsed().as_secs_f64());
@@ -100,7 +94,8 @@ fn main() {
     let other = total - phases.iter().sum::<f64>();
 
     println!(
-        "M {partitions} queries {queries} seed {seed} window epochs {}-{epochs} setup {setup_ms:.1} ms",
+        "M {partitions} queries {queries} seed {seed} {regime} window epochs {}-{epochs} \
+         setup {setup_ms:.1} ms",
         warm_up + 1
     );
     let [plan, commit, repair, decisions, report] = phases;
@@ -108,8 +103,16 @@ fn main() {
         "ms/epoch {total:.3} plan {plan:.3} commit {commit:.3} repair {repair:.3} \
          decisions {decisions:.3} report {report:.3} other {other:.3}"
     );
-    match vm_hwm_mib() {
+    let peak = vm_hwm_mib();
+    match peak {
         Some(mib) => println!("VmHWM {mib:.1} MiB"),
         None => println!("VmHWM unavailable"),
+    }
+    match peak {
+        Some(mib) if vnodes > 0 => {
+            let bytes = mib * 1024.0 * 1024.0 / vnodes as f64;
+            println!("vnodes {vnodes} bytes/vnode {bytes:.0}");
+        }
+        _ => println!("vnodes {vnodes} bytes/vnode unavailable"),
     }
 }
