@@ -15,7 +15,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use skute_cluster::{Board, Cluster, Server, ServerId, ServerSpec};
-use skute_economy::{ProximityCache, RegionMix, RentModel};
+use skute_economy::{ProximityCache, RegionQueries, RentModel};
 use skute_geo::{Level, Location, Topology};
 use skute_ring::{PartitionId, RingId, VirtualRing};
 use skute_store::{FaultPlan, ReplicaStore};
@@ -51,7 +51,7 @@ struct RingState {
     ring: VirtualRing,
     partitions: BTreeMap<PartitionId, PartitionState>,
     /// The epoch's traffic batches, in delivery order: every partition's
-    /// eq.-(4) client mix is a view over them.
+    /// eq.-(4) client mix is its popularity's share of them.
     deliveries: Deliveries,
     queries_offered_epoch: f64,
     queries_served_epoch: f64,
@@ -120,8 +120,10 @@ pub struct SkuteCloud {
     /// A partition's `(replica index, proximity)` serving order in the
     /// traffic commit.
     order_scratch: Vec<(usize, f64)>,
-    /// The eq.-(4) memo of one eq.-(3) walk (repair, emergency relocation,
-    /// decision), cleared before each partition's walk.
+    /// The eq.-(4) client mix of one eq.-(3) walk (repair, emergency
+    /// relocation, decision), folded from the ring's deliveries before
+    /// each partition's walk, and the walk's memo over it.
+    mix_scratch: Vec<RegionQueries>,
     prox_scratch: ProximityCache,
     /// The partitions of one ring the repair commit may act on.
     repair_scratch: Vec<PartitionId>,
@@ -174,6 +176,7 @@ impl SkuteCloud {
             servers_scratch: Vec::new(),
             placed_scratch: Vec::new(),
             order_scratch: Vec::new(),
+            mix_scratch: Vec::new(),
             prox_scratch: ProximityCache::new(),
             repair_scratch: Vec::new(),
             pids_scratch: Vec::new(),
@@ -316,10 +319,10 @@ impl SkuteCloud {
     }
 
     /// Assigns popularity weights to the partitions of one ring, in ring
-    /// order (the paper draws them from Pareto(1, 50)). A partition's
-    /// eq.-(4) client mix is its popularity's share of the ring's traffic,
-    /// so traffic already delivered this epoch re-weighs at the new
-    /// popularity; the delivered queries and utility do not move.
+    /// order (the paper draws them from Pareto(1, 50)). Popularity is set
+    /// between epochs, before the epoch's first delivery to the ring: a
+    /// partition's eq.-(4) client mix is its popularity's share of the
+    /// ring's delivered traffic, which a later popularity would re-weigh.
     pub fn assign_popularity(
         &mut self,
         app: AppId,
@@ -327,6 +330,10 @@ impl SkuteCloud {
         mut f: impl FnMut(usize) -> f64,
     ) -> Result<(), CoreError> {
         let ring_idx = self.ring_index(app, level)?;
+        debug_assert!(
+            self.rings[ring_idx].deliveries.is_empty(),
+            "popularity assigned after traffic was delivered this epoch"
+        );
         let ids = self.rings[ring_idx].ring.partition_ids();
         for (i, pid) in ids.iter().enumerate() {
             if let Some(p) = self.rings[ring_idx].partitions.get_mut(pid) {
@@ -625,10 +632,10 @@ fn resize_storage(server: &mut Server, old: u64, new: u64) -> bool {
 /// proximity cache, the reference the index must reproduce, and assert the
 /// same winner with a bit-identical score, so every placement of every
 /// debug-build test is checked against it (and a stale `prox` shows).
-fn select_target<M: RegionMix + ?Sized>(
+fn select_target(
     index: &mut PlacementIndex,
     ctx: &PlacementContext<'_>,
-    q: &TargetQuery<'_, M>,
+    q: &TargetQuery<'_>,
     prox: &mut ProximityCache,
 ) -> Option<(ServerId, f64)> {
     let target = index.economic_target(ctx, q, prox);

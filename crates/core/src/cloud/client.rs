@@ -331,7 +331,7 @@ impl ReadView<'_> {
                 continue;
             }
             let g = match &regions {
-                Some(r) => prox.g(&r[..], &server.location, self.topology),
+                Some(r) => prox.g(r, &server.location, self.topology),
                 None => 1.0,
             };
             set.push((i, g));
@@ -757,10 +757,12 @@ mod tests {
                 &cloud.config.economy,
             );
             let ring = &cloud.rings[0];
+            let mut mix = Vec::new();
+            ring.deliveries.fold_mix(&ring.partitions[&b], &mut mix);
             let q = TargetQuery {
                 existing: &[],
                 size: 70 * MIB,
-                mix: &ring.deliveries.mix_of(&ring.partitions[&b]),
+                region_queries: &mix,
                 rent_below: None,
             };
             economic_target(&ctx, &q, &mut ProximityCache::new())

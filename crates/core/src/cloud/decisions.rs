@@ -314,14 +314,14 @@ impl SkuteCloud {
                 &mut self.servers_scratch,
             );
             let ctx = PlacementContext::new(&self.cluster, &self.board, &self.topology, &economy);
-            let mix = deliveries.mix_of(partition);
+            deliveries.fold_mix(partition, &mut self.mix_scratch);
+            self.prox_scratch.clear();
             let q = TargetQuery {
                 existing: &self.servers_scratch,
                 size,
-                mix: &mix,
+                region_queries: &self.mix_scratch,
                 rent_below,
             };
-            self.prox_scratch.clear();
             let target = select_target(&mut self.index, &ctx, &q, &mut self.prox_scratch);
             let Some((target, _)) = target else {
                 continue;
@@ -548,10 +548,12 @@ mod tests {
         let mut existing = Vec::new();
         let (size, rent_below) = frame_query(true, part, 0, rent, &economy, &mut existing);
         let ctx = PlacementContext::new(&probe.cluster, &probe.board, &probe.topology, &economy);
+        let mut mix = Vec::new();
+        probe.rings[0].deliveries.fold_mix(part, &mut mix);
         let q = TargetQuery {
             existing: &existing,
             size,
-            mix: &probe.rings[0].deliveries.mix_of(part),
+            region_queries: &mix,
             rent_below,
         };
         let (winner, _) = crate::placement::economic_target(&ctx, &q, &mut Default::default())

@@ -105,7 +105,7 @@ impl SkuteCloud {
                 let Some(partition) = partitions.get_mut(&pid) else {
                     continue;
                 };
-                let mix = deliveries.mix_of(partition);
+                deliveries.fold_mix(partition, &mut self.mix_scratch);
                 self.prox_scratch.clear();
                 for _ in 0..MAX_REPAIRS_PER_PARTITION_PER_EPOCH {
                     if partition.replica_count() >= max_replicas {
@@ -129,7 +129,7 @@ impl SkuteCloud {
                         &TargetQuery {
                             existing: &self.servers_scratch,
                             size,
-                            mix: &mix,
+                            region_queries: &self.mix_scratch,
                             rent_below: None,
                         },
                         &mut self.prox_scratch,
@@ -179,7 +179,7 @@ impl SkuteCloud {
         if idx >= partition.replicas.len() {
             return;
         }
-        let mix = deliveries.mix_of(partition);
+        deliveries.fold_mix(partition, &mut self.mix_scratch);
         self.prox_scratch.clear();
         let size = partition.synthetic_bytes + partition.replicas[idx].store.logical_bytes();
         self.servers_scratch.clear();
@@ -197,7 +197,7 @@ impl SkuteCloud {
             &TargetQuery {
                 existing: &self.servers_scratch,
                 size: size.saturating_add(incoming),
-                mix: &mix,
+                region_queries: &self.mix_scratch,
                 rent_below: None,
             },
             &mut self.prox_scratch,

@@ -5,16 +5,17 @@
 //! A batch offers one region mix to every partition of its ring, so the
 //! driver resolves what the mix fixes once per batch: the ring's
 //! Σ popularity and each server's region-weighted client distance. The
-//! ring keeps every batch of the epoch ([`Deliveries`]), and a partition's
-//! eq.-(4) client mix is a view over them ([`ClientMix`]): the
-//! mean-field reading of §III gives every partition `Q · pop / Σ pop` of
-//! each batch, so its mix is the ring's scaled by its popularity, and no
-//! partition keeps a copy. Each partition's plan weighs its replicas
-//! through its chunk's [`ProximityCache`], once per replica country.
+//! ring keeps every batch of the epoch ([`Deliveries`]) and no partition
+//! keeps a copy of its eq.-(4) client mix: under the mean-field reading of
+//! §III every partition receives `Q · pop / Σ pop` of each batch, so a
+//! walk that weighs a partition folds its share of the ring's batches into
+//! a reused scratch list ([`Deliveries::fold_mix`]). Each partition's plan
+//! weighs its replicas through its chunk's [`ProximityCache`], once per
+//! replica country.
 
 use skute_cluster::{Cluster, ServerId};
-use skute_economy::{utility, ProximityCache, RegionMix};
-use skute_geo::{Location, RegionWeight, Topology};
+use skute_economy::{utility, ProximityCache, RegionQueries};
+use skute_geo::{RegionWeight, Topology};
 
 use super::{RingState, SkuteCloud};
 use crate::app::AppId;
@@ -52,16 +53,17 @@ struct DeliveredBatch {
 #[derive(Debug, Default)]
 pub(super) struct Deliveries {
     batches: Vec<DeliveredBatch>,
-    /// True once some client location appears twice across `batches`,
-    /// so a mix must merge its terms.
-    repeats: bool,
 }
 
 impl Deliveries {
     /// Drops the epoch's batches.
     pub(super) fn clear(&mut self) {
         self.batches.clear();
-        self.repeats = false;
+    }
+
+    /// True when no batch was delivered this epoch.
+    pub(super) fn is_empty(&self) -> bool {
+        self.batches.is_empty()
     }
 
     /// The number of batches delivered so far this epoch: where the mix of
@@ -70,89 +72,34 @@ impl Deliveries {
         self.batches.len() as u32
     }
 
-    fn push(&mut self, batch: DeliveredBatch) {
-        let earlier = self.batches.iter().flat_map(|b| &b.regions);
-        for (i, r) in batch.regions.iter().enumerate() {
-            let mut seen = earlier.clone().chain(&batch.regions[..i]);
-            self.repeats |= seen.any(|e| e.location == r.location);
-        }
-        self.batches.push(batch);
-    }
-
-    /// The eq.-(4) client mix of `part`: its popularity's share of every
-    /// batch from its [`PartitionState::mix_from`] on. The view copies
-    /// what it reads of `part`, so `part` stays free to change.
-    pub(super) fn mix_of(&self, part: &PartitionState) -> ClientMix<'_> {
+    /// Refills `mix` with the eq.-(4) client mix of `part`: its
+    /// popularity's share `q_b = Q_b · pop / Σ pop_b` of every batch from
+    /// its [`PartitionState::mix_from`] on, folded in delivery order, one
+    /// entry per client location in first-seen order, each the sum of its
+    /// `q_b · w`. A batch whose share is not positive, and a term that is
+    /// not, adds nothing; a partition that received nothing this epoch
+    /// has an empty mix, which eq. (4) weighs neutrally.
+    pub(super) fn fold_mix(&self, part: &PartitionState, mix: &mut Vec<RegionQueries>) {
+        mix.clear();
         let from = (part.mix_from as usize).min(self.batches.len());
-        ClientMix {
-            batches: &self.batches[from..],
-            popularity: part.popularity,
-            repeats: self.repeats,
-        }
-    }
-}
-
-/// One partition's eq.-(4) client mix, borrowed from its ring's
-/// [`Deliveries`]. It yields exactly the region list a partition that
-/// folded each batch into its own copy would hold: one term per client
-/// location, in first-seen order, each the sum of its `q_b · w` in
-/// delivery order, where `q_b = Q_b · pop / Σ pop_b` is the partition's
-/// share of batch `b`; a batch whose share is not positive, and a term
-/// that is not, adds nothing. A partition that received nothing this
-/// epoch has an empty mix, which eq. (4) weighs neutrally.
-#[derive(Debug, Clone, Copy)]
-pub(super) struct ClientMix<'a> {
-    batches: &'a [DeliveredBatch],
-    popularity: f64,
-    repeats: bool,
-}
-
-/// True when a query share adds nothing to a mix.
-fn adds_nothing(queries: f64) -> bool {
-    queries <= 0.0
-}
-
-impl ClientMix<'_> {
-    /// Every `(location, q_b · w)` term that adds to the mix, in delivery
-    /// order.
-    fn terms(&self) -> impl Iterator<Item = (&Location, f64)> + Clone + '_ {
-        let pop = self.popularity;
-        self.batches
-            .iter()
-            .flat_map(move |b| {
-                let q = b.queries * pop / b.total_pop;
-                let regions = if adds_nothing(q) {
-                    &[][..]
-                } else {
-                    &b.regions[..]
-                };
-                regions.iter().map(move |r| (&r.location, q * r.weight))
-            })
-            .filter(|&(_, add)| !adds_nothing(add))
-    }
-}
-
-impl RegionMix for ClientMix<'_> {
-    fn for_each_region(&self, mut f: impl FnMut(&Location, f64)) {
-        let terms = self.terms();
-        if !self.repeats {
-            for (location, add) in terms {
-                f(location, add);
-            }
-            return;
-        }
-        // A repeated location weighs once, at its first term, with its
-        // terms summed in delivery order.
-        for (i, (location, add)) in terms.clone().enumerate() {
-            if terms.clone().take(i).any(|(l, _)| l == location) {
+        for batch in &self.batches[from..] {
+            let q = batch.queries * part.popularity / batch.total_pop;
+            if q <= 0.0 {
                 continue;
             }
-            let sum = terms
-                .clone()
-                .skip(i + 1)
-                .filter(|&(l, _)| l == location)
-                .fold(add, |sum, (_, add)| sum + add);
-            f(location, sum);
+            for region in &batch.regions {
+                let add = q * region.weight;
+                if add <= 0.0 {
+                    continue;
+                }
+                match mix.iter_mut().find(|r| r.location == region.location) {
+                    Some(r) => r.queries += add,
+                    None => mix.push(RegionQueries {
+                        location: region.location,
+                        queries: add,
+                    }),
+                }
+            }
         }
     }
 }
@@ -173,24 +120,25 @@ struct PlannedBatch {
 /// One partition's delivery plan: its share of the batch, and each
 /// replica's eq.-(4) weight under its mix (which the ring's `deliveries`
 /// already extend by the batch) and client distance, written into the
-/// replica. `prox` is the chunk's scratch. Pure per-partition work against
-/// immutable cluster state, so the fan-out ([`crate::pipeline`]) may run
-/// partitions in any grouping.
+/// replica. `mix` and `prox` are the chunk's scratch. Pure per-partition
+/// work against immutable cluster state, so the fan-out
+/// ([`crate::pipeline`]) may run partitions in any grouping.
 fn plan_one_delivery(
     part: &mut PartitionState,
     cluster: &Cluster,
     topology: &Topology,
     batch: &PlannedBatch,
     deliveries: &Deliveries,
+    mix: &mut Vec<RegionQueries>,
     prox: &mut ProximityCache,
 ) {
     part.delivery.ready = false;
     let q = batch.queries * part.popularity / batch.total_pop;
-    if adds_nothing(q) {
+    if q <= 0.0 {
         return;
     }
     part.queries_epoch += q;
-    let mix = deliveries.mix_of(part);
+    deliveries.fold_mix(part, mix);
     prox.clear();
     let PartitionState {
         replicas, delivery, ..
@@ -198,7 +146,7 @@ fn plan_one_delivery(
     for r in replicas.iter_mut() {
         let id = r.server.0 as usize;
         (r.proximity, r.client_distance) = match cluster.get(r.server) {
-            Some(s) => (prox.g(&mix, &s.location, topology), batch.dists[id]),
+            Some(s) => (prox.g(mix, &s.location, topology), batch.dists[id]),
             None => (1.0, 0.0),
         };
     }
@@ -285,7 +233,7 @@ impl SkuteCloud {
                         .sum()
                 })
                 .collect();
-            self.rings[ring].deliveries.push(DeliveredBatch {
+            self.rings[ring].deliveries.batches.push(DeliveredBatch {
                 queries: b.queries,
                 total_pop,
                 regions: b.regions,
@@ -300,7 +248,6 @@ impl SkuteCloud {
         if planned.is_empty() {
             return;
         }
-        let wave = planned;
         // Plan pass: one fan-out across every partition of every ring of
         // the wave (the rings are distinct, so the borrows are disjoint).
         let Self {
@@ -312,7 +259,7 @@ impl SkuteCloud {
         } = self;
         let mut items: Vec<(&PlannedBatch, &Deliveries, &mut PartitionState)> = Vec::new();
         for (ri, ring) in rings.iter_mut().enumerate() {
-            if let Some(batch) = wave.iter().find(|b| b.ring == ri) {
+            if let Some(batch) = planned.iter().find(|b| b.ring == ri) {
                 let RingState {
                     partitions,
                     deliveries,
@@ -327,14 +274,16 @@ impl SkuteCloud {
             }
         }
         pipeline.for_each_chunk(&mut items, |chunk| {
-            let mut prox = ProximityCache::new();
+            let (mut mix, mut prox) = (Vec::new(), ProximityCache::new());
             for (batch, deliveries, part) in chunk {
-                plan_one_delivery(part, cluster, topology, batch, deliveries, &mut prox);
+                plan_one_delivery(
+                    part, cluster, topology, batch, deliveries, &mut mix, &mut prox,
+                );
             }
         });
         self.obs_phase(plan_start, |m| &m.phase_traffic_plan);
         let commit_start = self.obs_start();
-        for batch in &wave {
+        for batch in &planned {
             self.commit_ring_traffic(batch.ring, gamma);
         }
         self.obs_phase(commit_start, |m| &m.phase_traffic_commit);
@@ -460,7 +409,7 @@ mod tests {
     use crate::placement::{PlacementContext, TargetQuery};
     use skute_cluster::{Capacities, ServerSpec};
     use skute_economy::scoring::proximity;
-    use skute_economy::RegionQueries;
+    use skute_geo::Location;
     use skute_ring::{PartitionId, RingId};
 
     #[test]
@@ -742,10 +691,17 @@ mod tests {
     }
 
     /// A mix's terms, in order, as `(location, queries bits)`.
-    fn term_bits<M: RegionMix + ?Sized>(mix: &M) -> Vec<(Location, u64)> {
-        let mut terms = Vec::new();
-        mix.for_each_region(|location, queries| terms.push((*location, queries.to_bits())));
-        terms
+    fn term_bits(mix: &[RegionQueries]) -> Vec<(Location, u64)> {
+        mix.iter()
+            .map(|r| (r.location, r.queries.to_bits()))
+            .collect()
+    }
+
+    /// The mix `deliveries` folds for `part`, in a fresh list.
+    fn mix_of(deliveries: &Deliveries, part: &PartitionState) -> Vec<RegionQueries> {
+        let mut mix = Vec::new();
+        deliveries.fold_mix(part, &mut mix);
+        mix
     }
 
     /// Client regions from `((continent, country), weight)` pairs.
@@ -825,8 +781,8 @@ mod tests {
                 ((4, 1), q2 * 0.7),
                 ((0, 0), q2 * 0.3),
             ]);
-            let mix = ring.deliveries.mix_of(part);
-            assert_eq!(term_bits(&mix), term_bits(&merged[..]));
+            let mix = mix_of(&ring.deliveries, part);
+            assert_eq!(term_bits(&mix), term_bits(&merged));
             for r in &part.replicas {
                 let server = cluster.get(r.server).unwrap().location;
                 let fresh = proximity(&merged, &server, topology);
@@ -836,7 +792,7 @@ mod tests {
             let q = TargetQuery {
                 existing: &existing,
                 size: 0,
-                mix: &mix,
+                region_queries: &mix,
                 rent_below: None,
             };
             let mut prox = ProximityCache::new();
@@ -910,8 +866,8 @@ mod tests {
                 } else {
                     Vec::new()
                 };
-                let mix = ring.deliveries.mix_of(part);
-                proptest::prop_assert_eq!(term_bits(&mix), term_bits(&folded[..]));
+                let mix = mix_of(&ring.deliveries, part);
+                proptest::prop_assert_eq!(term_bits(&mix), term_bits(&folded));
                 if part.delivery.ready {
                     for r in &part.replicas {
                         let server = cloud.cluster.get(r.server).unwrap().location;
@@ -966,7 +922,7 @@ mod tests {
         let server = Location::new(0, 0, 0, 0, 0, 0);
         let mix_terms = |cloud: &SkuteCloud, pid: PartitionId| {
             let ring = &cloud.rings[0];
-            let mix = ring.deliveries.mix_of(&ring.partitions[&pid]);
+            let mix = mix_of(&ring.deliveries, &ring.partitions[&pid]);
             let g = ProximityCache::new().g(&mix, &server, cloud.topology());
             (term_bits(&mix), g)
         };
@@ -983,7 +939,7 @@ mod tests {
         let (sibling, t1) = (pids[1], total_pop(&cloud));
         let pop = cloud.rings[0].partitions[&sibling].popularity;
         let folded = folded_mix(&[(2_000.0, first.clone())], pop, t1);
-        assert_eq!(mix_terms(&cloud, sibling).0, term_bits(&folded[..]));
+        assert_eq!(mix_terms(&cloud, sibling).0, term_bits(&folded));
         cloud
             .deliver_queries_multi(vec![batch_of(app, 1_000.0, second.clone())])
             .unwrap();
@@ -991,7 +947,7 @@ mod tests {
         for &pid in &children {
             let pop = cloud.rings[0].partitions[&pid].popularity;
             let folded = folded_mix(&[(1_000.0, second.clone())], pop, t2);
-            assert_eq!(mix_terms(&cloud, pid).0, term_bits(&folded[..]), "{pid:?}");
+            assert_eq!(mix_terms(&cloud, pid).0, term_bits(&folded), "{pid:?}");
         }
         cloud.end_epoch();
         cloud.begin_epoch();

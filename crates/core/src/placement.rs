@@ -2,7 +2,7 @@
 //! rent-sorted candidate index, and the pluggable strategy interface.
 
 use skute_cluster::{Board, Cluster, ServerId};
-use skute_economy::{candidate_score, EconomyConfig, ProximityCache, RegionMix, RegionQueries};
+use skute_economy::{candidate_score, EconomyConfig, ProximityCache, RegionQueries};
 use skute_geo::{Location, Topology};
 
 /// Read-only view of the cloud a placement strategy may consult.
@@ -38,14 +38,14 @@ impl<'a> PlacementContext<'a> {
 /// One eq.-(3) target question: where should a replica of this partition
 /// go? The index walk and the brute-force scan both take this value, so
 /// the two cannot disagree on what was asked.
-pub(crate) struct TargetQuery<'a, M: ?Sized = [RegionQueries]> {
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct TargetQuery<'a> {
     /// Servers already hosting the partition (never candidates).
     pub(crate) existing: &'a [ServerId],
     /// Bytes the new replica will occupy.
     pub(crate) size: u64,
-    /// The partition's eq.-(4) client mix: its observed query volume per
-    /// client region.
-    pub(crate) mix: &'a M,
+    /// The partition's observed per-region query volume.
+    pub(crate) region_queries: &'a [RegionQueries],
     /// Restricts the search to servers renting below this (the migration
     /// case: "find a less expensive server that is closer to the client
     /// locations").
@@ -157,12 +157,12 @@ pub(crate) fn feasible_candidates<'a>(
 /// and its score; ties go to the lower server id.
 ///
 /// `prox` memoizes the proximity weight `g_j` per server country. It must
-/// be empty or filled against `q.mix`; its weights are bit for bit
-/// [`skute_economy::scoring::proximity`]'s, so a warm cache answers exactly
-/// as a fresh one.
-pub(crate) fn economic_target<M: RegionMix + ?Sized>(
+/// be empty or filled against `q.region_queries`; its weights are bit for
+/// bit [`skute_economy::scoring::proximity`]'s, so a warm cache answers exactly as
+/// a fresh one.
+pub(crate) fn economic_target(
     ctx: &PlacementContext<'_>,
-    q: &TargetQuery<'_, M>,
+    q: &TargetQuery<'_>,
     prox: &mut ProximityCache,
 ) -> Option<(ServerId, f64)> {
     let existing_locations: Vec<Location> = q
@@ -172,7 +172,7 @@ pub(crate) fn economic_target<M: RegionMix + ?Sized>(
         .collect();
     feasible_candidates(ctx, q.existing, q.size, q.rent_below)
         .map(|(id, location, confidence, rent)| {
-            let g = prox.g(q.mix, &location, ctx.topology);
+            let g = prox.g(q.region_queries, &location, ctx.topology);
             let score = candidate_score(
                 &existing_locations,
                 &location,
@@ -416,20 +416,20 @@ impl PlacementIndex {
     /// it per candidate.
     ///
     /// `prox` must have been filled (or cleared) against the query's
-    /// `mix`.
-    pub(crate) fn economic_target<M: RegionMix + ?Sized>(
+    /// `region_queries`.
+    pub(crate) fn economic_target(
         &mut self,
         ctx: &PlacementContext<'_>,
-        q: &TargetQuery<'_, M>,
+        q: &TargetQuery<'_>,
         prox: &mut ProximityCache,
     ) -> Option<(ServerId, f64)> {
         self.refresh(ctx);
-        let &TargetQuery {
+        let TargetQuery {
             existing,
             size: partition_size,
-            mix,
+            region_queries,
             rent_below,
-        } = q;
+        } = *q;
         let Self { buckets, walk, .. } = self;
         walk.existing_locs.clear();
         for id in existing {
@@ -455,7 +455,7 @@ impl PlacementIndex {
             }
             let mut g_max = 0.0f64;
             for l in &b.reps {
-                g_max = g_max.max(prox.g(mix, l, ctx.topology));
+                g_max = g_max.max(prox.g(region_queries, l, ctx.topology));
             }
             walk.gains.push(g_max * b.conf_max * f64::from(div_ub) * v);
             walk.heads.push(0);
@@ -518,7 +518,7 @@ impl PlacementIndex {
                     continue;
                 }
             }
-            let g = prox.g(mix, &e.location, ctx.topology);
+            let g = prox.g(region_queries, &e.location, ctx.topology);
             let score = candidate_score(
                 &walk.existing_locs,
                 &e.location,
@@ -558,7 +558,7 @@ impl PlacementStrategy for EconomicPlacement {
         let q = TargetQuery {
             existing,
             size: partition_size,
-            mix: &[][..],
+            region_queries: &[],
             rent_below: None,
         };
         economic_target(ctx, &q, &mut ProximityCache::new()).map(|(id, _)| id)
@@ -587,7 +587,7 @@ mod tests {
         TargetQuery {
             existing,
             size,
-            mix: region_queries,
+            region_queries,
             rent_below,
         }
     }
@@ -607,7 +607,7 @@ mod tests {
             .collect();
         feasible_candidates(ctx, q.existing, q.size, q.rent_below)
             .map(|(id, location, confidence, rent)| {
-                let g = proximity(q.mix, &location, ctx.topology);
+                let g = proximity(q.region_queries, &location, ctx.topology);
                 let v = ctx.economy.diversity_unit_value;
                 (
                     id,

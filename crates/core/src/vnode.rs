@@ -123,8 +123,8 @@ pub(crate) struct PartitionState {
     /// batch count for a split's children, which received none of the
     /// batches delivered before they existed. The partition's eq.-(4)
     /// client mix (the `q_l` of eq. 4) is no copy it keeps: it is its
-    /// popularity's share of those batches, a view the ring builds
-    /// ([`crate::cloud::traffic::Deliveries::mix_of`]).
+    /// popularity's share of those batches, which a walk folds into
+    /// scratch ([`crate::cloud::traffic::Deliveries::fold_mix`]).
     pub(crate) mix_from: u32,
     /// Memoized eq.-(2) availability of the current replica set. While
     /// `Some`, every replica's eq. (2) without itself is memoized too
@@ -331,7 +331,7 @@ mod tests {
         // 24-region mass array here once made it 864 bytes, and three
         // per-replica delivery vectors 256. What is per replica belongs in
         // the replica. The client mix and its eq.-(4) memo are no longer
-        // here either (144 → 104 bytes): the mix is a view over the
+        // here either (144 → 104 bytes): the mix is folded from the
         // ring's batches and the memo is a walk's scratch, so `replicas`
         // is the one heap buffer a partition owns.
         assert!(

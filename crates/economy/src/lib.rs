@@ -27,5 +27,5 @@ mod utility;
 pub use balance::BalanceHistory;
 pub use config::EconomyConfig;
 pub use rent::RentModel;
-pub use scoring::{candidate_score, ProximityCache, RegionMix, RegionQueries};
+pub use scoring::{candidate_score, ProximityCache, RegionQueries};
 pub use utility::{floored_utility, utility};

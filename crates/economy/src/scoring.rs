@@ -4,10 +4,10 @@
 //! client counts by its `(continent, country)` and a server by its
 //! country, whatever their finer location levels. The diversity between
 //! the two is then a function of the two countries alone
-//! (`zone_diversity`), so every server of a country carries the same
+//! (`ZONE_DIVERSITY`), so every server of a country carries the same
 //! weight and each weight is memoized once per server country.
 
-use skute_geo::{diversity, Location, Topology};
+use skute_geo::{diversity, Level, Location, Topology};
 
 /// Query volume observed from one client region for one partition — the
 /// `q_l` of eq. (4).
@@ -20,40 +20,92 @@ pub struct RegionQueries {
     pub queries: f64,
 }
 
-/// A client mix eq. (4) can weigh: a sequence of `(location, queries)`
-/// terms in a fixed order. A slice of [`RegionQueries`] is one; a
-/// partition's view over its ring's delivered traffic is another, which
-/// yields its terms without holding a copy of them.
-pub trait RegionMix {
-    /// Calls `f` with every term of the mix, in the mix's order.
-    fn for_each_region(&self, f: impl FnMut(&Location, f64));
+/// The eq.-(4) diversity of a client country to a server country, by
+/// [`zone`]: 15 in the same country (a country's clients sit in a
+/// synthetic datacenter no server shares), 31 in the same continent, 63
+/// across continents.
+const ZONE_DIVERSITY: [f64; 3] = [15.0, 31.0, 63.0];
+
+/// Where a server country lies from a client country: 0 the same
+/// country, 1 the same continent, 2 another continent.
+#[inline]
+fn zone(client: (u16, u16), server: (u16, u16)) -> usize {
+    if client.0 != server.0 {
+        2
+    } else if client.1 != server.1 {
+        1
+    } else {
+        0
+    }
 }
 
-impl RegionMix for [RegionQueries] {
-    fn for_each_region(&self, mut f: impl FnMut(&Location, f64)) {
-        for r in self {
-            f(&r.location, r.queries);
+/// What every proximity weight of one region mix shares: the mix's total
+/// and, for the uniform split of that total over the topology's
+/// countries, the split's total and its per-country products.
+#[derive(Debug, Clone, Copy)]
+struct MixTotals {
+    /// Σ queries over the mix, in slice order.
+    total: f64,
+    /// Σ over the topology's countries of `total / countries`, in
+    /// [`Topology::iter_countries`] order.
+    uniform_total: f64,
+    /// `total / countries` times each [`ZONE_DIVERSITY`].
+    uniform_by_zone: [f64; 3],
+}
+
+impl MixTotals {
+    /// The totals of `regions`, or `None` when it has no queries (every
+    /// weight is then neutral).
+    fn of(regions: &[RegionQueries], topology: &Topology) -> Option<Self> {
+        let mut total = 0.0;
+        for r in regions {
+            total += r.queries;
+        }
+        if total <= 0.0 {
+            return None;
+        }
+        let per = total / topology.country_count() as f64;
+        let mut uniform_total = 0.0;
+        for _ in topology.iter_countries() {
+            uniform_total += per;
+        }
+        Some(Self {
+            total,
+            uniform_total,
+            uniform_by_zone: ZONE_DIVERSITY.map(|d| per * d),
+        })
+    }
+
+    /// Eq. (4) of server country `key` over `regions`, normalized by eq.
+    /// (4) under the uniform split over `countries` (the topology's, in
+    /// [`Topology::iter_countries`] order).
+    fn weigh(
+        &self,
+        regions: &[RegionQueries],
+        key: (u16, u16),
+        countries: impl IntoIterator<Item = (u16, u16)>,
+    ) -> f64 {
+        let mut weighted = 0.0;
+        for r in regions {
+            weighted += r.queries * ZONE_DIVERSITY[zone(r.location.country_key(), key)];
+        }
+        let raw = self.total / (1.0 + weighted);
+        let mut weighted_uniform = 0.0;
+        for country in countries {
+            weighted_uniform += self.uniform_by_zone[zone(country, key)];
+        }
+        let baseline = self.uniform_total / (1.0 + weighted_uniform);
+        if baseline <= 0.0 {
+            1.0
+        } else {
+            raw / baseline
         }
     }
 }
 
-/// The eq.-(4) diversity of a client country to a server country: 15 in
-/// the same country (a country's clients sit in a synthetic datacenter no
-/// server shares), 31 in the same continent, 63 across continents.
-#[inline]
-fn zone_diversity(client: (u16, u16), server: (u16, u16)) -> f64 {
-    if client.0 != server.0 {
-        63.0
-    } else if client.1 != server.1 {
-        31.0
-    } else {
-        15.0
-    }
-}
-
 /// The client-proximity weight `g_j` of server `server` for a partition
-/// whose epoch queries came from `regions`: [`ProximityCache::g`] of a
-/// fresh cache.
+/// whose epoch queries came from `regions`, computed for this one server
+/// country; [`ProximityCache::g`] memoizes the same bits.
 ///
 /// Computed as eq. (4) normalized by eq. (4) evaluated with the same total
 /// query volume spread uniformly over all countries of `topology`: under a
@@ -68,27 +120,37 @@ fn zone_diversity(client: (u16, u16), server: (u16, u16)) -> f64 {
 /// mix with the two merged, up to the association of the sums. With no
 /// queries at all the weight is neutral (1).
 pub fn proximity(regions: &[RegionQueries], server: &Location, topology: &Topology) -> f64 {
-    ProximityCache::new().g(regions, server, topology)
+    MixTotals::of(regions, topology).map_or(1.0, |totals| {
+        totals.weigh(regions, server.country_key(), topology.iter_countries())
+    })
 }
 
-/// The one eq.-(4) evaluator: proximity weights of one fixed region mix,
-/// memoized per server country.
+/// Proximity weights of one fixed region mix, memoized per server
+/// country.
 ///
 /// Eq. (4) weighs a server by its `(continent, country)` prefix alone
 /// (see [`proximity`]), so one walk over a partition's servers (the
 /// replicas its delivery plan weighs, the candidates an eq.-(3) query
 /// scores) needs one evaluation per server country; this cache holds them
-/// and nothing else. Each miss sums eq. (4) over the mix it is handed.
+/// and what they share, and nothing else. Each miss sums eq. (4) over the
+/// mix it is handed.
 ///
 /// A cache is scratch, not state: the caller owns one per walk and
 /// [`ProximityCache::clear`]s it before weighing another mix
 /// (`SkuteCloud` keeps one per plan chunk and one for its eq.-(3) walks,
-/// and clears it per partition). A clear keeps the buffer's capacity, so
+/// and clears it per partition). A clear keeps the buffers' capacity, so
 /// a reused cache refills without allocating.
 #[derive(Debug, Clone, Default)]
 pub struct ProximityCache {
-    /// The memoized weight per server country.
-    entries: Vec<((u16, u16), f64)>,
+    /// The mix's totals, computed by the first miss after a clear.
+    totals: Option<MixTotals>,
+    /// The countries of the topology last weighed against, in
+    /// [`Topology::iter_countries`] order, and its `(continents,
+    /// countries per continent)`.
+    countries: Vec<(u16, u16)>,
+    grid: (u16, u16),
+    /// The memoized weight of each of `countries` (`None` until weighed).
+    row: Vec<Option<f64>>,
 }
 
 impl ProximityCache {
@@ -98,51 +160,58 @@ impl ProximityCache {
     }
 
     /// Drops every memoized weight (the region mix changed), keeping the
-    /// buffer.
+    /// buffers.
     pub fn clear(&mut self) {
-        self.entries.clear();
+        self.totals = None;
     }
 
-    /// True when nothing is memoized yet.
+    /// The number of memoized weights.
     #[cfg(test)]
-    pub(crate) fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+    pub(crate) fn len(&self) -> usize {
+        match self.totals {
+            Some(_) => self.row.iter().flatten().count(),
+            None => 0,
+        }
     }
 
     /// The proximity weight of `server` for `regions`, memoized by the
-    /// server's country: eq. (4) over the mix, normalized by eq. (4) under
-    /// the uniform split of the same total, each sum accumulated in a fixed
-    /// order (the mix in its own order, the uniform baseline in
-    /// [`Topology::iter_countries`] order).
-    pub fn g<M: RegionMix + ?Sized>(
-        &mut self,
-        regions: &M,
-        server: &Location,
-        topology: &Topology,
-    ) -> f64 {
-        // An entry exists only under a mix with queries.
+    /// server's country: bit for bit [`proximity`]'s, each sum
+    /// accumulated in the same order (the mix in slice order, the uniform
+    /// baseline in [`Topology::iter_countries`] order). A hit is one
+    /// indexed load; a server country outside `topology` is weighed afresh
+    /// on every call.
+    pub fn g(&mut self, regions: &[RegionQueries], server: &Location, topology: &Topology) -> f64 {
         let key = server.country_key();
-        if let Some(&(_, g)) = self.entries.iter().find(|(k, _)| *k == key) {
-            return g;
+        let continents = topology.fanout(Level::Continent);
+        let per_continent = topology.fanout(Level::Country);
+        if key.0 >= continents || key.1 >= per_continent {
+            return proximity(regions, server, topology);
         }
-        let (mut total, mut weighted) = (0.0, 0.0);
-        regions.for_each_region(|location, queries| {
-            total += queries;
-            weighted += queries * zone_diversity(location.country_key(), key);
-        });
-        if total <= 0.0 {
-            return 1.0;
-        }
-        let raw = total / (1.0 + weighted);
-        let per = total / topology.country_count() as f64;
-        let (mut uniform_total, mut weighted_uniform) = (0.0, 0.0);
-        for country in topology.iter_countries() {
-            uniform_total += per;
-            weighted_uniform += per * zone_diversity(country, key);
-        }
-        let baseline = uniform_total / (1.0 + weighted_uniform);
-        let g = if baseline <= 0.0 { 1.0 } else { raw / baseline };
-        self.entries.push((key, g));
+        let at = usize::from(key.0) * usize::from(per_continent) + usize::from(key.1);
+        let totals = match self.totals {
+            Some(totals) => {
+                if let Some(g) = self.row[at] {
+                    return g;
+                }
+                totals
+            }
+            None => {
+                let Some(totals) = MixTotals::of(regions, topology) else {
+                    return 1.0;
+                };
+                self.totals = Some(totals);
+                if self.grid != (continents, per_continent) {
+                    self.grid = (continents, per_continent);
+                    self.countries.clear();
+                    self.countries.extend(topology.iter_countries());
+                }
+                self.row.clear();
+                self.row.resize(self.countries.len(), None);
+                totals
+            }
+        };
+        let g = totals.weigh(regions, key, self.countries.iter().copied());
+        self.row[at] = Some(g);
         g
     }
 }
@@ -206,7 +275,7 @@ mod tests {
     /// `regions`, normalized by raw eq. (4) over the countries' client
     /// zones under the uniform split. On a duplicate-free mix of
     /// country-zone clients and a real server every diversity is its
-    /// countries' [`zone_diversity`], so it equals the kernel by bits.
+    /// countries' [`ZONE_DIVERSITY`], so it equals the kernel by bits.
     fn general_scan(regions: &[RegionQueries], server: &Location, t: &Topology) -> f64 {
         let total: f64 = regions.iter().map(|r| r.queries).sum();
         if total <= 0.0 {
@@ -309,7 +378,7 @@ mod tests {
         let mut cache = ProximityCache::new();
         for (i, server) in t.iter_servers().enumerate() {
             let direct = proximity(&regions, &server, &t);
-            let cached = cache.g(&regions[..], &server, &t);
+            let cached = cache.g(&regions, &server, &t);
             assert_eq!(cached.to_bits(), direct.to_bits(), "server {i}");
             assert_eq!(
                 direct.to_bits(),
@@ -318,16 +387,40 @@ mod tests {
             );
         }
         // 200 servers share 10 countries: the cache holds 10 entries.
-        assert_eq!(cache.entries.len(), 10);
-        assert!(!cache.is_empty());
+        assert_eq!(cache.len(), 10);
+        // A server country outside the topology weighs as the scan says,
+        // and is not memoized.
+        for server in [
+            Location::new(7, 0, 0, 0, 0, 0),
+            Location::new(1, 5, 0, 0, 0, 0),
+        ] {
+            let scan = general_scan(&regions, &server, &t).to_bits();
+            assert_eq!(cache.g(&regions, &server, &t).to_bits(), scan, "{server}");
+            assert_eq!(proximity(&regions, &server, &t).to_bits(), scan, "{server}");
+        }
+        assert_eq!(cache.len(), 10);
         // Re-querying stays identical; clearing resets and keeps the
         // buffer.
         let s = server_at(&t, 3);
-        assert_eq!(cache.g(&regions[..], &s, &t), proximity(&regions, &s, &t));
-        let capacity = cache.entries.capacity();
+        assert_eq!(cache.g(&regions, &s, &t), proximity(&regions, &s, &t));
+        let capacity = cache.row.capacity();
         cache.clear();
-        assert!(cache.is_empty());
-        assert_eq!(cache.entries.capacity(), capacity);
+        assert_eq!(cache.len(), 0);
+        assert_eq!(cache.row.capacity(), capacity);
+        // Cleared, it weighs against another topology's countries.
+        let other = Topology::builder()
+            .continents(3)
+            .countries_per_continent(4)
+            .build();
+        for server in other.iter_servers() {
+            let direct = proximity(&regions, &server, &other).to_bits();
+            assert_eq!(
+                cache.g(&regions, &server, &other).to_bits(),
+                direct,
+                "{server}"
+            );
+        }
+        assert_eq!(cache.len(), 12);
     }
 
     #[test]
@@ -348,10 +441,10 @@ mod tests {
         for i in 0..200u64 {
             let server = server_at(&t, i);
             let direct = proximity(&regions, &server, &t);
-            let cached = cache.g(&regions[..], &server, &t);
+            let cached = cache.g(&regions, &server, &t);
             assert_eq!(cached.to_bits(), direct.to_bits(), "server {i}");
         }
-        assert_eq!(cache.entries.len(), 10);
+        assert_eq!(cache.len(), 10);
         // And on a duplicate-free mix the analytic value agrees with the
         // general per-location scan bit for bit.
         let server = server_at(&t, 42);
@@ -373,7 +466,7 @@ mod tests {
         let m = proximity(&merged, &server, &t);
         assert!((d - m).abs() <= 1e-12 * m, "{d} vs {m}");
         cache.clear();
-        assert_eq!(cache.g(&dup[..], &server, &t).to_bits(), d.to_bits());
+        assert_eq!(cache.g(&dup, &server, &t).to_bits(), d.to_bits());
     }
 
     #[test]
@@ -399,18 +492,18 @@ mod tests {
             let direct = proximity(&regions, &server, &t);
             let country = proximity(&by_country, &server, &t);
             assert_eq!(direct.to_bits(), country.to_bits(), "server {server}");
-            let cached = cache.g(&regions[..], &server, &t);
+            let cached = cache.g(&regions, &server, &t);
             assert_eq!(cached.to_bits(), direct.to_bits(), "server {server}");
         }
-        assert_eq!(cache.entries.len(), 10);
+        assert_eq!(cache.len(), 10);
         // The server at the client's own rack weighs as its country
         // siblings, from the same entry.
         let sibling = Location::new(2, 1, 1, 0, 0, 0);
         assert_eq!(
-            cache.g(&regions[..], &rack, &t),
-            cache.g(&regions[..], &sibling, &t)
+            cache.g(&regions, &rack, &t),
+            cache.g(&regions, &sibling, &t)
         );
-        assert_eq!(cache.entries.len(), 10);
+        assert_eq!(cache.len(), 10);
     }
 
     proptest! {
@@ -483,7 +576,7 @@ mod tests {
             let zone = Location::client_in_country(server.continent, server.country);
             for s in [server, sibling, zone, server] {
                 let direct = proximity(&regions, &s, &t).to_bits();
-                prop_assert_eq!(cache.g(&regions[..], &s, &t).to_bits(), direct);
+                prop_assert_eq!(cache.g(&regions, &s, &t).to_bits(), direct);
             }
             // Reuse, as a partition's cache is reused across deliveries and
             // epochs: after a clear, a second mix (more or fewer countries,
@@ -502,7 +595,7 @@ mod tests {
             for i in (0..200u64).step_by(17).chain([server_idx]) {
                 let s = server_at(&t, i);
                 let scan = general_scan(&second, &s, &t).to_bits();
-                prop_assert_eq!(cache.g(&second[..], &s, &t).to_bits(), scan, "server {}", i);
+                prop_assert_eq!(cache.g(&second, &s, &t).to_bits(), scan, "server {}", i);
             }
         }
 
